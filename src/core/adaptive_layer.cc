@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <map>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "exec/batch_executor.h"
@@ -22,6 +21,13 @@
 namespace vmsv {
 
 namespace {
+
+/// Candidates are built with coalesced runs and lazily (§2.3): the creating
+/// scan records the page list only, and the view rewires on the first query
+/// it answers, so discarded candidates never pay for mmap work.
+constexpr ViewCreationOptions kCandidateCreation{/*coalesce_runs=*/true,
+                                                 /*background_mapping=*/false,
+                                                 /*lazy_materialize=*/true};
 
 /// True when [lo_a, hi_a] and [lo_b, hi_b] overlap or are integer-adjacent
 /// (no representable value lies between them), i.e. their union is gap-free.
@@ -89,7 +95,10 @@ bool PartialViewIndex::FindCover(const RangeQuery& q, bool cost_based,
         best_score = score;
       }
     }
-    if (best == nullptr) return false;  // gap at `point`
+    if (best == nullptr) {  // gap at `point`: no partial cover escapes
+      cover->clear();
+      return false;
+    }
     cover->push_back(best);
     if (best->hi() >= q.hi) return true;
     point = best->hi() + 1;
@@ -135,9 +144,6 @@ StatusOr<std::unique_ptr<AdaptiveColumn>> AdaptiveColumn::Create(
   // install, so base scans stay fault-free — the always-correct fallback.
   if (config.vm_io != nullptr) {
     adaptive->column_->file()->set_vm_io(config.vm_io);
-  }
-  if (config.creation.background_mapping) {
-    adaptive->mapper_ = std::make_unique<BackgroundMapper>();
   }
   return adaptive;
 }
@@ -568,165 +574,229 @@ StatusOr<QueryExecution> AdaptiveColumn::ExecuteFullScan(
   return exec;
 }
 
-bool AdaptiveColumn::RouteQuery(const RangeQuery& q, VirtualView** view,
+void AdaptiveColumn::RouteQuery(const RangeQuery& q,
                                 std::vector<VirtualView*>* cover) const {
-  *view = nullptr;
   cover->clear();
   if (config_.mode == QueryMode::kSingleView) {
-    *view = view_index_.FindSmallestCovering(q);
-    return *view != nullptr;
+    VirtualView* view = view_index_.FindSmallestCovering(q);
+    if (view != nullptr) cover->push_back(view);
+    return;
   }
-  if (!view_index_.FindCover(q, config_.cost_based_routing, cover)) {
-    return false;
-  }
+  if (!view_index_.FindCover(q, config_.cost_based_routing, cover)) return;
   if (config_.cost_based_routing) {
     uint64_t cover_pages = 0;
     for (const VirtualView* v : *cover) cover_pages += v->num_pages();
     if (cover_pages >= column_->num_pages()) {
       // Cover costlier than a full scan: route to the scan path instead.
       cover->clear();
-      return false;
     }
   }
-  return true;
+}
+
+StatusOr<std::vector<size_t>> AdaptiveColumn::AnswerFromViews(
+    const std::vector<RangeQuery>& queries, bool maintenance_held,
+    EpochManager::Guard* guard, BatchExecution* out) {
+  *out = BatchExecution{};
+  out->queries.resize(queries.size());
+  std::vector<std::vector<VirtualView*>> covers(queries.size());
+  {
+    // Maintenance first, and only when due, so the common case never
+    // touches maintenance_mu_. Results must reflect an ALIGNED state: the
+    // pending_count_ store happens before an updater releases its exclusive
+    // lock, so a shared holder sees either the pre-update pool or the
+    // count. Having flushed, we route while still holding maintenance_mu_
+    // (updates need the same mutex), so a sustained writer cannot starve us.
+    std::unique_lock<std::mutex> maintenance(maintenance_mu_, std::defer_lock);
+    const auto run_due_maintenance = [&]() -> Status {
+      if (!maintenance_held && !maintenance.owns_lock()) maintenance.lock();
+      // Shed mappings BEFORE mapping anything new: a map failure anywhere
+      // set the pressure flag, and relieving it here gives the
+      // materializations and adaptation that follow their best chance.
+      if (pressure_pending_.exchange(false, std::memory_order_acq_rel)) {
+        RelievePressureLocked();
+      }
+      if (pending_.empty()) return OkStatus();
+      auto flushed = FlushUpdatesLocked(/*compact_after=*/true);
+      return flushed.ok() ? OkStatus() : flushed.status();
+    };
+    if (maintenance_held ||
+        pressure_pending_.load(std::memory_order_acquire) ||
+        HasPendingUpdates()) {
+      VMSV_RETURN_IF_ERROR(run_due_maintenance());
+    }
+    std::shared_lock<std::shared_mutex> lock(views_mu_);
+    if (pending_count_.load(std::memory_order_acquire) > 0) {
+      // An updater slipped in between the check and the shared acquisition
+      // (impossible while we hold maintenance_mu_): flush after all.
+      lock.unlock();
+      VMSV_RETURN_IF_ERROR(run_due_maintenance());
+      lock.lock();
+    }
+    for (size_t i = 0; i < queries.size(); ++i) {
+      RouteQuery(queries[i], &covers[i]);
+    }
+    const uint64_t views_after = view_index_.num_partial_views();
+    for (QueryExecution& exec : out->queries) {
+      exec.stats.views_after = views_after;
+    }
+    // Entered while the shared lock is still held — the protocol's
+    // linchpin. The guard now pins every routed view: eviction only parks
+    // them on the limbo list, and in-place mutation waits for our exit.
+    // Both locks release here; the scans below run lock-free.
+    *guard = epoch_.Enter();
+  }
+
+  // One group per distinct cover, in first-appearance order.
+  std::map<std::vector<VirtualView*>, size_t> group_of;
+  std::vector<std::vector<size_t>> groups;
+  std::vector<size_t> missed;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    if (covers[i].empty()) {
+      missed.push_back(i);
+      continue;
+    }
+    const auto [slot, fresh] = group_of.emplace(covers[i], groups.size());
+    if (fresh) groups.emplace_back();
+    groups[slot->second].push_back(i);
+  }
+
+  const uint64_t seq = metrics_.queries.load(std::memory_order_relaxed);
+  for (const std::vector<size_t>& members : groups) {
+    const std::vector<VirtualView*>& cover = covers[members.front()];
+    bool mapped = true;
+    for (VirtualView* view : cover) {
+      if (!view->EnsureMaterialized().ok()) {
+        mapped = false;
+        break;
+      }
+      // A demoted view that just re-materialized is hot again: the routed
+      // query IS the promotion signal. The CAS elects one winner among
+      // concurrent readers; the tier flip happens outside any maintenance
+      // lock, so the dirty flag asks the next flush/checkpoint to persist
+      // it.
+      if (view->PromoteIfDemoted()) {
+        health_.views_promoted.fetch_add(1, std::memory_order_relaxed);
+        tier_dirty_.store(true, std::memory_order_release);
+      }
+      for (size_t m = 0; m < members.size(); ++m) view->RecordHit(seq);
+    }
+    if (!mapped) {
+      // Mapping failed (address space, VMA budget, transient EAGAIN). The
+      // view stays consistently unmaterialized (EnsureMaterialized's
+      // failure contract), one unmappable member poisons the whole cover,
+      // and a READ must not surface a resource error: the base column
+      // answers exactly, and the pressure flag asks the next maintenance
+      // pass to shed mappings.
+      NoteMapFailure();
+      health_.base_fallbacks.fetch_add(members.size(),
+                                       std::memory_order_relaxed);
+      for (const size_t i : members) {
+        out->queries[i].stats.decision = CandidateDecision::kBaseFallback;
+        out->queries[i].stats.considered_views = cover.size();
+        missed.push_back(i);
+      }
+      continue;
+    }
+    std::vector<RangeQuery> group;
+    group.reserve(members.size());
+    for (const size_t i : members) group.push_back(queries[i]);
+    std::vector<PageScanResult> results;
+    uint64_t cover_pages = 0;
+    if (cover.size() == 1) {
+      results = cover.front()->ScanMany(group);
+      cover_pages = cover.front()->num_pages();
+    } else {
+      // Views in a cover may share physical pages; each is scanned once.
+      // Counts and sums are associative wrap-around adds, so merging the
+      // per-view partial results is bit-identical to one scan of the union.
+      results.resize(members.size());
+      std::unordered_set<uint64_t> seen;
+      for (const VirtualView* view : cover) {
+        const std::vector<PageScanResult> partial = view->ScanManyIf(
+            group, [&seen](uint64_t page) { return seen.insert(page).second; });
+        for (size_t m = 0; m < members.size(); ++m) {
+          results[m].Merge(partial[m]);
+        }
+      }
+      cover_pages = seen.size();
+    }
+    for (size_t m = 0; m < members.size(); ++m) {
+      QueryExecution& exec = out->queries[members[m]];
+      exec.match_count = results[m].match_count;
+      exec.sum = results[m].sum;
+      exec.stats.considered_views = cover.size();
+      exec.stats.decision = CandidateDecision::kAnsweredFromView;
+      // The shared pass's cost lands on the group leader; followers rode
+      // along for free.
+      exec.stats.scanned_pages = m == 0 ? cover_pages : 0;
+    }
+    out->shared_scanned_pages += cover_pages;
+    out->individual_equivalent_pages += cover_pages * members.size();
+    out->view_answered += members.size();
+  }
+  std::sort(missed.begin(), missed.end());
+  return missed;
+}
+
+void AdaptiveColumn::AnswerFromBase(const std::vector<RangeQuery>& queries,
+                                    const std::vector<size_t>& members,
+                                    BatchExecution* out) const {
+  if (members.empty()) return;
+  // The base arena was mapped before any fault seam was installed and is
+  // never rewired, so this pass makes no mapping syscalls — it is the floor
+  // the degradation policy stands on. The overlap groups bound the
+  // per-page hull tests inside the executor.
+  std::vector<RangeQuery> group;
+  group.reserve(members.size());
+  for (const size_t i : members) group.push_back(queries[i]);
+  out->overlap_groups = GroupOverlappingQueries(group).size();
+  const uint64_t column_pages = column_->num_pages();
+  const BatchExecutor executor;
+  const std::vector<PageScanResult> results = executor.SharedScanPages(
+      reinterpret_cast<const Value*>(column_->base_arena().data()),
+      column_pages, group);
+  for (size_t m = 0; m < members.size(); ++m) {
+    QueryExecution& exec = out->queries[members[m]];
+    exec.match_count = results[m].match_count;
+    exec.sum = results[m].sum;
+    exec.stats.scanned_pages = m == 0 ? column_pages : 0;
+  }
+  out->shared_scanned_pages += column_pages;
+  out->individual_equivalent_pages += column_pages * members.size();
+  out->base_answered = members.size();
 }
 
 StatusOr<QueryExecution> AdaptiveColumn::Execute(const RangeQuery& q) {
   if (q.lo > q.hi) return InvalidArgument("query lo > hi");
-  // Reader fast path: route under the shared index lock; a hit scans
-  // lock-free under an epoch guard. Pending updates force the maintenance
-  // path first — results must always reflect an ALIGNED state (the
-  // pending_count_ store happens before the updater releases the exclusive
-  // lock, so a shared holder sees either the pre-update pool or the flag).
-  {
-    std::shared_lock<std::shared_mutex> lock(views_mu_);
-    if (pending_count_.load(std::memory_order_acquire) == 0) {
-      VirtualView* view = nullptr;
-      std::vector<VirtualView*> cover;
-      if (RouteQuery(q, &view, &cover)) {
-        if (view != nullptr) {
-          return AnswerFromSingleView(view, q, std::move(lock));
-        }
-        return AnswerFromCover(cover, q, std::move(lock));
-      }
+  const std::vector<RangeQuery> batch{q};
+  BatchExecution out;
+  // The batch step on a batch of one. False on a genuine miss; a view that
+  // failed to map is answered from the base column instead. The guard
+  // exits on return, before we may block on maintenance_mu_ (an updater
+  // holding it waits for every guard).
+  const auto answer = [&](bool maintenance_held) -> StatusOr<bool> {
+    EpochManager::Guard guard;
+    auto missed = AnswerFromViews(batch, maintenance_held, &guard, &out);
+    if (!missed.ok()) return missed.status();
+    if (!missed->empty() && out.queries.front().stats.decision !=
+                                CandidateDecision::kBaseFallback) {
+      return false;
     }
-  }
-  return ExecuteMaintenance(q);
-}
-
-StatusOr<QueryExecution> AdaptiveColumn::ExecuteMaintenance(
-    const RangeQuery& q) {
+    AnswerFromBase(batch, *missed, &out);
+    RecordQueries(1, out.shared_scanned_pages);
+    return true;
+  };
+  auto answered = answer(/*maintenance_held=*/false);
+  if (!answered.ok()) return answered.status();
+  if (*answered) return out.queries.front();
+  // A genuine miss adapts under maintenance_mu_. Re-run the step first:
+  // another maintenance pass may have covered q while we waited for the
+  // mutex.
   std::lock_guard<std::mutex> maintenance(maintenance_mu_);
-  // Shed mappings BEFORE building anything new: a map failure anywhere set
-  // the pressure flag, and relieving it here gives the adaptation below its
-  // best chance of succeeding.
-  if (pressure_pending_.exchange(false, std::memory_order_acq_rel)) {
-    RelievePressureLocked();
-  }
-  if (!pending_.empty()) {
-    auto flushed = FlushUpdatesLocked(/*compact_after=*/true);
-    if (!flushed.ok()) return flushed.status();
-  }
-  // Re-route: another maintenance pass may have covered q while we waited
-  // for the mutex (or the flush may have changed the pool). Answering here,
-  // with maintenance_mu_ still held, keeps the code loop-free; the lock
-  // order (maintenance -> views) is the global one.
-  {
-    std::shared_lock<std::shared_mutex> lock(views_mu_);
-    VirtualView* view = nullptr;
-    std::vector<VirtualView*> cover;
-    if (RouteQuery(q, &view, &cover)) {
-      if (view != nullptr) {
-        return AnswerFromSingleView(view, q, std::move(lock));
-      }
-      return AnswerFromCover(cover, q, std::move(lock));
-    }
-  }
+  answered = answer(/*maintenance_held=*/true);
+  if (!answered.ok()) return answered.status();
+  if (*answered) return out.queries.front();
   return FullScanAndAdapt(q);
-}
-
-StatusOr<QueryExecution> AdaptiveColumn::AnswerFromSingleView(
-    VirtualView* view, const RangeQuery& q,
-    std::shared_lock<std::shared_mutex> lock) {
-  QueryExecution exec;
-  exec.stats.considered_views = 1;
-  exec.stats.views_after = view_index_.num_partial_views();
-  EpochManager::Guard guard = epoch_.Enter();
-  lock.unlock();
-  // From here the view is pinned by the guard: eviction would only park it
-  // on the limbo list, and in-place mutation waits for our exit.
-  const Status materialized = view->EnsureMaterialized(mapper_.get());
-  if (!materialized.ok()) {
-    // Mapping failed (address space, VMA budget, transient EAGAIN). The
-    // view stays consistently unmaterialized (EnsureMaterialized's failure
-    // contract) and a READ must not surface a resource error: the base
-    // column answers exactly, and the pressure flag asks the next
-    // maintenance pass to shed mappings.
-    NoteMapFailure();
-    health_.base_fallbacks.fetch_add(1, std::memory_order_relaxed);
-    QueryExecution fallback = AnswerFromBase(q);
-    fallback.stats.considered_views = exec.stats.considered_views;
-    fallback.stats.views_after = exec.stats.views_after;
-    RecordQuery(fallback.stats.scanned_pages);
-    return fallback;
-  }
-  // A demoted view that just re-materialized is hot again: the routed query
-  // IS the promotion signal. The CAS elects one winner among concurrent
-  // readers; the tier flip happens outside any maintenance lock, so the
-  // dirty flag asks the next flush/checkpoint to persist it.
-  if (view->PromoteIfDemoted()) {
-    health_.views_promoted.fetch_add(1, std::memory_order_relaxed);
-    tier_dirty_.store(true, std::memory_order_release);
-  }
-  view->RecordHit(metrics_.queries.load(std::memory_order_relaxed));
-  const PageScanResult r = view->Scan(q);
-  exec.match_count = r.match_count;
-  exec.sum = r.sum;
-  exec.stats.scanned_pages = view->num_pages();
-  exec.stats.decision = CandidateDecision::kAnsweredFromView;
-  RecordQuery(exec.stats.scanned_pages);
-  return exec;
-}
-
-StatusOr<QueryExecution> AdaptiveColumn::AnswerFromCover(
-    const std::vector<VirtualView*>& cover, const RangeQuery& q,
-    std::shared_lock<std::shared_mutex> lock) {
-  QueryExecution exec;
-  exec.stats.considered_views = cover.size();
-  exec.stats.views_after = view_index_.num_partial_views();
-  EpochManager::Guard guard = epoch_.Enter();
-  lock.unlock();
-  // Views in a cover may share physical pages; each page is scanned once.
-  std::unordered_set<uint64_t> seen;
-  PageScanResult total;
-  const uint64_t seq = metrics_.queries.load(std::memory_order_relaxed);
-  for (VirtualView* view : cover) {
-    const Status materialized = view->EnsureMaterialized(mapper_.get());
-    if (!materialized.ok()) {
-      // One unmappable member poisons the whole cover; the base column
-      // answers exactly instead (partial per-view results are discarded).
-      NoteMapFailure();
-      health_.base_fallbacks.fetch_add(1, std::memory_order_relaxed);
-      QueryExecution fallback = AnswerFromBase(q);
-      fallback.stats.considered_views = exec.stats.considered_views;
-      fallback.stats.views_after = exec.stats.views_after;
-      RecordQuery(fallback.stats.scanned_pages);
-      return fallback;
-    }
-    if (view->PromoteIfDemoted()) {
-      health_.views_promoted.fetch_add(1, std::memory_order_relaxed);
-      tier_dirty_.store(true, std::memory_order_release);
-    }
-    view->RecordHit(seq);
-    total.Merge(view->ScanIf(
-        q, [&seen](uint64_t page) { return seen.insert(page).second; }));
-  }
-  exec.match_count = total.match_count;
-  exec.sum = total.sum;
-  exec.stats.scanned_pages = seen.size();
-  exec.stats.decision = CandidateDecision::kAnsweredFromView;
-  RecordQuery(exec.stats.scanned_pages);
-  return exec;
 }
 
 StatusOr<QueryExecution> AdaptiveColumn::FullScanAndAdapt(const RangeQuery& q) {
@@ -735,8 +805,8 @@ StatusOr<QueryExecution> AdaptiveColumn::FullScanAndAdapt(const RangeQuery& q) {
   // built, so the scan runs without any lock or guard.
   // The full scan doubles as candidate materialization (§2.3): one pass
   // answers the query and rewires the qualifying pages into a new view.
-  auto built = BuildViewAndAnswer(*column_, q.lo, q.hi, q, config_.creation,
-                                  mapper_.get());
+  auto built = BuildViewAndAnswer(*column_, q.lo, q.hi, q,
+                                  kCandidateCreation, /*mapper=*/nullptr);
   if (!built.ok()) {
     const StatusCode code = built.status().code();
     if (code == StatusCode::kIoError || code == StatusCode::kResourceExhausted) {
@@ -746,12 +816,9 @@ StatusOr<QueryExecution> AdaptiveColumn::FullScanAndAdapt(const RangeQuery& q) {
       NoteMapFailure();
       health_.failed_adaptations.fetch_add(1, std::memory_order_relaxed);
       health_.base_fallbacks.fetch_add(1, std::memory_order_relaxed);
-      QueryExecution exec = AnswerFromBase(q);
-      {
-        std::shared_lock<std::shared_mutex> lock(views_mu_);
-        exec.stats.views_after = view_index_.num_partial_views();
-      }
-      RecordQuery(exec.stats.scanned_pages);
+      StatusOr<QueryExecution> exec = ExecuteFullScan(q);  // never fails
+      exec->stats.decision = CandidateDecision::kBaseFallback;
+      RecordQueries(1, exec->stats.scanned_pages);
       return exec;
     }
     return built.status();
@@ -810,7 +877,7 @@ StatusOr<QueryExecution> AdaptiveColumn::FullScanAndAdapt(const RangeQuery& q) {
         break;
     }
   }
-  RecordQuery(exec.stats.scanned_pages);
+  RecordQueries(1, exec.stats.scanned_pages);
   return exec;
 }
 
@@ -883,23 +950,9 @@ CandidateDecision AdaptiveColumn::DecideCandidate(
       }
     }
     if (missing <= config_.replace_tolerance) {
-      // Capture before the move: on a Replace failure `candidate` is gone
-      // and `edit` must not reference it. (The victim came from this very
-      // pool walk, so a miss would be a logic error — but degrading to a
-      // dropped candidate beats aborting the process.)
-      VirtualView* cand_ptr = candidate.get();
-      const uint64_t removed_id = view->durable_id();
-      auto displaced = view_index_.Replace(view.get(), std::move(candidate));
-      if (!displaced.ok()) {
-        metrics_.candidates_dropped.fetch_add(1, std::memory_order_relaxed);
+      if (!ReplaceInPoolLocked(view.get(), std::move(candidate), edit)) {
         return CandidateDecision::kBudgetExhausted;
       }
-      if (edit != nullptr) {
-        cand_ptr->set_durable_id(durable_->next_view_id++);
-        edit->removed_ids.push_back(removed_id);
-        edit->upserted.push_back(cand_ptr);
-      }
-      epoch_.RetireObject(std::move(displaced).ValueOrDie());
       metrics_.views_replaced.fetch_add(1, std::memory_order_relaxed);
       return CandidateDecision::kReplacedExisting;
     }
@@ -938,27 +991,13 @@ CandidateDecision AdaptiveColumn::AdmitAtBudget(
     const uint64_t column_pages = column_->num_pages();
     VirtualView* victim = lifecycle_.PickEvictionVictim(
         view_index_.views(), now, column_pages,
-        ViewLifecycleManager::TierFilter::kHotOnly);
+        [](const VirtualView& view) { return !view.demoted(); });
     const double margin = config_.lifecycle.eviction_margin > 0
                               ? config_.lifecycle.eviction_margin
                               : 1.0;
     if (victim != nullptr &&
         margin * lifecycle_.Score(*victim, now, column_pages) <
             lifecycle_.Score(*candidate, now, column_pages)) {
-      if (mapper_ != nullptr) {
-        // The victim leaves the pool now; no queued background mapping may
-        // still point into its arena when it is eventually reclaimed.
-        // (Every mapping path drains before returning, so this is a cheap
-        // no-op in practice — but the safety contract lives here, not in
-        // the callers.) Taken as a producer session so it cannot consume a
-        // concurrent lazy materialization's pending error.
-        std::lock_guard<std::mutex> session(mapper_->producer_mutex());
-        const Status drained = mapper_->Drain();
-        if (!drained.ok()) {
-          metrics_.candidates_dropped.fetch_add(1, std::memory_order_relaxed);
-          return CandidateDecision::kBudgetExhausted;
-        }
-      }
       if (DemotionAvailable() && deferred != nullptr) {
         // Demote path: the victim keeps its pool slot (still routable, so a
         // returning working set promotes it for the price of re-mapping
@@ -973,21 +1012,9 @@ CandidateDecision AdaptiveColumn::AdmitAtBudget(
         deferred->candidate = std::move(candidate);
         return CandidateDecision::kEvictedExisting;
       }
-      // Concurrent scans may still be inside the victim: park it on the
-      // epoch limbo list; reclamation happens once they all exited.
-      VirtualView* cand_ptr = candidate.get();
-      const uint64_t removed_id = victim->durable_id();
-      auto displaced = view_index_.Replace(victim, std::move(candidate));
-      if (!displaced.ok()) {
-        metrics_.candidates_dropped.fetch_add(1, std::memory_order_relaxed);
+      if (!ReplaceInPoolLocked(victim, std::move(candidate), edit)) {
         return CandidateDecision::kBudgetExhausted;
       }
-      if (edit != nullptr) {
-        cand_ptr->set_durable_id(durable_->next_view_id++);
-        edit->removed_ids.push_back(removed_id);
-        edit->upserted.push_back(cand_ptr);
-      }
-      epoch_.RetireObject(std::move(displaced).ValueOrDie());
       metrics_.views_evicted.fetch_add(1, std::memory_order_relaxed);
       lifecycle_.RecordEviction();
       return CandidateDecision::kEvictedExisting;
@@ -995,6 +1022,31 @@ CandidateDecision AdaptiveColumn::AdmitAtBudget(
   }
   metrics_.candidates_dropped.fetch_add(1, std::memory_order_relaxed);
   return CandidateDecision::kBudgetExhausted;
+}
+
+bool AdaptiveColumn::ReplaceInPoolLocked(
+    VirtualView* victim, std::unique_ptr<VirtualView> candidate,
+    PoolEditLog* edit) {
+  // Capture before the move: on a Replace failure `candidate` is gone and
+  // `edit` must not reference it. (Every caller found the victim in this
+  // very pool, so a miss would be a logic error — but degrading to a
+  // dropped candidate beats aborting the process.)
+  VirtualView* cand_ptr = candidate.get();
+  const uint64_t removed_id = victim->durable_id();
+  auto displaced = view_index_.Replace(victim, std::move(candidate));
+  if (!displaced.ok()) {
+    metrics_.candidates_dropped.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
+  if (edit != nullptr) {
+    cand_ptr->set_durable_id(durable_->next_view_id++);
+    edit->removed_ids.push_back(removed_id);
+    edit->upserted.push_back(cand_ptr);
+  }
+  // Concurrent scans may still be inside the displaced view: park it on the
+  // epoch limbo list; reclamation happens once they all exited.
+  epoch_.RetireObject(std::move(displaced).ValueOrDie());
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -1094,27 +1146,14 @@ CandidateDecision AdaptiveColumn::FinishDeferredDemotion(
       view_index_.Insert(std::move(candidate));
       TrimColdTierLocked(edit);
       decision = CandidateDecision::kEvictedExisting;
-    } else {
+    } else if (ReplaceInPoolLocked(victim, std::move(candidate), edit)) {
       // Spill failed (ENOSPC/EIO): destroy-evict fallback — the victim is
-      // still hot and untouched (SpillForDemotion's contract). Concurrent
-      // scans may still be inside it: park it on the epoch limbo list.
-      VirtualView* cand_ptr = candidate.get();
-      const uint64_t removed_id = victim->durable_id();
-      auto displaced = view_index_.Replace(victim, std::move(candidate));
-      if (!displaced.ok()) {
-        metrics_.candidates_dropped.fetch_add(1, std::memory_order_relaxed);
-        decision = CandidateDecision::kBudgetExhausted;
-      } else {
-        if (edit != nullptr) {
-          cand_ptr->set_durable_id(durable_->next_view_id++);
-          edit->removed_ids.push_back(removed_id);
-          edit->upserted.push_back(cand_ptr);
-        }
-        epoch_.RetireObject(std::move(displaced).ValueOrDie());
-        metrics_.views_evicted.fetch_add(1, std::memory_order_relaxed);
-        lifecycle_.RecordEviction();
-        decision = CandidateDecision::kEvictedExisting;
-      }
+      // still hot and untouched (SpillForDemotion's contract).
+      metrics_.views_evicted.fetch_add(1, std::memory_order_relaxed);
+      lifecycle_.RecordEviction();
+      decision = CandidateDecision::kEvictedExisting;
+    } else {
+      decision = CandidateDecision::kBudgetExhausted;
     }
   }
   epoch_.TryReclaim();
@@ -1134,7 +1173,7 @@ void AdaptiveColumn::TrimColdTierLocked(PoolEditLog* edit) {
   while (cold_views > budget) {
     VirtualView* victim = lifecycle_.PickEvictionVictim(
         view_index_.views(), now, column_pages,
-        ViewLifecycleManager::TierFilter::kColdOnly);
+        [](const VirtualView& view) { return view.demoted(); });
     if (victim == nullptr) break;
     const uint64_t removed_id = victim->durable_id();
     auto removed = view_index_.Remove(victim);
@@ -1160,24 +1199,18 @@ size_t AdaptiveColumn::DemoteColdestViews(size_t count) {
   // Phase (1) for the whole batch: pick victims and spill them with
   // readers still routing. Walking the pool needs no views_mu_ — its
   // structure is frozen under maintenance_mu_ (every mutator holds it).
-  // The tier flags only flip in phase (2), so the pick excludes the
-  // already-chosen victims by hand rather than through PickEvictionVictim's
-  // hot-only filter.
+  // The tier flags only flip in phase (2), so the pick also excludes the
+  // already-chosen victims.
   const uint64_t now = metrics_.queries.load(std::memory_order_relaxed);
   const uint64_t column_pages = column_->num_pages();
   std::vector<VirtualView*> victims;
   std::unordered_set<const VirtualView*> chosen;
   while (victims.size() < count) {
-    VirtualView* victim = nullptr;
-    double victim_score = 0;
-    for (const auto& view : view_index_.views()) {
-      if (view->demoted() || chosen.count(view.get()) != 0) continue;
-      const double score = lifecycle_.Score(*view, now, column_pages);
-      if (victim == nullptr || score < victim_score) {
-        victim = view.get();
-        victim_score = score;
-      }
-    }
+    VirtualView* victim = lifecycle_.PickEvictionVictim(
+        view_index_.views(), now, column_pages,
+        [&chosen](const VirtualView& view) {
+          return !view.demoted() && chosen.count(&view) == 0;
+        });
     if (victim == nullptr) break;
     if (!SpillForDemotion(victim).ok()) break;
     chosen.insert(victim);
@@ -1216,196 +1249,14 @@ StatusOr<BatchExecution> AdaptiveColumn::ExecuteBatch(
     if (q.lo > q.hi) return InvalidArgument("query lo > hi");
   }
   BatchExecution out;
-  out.queries.resize(queries.size());
   if (queries.empty()) return out;
-
-  // Route every query under ONE shared-lock hold, pin the routed views with
-  // one guard, then scan the whole batch lock-free. The flush-first rule is
-  // the same as Execute's; like Execute, a batch that had to flush routes
-  // while still holding maintenance_mu_ (updates need the same mutex), so a
-  // sustained writer cannot starve it. Routing is RouteQuery — the same
-  // cost-based per-view cover path as Execute — so in kMultiView mode
-  // queries jointly covered by several views stay off the base pass and
-  // group into one deduplicated pass per cover.
-  std::vector<VirtualView*> routed(queries.size(), nullptr);
-  std::vector<std::vector<VirtualView*>> covers(queries.size());
   EpochManager::Guard guard;
-  {
-    std::unique_lock<std::mutex> maintenance(maintenance_mu_, std::defer_lock);
-    if (HasPendingUpdates()) {
-      maintenance.lock();
-      if (!pending_.empty()) {
-        auto flushed = FlushUpdatesLocked(/*compact_after=*/true);
-        if (!flushed.ok()) return flushed.status();
-      }
-    }
-    std::shared_lock<std::shared_mutex> lock(views_mu_);
-    if (!maintenance.owns_lock() &&
-        pending_count_.load(std::memory_order_acquire) > 0) {
-      // An updater slipped in between the lock-free check and the shared
-      // acquisition: take the maintenance path after all.
-      lock.unlock();
-      maintenance.lock();
-      if (!pending_.empty()) {
-        auto flushed = FlushUpdatesLocked(/*compact_after=*/true);
-        if (!flushed.ok()) return flushed.status();
-      }
-      lock.lock();
-    }
-    for (size_t i = 0; i < queries.size(); ++i) {
-      RouteQuery(queries[i], &routed[i], &covers[i]);
-    }
-    const uint64_t views_after = view_index_.num_partial_views();
-    for (QueryExecution& exec : out.queries) {
-      exec.stats.views_after = views_after;
-    }
-    guard = epoch_.Enter();
-    // The guard (entered under the shared lock) now pins the routed views;
-    // both locks release here and the scans below run lock-free.
-  }
-
-  const uint64_t column_pages = column_->num_pages();
-  const uint64_t seq = metrics_.queries.load(std::memory_order_relaxed);
-
-  // Group the covered queries: one shared pass per single view, and one
-  // shared DEDUPLICATED pass per distinct multi-view cover.
-  std::unordered_map<VirtualView*, std::vector<size_t>> by_view;
-  std::map<std::vector<VirtualView*>, std::vector<size_t>> by_cover;
-  std::vector<size_t> missed;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (routed[i] != nullptr) {
-      by_view[routed[i]].push_back(i);
-    } else if (!covers[i].empty()) {
-      by_cover[covers[i]].push_back(i);
-    } else {
-      missed.push_back(i);
-    }
-  }
-
-  // Queries whose view failed to materialize: they join the base pass below
-  // but are labeled kBaseFallback (vs kNone for genuinely uncovered ones).
-  std::unordered_set<size_t> degraded;
-  for (auto& [view, members] : by_view) {
-    const Status materialized = view->EnsureMaterialized(mapper_.get());
-    if (!materialized.ok()) {
-      NoteMapFailure();
-      health_.base_fallbacks.fetch_add(members.size(),
-                                       std::memory_order_relaxed);
-      for (const size_t i : members) {
-        degraded.insert(i);
-        missed.push_back(i);
-      }
-      continue;
-    }
-    if (view->PromoteIfDemoted()) {
-      health_.views_promoted.fetch_add(1, std::memory_order_relaxed);
-      tier_dirty_.store(true, std::memory_order_release);
-    }
-    std::vector<RangeQuery> group;
-    group.reserve(members.size());
-    for (const size_t i : members) group.push_back(queries[i]);
-    const std::vector<PageScanResult> results = view->ScanMany(group);
-    for (size_t m = 0; m < members.size(); ++m) {
-      QueryExecution& exec = out.queries[members[m]];
-      exec.match_count = results[m].match_count;
-      exec.sum = results[m].sum;
-      exec.stats.considered_views = 1;
-      exec.stats.decision = CandidateDecision::kAnsweredFromView;
-      // The shared pass's cost lands on the group leader; followers rode
-      // along for free.
-      exec.stats.scanned_pages = m == 0 ? view->num_pages() : 0;
-      view->RecordHit(seq);
-      out.individual_equivalent_pages += view->num_pages();
-    }
-    out.shared_scanned_pages += view->num_pages();
-    out.view_answered += members.size();
-  }
-
-  // Cover groups: queries sharing the same multi-view cover share one pass
-  // per cover view over the pages no earlier cover member already scanned —
-  // the same dedup Execute's AnswerFromCover applies, batched. Counts and
-  // sums are associative wrap-around adds, so merging the per-view partial
-  // results reproduces the single-query answer bit-identically.
-  for (auto& [cover, members] : by_cover) {
-    bool cover_ok = true;
-    for (VirtualView* view : cover) {
-      const Status materialized = view->EnsureMaterialized(mapper_.get());
-      if (!materialized.ok()) {
-        // One unmappable member poisons the whole cover (AnswerFromCover's
-        // contract): the group rides the base pass as kBaseFallback.
-        NoteMapFailure();
-        health_.base_fallbacks.fetch_add(members.size(),
-                                         std::memory_order_relaxed);
-        for (const size_t i : members) {
-          degraded.insert(i);
-          missed.push_back(i);
-        }
-        cover_ok = false;
-        break;
-      }
-      if (view->PromoteIfDemoted()) {
-        health_.views_promoted.fetch_add(1, std::memory_order_relaxed);
-        tier_dirty_.store(true, std::memory_order_release);
-      }
-    }
-    if (!cover_ok) continue;
-    std::vector<RangeQuery> group;
-    group.reserve(members.size());
-    for (const size_t i : members) group.push_back(queries[i]);
-    std::vector<PageScanResult> totals(members.size());
-    std::unordered_set<uint64_t> seen;
-    for (VirtualView* view : cover) {
-      const std::vector<PageScanResult> partial = view->ScanManyIf(
-          group, [&seen](uint64_t page) { return seen.insert(page).second; });
-      for (size_t m = 0; m < members.size(); ++m) totals[m].Merge(partial[m]);
-      view->RecordHit(seq);
-    }
-    const uint64_t cover_pages = seen.size();
-    for (size_t m = 0; m < members.size(); ++m) {
-      QueryExecution& exec = out.queries[members[m]];
-      exec.match_count = totals[m].match_count;
-      exec.sum = totals[m].sum;
-      exec.stats.considered_views = cover.size();
-      exec.stats.decision = CandidateDecision::kAnsweredFromView;
-      exec.stats.scanned_pages = m == 0 ? cover_pages : 0;
-      // What Execute would have scanned for this query: the same
-      // deduplicated cover page set.
-      out.individual_equivalent_pages += cover_pages;
-    }
-    out.shared_scanned_pages += cover_pages;
-    out.view_answered += members.size();
-  }
-
-  if (!missed.empty()) {
-    // ONE pass over the base column answers every uncovered query; the
-    // overlap groups bound the per-page hull tests inside the executor.
-    std::vector<RangeQuery> group;
-    group.reserve(missed.size());
-    for (const size_t i : missed) group.push_back(queries[i]);
-    out.overlap_groups = GroupOverlappingQueries(group).size();
-    const BatchExecutor executor;
-    const std::vector<PageScanResult> results = executor.SharedScanPages(
-        reinterpret_cast<const Value*>(column_->base_arena().data()),
-        column_pages, group);
-    for (size_t m = 0; m < missed.size(); ++m) {
-      QueryExecution& exec = out.queries[missed[m]];
-      exec.match_count = results[m].match_count;
-      exec.sum = results[m].sum;
-      exec.stats.decision = degraded.count(missed[m]) != 0
-                                ? CandidateDecision::kBaseFallback
-                                : CandidateDecision::kNone;
-      exec.stats.scanned_pages = m == 0 ? column_pages : 0;
-      out.individual_equivalent_pages += column_pages;
-    }
-    out.shared_scanned_pages += column_pages;
-    out.base_answered = missed.size();
-  }
-
-  metrics_.queries.fetch_add(queries.size(), std::memory_order_relaxed);
-  metrics_.scanned_pages.fetch_add(out.shared_scanned_pages,
-                                   std::memory_order_relaxed);
-  metrics_.fullscan_equivalent_pages.fetch_add(
-      column_pages * queries.size(), std::memory_order_relaxed);
+  auto missed =
+      AnswerFromViews(queries, /*maintenance_held=*/false, &guard, &out);
+  if (!missed.ok()) return missed.status();
+  // ONE pass over the base column answers every query no view answered.
+  AnswerFromBase(queries, *missed, &out);
+  RecordQueries(queries.size(), out.shared_scanned_pages);
   return out;
 }
 
@@ -1630,24 +1481,6 @@ void AdaptiveColumn::NoteMapFailure() {
   pressure_pending_.store(true, std::memory_order_release);
 }
 
-QueryExecution AdaptiveColumn::AnswerFromBase(const RangeQuery& q) const {
-  // The base arena was mapped before any fault seam was installed and is
-  // never rewired, so this path makes no mapping syscalls — it is the floor
-  // the degradation policy stands on. The caller guarantees a consistent
-  // base: either an epoch guard is held (update quiescence covers the scan)
-  // or maintenance_mu_ freezes the update path.
-  QueryExecution exec;
-  const ParallelScanner scanner;
-  const PageScanResult r = scanner.ScanPages(
-      reinterpret_cast<const Value*>(column_->base_arena().data()),
-      column_->num_pages(), q);
-  exec.match_count = r.match_count;
-  exec.sum = r.sum;
-  exec.stats.scanned_pages = column_->num_pages();
-  exec.stats.decision = CandidateDecision::kBaseFallback;
-  return exec;
-}
-
 void AdaptiveColumn::RelievePressureLocked() {
   // Mapping syscalls have been failing (ENOMEM/EAGAIN or a VMA budget).
   // Probe whether a fresh single-slot arena maps; while it does not, evict
@@ -1666,19 +1499,11 @@ void AdaptiveColumn::RelievePressureLocked() {
     }
     // The victim pick needs no views_mu_: pool structure is frozen under
     // maintenance_mu_ (our caller holds it) and is_materialized() is an
-    // acquire load.
-    VirtualView* victim = nullptr;
-    const uint64_t now = metrics_.queries.load(std::memory_order_relaxed);
-    const uint64_t column_pages = column_->num_pages();
-    double victim_score = 0;
-    for (VirtualView* view : view_index_.MutableViews()) {
-      if (!view->is_materialized()) continue;  // holds no mappings to shed
-      const double score = lifecycle_.Score(*view, now, column_pages);
-      if (victim == nullptr || score < victim_score) {
-        victim = view;
-        victim_score = score;
-      }
-    }
+    // acquire load. Unmaterialized views hold no mappings to shed.
+    VirtualView* victim = lifecycle_.PickEvictionVictim(
+        view_index_.views(), metrics_.queries.load(std::memory_order_relaxed),
+        column_->num_pages(),
+        [](const VirtualView& view) { return view.is_materialized(); });
     if (victim == nullptr) break;  // nothing left to shed
     // Shedding a mapping does not require destroying the view: demote it
     // when the cold tier is available (arena released, membership spilled,

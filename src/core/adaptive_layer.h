@@ -6,13 +6,22 @@
 // that are (near-)subsets of existing views are discarded, views that are
 // (near-)subsets of a candidate are replaced.
 //
-// Two routing modes:
-//   - kSingleView: a query is answered from the SMALLEST single view whose
-//     value range covers it (Figure 4);
+// Two routing modes, both producing a COVER (the views that answer q):
+//   - kSingleView: a cover of one — the SMALLEST single view whose value
+//     range covers q (Figure 4);
 //   - kMultiView:  several views may jointly cover the query; their page
 //     sets are deduplicated during the scan (Figure 5). With
 //     cost_based_routing, cover selection minimizes scanned pages and falls
 //     back to a full scan when the cover would be costlier.
+//
+// ONE QUERY PATH: Execute and ExecuteBatch share a single route-and-answer
+// step (AnswerFromViews): due maintenance first (pressure relief, update
+// flush), then every query routed under one shared index-lock hold, one
+// epoch guard, and one materialize → promote → scan per distinct cover.
+// They differ only in what happens to the queries no view answered: a
+// batch answers them with one shared base-column pass, while Execute
+// answers a degraded query from the base column and adapts on a genuine
+// miss (full scan + candidate decision, Listing 1).
 //
 // The pool is managed across the views' whole lifetime by a
 // ViewLifecycleManager (core/view_lifecycle.h): fragmented views are
@@ -26,10 +35,10 @@
 // of threads, concurrently with Update / FlushUpdates from any thread.
 // Three mechanisms divide the work:
 //
-//   1. View-index shared mutex (`views_mu_`). Routing — picking the views
-//      that answer a query — holds it SHARED and briefly; structural pool
-//      edits (insert / replace / evict) hold it EXCLUSIVE and briefly. The
-//      actual page scans run under NO lock.
+//   1. View-index shared mutex (`views_mu_`). Routing — picking the
+//      covers that answer queries — holds it SHARED and briefly;
+//      structural pool edits (insert / replace / evict) hold it EXCLUSIVE
+//      and briefly. The actual page scans run under NO lock.
 //   2. Epoch-based reclamation (`util/epoch.h`). A reader pins the views it
 //      routed to with an epoch guard (entered while still holding the
 //      shared lock — that ordering is the protocol's linchpin). Writers
@@ -130,13 +139,6 @@ struct AdaptiveConfig {
   /// Replace an existing view whose page set exceeds the candidate's by at
   /// most this many pages (paper's r; evaluation uses 0).
   uint64_t replace_tolerance = 0;
-  /// View-creation optimizations (§2.3) used for candidate materialization.
-  /// Lazy materialization is on by default: a candidate's pages are only
-  /// rewired once the view first answers a query, so discarded candidates
-  /// never pay for mmap work.
-  ViewCreationOptions creation{/*coalesce_runs=*/true,
-                               /*background_mapping=*/false,
-                               /*lazy_materialize=*/true};
   /// Mapping source for update alignment (§2.5).
   MappingSource mapping_source = MappingSource::kUserSpaceTable;
   /// Whole-lifetime view management: compaction triggers and the eviction
@@ -253,8 +255,9 @@ class PartialViewIndex {
   VirtualView* FindSmallestCovering(const RangeQuery& q) const;
 
   /// Greedy interval cover of q by view value ranges. Returns true and the
-  /// chosen views (in cover order) when a complete cover exists.
-  /// `cost_based` breaks ties toward fewer pages per unit of new coverage.
+  /// chosen views (in cover order) when a complete cover exists; false with
+  /// `cover` empty otherwise. `cost_based` breaks ties toward fewer pages
+  /// per unit of new coverage.
   bool FindCover(const RangeQuery& q, bool cost_based,
                  std::vector<VirtualView*>* cover) const;
 
@@ -405,28 +408,30 @@ class AdaptiveColumn {
 
   /// Answers q adaptively (Listing 1): from views when covered, else full
   /// scan + candidate materialization + insert/discard/replace/evict
-  /// decision. Pending updates are flushed first, and views left fragmented
-  /// (or file-scattered) by the flush are compacted per config().lifecycle.
-  /// Thread-safe; view-answered queries from different threads proceed in
-  /// parallel, maintenance (flush/adapt) serializes.
+  /// decision. Runs ExecuteBatch's route-and-answer step on a batch of
+  /// one, due maintenance included: mapping-pressure relief, and the flush
+  /// of pending updates, after which views left fragmented (or
+  /// file-scattered) are compacted per config().lifecycle. Candidates are
+  /// built with coalesced runs and lazily: the creating scan records the
+  /// page list only and the view rewires on the first query it answers, so
+  /// discarded candidates never pay for mmap work. Thread-safe;
+  /// view-answered queries from different threads proceed in parallel,
+  /// maintenance (flush/adapt) serializes.
   /// Error contract: InvalidArgument when q.lo > q.hi; mapping-layer
   /// failures (e.g. vm.max_map_count exhaustion) surface as the underlying
   /// errno Status.
   StatusOr<QueryExecution> Execute(const RangeQuery& q);
 
-  /// Answers N in-flight queries with shared scans: queries covered by the
-  /// same view share one pass over that view's pages, and ALL uncovered
-  /// queries share ONE pass over the base column (each page is faulted and
-  /// scanned once for the whole batch; per-overlap-group hulls skip pages
-  /// no group member can match). Results are bit-identical to Execute-ing
-  /// each query individually. The batch path only READS — it builds no
-  /// candidate views (adaptation stays on the single-query path) — so it
-  /// runs concurrently with other readers. Routing matches Execute's
-  /// RouteQuery: smallest-single-view in kSingleView mode, and the same
-  /// cost-based multi-view cover path in kMultiView mode — queries sharing
-  /// a cover share one deduplicated pass per cover view, and a cover
-  /// costlier than a full scan rides the shared base pass instead. Pending
-  /// updates are flushed first.
+  /// Answers N in-flight queries with shared scans: queries routed to the
+  /// same cover share one pass over its pages (deduplicated across the
+  /// views of a multi-view cover), and ALL queries no view answered share
+  /// ONE pass over the base column (each page is faulted and scanned once
+  /// for the whole batch; per-overlap-group hulls skip pages no group
+  /// member can match). Results are bit-identical to Execute-ing each query
+  /// individually, and the route-and-answer step is Execute's own, due
+  /// maintenance included. The batch path builds no candidate views
+  /// (adaptation stays on the single-query path), so it runs concurrently
+  /// with other readers.
   StatusOr<BatchExecution> ExecuteBatch(const std::vector<RangeQuery>& queries);
 
   /// The non-adaptive baseline: scans the base column. Does not touch the
@@ -512,25 +517,33 @@ class AdaptiveColumn {
       : column_(std::move(column)), config_(config),
         lifecycle_(config.lifecycle) {}
 
-  /// Reader-path answers. Both take the HELD shared index lock, record
-  /// pool-shape stats, pin an epoch guard, release the lock, and scan
-  /// lock-free.
-  StatusOr<QueryExecution> AnswerFromSingleView(
-      VirtualView* view, const RangeQuery& q,
-      std::shared_lock<std::shared_mutex> lock);
-  StatusOr<QueryExecution> AnswerFromCover(
-      const std::vector<VirtualView*>& cover, const RangeQuery& q,
-      std::shared_lock<std::shared_mutex> lock);
+  /// The one route-and-answer step behind Execute and ExecuteBatch. Runs
+  /// due maintenance (pressure relief, update flush) under maintenance_mu_
+  /// — taken here unless `maintenance_held` says the caller holds it —
+  /// then routes every query under one shared views_mu_ hold, enters
+  /// `*guard` before releasing it, and answers each distinct cover with one
+  /// materialize → promote → shared scan, lock-free. Resets and fills `out`
+  /// (answers, stats, view-side page accounting; no workload counters) and
+  /// returns the queries no view answered, in batch order. A cover that
+  /// failed to materialize leaves its queries labeled kBaseFallback; the
+  /// rest stay kNone (genuine misses). `*guard` stays entered so the caller
+  /// can answer the leftovers from the base column; it must be exited
+  /// before the caller blocks on maintenance_mu_.
+  StatusOr<std::vector<size_t>> AnswerFromViews(
+      const std::vector<RangeQuery>& queries, bool maintenance_held,
+      EpochManager::Guard* guard, BatchExecution* out);
 
-  /// The slow path: flush pending updates, re-route (another thread may
-  /// have covered q meanwhile), else full-scan-and-adapt. Serialized by
-  /// maintenance_mu_.
-  StatusOr<QueryExecution> ExecuteMaintenance(const RangeQuery& q);
+  /// Answers queries[i] for every i in `members` exactly from the base
+  /// column with ONE shared pass, under the caller's epoch guard. Makes no
+  /// mapping syscalls, so it never errors — the degradation floor. Keeps
+  /// the decision labels AnswerFromViews set.
+  void AnswerFromBase(const std::vector<RangeQuery>& queries,
+                      const std::vector<size_t>& members,
+                      BatchExecution* out) const;
+
+  /// The adaptation half of Listing 1: full scan + candidate + decision.
+  /// Caller holds maintenance_mu_ and no epoch guard.
   StatusOr<QueryExecution> FullScanAndAdapt(const RangeQuery& q);
-
-  /// The degradation read path: answers q exactly from the base column
-  /// under an already-held epoch guard (never errors on mapping state).
-  QueryExecution AnswerFromBase(const RangeQuery& q) const;
 
   /// Records a mapping-layer failure: health counters + the pressure flag
   /// the next maintenance pass relieves.
@@ -584,11 +597,10 @@ class AdaptiveColumn {
   /// instead).
   void TrimColdTierLocked(PoolEditLog* edit);
 
-  /// Routes q per config().mode against the pool. Caller holds views_mu_
-  /// (any mode). Returns true and fills exactly one of view/cover when the
-  /// pool can answer q.
-  bool RouteQuery(const RangeQuery& q, VirtualView** view,
-                  std::vector<VirtualView*>* cover) const;
+  /// Routes q per config().mode against the pool: fills `cover` with the
+  /// views that answer q (one in kSingleView mode), or leaves it empty when
+  /// the pool cannot. Caller holds views_mu_ (any mode).
+  void RouteQuery(const RangeQuery& q, std::vector<VirtualView*>* cover) const;
 
   /// Flush + (optionally) the post-flush compaction sweep. Caller holds
   /// maintenance_mu_; takes views_mu_ exclusive + epoch quiescence inside.
@@ -679,6 +691,16 @@ class AdaptiveColumn {
                                   PoolEditLog* edit,
                                   DeferredDemotion* deferred);
 
+  /// Swaps `candidate` into `victim`'s pool slot: durable-id and edit-log
+  /// bookkeeping for the incremental manifest, then the displaced view
+  /// parks on the epoch limbo list (concurrent scans may still be inside
+  /// it). Caller holds maintenance_mu_ AND views_mu_ exclusive and bumps
+  /// its own outcome counter. Returns false — candidate destroyed and
+  /// counted as dropped — when `victim` is not in the pool.
+  bool ReplaceInPoolLocked(VirtualView* victim,
+                           std::unique_ptr<VirtualView> candidate,
+                           PoolEditLog* edit);
+
   /// Completes a demotion AdmitAtBudget parked: spills outside views_mu_,
   /// then takes it exclusively to release the arena, flip the tier, admit
   /// the candidate, and trim the cold tier; falls back to destroy-evict
@@ -714,12 +736,12 @@ class AdaptiveColumn {
     std::atomic<uint64_t> cold_view_reloads{0};
   };
 
-  /// Bumps the per-query workload counters (relaxed).
-  void RecordQuery(uint64_t scanned_pages) {
-    metrics_.queries.fetch_add(1, std::memory_order_relaxed);
+  /// Bumps the workload counters for `count` answered queries (relaxed).
+  void RecordQueries(uint64_t count, uint64_t scanned_pages) {
+    metrics_.queries.fetch_add(count, std::memory_order_relaxed);
     metrics_.scanned_pages.fetch_add(scanned_pages, std::memory_order_relaxed);
-    metrics_.fullscan_equivalent_pages.fetch_add(column_->num_pages(),
-                                                 std::memory_order_relaxed);
+    metrics_.fullscan_equivalent_pages.fetch_add(
+        column_->num_pages() * count, std::memory_order_relaxed);
   }
 
   std::unique_ptr<PhysicalColumn> column_;
@@ -748,7 +770,6 @@ class AdaptiveColumn {
   /// members retired objects may reference; destroyed first, draining the
   /// limbo list while everything it points into is still alive.
   mutable EpochManager epoch_;
-  std::unique_ptr<BackgroundMapper> mapper_;  // lazily created when enabled
 };
 
 }  // namespace vmsv

@@ -95,12 +95,12 @@ double ViewLifecycleManager::Score(const VirtualView& view, uint64_t now,
 
 VirtualView* ViewLifecycleManager::PickEvictionVictim(
     const std::vector<std::unique_ptr<VirtualView>>& pool, uint64_t now,
-    uint64_t column_pages, TierFilter filter) const {
+    uint64_t column_pages,
+    const std::function<bool(const VirtualView&)>& eligible) const {
   VirtualView* victim = nullptr;
   double victim_score = 0;
   for (const auto& view : pool) {
-    if (filter == TierFilter::kHotOnly && view->demoted()) continue;
-    if (filter == TierFilter::kColdOnly && !view->demoted()) continue;
+    if (!eligible(*view)) continue;
     const double score = Score(*view, now, column_pages);
     if (victim == nullptr || score < victim_score) {
       victim = view.get();

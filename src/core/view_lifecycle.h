@@ -22,12 +22,13 @@
 // Thread-safety: the manager is a passive policy object driven by one
 // AdaptiveColumn; it is not internally synchronized. Compaction must not
 // run concurrently with scans of the same view (the adaptive layer
-// sequences both) and any BackgroundMapper must be drained first.
+// sequences both).
 
 #ifndef VMSV_CORE_VIEW_LIFECYCLE_H_
 #define VMSV_CORE_VIEW_LIFECYCLE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -157,16 +158,15 @@ class ViewLifecycleManager {
   double Score(const VirtualView& view, uint64_t now,
                uint64_t column_pages) const;
 
-  /// Which tier PickEvictionVictim considers. Demotion targets the coldest
-  /// HOT view (cold ones already gave up their arenas); cold-capacity
-  /// overflow destroys the coldest COLD view.
-  enum class TierFilter { kAny, kHotOnly, kColdOnly };
-
-  /// The pool member with the lowest Score among views passing `filter`,
-  /// or nullptr when none does.
+  /// The pool member with the lowest Score among views for which
+  /// `eligible(view)` holds, or nullptr when none does. Callers pick the
+  /// tier this way: demotion targets the coldest HOT view (cold ones
+  /// already gave up their arenas), cold-capacity overflow destroys the
+  /// coldest COLD view, pressure relief sheds the coldest MATERIALIZED one.
   VirtualView* PickEvictionVictim(
       const std::vector<std::unique_ptr<VirtualView>>& pool, uint64_t now,
-      uint64_t column_pages, TierFilter filter = TierFilter::kAny) const;
+      uint64_t column_pages,
+      const std::function<bool(const VirtualView&)>& eligible) const;
 
   /// Bookkeeping hook for the adaptive layer when it evicts the victim.
   void RecordEviction() {

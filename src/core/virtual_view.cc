@@ -138,19 +138,13 @@ void VirtualView::RecordPageAt(uint64_t slot, uint64_t page) {
   InvalidateRunCache();
 }
 
-Status VirtualView::EnsureMaterialized(BackgroundMapper* mapper) {
+Status VirtualView::EnsureMaterialized() {
   if (is_materialized()) return OkStatus();
   // Lazy materialization happens on first use, and under the concurrent
   // engine several readers can hit an unmaterialized view at once; the
-  // per-view mutex makes exactly one of them build the arena. The mapper's
-  // producer-session lock additionally keeps a concurrent materialization
-  // of a DIFFERENT view from consuming this one's mapping errors at Drain.
+  // per-view mutex makes exactly one of them build the arena.
   std::lock_guard<std::mutex> lock(materialize_mu_);
   if (is_materialized()) return OkStatus();
-  std::unique_lock<std::mutex> session;
-  if (mapper != nullptr) {
-    session = std::unique_lock<std::mutex>(mapper->producer_mutex());
-  }
   auto arena_r = VirtualArena::Create(file_, arena_slots_,
                                       pages_.empty() ? 0 : pages_[0]);
   if (!arena_r.ok()) return arena_r.status();
@@ -169,15 +163,8 @@ Status VirtualView::EnsureMaterialized(BackgroundMapper* mapper) {
            pages_[slot + run] == pages_[slot] + run) {
       ++run;
     }
-    if (mapper != nullptr) {
-      mapper->Enqueue(arena.get(), slot, pages_[slot], run);
-    } else {
-      VMSV_RETURN_IF_ERROR(arena->MapRange(slot, pages_[slot], run));
-    }
+    VMSV_RETURN_IF_ERROR(arena->MapRange(slot, pages_[slot], run));
     slot += run;
-  }
-  if (mapper != nullptr) {
-    VMSV_RETURN_IF_ERROR(mapper->Drain());
   }
   PublishArena(std::move(arena));
   return OkStatus();
@@ -552,28 +539,12 @@ std::vector<PageScanResult> VirtualView::ScanMany(
   return executor.SharedScanPageRuns(base, *runs, queries);
 }
 
-PageScanResult VirtualView::ScanSelectedSlots(
-    const std::vector<uint64_t>& slots, const RangeQuery& q) const {
-  // Coalesce consecutive selected slots so one kernel call covers each
-  // virtually-contiguous block — on a compacted view a cover scan
-  // degenerates to a handful of long sweeps.
-  std::vector<PageRun> runs;
-  size_t i = 0;
-  while (i < slots.size()) {
-    uint64_t len = 1;
-    while (i + len < slots.size() && slots[i + len] == slots[i] + len) ++len;
-    runs.push_back(PageRun{slots[i], len});
-    i += len;
-  }
-  const ParallelScanner scanner;
-  return scanner.ScanPageRuns(reinterpret_cast<const Value*>(arena().data()),
-                              runs, q);
-}
-
 std::vector<PageScanResult> VirtualView::ScanManySelectedSlots(
     const std::vector<uint64_t>& slots,
     const std::vector<RangeQuery>& queries) const {
-  // Same run coalescing as ScanSelectedSlots, then one shared pass answers
+  // Coalesce consecutive selected slots so one kernel call covers each
+  // virtually-contiguous block — on a compacted view a cover scan
+  // degenerates to a handful of long sweeps — then one shared pass answers
   // every query from each page read.
   std::vector<PageRun> runs;
   size_t i = 0;

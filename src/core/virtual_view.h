@@ -9,7 +9,8 @@
 // the paper's two optimizations:
 //   - run coalescing: consecutive qualifying pages are mapped in one mmap,
 //   - concurrent mapping: mmap calls are shipped to a background thread so
-//     mapping overlaps the scan.
+//     mapping overlaps the scan (BuildViewByScan with a BackgroundMapper;
+//     the adaptive engine builds its candidates lazily instead).
 //
 // Lifecycle (this layer + core/view_lifecycle.h): a view is born as a page
 // list (created), rewired into its arena on first use (mapped), fragments
@@ -26,9 +27,9 @@
 // mappings IN PLACE and must not overlap any reader — the concurrent engine
 // (core/adaptive_layer.h) excludes readers with an epoch quiescence wait
 // before running them, and hands displaced arenas/views to the epoch limbo
-// list instead of destroying them under readers. When a BackgroundMapper is
-// in play it holds raw arena pointers; Drain() it before compacting or
-// destroying the view.
+// list instead of destroying them under readers. A BackgroundMapper only
+// holds arena pointers inside one BuildViewByScan call, which drains it
+// before returning.
 
 #ifndef VMSV_CORE_VIRTUAL_VIEW_H_
 #define VMSV_CORE_VIRTUAL_VIEW_H_
@@ -54,7 +55,8 @@
 
 namespace vmsv {
 
-/// View-creation optimizations (§2.3), chosen per AdaptiveConfig::creation.
+/// View-creation optimizations (§2.3) for BuildViewByScan. The adaptive
+/// engine always builds its candidates coalesced and lazy.
 struct ViewCreationOptions {
   /// Map runs of consecutive qualifying pages with one mmap call.
   bool coalesce_runs = false;
@@ -131,14 +133,12 @@ struct ViewUsageStats {
 /// can be reused across several view creations; Drain() is the barrier.
 ///
 /// Thread-safety: the queue itself is internally synchronized, but a
-/// PRODUCER SESSION — the Enqueue...Drain window of one view creation or
-/// materialization — must hold producer_mutex() for its whole span.
-/// Drain() returns-and-clears one shared first-error slot; without the
-/// session lock, two concurrent materializations could steal each other's
-/// mapping failures and publish a half-mapped view (the concurrent engine's
-/// reader path materializes lazily from many threads). The queued tasks
-/// hold raw VirtualArena pointers, so the target arenas must outlive
-/// Drain().
+/// PRODUCER SESSION — the Enqueue...Drain window of one view creation —
+/// must hold producer_mutex() for its whole span. Drain() returns-and-
+/// clears one shared first-error slot; without the session lock, two
+/// concurrent creations sharing a mapper could steal each other's mapping
+/// failures and publish a half-mapped view. The queued tasks hold raw
+/// VirtualArena pointers, so the target arenas must outlive Drain().
 class BackgroundMapper {
  public:
   BackgroundMapper();
@@ -310,12 +310,10 @@ class VirtualView {
 
   /// Creates the arena and rewires the current page list into it (runs of
   /// consecutive page ids coalesce into single mmap calls). No-op when
-  /// already materialized. `mapper` non-null ships the mmaps to the
-  /// background thread (drained before returning). Safe to race from
-  /// several reader threads: a per-view mutex serializes the build and the
-  /// arena is published last.
+  /// already materialized. Safe to race from several reader threads: a
+  /// per-view mutex serializes the build and the arena is published last.
   /// Error contract: on failure the view stays consistently UNmaterialized.
-  Status EnsureMaterialized(BackgroundMapper* mapper = nullptr);
+  Status EnsureMaterialized();
 
   /// Appends a physical page. When materialized, a single page fills the
   /// lowest hole if one exists (re-densifying as membership churns),
@@ -397,37 +395,10 @@ class VirtualView {
       const std::vector<RangeQuery>& queries,
       const ParallelScanOptions& scan_options = {}) const;
 
-  /// Scans only pages for which `include(physical_page)` is true — the
-  /// multi-view dedup hook. Membership is decided serially in slot order
-  /// (the predicate may be stateful, e.g. an insert-into-seen-set); only
-  /// the selected slots' data scan is sharded across threads.
-  template <typename Pred>
-  PageScanResult ScanIf(const RangeQuery& q, Pred include) const {
-    std::vector<uint64_t> slots;
-    slots.reserve(pages_.size());
-    for (uint64_t slot = 0; slot < pages_.size(); ++slot) {
-      if (pages_[slot] == kHoleSlot) continue;
-      if (include(pages_[slot])) slots.push_back(slot);
-    }
-    return ScanSelectedSlots(slots, q);
-  }
-
-  /// Sharded scan of an explicit slot list (ascending slot order; every slot
-  /// must be live). Consecutive slots coalesce into multi-page kernel calls.
-  PageScanResult ScanSelectedSlots(const std::vector<uint64_t>& slots,
-                                   const RangeQuery& q) const;
-
-  /// Shared-scan variant of ScanSelectedSlots: answers every query in ONE
-  /// pass over the selected slots' data (exec/batch_executor.h). Result i
-  /// is bit-identical to ScanSelectedSlots(slots, queries[i]).
-  std::vector<PageScanResult> ScanManySelectedSlots(
-      const std::vector<uint64_t>& slots,
-      const std::vector<RangeQuery>& queries) const;
-
-  /// ScanMany restricted to pages passing `include` — the multi-view dedup
-  /// hook, batched: membership is decided serially in slot order (the
-  /// predicate may be stateful, exactly like ScanIf), then the selected
-  /// slots are shared-scanned once for ALL queries.
+  /// ScanMany restricted to pages passing `include(physical_page)` — the
+  /// multi-view dedup hook: membership is decided serially in slot order
+  /// (the predicate may be stateful, e.g. an insert-into-seen-set), then
+  /// the selected slots are shared-scanned once for ALL queries.
   template <typename Pred>
   std::vector<PageScanResult> ScanManyIf(const std::vector<RangeQuery>& queries,
                                          Pred include) const {
@@ -444,6 +415,12 @@ class VirtualView {
   VirtualView(std::shared_ptr<PhysicalMemoryFile> file, uint64_t arena_slots,
               Value lo, Value hi)
       : file_(std::move(file)), arena_slots_(arena_slots), lo_(lo), hi_(hi) {}
+
+  /// ScanMany over an explicit slot list (ascending slot order; every slot
+  /// must be live). Consecutive slots coalesce into multi-page kernel calls.
+  std::vector<PageScanResult> ScanManySelectedSlots(
+      const std::vector<uint64_t>& slots,
+      const std::vector<RangeQuery>& queries) const;
 
   /// Installs `page` at `slot` in the bookkeeping tables (slot-run counter,
   /// membership maps, live count). The mapping itself must already be

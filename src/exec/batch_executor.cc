@@ -66,11 +66,16 @@ void ScanPageForGroups(const Value* data,
 std::vector<PageScanResult> BatchExecutor::SharedScanPages(
     const Value* base, uint64_t num_pages,
     const std::vector<RangeQuery>& queries) const {
+  const ParallelScanner scanner(options_);
+  // One query has nothing to share: the plain scan is the same sharding
+  // without the per-page batch bookkeeping, hence bit-identical and cheaper.
+  if (queries.size() == 1) {
+    return {scanner.ScanPages(base, num_pages, queries[0])};
+  }
   std::vector<PageScanResult> results(queries.size());
   if (queries.empty() || num_pages == 0) return results;
   const std::vector<BatchGroup> groups = GroupOverlappingQueries(queries);
 
-  const ParallelScanner scanner(options_);
   const unsigned shards = scanner.NumShards(num_pages);
   // partial[shard * Q + i] accumulates query i on that shard; merged in
   // shard order below, exactly like ScanShardsMerged does per query.
@@ -94,6 +99,10 @@ std::vector<PageScanResult> BatchExecutor::SharedScanPages(
 std::vector<PageScanResult> BatchExecutor::SharedScanPageRuns(
     const Value* base, const std::vector<PageRun>& runs,
     const std::vector<RangeQuery>& queries) const {
+  const ParallelScanner scanner(options_);
+  if (queries.size() == 1) {
+    return {scanner.ScanPageRuns(base, runs, queries[0])};
+  }
   std::vector<PageScanResult> results(queries.size());
   if (queries.empty()) return results;
   const std::vector<BatchGroup> groups = GroupOverlappingQueries(queries);
@@ -106,7 +115,6 @@ std::vector<PageScanResult> BatchExecutor::SharedScanPageRuns(
   const uint64_t total_pages = prefix.back();
   if (total_pages == 0) return results;
 
-  const ParallelScanner scanner(options_);
   const unsigned shards = scanner.NumShards(total_pages);
   std::vector<PageScanResult> partial(static_cast<size_t>(shards) *
                                       queries.size());

@@ -49,13 +49,15 @@ class BatchExecutor {
 
   /// One shared pass over `num_pages` contiguous pages at `base`: result[i]
   /// is bit-identical to ParallelScanner::ScanPages(base, num_pages,
-  /// queries[i]). Each page is read once for the whole batch.
+  /// queries[i]). Each page is read once for the whole batch; a one-query
+  /// batch runs as exactly that ScanPages call.
   std::vector<PageScanResult> SharedScanPages(
       const Value* base, uint64_t num_pages,
       const std::vector<RangeQuery>& queries) const;
 
   /// The same shared pass over discontiguous page runs (run offsets in
-  /// pages relative to `base`) — the fragmented-view shape.
+  /// pages relative to `base`) — the fragmented-view shape. A one-query
+  /// batch runs as ParallelScanner::ScanPageRuns.
   std::vector<PageScanResult> SharedScanPageRuns(
       const Value* base, const std::vector<PageRun>& runs,
       const std::vector<RangeQuery>& queries) const;

@@ -32,26 +32,28 @@ namespace vmsv {
 /// tasks, Done from each task, Wait on the caller.
 class WaitGroup {
  public:
-  void Add(uint64_t n) { pending_.fetch_add(n, std::memory_order_relaxed); }
+  void Add(uint64_t n) {
+    std::lock_guard<std::mutex> lock(mu_);
+    pending_ += n;
+  }
 
+  /// The count drops to zero only under mu_, so Wait cannot return — and
+  /// its caller cannot destroy this stack object — while Done still uses
+  /// the mutex or the condition variable.
   void Done() {
-    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(mu_);
-      cv_.notify_all();
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    if (--pending_ == 0) cv_.notify_all();
   }
 
   void Wait() {
     std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] {
-      return pending_.load(std::memory_order_acquire) == 0;
-    });
+    cv_.wait(lock, [this] { return pending_ == 0; });
   }
 
  private:
-  std::atomic<uint64_t> pending_{0};
   std::mutex mu_;
   std::condition_variable cv_;
+  uint64_t pending_ = 0;  // guarded by mu_
 };
 
 struct ShardPoolOptions {

@@ -1,10 +1,14 @@
 #include "vmsv.h"
 
+#include <cerrno>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "rewiring/vm_io.h"
+#include "scoped_temp_dir.h"
 #include "util/random.h"
 #include "workload/distribution.h"
 #include "workload/query_generator.h"
@@ -297,14 +301,24 @@ TEST(AdaptiveColumnTest, PendingUpdatesAreFlushedBeforeAnswering) {
 }
 
 TEST(AdaptiveColumnTest, BackgroundMappingCreationMatchesBaseline) {
-  AdaptiveConfig config;
-  config.creation.coalesce_runs = true;
-  config.creation.background_mapping = true;
-  auto adaptive = MakeAdaptive(DataDistribution::kSine, config);
-  RunnerOptions options;
-  options.verify_results = true;
-  auto report_r = RunWorkload(adaptive.get(), TestWorkload(20, 9), options);
-  ASSERT_TRUE(report_r.ok()) << report_r.status().ToString();
+  // Views built eagerly with their mmaps shipped to one shared background
+  // mapper (the Fig. 6 creation path) scan exactly like the full column.
+  auto adaptive = MakeAdaptive(DataDistribution::kSine, {});
+  const PhysicalColumn& column = adaptive->shard(0)->column();
+  BackgroundMapper mapper;
+  const ViewCreationOptions options{/*coalesce_runs=*/true,
+                                    /*background_mapping=*/true,
+                                    /*lazy_materialize=*/false};
+  for (const RangeQuery& q : TestWorkload(20, 9)) {
+    auto view = BuildViewByScan(column, q.lo, q.hi, options, &mapper);
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    ASSERT_TRUE((*view)->is_materialized());
+    auto baseline = adaptive->ExecuteFullScan(q);
+    ASSERT_TRUE(baseline.ok());
+    const PageScanResult got = (*view)->Scan(q);
+    EXPECT_EQ(got.match_count, baseline->match_count);
+    EXPECT_EQ(got.sum, baseline->sum);
+  }
 }
 
 TEST(AdaptiveColumnTest, ProcMapsMappingSourceMatchesBaseline) {
@@ -324,6 +338,154 @@ TEST(AdaptiveColumnTest, ProcMapsMappingSourceMatchesBaseline) {
   ASSERT_TRUE(baseline.ok());
   EXPECT_EQ(exec->match_count, baseline->match_count);
   EXPECT_EQ(exec->sum, baseline->sum);
+}
+
+// ---------------------------------------------------------------------------
+// One query path: Execute and a batch of one run the same route-and-answer
+// step, so they must agree on the answer, on every ExecStats field, and on
+// the counters the step moves.
+
+struct PathCase {
+  const char* name;
+  AdaptiveConfig config;
+  /// Executed on both tables first (each builds or extends a lazy view).
+  std::vector<RangeQuery> warmup;
+  /// The compared query.
+  RangeQuery query;
+  CandidateDecision decision;
+  uint64_t considered_views;
+  /// Durable table whose views are all demoted before the compared query,
+  /// which must then promote its view.
+  bool demote = false;
+  /// One injected mmap failure on the compared query's materialization.
+  bool fail_materialization = false;
+};
+
+std::unique_ptr<Table> MakePathTable(const PathCase& c, VmIo* io,
+                                     const std::string& dir) {
+  AdaptiveConfig config = c.config;
+  config.vm_io = io;
+  if (!c.demote) return MakeAdaptive(DataDistribution::kSine, config);
+  auto table_r =
+      Db::CreateDurable(dir, kTestPages * kValuesPerPage, DbOptions{config});
+  EXPECT_TRUE(table_r.ok()) << table_r.status().ToString();
+  auto table = std::move(table_r).ValueOrDie();
+  DistributionSpec spec;
+  spec.kind = DataDistribution::kSine;
+  spec.max_value = kMaxValue;
+  spec.seed = 42;
+  FillColumn(spec, table->shard(0)->mutable_column());
+  return table;
+}
+
+TEST(SinglePathTest, ExecuteAndBatchOfOneAgree) {
+  const RangeQuery low{10'000'000, 20'000'000};
+  const RangeQuery high{20'000'001, 30'000'000};
+  const RangeQuery inside_low{12'000'000, 18'000'000};
+  const RangeQuery spanning{15'000'000, 25'000'000};
+  AdaptiveConfig single_view;
+  AdaptiveConfig multi_view;
+  multi_view.mode = QueryMode::kMultiView;
+  multi_view.max_views = 8;
+
+  std::vector<PathCase> cases = {
+      {"single_view_hit", single_view, {low}, inside_low,
+       CandidateDecision::kAnsweredFromView, 1},
+      {"one_view_cover", multi_view, {low}, inside_low,
+       CandidateDecision::kAnsweredFromView, 1},
+      {"two_view_cover", multi_view, {low, high}, spanning,
+       CandidateDecision::kAnsweredFromView, 2},
+      {"promotion", single_view, {low, low}, inside_low,
+       CandidateDecision::kAnsweredFromView, 1},
+      {"materialization_failure", multi_view, {low, high}, spanning,
+       CandidateDecision::kBaseFallback, 2},
+  };
+  cases[3].demote = true;
+  cases[4].fail_materialization = true;
+
+  for (const PathCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    ScopedTempDir execute_dir("single_path");
+    ScopedTempDir batch_dir("single_path");
+    FaultInjectingVmIo execute_io;
+    FaultInjectingVmIo batch_io;
+    auto via_execute = MakePathTable(c, &execute_io, execute_dir.path());
+    auto via_batch = MakePathTable(c, &batch_io, batch_dir.path());
+    ASSERT_NE(via_execute, nullptr);
+    ASSERT_NE(via_batch, nullptr);
+    for (const RangeQuery& q : c.warmup) {
+      ASSERT_TRUE(via_execute->Execute(q).ok());
+      ASSERT_TRUE(via_batch->Execute(q).ok());
+    }
+    if (c.demote) {
+      ASSERT_GT(via_execute->shard(0)->DemoteColdestViews(8), 0u);
+      ASSERT_GT(via_batch->shard(0)->DemoteColdestViews(8), 0u);
+    }
+    if (c.fail_materialization) {
+      VmFaultPlan plan;
+      plan.op_index = 1;
+      plan.target = VmOp::kMmap;
+      plan.fail_errno = ENOMEM;
+      execute_io.Arm(plan);
+      batch_io.Arm(plan);
+    }
+
+    auto single = via_execute->Execute(c.query);
+    auto batch = via_batch->ExecuteBatch({c.query});
+    ASSERT_TRUE(single.ok()) << single.status().ToString();
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    ASSERT_EQ(batch->queries.size(), 1u);
+    const QueryExecution& one = batch->queries.front();
+    EXPECT_EQ(single->stats.decision, c.decision);
+    EXPECT_EQ(single->stats.considered_views, c.considered_views);
+    EXPECT_EQ(one.match_count, single->match_count);
+    EXPECT_EQ(one.sum, single->sum);
+    EXPECT_EQ(one.stats.decision, single->stats.decision);
+    EXPECT_EQ(one.stats.scanned_pages, single->stats.scanned_pages);
+    EXPECT_EQ(one.stats.considered_views, single->stats.considered_views);
+    EXPECT_EQ(one.stats.views_after, single->stats.views_after);
+
+    const CumulativeStats m_single = via_execute->shard(0)->metrics();
+    const CumulativeStats m_batch = via_batch->shard(0)->metrics();
+    EXPECT_EQ(m_batch.queries, m_single.queries);
+    EXPECT_EQ(m_batch.scanned_pages, m_single.scanned_pages);
+    EXPECT_EQ(m_batch.fullscan_equivalent_pages,
+              m_single.fullscan_equivalent_pages);
+    const ColumnHealth h_single = via_execute->shard(0)->Health();
+    const ColumnHealth h_batch = via_batch->shard(0)->Health();
+    EXPECT_EQ(h_batch.map_failures, h_single.map_failures);
+    EXPECT_EQ(h_batch.base_fallbacks, h_single.base_fallbacks);
+    EXPECT_EQ(h_batch.views_promoted, h_single.views_promoted);
+    if (c.demote) {
+      EXPECT_EQ(h_single.views_promoted, 1u);
+    }
+
+    auto oracle = via_execute->ExecuteFullScan(c.query);
+    ASSERT_TRUE(oracle.ok());
+    EXPECT_EQ(single->match_count, oracle->match_count);
+    EXPECT_EQ(single->sum, oracle->sum);
+  }
+}
+
+TEST(SinglePathTest, PartiallyCoveredBatchQueryRidesTheBasePass) {
+  // Two views with a value gap between them: a batch query spanning the gap
+  // has no complete cover, so it must not be answered from the views it
+  // partially overlaps.
+  AdaptiveConfig config;
+  config.mode = QueryMode::kMultiView;
+  config.max_views = 8;
+  auto adaptive = MakeAdaptive(DataDistribution::kSine, config);
+  ASSERT_TRUE(adaptive->Execute(RangeQuery{10'000'000, 20'000'000}).ok());
+  ASSERT_TRUE(adaptive->Execute(RangeQuery{30'000'000, 40'000'000}).ok());
+  const RangeQuery across_gap{15'000'000, 35'000'000};
+  auto batch = adaptive->ExecuteBatch({across_gap});
+  ASSERT_TRUE(batch.ok());
+  EXPECT_EQ(batch->view_answered, 0u);
+  EXPECT_EQ(batch->queries.front().stats.decision, CandidateDecision::kNone);
+  auto oracle = adaptive->ExecuteFullScan(across_gap);
+  ASSERT_TRUE(oracle.ok());
+  EXPECT_EQ(batch->queries.front().match_count, oracle->match_count);
+  EXPECT_EQ(batch->queries.front().sum, oracle->sum);
 }
 
 }  // namespace

@@ -171,6 +171,25 @@ TEST(BatchExecutorTest, SharedScanBitIdenticalAcrossKernelsAndThreads) {
         EXPECT_EQ(shared_runs[i].match_count, individual.match_count);
         EXPECT_EQ(shared_runs[i].sum, individual.sum);
       }
+
+      // A one-query batch, in both shapes, is the plain scan.
+      for (size_t i = 0; i < queries.size(); ++i) {
+        const std::vector<PageScanResult> dense_one =
+            executor.SharedScanPages(base, kTestPages, {queries[i]});
+        const std::vector<PageScanResult> runs_one =
+            executor.SharedScanPageRuns(base, runs, {queries[i]});
+        ASSERT_EQ(dense_one.size(), 1u);
+        ASSERT_EQ(runs_one.size(), 1u);
+        const PageScanResult dense =
+            scanner.ScanPages(base, kTestPages, queries[i]);
+        const PageScanResult sparse =
+            scanner.ScanPageRuns(base, runs, queries[i]);
+        EXPECT_EQ(dense_one[0].match_count, dense.match_count)
+            << ScanKernelName(kernel) << " threads=" << threads << " q=" << i;
+        EXPECT_EQ(dense_one[0].sum, dense.sum);
+        EXPECT_EQ(runs_one[0].match_count, sparse.match_count);
+        EXPECT_EQ(runs_one[0].sum, sparse.sum);
+      }
     }
   }
   ASSERT_TRUE(SetActiveScanKernel(restore).ok());
@@ -229,15 +248,11 @@ TEST(ConcurrentEngineTest, ConcurrentReadersMatchSerialOracle) {
   EXPECT_EQ(adaptive->shard(0)->epoch_manager().limbo_size(), 0u);
 }
 
-TEST(ConcurrentEngineTest, ConcurrentLazyMaterializationWithSharedMapper) {
-  // Many reader threads lazily materializing DIFFERENT views through the
-  // one shared BackgroundMapper: the producer-session lock must keep their
-  // Enqueue...Drain windows (and any mapping errors) from interleaving.
-  AdaptiveConfig config;
-  config.creation.background_mapping = true;
-  config.creation.lazy_materialize = true;
+TEST(ConcurrentEngineTest, ConcurrentLazyMaterializationOfDistinctViews) {
+  // Many reader threads racing the first (lazy) materialization of eight
+  // different views: every scan must see a fully built arena.
   auto adaptive_r =
-      Db::Create(MakeTestColumn(DataDistribution::kSine), DbOptions{config});
+      Db::Create(MakeTestColumn(DataDistribution::kSine), DbOptions{});
   ASSERT_TRUE(adaptive_r.ok());
   auto& adaptive = *adaptive_r;
 
@@ -460,10 +475,13 @@ TEST(ConcurrentEngineTest, BatchBitIdenticalToIndividualAndScansFewerPages) {
   }
   EXPECT_EQ(charged, batch_exec->shared_scanned_pages);
 
-  // A warmed pool routes batch members through shared VIEW passes; results
-  // must still match the full-scan oracle.
+  // Batches never adapt, so warm the pool with Execute: the next batch then
+  // routes its members through shared VIEW passes, and results must still
+  // match the full-scan oracle.
+  for (const RangeQuery& q : queries) ASSERT_TRUE(batch->Execute(q).ok());
   auto warm_batch = batch->ExecuteBatch(queries);
   ASSERT_TRUE(warm_batch.ok());
+  EXPECT_GT(warm_batch->view_answered, 0u);
   for (size_t i = 0; i < queries.size(); ++i) {
     auto baseline = batch->ExecuteFullScan(queries[i]);
     ASSERT_TRUE(baseline.ok());

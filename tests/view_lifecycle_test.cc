@@ -338,16 +338,12 @@ TEST(AdaptiveEvictionTest, DropNewestSurfacesDropCounter) {
   EXPECT_EQ(adaptive->shard(0)->metrics().views_evicted, 0u);
 }
 
-TEST(AdaptiveEvictionTest, EvictionUnderBackgroundMappingStaysCorrect) {
-  // The eviction path must drain the background mapper before destroying a
-  // victim (queued tasks hold raw arena pointers). An eviction-heavy
-  // workload with background mapping on would crash or corrupt if it did
-  // not; result verification doubles as the "never drops a view mid-scan"
-  // check.
+TEST(AdaptiveEvictionTest, EvictionChurnStaysCorrect) {
+  // An eviction-heavy workload: every fresh range competes for a 2-view
+  // budget. Result verification doubles as the "never drops a view
+  // mid-scan" check.
   AdaptiveConfig config;
   config.max_views = 2;
-  config.creation.background_mapping = true;
-  config.creation.lazy_materialize = false;
   config.lifecycle.eviction_policy = EvictionPolicy::kCostAware;
   config.lifecycle.recency_half_life = 1.0;
   auto adaptive_r =
@@ -374,14 +370,17 @@ TEST(AdaptiveCompactionTest, UpdateChurnTriggersCompaction) {
   AdaptiveConfig config;
   config.lifecycle.compaction_min_runs = 4;
   config.lifecycle.compaction_run_ratio = 0.2;
-  config.creation.lazy_materialize = false;
   auto narrow_r = Db::Create(
       MakeTestColumn(DataDistribution::kUniform), DbOptions{config});
   ASSERT_TRUE(narrow_r.ok());
   auto& narrow = *narrow_r;
   const RangeQuery low{0, kMaxValue / 4};
   ASSERT_TRUE(narrow->Execute(low).ok());
+  // Candidates are built lazily; the first covered query materializes the
+  // view, so the removals below punch holes instead of editing a list.
+  ASSERT_TRUE(narrow->Execute(low).ok());
   const VirtualView* view = narrow->shard(0)->view_index().views().front().get();
+  ASSERT_TRUE(view->is_materialized());
   const uint64_t pages_before = view->num_pages();
   ASSERT_GT(pages_before, 8u);
 

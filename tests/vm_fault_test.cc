@@ -1062,6 +1062,43 @@ TEST(VmFaultDegradationTest, MappingBudgetDegradesExactly) {
   ASSERT_TRUE(CheckRecovery(column->get(), &io, &detail)) << detail;
 }
 
+// A client that only ever batches still gets the maintenance pass that
+// clears mapping pressure: batches share Execute's maintenance-first step.
+TEST(VmFaultDegradationTest, BatchOnlyClientRelievesMappingPressure) {
+  FaultInjectingVmIo io;
+  const Scenario scenario{QueryMode::kSingleView, 4, false};
+  auto column = MakeFaultableColumn(scenario, &io);
+  ASSERT_TRUE(column.ok()) << column.status().ToString();
+  const RangeQuery q{20'000'000, 30'000'000};
+  // Batches never adapt: one Execute builds the (lazy, unmapped) view.
+  ASSERT_TRUE((*column)->Execute(q).ok());
+
+  VmFaultPlan plan;
+  plan.op_index = 1;
+  plan.target = VmOp::kMmap;
+  plan.fail_errno = ENOMEM;
+  io.Arm(plan);
+  auto degraded = (*column)->ExecuteBatch({q});
+  ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
+  EXPECT_EQ(degraded->queries.front().stats.decision,
+            CandidateDecision::kBaseFallback);
+  EXPECT_TRUE((*column)->Health().mapping_pressure);
+
+  io.Arm(VmFaultPlan{});  // the fault lifts
+  auto healed = (*column)->ExecuteBatch({q});
+  ASSERT_TRUE(healed.ok()) << healed.status().ToString();
+  EXPECT_FALSE((*column)->Health().mapping_pressure);
+  EXPECT_EQ(healed->view_answered, 1u);
+  EXPECT_EQ(healed->queries.front().stats.decision,
+            CandidateDecision::kAnsweredFromView);
+  auto oracle = (*column)->ExecuteFullScan(q);
+  ASSERT_TRUE(oracle.ok());
+  for (const auto* batch : {&*degraded, &*healed}) {
+    EXPECT_EQ(batch->queries.front().match_count, oracle->match_count);
+    EXPECT_EQ(batch->queries.front().sum, oracle->sum);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Satellite: runtime mremap failure mid-compaction.
 
