@@ -30,7 +30,7 @@ int Main() {
     spec.kind = DataDistribution::kSine;
     spec.max_value = kMaxValue;
     spec.seed = 42;
-    auto column_r = MakeColumn(spec, env.pages * kValuesPerPage, env.backend);
+    auto column_r = MakeColumn(spec, env.pages * kValuesPerPage);
     VMSV_BENCH_CHECK_OK(column_r.status());
     AdaptiveConfig config;
     config.max_views = 50;

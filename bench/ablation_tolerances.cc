@@ -36,7 +36,7 @@ AblationResult RunConfig(const bench::BenchEnv& env, QueryMode mode,
   spec.kind = DataDistribution::kSine;
   spec.max_value = kMaxValue;
   spec.seed = 42;
-  auto column_r = MakeColumn(spec, env.pages * kValuesPerPage, env.backend);
+  auto column_r = MakeColumn(spec, env.pages * kValuesPerPage);
   VMSV_BENCH_CHECK_OK(column_r.status());
 
   AdaptiveConfig config;

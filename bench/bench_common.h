@@ -29,7 +29,6 @@
 #include "exec/parallel_scanner.h"
 #include "exec/scan_kernels.h"
 #include "exec/thread_pool.h"
-#include "rewiring/physical_memory_file.h"
 #include "storage/types.h"
 #include "util/env.h"
 
@@ -44,8 +43,6 @@ struct BenchEnv {
   uint64_t queries;
   /// Repetitions to average over (VMSV_REPS; paper: 3).
   uint64_t reps;
-  /// Main-memory file backend (VMSV_BACKEND=memfd|shm).
-  MemoryFileBackend backend;
   /// vm.max_map_count in effect after the raise attempt.
   uint64_t map_budget;
   /// Active scan kernel name (VMSV_KERNEL / cpuid dispatch).
@@ -63,8 +60,6 @@ inline BenchEnv LoadBenchEnv(const char* bench_name, uint64_t default_pages) {
   env.pages = GetEnvUint64("VMSV_PAGES", default_pages);
   env.queries = GetEnvUint64("VMSV_QUERIES", 250);
   env.reps = GetEnvUint64("VMSV_REPS", 3);
-  env.backend =
-      MemoryFileBackendFromString(GetEnvString("VMSV_BACKEND", "memfd"));
   // Raising the SYSTEM-WIDE sysctl is opt-in (paper scale needs it, smoke
   // runs must not mutate the host as a test side effect).
   env.map_budget = GetEnvUint64("VMSV_RAISE_MAP_COUNT", 0) != 0
@@ -76,12 +71,11 @@ inline BenchEnv LoadBenchEnv(const char* bench_name, uint64_t default_pages) {
   std::fprintf(stdout, "# %s\n", bench_name);
   std::fprintf(stdout,
                "# pages=%llu (%.1f MB column)  queries=%llu  reps=%llu  "
-               "backend=%s  vm.max_map_count=%llu\n",
+               "vm.max_map_count=%llu\n",
                static_cast<unsigned long long>(env.pages),
                static_cast<double>(env.pages) * 4096.0 / 1e6,
                static_cast<unsigned long long>(env.queries),
                static_cast<unsigned long long>(env.reps),
-               env.backend == MemoryFileBackend::kMemfd ? "memfd" : "shm",
                static_cast<unsigned long long>(env.map_budget));
   std::fprintf(stdout,
                "# scan engine: kernel=%s  threads=%llu  serial_cutoff=%llu "

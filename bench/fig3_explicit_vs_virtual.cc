@@ -48,7 +48,7 @@ int Main() {
   spec.kind = DataDistribution::kUniform;
   spec.max_value = kMaxValue;
   spec.seed = 42;
-  auto column_r = MakeColumn(spec, env.pages * kValuesPerPage, env.backend);
+  auto column_r = MakeColumn(spec, env.pages * kValuesPerPage);
   VMSV_BENCH_CHECK_OK(column_r.status());
   auto column = std::move(column_r).ValueOrDie();
 

@@ -32,7 +32,7 @@ int RunScenario(const bench::BenchEnv& env, const Scenario& scenario) {
   spec.kind = DataDistribution::kSine;
   spec.max_value = kMaxValue;
   spec.seed = 42;
-  auto column_r = MakeColumn(spec, env.pages * kValuesPerPage, env.backend);
+  auto column_r = MakeColumn(spec, env.pages * kValuesPerPage);
   VMSV_BENCH_CHECK_OK(column_r.status());
 
   AdaptiveConfig config;

@@ -63,7 +63,7 @@ int Main() {
        "view_pages", "mmap_calls"}));
   for (const Scenario& scenario : scenarios) {
     auto column_r =
-        MakeColumn(scenario.spec, env.pages * kValuesPerPage, env.backend);
+        MakeColumn(scenario.spec, env.pages * kValuesPerPage);
     VMSV_BENCH_CHECK_OK(column_r.status());
     auto column = std::move(column_r).ValueOrDie();
 

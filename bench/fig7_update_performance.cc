@@ -64,7 +64,7 @@ int RunDistribution(const bench::BenchEnv& env, DataDistribution kind) {
     spec.kind = kind;
     spec.max_value = ~Value{0};
     spec.seed = 42;
-    auto column_r = MakeColumn(spec, env.pages * kValuesPerPage, env.backend);
+    auto column_r = MakeColumn(spec, env.pages * kValuesPerPage);
     VMSV_BENCH_CHECK_OK(column_r.status());
     auto column = std::move(column_r).ValueOrDie();
     ViewSet set = BuildViews(*column, /*seed=*/7);

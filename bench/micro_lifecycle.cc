@@ -129,7 +129,7 @@ CompactionReport RunCompactionExperiment(const bench::BenchEnv& env) {
   spec.kind = DataDistribution::kUniform;
   spec.max_value = kMaxValue;
   spec.seed = 42;
-  auto column_r = MakeColumn(spec, env.pages * kValuesPerPage, env.backend);
+  auto column_r = MakeColumn(spec, env.pages * kValuesPerPage);
   VMSV_BENCH_CHECK_OK(column_r.status());
   auto column = std::move(column_r).ValueOrDie();
   const RangeQuery q{0, kMaxValue / 2};
@@ -233,7 +233,7 @@ EvictionReport RunEvictionExperiment(const bench::BenchEnv& env) {
     scenario.queries = queries.size();
     for (const EvictionPolicy policy :
          {EvictionPolicy::kDropNewest, EvictionPolicy::kCostAware}) {
-      auto column_r = MakeColumn(spec, env.pages * kValuesPerPage, env.backend);
+      auto column_r = MakeColumn(spec, env.pages * kValuesPerPage);
       VMSV_BENCH_CHECK_OK(column_r.status());
       AdaptiveConfig config;
       config.mode = QueryMode::kMultiView;

@@ -39,7 +39,7 @@ Totals RunConfig(const bench::BenchEnv& env, const Config& cfg) {
   spec.kind = cfg.distribution;
   spec.max_value = kMaxValue;
   spec.seed = 42;
-  auto column_r = MakeColumn(spec, env.pages * kValuesPerPage, env.backend);
+  auto column_r = MakeColumn(spec, env.pages * kValuesPerPage);
   VMSV_BENCH_CHECK_OK(column_r.status());
 
   AdaptiveConfig config;

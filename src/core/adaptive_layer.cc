@@ -29,6 +29,13 @@ constexpr ViewCreationOptions kCandidateCreation{/*coalesce_runs=*/true,
                                                  /*background_mapping=*/false,
                                                  /*lazy_materialize=*/true};
 
+/// Mapping-budget pressure relief: after a materialization failure the next
+/// maintenance pass evicts cold materialized views and re-probes the mapping
+/// layer, up to this many attempts with linear backoff between them, before
+/// giving up until the next failure signal.
+constexpr uint32_t kPressureReliefAttempts = 3;
+constexpr std::chrono::microseconds kPressureReliefBackoff{100};
+
 /// True when [lo_a, hi_a] and [lo_b, hi_b] overlap or are integer-adjacent
 /// (no representable value lies between them), i.e. their union is gap-free.
 /// The max-value guards keep the +1 adjacency probes from wrapping.
@@ -1365,7 +1372,7 @@ StatusOr<UpdateApplyStats> AdaptiveColumn::FlushUpdatesLocked(
   epoch_.WaitQuiescent();
   auto views = view_index_.MutableViews();
   auto stats = AlignPartialViews(*column_, views, pending_,
-                                 config_.mapping_source);
+                                 MappingSource::kUserSpaceTable);
   if (!stats.ok()) {
     const StatusCode code = stats.status().code();
     if (code != StatusCode::kIoError &&
@@ -1485,12 +1492,10 @@ void AdaptiveColumn::RelievePressureLocked() {
   // Mapping syscalls have been failing (ENOMEM/EAGAIN or a VMA budget).
   // Probe whether a fresh single-slot arena maps; while it does not, evict
   // the coldest materialized view, reclaim, and retry with linear backoff
-  // up to the configured attempt budget. Giving up re-arms the pressure
+  // up to kPressureReliefAttempts. Giving up re-arms the pressure
   // flag so the next maintenance pass tries again.
   if (column_->num_pages() == 0) return;
-  const uint32_t attempts =
-      std::max<uint32_t>(1, config_.pressure_relief_max_attempts);
-  for (uint32_t attempt = 0; attempt < attempts; ++attempt) {
+  for (uint32_t attempt = 0; attempt < kPressureReliefAttempts; ++attempt) {
     {
       auto probe = VirtualArena::Create(column_->file(), 1);
       if (probe.ok() && (*probe)->MapRange(0, 0, 1).ok()) {
@@ -1541,9 +1546,7 @@ void AdaptiveColumn::RelievePressureLocked() {
     epoch_.TryReclaim();
     if (tier_delta_id != 0) AppendSetTierDeltaLocked(tier_delta_id);
     if (victim == nullptr) break;  // pool lost track of the victim
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(config_.pressure_relief_backoff_us) *
-        (attempt + 1));
+    std::this_thread::sleep_for(kPressureReliefBackoff * (attempt + 1));
   }
   // Could not confirm recovery: leave the flag set for the next pass.
   pressure_pending_.store(true, std::memory_order_release);

@@ -139,8 +139,6 @@ struct AdaptiveConfig {
   /// Replace an existing view whose page set exceeds the candidate's by at
   /// most this many pages (paper's r; evaluation uses 0).
   uint64_t replace_tolerance = 0;
-  /// Mapping source for update alignment (§2.5).
-  MappingSource mapping_source = MappingSource::kUserSpaceTable;
   /// Whole-lifetime view management: compaction triggers and the eviction
   /// policy applied at the max_views budget (core/view_lifecycle.h).
   LifecycleConfig lifecycle;
@@ -154,12 +152,6 @@ struct AdaptiveConfig {
   /// tests inject a FaultInjectingVmIo here. Not owned; must outlive the
   /// column (ARCHITECTURE.md "Degradation model").
   VmIo* vm_io = nullptr;
-  /// Mapping-budget pressure relief: after a materialization failure the
-  /// next maintenance pass evicts cold materialized views and re-probes the
-  /// mapping layer, up to this many attempts with linear backoff between
-  /// them, before giving up until the next failure signal.
-  uint32_t pressure_relief_max_attempts = 3;
-  uint32_t pressure_relief_backoff_us = 100;
 };
 
 /// Per-query execution statistics.

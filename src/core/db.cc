@@ -89,7 +89,7 @@ StatusOr<std::unique_ptr<Table>> Db::Create(
   if (num_rows == 0) return InvalidArgument("Db::Create: zero rows");
   const uint32_t shards = EffectiveShards(options.shards, num_rows);
   if (shards <= 1) {
-    auto column = PhysicalColumn::Create(num_rows, options.backend);
+    auto column = PhysicalColumn::Create(num_rows);
     if (!column.ok()) return column.status();
     for (uint64_t row = 0; row < num_rows; ++row) {
       (*column)->Set(row, value_of(row));

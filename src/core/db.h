@@ -2,7 +2,7 @@
 //
 // A Db is opened (or created) once and hands back a Table: a batch-first,
 // Status-based query surface that hides whether the data lives in one
-// AdaptiveColumn or is partitioned across N per-core shards
+// AdaptiveColumn or is partitioned across N shards
 // (core/shard_router.h). Everything outside src/ — benches, tests, the
 // workload runner, embedders — programs against this interface; direct
 // AdaptiveColumn construction (core/adaptive_layer.h) is an internal
@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "core/adaptive_layer.h"
-#include "exec/affinity.h"
 #include "storage/column.h"
 #include "storage/types.h"
 #include "util/status.h"
@@ -61,9 +60,6 @@ struct TableHealth {
   ColumnHealth total;
   /// Per-shard snapshots, shard order. Size 1 for unsharded tables.
   std::vector<ColumnHealth> shards;
-  /// Worker-thread pin attempts the affinity layer refused (0 unless core
-  /// pinning is enabled; see exec/affinity.h).
-  uint64_t pin_failures = 0;
 };
 
 struct DbOptions {
@@ -76,17 +72,6 @@ struct DbOptions {
   uint32_t shards = 1;
   /// Page-to-shard assignment for shards > 1.
   PartitionKind partition = PartitionKind::kRange;
-  /// In-memory creation backend (durable tables always use file backing).
-  MemoryFileBackend backend = MemoryFileBackend::kMemfd;
-  /// Worker threads per shard (>= 1). The shard-per-core default is 1.
-  unsigned threads_per_shard = 1;
-  /// Core pinning for shard workers: -1 follows VMSV_PIN_CORES (default
-  /// off), 0 forces off, 1 forces on. Best-effort — refusals are counted
-  /// in TableHealth::pin_failures, never errors.
-  int pin_cores = -1;
-  /// The sched_setaffinity seam; null means real syscalls. Not owned; must
-  /// outlive the table (tests inject a RefusingCpuAffinity here).
-  CpuAffinity* affinity = nullptr;
 };
 
 /// The public query surface. Thread-safe exactly like AdaptiveColumn:

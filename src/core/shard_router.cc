@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -11,6 +12,7 @@
 #include <sstream>
 #include <utility>
 
+#include "exec/thread_pool.h"
 #include "storage/storage_io.h"
 
 namespace vmsv {
@@ -235,20 +237,6 @@ StatusOr<PartitionSpec> ReadTableDescriptor(const std::string& dir) {
 // ---------------------------------------------------------------------------
 // ShardedTable construction
 
-void ShardedTable::StartPools(const DbOptions& options) {
-  const bool pin = options.pin_cores == 1 ||
-                   (options.pin_cores < 0 && DefaultPinCores());
-  for (uint32_t s = 0; s < shards_.size(); ++s) {
-    ShardPoolOptions pool_options;
-    pool_options.threads = options.threads_per_shard > 0
-                               ? options.threads_per_shard
-                               : 1;
-    pool_options.cpu = pin ? static_cast<int>(s) : -1;
-    pool_options.affinity = options.affinity;
-    shards_[s]->pool = std::make_unique<ShardPool>(pool_options);
-  }
-}
-
 void ShardedTable::RecomputeZone(uint32_t s) {
   Shard& shard = *shards_[s];
   const PhysicalColumn& column = shard.column->column();
@@ -313,7 +301,7 @@ StatusOr<std::unique_ptr<Table>> ShardedTable::Create(
   auto table = std::unique_ptr<ShardedTable>(
       new ShardedTable(spec, /*durable=*/false));
   for (uint32_t s = 0; s < spec.shards; ++s) {
-    auto column = PhysicalColumn::Create(spec.ShardRows(s), options.backend);
+    auto column = PhysicalColumn::Create(spec.ShardRows(s));
     if (!column.ok()) return column.status();
     const uint64_t shard_rows = (*column)->num_rows();
     for (uint64_t lp = 0; lp < spec.ShardPages(s); ++lp) {
@@ -332,7 +320,6 @@ StatusOr<std::unique_ptr<Table>> ShardedTable::Create(
     table->shards_.push_back(std::move(shard));
     table->RecomputeZone(s);
   }
-  table->StartPools(options);
   return std::unique_ptr<Table>(std::move(table));
 }
 
@@ -362,7 +349,6 @@ StatusOr<std::unique_ptr<Table>> ShardedTable::CreateDurable(
   // directory Open refuses rather than a half-table it half-opens.
   st = WriteTableDescriptor(dir, spec, options.column.storage.io);
   if (!st.ok()) return st;
-  table->StartPools(options);
   return std::unique_ptr<Table>(std::move(table));
 }
 
@@ -384,32 +370,18 @@ StatusOr<std::unique_ptr<Table>> ShardedTable::Open(
     table->shards_.push_back(std::move(shard));
     table->RecomputeZone(s);
   }
-  table->StartPools(options);
   return std::unique_ptr<Table>(std::move(table));
 }
 
 // ---------------------------------------------------------------------------
 // Query surface
 
-void ShardedTable::FanOut(const std::vector<uint32_t>& targets,
-                          const std::function<void(size_t)>& fn) const {
-  if (targets.empty()) return;
-  if (targets.size() == 1) {
-    // Single-shard work runs inline: a pruned point lookup pays no handoff.
-    fn(0);
-    return;
-  }
-  WaitGroup wg;
-  wg.Add(targets.size() - 1);
-  for (size_t i = 1; i < targets.size(); ++i) {
-    shards_[targets[i]]->pool->Submit([&fn, &wg, i] {
-      fn(i);
-      wg.Done();
-    });
-  }
-  // The caller participates as shard targets[0]'s worker.
-  fn(0);
-  wg.Wait();
+void ShardedTable::FanOut(size_t n_targets,
+                          const std::function<void(uint64_t)>& fn) {
+  ThreadPool::Global().Run(
+      n_targets,
+      static_cast<unsigned>(std::min<size_t>(n_targets, DefaultScanThreads())),
+      fn);
 }
 
 StatusOr<QueryExecution> ShardedTable::Execute(const RangeQuery& q) {
@@ -419,7 +391,7 @@ StatusOr<QueryExecution> ShardedTable::Execute(const RangeQuery& q) {
   if (targets.empty()) return merged;  // provably zero matches
   std::vector<QueryExecution> execs(targets.size());
   std::vector<Status> statuses(targets.size(), OkStatus());
-  FanOut(targets, [&](size_t i) {
+  FanOut(targets.size(), [&](uint64_t i) {
     auto r = shards_[targets[i]]->column->Execute(q);
     if (r.ok()) {
       execs[i] = *std::move(r);
@@ -445,7 +417,7 @@ StatusOr<QueryExecution> ShardedTable::ExecuteFullScan(
   for (uint32_t s = 0; s < shards_.size(); ++s) targets[s] = s;
   std::vector<QueryExecution> execs(targets.size());
   std::vector<Status> statuses(targets.size(), OkStatus());
-  FanOut(targets, [&](size_t i) {
+  FanOut(targets.size(), [&](uint64_t i) {
     auto r = shards_[targets[i]]->column->ExecuteFullScan(q);
     if (r.ok()) {
       execs[i] = *std::move(r);
@@ -491,7 +463,7 @@ StatusOr<BatchExecution> ShardedTable::ExecuteBatch(
 
   std::vector<BatchExecution> partials(targets.size());
   std::vector<Status> statuses(targets.size(), OkStatus());
-  FanOut(targets, [&](size_t i) {
+  FanOut(targets.size(), [&](uint64_t i) {
     auto r = shards_[targets[i]]->column->ExecuteBatch(sub[targets[i]]);
     if (r.ok()) {
       partials[i] = *std::move(r);
@@ -575,7 +547,6 @@ TableHealth ShardedTable::Health() const {
     health.total.views_promoted += h.views_promoted;
     health.total.cold_view_reloads += h.cold_view_reloads;
     health.shards.push_back(h);
-    health.pin_failures += shard->pool->pin_failures();
   }
   return health;
 }

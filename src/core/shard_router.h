@@ -5,9 +5,9 @@
 // shards, each a complete engine of its own: its own maintenance mutex,
 // view pool, lifecycle manager, journal, and (when durable) persist
 // subdirectory — so adaptation, flushes, and demotion on one shard never
-// serialize the others. Work reaches a shard through its ShardPool
-// (exec/shard_pool.h), whose workers are optionally pinned to the shard's
-// core (VMSV_PIN_CORES=1, best-effort via the CpuAffinity seam).
+// serialize the others. A query's per-shard work fans out as one job on
+// the engine's only executor, the global ThreadPool (exec/thread_pool.h);
+// each shard's own scans then run as jobs nested inside that one.
 //
 // PARTITIONING is by PAGE, not row: shard i owns either a balanced
 // contiguous page block (kRange) or every page p with p % N == i (kHash).
@@ -43,7 +43,6 @@
 
 #include "core/adaptive_layer.h"
 #include "core/db.h"
-#include "exec/shard_pool.h"
 #include "storage/types.h"
 #include "util/status.h"
 
@@ -128,12 +127,11 @@ class ShardedTable : public Table {
   std::vector<uint32_t> RouteShards(const RangeQuery& q) const;
 
  private:
-  /// One shard's engine + executor + value zone. Zone bounds are relaxed
-  /// atomics: updates widen them concurrently with routing reads, and a
+  /// One shard's engine + value zone. Zone bounds are relaxed atomics:
+  /// updates widen them concurrently with routing reads, and a
   /// conservatively-stale bound only costs an extra shard visit.
   struct Shard {
     std::unique_ptr<AdaptiveColumn> column;
-    std::unique_ptr<ShardPool> pool;
     std::atomic<Value> zone_lo{~Value{0}};
     std::atomic<Value> zone_hi{0};
     /// True once any value exists (a zoneless empty shard matches nothing).
@@ -141,10 +139,6 @@ class ShardedTable : public Table {
   };
 
   ShardedTable(PartitionSpec spec, bool durable) : spec_(spec), durable_(durable) {}
-
-  /// Builds the per-shard pools (affinity per options) — shared tail of
-  /// every factory.
-  void StartPools(const DbOptions& options);
 
   /// One pass over shard `s`'s pages (zero tail included, matching what
   /// scans see) re-deriving its value zone.
@@ -154,11 +148,11 @@ class ShardedTable : public Table {
 
   bool ZoneIntersects(const Shard& shard, const RangeQuery& q) const;
 
-  /// Runs fn(position) on each target shard's pool concurrently and waits
-  /// (fn receives the POSITION within `targets`, not the shard id).
-  /// Position 0 runs inline on the caller.
-  void FanOut(const std::vector<uint32_t>& targets,
-              const std::function<void(size_t)>& fn) const;
+  /// Runs fn(position) for every position in [0, n_targets) as one job on
+  /// the global ThreadPool and waits (fn receives the POSITION within the
+  /// caller's target list, not the shard id). The caller works too.
+  static void FanOut(size_t n_targets,
+                     const std::function<void(uint64_t)>& fn);
 
   PartitionSpec spec_;
   bool durable_ = false;

@@ -16,7 +16,6 @@ const char* EvictionPolicyName(EvictionPolicy policy) {
 }
 
 bool ViewLifecycleManager::ShouldCompact(const VirtualView& view) const {
-  if (!config_.enable_compaction) return false;
   if (!view.is_materialized() || view.num_pages() == 0) return false;
   // Hole-free views have no fragmentation to reclaim, but may still be
   // file-scattered — the sort-only trigger's territory.
@@ -28,9 +27,7 @@ bool ViewLifecycleManager::ShouldCompact(const VirtualView& view) const {
 }
 
 bool ViewLifecycleManager::ShouldSortCompact(const VirtualView& view) const {
-  if (!config_.enable_compaction) return false;
   if (config_.sort_compaction_file_run_ratio <= 0) return false;
-  if (!config_.compaction.sort_runs_by_page) return false;
   if (!view.is_materialized() || view.hole_slots() > 0) return false;
   const uint64_t file_runs = view.CountFileRuns();
   if (file_runs < config_.compaction_min_runs) return false;

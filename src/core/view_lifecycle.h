@@ -50,9 +50,6 @@ const char* EvictionPolicyName(EvictionPolicy policy);
 
 /// Lifecycle policy knobs (AdaptiveConfig::lifecycle).
 struct LifecycleConfig {
-  /// Master switch for threshold-triggered compaction after update flushes.
-  /// Compact() remains directly callable either way.
-  bool enable_compaction = true;
   /// Compact a view when num_slot_runs / num_pages exceeds this ratio ...
   double compaction_run_ratio = 0.25;
   /// ... and the view has at least this many slot runs (tiny views are not
@@ -62,12 +59,11 @@ struct LifecycleConfig {
   /// membership grown out of page order by update alignment): when a
   /// hole-free view's file-run count exceeds this ratio × num_pages (and at
   /// least compaction_min_runs), a sort-only compaction consolidates its
-  /// kernel VMAs (compaction.sort_runs_by_page must be on, as it is by
-  /// default). Fires only when sorting would actually reduce the file-run
+  /// kernel VMAs. Fires only when sorting would actually reduce the file-run
   /// count — an inherently scattered page SET (e.g. every other column
   /// page) cannot be consolidated and is left alone. 0 disables.
   double sort_compaction_file_run_ratio = 0.5;
-  /// How Compact moves runs (mremap vs forced rewire fallback, run sorting).
+  /// How Compact moves runs (mremap vs forced rewire fallback).
   ViewCompactionOptions compaction;
   /// Budget-pressure policy. kCostAware is the default: hot views survive.
   EvictionPolicy eviction_policy = EvictionPolicy::kCostAware;
@@ -127,9 +123,7 @@ class ViewLifecycleManager {
 
   /// True when `view` is materialized and either fragmented past the
   /// run-ratio threshold, or hole-free but file-scattered past the
-  /// sort-compaction threshold — the two compaction triggers. Always false
-  /// when enable_compaction is off, so every trigger site honors the master
-  /// switch.
+  /// sort-compaction threshold — the two compaction triggers.
   bool ShouldCompact(const VirtualView& view) const;
 
   /// The sort-only half of ShouldCompact: hole-free, file-scattered past

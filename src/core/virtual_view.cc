@@ -435,10 +435,10 @@ Status VirtualView::Compact(const ViewCompactionOptions& options,
   const bool sorted_already = std::is_sorted(
       units.begin(), units.end(),
       [](const MoveUnit& a, const MoveUnit& b) { return a.page < b.page; });
-  if (holes_.empty() && (!options.sort_runs_by_page || sorted_already)) {
+  if (holes_.empty() && sorted_already) {
     return OkStatus();  // already as dense as this view can get
   }
-  if (options.sort_runs_by_page && !sorted_already) {
+  if (!sorted_already) {
     std::sort(units.begin(), units.end(),
               [](const MoveUnit& a, const MoveUnit& b) { return a.page < b.page; });
   }
@@ -446,8 +446,8 @@ Status VirtualView::Compact(const ViewCompactionOptions& options,
   // The congruence hint: slot 0 of the dense arena will hold the first file
   // page of the (possibly sorted) layout. Placing the arena base congruent
   // to that page mod 2 MiB is what makes the post-compaction collapse
-  // attempt possible at all — with sort_runs_by_page the densified view is
-  // file-contiguous, exactly the layout a PMD can map.
+  // attempt possible at all — the sorted, densified view is file-contiguous,
+  // exactly the layout a PMD can map.
   auto arena_r =
       VirtualArena::Create(file_, arena_slots_,
                            units.empty() ? 0 : units.front().page);
@@ -472,11 +472,11 @@ Status VirtualView::Compact(const ViewCompactionOptions& options,
     *retired_arena = std::move(arena_);
   }
   PublishArena(std::move(dense));
-  if (options.promote_huge && arena_->HugeCapable()) {
-    // Compaction IS the promotion trigger: the view is now dense and (with
-    // sort_runs_by_page) file-contiguous, so try to collapse every whole
-    // congruent 2 MiB unit. Refusals leave those units at 4 KiB and are
-    // only counted — scans are bit-identical either way.
+  if (arena_->HugeCapable()) {
+    // Compaction IS the promotion trigger: the view is now dense and
+    // file-contiguous, so try to collapse every whole congruent 2 MiB unit.
+    // Refusals leave those units at 4 KiB and are only counted — scans are
+    // bit-identical either way.
     VMSV_RETURN_IF_ERROR(arena_->PromoteRange(0, num_live_));
     out.huge_units_promoted = arena_->huge_unit_count();
     out.huge_promote_failures = arena_->huge_promote_failures();

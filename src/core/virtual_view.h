@@ -68,7 +68,15 @@ struct ViewCreationOptions {
   bool lazy_materialize = false;
 };
 
-/// How VirtualView::Compact re-densifies a fragmented view.
+/// How VirtualView::Compact re-densifies a fragmented view. Compaction always
+/// orders the dense slots by physical page id: adjacent file pages then land
+/// in adjacent slots, so the kernel merges their mappings into fewer VMAs
+/// (mapping-budget relief) and future re-materializations coalesce; scan
+/// results are order-insensitive, so this is always safe. It then attempts
+/// to collapse the dense arena's whole congruent 2 MiB units to PMD mappings
+/// (no-op unless the backing file carries a huge flavor; see
+/// VirtualArena::PromoteRange); refusals are counted in the stats, never
+/// errors.
 struct ViewCompactionOptions {
   /// Move live runs with mremap(2) so page-table entries (and with them the
   /// already-faulted residency) travel to the new arena. When false — or
@@ -76,16 +84,6 @@ struct ViewCompactionOptions {
   /// with a fresh mmap instead and its pages fault again on next touch.
   /// This is the forced-fallback knob the lifecycle tests exercise.
   bool use_mremap = true;
-  /// Order the compacted slots by physical page id. Adjacent file pages then
-  /// land in adjacent slots, so the kernel merges their mappings into fewer
-  /// VMAs (mapping-budget relief) and future re-materializations coalesce.
-  /// Scan results are order-insensitive, so this is always safe.
-  bool sort_runs_by_page = true;
-  /// After publishing the dense arena, attempt to collapse its whole
-  /// congruent 2 MiB units to PMD mappings (no-op unless the backing file
-  /// carries a huge flavor; see VirtualArena::PromoteRange). Collapse
-  /// refusals are counted in the stats, never errors.
-  bool promote_huge = true;
 };
 
 /// What one Compact call did (all counts are pages/runs of this view).
@@ -361,8 +359,8 @@ class VirtualView {
   bool is_dense() const { return holes_.empty(); }
 
   /// Re-densifies a materialized fragmented view: live slot runs move into
-  /// a fresh dense arena, holes vanish, and (with sort_runs_by_page)
-  /// adjacent file pages merge into fewer kernel VMAs. With
+  /// a fresh dense arena in file-page order, holes vanish, and adjacent
+  /// file pages merge into fewer kernel VMAs. With
   /// options.use_mremap the moves preserve page-table entries — no data is
   /// copied and no refaults follow. No-op on dense unmaterialized or empty
   /// views. `stats` (optional) receives what happened.

@@ -4,7 +4,10 @@
 // n*(s+1)/threads)); each shard is scanned by one thread and the per-shard
 // results are merged IN SHARD ORDER, so match_count/sum are bit-identical
 // to the serial pass for any thread count (sums wrap mod 2^64 and lane
-// addition is commutative, but we do not even rely on that).
+// addition is commutative, but we do not even rely on that). Each sharded
+// scan is one ThreadPool job; when the caller is itself a pool task (a
+// shard's slice of a fanned-out query) the job nests inside that one, and
+// with every worker busy the caller simply scans all shards itself.
 //
 // A serial cutoff (VMSV_SERIAL_CUTOFF, pages, default 2048) keeps
 // smoke-scale runs (256 pages) off the pool: below the cutoff everything

@@ -1,8 +1,30 @@
 #include "exec/thread_pool.h"
 
+#include <algorithm>
+
 #include "util/env.h"
 
 namespace vmsv {
+
+/// One Run call, on its caller's stack; the mutable fields are guarded by
+/// the pool's mu_. The caller returns only once done == n_tasks, and a
+/// worker's last touch of the job is the critical section that counts its
+/// task done, so no worker can reach a job that is gone.
+struct ThreadPool::Job {
+  Job(const std::function<void(uint64_t)>& job_fn, uint64_t tasks,
+      unsigned helpers_allowed)
+      : fn(job_fn), n_tasks(tasks), max_helpers(helpers_allowed) {}
+  Job(const Job&) = delete;  // workers hold its address
+  Job& operator=(const Job&) = delete;
+
+  const std::function<void(uint64_t)>& fn;
+  const uint64_t n_tasks;
+  const unsigned max_helpers;  // pool workers allowed on it at once
+  uint64_t next = 0;           // claim cursor
+  uint64_t done = 0;           // finished tasks
+  unsigned helpers = 0;        // pool workers running one of its tasks
+  std::condition_variable done_cv;
+};
 
 ThreadPool& ThreadPool::Global() {
   // Leaked on purpose: worker threads may outlive static destruction order.
@@ -19,37 +41,19 @@ ThreadPool::~ThreadPool() {
   for (std::thread& w : workers_) w.join();
 }
 
-size_t ThreadPool::num_workers() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return workers_.size();
-}
-
-void ThreadPool::EnsureWorkers(unsigned n) {
-  std::lock_guard<std::mutex> lock(mu_);
-  while (workers_.size() < n) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+ThreadPool::Job* ThreadPool::NextJobLocked() const {
+  for (Job* job : open_) {
+    if (job->helpers < job->max_helpers) return job;
   }
+  return nullptr;
 }
 
-bool ThreadPool::ClaimTask(uint64_t generation, uint64_t* task) {
-  // Claims go through mu_ so a straggler from a FINISHED job (one that is
-  // between tasks when the job completes) can never claim a task of the
-  // next job while holding the previous job's dangling fn pointer: its
-  // stale generation fails the check before any index is consumed. Claim
-  // frequency is one per shard, so the lock is noise next to shard work.
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!job_open_ || job_generation_ != generation ||
-      next_task_ >= job_tasks_) {
-    return false;
+uint64_t ThreadPool::ClaimLocked(Job* job) {
+  const uint64_t task = job->next++;
+  if (job->next == job->n_tasks) {
+    open_.erase(std::find(open_.begin(), open_.end(), job));
   }
-  *task = next_task_++;
-  return true;
-}
-
-void ThreadPool::FinishTask(uint64_t generation) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (job_generation_ != generation) return;  // cannot happen; be safe
-  if (++completed_ == job_tasks_) done_cv_.notify_all();
+  return task;
 }
 
 void ThreadPool::Run(uint64_t n_tasks, unsigned parallelism,
@@ -59,50 +63,43 @@ void ThreadPool::Run(uint64_t n_tasks, unsigned parallelism,
     for (uint64_t t = 0; t < n_tasks; ++t) fn(t);
     return;
   }
-  EnsureWorkers(parallelism - 1);
-  std::unique_lock<std::mutex> job_lock(job_mu_);  // one job at a time
-  uint64_t generation;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    job_fn_ = &fn;
-    job_tasks_ = n_tasks;
-    next_task_ = 0;
-    completed_ = 0;
-    generation = ++job_generation_;
-    job_open_ = true;
+  Job job(fn, n_tasks, parallelism - 1);
+  std::unique_lock<std::mutex> lock(mu_);
+  while (workers_.size() < parallelism - 1) {
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
-  work_cv_.notify_all();
-  // The caller works too; pool workers race it for the remaining tasks.
-  uint64_t t;
-  while (ClaimTask(generation, &t)) {
-    fn(t);
-    FinishTask(generation);
+  open_.push_back(&job);
+  // Wake only the workers the job can use: a thundering herd of idle ones
+  // would just contend for mu_ on an oversubscribed host.
+  const uint64_t wanted = std::min<uint64_t>(job.max_helpers, n_tasks - 1);
+  for (uint64_t w = 0; w < wanted; ++w) work_cv_.notify_one();
+  // The caller races the workers for its own job's tasks ...
+  while (job.next < job.n_tasks) {
+    const uint64_t task = ClaimLocked(&job);
+    lock.unlock();
+    fn(task);
+    lock.lock();
+    ++job.done;
   }
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [this, n_tasks] { return completed_ == n_tasks; });
-    job_open_ = false;
-    job_fn_ = nullptr;
-  }
+  // ... then waits for the ones they claimed, running nothing else.
+  job.done_cv.wait(lock, [&job] { return job.done == job.n_tasks; });
 }
 
 void ThreadPool::WorkerLoop() {
-  uint64_t seen_generation = 0;
   std::unique_lock<std::mutex> lock(mu_);
-  while (true) {
-    work_cv_.wait(lock, [this, seen_generation] {
-      return stopping_ || (job_open_ && job_generation_ != seen_generation);
+  for (;;) {
+    Job* job = nullptr;
+    work_cv_.wait(lock, [&] {
+      return stopping_ || (job = NextJobLocked()) != nullptr;
     });
-    if (stopping_) return;
-    seen_generation = job_generation_;
-    const std::function<void(uint64_t)>* fn = job_fn_;
+    if (job == nullptr) return;  // stopping
+    const uint64_t task = ClaimLocked(job);
+    ++job->helpers;
     lock.unlock();
-    uint64_t t;
-    while (ClaimTask(seen_generation, &t)) {
-      (*fn)(t);
-      FinishTask(seen_generation);
-    }
+    job->fn(task);
     lock.lock();
+    --job->helpers;
+    if (++job->done == job->n_tasks) job->done_cv.notify_one();
   }
 }
 

@@ -1,10 +1,19 @@
-// Persistent worker pool for sharded scans. One process-wide pool (lazily
-// created, sized by VMSV_THREADS, default hardware_concurrency) executes
-// parallel-for style jobs: Run(n_tasks, fn) hands task indices to workers
-// through an atomic cursor and blocks until every task finished. The caller
-// participates in the work, so a Run with parallelism p occupies p-1 pool
-// workers; workers are spawned on demand and live until process exit, so
-// per-query scans never pay thread-creation cost.
+// The engine's one executor: a process-wide worker pool (lazily created,
+// sized by VMSV_THREADS, default hardware_concurrency) that runs
+// parallel-for jobs. Run(n_tasks, parallelism, fn) executes fn(task) for
+// every task index and blocks until all of them finished. Page scans
+// (exec/parallel_scanner.h) and shard fan-out (core/shard_router.h) both
+// run here.
+//
+// Jobs may run concurrently and may nest: a task can itself call Run, which
+// is how a fanned-out shard query scans in parallel. Each job's state lives
+// on its caller's stack. The caller first works through its own job's
+// tasks, then waits for the tasks other threads claimed; idle workers take
+// tasks from the oldest open job. A waiting caller never runs another job's
+// task: scans hold an epoch guard that a flush waits out, so a thread inside
+// a scan must never pick up some other client's shard query. Workers are
+// spawned on demand and live until process exit, so per-query scans never
+// pay thread-creation cost.
 
 #ifndef VMSV_EXEC_THREAD_POOL_H_
 #define VMSV_EXEC_THREAD_POOL_H_
@@ -25,46 +34,31 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// The process-wide pool used by ParallelScanner.
+  /// The process-wide pool.
   static ThreadPool& Global();
 
   /// Executes fn(task) for every task in [0, n_tasks), spreading tasks over
   /// up to `parallelism` threads including the caller. Blocks until all
-  /// tasks completed. Jobs are serialized: one Run executes at a time.
-  /// `fn` must not re-enter Run on the same pool.
+  /// tasks completed. Safe to call from many threads at once and from
+  /// inside a task.
   void Run(uint64_t n_tasks, unsigned parallelism,
            const std::function<void(uint64_t)>& fn);
 
-  size_t num_workers() const;
-
  private:
-  void EnsureWorkers(unsigned n);
+  struct Job;
+
   void WorkerLoop();
+  /// Oldest open job with room for another pool worker, or null.
+  Job* NextJobLocked() const;
+  /// Takes the next unclaimed task of `job`; closes the job when it was
+  /// the last one.
+  uint64_t ClaimLocked(Job* job);
 
-  /// Claims the next task of job `generation` into *task. Returns false when
-  /// that job is over (or was never this generation) — the generation check
-  /// under the lock is what keeps stragglers of a finished job away from
-  /// the next job's tasks and its dead fn pointer.
-  bool ClaimTask(uint64_t generation, uint64_t* task);
-  void FinishTask(uint64_t generation);
-
-  mutable std::mutex mu_;
-  std::condition_variable work_cv_;  // workers wait for a new job generation
-  std::condition_variable done_cv_;  // Run waits for job completion
+  std::mutex mu_;  // guards the fields below and every open Job's counters
+  std::condition_variable work_cv_;  // workers wait for an open job
   std::vector<std::thread> workers_;
+  std::vector<Job*> open_;  // jobs with unclaimed tasks, oldest first
   bool stopping_ = false;
-
-  // Current job; all fields guarded by mu_ and valid while job_open_.
-  // next_task_ is the claim cursor, completed_ counts finished tasks (the
-  // completion signal — the cursor hitting job_tasks_ only means all tasks
-  // were CLAIMED).
-  std::mutex job_mu_;  // serializes concurrent Run callers
-  const std::function<void(uint64_t)>* job_fn_ = nullptr;
-  uint64_t job_tasks_ = 0;
-  uint64_t job_generation_ = 0;
-  bool job_open_ = false;
-  uint64_t next_task_ = 0;
-  uint64_t completed_ = 0;
 };
 
 /// Threads scans use by default: VMSV_THREADS, else hardware_concurrency,

@@ -1,8 +1,6 @@
 #include "rewiring/physical_memory_file.h"
 
 #include <cerrno>
-#include <cinttypes>
-#include <cstdio>
 #include <utility>
 
 #include <fcntl.h>
@@ -16,21 +14,6 @@
 #include "util/macros.h"
 
 namespace vmsv {
-
-MemoryFileBackend MemoryFileBackendFromString(const std::string& name) {
-  if (name == "shm") return MemoryFileBackend::kShm;
-  if (name == "file") return MemoryFileBackend::kFile;
-  return MemoryFileBackend::kMemfd;
-}
-
-const char* MemoryFileBackendName(MemoryFileBackend backend) {
-  switch (backend) {
-    case MemoryFileBackend::kShm: return "shm";
-    case MemoryFileBackend::kFile: return "file";
-    case MemoryFileBackend::kMemfd: return "memfd";
-  }
-  return "unknown";
-}
 
 const char* HugeBackingName(HugeBacking backing) {
   switch (backing) {
@@ -85,8 +68,7 @@ StatusOr<PhysicalMemoryFile> PhysicalMemoryFile::Create(
   // The probe chain: hugetlb (opt-in) -> THP-capable -> plain 4 KiB. Every
   // failure is an intentional degradation, never an error: huge pages are a
   // perf flavor, not a correctness requirement.
-  if (huge != HugePageRequest::kNone && backend == MemoryFileBackend::kMemfd &&
-      !HugePagesDisabledByEnv()) {
+  if (huge != HugePageRequest::kNone && !HugePagesDisabledByEnv()) {
     const bool try_hugetlb =
         huge == HugePageRequest::kHugetlb ||
         (huge == HugePageRequest::kAuto && HugetlbRequestedByEnv());
@@ -96,22 +78,10 @@ StatusOr<PhysicalMemoryFile> PhysicalMemoryFile::Create(
     }
     if (fd < 0 && ThpShmemEligible()) huge_backing = HugeBacking::kThp;
   }
-  if (fd >= 0) {
-    // hugetlb path delivered a sized fd already.
-  } else if (backend == MemoryFileBackend::kMemfd) {
+  if (fd < 0) {  // the hugetlb path delivers a sized fd already
     StatusOr<int> created = io->MemfdCreate("vmsv-column", MFD_CLOEXEC);
     if (!created.ok()) return created.status();
     fd = *created;
-  } else {
-    // A process-unique name; the object is unlinked immediately after open so
-    // the descriptor is the only reference (same lifetime story as memfd).
-    char name[64];
-    static int counter = 0;
-    std::snprintf(name, sizeof(name), "/vmsv-%" PRIdMAX "-%d",
-                  static_cast<intmax_t>(::getpid()), counter++);
-    fd = ::shm_open(name, O_RDWR | O_CREAT | O_EXCL, 0600);
-    if (fd < 0) return ErrnoError("shm_open", errno);
-    ::shm_unlink(name);
   }
   if (huge_backing != HugeBacking::kHugetlb) {
     // The hugetlb path sized its fd during the probe.

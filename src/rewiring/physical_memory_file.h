@@ -1,16 +1,15 @@
 // PhysicalMemoryFile — the main-memory file whose pages back every storage
 // view (paper §2.1). Rewiring maps page ranges of this file into virtual
-// address ranges; three backends are supported:
+// address ranges; two backends are supported:
 //
 //   - memfd:  anonymous memory file via memfd_create(2) (default),
-//   - shm:    POSIX shared memory object via shm_open(3),
 //   - file:   a named file on a real filesystem (the durable backend) —
 //             identical rewiring semantics, since VirtualArena maps the fd
 //             MAP_SHARED either way, but the pages survive the process and
 //             Sync() can force them to stable storage.
 //
 // The file itself owns only the descriptor and its size. All address-space
-// manipulation lives in VirtualArena. The anonymous backends go through
+// manipulation lives in VirtualArena. The anonymous backend goes through
 // Create(); the durable backend through CreateAt()/OpenAt(), which take a
 // path.
 
@@ -33,15 +32,9 @@ inline constexpr uint64_t kPageSize = 4096;
 
 enum class MemoryFileBackend {
   kMemfd,
-  kShm,
   /// A named file on a real filesystem; needs a path (CreateAt/OpenAt).
   kFile,
 };
-
-/// "memfd" / "shm" / "file" (case-sensitive); anything else falls back to
-/// memfd.
-MemoryFileBackend MemoryFileBackendFromString(const std::string& name);
-const char* MemoryFileBackendName(MemoryFileBackend backend);
 
 /// Huge-page (2 MiB) backing requested at Create.
 enum class HugePageRequest {
@@ -87,10 +80,7 @@ class PhysicalMemoryFile {
   ///
   /// `huge` requests 2 MiB backing; the probe chain (hugetlb memfd + probe
   /// map → THP-capable memfd → plain) degrades transparently on any
-  /// ENOMEM/EINVAL, and huge_backing() reports what was delivered. Huge
-  /// backing applies to the memfd backend only (shm_open objects get no
-  /// huge flavor; THP collapse on them is still attempted by arenas when
-  /// the kernel allows, but the file is reported kNone).
+  /// ENOMEM/EINVAL, and huge_backing() reports what was delivered.
   static StatusOr<PhysicalMemoryFile> Create(
       uint64_t pages, MemoryFileBackend backend = MemoryFileBackend::kMemfd,
       VmIo* vm_io = nullptr, HugePageRequest huge = HugePageRequest::kNone);
@@ -117,7 +107,7 @@ class PhysicalMemoryFile {
   uint64_t num_pages() const { return num_pages_; }
   uint64_t size_bytes() const { return num_pages_ * kPageSize; }
   MemoryFileBackend backend() const { return backend_; }
-  /// Backing path; empty for the anonymous backends.
+  /// Backing path; empty for the anonymous backend.
   const std::string& path() const { return path_; }
 
   /// The 2 MiB backing flavor Create's probe chain delivered (kNone unless
@@ -141,7 +131,7 @@ class PhysicalMemoryFile {
   /// (sync_file_range where available, else a no-op). MAP_SHARED mappings
   /// dirty the page cache directly, so syncing the fd covers every arena
   /// mapped over this file — no per-arena msync needed. No-op (OK) for the
-  /// anonymous backends, which have no stable storage to reach. `io` routes
+  /// anonymous backend, which has no stable storage to reach. `io` routes
   /// the fdatasync / sync_file_range through a StorageIo (null = real I/O),
   /// letting the crash matrix interpose on data writeback too.
   Status Sync(bool wait, StorageIo* io = nullptr);

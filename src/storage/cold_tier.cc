@@ -111,8 +111,10 @@ StatusOr<std::vector<uint64_t>> ReadColdViewFile(const std::string& dir,
                    " does not match the file size");
   }
   std::vector<uint64_t> pages(page_count);
-  std::memcpy(pages.data(), p + 2 * sizeof(uint64_t),
-              page_count * sizeof(uint64_t));
+  if (page_count > 0) {  // an empty vector's data() may be null
+    std::memcpy(pages.data(), p + 2 * sizeof(uint64_t),
+                page_count * sizeof(uint64_t));
+  }
   return pages;
 }
 

@@ -5,14 +5,14 @@
 namespace vmsv {
 
 StatusOr<std::unique_ptr<PhysicalColumn>> PhysicalColumn::Create(
-    uint64_t num_rows, MemoryFileBackend backend) {
+    uint64_t num_rows) {
   if (num_rows == 0) return InvalidArgument("column needs >= 1 row");
   const uint64_t pages = (num_rows + kValuesPerPage - 1) / kValuesPerPage;
   // Base columns ask for huge backing: the identity map is file-contiguous
   // by construction, the best possible TLB layout. Degrades to plain 4 KiB
   // wherever the kernel or environment says no.
-  auto file_r = PhysicalMemoryFile::Create(pages, backend, nullptr,
-                                           HugePageRequest::kAuto);
+  auto file_r = PhysicalMemoryFile::Create(pages, MemoryFileBackend::kMemfd,
+                                           nullptr, HugePageRequest::kAuto);
   if (!file_r.ok()) return file_r.status();
   auto file = std::make_shared<PhysicalMemoryFile>(std::move(file_r).ValueOrDie());
   return Attach(std::move(file), num_rows);

@@ -21,8 +21,7 @@ class PhysicalColumn {
  public:
   /// Creates a zeroed column able to hold `num_rows` values (rounded up to a
   /// whole number of pages).
-  static StatusOr<std::unique_ptr<PhysicalColumn>> Create(
-      uint64_t num_rows, MemoryFileBackend backend = MemoryFileBackend::kMemfd);
+  static StatusOr<std::unique_ptr<PhysicalColumn>> Create(uint64_t num_rows);
 
   /// Wraps an EXISTING memory file (typically file-backed, reopened by the
   /// durable recovery path) in a column of `num_rows` values, identity-

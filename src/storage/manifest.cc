@@ -117,8 +117,10 @@ size_t DecodeDelta(const unsigned char* data, size_t left,
   delta->op = static_cast<ManifestDeltaOp>(op);
   delta->view.demoted = (flags & kViewFlagDemoted) != 0;
   delta->view.pages.resize(page_count);
-  std::memcpy(delta->view.pages.data(), data + kDeltaRecordHeadSize,
-              page_count * sizeof(uint64_t));
+  if (page_count > 0) {  // an empty vector's data() may be null
+    std::memcpy(delta->view.pages.data(), data + kDeltaRecordHeadSize,
+                page_count * sizeof(uint64_t));
+  }
   return record_size;
 }
 

@@ -97,9 +97,8 @@ void FillColumn(const DistributionSpec& spec, PhysicalColumn* column) {
 }
 
 StatusOr<std::unique_ptr<PhysicalColumn>> MakeColumn(
-    const DistributionSpec& spec, uint64_t num_rows,
-    MemoryFileBackend backend) {
-  auto column_r = PhysicalColumn::Create(num_rows, backend);
+    const DistributionSpec& spec, uint64_t num_rows) {
+  auto column_r = PhysicalColumn::Create(num_rows);
   if (!column_r.ok()) return column_r.status();
   auto column = std::move(column_r).ValueOrDie();
   FillColumn(spec, column.get());

@@ -62,8 +62,7 @@ void FillColumn(const DistributionSpec& spec, PhysicalColumn* column);
 
 /// Creates a PhysicalColumn of `num_rows` values drawn from `spec`.
 StatusOr<std::unique_ptr<PhysicalColumn>> MakeColumn(
-    const DistributionSpec& spec, uint64_t num_rows,
-    MemoryFileBackend backend = MemoryFileBackend::kMemfd);
+    const DistributionSpec& spec, uint64_t num_rows);
 
 }  // namespace vmsv
 

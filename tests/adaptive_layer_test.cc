@@ -321,25 +321,6 @@ TEST(AdaptiveColumnTest, BackgroundMappingCreationMatchesBaseline) {
   }
 }
 
-TEST(AdaptiveColumnTest, ProcMapsMappingSourceMatchesBaseline) {
-  AdaptiveConfig config;
-  config.mapping_source = MappingSource::kProcMaps;
-  auto adaptive = MakeAdaptive(DataDistribution::kSine, config);
-  ASSERT_TRUE(adaptive->Execute(RangeQuery{30'000'000, 70'000'000}).ok());
-  Rng rng(17);
-  for (int i = 0; i < 300; ++i) {
-    adaptive->Update(rng.Below(adaptive->shard(0)->column().num_rows()),
-                     rng.Below(kMaxValue + 1));
-  }
-  const RangeQuery q{35'000'000, 65'000'000};
-  auto exec = adaptive->Execute(q);
-  ASSERT_TRUE(exec.ok());
-  auto baseline = adaptive->ExecuteFullScan(q);
-  ASSERT_TRUE(baseline.ok());
-  EXPECT_EQ(exec->match_count, baseline->match_count);
-  EXPECT_EQ(exec->sum, baseline->sum);
-}
-
 // ---------------------------------------------------------------------------
 // One query path: Execute and a batch of one run the same route-and-answer
 // step, so they must agree on the answer, on every ExecStats field, and on

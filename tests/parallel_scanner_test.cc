@@ -1,13 +1,16 @@
 // Parallel sharded scans must be invisible in the results: any thread
 // count, any shard split, any cutoff — match_count and sum bit-identical to
 // the serial reference pass on the seed-42 golden distributions, with
-// shard-boundary off-by-one cases pinned explicitly.
+// shard-boundary off-by-one cases pinned explicitly. The ThreadPool under
+// them must run concurrent and nested jobs to exact completion.
 
 #include "exec/parallel_scanner.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "vmsv.h"
@@ -175,6 +178,57 @@ TEST(ParallelScannerTest, BackToBackJobsStayIsolated) {
     ASSERT_EQ(ref.match_count, got.match_count) << "iteration " << i;
     ASSERT_EQ(ref.sum, got.sum) << "iteration " << i;
   }
+}
+
+TEST(ThreadPoolTest, NestedRunCompletesWithExactSum) {
+  // The shape of a fanned-out shard query whose own scan runs in parallel:
+  // every outer task calls Run. Inner jobs must finish even while every
+  // pool worker is busy with an outer task.
+  constexpr uint64_t kOuter = 8;
+  constexpr uint64_t kInner = 64;
+  std::atomic<uint64_t> sum{0};
+  ThreadPool::Global().Run(kOuter, 4, [&](uint64_t o) {
+    ThreadPool::Global().Run(kInner, 4, [&](uint64_t i) {
+      sum.fetch_add(o * kInner + i, std::memory_order_relaxed);
+    });
+  });
+  constexpr uint64_t kTotal = kOuter * kInner;
+  EXPECT_EQ(sum.load(), kTotal * (kTotal - 1) / 2);
+}
+
+/// Which client thread runs the current task; -1 on pool workers.
+thread_local int tl_client = -1;
+
+TEST(ThreadPoolTest, ConcurrentBackToBackJobsStayIsolated) {
+  // The concurrent-job version of BackToBackJobsStayIsolated: 4 clients
+  // issue back-to-back jobs at once. Every task runs exactly once (the
+  // job's sum is exact), and a client thread only ever runs tasks of its
+  // own jobs — a waiting caller never picks up another job's work.
+  constexpr int kClients = 4;
+  constexpr uint64_t kJobs = 200;
+  constexpr uint64_t kTasks = 16;
+  std::atomic<uint64_t> bad_sums{0};
+  std::atomic<uint64_t> foreign_tasks{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      tl_client = c;
+      for (uint64_t j = 0; j < kJobs; ++j) {
+        const uint64_t base = (static_cast<uint64_t>(c) * kJobs + j) * kTasks;
+        std::atomic<uint64_t> sum{0};
+        ThreadPool::Global().Run(kTasks, 4, [&](uint64_t t) {
+          if (tl_client != -1 && tl_client != c) foreign_tasks.fetch_add(1);
+          sum.fetch_add(base + t, std::memory_order_relaxed);
+        });
+        if (sum.load() != kTasks * base + kTasks * (kTasks - 1) / 2) {
+          bad_sums.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  EXPECT_EQ(bad_sums.load(), 0u);
+  EXPECT_EQ(foreign_tasks.load(), 0u);
 }
 
 }  // namespace

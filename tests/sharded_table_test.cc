@@ -9,7 +9,6 @@
 //     others replay their journal — the table-wide answer is unchanged);
 //   * routing determinism and zone-pruning soundness (a skipped shard
 //     provably holds no match);
-//   * core-pinning refusal is counted in TableHealth, never an error;
 //   * TABLE descriptor round-trip, forward compatibility, error contract;
 //   * the batch cover-routing fix: ExecuteBatch consults the same
 //     cost-based multi-view cover path as Execute (regression pins the
@@ -29,7 +28,6 @@
 #include <gtest/gtest.h>
 
 #include "core/shard_router.h"
-#include "exec/affinity.h"
 #include "scoped_temp_dir.h"
 #include "vmsv.h"
 
@@ -327,28 +325,7 @@ TEST(ShardedTable, ExecuteFullScanVisitsEveryShard) {
 }
 
 // ---------------------------------------------------------------------------
-// Core pinning through the affinity seam
-
-TEST(ShardedTable, PinRefusalIsCountedNotFatal) {
-  RefusingCpuAffinity refusing(EPERM);
-  DbOptions options = ShardedOptions(2, PartitionKind::kRange);
-  options.pin_cores = 1;  // force pinning on regardless of VMSV_PIN_CORES
-  options.affinity = &refusing;
-  auto table_r = Db::Create(4 * kValuesPerPage, IdentityValue, options);
-  ASSERT_TRUE(table_r.ok()) << table_r.status().message();
-  auto table = *std::move(table_r);
-
-  // A full-domain query fans out to shard 1's worker; once the worker has
-  // run anything its (refused) pin attempt has certainly happened.
-  auto exec = table->Execute({0, ~Value{0}});
-  ASSERT_TRUE(exec.ok());
-  EXPECT_EQ(exec->match_count, 4 * kValuesPerPage);
-
-  const TableHealth health = table->Health();
-  EXPECT_GE(health.pin_failures, 1u);
-  EXPECT_EQ(health.shards.size(), 2u);
-  EXPECT_FALSE(health.total.degraded_read_only);
-}
+// Health and metrics
 
 TEST(ShardedTable, HealthAndMetricsAggregateAcrossShards) {
   auto table = *Db::Create(kRows, MixValue,
@@ -361,7 +338,6 @@ TEST(ShardedTable, HealthAndMetricsAggregateAcrossShards) {
     fallbacks += shard.base_fallbacks;
   }
   EXPECT_EQ(health.total.base_fallbacks, fallbacks);
-  EXPECT_EQ(health.pin_failures, 0u);  // pinning defaults off
   const CumulativeStats metrics = table->Metrics();
   EXPECT_GE(metrics.queries, 1u);
   EXPECT_GT(metrics.scanned_pages, 0u);

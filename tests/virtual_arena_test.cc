@@ -14,9 +14,8 @@
 namespace vmsv {
 namespace {
 
-std::shared_ptr<PhysicalMemoryFile> MakeFile(
-    uint64_t pages, MemoryFileBackend backend = MemoryFileBackend::kMemfd) {
-  auto file_r = PhysicalMemoryFile::Create(pages, backend);
+std::shared_ptr<PhysicalMemoryFile> MakeFile(uint64_t pages) {
+  auto file_r = PhysicalMemoryFile::Create(pages);
   EXPECT_TRUE(file_r.ok()) << file_r.status().ToString();
   return std::make_shared<PhysicalMemoryFile>(std::move(file_r).ValueOrDie());
 }
@@ -176,17 +175,6 @@ TEST(VirtualArenaTest, AdjacentArenasNeverShareAVma) {
   EXPECT_EQ(high_bimap.PageOfSlot(0), 5);
 }
 
-TEST(VirtualArenaTest, ShmBackendBehavesLikeMemfd) {
-  auto file = MakeFile(2, MemoryFileBackend::kShm);
-  auto arena_r = VirtualArena::Create(file, 2);
-  ASSERT_TRUE(arena_r.ok());
-  auto& arena = *arena_r;
-  ASSERT_TRUE(arena->MapRange(0, 1, 1).ok());
-  ASSERT_TRUE(arena->MapRange(1, 1, 1).ok());
-  WriteMarker(*arena, 0, 99);
-  EXPECT_EQ(ReadMarker(*arena, 1), 99u);
-}
-
 // ---------------------------------------------------------------------------
 // Mixed granularity (4 KiB <-> 2 MiB)
 
@@ -232,14 +220,6 @@ TEST(HugePageTest, EnvOverrideForcesPlainBacking) {
   EXPECT_TRUE(arena->PromoteRange(0, kPagesPerHugeUnit).ok());
   EXPECT_EQ(arena->huge_unit_count(), 0u);
   EXPECT_EQ(arena->huge_promote_attempts(), 0u);
-}
-
-TEST(HugePageTest, ShmBackendNeverGetsHugeFlavor) {
-  auto file_r = PhysicalMemoryFile::Create(
-      kPagesPerHugeUnit, MemoryFileBackend::kShm, nullptr,
-      HugePageRequest::kAuto);
-  ASSERT_TRUE(file_r.ok());
-  EXPECT_EQ(file_r->huge_backing(), HugeBacking::kNone);
 }
 
 TEST(HugePageTest, CongruentBasePlacement) {
@@ -415,12 +395,6 @@ TEST(PhysicalMemoryFileTest, GrowExtendsFile) {
   EXPECT_EQ(file.num_pages(), 4u);
   ASSERT_TRUE(file.Grow(2).ok());  // shrink requests are no-ops
   EXPECT_EQ(file.num_pages(), 4u);
-}
-
-TEST(PhysicalMemoryFileTest, BackendFromString) {
-  EXPECT_EQ(MemoryFileBackendFromString("shm"), MemoryFileBackend::kShm);
-  EXPECT_EQ(MemoryFileBackendFromString("memfd"), MemoryFileBackend::kMemfd);
-  EXPECT_EQ(MemoryFileBackendFromString("bogus"), MemoryFileBackend::kMemfd);
 }
 
 }  // namespace

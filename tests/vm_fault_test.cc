@@ -90,8 +90,6 @@ AdaptiveConfig MakeConfig(const Scenario& s, VmIo* io) {
   config.max_views = s.max_views;
   config.cost_based_routing = s.cost_based;
   config.vm_io = io;
-  // Relief backoff is real-time; keep the sweep fast.
-  config.pressure_relief_backoff_us = 1;
   // An eager eviction margin keeps the pool churning on the script's
   // fresh-per-round queries: every round materializes new views AND
   // retires old arenas, so the op surface covers munmap as densely as

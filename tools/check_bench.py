@@ -796,7 +796,6 @@ SHARD_TOP_LEVEL_FIELDS = {
 SHARD_FIELDS = {
     "clients": int,
     "partition": str,
-    "pin_cores": bool,
     "identical_results": bool,
     "best_multi_shard_speedup": float,
     "shard_counts": list,
