@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <filesystem>
 #include <map>
 #include <thread>
 #include <unordered_set>
@@ -12,11 +11,7 @@
 #include "exec/parallel_scanner.h"
 #include "rewiring/virtual_arena.h"
 #include "rewiring/vm_io.h"
-#include "storage/cold_tier.h"
-#include "storage/manifest.h"
-#include "storage/storage_io.h"
 #include "util/macros.h"
-#include "util/stopwatch.h"
 
 namespace vmsv {
 
@@ -42,6 +37,21 @@ constexpr std::chrono::microseconds kPressureReliefBackoff{100};
 bool RangesTouch(Value lo_a, Value hi_a, Value lo_b, Value hi_b) {
   return (hi_a == ~Value{0} || lo_b <= hi_a + 1) &&
          (hi_b == ~Value{0} || lo_a <= hi_b + 1);
+}
+
+/// The one view → manifest record conversion, behind both the snapshot and
+/// the upsert delta. Carries the pages for demoted views too: the snapshot
+/// re-spills them to the cold file.
+ManifestView ToManifestView(const VirtualView& view) {
+  ManifestView mview;
+  mview.id = view.durable_id();
+  mview.lo = view.lo();
+  mview.hi = view.hi();
+  mview.creation_scanned_pages =
+      view.usage().creation_scanned_pages.load(std::memory_order_relaxed);
+  mview.demoted = view.demoted();
+  mview.pages = view.physical_pages();
+  return mview;
 }
 
 }  // namespace
@@ -157,113 +167,27 @@ StatusOr<std::unique_ptr<AdaptiveColumn>> AdaptiveColumn::Create(
 
 StatusOr<std::unique_ptr<AdaptiveColumn>> AdaptiveColumn::CreateDurable(
     const std::string& dir, uint64_t num_rows, AdaptiveConfig config) {
-  if (dir.empty()) return InvalidArgument("CreateDurable needs a directory");
-  config.storage.persist_dir = dir;
-  StorageIo* io = config.storage.io != nullptr ? config.storage.io
-                                               : RealStorageIo();
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) return IoError("create_directories " + dir + ": " + ec.message());
-  // The journal's flock is the directory's single-writer lock; take it
-  // BEFORE the manifest-existence check and column.dat creation. Two racing
-  // CreateDurable calls otherwise both pass the check, and the flock loser
-  // has by then O_TRUNC'ed the winner's live column.dat — zeroing its data
-  // and SIGBUSing its mappings during the size-0 window.
-  auto journal_r = WriteAheadJournal::Open(dir + "/journal.wal", io);
-  if (!journal_r.ok()) return journal_r.status();
-  if (std::filesystem::exists(ManifestPath(dir))) {
-    return FailedPrecondition(dir + " already holds a column (use Open)");
-  }
-  // A leftover journal (e.g. the user removed a corrupt MANIFEST to start
-  // over) must not leak records into the fresh column: a kill before the
-  // first checkpoint would replay the previous incarnation's values onto
-  // the new data. Drop them now. A leftover delta log is epoch-filtered
-  // away at recovery, but drop it too so stale records never linger.
-  if (journal_r->journal->record_count() > 0) {
-    VMSV_RETURN_IF_ERROR(journal_r->journal->Reset());
-  }
-  auto delta_r = ManifestDeltaLog::Open(dir, io);
-  if (!delta_r.ok()) return delta_r.status();
-  if (delta_r->log->record_count() > 0) {
-    VMSV_RETURN_IF_ERROR(delta_r->log->Reset());
-  }
-  const uint64_t pages = (num_rows + kValuesPerPage - 1) / kValuesPerPage;
-  auto file_r = PhysicalMemoryFile::CreateAt(dir + "/column.dat", pages);
-  if (!file_r.ok()) return file_r.status();
-  auto file =
-      std::make_shared<PhysicalMemoryFile>(std::move(file_r).ValueOrDie());
-  auto column_r = PhysicalColumn::Attach(std::move(file), num_rows);
-  if (!column_r.ok()) return column_r.status();
-  auto adaptive_r = Create(std::move(column_r).ValueOrDie(), config);
-  if (!adaptive_r.ok()) return adaptive_r.status();
-  auto adaptive = std::move(adaptive_r).ValueOrDie();
-
-  adaptive->durable_ = std::make_unique<DurableState>();
-  adaptive->durable_->dir = dir;
-  adaptive->durable_->io = io;
-  adaptive->durable_->journal = std::move(journal_r.ValueOrDie().journal);
-  adaptive->durable_->delta_log = std::move(delta_r.ValueOrDie().log);
-  // The initial (empty-pool) manifest makes the directory openable from the
-  // first moment — a kill before any flush recovers to a fresh column. The
-  // column is not yet visible to any other thread, but take maintenance_mu_
-  // anyway to honor WriteManifestSnapshotLocked's locking contract.
-  std::lock_guard<std::mutex> maintenance(adaptive->maintenance_mu_);
-  VMSV_RETURN_IF_ERROR(adaptive->WriteManifestSnapshotLocked());
-  return adaptive;
+  return OpenDurable(dir, std::move(config), num_rows);
 }
 
 StatusOr<std::unique_ptr<AdaptiveColumn>> AdaptiveColumn::Open(
     const std::string& dir, AdaptiveConfig config) {
-  if (dir.empty()) return InvalidArgument("Open needs a directory");
+  return OpenDurable(dir, std::move(config), std::nullopt);
+}
+
+StatusOr<std::unique_ptr<AdaptiveColumn>> AdaptiveColumn::OpenDurable(
+    const std::string& dir, AdaptiveConfig config,
+    std::optional<uint64_t> create_rows) {
+  // Create's own check, ahead of any file the durable open would write.
+  if (config.max_views == 0) return InvalidArgument("max_views must be >= 1");
   config.storage.persist_dir = dir;
-  StorageIo* io = config.storage.io != nullptr ? config.storage.io
-                                               : RealStorageIo();
-  Stopwatch recover_timer;
-  // The NotFound contract (no column here) is decided on the manifest; check
-  // it before the journal open below creates journal.wal in a directory that
-  // never held a column.
-  if (!std::filesystem::exists(ManifestPath(dir))) {
-    return NotFound("no manifest at " + ManifestPath(dir));
-  }
-  // Journal open FIRST: its flock is the column directory's single-writer
-  // lock, and everything after this point may MUTATE durable state (the
-  // delta log truncates torn tails at open; replay writes cells). A second
-  // Open of a live column must fail before touching any of that.
-  auto journal_r = WriteAheadJournal::Open(dir + "/journal.wal", io);
-  if (!journal_r.ok()) return journal_r.status();
-  auto opened = std::move(journal_r).ValueOrDie();
-
-  auto manifest_r = ReadManifest(dir);
-  if (!manifest_r.ok()) return manifest_r.status();
-  ViewManifest manifest = std::move(manifest_r).ValueOrDie();
-  // Compose the incremental manifest: base snapshot + every delta stamped
-  // with its epoch, in append order.
-  auto delta_r = ManifestDeltaLog::Open(dir, io);
-  if (!delta_r.ok()) return delta_r.status();
-  auto delta_opened = std::move(delta_r).ValueOrDie();
-  const uint64_t deltas_applied =
-      ApplyManifestDeltas(&manifest, delta_opened.replayed);
-
-  auto file_r =
-      PhysicalMemoryFile::OpenAt(dir + "/column.dat", manifest.num_pages);
-  if (!file_r.ok()) return file_r.status();
-  auto file =
-      std::make_shared<PhysicalMemoryFile>(std::move(file_r).ValueOrDie());
-  auto column_r = PhysicalColumn::Attach(std::move(file), manifest.num_rows);
-  if (!column_r.ok()) return column_r.status();
-  auto adaptive_r = Create(std::move(column_r).ValueOrDie(), config);
+  auto opened_r = DurableState::Open(dir, config.storage, create_rows);
+  if (!opened_r.ok()) return opened_r.status();
+  DurableState::Opened opened = std::move(opened_r).ValueOrDie();
+  auto adaptive_r = Create(std::move(opened.column), config);
   if (!adaptive_r.ok()) return adaptive_r.status();
   auto adaptive = std::move(adaptive_r).ValueOrDie();
-  adaptive->durable_ = std::make_unique<DurableState>();
-  DurableState& durable = *adaptive->durable_;
-  durable.dir = dir;
-  durable.io = io;
-  durable.journal = std::move(opened.journal);
-  durable.delta_log = std::move(delta_opened.log);
-  durable.manifest_epoch = manifest.epoch;
-  durable.next_view_id = manifest.next_view_id;
-  durable.stats.manifest_deltas_replayed = deltas_applied;
-  durable.stats.manifest_delta_tail_truncated = delta_opened.tail_truncated;
+  adaptive->durable_ = std::move(opened.state);
 
   // Rebuild views as unmaterialized page lists; the first scan pays the
   // rewiring lazily, so Open stays proportional to the manifest size.
@@ -275,33 +199,11 @@ StatusOr<std::unique_ptr<AdaptiveColumn>> AdaptiveColumn::Open(
   // demand like any cold range.
   size_t hot_restored = 0;
   size_t cold_restored = 0;
-  for (const ManifestView& mview : manifest.views) {
-    // Tier resolution first (it decides which budget the view counts
-    // against). For a demoted entry the cold file is authoritative — the
-    // base snapshot persisted it with an empty page list. An entry whose
-    // demote delta landed but whose snapshot never re-spilled carries its
-    // pages inline; an unreadable cold file with no inline fallback drops
-    // the view (views are reconstructible, and the dirty flag below makes
-    // the next checkpoint converge the manifest).
-    std::vector<uint64_t> pages = mview.pages;
-    bool as_cold = false;
-    if (mview.demoted) {
-      auto cold_r = ReadColdViewFile(dir, mview.id);
-      if (cold_r.ok()) {
-        pages = std::move(cold_r).ValueOrDie();
-      } else if (mview.pages.empty()) {
-        // Nothing trustworthy to restore from: drop the entry (views are
-        // reconstructible) and dirty the manifest explicitly so the next
-        // checkpoint rewrites it without the dead entry, rather than
-        // relying on the clamped-restore check below to notice the gap.
-        durable.manifest_dirty = true;
-        continue;
-      }
-      // With demotion disabled in THIS configuration the view reopens hot:
-      // it holds no mapping yet either way, and the pool must not carry
-      // tier state the policy layer would never clear.
-      as_cold = config.lifecycle.enable_demotion;
-    }
+  for (const ManifestView& mview : opened.views) {
+    // With demotion disabled in THIS configuration a demoted view reopens
+    // hot: it holds no mapping yet either way, and the pool must not carry
+    // tier state the policy layer would never clear.
+    const bool as_cold = mview.demoted && config.lifecycle.enable_demotion;
     if (as_cold ? cold_restored >= adaptive->ColdBudget()
                 : hot_restored >= config.max_views) {
       continue;  // over THIS configuration's budget; re-adapts on demand
@@ -311,58 +213,31 @@ StatusOr<std::unique_ptr<AdaptiveColumn>> AdaptiveColumn::Open(
     if (!view_r.ok()) return view_r.status();
     auto view = std::move(view_r).ValueOrDie();
     VMSV_RETURN_IF_ERROR(
-        view->RestorePages(pages, adaptive->column().num_pages()));
+        view->RestorePages(mview.pages, adaptive->column().num_pages()));
     // Hit history does not survive a restart; the recorded creation cost
     // does, so eviction scoring stays calibrated from the first query.
     view->SetCreationInfo(/*query_seq=*/0, mview.creation_scanned_pages);
-    // Keep the persisted identity so post-restart delta records keep
-    // addressing this view; the belt-and-suspenders raise below covers a
-    // base written before ids existed (id 0 gets a fresh one).
-    view->set_durable_id(mview.id != 0 ? mview.id : durable.next_view_id);
-    if (view->durable_id() >= durable.next_view_id) {
-      durable.next_view_id = view->durable_id() + 1;
-    }
+    view->set_durable_id(mview.id);
     if (as_cold) {
       view->set_demoted(true);
       ++cold_restored;
       adaptive->health_.cold_view_reloads.fetch_add(1,
                                                     std::memory_order_relaxed);
     } else {
-      // A demoted entry reopened hot (demotion disabled here): the on-disk
-      // tier state is now stale, so force a snapshot at the next checkpoint.
-      if (mview.demoted) durable.manifest_dirty = true;
+      // A demoted entry reopened hot: the on-disk tier state is now stale.
+      if (mview.demoted) adaptive->MarkStale();
       ++hot_restored;
     }
     adaptive->view_index_.Insert(std::move(view));
-    ++durable.stats.views_restored;
   }
-  durable.persisted_pool_mutations = adaptive->lifecycle_.pool_mutations();
-  // A budget-clamped restore leaves the on-disk manifest listing views the
-  // pool no longer holds; dirty it so the next flush/checkpoint converges.
-  if (durable.stats.views_restored < manifest.views.size()) {
-    durable.manifest_dirty = true;
-  }
+  adaptive->durable_->NoteRestored(hot_restored + cold_restored,
+                                   opened.views.size());
 
-  // Journal replay: re-apply every journaled value (idempotent — absolute
-  // values) and queue the records as pending, so the flush-first rule
-  // realigns the restored views before any post-restart query answers.
-  durable.stats.journal_tail_truncated = opened.tail_truncated;
-  for (const RowUpdate& update : opened.replayed) {
-    if (update.row >= adaptive->column().num_rows()) {
-      return IoError("journal record for row " + std::to_string(update.row) +
-                     " beyond column (" +
-                     std::to_string(adaptive->column().num_rows()) + " rows)");
-    }
-    adaptive->mutable_column()->Set(update.row, update.new_value);
-    // The RECORDED old value feeds net-effect filtering; the current cell
-    // holds the new value already after the Set above (or after a previous
-    // replay), so re-reading it would drop the record as a no-op.
-    adaptive->pending_.Add(update);
-    ++durable.stats.journal_replayed;
-  }
+  // The replayed records are pending, so the flush-first rule realigns the
+  // restored views before any post-restart query answers.
+  adaptive->pending_ = std::move(opened.replayed);
   adaptive->pending_count_.store(adaptive->pending_.size(),
                                  std::memory_order_release);
-  durable.stats.open_recover_ms = recover_timer.ElapsedMillis();
   return adaptive;
 }
 
@@ -374,172 +249,29 @@ Status AdaptiveColumn::Checkpoint() {
     auto flushed = FlushUpdatesLocked(/*compact_after=*/true);
     return flushed.ok() ? OkStatus() : flushed.status();
   }
-  return PersistCheckpointLocked();
+  return CheckpointLocked();
 }
 
-Status AdaptiveColumn::WriteManifestSnapshotLocked() {
-  DurableState& durable = *durable_;
-  ViewManifest manifest;
-  manifest.num_rows = column_->num_rows();
-  manifest.num_pages = column_->num_pages();
-  manifest.pool_generation = lifecycle_.pool_mutations();
-  // Each base snapshot opens a fresh delta epoch: records appended after it
-  // are stamped with the new epoch, and records from before it (which this
-  // snapshot subsumes) are epoch-filtered away even if the Reset below
-  // never lands.
-  manifest.epoch = durable.manifest_epoch + 1;
-  manifest.next_view_id = durable.next_view_id;
-  manifest.views.reserve(view_index_.views().size());
-  bool respill_failed = false;
-  std::unordered_set<uint64_t> live_cold_ids;
-  for (const auto& view : view_index_.views()) {
-    ManifestView mview;
-    mview.id = view->durable_id();
-    mview.lo = view->lo();
-    mview.hi = view->hi();
-    mview.creation_scanned_pages = view->usage().creation_scanned_pages.load(
-        std::memory_order_relaxed);
-    mview.demoted = view->demoted();
-    if (mview.demoted) {
-      // The cold file is authoritative for a demoted view, and its
-      // membership may have drifted since the demotion-time spill (update
-      // alignment edits unmaterialized views too) — re-spill it now and
-      // persist the base entry with an EMPTY page list.
-      const Status spilled =
-          WriteColdViewFile(durable.dir, mview.id, view->physical_pages(),
-                            config_.storage.data_flush == FlushPolicy::kSync,
-                            durable.io);
-      if (spilled.ok()) {
-        live_cold_ids.insert(mview.id);
-      } else {
-        // Failed re-spill (ENOSPC/EIO): the demotion-time cold file on disk
-        // is now STALE, and Open prefers a readable cold file — recovering
-        // through it would resurrect membership from before the drift,
-        // silently corrupting answers. Persist the entry HOT with its pages
-        // inline so recovery never consults the cold file, and unlink the
-        // stale file too (belt and suspenders; unlink succeeds even on the
-        // full disk that failed the spill). The view itself stays demoted —
-        // the snapshot merely understates the tier — and the dirty flag
-        // kept below retries the spill at the next checkpoint.
-        ++durable.stats.manifest_write_failures;
-        respill_failed = true;
-        RemoveColdViewFile(durable.dir, mview.id);
-        mview.demoted = false;
-        mview.pages = view->physical_pages();
-      }
-    } else {
-      mview.pages = view->physical_pages();
+Status AdaptiveColumn::CheckpointLocked() {
+  return durable_->Checkpoint([this] {
+    std::vector<ManifestView> views;
+    views.reserve(view_index_.views().size());
+    for (const auto& view : view_index_.views()) {
+      views.push_back(ToManifestView(*view));
     }
-    manifest.views.push_back(std::move(mview));
-  }
-  VMSV_RETURN_IF_ERROR(
-      WriteManifest(durable.dir, manifest,
-                    config_.storage.data_flush == FlushPolicy::kSync,
-                    durable.io));
-  durable.manifest_epoch = manifest.epoch;
-  ++durable.stats.manifest_writes;
-  // A failed re-spill leaves the on-disk snapshot understating the tier
-  // state (the entry went down hot); stay dirty so the next checkpoint
-  // retries the spill instead of considering the pool converged.
-  durable.manifest_dirty = respill_failed;
-  durable.persisted_pool_mutations = lifecycle_.pool_mutations();
-  // The snapshot just written names every cold file recovery may read;
-  // unlink the rest — promoted views' leftovers, spills of views destroyed
-  // by Replace/trim/emergency eviction, crash orphans — so a long-lived
-  // store cannot accumulate unreferenced .cold files. Best-effort, and
-  // safe against a later crash: an OLDER manifest resurrected by a failed
-  // future snapshot could only reference a swept id on its demoted-with-
-  // empty-inline-pages path, which drops the view (reconstructible), never
-  // mis-answers.
-  SweepColdViewFiles(durable.dir, live_cold_ids);
-  // Compaction: the snapshot covers everything the delta log said. A failed
-  // reset is SOFT — the stale records carry a previous epoch, so recovery
-  // skips them; the next snapshot retries the truncate.
-  if (durable.delta_log != nullptr && durable.delta_log->record_count() > 0) {
-    const Status st = durable.delta_log->Reset();
-    if (!st.ok()) ++durable.stats.manifest_write_failures;
-  }
-  return OkStatus();
+    return views;
+  });
 }
 
-Status AdaptiveColumn::PersistCheckpointLocked() {
-  DurableState& durable = *durable_;
-  switch (config_.storage.data_flush) {
-    case FlushPolicy::kNone:
-      break;
-    case FlushPolicy::kAsync:
-      VMSV_RETURN_IF_ERROR(column_->file()->Sync(/*wait=*/false, durable.io));
-      break;
-    case FlushPolicy::kSync:
-      VMSV_RETURN_IF_ERROR(column_->file()->Sync(/*wait=*/true, durable.io));
-      break;
+void AdaptiveColumn::PersistPoolEditLocked(const PoolEditLog& edit) {
+  if (durable_ == nullptr) return;
+  std::vector<ManifestView> upserted;
+  upserted.reserve(edit.upserted.size());
+  for (VirtualView* view : edit.upserted) {
+    view->set_durable_id(durable_->NewViewId());
+    upserted.push_back(ToManifestView(*view));
   }
-  // A reader-path promotion flips tier flags outside any maintenance lock;
-  // fold the signal into the dirty flag HERE (before the decision below) so
-  // a promotion between checkpoints always reaches the manifest. The
-  // exchange is safe against a racing promotion: it re-sets the flag, and
-  // the next checkpoint picks it up.
-  if (tier_dirty_.exchange(false, std::memory_order_acq_rel)) {
-    durable.manifest_dirty = true;
-  }
-  if (durable.manifest_dirty ||
-      lifecycle_.pool_mutations() != durable.persisted_pool_mutations) {
-    VMSV_RETURN_IF_ERROR(WriteManifestSnapshotLocked());
-  }
-  // Only after the manifest (and policy-dependent data) are down may the
-  // journal forget the batch — the write-ahead invariant.
-  if (durable.journal->record_count() > 0) {
-    VMSV_RETURN_IF_ERROR(durable.journal->Reset());
-  }
-  return OkStatus();
-}
-
-void AdaptiveColumn::PersistPoolChangeLocked(const PoolEditLog& edit) {
-  DurableState& durable = *durable_;
-  if (durable.delta_log == nullptr || edit.empty()) {
-    // No incremental channel (or nothing identifiable changed): fall back
-    // to dirtying the manifest for the next flush/checkpoint.
-    durable.manifest_dirty = true;
-    return;
-  }
-  // Removes first: a replace is remove-then-upsert in apply order, and the
-  // delta log replays in order.
-  const bool sync = config_.storage.data_flush == FlushPolicy::kSync;
-  Status st = OkStatus();
-  for (const uint64_t id : edit.removed_ids) {
-    if (id == 0) continue;  // never persisted; nothing to remove
-    ManifestDelta delta;
-    delta.op = ManifestDeltaOp::kRemoveView;
-    delta.epoch = durable.manifest_epoch;
-    delta.view.id = id;
-    st = durable.delta_log->Append(delta, sync);
-    if (!st.ok()) break;
-    ++durable.stats.manifest_delta_appends;
-  }
-  if (st.ok()) {
-    for (const VirtualView* view : edit.upserted) {
-      ManifestDelta delta;
-      delta.op = ManifestDeltaOp::kUpsertView;
-      delta.epoch = durable.manifest_epoch;
-      delta.view.id = view->durable_id();
-      delta.view.lo = view->lo();
-      delta.view.hi = view->hi();
-      delta.view.creation_scanned_pages =
-          view->usage().creation_scanned_pages.load(std::memory_order_relaxed);
-      delta.view.pages = view->physical_pages();
-      st = durable.delta_log->Append(delta, sync);
-      if (!st.ok()) break;
-      ++durable.stats.manifest_delta_appends;
-    }
-  }
-  if (!st.ok()) {
-    // Soft failure: the base snapshot plus the already-applied deltas still
-    // recover a consistent (merely stale) pool — views are reconstructible.
-    // The dirty flag routes the next flush/checkpoint through a full
-    // snapshot, which also compacts the partial delta batch away.
-    durable.manifest_dirty = true;
-    ++durable.stats.manifest_write_failures;
-  }
+  durable_->AppendDeltas(edit.demoted_ids, edit.removed_ids, upserted);
 }
 
 CumulativeStats AdaptiveColumn::metrics() const {
@@ -679,11 +411,11 @@ StatusOr<std::vector<size_t>> AdaptiveColumn::AnswerFromViews(
       // A demoted view that just re-materialized is hot again: the routed
       // query IS the promotion signal. The CAS elects one winner among
       // concurrent readers; the tier flip happens outside any maintenance
-      // lock, so the dirty flag asks the next flush/checkpoint to persist
+      // lock, so the stale flag asks the next flush/checkpoint to persist
       // it.
       if (view->PromoteIfDemoted()) {
         health_.views_promoted.fetch_add(1, std::memory_order_relaxed);
-        tier_dirty_.store(true, std::memory_order_release);
+        MarkStale();
       }
       for (size_t m = 0; m < members.size(); ++m) view->RecordHit(seq);
     }
@@ -830,95 +562,100 @@ StatusOr<QueryExecution> AdaptiveColumn::FullScanAndAdapt(const RangeQuery& q) {
     }
     return built.status();
   }
-  built->view->SetCreationInfo(metrics_.queries.load(std::memory_order_relaxed),
-                               built->scanned_pages);
+  std::unique_ptr<VirtualView> candidate = std::move(built->view);
+  candidate->SetCreationInfo(metrics_.queries.load(std::memory_order_relaxed),
+                             built->scanned_pages);
 
   QueryExecution exec;
   exec.match_count = built->query_result.match_count;
   exec.sum = built->query_result.sum;
   exec.stats.scanned_pages = built->scanned_pages;
   exec.stats.considered_views = 0;
-  PoolEditLog edit;
-  DeferredDemotion deferred;
-  {
-    // The pool edit is the only part that needs to fence readers out of
-    // ROUTING; their scans keep running (displaced views go to the limbo
-    // list, not the destructor).
-    std::unique_lock<std::shared_mutex> xlock(views_mu_);
-    exec.stats.decision = DecideCandidate(
-        std::move(built->view), durable_ != nullptr ? &edit : nullptr,
-        &deferred);
-    exec.stats.views_after = view_index_.num_partial_views();
-  }
-  epoch_.TryReclaim();
-  if (deferred.victim != nullptr) {
-    // AdmitAtBudget chose demotion but left the spill to us, so the disk
-    // write runs with readers routing again; a short exclusive section
-    // inside finishes the swap. The decision may downgrade (spill failure
-    // falls back to destroy-evict or a dropped candidate).
-    exec.stats.decision = FinishDeferredDemotion(
-        &deferred, durable_ != nullptr ? &edit : nullptr);
-    // Safe without views_mu_: pool structure is frozen under
-    // maintenance_mu_, which we hold.
-    exec.stats.views_after = view_index_.num_partial_views();
-  }
-  if (durable_ != nullptr) {
-    switch (exec.stats.decision) {
-      case CandidateDecision::kInserted:
-      case CandidateDecision::kReplacedExisting:
-      case CandidateDecision::kEvictedExisting:
-        // Pool membership changed: append the incremental manifest deltas
-        // now so a kill right after this query reopens with the new view.
-        // Runs under maintenance_mu_ only — the views in `edit` stay valid
-        // (every pool mutator holds this mutex) and readers are not blocked
-        // on the append/fsync.
-        PersistPoolChangeLocked(edit);
-        break;
-      case CandidateDecision::kDiscardedSubset:
-        // A discard may have widened an existing view's range (ExtendRange)
-        // — cheap to defer: the stale (narrower) range is conservative, so
-        // only the next flush/checkpoint snapshots it.
-        durable_->manifest_dirty = true;
-        break;
-      default:
-        break;
+  // Decide with readers routing, then apply.
+  const Admission admission = DecideCandidate(*candidate);
+  exec.stats.decision = admission.outcome;
+  if (admission.outcome == CandidateDecision::kEvictedExisting) {
+    // The demotion routine spills the victim before its exclusive section
+    // and falls back to destroy-evict when it cannot.
+    if (DemoteLocked({admission.target}, /*destroy_unspilled=*/true,
+                     std::move(candidate)) == 0) {
+      exec.stats.decision = CandidateDecision::kBudgetExhausted;
     }
+  } else {
+    PoolEditLog edit;
+    {
+      // The pool edit is the only part that needs to fence readers out of
+      // ROUTING; their scans keep running (displaced views go to the limbo
+      // list, not the destructor).
+      std::unique_lock<std::shared_mutex> xlock(views_mu_);
+      switch (admission.outcome) {
+        case CandidateDecision::kInserted:
+          edit.upserted.push_back(candidate.get());
+          view_index_.Insert(std::move(candidate));
+          metrics_.views_created.fetch_add(1, std::memory_order_relaxed);
+          break;
+        case CandidateDecision::kReplacedExisting:
+          if (ReplaceInPoolLocked(admission.target, std::move(candidate),
+                                  &edit)) {
+            metrics_.views_replaced.fetch_add(1, std::memory_order_relaxed);
+          } else {
+            exec.stats.decision = CandidateDecision::kBudgetExhausted;
+          }
+          break;
+        case CandidateDecision::kDiscardedSubset:
+          if (admission.target != nullptr) {
+            admission.target->ExtendRange(candidate->lo(), candidate->hi());
+          }
+          metrics_.views_discarded.fetch_add(1, std::memory_order_relaxed);
+          // A discard may have widened an existing view's range — cheap to
+          // defer: the stale (narrower) range is conservative, so only the
+          // next flush/checkpoint snapshots it.
+          MarkStale();
+          break;
+        default:
+          metrics_.candidates_dropped.fetch_add(1, std::memory_order_relaxed);
+          break;
+      }
+    }
+    epoch_.TryReclaim();
+    // Pool membership changed: append the incremental manifest deltas now
+    // so a kill right after this query reopens with the new view.
+    PersistPoolEditLocked(edit);
   }
+  // Safe without views_mu_: pool structure is frozen under maintenance_mu_,
+  // which we hold.
+  exec.stats.views_after = view_index_.num_partial_views();
   RecordQueries(1, exec.stats.scanned_pages);
   return exec;
 }
 
-CandidateDecision AdaptiveColumn::DecideCandidate(
-    std::unique_ptr<VirtualView> candidate, PoolEditLog* edit,
-    DeferredDemotion* deferred) {
+AdaptiveColumn::Admission AdaptiveColumn::DecideCandidate(
+    const VirtualView& candidate) const {
   // An EMPTY candidate (query range holds no data) is pure range knowledge;
   // the generic subset logic would vacuously discard it against any view
   // and the data-free range would full-scan forever. Record it: redundant
   // only under a view that covers the range; mergeable into a touching
   // empty view; otherwise a view of its own, answering with 0 page reads.
-  if (candidate->num_pages() == 0) {
-    const RangeQuery cand_range = candidate->value_range();
+  if (candidate.num_pages() == 0) {
+    const RangeQuery cand_range = candidate.value_range();
     for (const auto& view : view_index_.views()) {
       if (view->Covers(cand_range)) {
-        metrics_.views_discarded.fetch_add(1, std::memory_order_relaxed);
-        return CandidateDecision::kDiscardedSubset;
+        return {CandidateDecision::kDiscardedSubset, nullptr};
       }
     }
     for (const auto& view : view_index_.views()) {
       if (view->num_pages() == 0 &&
           RangesTouch(view->lo(), view->hi(), cand_range.lo, cand_range.hi)) {
-        view->ExtendRange(cand_range.lo, cand_range.hi);
-        metrics_.views_discarded.fetch_add(1, std::memory_order_relaxed);
-        return CandidateDecision::kDiscardedSubset;
+        return {CandidateDecision::kDiscardedSubset, view.get()};
       }
     }
-    return AdmitAtBudget(std::move(candidate), edit, deferred);
+    return AdmitAtBudget(candidate);
   }
 
   // Discard: candidate pages are (nearly) contained in an existing view.
   for (const auto& view : view_index_.views()) {
     uint64_t missing = 0;
-    for (const uint64_t page : candidate->physical_pages()) {
+    for (const uint64_t page : candidate.physical_pages()) {
       if (!view->ContainsPage(page) && ++missing > config_.discard_tolerance) {
         break;
       }
@@ -933,12 +670,11 @@ CandidateDecision AdaptiveColumn::DecideCandidate(
       // pages, and a range separated by a GAP would claim values neither
       // side ever scanned for (overlapping or integer-adjacent ranges
       // union gap-free).
-      if (missing == 0 && RangesTouch(view->lo(), view->hi(), candidate->lo(),
-                                      candidate->hi())) {
-        view->ExtendRange(candidate->lo(), candidate->hi());
-      }
-      metrics_.views_discarded.fetch_add(1, std::memory_order_relaxed);
-      return CandidateDecision::kDiscardedSubset;
+      const bool absorbs = missing == 0 && RangesTouch(view->lo(), view->hi(),
+                                                       candidate.lo(),
+                                                       candidate.hi());
+      return {CandidateDecision::kDiscardedSubset,
+              absorbs ? view.get() : nullptr};
     }
   }
   // Replace: an existing view is (nearly) contained in the candidate. An
@@ -947,29 +683,25 @@ CandidateDecision AdaptiveColumn::DecideCandidate(
   // candidate's range subsumes it.
   for (const auto& view : view_index_.views()) {
     if (view->num_pages() == 0 &&
-        !(candidate->lo() <= view->lo() && candidate->hi() >= view->hi())) {
+        !(candidate.lo() <= view->lo() && candidate.hi() >= view->hi())) {
       continue;
     }
     uint64_t missing = 0;
     for (const uint64_t page : view->physical_pages()) {
-      if (!candidate->ContainsPage(page) && ++missing > config_.replace_tolerance) {
+      if (!candidate.ContainsPage(page) &&
+          ++missing > config_.replace_tolerance) {
         break;
       }
     }
     if (missing <= config_.replace_tolerance) {
-      if (!ReplaceInPoolLocked(view.get(), std::move(candidate), edit)) {
-        return CandidateDecision::kBudgetExhausted;
-      }
-      metrics_.views_replaced.fetch_add(1, std::memory_order_relaxed);
-      return CandidateDecision::kReplacedExisting;
+      return {CandidateDecision::kReplacedExisting, view.get()};
     }
   }
-  return AdmitAtBudget(std::move(candidate), edit, deferred);
+  return AdmitAtBudget(candidate);
 }
 
-CandidateDecision AdaptiveColumn::AdmitAtBudget(
-    std::unique_ptr<VirtualView> candidate, PoolEditLog* edit,
-    DeferredDemotion* deferred) {
+AdaptiveColumn::Admission AdaptiveColumn::AdmitAtBudget(
+    const VirtualView& candidate) const {
   // max_views bounds the HOT tier: demoted views gave up their arenas (and
   // with them the mapping budget max_views exists to protect) and are
   // bounded separately by ColdBudget().
@@ -977,22 +709,15 @@ CandidateDecision AdaptiveColumn::AdmitAtBudget(
   for (const auto& view : view_index_.views()) {
     if (!view->demoted()) ++hot_views;
   }
-  if (hot_views < config_.max_views) {
-    if (edit != nullptr) {
-      candidate->set_durable_id(durable_->next_view_id++);
-      edit->upserted.push_back(candidate.get());
-    }
-    view_index_.Insert(std::move(candidate));
-    metrics_.views_created.fetch_add(1, std::memory_order_relaxed);
-    return CandidateDecision::kInserted;
-  }
+  if (hot_views < config_.max_views) return {CandidateDecision::kInserted};
   // Budget pressure. The historical policy ("drop-newest") discarded every
   // candidate here, freezing the pool on whatever ranges arrived first; the
   // cost-aware policy instead displaces the coldest view when the fresh
-  // candidate outscores it, so the pool tracks the working set. With the
-  // cold tier available the displaced view is DEMOTED (spilled, kept
-  // routable) instead of destroyed; destroy-evict is the fallback when
-  // demotion is off, the column is in-memory, or the spill itself fails.
+  // candidate outscores it, so the pool tracks the working set. The
+  // demotion routine then DEMOTES the displaced view when the cold tier is
+  // available (spilled, kept routable, so a returning working set promotes
+  // it for the price of re-mapping instead of a full creation scan), and
+  // destroys it otherwise.
   if (config_.lifecycle.eviction_policy == EvictionPolicy::kCostAware) {
     const uint64_t now = metrics_.queries.load(std::memory_order_relaxed);
     const uint64_t column_pages = column_->num_pages();
@@ -1004,31 +729,11 @@ CandidateDecision AdaptiveColumn::AdmitAtBudget(
                               : 1.0;
     if (victim != nullptr &&
         margin * lifecycle_.Score(*victim, now, column_pages) <
-            lifecycle_.Score(*candidate, now, column_pages)) {
-      if (DemotionAvailable() && deferred != nullptr) {
-        // Demote path: the victim keeps its pool slot (still routable, so a
-        // returning working set promotes it for the price of re-mapping
-        // instead of a full creation scan); only its arena and mapping
-        // budget are released. The spill's fsync-heavy write must NOT run
-        // here — the caller holds views_mu_ exclusive, and every blocked
-        // reader would wait out the disk write — so the decision is only
-        // PARKED: FinishDeferredDemotion spills after routing resumes and
-        // either completes the demotion or falls back to destroy-evict.
-        // The returned decision is provisional until then.
-        deferred->victim = victim;
-        deferred->candidate = std::move(candidate);
-        return CandidateDecision::kEvictedExisting;
-      }
-      if (!ReplaceInPoolLocked(victim, std::move(candidate), edit)) {
-        return CandidateDecision::kBudgetExhausted;
-      }
-      metrics_.views_evicted.fetch_add(1, std::memory_order_relaxed);
-      lifecycle_.RecordEviction();
-      return CandidateDecision::kEvictedExisting;
+            lifecycle_.Score(candidate, now, column_pages)) {
+      return {CandidateDecision::kEvictedExisting, victim};
     }
   }
-  metrics_.candidates_dropped.fetch_add(1, std::memory_order_relaxed);
-  return CandidateDecision::kBudgetExhausted;
+  return {CandidateDecision::kBudgetExhausted};
 }
 
 bool AdaptiveColumn::ReplaceInPoolLocked(
@@ -1045,11 +750,8 @@ bool AdaptiveColumn::ReplaceInPoolLocked(
     metrics_.candidates_dropped.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  if (edit != nullptr) {
-    cand_ptr->set_durable_id(durable_->next_view_id++);
-    edit->removed_ids.push_back(removed_id);
-    edit->upserted.push_back(cand_ptr);
-  }
+  edit->removed_ids.push_back(removed_id);
+  edit->upserted.push_back(cand_ptr);
   // Concurrent scans may still be inside the displaced view: park it on the
   // epoch limbo list; reclamation happens once they all exited.
   epoch_.RetireObject(std::move(displaced).ValueOrDie());
@@ -1057,194 +759,140 @@ bool AdaptiveColumn::ReplaceInPoolLocked(
 }
 
 // ---------------------------------------------------------------------------
-// Tiering (demote / promote / cold-tier trim)
+// Tiering: the one demotion routine
 //
 // A demotion runs in three phases so its fsync-heavy spill never executes
 // while readers are fenced out by views_mu_ exclusive. The phase ordering
 // is also the crash-safety argument (ARCHITECTURE.md "Tiering model"):
-//   (1) SpillForDemotion — maintenance_mu_ only, readers keep routing: the
-//       cold file lands durably FIRST. A failure aborts with the view
-//       untouched; a kill after this point at worst leaves an orphaned cold
-//       file (harmless: nothing references it, and the next snapshot's
-//       sweep reclaims it).
-//   (2) CompleteDemotionLocked — views_mu_ exclusive with readers
-//       quiesced: arena released, tier flag flipped. Purely in-memory.
-//   (3) AppendSetTierDeltaLocked — maintenance_mu_ only again: the
-//       set-tier delta makes the flip durable. A kill before it reopens
-//       the view HOT from the still-valid manifest entry, never torn. (A
-//       routed query may promote the view between (2) and (3); the delta
-//       then records a tier the reader already reversed — benign, since
-//       the promotion set tier_dirty_ and the next checkpoint persists the
-//       hot state. Tier is advisory; membership is what correctness needs.)
+//   (1) spill — maintenance_mu_ only, readers keep routing: the cold file
+//       lands durably FIRST. A failure leaves the view untouched; a kill
+//       after this point at worst leaves an orphaned cold file (harmless:
+//       nothing references it, and the next snapshot's sweep reclaims it).
+//   (2) one views_mu_ exclusive section, readers quiesced: arenas
+//       released, tier flags flipped, destroy-evict fallbacks and the
+//       cold-tier trim applied. Purely in-memory.
+//   (3) maintenance_mu_ only again: the set-tier deltas make the flips
+//       durable, then the removal and upsert deltas. A kill before them
+//       reopens a view HOT from the still-valid manifest entry, never torn.
+//       (A routed query may promote the view between (2) and (3); the
+//       delta then records a tier the reader already reversed — benign,
+//       since the promotion marked the manifest stale and the next
+//       checkpoint persists the hot state. Tier is advisory; membership is
+//       what correctness needs.)
 
-Status AdaptiveColumn::SpillForDemotion(VirtualView* victim) {
-  DurableState& durable = *durable_;
-  // A view that never reached the manifest has no durable identity to name
-  // its cold file by; assign one now (the base snapshot that follows the
-  // dirty flag below records it).
-  if (victim->durable_id() == 0) {
-    victim->set_durable_id(durable.next_view_id++);
-    durable.manifest_dirty = true;
+size_t AdaptiveColumn::DemoteLocked(const std::vector<VirtualView*>& victims,
+                                    bool destroy_unspilled,
+                                    std::unique_ptr<VirtualView> candidate) {
+  // Phase (1). The victims cannot leave the pool meanwhile, and their
+  // membership cannot change: every mutator holds maintenance_mu_.
+  size_t spilled = 0;
+  if (DemotionAvailable()) {
+    while (spilled < victims.size() &&
+           durable_
+               ->SpillCold(victims[spilled]->durable_id(),
+                           victims[spilled]->physical_pages())
+               .ok()) {
+      ++spilled;
+    }
   }
-  // Safe without views_mu_: pool structure and page membership only change
-  // under maintenance_mu_, which the caller holds.
-  return WriteColdViewFile(durable.dir, victim->durable_id(),
-                           victim->physical_pages(),
-                           config_.storage.data_flush == FlushPolicy::kSync,
-                           durable.io);
-}
-
-void AdaptiveColumn::CompleteDemotionLocked(VirtualView* victim) {
-  std::unique_ptr<VirtualArena> retired = victim->ReleaseArena();
-  if (retired != nullptr) epoch_.RetireObject(std::move(retired));
-  victim->set_demoted(true);
-  lifecycle_.RecordDemotion();
-  health_.views_demoted.fetch_add(1, std::memory_order_relaxed);
-}
-
-void AdaptiveColumn::AppendSetTierDeltaLocked(uint64_t view_id) {
-  DurableState& durable = *durable_;
-  if (durable.delta_log == nullptr) {
-    durable.manifest_dirty = true;
-    return;
-  }
-  ManifestDelta delta;
-  delta.op = ManifestDeltaOp::kSetViewTier;
-  delta.epoch = durable.manifest_epoch;
-  delta.view.id = view_id;
-  delta.view.demoted = true;
-  const Status appended = durable.delta_log->Append(
-      delta, config_.storage.data_flush == FlushPolicy::kSync);
-  if (appended.ok()) {
-    ++durable.stats.manifest_delta_appends;
-  } else {
-    // Soft failure, same contract as PersistPoolChangeLocked: the stale
-    // (hot) manifest entry still recovers a consistent pool; the dirty
-    // flag routes the next flush/checkpoint through a full snapshot.
-    durable.manifest_dirty = true;
-    ++durable.stats.manifest_write_failures;
-  }
-}
-
-CandidateDecision AdaptiveColumn::FinishDeferredDemotion(
-    DeferredDemotion* deferred, PoolEditLog* edit) {
-  VirtualView* victim = deferred->victim;
-  deferred->victim = nullptr;
-  std::unique_ptr<VirtualView> candidate = std::move(deferred->candidate);
-  // Phase (1) with readers routing again. The victim cannot leave the pool
-  // meanwhile — every pool mutator holds maintenance_mu_, which we hold.
-  const bool spilled = SpillForDemotion(victim).ok();
-  uint64_t tier_delta_id = 0;
-  CandidateDecision decision;
+  const size_t affected = destroy_unspilled ? victims.size() : spilled;
+  if (affected == 0) return 0;
+  PoolEditLog edit;
+  size_t shed = 0;
   {
+    // Phase (2). ReleaseArena mutates a view's slot table in place, so
+    // in-flight scans must drain first.
     std::unique_lock<std::shared_mutex> xlock(views_mu_);
-    if (spilled) {
-      // Phase (2): ReleaseArena mutates the victim's slot table in place,
-      // so in-flight scans must drain first.
-      epoch_.WaitQuiescent();
-      CompleteDemotionLocked(victim);
-      // Capture before the trim: the just-demoted victim may be exactly
-      // the cold view the trim destroys.
-      tier_delta_id = victim->durable_id();
-      if (edit != nullptr) {
-        candidate->set_durable_id(durable_->next_view_id++);
-        edit->upserted.push_back(candidate.get());
+    if (spilled > 0) epoch_.WaitQuiescent();
+    for (size_t i = 0; i < affected; ++i) {
+      VirtualView* victim = victims[i];
+      if (i < spilled) {
+        std::unique_ptr<VirtualArena> retired = victim->ReleaseArena();
+        if (retired != nullptr) epoch_.RetireObject(std::move(retired));
+        victim->set_demoted(true);
+        lifecycle_.RecordDemotion();
+        health_.views_demoted.fetch_add(1, std::memory_order_relaxed);
+        // Capture before the trim: a just-demoted victim may be exactly the
+        // cold view the trim destroys.
+        edit.demoted_ids.push_back(victim->durable_id());
+      } else if (candidate != nullptr) {
+        // Destroy-evict fallback (no cold tier, or the spill failed): the
+        // candidate takes the victim's slot.
+        if (!ReplaceInPoolLocked(victim, std::move(candidate), &edit)) {
+          continue;
+        }
+        metrics_.views_evicted.fetch_add(1, std::memory_order_relaxed);
+        lifecycle_.RecordEviction();
+      } else {
+        const uint64_t removed_id = victim->durable_id();
+        auto removed = view_index_.Remove(victim);
+        if (!removed.ok()) continue;
+        epoch_.RetireObject(std::move(removed).ValueOrDie());
+        health_.emergency_evictions.fetch_add(1, std::memory_order_relaxed);
+        lifecycle_.RecordEviction();
+        edit.removed_ids.push_back(removed_id);
       }
+      MarkStale();
+      ++shed;
+    }
+    if (candidate != nullptr) {
+      // Admitted beside its demoted victim.
+      edit.upserted.push_back(candidate.get());
       view_index_.Insert(std::move(candidate));
-      TrimColdTierLocked(edit);
-      decision = CandidateDecision::kEvictedExisting;
-    } else if (ReplaceInPoolLocked(victim, std::move(candidate), edit)) {
-      // Spill failed (ENOSPC/EIO): destroy-evict fallback — the victim is
-      // still hot and untouched (SpillForDemotion's contract).
+    }
+    // Demotions may overflow the cold tier: destroy its lowest-scoring
+    // views until it fits its budget (the destroy-evict last resort).
+    size_t cold_views = 0;
+    for (const auto& view : view_index_.views()) {
+      if (view->demoted()) ++cold_views;
+    }
+    const uint64_t now = metrics_.queries.load(std::memory_order_relaxed);
+    while (spilled > 0 && cold_views > ColdBudget()) {
+      VirtualView* victim = lifecycle_.PickEvictionVictim(
+          view_index_.views(), now, column_->num_pages(),
+          [](const VirtualView& view) { return view.demoted(); });
+      if (victim == nullptr) break;
+      const uint64_t removed_id = victim->durable_id();
+      auto removed = view_index_.Remove(victim);
+      if (!removed.ok()) break;
+      // The view is gone for good — reclaim its spill file too. Best-effort:
+      // a leftover cold file is unreferenced once the remove delta lands.
+      durable_->RemoveCold(removed_id);
+      epoch_.RetireObject(std::move(removed).ValueOrDie());
       metrics_.views_evicted.fetch_add(1, std::memory_order_relaxed);
       lifecycle_.RecordEviction();
-      decision = CandidateDecision::kEvictedExisting;
-    } else {
-      decision = CandidateDecision::kBudgetExhausted;
+      MarkStale();
+      edit.removed_ids.push_back(removed_id);
+      --cold_views;
     }
   }
+  // Reclamation unmaps whole arenas — run it after readers are unblocked.
   epoch_.TryReclaim();
-  // Phase (3), outside views_mu_ again.
-  if (tier_delta_id != 0) AppendSetTierDeltaLocked(tier_delta_id);
-  return decision;
-}
-
-void AdaptiveColumn::TrimColdTierLocked(PoolEditLog* edit) {
-  size_t cold_views = 0;
-  for (const auto& view : view_index_.views()) {
-    if (view->demoted()) ++cold_views;
-  }
-  const size_t budget = ColdBudget();
-  const uint64_t now = metrics_.queries.load(std::memory_order_relaxed);
-  const uint64_t column_pages = column_->num_pages();
-  while (cold_views > budget) {
-    VirtualView* victim = lifecycle_.PickEvictionVictim(
-        view_index_.views(), now, column_pages,
-        [](const VirtualView& view) { return view.demoted(); });
-    if (victim == nullptr) break;
-    const uint64_t removed_id = victim->durable_id();
-    auto removed = view_index_.Remove(victim);
-    if (!removed.ok()) break;
-    // The view is gone for good — reclaim its spill file too. Best-effort:
-    // a leftover cold file is unreferenced once the remove delta lands.
-    RemoveColdViewFile(durable_->dir, removed_id);
-    epoch_.RetireObject(std::move(removed).ValueOrDie());
-    metrics_.views_evicted.fetch_add(1, std::memory_order_relaxed);
-    lifecycle_.RecordEviction();
-    if (edit != nullptr) {
-      edit->removed_ids.push_back(removed_id);
-    } else {
-      durable_->manifest_dirty = true;
-    }
-    --cold_views;
-  }
+  // Phase (3).
+  PersistPoolEditLocked(edit);
+  return shed;
 }
 
 size_t AdaptiveColumn::DemoteColdestViews(size_t count) {
   if (count == 0 || !DemotionAvailable()) return 0;
   std::lock_guard<std::mutex> maintenance(maintenance_mu_);
-  // Phase (1) for the whole batch: pick victims and spill them with
-  // readers still routing. Walking the pool needs no views_mu_ — its
-  // structure is frozen under maintenance_mu_ (every mutator holds it).
-  // The tier flags only flip in phase (2), so the pick also excludes the
-  // already-chosen victims.
+  // Walking the pool needs no views_mu_ — its structure is frozen under
+  // maintenance_mu_ (every mutator holds it). The tier flags only flip in
+  // the routine's exclusive section, so the pick excludes the victims
+  // already chosen.
   const uint64_t now = metrics_.queries.load(std::memory_order_relaxed);
-  const uint64_t column_pages = column_->num_pages();
   std::vector<VirtualView*> victims;
-  std::unordered_set<const VirtualView*> chosen;
   while (victims.size() < count) {
     VirtualView* victim = lifecycle_.PickEvictionVictim(
-        view_index_.views(), now, column_pages,
-        [&chosen](const VirtualView& view) {
-          return !view.demoted() && chosen.count(&view) == 0;
+        view_index_.views(), now, column_->num_pages(),
+        [&victims](const VirtualView& view) {
+          return !view.demoted() && std::find(victims.begin(), victims.end(),
+                                              &view) == victims.end();
         });
     if (victim == nullptr) break;
-    if (!SpillForDemotion(victim).ok()) break;
-    chosen.insert(victim);
     victims.push_back(victim);
   }
-  if (victims.empty()) return 0;
-  // Phase (2): one exclusive section completes the whole batch.
-  PoolEditLog edit;
-  std::vector<uint64_t> demoted_ids;
-  demoted_ids.reserve(victims.size());
-  {
-    std::unique_lock<std::shared_mutex> xlock(views_mu_);
-    epoch_.WaitQuiescent();
-    for (VirtualView* victim : victims) {
-      CompleteDemotionLocked(victim);
-      // Capture before the trim: a just-demoted victim may be exactly the
-      // cold view the trim destroys (reading it after reclamation would be
-      // a use-after-free).
-      demoted_ids.push_back(victim->durable_id());
-    }
-    TrimColdTierLocked(&edit);
-  }
-  epoch_.TryReclaim();
-  // Phase (3): the tier deltas, then the trim's removals.
-  for (const uint64_t id : demoted_ids) AppendSetTierDeltaLocked(id);
-  if (!edit.empty()) PersistPoolChangeLocked(edit);
-  return victims.size();
+  return DemoteLocked(victims, /*destroy_unspilled=*/false, nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -1294,17 +942,15 @@ Status AdaptiveColumn::Update(uint64_t row, Value new_value) {
   // record triggers a commit: N updates cause at most ceil(N/B) fsyncs no
   // matter how many threads issue them (the fsync-accounting regression
   // test pins this). Off-boundary updates return unacknowledged; their
-  // durability lands at the next boundary or flush.
-  // journal_sync_every_update acknowledges every update through its own
-  // LSN. Both WAIT below, after every engine lock is released, so a slow
-  // fsync never extends the reader-exclusion window and concurrent
-  // committers can batch onto one leader.
+  // durability lands at the next boundary or flush; B = 1 acknowledges
+  // every update through its own LSN. The WAIT runs below, after every
+  // engine lock is released, so a slow fsync never extends the
+  // reader-exclusion window and concurrent committers can batch onto one
+  // leader.
   uint64_t ack_lsn = 0;
-  WriteAheadJournal* journal = nullptr;
   if (durable_ != nullptr) {
-    journal = durable_->journal.get();
-    const Status appended = journal->Append(
-        RowUpdate{row, column_->Get(row), new_value}, /*sync=*/false);
+    const Status appended = durable_->AppendUpdate(
+        RowUpdate{row, column_->Get(row), new_value}, &ack_lsn);
     if (!appended.ok()) {
       health_.journal_stalls.fetch_add(1, std::memory_order_relaxed);
       // Disk full: enter explicit read-only degraded mode instead of making
@@ -1323,14 +969,6 @@ Status AdaptiveColumn::Update(uint64_t row, Value new_value) {
                                             std::memory_order_acq_rel)) {
       health_.read_only_exits.fetch_add(1, std::memory_order_relaxed);
     }
-    ++durable_->stats.journal_appends;
-    const uint64_t batch = config_.storage.group_commit_batch;
-    const uint64_t lsn = journal->appended_lsn();  // this record's own LSN
-    if (batch > 0) {
-      if (lsn % batch == 0) ack_lsn = lsn;
-    } else if (config_.storage.journal_sync_every_update) {
-      ack_lsn = lsn;
-    }
   }
   {
     std::unique_lock<std::shared_mutex> xlock(views_mu_);
@@ -1348,7 +986,7 @@ Status AdaptiveColumn::Update(uint64_t row, Value new_value) {
   // already readable by other threads here, but this call only returns once
   // the record is on stable storage — an acknowledged update survives any
   // crash. An fsync failure reports durability-unknown, the crash contract.
-  if (ack_lsn > 0) return journal->CommitThrough(ack_lsn);
+  if (ack_lsn > 0) return durable_->CommitThrough(ack_lsn);
   return OkStatus();
 }
 
@@ -1365,7 +1003,7 @@ StatusOr<UpdateApplyStats> AdaptiveColumn::FlushUpdatesLocked(
   // cheap no-op fdatasync; a partial trailing group-commit batch gets
   // committed here.)
   if (durable_ != nullptr && !pending_.empty()) {
-    VMSV_RETURN_IF_ERROR(durable_->journal->Sync());
+    VMSV_RETURN_IF_ERROR(durable_->SyncJournal());
   }
   std::unique_lock<std::shared_mutex> xlock(views_mu_);
   // Alignment unmaps/remaps view slots in place; fence all readers off.
@@ -1373,6 +1011,7 @@ StatusOr<UpdateApplyStats> AdaptiveColumn::FlushUpdatesLocked(
   auto views = view_index_.MutableViews();
   auto stats = AlignPartialViews(*column_, views, pending_,
                                  MappingSource::kUserSpaceTable);
+  bool reclaim_after = false;
   if (!stats.ok()) {
     const StatusCode code = stats.status().code();
     if (code != StatusCode::kIoError &&
@@ -1391,24 +1030,14 @@ StatusOr<UpdateApplyStats> AdaptiveColumn::FlushUpdatesLocked(
       auto removed = view_index_.Remove(view);
       if (removed.ok()) epoch_.RetireObject(std::move(removed).ValueOrDie());
     }
-    pending_.clear();
-    pending_count_.store(0, std::memory_order_release);
-    if (durable_ != nullptr) durable_->manifest_dirty = true;
-    xlock.unlock();
-    epoch_.TryReclaim();
-    if (durable_ != nullptr) {
-      VMSV_RETURN_IF_ERROR(PersistCheckpointLocked());
-    }
-    return UpdateApplyStats{};
+    MarkStale();
+    reclaim_after = true;
+    stats = UpdateApplyStats{};
   }
   const bool had_updates = !pending_.empty();
   pending_.clear();
   pending_count_.store(0, std::memory_order_release);
-  if (durable_ != nullptr &&
-      stats->pages_added + stats->pages_removed > 0) {
-    durable_->manifest_dirty = true;
-  }
-  bool reclaim_after = false;
+  if (stats->pages_added + stats->pages_removed > 0) MarkStale();
   if (compact_after && stats->pages_removed + stats->pages_added > 0) {
     // Removals punch holes and adds can scatter file runs; re-densify any
     // view a lifecycle trigger trips so its scans return to the dense fast
@@ -1417,22 +1046,22 @@ StatusOr<UpdateApplyStats> AdaptiveColumn::FlushUpdatesLocked(
     // keep a view the next scan could fault on; its range full-scans and
     // re-adapts. We already waited for quiescence, so in-place mremap
     // compaction is safe; superseded arenas still go through the limbo
-    // list for uniform lifetime handling.
+    // list for uniform lifetime handling. Either way the page layout on
+    // disk is stale.
     for (VirtualView* view : view_index_.MutableViews()) {
       if (!lifecycle_.ShouldCompact(*view)) continue;
+      MarkStale();
       std::unique_ptr<VirtualArena> retired;
       if (lifecycle_.CompactView(view, &retired).ok()) {
         if (retired != nullptr) epoch_.RetireObject(std::move(retired));
       } else {
-        // A dropped view changes the pool shape (CompactView's own counter
-        // only moves on success). Abandoning it cleanly — rather than
-        // keeping a view the next scan could fault on — IS the recovery;
-        // the range full-scans and re-adapts.
+        // Abandoning the view cleanly — rather than keeping a view the next
+        // scan could fault on — IS the recovery; the range full-scans and
+        // re-adapts.
         health_.abandoned_compactions.fetch_add(1, std::memory_order_relaxed);
         NoteMapFailure();
         auto removed = view_index_.Remove(view);
         if (removed.ok()) epoch_.RetireObject(std::move(removed).ValueOrDie());
-        if (durable_ != nullptr) durable_->manifest_dirty = true;
       }
       reclaim_after = true;
     }
@@ -1441,15 +1070,12 @@ StatusOr<UpdateApplyStats> AdaptiveColumn::FlushUpdatesLocked(
   // not inside the exclusive section.
   xlock.unlock();
   if (reclaim_after) epoch_.TryReclaim();
-  // Checkpoint sequence: data writeback per policy, manifest if the pool
-  // changed (alignment/compaction/eviction since the last snapshot), then
-  // journal reset. Runs outside views_mu_ — maintenance_mu_ alone keeps the
-  // pool stable — so readers are not blocked on fsync.
-  if (durable_ != nullptr &&
-      (had_updates || durable_->manifest_dirty ||
-       tier_dirty_.load(std::memory_order_acquire) ||
-       lifecycle_.pool_mutations() != durable_->persisted_pool_mutations)) {
-    VMSV_RETURN_IF_ERROR(PersistCheckpointLocked());
+  // Checkpoint sequence: data writeback per policy, manifest if stale
+  // (alignment/compaction/eviction since the last snapshot), then journal
+  // reset. Runs outside views_mu_ — maintenance_mu_ alone keeps the pool
+  // stable — so readers are not blocked on fsync.
+  if (durable_ != nullptr && (had_updates || durable_->stale())) {
+    VMSV_RETURN_IF_ERROR(CheckpointLocked());
   }
   return stats;
 }
@@ -1510,42 +1136,17 @@ void AdaptiveColumn::RelievePressureLocked() {
         column_->num_pages(),
         [](const VirtualView& view) { return view.is_materialized(); });
     if (victim == nullptr) break;  // nothing left to shed
-    // Shedding a mapping does not require destroying the view: demote it
-    // when the cold tier is available (arena released, membership spilled,
-    // slot kept), so the working set survives the pressure episode.
-    // Destroy-evict remains the last resort — demotion off, in-memory
-    // column, or the spill itself failing (likely when the disk is the
-    // scarce resource too). The spill (phase 1) runs BEFORE the exclusive
-    // section so blocked readers never wait out a disk write.
-    bool shed = false;
-    uint64_t tier_delta_id = 0;
-    if (DemotionAvailable() && SpillForDemotion(victim).ok()) {
-      std::unique_lock<std::shared_mutex> xlock(views_mu_);
-      epoch_.WaitQuiescent();
-      CompleteDemotionLocked(victim);
-      // Capture before the trim: the victim may be the cold view the trim
-      // destroys.
-      tier_delta_id = victim->durable_id();
-      TrimColdTierLocked(/*edit=*/nullptr);
-      shed = true;
+    // Shedding a mapping does not require destroying the view: the
+    // demotion routine demotes it when the cold tier is available (arena
+    // released, membership spilled, slot kept), so the working set survives
+    // the pressure episode. Destroy-evict remains the last resort —
+    // demotion off, in-memory column, or the spill itself failing (likely
+    // when the disk is the scarce resource too) — and logs its removal like
+    // any other pool edit. Its reclamation is what actually returns the
+    // victim's mappings to the kernel.
+    if (DemoteLocked({victim}, /*destroy_unspilled=*/true, nullptr) == 0) {
+      break;  // pool lost track of the victim
     }
-    if (!shed) {
-      std::unique_lock<std::shared_mutex> xlock(views_mu_);
-      auto removed = view_index_.Remove(victim);
-      if (removed.ok()) {
-        epoch_.RetireObject(std::move(removed).ValueOrDie());
-        health_.emergency_evictions.fetch_add(1, std::memory_order_relaxed);
-        lifecycle_.RecordEviction();
-        if (durable_ != nullptr) durable_->manifest_dirty = true;
-      } else {
-        victim = nullptr;
-      }
-    }
-    // Reclamation is what actually returns the victim's mappings to the
-    // kernel; run it outside the exclusive section.
-    epoch_.TryReclaim();
-    if (tier_delta_id != 0) AppendSetTierDeltaLocked(tier_delta_id);
-    if (victim == nullptr) break;  // pool lost track of the victim
     std::this_thread::sleep_for(kPressureReliefBackoff * (attempt + 1));
   }
   // Could not confirm recovery: leave the flag set for the next pass.

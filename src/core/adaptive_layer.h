@@ -27,7 +27,11 @@
 // ViewLifecycleManager (core/view_lifecycle.h): fragmented views are
 // re-densified after update flushes, and under budget pressure the
 // cost-aware eviction policy replaces the historical "drop every candidate
-// once max_views is reached" cliff.
+// once max_views is reached" cliff. Admission decides under the maintenance
+// lock alone, then applies in one short exclusive section; evictions,
+// pressure relief and explicit demotion share one demotion routine. Durable
+// I/O is not this layer's job: pool edits go to a DurableState
+// (storage/durable_state.h) as ManifestView records and view ids.
 //
 // CONCURRENCY MODEL (full walkthrough in ARCHITECTURE.md):
 //
@@ -67,7 +71,9 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
+#include <string>
 #include <vector>
 
 #include "core/scan.h"
@@ -75,8 +81,7 @@
 #include "core/view_lifecycle.h"
 #include "core/virtual_view.h"
 #include "storage/column.h"
-#include "storage/journal.h"
-#include "storage/manifest.h"
+#include "storage/durable_state.h"
 #include "storage/storage_config.h"
 #include "storage/types.h"
 #include "storage/update.h"
@@ -273,43 +278,6 @@ class PartialViewIndex {
   std::vector<std::unique_ptr<VirtualView>> views_;
 };
 
-/// Restart-visible durability counters (snapshot; maintenance-path data —
-/// read after the workload quiesces).
-struct DurabilityStats {
-  /// Journal records appended since open (Update calls in durable mode).
-  uint64_t journal_appends = 0;
-  /// Records replayed from the journal by Open (0 after a clean shutdown).
-  uint64_t journal_replayed = 0;
-  /// True when Open found and truncated a torn journal tail.
-  bool journal_tail_truncated = false;
-  /// Manifest BASE snapshots written (initial create, checkpoints, and the
-  /// soft-fail fallback when a delta append fails).
-  uint64_t manifest_writes = 0;
-  /// Manifest writes that failed softly on the adaptation path (the
-  /// snapshot stays dirty and the next flush retries).
-  uint64_t manifest_write_failures = 0;
-  /// Incremental manifest delta records appended (adaptation decisions in
-  /// durable mode: one per view removed, one per view upserted).
-  uint64_t manifest_delta_appends = 0;
-  /// Delta records Open replayed onto the base snapshot (current epoch
-  /// only; stale-epoch records are skipped silently — views are
-  /// reconstructible).
-  uint64_t manifest_deltas_replayed = 0;
-  /// True when Open found and truncated a torn delta-log tail.
-  bool manifest_delta_tail_truncated = false;
-  /// Views rebuilt from the manifest by Open.
-  uint64_t views_restored = 0;
-  /// Wall time Open spent reading the manifest + replaying the journal.
-  double open_recover_ms = 0;
-  /// Live journal watermarks, refreshed when durability_stats() is read:
-  /// LSN of the last appended record and the highest LSN known durable.
-  /// appended - durable = the group-commit queue depth at snapshot time.
-  uint64_t journal_appended_lsn = 0;
-  uint64_t journal_durable_lsn = 0;
-  /// Leader fsyncs CommitThrough executed (each one covered >= 1 record).
-  uint64_t journal_group_commits = 0;
-};
-
 /// Point-in-time health snapshot (AdaptiveColumn::Health()). Degraded
 /// flags describe the CURRENT state; counters accumulate over the column's
 /// lifetime, so "recovered" means the flags cleared, not the counters.
@@ -438,11 +406,11 @@ class AdaptiveColumn {
   /// reflect an aligned state. In durable mode the update is additionally
   /// appended to the write-ahead journal BEFORE the cell write, and the
   /// call acknowledges per the configured policy: group_commit_batch > 0
-  /// waits (via WriteAheadJournal::CommitThrough, OUTSIDE the engine locks,
-  /// so concurrent updaters batch onto one leader fsync) once a batch
-  /// boundary is reached; journal_sync_every_update waits for its own
-  /// record; otherwise the append is buffered and the next flush is the
-  /// commit point. Note the visibility/durability split under group commit:
+  /// waits (via the journal's group commit, OUTSIDE the engine locks, so
+  /// concurrent updaters batch onto one leader fsync) once a batch boundary
+  /// is reached — batch 1 waits for every record; otherwise the append is
+  /// buffered and the next flush is the commit point. Note the
+  /// visibility/durability split under group commit:
   /// the new value is readable by other threads as soon as Update's locked
   /// section ends, but Update only RETURNS once the record is durable per
   /// policy — an acknowledged update is never lost to a crash.
@@ -474,17 +442,10 @@ class AdaptiveColumn {
   /// True when this column persists under a directory.
   bool is_durable() const { return durable_ != nullptr; }
   /// Durability counters (default-constructed zeros for in-memory columns).
-  /// The journal LSN watermarks are refreshed from the live journal at read
-  /// time (they are atomics; everything else is maintenance-path data).
+  /// The journal LSN watermarks are read live (they are atomics; everything
+  /// else is maintenance-path data).
   DurabilityStats durability_stats() const {
-    if (durable_ == nullptr) return DurabilityStats{};
-    DurabilityStats stats = durable_->stats;
-    if (durable_->journal != nullptr) {
-      stats.journal_appended_lsn = durable_->journal->appended_lsn();
-      stats.journal_durable_lsn = durable_->journal->durable_lsn();
-      stats.journal_group_commits = durable_->journal->group_commits();
-    }
-    return stats;
+    return durable_ != nullptr ? durable_->stats() : DurabilityStats{};
   }
   /// The engine's reclamation domain (test/introspection hook: limbo_size
   /// shows how many displaced views/arenas await quiescence).
@@ -497,10 +458,9 @@ class AdaptiveColumn {
   /// Demotes up to `count` of the lowest-scoring hot views to the cold
   /// tier (spill + arena release + set-tier delta), returning how many
   /// were demoted. The deterministic maintenance hook behind the tiering
-  /// tests and bench; the organic demotion sites (AdmitAtBudget, pressure
-  /// relief) share its per-view path. No-op (0) when demotion is disabled
-  /// or the column is not durable. Thread-safe (serializes with
-  /// maintenance).
+  /// tests and bench; admission's eviction and pressure relief run the
+  /// same demotion routine. No-op (0) when demotion is disabled or the
+  /// column is not durable. Thread-safe (serializes with maintenance).
   size_t DemoteColdestViews(size_t count);
 
  private:
@@ -508,6 +468,13 @@ class AdaptiveColumn {
                  const AdaptiveConfig& config)
       : column_(std::move(column)), config_(config),
         lifecycle_(config.lifecycle) {}
+
+  /// CreateDurable (`create_rows` set) and Open: DurableState opens the
+  /// directory, then the engine rebuilds the pool from the recovered views
+  /// within THIS configuration's budgets and queues the replayed journal.
+  static StatusOr<std::unique_ptr<AdaptiveColumn>> OpenDurable(
+      const std::string& dir, AdaptiveConfig config,
+      std::optional<uint64_t> create_rows);
 
   /// The one route-and-answer step behind Execute and ExecuteBatch. Runs
   /// due maintenance (pressure relief, update flush) under maintenance_mu_
@@ -533,7 +500,9 @@ class AdaptiveColumn {
                       const std::vector<size_t>& members,
                       BatchExecution* out) const;
 
-  /// The adaptation half of Listing 1: full scan + candidate + decision.
+  /// The adaptation half of Listing 1: full scan + candidate, then
+  /// admission decides (DecideCandidate) and the outcome is applied in one
+  /// views_mu_ exclusive section — by the demotion routine for an eviction.
   /// Caller holds maintenance_mu_ and no epoch guard.
   StatusOr<QueryExecution> FullScanAndAdapt(const RangeQuery& q);
 
@@ -546,26 +515,6 @@ class AdaptiveColumn {
   /// linear backoff — until a probe mapping succeeds or the attempts run
   /// out. Caller holds maintenance_mu_.
   void RelievePressureLocked();
-
-  /// Demotion phase (1): assigns the victim a durable id if it never had
-  /// one and spills its page membership to the cold file. Caller holds
-  /// maintenance_mu_ ONLY — deliberately not views_mu_, so readers keep
-  /// routing through the fsync (the pool cannot change under it: every
-  /// mutator holds maintenance_mu_). Error contract: on a spill failure
-  /// (ENOSPC/EIO/...) the view is left hot and untouched.
-  Status SpillForDemotion(VirtualView* victim);
-
-  /// Demotion phase (2): releases the victim's arena to the epoch limbo
-  /// list and flips the tier flag — purely in-memory. Caller holds
-  /// maintenance_mu_ AND views_mu_ exclusive with readers quiesced, and
-  /// has already spilled the victim.
-  void CompleteDemotionLocked(VirtualView* victim);
-
-  /// Demotion phase (3): appends the kSetViewTier delta that makes the
-  /// flip durable (soft-fail to manifest_dirty). Caller holds
-  /// maintenance_mu_, NOT views_mu_ — the append/fsync runs with readers
-  /// routing, like PersistPoolChangeLocked.
-  void AppendSetTierDeltaLocked(uint64_t view_id);
 
   /// True when the cold tier is available at all: demotion enabled and the
   /// column durable (an in-memory column has nowhere to spill).
@@ -580,14 +529,38 @@ class AdaptiveColumn {
                                       : config_.max_views;
   }
 
-  struct PoolEditLog;  // defined below, near its primary producers
+  /// What one pool edit did, in apply order, for the manifest deltas: tier
+  /// flips to cold, views displaced (by durable id), views added.
+  struct PoolEditLog {
+    std::vector<uint64_t> demoted_ids;
+    std::vector<uint64_t> removed_ids;
+    std::vector<VirtualView*> upserted;
+  };
 
-  /// Destroys the lowest-scoring cold views until the cold tier fits its
-  /// budget (the destroy-evict last resort). Caller holds maintenance_mu_
-  /// AND views_mu_ exclusive with readers quiesced; `edit` collects the
-  /// removals for the incremental manifest (null dirties the manifest
-  /// instead).
-  void TrimColdTierLocked(PoolEditLog* edit);
+  /// Durable only: gives every upserted view a durable id and appends the
+  /// edit's deltas. Caller holds maintenance_mu_ (so the views stay valid)
+  /// and NOT views_mu_ — readers keep routing through the append/fsync.
+  void PersistPoolEditLocked(const PoolEditLog& edit);
+
+  /// Marks the durable manifest stale (no-op in memory).
+  void MarkStale() {
+    if (durable_ != nullptr) durable_->MarkStale();
+  }
+
+  /// Durable only: the checkpoint sequence over the current pool. Caller
+  /// holds maintenance_mu_ (pool mutators all do, so the snapshot is
+  /// consistent without views_mu_).
+  Status CheckpointLocked();
+
+  /// The one demotion routine behind admission's eviction, pressure relief
+  /// and DemoteColdestViews (phases: see "Tiering" in adaptive_layer.cc).
+  /// Spilled victims turn cold; with `destroy_unspilled` the rest are
+  /// destroyed, `candidate` taking a destroyed victim's slot or joining
+  /// beside a demoted one. Returns how many victims left the hot tier.
+  /// Caller holds maintenance_mu_ and NOT views_mu_.
+  size_t DemoteLocked(const std::vector<VirtualView*>& victims,
+                      bool destroy_unspilled,
+                      std::unique_ptr<VirtualView> candidate);
 
   /// Routes q per config().mode against the pool: fills `cover` with the
   /// views that answer q (one in kSingleView mode), or leaves it empty when
@@ -597,108 +570,38 @@ class AdaptiveColumn {
   /// Flush + (optionally) the post-flush compaction sweep. Caller holds
   /// maintenance_mu_; takes views_mu_ exclusive + epoch quiescence inside.
   /// Durable mode: syncs the journal first (the batch's commit point), then
-  /// after alignment runs the checkpoint sequence (data writeback per
-  /// policy → manifest snapshot if the pool changed → journal reset).
+  /// after alignment runs the checkpoint sequence when the batch held
+  /// updates or the manifest is stale.
   StatusOr<UpdateApplyStats> FlushUpdatesLocked(bool compact_after);
 
-  /// The durable state of one persisted column (null in-memory).
-  struct DurableState {
-    std::string dir;
-    /// File-operation layer shared by every durable artifact (journal,
-    /// manifest, delta log, data writeback). Never null once constructed.
-    StorageIo* io = nullptr;
-    std::unique_ptr<WriteAheadJournal> journal;
-    /// The incremental half of the manifest (storage/manifest.h).
-    std::unique_ptr<ManifestDeltaLog> delta_log;
-    DurabilityStats stats;
-    /// Epoch of the base snapshot on disk; delta records are stamped with
-    /// it, and each checkpoint snapshot bumps it.
-    uint64_t manifest_epoch = 0;
-    /// Next durable view id to assign (persisted in the base snapshot;
-    /// recovery raises it above every id it encounters).
-    uint64_t next_view_id = 1;
-    /// Pool shape (memberships/ranges/members) diverged from the last
-    /// manifest snapshot AND the delta log (set when a delta append failed
-    /// or a non-delta-tracked mutation ran; forces a full snapshot).
-    bool manifest_dirty = false;
-    /// lifecycle_.pool_mutations() at the last snapshot — compactions and
-    /// evictions dirty the manifest through this counter.
-    uint64_t persisted_pool_mutations = 0;
+  /// An admission outcome and the view it acts on.
+  struct Admission {
+    CandidateDecision outcome = CandidateDecision::kNone;
+    /// kDiscardedSubset: the view whose range absorbs the candidate's (null
+    /// when none may); kReplacedExisting: the view to replace;
+    /// kEvictedExisting: the eviction victim.
+    VirtualView* target = nullptr;
   };
 
-  /// What one adaptation decision did to the pool, in apply order: views
-  /// displaced (by durable id) then views added/re-added. Feeds the
-  /// incremental manifest — remove deltas first, upsert deltas second.
-  struct PoolEditLog {  // (forward-declared above for TrimColdTierLocked)
-    std::vector<uint64_t> removed_ids;
-    std::vector<const VirtualView*> upserted;
+  /// The insert/discard/replace/evict decision of Listing 1, without
+  /// applying it. Caller holds maintenance_mu_ alone: every pool mutator
+  /// holds it too and readers only read, so the pool cannot change under
+  /// the page-subset checks — and readers keep routing through them.
+  Admission DecideCandidate(const VirtualView& candidate) const;
 
-    bool empty() const { return removed_ids.empty() && upserted.empty(); }
-  };
+  /// The budget step: insert when the hot tier has room; otherwise the
+  /// configured eviction policy (evict the coldest hot view when the
+  /// candidate outscores it, else drop the candidate).
+  Admission AdmitAtBudget(const VirtualView& candidate) const;
 
-  /// Snapshots the current pool into dir/MANIFEST (atomic replace). Caller
-  /// holds maintenance_mu_ (pool mutators all do, so the snapshot is
-  /// consistent without views_mu_).
-  Status WriteManifestSnapshotLocked();
-
-  /// Data writeback per flush policy → manifest snapshot if dirty →
-  /// journal reset. The write-ahead ordering lives here: the journal only
-  /// resets after the manifest (and, under kSync, the data) made it down.
-  /// Caller holds maintenance_mu_.
-  Status PersistCheckpointLocked();
-
-  /// Best-effort incremental persistence of one adaptation decision:
-  /// appends remove-then-upsert delta records for `edit` (fdatasync'ed when
-  /// the data policy is kSync). A failed append counts as a manifest write
-  /// failure and marks the manifest dirty — the next flush/checkpoint
-  /// retries with a full snapshot — instead of failing the query that
-  /// triggered adaptation.
-  void PersistPoolChangeLocked(const PoolEditLog& edit);
-
-  /// A demotion decided under views_mu_ but finished outside it: the
-  /// spill's fsync-heavy write must not run while readers are fenced out,
-  /// so AdmitAtBudget parks the victim and the not-yet-admitted candidate
-  /// here and the caller runs FinishDeferredDemotion after releasing the
-  /// lock.
-  struct DeferredDemotion {
-    VirtualView* victim = nullptr;
-    std::unique_ptr<VirtualView> candidate;
-  };
-
-  /// The insert/discard/replace decision of Listing 1. Caller holds
-  /// maintenance_mu_ AND views_mu_ exclusive; displaced views are retired
-  /// to the epoch manager, never destroyed inline. In durable mode `edit`
-  /// (non-null) collects the pool mutations for the incremental manifest.
-  /// A kEvictedExisting return with `deferred->victim` set is PROVISIONAL:
-  /// the caller must drop views_mu_ and call FinishDeferredDemotion for
-  /// the final decision.
-  CandidateDecision DecideCandidate(std::unique_ptr<VirtualView> candidate,
-                                    PoolEditLog* edit,
-                                    DeferredDemotion* deferred);
-
-  /// The budget step: inserts when the pool has room; otherwise applies the
-  /// configured eviction policy (evict-coldest vs drop-candidate), parking
-  /// a chosen demotion in `deferred` instead of spilling under the lock.
-  CandidateDecision AdmitAtBudget(std::unique_ptr<VirtualView> candidate,
-                                  PoolEditLog* edit,
-                                  DeferredDemotion* deferred);
-
-  /// Swaps `candidate` into `victim`'s pool slot: durable-id and edit-log
-  /// bookkeeping for the incremental manifest, then the displaced view
-  /// parks on the epoch limbo list (concurrent scans may still be inside
-  /// it). Caller holds maintenance_mu_ AND views_mu_ exclusive and bumps
-  /// its own outcome counter. Returns false — candidate destroyed and
-  /// counted as dropped — when `victim` is not in the pool.
+  /// Swaps `candidate` into `victim`'s pool slot, logs the swap in `edit`,
+  /// and parks the displaced view on the epoch limbo list (concurrent scans
+  /// may still be inside it). Caller holds maintenance_mu_ AND views_mu_
+  /// exclusive and bumps its own outcome counter. Returns false — candidate
+  /// destroyed and counted as dropped — when `victim` is not in the pool.
   bool ReplaceInPoolLocked(VirtualView* victim,
                            std::unique_ptr<VirtualView> candidate,
                            PoolEditLog* edit);
-
-  /// Completes a demotion AdmitAtBudget parked: spills outside views_mu_,
-  /// then takes it exclusively to release the arena, flip the tier, admit
-  /// the candidate, and trim the cold tier; falls back to destroy-evict
-  /// when the spill fails. Caller holds maintenance_mu_ and NOT views_mu_.
-  CandidateDecision FinishDeferredDemotion(DeferredDemotion* deferred,
-                                           PoolEditLog* edit);
 
   /// Internal counters behind metrics().
   struct AtomicStats {
@@ -753,9 +656,6 @@ class AdaptiveColumn {
   /// A mapping failure happened since the last relief pass; the next
   /// maintenance entry runs RelievePressureLocked.
   std::atomic<bool> pressure_pending_{false};
-  /// A reader promoted a cold view (tier flip outside maintenance_mu_);
-  /// the next flush/checkpoint must persist the new tier state.
-  std::atomic<bool> tier_dirty_{false};
   ViewLifecycleManager lifecycle_;          // driven from maintenance_mu_
   std::unique_ptr<DurableState> durable_;   // guarded by maintenance_mu_
   /// Reclamation domain for displaced views/arenas. Declared after the

@@ -58,7 +58,6 @@ Status ViewLifecycleManager::CompactView(
     return st;
   }
   ++stats_.compactions;
-  ++pool_mutations_;
   if (sort_only) ++stats_.sort_compactions;
   stats_.compaction_mremap_moves += result.mremap_moves;
   stats_.compaction_remap_moves += result.remap_moves;

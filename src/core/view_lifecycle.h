@@ -163,30 +163,14 @@ class ViewLifecycleManager {
       const std::function<bool(const VirtualView&)>& eligible) const;
 
   /// Bookkeeping hook for the adaptive layer when it evicts the victim.
-  void RecordEviction() {
-    ++stats_.evictions;
-    ++pool_mutations_;
-  }
+  void RecordEviction() { ++stats_.evictions; }
 
-  /// Bookkeeping hook when a hot view is demoted to the cold tier (the
-  /// spilled membership is durable state, so it counts as a pool mutation).
-  void RecordDemotion() {
-    ++stats_.demotions;
-    ++pool_mutations_;
-  }
-
-  /// Monotonic count of pool-shape mutations this manager drove (every
-  /// compaction — page layout changed — and every eviction). The durable
-  /// layer compares it against the value captured at the last MANIFEST
-  /// snapshot: any delta means the on-disk view memberships are stale and
-  /// the next flush/checkpoint must re-snapshot (ARCHITECTURE.md
-  /// "Durability model").
-  uint64_t pool_mutations() const { return pool_mutations_; }
+  /// Bookkeeping hook when a hot view is demoted to the cold tier.
+  void RecordDemotion() { ++stats_.demotions; }
 
  private:
   LifecycleConfig config_;
   LifecycleStats stats_;
-  uint64_t pool_mutations_ = 0;
 };
 
 }  // namespace vmsv

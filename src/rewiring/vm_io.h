@@ -13,8 +13,9 @@
 //   - FaultInjectingVmIo: counts operations and, at the Nth one, injects a
 //     deterministic errno-typed failure (once or sticky), and/or enforces a
 //     configurable VMA budget with an interval-map accountant that mirrors
-//     the kernel's VMA merging rules. tools/vm_fault_matrix.py enumerates
-//     every (operation-index, errno) point of a scripted workload with it.
+//     the kernel's VMA merging rules. `tools/fault_matrix.py vm`
+//     enumerates every (operation-index, errno) point of a scripted
+//     workload with it.
 
 #ifndef VMSV_REWIRING_VM_IO_H_
 #define VMSV_REWIRING_VM_IO_H_

@@ -51,20 +51,6 @@ struct RecordBuf {
 
 }  // namespace
 
-Status WriteAll(int fd, const void* data, size_t len, const char* what) {
-  const char* p = static_cast<const char*>(data);
-  while (len > 0) {
-    const ssize_t n = ::write(fd, p, len);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return ErrnoError(what, errno);
-    }
-    p += n;
-    len -= static_cast<size_t>(n);
-  }
-  return OkStatus();
-}
-
 uint32_t Crc32(const void* data, size_t len) {
   // Bitwise reflected CRC-32; journal records are 24 bytes, so a lookup
   // table buys nothing worth its footprint.

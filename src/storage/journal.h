@@ -54,11 +54,6 @@ class StorageIo;
 /// Exposed for tests that construct torn/corrupt journals by hand.
 uint32_t Crc32(const void* data, size_t len);
 
-/// EINTR-retrying full write of `len` bytes to `fd`; `what` names the
-/// destination in the error message. Shared by the storage persistence
-/// writers (journal, manifest).
-Status WriteAll(int fd, const void* data, size_t len, const char* what);
-
 struct JournalOpenResult;
 
 class WriteAheadJournal {
@@ -111,13 +106,6 @@ class WriteAheadJournal {
   /// Highest LSN known to be on stable storage.
   uint64_t durable_lsn() const {
     return durable_lsn_.load(std::memory_order_acquire);
-  }
-
-  /// Appended-but-not-yet-durable records — the group-commit queue depth.
-  uint64_t undurable_records() const {
-    const uint64_t durable = durable_lsn();
-    const uint64_t appended = appended_lsn();
-    return appended > durable ? appended - durable : 0;
   }
 
   /// Leader fsyncs executed by CommitThrough (diagnostics; the fsync

@@ -86,7 +86,7 @@ struct ManifestView {
 struct ViewManifest {
   uint64_t num_rows = 0;
   uint64_t num_pages = 0;
-  /// Monotonic pool-mutation counter at snapshot time (diagnostics only).
+  /// Snapshots the writing process wrote before this one (diagnostics).
   uint64_t pool_generation = 0;
   /// Base-snapshot epoch; delta records apply only when stamped with it.
   uint64_t epoch = 0;

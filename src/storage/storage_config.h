@@ -20,7 +20,7 @@
 // recoverable — the page cache survives the process, the journal covers
 // unflushed updates, and manifest replacement is atomic. Power-loss safety
 // additionally requires FlushPolicy::kSync (fdatasync on flush) and
-// journal_sync_every_update for updates between flushes.
+// group_commit_batch = 1 for updates between flushes.
 
 #ifndef VMSV_STORAGE_STORAGE_CONFIG_H_
 #define VMSV_STORAGE_STORAGE_CONFIG_H_
@@ -68,18 +68,14 @@ struct StorageConfig {
   std::string persist_dir;
   /// Data writeback policy applied at FlushUpdates/Checkpoint.
   FlushPolicy data_flush = FlushPolicy::kSync;
-  /// fdatasync the journal on EVERY Update append (power-loss-safe updates)
-  /// instead of once per FlushUpdates (the default: the flush fsync is the
-  /// commit point, matching group-commit economics).
-  bool journal_sync_every_update = false;
   /// Group commit: when > 0, the Update whose journal record lands on a
   /// multiple-of-batch LSN acknowledges through
   /// WriteAheadJournal::CommitThrough — one leader fsync covers the whole
   /// batch, and concurrent updaters share it, so N updates cost at most
   /// ceil(N/batch) fsyncs. Off-boundary updates return without waiting
-  /// (their durability lands at the next boundary or flush). Takes
-  /// precedence over journal_sync_every_update (batch == 1 gives the same
-  /// durability through the group-commit ack path). 0 disables.
+  /// (their durability lands at the next boundary or flush). 1 syncs every
+  /// update (power-loss-safe updates). 0 disables: the flush fsync is the
+  /// commit point.
   uint64_t group_commit_batch = 0;
   /// File-operation layer for every durable artifact (journal, manifest,
   /// delta log, data writeback). Null means real I/O; tests inject a

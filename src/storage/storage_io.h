@@ -15,8 +15,9 @@
 //     reorder-within-batch (THIS write's payload is lost while later writes
 //     of the same pre-fsync batch land, the batch's fsync then fails), or a
 //     crash-stop (this and every later operation fails, simulating the
-//     process dying at that point). tools/crash_matrix.py enumerates every
-//     (operation-index, fault-kind) point of a scripted workload with it.
+//     process dying at that point). `tools/fault_matrix.py crash`
+//     enumerates every (operation-index, fault-kind) point of a scripted
+//     workload with it.
 
 #ifndef VMSV_STORAGE_STORAGE_IO_H_
 #define VMSV_STORAGE_STORAGE_IO_H_

@@ -18,7 +18,7 @@
 // Matrix size: the smoke run (plain ctest) strides the op indices to stay
 // in the sub-second range; VMSV_CRASH_FULL=1 sweeps every index and seeds
 // extra rounds until each scenario covers >= 200 fault points
-// (tools/crash_matrix.py drives that mode in CI).
+// (tools/fault_matrix.py crash drives that mode in CI).
 
 #include <algorithm>
 #include <cerrno>
@@ -62,7 +62,7 @@ Value UpdateValue(uint64_t j) { return kMaxValue + j; }
 struct Scenario {
   const char* name;
   FlushPolicy flush;
-  bool sync_every_update;
+  /// 1 syncs the journal on every update.
   uint64_t group_commit_batch;
   /// false: process kill — files survive as written (page cache lives).
   /// true: power loss — column.dat rolls back to its last successful fsync.
@@ -80,7 +80,6 @@ AdaptiveConfig MakeConfig(const Scenario& s, StorageIo* io) {
   AdaptiveConfig config;
   config.max_views = 16;
   config.storage.data_flush = s.flush;
-  config.storage.journal_sync_every_update = s.sync_every_update;
   config.storage.group_commit_batch = s.group_commit_batch;
   config.storage.io = io;
   return config;
@@ -399,7 +398,7 @@ class CrashMatrix {
 
   void Fail(FaultKind kind, uint64_t op, uint64_t seed,
             const std::string& detail) {
-    // One greppable line per failing point: tools/crash_matrix.py collects
+    // One greppable line per failing point: tools/fault_matrix.py collects
     // these into the CI artifact.
     ADD_FAILURE() << "FAULT-POINT-FAILED scenario=" << scenario_.name
                   << " kind=" << FaultKindName(kind) << " op=" << op
@@ -414,27 +413,27 @@ class CrashMatrix {
 };
 
 TEST(CrashMatrixTest, KillNone) {
-  CrashMatrix({"kill_none", FlushPolicy::kNone, false, 0, false}).Run();
+  CrashMatrix({"kill_none", FlushPolicy::kNone, 0, false}).Run();
 }
 
 TEST(CrashMatrixTest, KillAsync) {
-  CrashMatrix({"kill_async", FlushPolicy::kAsync, false, 0, false}).Run();
+  CrashMatrix({"kill_async", FlushPolicy::kAsync, 0, false}).Run();
 }
 
 TEST(CrashMatrixTest, KillSync) {
-  CrashMatrix({"kill_sync", FlushPolicy::kSync, false, 0, false}).Run();
+  CrashMatrix({"kill_sync", FlushPolicy::kSync, 0, false}).Run();
 }
 
 TEST(CrashMatrixTest, KillSyncGroupCommit) {
-  CrashMatrix({"kill_sync_group8", FlushPolicy::kSync, false, 8, false}).Run();
+  CrashMatrix({"kill_sync_group8", FlushPolicy::kSync, 8, false}).Run();
 }
 
 TEST(CrashMatrixTest, PowerSyncEveryUpdate) {
-  CrashMatrix({"power_sync", FlushPolicy::kSync, true, 0, true}).Run();
+  CrashMatrix({"power_sync", FlushPolicy::kSync, 1, true}).Run();
 }
 
 TEST(CrashMatrixTest, PowerSyncGroupCommit) {
-  CrashMatrix({"power_sync_group8", FlushPolicy::kSync, false, 8, true}).Run();
+  CrashMatrix({"power_sync_group8", FlushPolicy::kSync, 8, true}).Run();
 }
 
 // Spill-path scenarios (ISSUE 8 satellite): the script demotes views at
@@ -443,19 +442,19 @@ TEST(CrashMatrixTest, PowerSyncGroupCommit) {
 // never torn, and the adaptive scans must stay bit-identical.
 
 TEST(CrashMatrixTest, SpillKillSync) {
-  CrashMatrix({"spill_kill_sync", FlushPolicy::kSync, false, 0, false,
+  CrashMatrix({"spill_kill_sync", FlushPolicy::kSync, 0, false,
                /*demote=*/true})
       .Run();
 }
 
 TEST(CrashMatrixTest, SpillDiskFull) {
-  CrashMatrix({"spill_disk_full", FlushPolicy::kSync, false, 0, false,
+  CrashMatrix({"spill_disk_full", FlushPolicy::kSync, 0, false,
                /*demote=*/true, /*fail_errno=*/ENOSPC})
       .Run();
 }
 
 TEST(CrashMatrixTest, SpillMediaError) {
-  CrashMatrix({"spill_media_error", FlushPolicy::kSync, false, 0, false,
+  CrashMatrix({"spill_media_error", FlushPolicy::kSync, 0, false,
                /*demote=*/true, /*fail_errno=*/EIO})
       .Run();
 }

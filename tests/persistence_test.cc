@@ -464,7 +464,7 @@ TEST(DurableColumnTest, FlushPoliciesAllRecover) {
 TEST(DurableColumnTest, JournalSyncEveryUpdateRoundTrips) {
   ScratchDir scratch("durable_syncupd");
   AdaptiveConfig config;
-  config.storage.journal_sync_every_update = true;
+  config.storage.group_commit_batch = 1;
   std::vector<QueryResult> oracle;
   const auto queries = TestQueries(6, 31);
   {

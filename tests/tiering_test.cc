@@ -3,9 +3,10 @@
 // demote → reopen → promote acceptance round-trip (bit-identical to a
 // never-demoted column), seeded randomized interleavings of
 // update/flush/demote/checkpoint/reopen against the full-scan serial
-// oracle, and the demote-while-scan race (the CI TSAN job runs this
-// binary).
+// oracle, pressure relief's pool edits surviving a kill, and the
+// demote-while-scan race (the CI TSAN job runs this binary).
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <filesystem>
@@ -14,6 +15,7 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <unordered_set>
 #include <vector>
 
@@ -21,6 +23,7 @@
 
 #include "vmsv.h"
 #include "scoped_temp_dir.h"
+#include "rewiring/vm_io.h"
 #include "storage/cold_tier.h"
 #include "storage/journal.h"  // Crc32
 #include "storage/manifest.h"
@@ -122,6 +125,17 @@ size_t ColdCount(const AdaptiveColumn& adaptive) {
     if (view->demoted()) ++cold;
   }
   return cold;
+}
+
+/// The pool as (lo, hi, demoted), sorted — what a reopen must reproduce.
+std::vector<std::tuple<Value, Value, bool>> PoolShape(
+    const AdaptiveColumn& adaptive) {
+  std::vector<std::tuple<Value, Value, bool>> shape;
+  for (const auto& view : adaptive.view_index().views()) {
+    shape.emplace_back(view->lo(), view->hi(), view->demoted());
+  }
+  std::sort(shape.begin(), shape.end());
+  return shape;
 }
 
 /// First demoted view missing at least one column page (so an update can
@@ -556,6 +570,66 @@ TEST(TieringTest, DemotionDisabledIsNoOp) {
   EXPECT_EQ(adaptive->DemoteColdestViews(8), 0u);
   EXPECT_EQ(ColdCount(*adaptive), 0u);
   EXPECT_EQ(adaptive->Health().views_demoted, 0u);
+}
+
+TEST(TieringTest, PressureReliefPoolSurvivesKill) {
+  // Pressure relief runs outside any flush, so the pool edits it makes —
+  // demotions, the cold-tier trim they trigger, and destroy-evictions when
+  // demotion is off — must reach the delta log: a kill before the next
+  // checkpoint must reopen exactly the pool the engine had, not resurrect
+  // views relief destroyed.
+  for (const bool demotion : {true, false}) {
+    SCOPED_TRACE(demotion ? "demotion on" : "demotion off");
+    ScratchDir scratch(demotion ? "tiering_relief_on" : "tiering_relief_off");
+    FaultInjectingVmIo vm_io;
+    AdaptiveConfig config = TieringConfig();
+    config.max_cold_views = 1;
+    config.lifecycle.enable_demotion = demotion;
+    config.vm_io = &vm_io;
+    constexpr Value kWidth = 2'000'000;
+    std::vector<RangeQuery> queries;
+    for (const Value lo : {10'000'000, 40'000'000, 70'000'000, 85'000'000}) {
+      queries.push_back(RangeQuery{lo, lo + kWidth});
+    }
+    std::vector<std::tuple<Value, Value, bool>> before;
+    {
+      auto adaptive = MakeDurable(scratch.path(), config);
+      // The first three ranges become materialized views (creation, then a
+      // routed hit), and the checkpoint snapshots them.
+      for (size_t i = 0; i < 3; ++i) {
+        Adaptive(adaptive.get(), queries[i]);
+        Adaptive(adaptive.get(), queries[i]);
+      }
+      ASSERT_EQ(adaptive->view_index().num_partial_views(), 3u);
+      ASSERT_TRUE(adaptive->Checkpoint().ok());
+      EXPECT_EQ(adaptive->DemoteColdestViews(1), demotion ? 1u : 0u);
+      // Mappings now fail for good. The fourth range adapts (a lazy
+      // candidate maps nothing), its first routed hit fails to map and
+      // raises the pressure flag, and the next query runs relief.
+      VmFaultPlan plan;
+      plan.op_index = 1;
+      plan.sticky = true;
+      plan.target = VmOp::kMmap;
+      vm_io.Arm(plan);
+      for (int i = 0; i < 3; ++i) {
+        EXPECT_EQ(Adaptive(adaptive.get(), queries[3]),
+                  Oracle(adaptive.get(), queries[3]));
+      }
+      const ColumnHealth health = adaptive->Health();
+      EXPECT_GT(demotion ? health.views_demoted : health.emergency_evictions,
+                1u);
+      before = PoolShape(*adaptive);
+      // No checkpoint: dropping the table here is the kill.
+    }
+    config.vm_io = nullptr;
+    auto reopen_r = OpenColumn(scratch.path(), config);
+    ASSERT_TRUE(reopen_r.ok()) << reopen_r.status().ToString();
+    auto adaptive = std::move(reopen_r).ValueOrDie();
+    EXPECT_EQ(PoolShape(*adaptive), before);
+    for (const RangeQuery& q : queries) {
+      EXPECT_EQ(Adaptive(adaptive.get(), q), Oracle(adaptive.get(), q));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@
 // mremap), sized by a fault-free accounting run. The smoke run (plain
 // ctest) strides the any-target indices and probes one midpoint per
 // specific class; VMSV_VM_FAULT_FULL=1 sweeps every index of every class
-// (tools/vm_fault_matrix.py drives that mode in CI).
+// (tools/fault_matrix.py vm drives that mode in CI).
 //
 // Alongside the matrix: the PartialViewIndex foreign-view error contract
 // (the historical VMSV_CHECK aborts), creation-time memfd/ftruncate
