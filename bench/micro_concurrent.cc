@@ -23,9 +23,10 @@
 // Part B, batch vs individual: the same overlapping-query workload is
 // answered once by individual Execute calls (which adapt along the way) and
 // once by ExecuteBatch (ONE shared pass over the base column for all
-// uncovered queries, per-overlap-group hull skipping). Reported: total
-// pages scanned by each mode, the reduction factor, wall times, and a
-// bit-identity verdict over every per-query (count, sum).
+// uncovered queries; per page, one min/max zone picks the queries that run
+// the scan kernel). Reported: total pages scanned by each mode, the
+// reduction factor, wall times, and a bit-identity verdict over every
+// per-query (count, sum).
 //
 // Plain executable — no google-benchmark dependency, so it always builds
 // and the smoke tier can emit BENCH_concurrent.json on every ctest run.

@@ -483,8 +483,8 @@ void AdaptiveColumn::AnswerFromBase(const std::vector<RangeQuery>& queries,
   if (members.empty()) return;
   // The base arena was mapped before any fault seam was installed and is
   // never rewired, so this pass makes no mapping syscalls — it is the floor
-  // the degradation policy stands on. The overlap groups bound the
-  // per-page hull tests inside the executor.
+  // the degradation policy stands on. Each page tests the overlap groups'
+  // hulls against its zone inside the executor.
   std::vector<RangeQuery> group;
   group.reserve(members.size());
   for (const size_t i : members) group.push_back(queries[i]);

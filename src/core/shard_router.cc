@@ -12,6 +12,7 @@
 #include <sstream>
 #include <utility>
 
+#include "exec/scan_kernels.h"
 #include "exec/thread_pool.h"
 #include "storage/storage_io.h"
 
@@ -241,21 +242,17 @@ void ShardedTable::RecomputeZone(uint32_t s) {
   Shard& shard = *shards_[s];
   const PhysicalColumn& column = shard.column->column();
   // Page-wise, zero tail included: the zone must cover every value a SCAN
-  // can see, and scans sweep whole pages.
-  const Value* base =
-      reinterpret_cast<const Value*>(column.base_arena().data());
+  // can see, and scans sweep whole pages. The base arena is contiguous, so
+  // one dispatched zone-kernel call covers every page.
   const uint64_t n = column.num_pages() * kValuesPerPage;
   if (n == 0) {
     shard.zone_set.store(false, std::memory_order_release);
     return;
   }
-  Value lo = base[0], hi = base[0];
-  for (uint64_t i = 1; i < n; ++i) {
-    if (base[i] < lo) lo = base[i];
-    if (base[i] > hi) hi = base[i];
-  }
-  shard.zone_lo.store(lo, std::memory_order_relaxed);
-  shard.zone_hi.store(hi, std::memory_order_relaxed);
+  const PageZone zone = ComputePageZone(
+      reinterpret_cast<const Value*>(column.base_arena().data()), n);
+  shard.zone_lo.store(zone.min, std::memory_order_relaxed);
+  shard.zone_hi.store(zone.max, std::memory_order_relaxed);
   shard.zone_set.store(true, std::memory_order_release);
 }
 

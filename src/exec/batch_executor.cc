@@ -41,22 +41,21 @@ std::vector<BatchGroup> GroupOverlappingQueries(
 
 namespace {
 
-/// Evaluates every query against one page's data, which the first kernel
-/// call pulls through the cache hierarchy for all the rest. Per overlap
-/// group, a hull pre-test skips the member kernels wholesale on pages no
-/// member can match; it only pays off with >= 2 members (with one, ScanPage
-/// alone is strictly cheaper than ContainsAny + ScanPage).
-void ScanPageForGroups(const Value* data,
+/// Evaluates one page for every query whose range meets the page's zone
+/// (the others have no value on it). The zone pass pulls the page into
+/// cache for the kernels that follow; the group hulls let a whole overlap
+/// component miss in two compares.
+void ScanPageZoneFirst(const Value* data,
                        const std::vector<RangeQuery>& queries,
                        const std::vector<BatchGroup>& groups,
                        PageScanResult* acc) {
+  const PageZone zone = ComputePageZone(data, kValuesPerPage);
   for (const BatchGroup& group : groups) {
-    if (group.members.size() >= 2 &&
-        !PageContainsAny(data, kValuesPerPage, group.hull)) {
-      continue;  // no value in the hull => no member matches => all-zero
-    }
+    if (!zone.Intersects(group.hull)) continue;
     for (const size_t qi : group.members) {
-      acc[qi].Merge(ScanPage(data, kValuesPerPage, queries[qi]));
+      if (zone.Intersects(queries[qi])) {
+        acc[qi].Merge(ScanPage(data, kValuesPerPage, queries[qi]));
+      }
     }
   }
 }
@@ -66,34 +65,12 @@ void ScanPageForGroups(const Value* data,
 std::vector<PageScanResult> BatchExecutor::SharedScanPages(
     const Value* base, uint64_t num_pages,
     const std::vector<RangeQuery>& queries) const {
-  const ParallelScanner scanner(options_);
   // One query has nothing to share: the plain scan is the same sharding
-  // without the per-page batch bookkeeping, hence bit-identical and cheaper.
+  // without the per-page zone test, hence bit-identical and cheaper.
   if (queries.size() == 1) {
-    return {scanner.ScanPages(base, num_pages, queries[0])};
+    return {ParallelScanner(options_).ScanPages(base, num_pages, queries[0])};
   }
-  std::vector<PageScanResult> results(queries.size());
-  if (queries.empty() || num_pages == 0) return results;
-  const std::vector<BatchGroup> groups = GroupOverlappingQueries(queries);
-
-  const unsigned shards = scanner.NumShards(num_pages);
-  // partial[shard * Q + i] accumulates query i on that shard; merged in
-  // shard order below, exactly like ScanShardsMerged does per query.
-  std::vector<PageScanResult> partial(static_cast<size_t>(shards) *
-                                      queries.size());
-  scanner.ForShards(num_pages, [&](unsigned shard, uint64_t begin,
-                                   uint64_t end) {
-    PageScanResult* acc = partial.data() + size_t{shard} * queries.size();
-    for (uint64_t page = begin; page < end; ++page) {
-      ScanPageForGroups(base + page * kValuesPerPage, queries, groups, acc);
-    }
-  });
-  for (unsigned shard = 0; shard < shards; ++shard) {
-    for (size_t i = 0; i < queries.size(); ++i) {
-      results[i].Merge(partial[size_t{shard} * queries.size() + i]);
-    }
-  }
-  return results;
+  return SharedScanPageRuns(base, {PageRun{0, num_pages}}, queries);
 }
 
 std::vector<PageScanResult> BatchExecutor::SharedScanPageRuns(
@@ -107,7 +84,8 @@ std::vector<PageScanResult> BatchExecutor::SharedScanPageRuns(
   if (queries.empty()) return results;
   const std::vector<BatchGroup> groups = GroupOverlappingQueries(queries);
 
-  // Same concatenated-page-space sharding as ParallelScanner::ScanPageRuns.
+  // Same concatenated-page-space sharding as ParallelScanner::ScanPageRuns;
+  // one run of every page shards exactly like ParallelScanner::ScanPages.
   std::vector<uint64_t> prefix(runs.size() + 1, 0);
   for (size_t i = 0; i < runs.size(); ++i) {
     prefix[i + 1] = prefix[i] + runs[i].num_pages;
@@ -116,6 +94,8 @@ std::vector<PageScanResult> BatchExecutor::SharedScanPageRuns(
   if (total_pages == 0) return results;
 
   const unsigned shards = scanner.NumShards(total_pages);
+  // partial[shard * Q + i] accumulates query i on that shard; merged in
+  // shard order below, exactly like ScanShardsMerged does per query.
   std::vector<PageScanResult> partial(static_cast<size_t>(shards) *
                                       queries.size());
   scanner.ForShards(total_pages, [&](unsigned shard, uint64_t begin,
@@ -130,7 +110,7 @@ std::vector<PageScanResult> BatchExecutor::SharedScanPageRuns(
       const uint64_t take = (end < run_end ? end : run_end) - pos;
       const uint64_t first = runs[ri].start_page + (pos - prefix[ri]);
       for (uint64_t p = 0; p < take; ++p) {
-        ScanPageForGroups(base + (first + p) * kValuesPerPage, queries,
+        ScanPageZoneFirst(base + (first + p) * kValuesPerPage, queries,
                           groups, acc);
       }
       pos += take;

@@ -1,9 +1,10 @@
 // BatchExecutor — shared-scan execution of several range queries in one
-// pass (the ROADMAP's cross-query page-sharing item). Where N individual
-// scans fault and stream every page N times, a shared pass reads each page's
-// data ONCE and evaluates all queries against it while it is cache-hot; a
-// group-hull PageContainsAny pre-test skips the per-query kernels entirely
-// on pages no member query can match.
+// pass. Where N individual scans fault and stream every page N times, a
+// shared pass reads each page's data ONCE, zone first: one ComputePageZone
+// pass yields the page's [min, max] and pulls it into cache, and only the
+// queries whose range meets that zone run the ScanPage kernel on it. A
+// query that misses the zone has no value on the page, so its skipped
+// kernel would have returned {0, 0}.
 //
 // Determinism: per-query accumulation follows the exact sharding of
 // ParallelScanner (same shard boundaries, per-shard results merged in shard
@@ -12,8 +13,9 @@
 // thread count.
 //
 // Grouping: GroupOverlappingQueries partitions a batch into connected
-// components of value-range overlap. Callers run one shared pass per group,
-// so disjoint query clusters are not charged for each other's hull.
+// components of value-range overlap. The pass tests each group's hull
+// against a page's zone first, so a group none of whose members can match
+// costs two compares, not one per member.
 
 #ifndef VMSV_EXEC_BATCH_EXECUTOR_H_
 #define VMSV_EXEC_BATCH_EXECUTOR_H_
@@ -29,8 +31,8 @@ namespace vmsv {
 
 /// One overlap-connected component of a query batch.
 struct BatchGroup {
-  /// Union hull of the members' value ranges. A page with no value in the
-  /// hull can match no member, so the shared pass may skip it wholesale.
+  /// Union hull of the members' value ranges. A page whose zone misses the
+  /// hull can match no member, so the shared pass skips it wholesale.
   RangeQuery hull{0, 0};
   /// Indices into the original batch, in batch order.
   std::vector<size_t> members;
@@ -49,8 +51,9 @@ class BatchExecutor {
 
   /// One shared pass over `num_pages` contiguous pages at `base`: result[i]
   /// is bit-identical to ParallelScanner::ScanPages(base, num_pages,
-  /// queries[i]). Each page is read once for the whole batch; a one-query
-  /// batch runs as exactly that ScanPages call.
+  /// queries[i]). Each page is read once for the whole batch, as the single
+  /// run {0, num_pages} of SharedScanPageRuns; a one-query batch runs as
+  /// exactly that ScanPages call.
   std::vector<PageScanResult> SharedScanPages(
       const Value* base, uint64_t num_pages,
       const std::vector<RangeQuery>& queries) const;

@@ -1,13 +1,15 @@
 // Concurrent-engine coverage: epoch reclamation, shared-scan batch
-// execution (grouping + bit-identity vs individual execution), N reader
-// threads racing an updater and lifecycle maintenance against a serial
-// oracle, the cached fragmented-view run list, the sort-only compaction
-// trigger, and the multi-client workload runner. The whole suite also runs
-// under ThreadSanitizer in CI.
+// execution (grouping, bit-identity vs individual execution, the per-page
+// zone skip at page edges), N reader threads racing an updater and
+// lifecycle maintenance against a serial oracle, the cached fragmented-view
+// run list, the sort-only compaction trigger, and the multi-client workload
+// runner. The whole suite also runs under ThreadSanitizer in CI.
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -189,6 +191,118 @@ TEST(BatchExecutorTest, SharedScanBitIdenticalAcrossKernelsAndThreads) {
         EXPECT_EQ(dense_one[0].sum, dense.sum);
         EXPECT_EQ(runs_one[0].match_count, sparse.match_count);
         EXPECT_EQ(runs_one[0].sum, sparse.sum);
+      }
+    }
+  }
+  ASSERT_TRUE(SetActiveScanKernel(restore).ok());
+}
+
+TEST(BatchExecutorTest, ZoneSkipIsExactAtPageEdges) {
+  // A sine column keeps each page's values in a narrow zone, so most (page,
+  // query) pairs are skipped. The partial last page is zero-filled.
+  DistributionSpec spec;
+  spec.kind = DataDistribution::kSine;
+  spec.max_value = kMaxValue;
+  spec.seed = 42;
+  auto column_r = MakeColumn(spec, kTestPages * kValuesPerPage - 100);
+  ASSERT_TRUE(column_r.ok()) << column_r.status().ToString();
+  const std::unique_ptr<PhysicalColumn> column =
+      std::move(column_r).ValueOrDie();
+  ASSERT_EQ(column->num_pages(), kTestPages);
+  const Value* base =
+      reinterpret_cast<const Value*>(column->base_arena().data());
+  const auto page_zone = [base](uint64_t page) {
+    return ComputePageZone(base + page * kValuesPerPage, kValuesPerPage);
+  };
+
+  // Two even edge pages, so the every-other-page runs below cover them as
+  // well. Their extremes go to their first and last slots, one page each
+  // way round, where a zone pass that dropped an end value would miss them.
+  const auto move_extremes = [&](uint64_t page, uint64_t min_slot,
+                                 uint64_t max_slot) {
+    const uint64_t row = page * kValuesPerPage;
+    column->Set(row + min_slot, page_zone(page).min - 7);
+    column->Set(row + max_slot, page_zone(page).max + 7);
+  };
+  move_extremes(10, 0, kValuesPerPage - 1);
+  move_extremes(40, kValuesPerPage - 1, 0);
+
+  std::vector<RangeQuery> queries = {{0, 0}, {~Value{0} - 1, ~Value{0}}};
+  for (const uint64_t page : {uint64_t{10}, uint64_t{40}}) {
+    const PageZone zone = page_zone(page);
+    ASSERT_GT(zone.min, Value{1000});
+    queries.push_back({zone.min - 1000, zone.min});      // ends at min
+    queries.push_back({zone.max, zone.max + 1000});      // starts at max
+    queries.push_back({zone.min - 1000, zone.min - 1});  // one below min
+    queries.push_back({zone.max + 1, zone.max + 1000});  // one above max
+    // The gap between two adjacent values of the page: inside the zone, so
+    // the kernel runs, yet no value of this page matches.
+    std::vector<Value> values(base + page * kValuesPerPage,
+                              base + (page + 1) * kValuesPerPage);
+    std::sort(values.begin(), values.end());
+    size_t gap = 1;
+    while (gap < values.size() && values[gap] - values[gap - 1] < 3) ++gap;
+    ASSERT_LT(gap, values.size());
+    queries.push_back({values[gap - 1] + 1, values[gap] - 1});
+  }
+  Rng rng(17);
+  const Value width = kMaxValue / 100;
+  for (int i = 0; i < 32; ++i) {
+    const Value lo = rng.Below(kMaxValue - width);
+    queries.push_back({lo, lo + width});
+  }
+
+  // The data must keep exercising both sides of the zone test: a pair the
+  // pass skips, and a pair whose range only touches the zone's edge.
+  uint64_t skipped_pairs = 0;
+  uint64_t edge_pairs = 0;
+  for (uint64_t page = 0; page < kTestPages; ++page) {
+    const PageZone zone = page_zone(page);
+    for (const RangeQuery& q : queries) {
+      if (!zone.Intersects(q)) {
+        ++skipped_pairs;
+      } else if (q.hi == zone.min || q.lo == zone.max) {
+        ++edge_pairs;
+      }
+    }
+  }
+  EXPECT_GT(skipped_pairs, 0u);
+  EXPECT_GT(edge_pairs, 0u);
+  EXPECT_EQ(page_zone(kTestPages - 1).min, 0u) << "tail is not zero-filled";
+
+  std::vector<PageRun> runs;
+  for (uint64_t page = 0; page < kTestPages; page += 2) {
+    runs.push_back(PageRun{page, 1});
+  }
+  const ScanKernel restore = ActiveScanKernel();
+  for (const ScanKernel kernel :
+       {ScanKernel::kScalar, ScanKernel::kAvx2, ScanKernel::kAvx512}) {
+    if (!ScanKernelAvailable(kernel)) continue;
+    ASSERT_TRUE(SetActiveScanKernel(kernel).ok());
+    for (const unsigned threads : {1u, 2u, 5u}) {
+      ParallelScanOptions options;
+      options.threads = threads;
+      options.serial_cutoff = 0;
+      const ParallelScanner scanner(options);
+      const BatchExecutor executor(options);
+      const std::vector<PageScanResult> dense =
+          executor.SharedScanPages(base, kTestPages, queries);
+      const std::vector<PageScanResult> sparse =
+          executor.SharedScanPageRuns(base, runs, queries);
+      ASSERT_EQ(dense.size(), queries.size());
+      ASSERT_EQ(sparse.size(), queries.size());
+      for (size_t i = 0; i < queries.size(); ++i) {
+        SCOPED_TRACE(std::string(ScanKernelName(kernel)) +
+                     " threads=" + std::to_string(threads) +
+                     " q=" + std::to_string(i));
+        const PageScanResult want_dense =
+            scanner.ScanPages(base, kTestPages, queries[i]);
+        const PageScanResult want_sparse =
+            scanner.ScanPageRuns(base, runs, queries[i]);
+        EXPECT_EQ(dense[i].match_count, want_dense.match_count);
+        EXPECT_EQ(dense[i].sum, want_dense.sum);
+        EXPECT_EQ(sparse[i].match_count, want_sparse.match_count);
+        EXPECT_EQ(sparse[i].sum, want_sparse.sum);
       }
     }
   }

@@ -193,6 +193,8 @@ void RunOracleInterleaving(PartitionKind kind, uint32_t shards,
   }
 
   // The batch path merges per-shard batches per query — same contract.
+  // Both batches run the shared pass, so each answer is also checked
+  // against a full scan, which does not.
   std::vector<RangeQuery> batch;
   for (int i = 0; i < 16; ++i) batch.push_back(random_query());
   auto want_batch = oracle->ExecuteBatch(batch);
@@ -203,6 +205,9 @@ void RunOracleInterleaving(PartitionKind kind, uint32_t shards,
   for (size_t i = 0; i < batch.size(); ++i) {
     ExpectSameAnswer(got_batch->queries[i], want_batch->queries[i],
                      "ExecuteBatch");
+    auto full = oracle->ExecuteFullScan(batch[i]);
+    ASSERT_TRUE(full.ok()) << full.status().message();
+    ExpectSameAnswer(got_batch->queries[i], *full, "ExecuteBatch vs full scan");
   }
 }
 
@@ -228,12 +233,22 @@ TEST(ShardedTable, TailPageBitIdentity) {
     auto sharded = *Db::Create(rows, MixValue, ShardedOptions(3, kind));
     // Zero is IN-domain for the tail page — both sides must count the
     // zero-filled slack identically.
-    for (const RangeQuery q :
-         {RangeQuery{0, 0}, RangeQuery{0, ~Value{0}}, RangeQuery{1, 999}}) {
+    const std::vector<RangeQuery> tail_queries = {
+        RangeQuery{0, 0}, RangeQuery{0, ~Value{0}}, RangeQuery{1, 999}};
+    for (const RangeQuery& q : tail_queries) {
       auto want = oracle->Execute(q);
       auto got = sharded->Execute(q);
       ASSERT_TRUE(want.ok() && got.ok());
       ExpectSameAnswer(*got, *want, "tail query");
+    }
+    // As one batch, the tail page meets the shared pass's zone test.
+    auto batch = sharded->ExecuteBatch(tail_queries);
+    ASSERT_TRUE(batch.ok()) << batch.status().message();
+    ASSERT_EQ(batch->queries.size(), tail_queries.size());
+    for (size_t i = 0; i < tail_queries.size(); ++i) {
+      auto full = oracle->ExecuteFullScan(tail_queries[i]);
+      ASSERT_TRUE(full.ok());
+      ExpectSameAnswer(batch->queries[i], *full, "tail batch vs full scan");
     }
   }
 }
