@@ -23,8 +23,8 @@
 // Part B, batch vs individual: the same overlapping-query workload is
 // answered once by individual Execute calls (which adapt along the way) and
 // once by ExecuteBatch (ONE shared pass over the base column for all
-// uncovered queries; per page, one min/max zone picks the queries that run
-// the scan kernel). Reported: total pages scanned by each mode, the
+// uncovered queries; per page, the column's min/max zone picks the queries
+// that run the scan kernel). Reported: total pages scanned by each mode, the
 // reduction factor, wall times, and a bit-identity verdict over every
 // per-query (count, sum).
 //

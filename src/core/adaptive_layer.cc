@@ -4,11 +4,13 @@
 #include <cerrno>
 #include <chrono>
 #include <map>
+#include <numeric>
 #include <thread>
 #include <unordered_set>
 
 #include "exec/batch_executor.h"
 #include "exec/parallel_scanner.h"
+#include "exec/scan_kernels.h"
 #include "rewiring/virtual_arena.h"
 #include "rewiring/vm_io.h"
 #include "util/macros.h"
@@ -52,6 +54,19 @@ ManifestView ToManifestView(const VirtualView& view) {
   mview.demoted = view.demoted();
   mview.pages = view.physical_pages();
   return mview;
+}
+
+/// Replaces the zone of each page in `pages` with its exact [min, max] over
+/// the whole page, zero tail included, computed by the dispatched kernel.
+/// Readers excluded.
+void DeriveZones(PhysicalColumn* column, const std::vector<uint64_t>& pages) {
+  ParallelScanner().ForShards(
+      pages.size(), [&](unsigned, uint64_t begin, uint64_t end) {
+        for (uint64_t i = begin; i < end; ++i) {
+          column->SetZone(pages[i], ComputePageZone(column->PageData(pages[i]),
+                                                    kValuesPerPage));
+        }
+      });
 }
 
 }  // namespace
@@ -188,6 +203,20 @@ StatusOr<std::unique_ptr<AdaptiveColumn>> AdaptiveColumn::OpenDurable(
   if (!adaptive_r.ok()) return adaptive_r.status();
   auto adaptive = std::move(adaptive_r).ValueOrDie();
   adaptive->durable_ = std::move(opened.state);
+
+  // Attach starts every page zone at the full domain. A created file is
+  // zeroed; a reopened one holds the last process's data plus the replayed
+  // journal, so its exact zones are derived before the first query.
+  PhysicalColumn* column = adaptive->column_.get();
+  if (create_rows.has_value()) {
+    for (uint64_t page = 0; page < column->num_pages(); ++page) {
+      column->SetZone(page, PageZone{0, 0});
+    }
+  } else {
+    std::vector<uint64_t> pages(column->num_pages());
+    std::iota(pages.begin(), pages.end(), uint64_t{0});
+    DeriveZones(column, pages);
+  }
 
   // Rebuild views as unmaterialized page lists; the first scan pays the
   // rewiring lazily, so Open stays proportional to the manifest size.
@@ -442,7 +471,7 @@ StatusOr<std::vector<size_t>> AdaptiveColumn::AnswerFromViews(
     std::vector<PageScanResult> results;
     uint64_t cover_pages = 0;
     if (cover.size() == 1) {
-      results = cover.front()->ScanMany(group);
+      results = cover.front()->ScanMany(group, column_->zones());
       cover_pages = cover.front()->num_pages();
     } else {
       // Views in a cover may share physical pages; each is scanned once.
@@ -452,7 +481,8 @@ StatusOr<std::vector<size_t>> AdaptiveColumn::AnswerFromViews(
       std::unordered_set<uint64_t> seen;
       for (const VirtualView* view : cover) {
         const std::vector<PageScanResult> partial = view->ScanManyIf(
-            group, [&seen](uint64_t page) { return seen.insert(page).second; });
+            group, column_->zones(),
+            [&seen](uint64_t page) { return seen.insert(page).second; });
         for (size_t m = 0; m < members.size(); ++m) {
           results[m].Merge(partial[m]);
         }
@@ -483,8 +513,8 @@ void AdaptiveColumn::AnswerFromBase(const std::vector<RangeQuery>& queries,
   if (members.empty()) return;
   // The base arena was mapped before any fault seam was installed and is
   // never rewired, so this pass makes no mapping syscalls — it is the floor
-  // the degradation policy stands on. Each page tests the overlap groups'
-  // hulls against its zone inside the executor.
+  // the degradation policy stands on. The executor reads the column's zone
+  // table (identity map) and skips every page no missed query can match.
   std::vector<RangeQuery> group;
   group.reserve(members.size());
   for (const size_t i : members) group.push_back(queries[i]);
@@ -493,7 +523,7 @@ void AdaptiveColumn::AnswerFromBase(const std::vector<RangeQuery>& queries,
   const BatchExecutor executor;
   const std::vector<PageScanResult> results = executor.SharedScanPages(
       reinterpret_cast<const Value*>(column_->base_arena().data()),
-      column_pages, group);
+      column_pages, group, ZoneTable{column_->zones(), nullptr});
   for (size_t m = 0; m < members.size(); ++m) {
     QueryExecution& exec = out->queries[members[m]];
     exec.match_count = results[m].match_count;
@@ -1008,6 +1038,9 @@ StatusOr<UpdateApplyStats> AdaptiveColumn::FlushUpdatesLocked(
   std::unique_lock<std::shared_mutex> xlock(views_mu_);
   // Alignment unmaps/remaps view slots in place; fence all readers off.
   epoch_.WaitQuiescent();
+  // Each Set of the batch only widened its page's zone; the exact zones
+  // narrow them again while the readers of the table are fenced off too.
+  DeriveZones(column_.get(), pending_.TouchedPages());
   auto views = view_index_.MutableViews();
   auto stats = AlignPartialViews(*column_, views, pending_,
                                  MappingSource::kUserSpaceTable);

@@ -189,7 +189,8 @@ struct BatchExecution {
   /// per covered query, whole column per uncovered one).
   uint64_t individual_equivalent_pages = 0;
   /// Overlap groups among the uncovered queries (1 shared base pass serves
-  /// them all; each page tests the group hulls against its zone first).
+  /// them all; each page's zone from the column's table is tested against
+  /// the group hulls first).
   uint64_t overlap_groups = 0;
   /// Queries answered from views / from the shared base pass.
   uint64_t view_answered = 0;
@@ -385,13 +386,13 @@ class AdaptiveColumn {
   /// Answers N in-flight queries with shared scans: queries routed to the
   /// same cover share one pass over its pages (deduplicated across the
   /// views of a multi-view cover), and ALL queries no view answered share
-  /// ONE pass over the base column (each page is faulted and read once for
-  /// the whole batch; its min/max zone picks the queries that run the scan
-  /// kernel on it). Results are bit-identical to Execute-ing each query
-  /// individually, and the route-and-answer step is Execute's own, due
-  /// maintenance included. The batch path builds no candidate views
-  /// (adaptation stays on the single-query path), so it runs concurrently
-  /// with other readers.
+  /// ONE pass over the base column (each page is faulted and read at most
+  /// once for the whole batch; its min/max zone from the column's table
+  /// picks the queries that run the scan kernel on it). Results are
+  /// bit-identical to Execute-ing each query individually, and the
+  /// route-and-answer step is Execute's own, due maintenance included. The
+  /// batch path builds no candidate views (adaptation stays on the
+  /// single-query path), so it runs concurrently with other readers.
   StatusOr<BatchExecution> ExecuteBatch(const std::vector<RangeQuery>& queries);
 
   /// The non-adaptive baseline: scans the base column. Does not touch the

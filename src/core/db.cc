@@ -91,9 +91,7 @@ StatusOr<std::unique_ptr<Table>> Db::Create(
   if (shards <= 1) {
     auto column = PhysicalColumn::Create(num_rows);
     if (!column.ok()) return column.status();
-    for (uint64_t row = 0; row < num_rows; ++row) {
-      (*column)->Set(row, value_of(row));
-    }
+    (*column)->Load(value_of);
     return Create(*std::move(column), DbOptions{options.column});
   }
   DbOptions effective = options;

@@ -65,14 +65,6 @@ inline bool PageContainsAnyScalar(const Value* data, uint64_t count,
   return false;
 }
 
-/// Min/max of a page — the zone-map building block.
-struct PageZone {
-  Value min = ~Value{0};
-  Value max = 0;
-
-  bool Intersects(const RangeQuery& q) const { return min <= q.hi && max >= q.lo; }
-};
-
 inline PageZone ComputePageZoneScalar(const Value* data, uint64_t count) {
   PageZone zone;
   for (uint64_t i = 0; i < count; ++i) {

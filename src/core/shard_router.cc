@@ -12,7 +12,6 @@
 #include <sstream>
 #include <utility>
 
-#include "exec/scan_kernels.h"
 #include "exec/thread_pool.h"
 #include "storage/storage_io.h"
 
@@ -241,16 +240,17 @@ StatusOr<PartitionSpec> ReadTableDescriptor(const std::string& dir) {
 void ShardedTable::RecomputeZone(uint32_t s) {
   Shard& shard = *shards_[s];
   const PhysicalColumn& column = shard.column->column();
-  // Page-wise, zero tail included: the zone must cover every value a SCAN
-  // can see, and scans sweep whole pages. The base arena is contiguous, so
-  // one dispatched zone-kernel call covers every page.
-  const uint64_t n = column.num_pages() * kValuesPerPage;
-  if (n == 0) {
+  // The fold of the column's page zones: each bounds every value a scan of
+  // its whole page reads, zero tail included.
+  if (column.num_pages() == 0) {
     shard.zone_set.store(false, std::memory_order_release);
     return;
   }
-  const PageZone zone = ComputePageZone(
-      reinterpret_cast<const Value*>(column.base_arena().data()), n);
+  PageZone zone;
+  for (uint64_t page = 0; page < column.num_pages(); ++page) {
+    zone.min = std::min(zone.min, column.zones()[page].min);
+    zone.max = std::max(zone.max, column.zones()[page].max);
+  }
   shard.zone_lo.store(zone.min, std::memory_order_relaxed);
   shard.zone_hi.store(zone.max, std::memory_order_relaxed);
   shard.zone_set.store(true, std::memory_order_release);
@@ -300,16 +300,17 @@ StatusOr<std::unique_ptr<Table>> ShardedTable::Create(
   for (uint32_t s = 0; s < spec.shards; ++s) {
     auto column = PhysicalColumn::Create(spec.ShardRows(s));
     if (!column.ok()) return column.status();
-    const uint64_t shard_rows = (*column)->num_rows();
-    for (uint64_t lp = 0; lp < spec.ShardPages(s); ++lp) {
-      const uint64_t gp = spec.GlobalPage(s, lp);
-      for (uint64_t off = 0; off < kValuesPerPage; ++off) {
-        const uint64_t global_row = gp * kValuesPerPage + off;
-        const uint64_t local_row = lp * kValuesPerPage + off;
-        if (global_row >= num_rows || local_row >= shard_rows) break;
-        (*column)->Set(local_row, value_of(global_row));
+    // The loader walks local rows page by page; the global first row of the
+    // current local page is looked up once per page.
+    uint64_t local_page = ~uint64_t{0};
+    uint64_t global_first = 0;
+    (*column)->Load([&](uint64_t local_row) {
+      if (local_row / kValuesPerPage != local_page) {
+        local_page = local_row / kValuesPerPage;
+        global_first = spec.GlobalPage(s, local_page) * kValuesPerPage;
       }
-    }
+      return value_of(global_first + local_row % kValuesPerPage);
+    });
     auto adaptive = AdaptiveColumn::Create(*std::move(column), options.column);
     if (!adaptive.ok()) return adaptive.status();
     auto shard = std::make_unique<Shard>();

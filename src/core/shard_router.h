@@ -19,10 +19,10 @@
 // route by row to exactly one shard (the one owning the row's page).
 //
 // QUERY FAN-OUT is pruned by per-shard VALUE ZONES: each shard keeps a
-// conservative [min, max] over every value in its pages, computed by one
-// pass at create/open and only ever WIDENED by updates. A query visits
-// just the shards whose zone intersects its predicate; skipped shards
-// provably contribute zero matches, so pruning never affects results.
+// conservative [min, max] over every value in its pages, folded from the
+// column's page zones at create/open and only ever WIDENED by updates. A
+// query visits just the shards whose zone intersects its predicate; skipped
+// shards provably contribute zero matches, so pruning never affects results.
 //
 // DURABLE LAYOUT: dir/TABLE (a small text descriptor: version, shard
 // count, partition kind, row count) plus dir/shard-000/ ... each holding a
@@ -140,8 +140,9 @@ class ShardedTable : public Table {
 
   ShardedTable(PartitionSpec spec, bool durable) : spec_(spec), durable_(durable) {}
 
-  /// One pass over shard `s`'s pages (zero tail included, matching what
-  /// scans see) re-deriving its value zone.
+  /// Re-derives shard `s`'s value zone as the fold of its column's page
+  /// zones (each covers its whole page, zero tail included, matching what
+  /// scans see).
   void RecomputeZone(uint32_t s);
 
   void WidenZone(Shard& shard, Value v);

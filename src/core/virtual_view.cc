@@ -528,20 +528,22 @@ PageScanResult VirtualView::Scan(const RangeQuery& q,
 }
 
 std::vector<PageScanResult> VirtualView::ScanMany(
-    const std::vector<RangeQuery>& queries,
+    const std::vector<RangeQuery>& queries, const PageZone* column_zones,
     const ParallelScanOptions& scan_options) const {
   const BatchExecutor executor(scan_options);
   const Value* base = reinterpret_cast<const Value*>(arena().data());
+  const ZoneTable zones{column_zones, pages_.data()};
   if (holes_.empty()) {
-    return executor.SharedScanPages(base, pages_.size(), queries);
+    return executor.SharedScanPages(base, pages_.size(), queries, zones);
   }
   const auto runs = SlotRunsCached();
-  return executor.SharedScanPageRuns(base, *runs, queries);
+  return executor.SharedScanPageRuns(base, *runs, queries, zones);
 }
 
 std::vector<PageScanResult> VirtualView::ScanManySelectedSlots(
     const std::vector<uint64_t>& slots,
-    const std::vector<RangeQuery>& queries) const {
+    const std::vector<RangeQuery>& queries,
+    const PageZone* column_zones) const {
   // Coalesce consecutive selected slots so one kernel call covers each
   // virtually-contiguous block — on a compacted view a cover scan
   // degenerates to a handful of long sweeps — then one shared pass answers
@@ -556,7 +558,8 @@ std::vector<PageScanResult> VirtualView::ScanManySelectedSlots(
   }
   const BatchExecutor executor;
   return executor.SharedScanPageRuns(
-      reinterpret_cast<const Value*>(arena().data()), runs, queries);
+      reinterpret_cast<const Value*>(arena().data()), runs, queries,
+      ZoneTable{column_zones, pages_.data()});
 }
 
 // ---------------------------------------------------------------------------
@@ -632,6 +635,9 @@ StatusOr<ViewBuildOutput> BuildViewAndAnswer(const PhysicalColumn& column,
   const RangeQuery view_range{lo, hi};
   const bool ranges_equal = view_range == query;
   const uint64_t num_pages = column.num_pages();
+  // A page whose zone misses the view range holds no value of it, nor of
+  // the query inside it: it is no member and adds {0, 0}, so it is not read.
+  const PageZone* zones = column.zones();
   // The data pass (filter + membership probe) shards across the scan pool;
   // page membership and mmap work replay serially in page order afterwards,
   // so view page order — and with it run coalescing and every result — is
@@ -642,6 +648,7 @@ StatusOr<ViewBuildOutput> BuildViewAndAnswer(const PhysicalColumn& column,
     // Serial path: membership (and on the eager path, mapping) interleaves
     // with the scan, so mmap work overlaps scanning as §2.3 describes.
     for (uint64_t page = 0; page < num_pages; ++page) {
+      if (!zones[page].Intersects(view_range)) continue;
       const Value* data = column.PageData(page);
       // One vectorized filter pass answers the query; on the adaptive path
       // the candidate range IS the query range, so the same pass also
@@ -665,6 +672,7 @@ StatusOr<ViewBuildOutput> BuildViewAndAnswer(const PhysicalColumn& column,
                                      uint64_t end) {
       ShardScan& s = per_shard[shard];
       for (uint64_t page = begin; page < end; ++page) {
+        if (!zones[page].Intersects(view_range)) continue;
         const Value* data = column.PageData(page);
         const PageScanResult r = ScanPage(data, kValuesPerPage, query);
         s.result.Merge(r);

@@ -386,11 +386,13 @@ class VirtualView {
                       const ParallelScanOptions& scan_options = {}) const;
 
   /// Answers several queries in ONE pass over the view's pages (exec/
-  /// batch_executor.h): each page's data is read once and evaluated against
-  /// every query. Result i is bit-identical to Scan(queries[i]). The view
-  /// must be materialized.
+  /// batch_executor.h): each page is read at most once, and only for the
+  /// queries whose range meets its zone in `column_zones` — the zone table
+  /// of the column the view was built over (PhysicalColumn::zones()), read
+  /// through the view's slot table. Result i is bit-identical to
+  /// Scan(queries[i]). The view must be materialized.
   std::vector<PageScanResult> ScanMany(
-      const std::vector<RangeQuery>& queries,
+      const std::vector<RangeQuery>& queries, const PageZone* column_zones,
       const ParallelScanOptions& scan_options = {}) const;
 
   /// ScanMany restricted to pages passing `include(physical_page)` — the
@@ -399,6 +401,7 @@ class VirtualView {
   /// the selected slots are shared-scanned once for ALL queries.
   template <typename Pred>
   std::vector<PageScanResult> ScanManyIf(const std::vector<RangeQuery>& queries,
+                                         const PageZone* column_zones,
                                          Pred include) const {
     std::vector<uint64_t> slots;
     slots.reserve(pages_.size());
@@ -406,7 +409,7 @@ class VirtualView {
       if (pages_[slot] == kHoleSlot) continue;
       if (include(pages_[slot])) slots.push_back(slot);
     }
-    return ScanManySelectedSlots(slots, queries);
+    return ScanManySelectedSlots(slots, queries, column_zones);
   }
 
  private:
@@ -418,7 +421,8 @@ class VirtualView {
   /// must be live). Consecutive slots coalesce into multi-page kernel calls.
   std::vector<PageScanResult> ScanManySelectedSlots(
       const std::vector<uint64_t>& slots,
-      const std::vector<RangeQuery>& queries) const;
+      const std::vector<RangeQuery>& queries,
+      const PageZone* column_zones) const;
 
   /// Installs `page` at `slot` in the bookkeeping tables (slot-run counter,
   /// membership maps, live count). The mapping itself must already be
@@ -478,9 +482,11 @@ class VirtualView {
   std::atomic<bool> demoted_{false};        // cold tier (see demoted())
 };
 
-/// Builds the view for [lo, hi] by scanning every column page (the paper's
+/// Builds the view for [lo, hi] by scanning the column (the paper's
 /// creation path: the scan that answers the triggering query also emits the
-/// view). Optimizations per `options`; `mapper` may be null unless
+/// view). Pages whose zone (PhysicalColumn::zones()) misses [lo, hi] hold
+/// no member value and are not read; the reported page count is still the
+/// whole column. Optimizations per `options`; `mapper` may be null unless
 /// options.background_mapping is set, in which case it must be provided.
 StatusOr<std::unique_ptr<VirtualView>> BuildViewByScan(
     const PhysicalColumn& column, Value lo, Value hi,

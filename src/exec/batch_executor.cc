@@ -41,20 +41,38 @@ std::vector<BatchGroup> GroupOverlappingQueries(
 
 namespace {
 
-/// Evaluates one page for every query whose range meets the page's zone
-/// (the others have no value on it). The zone pass pulls the page into
-/// cache for the kernels that follow; the group hulls let a whole overlap
-/// component miss in two compares.
-void ScanPageZoneFirst(const Value* data,
-                       const std::vector<RangeQuery>& queries,
-                       const std::vector<BatchGroup>& groups,
-                       PageScanResult* acc) {
-  const PageZone zone = ComputePageZone(data, kValuesPerPage);
-  for (const BatchGroup& group : groups) {
-    if (!zone.Intersects(group.hull)) continue;
-    for (const size_t qi : group.members) {
-      if (zone.Intersects(queries[qi])) {
-        acc[qi].Merge(ScanPage(data, kValuesPerPage, queries[qi]));
+/// Scans slots [first, end) of one run for every query whose range meets
+/// the slot's zone; the others have no value on the page. One query:
+/// consecutive meeting slots coalesce into one kernel call. Several: each
+/// page is read once for all of them while it is in cache, and a group
+/// hull lets a whole overlap component miss in two compares.
+void ScanSlots(const Value* base, uint64_t first, uint64_t end,
+               const std::vector<RangeQuery>& queries,
+               const std::vector<BatchGroup>& groups, const ZoneTable& zones,
+               PageScanResult* acc) {
+  if (queries.size() == 1) {
+    const RangeQuery& q = queries[0];
+    uint64_t slot = first;
+    while (slot < end) {
+      while (slot < end && !zones.ForSlot(slot).Intersects(q)) ++slot;
+      const uint64_t run_start = slot;
+      while (slot < end && zones.ForSlot(slot).Intersects(q)) ++slot;
+      if (slot > run_start) {
+        acc[0].Merge(ScanPage(base + run_start * kValuesPerPage,
+                              (slot - run_start) * kValuesPerPage, q));
+      }
+    }
+    return;
+  }
+  for (uint64_t slot = first; slot < end; ++slot) {
+    const PageZone& zone = zones.ForSlot(slot);
+    const Value* data = base + slot * kValuesPerPage;
+    for (const BatchGroup& group : groups) {
+      if (!zone.Intersects(group.hull)) continue;
+      for (const size_t qi : group.members) {
+        if (zone.Intersects(queries[qi])) {
+          acc[qi].Merge(ScanPage(data, kValuesPerPage, queries[qi]));
+        }
       }
     }
   }
@@ -64,22 +82,13 @@ void ScanPageZoneFirst(const Value* data,
 
 std::vector<PageScanResult> BatchExecutor::SharedScanPages(
     const Value* base, uint64_t num_pages,
-    const std::vector<RangeQuery>& queries) const {
-  // One query has nothing to share: the plain scan is the same sharding
-  // without the per-page zone test, hence bit-identical and cheaper.
-  if (queries.size() == 1) {
-    return {ParallelScanner(options_).ScanPages(base, num_pages, queries[0])};
-  }
-  return SharedScanPageRuns(base, {PageRun{0, num_pages}}, queries);
+    const std::vector<RangeQuery>& queries, const ZoneTable& zones) const {
+  return SharedScanPageRuns(base, {PageRun{0, num_pages}}, queries, zones);
 }
 
 std::vector<PageScanResult> BatchExecutor::SharedScanPageRuns(
     const Value* base, const std::vector<PageRun>& runs,
-    const std::vector<RangeQuery>& queries) const {
-  const ParallelScanner scanner(options_);
-  if (queries.size() == 1) {
-    return {scanner.ScanPageRuns(base, runs, queries[0])};
-  }
+    const std::vector<RangeQuery>& queries, const ZoneTable& zones) const {
   std::vector<PageScanResult> results(queries.size());
   if (queries.empty()) return results;
   const std::vector<BatchGroup> groups = GroupOverlappingQueries(queries);
@@ -93,6 +102,7 @@ std::vector<PageScanResult> BatchExecutor::SharedScanPageRuns(
   const uint64_t total_pages = prefix.back();
   if (total_pages == 0) return results;
 
+  const ParallelScanner scanner(options_);
   const unsigned shards = scanner.NumShards(total_pages);
   // partial[shard * Q + i] accumulates query i on that shard; merged in
   // shard order below, exactly like ScanShardsMerged does per query.
@@ -109,10 +119,7 @@ std::vector<PageScanResult> BatchExecutor::SharedScanPageRuns(
       if (pos >= run_end) continue;  // skip empty runs
       const uint64_t take = (end < run_end ? end : run_end) - pos;
       const uint64_t first = runs[ri].start_page + (pos - prefix[ri]);
-      for (uint64_t p = 0; p < take; ++p) {
-        ScanPageZoneFirst(base + (first + p) * kValuesPerPage, queries,
-                          groups, acc);
-      }
+      ScanSlots(base, first, first + take, queries, groups, zones, acc);
       pos += take;
     }
   });

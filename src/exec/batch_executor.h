@@ -1,10 +1,12 @@
-// BatchExecutor — shared-scan execution of several range queries in one
-// pass. Where N individual scans fault and stream every page N times, a
-// shared pass reads each page's data ONCE, zone first: one ComputePageZone
-// pass yields the page's [min, max] and pulls it into cache, and only the
-// queries whose range meets that zone run the ScanPage kernel on it. A
+// BatchExecutor — zone-filtered execution of one or several range queries
+// in one pass. Where N individual scans fault and stream every page N
+// times, a shared pass reads each page's data at most ONCE, and only for
+// the queries whose range meets the page's [min, max] zone. The zones come
+// from a table the caller owns — the column's (storage/column.h) — so the
+// pass never computes one; a page whose zone meets no query is not read. A
 // query that misses the zone has no value on the page, so its skipped
-// kernel would have returned {0, 0}.
+// kernel would have returned {0, 0}. A one-query pass is filtered the same
+// way, and its consecutive meeting pages coalesce into one kernel call.
 //
 // Determinism: per-query accumulation follows the exact sharding of
 // ParallelScanner (same shard boundaries, per-shard results merged in shard
@@ -44,26 +46,39 @@ struct BatchGroup {
 std::vector<BatchGroup> GroupOverlappingQueries(
     const std::vector<RangeQuery>& queries);
 
+/// The zones a pass consults. The page at slot s of the scanned range (run
+/// offsets are slots relative to the pass's `base`) is column page
+/// slot_to_page[s] — a view's slot table — or page s itself when
+/// slot_to_page is null (the identity map of the base column). zones[page]
+/// must bound every value of that page.
+struct ZoneTable {
+  const PageZone* zones = nullptr;
+  const uint64_t* slot_to_page = nullptr;
+
+  const PageZone& ForSlot(uint64_t slot) const {
+    return zones[slot_to_page != nullptr ? slot_to_page[slot] : slot];
+  }
+};
+
 class BatchExecutor {
  public:
   explicit BatchExecutor(const ParallelScanOptions& options = {})
       : options_(options) {}
 
-  /// One shared pass over `num_pages` contiguous pages at `base`: result[i]
-  /// is bit-identical to ParallelScanner::ScanPages(base, num_pages,
-  /// queries[i]). Each page is read once for the whole batch, as the single
-  /// run {0, num_pages} of SharedScanPageRuns; a one-query batch runs as
-  /// exactly that ScanPages call.
+  /// One zone-filtered pass over `num_pages` contiguous pages at `base`:
+  /// result[i] is bit-identical to ParallelScanner::ScanPages(base,
+  /// num_pages, queries[i]). It is the single run {0, num_pages} of
+  /// SharedScanPageRuns.
   std::vector<PageScanResult> SharedScanPages(
       const Value* base, uint64_t num_pages,
-      const std::vector<RangeQuery>& queries) const;
+      const std::vector<RangeQuery>& queries, const ZoneTable& zones) const;
 
-  /// The same shared pass over discontiguous page runs (run offsets in
-  /// pages relative to `base`) — the fragmented-view shape. A one-query
-  /// batch runs as ParallelScanner::ScanPageRuns.
+  /// The same pass over discontiguous page runs (run offsets in pages
+  /// relative to `base`) — the fragmented-view shape. result[i] is
+  /// bit-identical to ParallelScanner::ScanPageRuns(base, runs, queries[i]).
   std::vector<PageScanResult> SharedScanPageRuns(
       const Value* base, const std::vector<PageRun>& runs,
-      const std::vector<RangeQuery>& queries) const;
+      const std::vector<RangeQuery>& queries, const ZoneTable& zones) const;
 
  private:
   ParallelScanOptions options_;

@@ -15,7 +15,11 @@ StatusOr<std::unique_ptr<PhysicalColumn>> PhysicalColumn::Create(
                                            nullptr, HugePageRequest::kAuto);
   if (!file_r.ok()) return file_r.status();
   auto file = std::make_shared<PhysicalMemoryFile>(std::move(file_r).ValueOrDie());
-  return Attach(std::move(file), num_rows);
+  auto column = Attach(std::move(file), num_rows);
+  if (!column.ok()) return column;
+  // The file is zeroed, so every page's exact zone is {0, 0}.
+  (*column)->zones_.assign(pages, PageZone{0, 0});
+  return column;
 }
 
 StatusOr<std::unique_ptr<PhysicalColumn>> PhysicalColumn::Attach(

@@ -4,12 +4,28 @@
 // subsets of the same physical pages; writes through the column are
 // therefore immediately visible in every view for free — the core property
 // the paper's update path (§2.4) exploits.
+//
+// Page zones. The column keeps one PageZone per page, and the engine's
+// view, candidate and base scans read a page only when its zone meets the
+// query: a page whose zone misses a query holds no value of it. The
+// invariant: whenever a reader can scan page p, zones()[p] bounds every
+// value a whole-page scan of p reads, zero tail included. Its writers:
+//   - Create: every zone {0, 0} — the file is zeroed;
+//   - Attach: every zone the full domain, valid for any content, until the
+//     owner derives exact zones (SetZone);
+//   - Load: exact zones, kept page by page while the rows are written;
+//   - Set: widens the row's page zone — conservative, never narrower;
+//   - SetZone: an exact zone the caller computed from the page (the engine
+//     uses the dispatched zone kernel; storage stays below exec).
+// Every writer runs with readers excluded, exactly like a data write;
+// readers read the table lock-free, like the data.
 
 #ifndef VMSV_STORAGE_COLUMN_H_
 #define VMSV_STORAGE_COLUMN_H_
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "rewiring/virtual_arena.h"
 #include "storage/types.h"
@@ -27,7 +43,7 @@ class PhysicalColumn {
   /// durable recovery path) in a column of `num_rows` values, identity-
   /// mapping its pages without zeroing them — the file's content IS the
   /// column. The file must hold exactly ceil(num_rows / kValuesPerPage)
-  /// pages.
+  /// pages. Every page zone starts at the full domain.
   static StatusOr<std::unique_ptr<PhysicalColumn>> Attach(
       std::shared_ptr<PhysicalMemoryFile> file, uint64_t num_rows);
 
@@ -41,14 +57,51 @@ class PhysicalColumn {
 
   Value Get(uint64_t row) const { return values_[row]; }
 
-  /// Writes `value` at `row`, returning the previous value. Visible to all
-  /// virtual views sharing pages with the base immediately.
+  /// Writes `value` at `row`, returning the previous value, and widens the
+  /// page's zone to include it. Visible to all virtual views sharing pages
+  /// with the base immediately.
   Value Set(uint64_t row, Value value) {
+    PageZone& zone = zones_[PageOfRow(row)];
+    if (value < zone.min) zone.min = value;
+    if (value > zone.max) zone.max = value;
     Value* slot = values_ + row;
     const Value old = *slot;
     *slot = value;
     return old;
   }
+
+  /// Bulk load: writes value_of(row) to every row, page by page, and
+  /// records each page's exact zone — the tail past num_rows() included, as
+  /// the page holds it — from registers, not per row through the table.
+  template <typename ValueOf>
+  void Load(ValueOf&& value_of) {
+    for (uint64_t page = 0; page < num_pages(); ++page) {
+      const uint64_t first = page * kValuesPerPage;
+      const uint64_t rows = num_rows_ - first < kValuesPerPage
+                                ? num_rows_ - first
+                                : kValuesPerPage;
+      Value* data = values_ + first;
+      PageZone zone;
+      const auto widen = [&zone](Value v) {
+        zone.min = v < zone.min ? v : zone.min;
+        zone.max = v > zone.max ? v : zone.max;
+      };
+      for (uint64_t i = 0; i < rows; ++i) {
+        data[i] = value_of(first + i);
+        widen(data[i]);
+      }
+      // Scans read whole pages, so the tail counts as the page holds it.
+      for (uint64_t i = rows; i < kValuesPerPage; ++i) widen(data[i]);
+      zones_[page] = zone;
+    }
+  }
+
+  /// Per-page zones, indexed by page (see the header comment).
+  const PageZone* zones() const { return zones_.data(); }
+
+  /// Installs an exact zone for `page`, computed by the caller from the
+  /// page's content. Readers excluded.
+  void SetZone(uint64_t page, const PageZone& zone) { zones_[page] = zone; }
 
   /// Page holding `row`.
   static uint64_t PageOfRow(uint64_t row) { return row / kValuesPerPage; }
@@ -63,12 +116,14 @@ class PhysicalColumn {
   PhysicalColumn(std::shared_ptr<PhysicalMemoryFile> file,
                  std::unique_ptr<VirtualArena> arena, uint64_t num_rows)
       : file_(std::move(file)), arena_(std::move(arena)), num_rows_(num_rows),
-        values_(reinterpret_cast<Value*>(arena_->data())) {}
+        values_(reinterpret_cast<Value*>(arena_->data())),
+        zones_(file_->num_pages(), PageZone{0, ~Value{0}}) {}
 
   std::shared_ptr<PhysicalMemoryFile> file_;
   std::unique_ptr<VirtualArena> arena_;
   uint64_t num_rows_;
   Value* values_;
+  std::vector<PageZone> zones_;  // one per page; see the header comment
 };
 
 }  // namespace vmsv

@@ -25,6 +25,15 @@ struct RangeQuery {
   bool operator==(const RangeQuery& o) const { return lo == o.lo && hi == o.hi; }
 };
 
+/// Min/max of a page — the zone-map building block, and the per-page zone
+/// table every engine scan consults (storage/column.h).
+struct PageZone {
+  Value min = ~Value{0};
+  Value max = 0;
+
+  bool Intersects(const RangeQuery& q) const { return min <= q.hi && max >= q.lo; }
+};
+
 /// One logged update: row got new_value, previously held old_value.
 struct RowUpdate {
   uint64_t row = 0;

@@ -90,10 +90,7 @@ Value ValueGenerator::operator()(uint64_t row) const {
 }
 
 void FillColumn(const DistributionSpec& spec, PhysicalColumn* column) {
-  const ValueGenerator gen(spec, column->num_rows());
-  for (uint64_t row = 0; row < column->num_rows(); ++row) {
-    column->Set(row, gen(row));
-  }
+  column->Load(ValueGenerator(spec, column->num_rows()));
 }
 
 StatusOr<std::unique_ptr<PhysicalColumn>> MakeColumn(

@@ -55,9 +55,10 @@ class ValueGenerator {
   double value_scale_;  // max_value as double (for the trig paths)
 };
 
-/// Fills an EXISTING column with the spec's values — the load phase for
-/// columns whose backing the caller created (e.g. the durable file-backed
-/// path, where AdaptiveColumn::CreateDurable owns file creation).
+/// Fills an EXISTING column with the spec's values through the bulk loader
+/// (exact page zones) — the load phase for columns whose backing the caller
+/// created (e.g. the durable file-backed path, where
+/// AdaptiveColumn::CreateDurable owns file creation).
 void FillColumn(const DistributionSpec& spec, PhysicalColumn* column);
 
 /// Creates a PhysicalColumn of `num_rows` values drawn from `spec`.

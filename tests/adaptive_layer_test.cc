@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/scan_kernels.h"
 #include "rewiring/vm_io.h"
 #include "scoped_temp_dir.h"
 #include "util/random.h"
@@ -298,6 +299,147 @@ TEST(AdaptiveColumnTest, PendingUpdatesAreFlushedBeforeAnswering) {
   ASSERT_TRUE(baseline.ok());
   EXPECT_EQ(exec->match_count, baseline->match_count);
   EXPECT_EQ(exec->sum, baseline->sum);
+}
+
+// ---------------------------------------------------------------------------
+// Page zones: every writer keeps each page's zone a bound of the page, so
+// zone-filtered view hits, candidate builds and base passes stay exact.
+
+/// The exact zone of `page`, zero tail included.
+PageZone ExactZone(const PhysicalColumn& column, uint64_t page) {
+  return ComputePageZone(column.PageData(page), kValuesPerPage);
+}
+
+/// Pages of the view q routes to (single-view mode) whose zone misses q:
+/// the pages its view hit does not read.
+uint64_t SkippedRoutedPages(const AdaptiveColumn& engine, const RangeQuery& q) {
+  const VirtualView* view = engine.view_index().FindSmallestCovering(q);
+  if (view == nullptr) return 0;
+  uint64_t skipped = 0;
+  view->ForEachPage([&](uint64_t page) {
+    if (!engine.column().zones()[page].Intersects(q)) ++skipped;
+  });
+  return skipped;
+}
+
+TEST(ZoneTableTest, AnswersStayExactAcrossEveryWriter) {
+  // The last page is partial: its zero tail belongs to the page's zone.
+  DistributionSpec spec;
+  spec.kind = DataDistribution::kSine;
+  spec.max_value = kMaxValue;
+  spec.seed = 42;
+  auto column_r = MakeColumn(spec, kTestPages * kValuesPerPage - 100);
+  ASSERT_TRUE(column_r.ok()) << column_r.status().ToString();
+  AdaptiveConfig config;
+  config.max_views = 8;
+  auto table_r =
+      Db::Create(std::move(column_r).ValueOrDie(), DbOptions{config});
+  ASSERT_TRUE(table_r.ok()) << table_r.status().ToString();
+  const std::unique_ptr<Table> table = std::move(table_r).ValueOrDie();
+  AdaptiveColumn* engine = table->shard(0);
+  const PhysicalColumn& column = engine->column();
+  const uint64_t last = kTestPages - 1;
+  ASSERT_EQ(column.zones()[last].min, 0u) << "the loader dropped the tail";
+
+  const RangeQuery low{0, kMaxValue / 5};
+  const RangeQuery mid{3 * kMaxValue / 10, 7 * kMaxValue / 10};
+  for (const RangeQuery& q : {low, mid}) {
+    auto exec = table->Execute(q);
+    ASSERT_TRUE(exec.ok());
+    ASSERT_EQ(exec->stats.decision, CandidateDecision::kInserted);
+  }
+  const VirtualView* mid_view = engine->view_index().FindSmallestCovering(mid);
+  ASSERT_NE(mid_view, nullptr);
+
+  // Queries strictly inside the two views, the tail's zeros among them.
+  std::vector<RangeQuery> inner = {{0, 0}, {1, kMaxValue / 10}};
+  Rng rng(29);
+  for (int i = 0; i < 12; ++i) {
+    const RangeQuery& view = i % 2 == 0 ? low : mid;
+    const Value width = (view.hi - view.lo) / 20;
+    const Value lo = view.lo + 1 + rng.Below(view.hi - view.lo - width - 2);
+    inner.push_back({lo, lo + width});
+  }
+  // Each inner query, alone and as one batch, against the full scan. The
+  // first query after an Update flushes it.
+  const auto expect_exact = [&](const char* when) {
+    SCOPED_TRACE(when);
+    for (const RangeQuery& q : inner) {
+      auto got = table->Execute(q);
+      auto want = table->ExecuteFullScan(q);
+      ASSERT_TRUE(got.ok() && want.ok());
+      EXPECT_EQ(got->stats.decision, CandidateDecision::kAnsweredFromView);
+      EXPECT_EQ(got->match_count, want->match_count) << q.lo << ".." << q.hi;
+      EXPECT_EQ(got->sum, want->sum) << q.lo << ".." << q.hi;
+    }
+    auto batch = table->ExecuteBatch(inner);
+    ASSERT_TRUE(batch.ok());
+    for (size_t i = 0; i < inner.size(); ++i) {
+      auto want = table->ExecuteFullScan(inner[i]);
+      ASSERT_TRUE(want.ok());
+      EXPECT_EQ(batch->queries[i].match_count, want->match_count) << i;
+      EXPECT_EQ(batch->queries[i].sum, want->sum) << i;
+    }
+    EXPECT_FALSE(engine->HasPendingUpdates());
+  };
+  const auto expect_zone_exact = [&](uint64_t page) {
+    EXPECT_EQ(column.zones()[page].min, ExactZone(column, page).min) << page;
+    EXPECT_EQ(column.zones()[page].max, ExactZone(column, page).max) << page;
+  };
+  expect_exact("as loaded");
+  auto zeros = table->ExecuteFullScan({0, 0});
+  ASSERT_TRUE(zeros.ok());
+  EXPECT_GE(zeros->match_count, 100u) << "no zero tail to find";
+  uint64_t skipped = 0;
+  for (const RangeQuery& q : inner) skipped += SkippedRoutedPages(*engine, q);
+  EXPECT_GT(skipped, 0u) << "no view hit skips a page";
+
+  // Three member pages of the mid view whose zones leave room in its range.
+  const Value margin = kMaxValue / 100;
+  std::vector<uint64_t> roomy;
+  mid_view->ForEachPage([&](uint64_t page) {
+    const PageZone zone = ExactZone(column, page);
+    if (zone.min >= mid.lo + 2 * margin && zone.max + 2 * margin <= mid.hi) {
+      roomy.push_back(page);
+    }
+  });
+  ASSERT_GE(roomy.size(), 3u);
+
+  // (1) Update writes a value below its page's zone: Set widens the zone
+  // at once, and the flush before the next answer re-derives it.
+  const uint64_t p1 = roomy[0];
+  const Value v1 = ExactZone(column, p1).min - margin;
+  ASSERT_TRUE(table->Update(p1 * kValuesPerPage + 5, v1).ok());
+  EXPECT_LE(column.zones()[p1].min, v1) << "Update did not widen the zone";
+  inner.push_back({v1 - margin / 2, v1 + margin / 2});
+  expect_exact("after an Update and its flush");
+  expect_zone_exact(p1);
+
+  // (2) Update removes a page's max: after the flush its zone narrows, and
+  // a query between the new and the old max skips the page.
+  const uint64_t p2 = roomy[1];
+  const PageZone wide = ExactZone(column, p2);
+  uint64_t max_row = p2 * kValuesPerPage;
+  while (column.Get(max_row) != wide.max) ++max_row;
+  ASSERT_TRUE(table->Update(max_row, wide.min).ok());
+  const Value new_max = ExactZone(column, p2).max;
+  ASSERT_LT(new_max, wide.max);
+  EXPECT_EQ(column.zones()[p2].max, wide.max) << "Set narrowed a zone";
+  const RangeQuery above{new_max + 1, wide.max};
+  inner.push_back(above);
+  expect_exact("after an Update that removes a page's max");
+  expect_zone_exact(p2);
+  EXPECT_FALSE(column.zones()[p2].Intersects(above));
+  EXPECT_TRUE(mid_view->ContainsPage(p2));
+
+  // (3) A write through mutable_column() once the table exists: nothing
+  // re-derives the zone, so only Set's widening keeps the answer exact.
+  const uint64_t p3 = roomy[2];
+  const Value v3 = ExactZone(column, p3).max + margin;
+  engine->mutable_column()->Set(p3 * kValuesPerPage + 9, v3);
+  EXPECT_GE(column.zones()[p3].max, v3) << "Set did not widen the zone";
+  inner.push_back({v3 - margin / 2, v3 + margin / 2});
+  expect_exact("after a write through mutable_column()");
 }
 
 TEST(AdaptiveColumnTest, BackgroundMappingCreationMatchesBaseline) {

@@ -1,9 +1,10 @@
 // Concurrent-engine coverage: epoch reclamation, shared-scan batch
-// execution (grouping, bit-identity vs individual execution, the per-page
-// zone skip at page edges), N reader threads racing an updater and
-// lifecycle maintenance against a serial oracle, the cached fragmented-view
-// run list, the sort-only compaction trigger, and the multi-client workload
-// runner. The whole suite also runs under ThreadSanitizer in CI.
+// execution (grouping, bit-identity vs individual execution, the zone-table
+// skip at page edges, identity and view-shaped slot maps), N reader threads
+// racing an updater and lifecycle maintenance against a serial oracle, the
+// cached fragmented-view run list, the sort-only compaction trigger, and
+// the multi-client workload runner. The whole suite also runs under
+// ThreadSanitizer in CI.
 
 #include <algorithm>
 #include <atomic>
@@ -126,17 +127,64 @@ TEST(BatchExecutorTest, GroupsOverlapComponents) {
   EXPECT_EQ(groups[2].members, (std::vector<size_t>{4}));
 }
 
-TEST(BatchExecutorTest, SharedScanBitIdenticalAcrossKernelsAndThreads) {
-  auto column = MakeTestColumn(DataDistribution::kUniform);
+/// A view-shaped copy of a column for zone-table passes: slot s holds
+/// column page slot_to_page[s], the pages out of order, and every fifth
+/// slot is a hole. A hole holds values across the whole domain, so a pass
+/// that read one would be caught; `runs` are the live slots between holes.
+struct ViewShape {
+  std::vector<Value> data;
+  std::vector<uint64_t> slot_to_page;
+  std::vector<PageRun> runs;
+
+  const Value* base() const { return data.data(); }
+};
+
+ViewShape MakeViewShape(const PhysicalColumn& column) {
+  const uint64_t pages = column.num_pages();
+  ViewShape shape;
+  for (uint64_t i = 0; i < pages; ++i) {
+    if (i % 5 == 4) shape.slot_to_page.push_back(VirtualView::kHoleSlot);
+    shape.slot_to_page.push_back((i * 37 + 11) % pages);  // a permutation
+  }
+  shape.data.resize(shape.slot_to_page.size() * kValuesPerPage);
+  for (uint64_t slot = 0; slot < shape.slot_to_page.size(); ++slot) {
+    Value* out = shape.data.data() + slot * kValuesPerPage;
+    const uint64_t page = shape.slot_to_page[slot];
+    if (page == VirtualView::kHoleSlot) {
+      for (uint64_t i = 0; i < kValuesPerPage; ++i) {
+        out[i] = i * (~Value{0} / (kValuesPerPage - 1));
+      }
+      continue;
+    }
+    std::copy(column.PageData(page), column.PageData(page) + kValuesPerPage,
+              out);
+    if (!shape.runs.empty() &&
+        shape.runs.back().start_page + shape.runs.back().num_pages == slot) {
+      ++shape.runs.back().num_pages;
+    } else {
+      shape.runs.push_back(PageRun{slot, 1});
+    }
+  }
+  return shape;
+}
+
+/// Runs `queries` as one shared pass and as one-query passes over the
+/// column (identity zone map: dense, and every other page as runs) and
+/// over its view-shaped copy (slot -> page map), at every available kernel
+/// and threads {1, 2, 5}; each result must equal the plain ScanPages /
+/// ScanPageRuns of its query.
+void ExpectZoneFilteredPassesExact(const PhysicalColumn& column,
+                                   const std::vector<RangeQuery>& queries) {
   const Value* base =
-      reinterpret_cast<const Value*>(column->base_arena().data());
-  const std::vector<RangeQuery> queries = {
-      {0, kMaxValue / 2},
-      {kMaxValue / 4, (3 * kMaxValue) / 4},
-      {kMaxValue / 3, kMaxValue / 2},
-      {(9 * kMaxValue) / 10, kMaxValue},  // second overlap component
-      {kMaxValue + 1, kMaxValue + 2},     // matches nothing
-  };
+      reinterpret_cast<const Value*>(column.base_arena().data());
+  const uint64_t pages = column.num_pages();
+  std::vector<PageRun> every_other;
+  for (uint64_t page = 0; page < pages; page += 2) {
+    every_other.push_back(PageRun{page, 1});
+  }
+  const ViewShape view = MakeViewShape(column);
+  const ZoneTable identity{column.zones(), nullptr};
+  const ZoneTable view_zones{column.zones(), view.slot_to_page.data()};
 
   const ScanKernel restore = ActiveScanKernel();
   for (const ScanKernel kernel :
@@ -149,52 +197,56 @@ TEST(BatchExecutorTest, SharedScanBitIdenticalAcrossKernelsAndThreads) {
       options.serial_cutoff = 0;  // force sharding even at test scale
       const ParallelScanner scanner(options);
       const BatchExecutor executor(options);
-      const std::vector<PageScanResult> shared =
-          executor.SharedScanPages(base, kTestPages, queries);
-      ASSERT_EQ(shared.size(), queries.size());
-      for (size_t i = 0; i < queries.size(); ++i) {
-        const PageScanResult individual =
-            scanner.ScanPages(base, kTestPages, queries[i]);
-        EXPECT_EQ(shared[i].match_count, individual.match_count)
-            << ScanKernelName(kernel) << " threads=" << threads << " q=" << i;
-        EXPECT_EQ(shared[i].sum, individual.sum);
-      }
-
-      // Run-wise variant over a fragmented shape (every other page).
-      std::vector<PageRun> runs;
-      for (uint64_t page = 0; page < kTestPages; page += 2) {
-        runs.push_back(PageRun{page, 1});
-      }
-      const std::vector<PageScanResult> shared_runs =
-          executor.SharedScanPageRuns(base, runs, queries);
-      for (size_t i = 0; i < queries.size(); ++i) {
-        const PageScanResult individual =
-            scanner.ScanPageRuns(base, runs, queries[i]);
-        EXPECT_EQ(shared_runs[i].match_count, individual.match_count);
-        EXPECT_EQ(shared_runs[i].sum, individual.sum);
-      }
-
-      // A one-query batch, in both shapes, is the plain scan.
-      for (size_t i = 0; i < queries.size(); ++i) {
-        const std::vector<PageScanResult> dense_one =
-            executor.SharedScanPages(base, kTestPages, {queries[i]});
-        const std::vector<PageScanResult> runs_one =
-            executor.SharedScanPageRuns(base, runs, {queries[i]});
-        ASSERT_EQ(dense_one.size(), 1u);
-        ASSERT_EQ(runs_one.size(), 1u);
-        const PageScanResult dense =
-            scanner.ScanPages(base, kTestPages, queries[i]);
-        const PageScanResult sparse =
-            scanner.ScanPageRuns(base, runs, queries[i]);
-        EXPECT_EQ(dense_one[0].match_count, dense.match_count)
-            << ScanKernelName(kernel) << " threads=" << threads << " q=" << i;
-        EXPECT_EQ(dense_one[0].sum, dense.sum);
-        EXPECT_EQ(runs_one[0].match_count, sparse.match_count);
-        EXPECT_EQ(runs_one[0].sum, sparse.sum);
+      const auto check = [&](const char* shape,
+                             const std::vector<RangeQuery>& batch,
+                             const std::vector<PageScanResult>& got,
+                             const auto& want_of) {
+        ASSERT_EQ(got.size(), batch.size());
+        for (size_t i = 0; i < batch.size(); ++i) {
+          SCOPED_TRACE(std::string(ScanKernelName(kernel)) + " threads=" +
+                       std::to_string(threads) + " " + shape + " batch=" +
+                       std::to_string(batch.size()) + " q=" +
+                       std::to_string(i));
+          const PageScanResult want = want_of(batch[i]);
+          EXPECT_EQ(got[i].match_count, want.match_count);
+          EXPECT_EQ(got[i].sum, want.sum);
+        }
+      };
+      std::vector<std::vector<RangeQuery>> batches = {queries};
+      for (const RangeQuery& q : queries) batches.push_back({q});
+      for (const std::vector<RangeQuery>& batch : batches) {
+        check("dense", batch,
+              executor.SharedScanPages(base, pages, batch, identity),
+              [&](const RangeQuery& q) {
+                return scanner.ScanPages(base, pages, q);
+              });
+        check("every-other", batch,
+              executor.SharedScanPageRuns(base, every_other, batch, identity),
+              [&](const RangeQuery& q) {
+                return scanner.ScanPageRuns(base, every_other, q);
+              });
+        check("view", batch,
+              executor.SharedScanPageRuns(view.base(), view.runs, batch,
+                                          view_zones),
+              [&](const RangeQuery& q) {
+                return scanner.ScanPageRuns(view.base(), view.runs, q);
+              });
       }
     }
   }
   ASSERT_TRUE(SetActiveScanKernel(restore).ok());
+}
+
+TEST(BatchExecutorTest, SharedScanBitIdenticalAcrossKernelsAndThreads) {
+  auto column = MakeTestColumn(DataDistribution::kUniform);
+  ExpectZoneFilteredPassesExact(
+      *column, {
+                   {0, kMaxValue / 2},
+                   {kMaxValue / 4, (3 * kMaxValue) / 4},
+                   {kMaxValue / 3, kMaxValue / 2},
+                   {(9 * kMaxValue) / 10, kMaxValue},  // second component
+                   {kMaxValue + 1, kMaxValue + 2},     // matches nothing
+               });
 }
 
 TEST(BatchExecutorTest, ZoneSkipIsExactAtPageEdges) {
@@ -215,14 +267,16 @@ TEST(BatchExecutorTest, ZoneSkipIsExactAtPageEdges) {
     return ComputePageZone(base + page * kValuesPerPage, kValuesPerPage);
   };
 
-  // Two even edge pages, so the every-other-page runs below cover them as
-  // well. Their extremes go to their first and last slots, one page each
-  // way round, where a zone pass that dropped an end value would miss them.
+  // Two even edge pages, so the every-other-page runs cover them as well.
+  // Their extremes go to their first and last slots, one page each way
+  // round, where a zone pass that dropped an end value would miss them.
+  // Set only widens a zone, so the exact one is installed afterwards.
   const auto move_extremes = [&](uint64_t page, uint64_t min_slot,
                                  uint64_t max_slot) {
     const uint64_t row = page * kValuesPerPage;
     column->Set(row + min_slot, page_zone(page).min - 7);
     column->Set(row + max_slot, page_zone(page).max + 7);
+    column->SetZone(page, page_zone(page));
   };
   move_extremes(10, 0, kValuesPerPage - 1);
   move_extremes(40, kValuesPerPage - 1, 0);
@@ -252,12 +306,15 @@ TEST(BatchExecutorTest, ZoneSkipIsExactAtPageEdges) {
     queries.push_back({lo, lo + width});
   }
 
-  // The data must keep exercising both sides of the zone test: a pair the
-  // pass skips, and a pair whose range only touches the zone's edge.
+  // The column's table must be the exact zones, and the data must keep
+  // exercising both sides of the zone test: a pair the pass skips, and a
+  // pair whose range only touches the zone's edge.
   uint64_t skipped_pairs = 0;
   uint64_t edge_pairs = 0;
   for (uint64_t page = 0; page < kTestPages; ++page) {
     const PageZone zone = page_zone(page);
+    ASSERT_EQ(column->zones()[page].min, zone.min) << "page " << page;
+    ASSERT_EQ(column->zones()[page].max, zone.max) << "page " << page;
     for (const RangeQuery& q : queries) {
       if (!zone.Intersects(q)) {
         ++skipped_pairs;
@@ -270,43 +327,7 @@ TEST(BatchExecutorTest, ZoneSkipIsExactAtPageEdges) {
   EXPECT_GT(edge_pairs, 0u);
   EXPECT_EQ(page_zone(kTestPages - 1).min, 0u) << "tail is not zero-filled";
 
-  std::vector<PageRun> runs;
-  for (uint64_t page = 0; page < kTestPages; page += 2) {
-    runs.push_back(PageRun{page, 1});
-  }
-  const ScanKernel restore = ActiveScanKernel();
-  for (const ScanKernel kernel :
-       {ScanKernel::kScalar, ScanKernel::kAvx2, ScanKernel::kAvx512}) {
-    if (!ScanKernelAvailable(kernel)) continue;
-    ASSERT_TRUE(SetActiveScanKernel(kernel).ok());
-    for (const unsigned threads : {1u, 2u, 5u}) {
-      ParallelScanOptions options;
-      options.threads = threads;
-      options.serial_cutoff = 0;
-      const ParallelScanner scanner(options);
-      const BatchExecutor executor(options);
-      const std::vector<PageScanResult> dense =
-          executor.SharedScanPages(base, kTestPages, queries);
-      const std::vector<PageScanResult> sparse =
-          executor.SharedScanPageRuns(base, runs, queries);
-      ASSERT_EQ(dense.size(), queries.size());
-      ASSERT_EQ(sparse.size(), queries.size());
-      for (size_t i = 0; i < queries.size(); ++i) {
-        SCOPED_TRACE(std::string(ScanKernelName(kernel)) +
-                     " threads=" + std::to_string(threads) +
-                     " q=" + std::to_string(i));
-        const PageScanResult want_dense =
-            scanner.ScanPages(base, kTestPages, queries[i]);
-        const PageScanResult want_sparse =
-            scanner.ScanPageRuns(base, runs, queries[i]);
-        EXPECT_EQ(dense[i].match_count, want_dense.match_count);
-        EXPECT_EQ(dense[i].sum, want_dense.sum);
-        EXPECT_EQ(sparse[i].match_count, want_sparse.match_count);
-        EXPECT_EQ(sparse[i].sum, want_sparse.sum);
-      }
-    }
-  }
-  ASSERT_TRUE(SetActiveScanKernel(restore).ok());
+  ExpectZoneFilteredPassesExact(*column, queries);
 }
 
 // ---------------------------------------------------------------------------
@@ -437,6 +458,13 @@ TEST(ConcurrentEngineTest, ReadersRaceUpdaterAndLifecycleMaintenance) {
   for (uint64_t i = 0; i < 6; ++i) {
     const Value lo = i * (kMaxValue / 8);
     queries.push_back(RangeQuery{lo, lo + kMaxValue / 6});
+  }
+  // Queries nested strictly inside those six. Answered from a wider view,
+  // they read only the pages whose zone meets them, while the updater
+  // moves the zones of pages 3 and 9.
+  for (uint64_t i = 0; i < 6; ++i) {
+    const Value lo = i * (kMaxValue / 8) + kMaxValue / 24;
+    queries.push_back(RangeQuery{lo, lo + kMaxValue / 12});
   }
 
   // Serial oracle: the engine linearizes every read against a PREFIX of the

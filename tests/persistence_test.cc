@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "vmsv.h"
+#include "exec/scan_kernels.h"
 #include "scoped_temp_dir.h"
 #include "storage/journal.h"
 #include "storage/manifest.h"
@@ -397,12 +398,19 @@ TEST(DurableColumnTest, RestartRoundTripIsBitIdentical) {
 
 // Kill-and-reopen with UNFLUSHED journaled updates: replay must restore the
 // exact pre-kill state, and replaying twice (kill again between Open and the
-// first flush) must land in the same state — idempotency end to end.
+// first flush) must land in the same state — idempotency end to end. One
+// replayed update puts a value outside its page's zone: Open derives the
+// zones after the replay, and queries strictly inside the restored views
+// read that page (and skip others) by those zones.
 TEST(DurableColumnTest, KillAndReopenReplaysJournalIdempotently) {
   ScratchDir scratch("durable_kill");
   const auto queries = TestQueries(16, 5);
+  std::vector<RangeQuery> inner;
   std::vector<QueryResult> oracle;
+  std::vector<QueryResult> inner_oracle;
   const uint64_t updated_rows = 64;
+  uint64_t zone_page = 0;
+  Value zone_value = 0;
   {
     auto adaptive = MakeDurable(scratch.path());
     ExecuteAll(adaptive.get(), queries);
@@ -413,7 +421,28 @@ TEST(DurableColumnTest, KillAndReopenReplaysJournalIdempotently) {
       const uint64_t row = (i * 37) % adaptive->column().num_rows();
       ASSERT_TRUE(adaptive->Update(row, (i * 104729) % kMaxValue).ok());
     }
+    // The last update: a value inside a view's range but below its member
+    // page's zone. Each view also gets a query strictly inside its range.
+    const PhysicalColumn& column = adaptive->column();
+    bool found = false;
+    for (const auto& view : adaptive->view_index().views()) {
+      const Value width = view->hi() - view->lo();
+      inner.push_back({view->lo() + width / 3, view->hi() - width / 3});
+      view->ForEachPage([&](uint64_t page) {
+        const PageZone zone =
+            ComputePageZone(column.PageData(page), kValuesPerPage);
+        if (found || zone.min < view->lo() + 2) return;
+        found = true;
+        zone_page = page;
+        zone_value = view->lo() + 1;
+      });
+    }
+    ASSERT_TRUE(found) << "no view page with room below its zone";
+    ASSERT_TRUE(
+        adaptive->Update(zone_page * kValuesPerPage + 3, zone_value).ok());
+    inner.push_back({zone_value, zone_value});
     oracle = FullScanAll(adaptive.get(), queries);  // reads current values
+    inner_oracle = FullScanAll(adaptive.get(), inner);
   }  // kill: no flush, journal holds the updates
 
   for (int incarnation = 0; incarnation < 2; ++incarnation) {
@@ -423,6 +452,8 @@ TEST(DurableColumnTest, KillAndReopenReplaysJournalIdempotently) {
     EXPECT_GT(reopened->durability_stats().journal_replayed, 0u)
         << "incarnation " << incarnation;
     EXPECT_TRUE(reopened->HasPendingUpdates());
+    // Open derived the replayed page's zone.
+    EXPECT_EQ(reopened->column().zones()[zone_page].min, zone_value);
     // Full scans see replayed values even before any flush.
     EXPECT_EQ(FullScanAll(reopened.get(), queries), oracle)
         << "incarnation " << incarnation;
@@ -436,6 +467,16 @@ TEST(DurableColumnTest, KillAndReopenReplaysJournalIdempotently) {
     // full-scan oracle bit for bit.
     EXPECT_EQ(ExecuteAll(reopened.get(), queries), oracle);
     EXPECT_FALSE(reopened->HasPendingUpdates());
+    EXPECT_EQ(ExecuteAll(reopened.get(), inner), inner_oracle);
+    uint64_t skipped = 0;
+    for (const RangeQuery& q : inner) {
+      const VirtualView* view = reopened->view_index().FindSmallestCovering(q);
+      ASSERT_NE(view, nullptr);
+      view->ForEachPage([&](uint64_t page) {
+        if (!reopened->column().zones()[page].Intersects(q)) ++skipped;
+      });
+    }
+    EXPECT_GT(skipped, 0u) << "no view hit skips a page";
   }
 }
 

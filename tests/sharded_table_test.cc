@@ -28,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include "core/shard_router.h"
+#include "exec/scan_kernels.h"
 #include "scoped_temp_dir.h"
 #include "vmsv.h"
 
@@ -251,6 +252,43 @@ TEST(ShardedTable, TailPageBitIdentity) {
       ExpectSameAnswer(batch->queries[i], *full, "tail batch vs full scan");
     }
   }
+
+  // Zone-filtered scans on 4 range shards. Identity data gives each page a
+  // narrow zone, so view hits, candidate builds and base passes skip pages;
+  // the last shard's tail page must keep its zeros inside its zone.
+  auto oracle = *Db::Create(rows, IdentityValue, {});
+  auto sharded = *Db::Create(rows, IdentityValue,
+                             ShardedOptions(4, PartitionKind::kRange));
+  ASSERT_EQ(sharded->num_shards(), 4u);
+  for (uint32_t s = 0; s < 4; ++s) {
+    const PhysicalColumn& column = sharded->shard(s)->column();
+    for (uint64_t page = 0; page < column.num_pages(); ++page) {
+      const PageZone exact =
+          ComputePageZone(column.PageData(page), kValuesPerPage);
+      EXPECT_EQ(column.zones()[page].min, exact.min) << s << ":" << page;
+      EXPECT_EQ(column.zones()[page].max, exact.max) << s << ":" << page;
+    }
+  }
+  ASSERT_TRUE(sharded->Execute({0, rows - 1}).ok());  // one view per shard
+  const std::vector<RangeQuery> inner = {
+      {0, 0}, {1, 100}, {600, 700}, {1000, 1100}, {2100, 2200}, {2400, 2482},
+      {2400, 5000}};  // the last one leaves the views: a full scan
+  for (const RangeQuery& q : inner) {
+    auto got = sharded->Execute(q);
+    auto want = oracle->ExecuteFullScan(q);
+    ASSERT_TRUE(got.ok() && want.ok());
+    ExpectSameAnswer(*got, *want, "inner query vs full scan");
+  }
+  auto batch = sharded->ExecuteBatch(inner);
+  ASSERT_TRUE(batch.ok()) << batch.status().message();
+  for (size_t i = 0; i < inner.size(); ++i) {
+    auto want = oracle->ExecuteFullScan(inner[i]);
+    ASSERT_TRUE(want.ok());
+    ExpectSameAnswer(batch->queries[i], *want, "inner batch vs full scan");
+  }
+  // {600, 700} is a view hit on shard 0 that skips its first page.
+  EXPECT_FALSE(sharded->shard(0)->column().zones()[0].Intersects({600, 700}));
+  EXPECT_TRUE(sharded->shard(0)->view_index().views().front()->ContainsPage(0));
 }
 
 TEST(ShardedTable, InvalidArgumentsMatchContract) {
