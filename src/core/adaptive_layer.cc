@@ -262,6 +262,29 @@ StatusOr<std::unique_ptr<AdaptiveColumn>> AdaptiveColumn::OpenDurable(
   adaptive->durable_->NoteRestored(hot_restored + cold_restored,
                                    opened.views.size());
 
+  // The backstop for a cell whose write reached column.dat while its
+  // journal record did not (a device that dropped the unsynced append
+  // before a crash): the flush-first realignment below only reaches the
+  // pages the surviving journal names. Every restored view therefore takes
+  // each missing page whose exact zone meets its range and that holds a
+  // value in it. A page a view holds without needing it costs a scan, never
+  // an answer, so the other direction is left to alignment. Zones were
+  // derived above, so most pages are ruled out by one comparison.
+  bool completed = false;
+  for (const auto& view : adaptive->view_index_.views()) {
+    const RangeQuery range = view->value_range();
+    for (uint64_t page = 0; page < column->num_pages(); ++page) {
+      if (!column->zones()[page].Intersects(range) ||
+          view->ContainsPage(page) ||
+          !PageContainsAny(column->PageData(page), kValuesPerPage, range)) {
+        continue;
+      }
+      VMSV_RETURN_IF_ERROR(view->AppendPage(page));
+      completed = true;
+    }
+  }
+  if (completed) adaptive->MarkStale();
+
   // The replayed records are pending, so the flush-first rule realigns the
   // restored views before any post-restart query answers.
   adaptive->pending_ = std::move(opened.replayed);
@@ -275,32 +298,40 @@ Status AdaptiveColumn::Checkpoint() {
   std::lock_guard<std::mutex> maintenance(maintenance_mu_);
   if (!pending_.empty()) {
     // The flush path runs the whole checkpoint sequence itself.
-    auto flushed = FlushUpdatesLocked(/*compact_after=*/true);
+    auto flushed = FlushUpdatesLocked(/*compact_after=*/true,
+                                      DurableState::CheckpointKind::kCompact);
     return flushed.ok() ? OkStatus() : flushed.status();
   }
-  return CheckpointLocked();
+  return CheckpointLocked(DurableState::CheckpointKind::kCompact);
 }
 
-Status AdaptiveColumn::CheckpointLocked() {
-  return durable_->Checkpoint([this] {
+Status AdaptiveColumn::CheckpointLocked(DurableState::CheckpointKind kind) {
+  DurableState::Pool pool;
+  pool.views = view_index_.views().size();
+  for (const auto& view : view_index_.views()) pool.pages += view->num_pages();
+  pool.records = [this] {
     std::vector<ManifestView> views;
     views.reserve(view_index_.views().size());
     for (const auto& view : view_index_.views()) {
       views.push_back(ToManifestView(*view));
     }
     return views;
-  });
+  };
+  return durable_->Checkpoint(kind, pool);
 }
 
-void AdaptiveColumn::PersistPoolEditLocked(const PoolEditLog& edit) {
-  if (durable_ == nullptr) return;
-  std::vector<ManifestView> upserted;
-  upserted.reserve(edit.upserted.size());
-  for (VirtualView* view : edit.upserted) {
-    view->set_durable_id(durable_->NewViewId());
-    upserted.push_back(ToManifestView(*view));
+void AdaptiveColumn::PersistPoolEditLocked(PoolEditLog edit) {
+  if (durable_ == nullptr || edit.entries.empty()) return;
+  std::vector<ManifestDelta> records;
+  records.reserve(edit.entries.size());
+  for (PoolEditLog::Entry& entry : edit.entries) {
+    if (entry.upserted != nullptr) {
+      entry.upserted->set_durable_id(durable_->NewViewId());
+      entry.delta.view = ToManifestView(*entry.upserted);
+    }
+    records.push_back(std::move(entry.delta));
   }
-  durable_->AppendDeltas(edit.demoted_ids, edit.removed_ids, upserted);
+  durable_->AppendDeltas(std::move(records));
 }
 
 CumulativeStats AdaptiveColumn::metrics() const {
@@ -620,7 +651,7 @@ StatusOr<QueryExecution> AdaptiveColumn::FullScanAndAdapt(const RangeQuery& q) {
       std::unique_lock<std::shared_mutex> xlock(views_mu_);
       switch (admission.outcome) {
         case CandidateDecision::kInserted:
-          edit.upserted.push_back(candidate.get());
+          edit.Upsert(candidate.get());
           view_index_.Insert(std::move(candidate));
           metrics_.views_created.fetch_add(1, std::memory_order_relaxed);
           break;
@@ -633,14 +664,17 @@ StatusOr<QueryExecution> AdaptiveColumn::FullScanAndAdapt(const RangeQuery& q) {
           }
           break;
         case CandidateDecision::kDiscardedSubset:
-          if (admission.target != nullptr) {
-            admission.target->ExtendRange(candidate->lo(), candidate->hi());
+          // An absorbing view may widen its range; a set-range record
+          // persists the widening, and a discard that widens nothing edits
+          // nothing.
+          if (admission.target != nullptr &&
+              admission.target->ExtendRange(candidate->lo(), candidate->hi())) {
+            ManifestView& range = edit.Record(ManifestDeltaOp::kSetViewRange,
+                                              admission.target->durable_id());
+            range.lo = admission.target->lo();
+            range.hi = admission.target->hi();
           }
           metrics_.views_discarded.fetch_add(1, std::memory_order_relaxed);
-          // A discard may have widened an existing view's range — cheap to
-          // defer: the stale (narrower) range is conservative, so only the
-          // next flush/checkpoint snapshots it.
-          MarkStale();
           break;
         default:
           metrics_.candidates_dropped.fetch_add(1, std::memory_order_relaxed);
@@ -648,9 +682,9 @@ StatusOr<QueryExecution> AdaptiveColumn::FullScanAndAdapt(const RangeQuery& q) {
       }
     }
     epoch_.TryReclaim();
-    // Pool membership changed: append the incremental manifest deltas now
-    // so a kill right after this query reopens with the new view.
-    PersistPoolEditLocked(edit);
+    // The pool changed: append the incremental manifest deltas now so a
+    // kill right after this query reopens with the new view.
+    PersistPoolEditLocked(std::move(edit));
   }
   // Safe without views_mu_: pool structure is frozen under maintenance_mu_,
   // which we hold.
@@ -780,8 +814,8 @@ bool AdaptiveColumn::ReplaceInPoolLocked(
     metrics_.candidates_dropped.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  edit->removed_ids.push_back(removed_id);
-  edit->upserted.push_back(cand_ptr);
+  edit->Record(ManifestDeltaOp::kRemoveView, removed_id);
+  edit->Upsert(cand_ptr);
   // Concurrent scans may still be inside the displaced view: park it on the
   // epoch limbo list; reclamation happens once they all exited.
   epoch_.RetireObject(std::move(displaced).ValueOrDie());
@@ -801,9 +835,10 @@ bool AdaptiveColumn::ReplaceInPoolLocked(
 //   (2) one views_mu_ exclusive section, readers quiesced: arenas
 //       released, tier flags flipped, destroy-evict fallbacks and the
 //       cold-tier trim applied. Purely in-memory.
-//   (3) maintenance_mu_ only again: the set-tier deltas make the flips
-//       durable, then the removal and upsert deltas. A kill before them
-//       reopens a view HOT from the still-valid manifest entry, never torn.
+//   (3) maintenance_mu_ only again: the set-tier, removal and upsert
+//       deltas, in the order (2) applied them, make the edit durable. A
+//       kill before them reopens a view HOT from the still-valid manifest
+//       entry, never torn.
 //       (A routed query may promote the view between (2) and (3); the
 //       delta then records a tier the reader already reversed — benign,
 //       since the promotion marked the manifest stale and the next
@@ -842,9 +877,10 @@ size_t AdaptiveColumn::DemoteLocked(const std::vector<VirtualView*>& victims,
         victim->set_demoted(true);
         lifecycle_.RecordDemotion();
         health_.views_demoted.fetch_add(1, std::memory_order_relaxed);
-        // Capture before the trim: a just-demoted victim may be exactly the
+        // Logged before the trim: a just-demoted victim may be exactly the
         // cold view the trim destroys.
-        edit.demoted_ids.push_back(victim->durable_id());
+        edit.Record(ManifestDeltaOp::kSetViewTier, victim->durable_id())
+            .demoted = true;
       } else if (candidate != nullptr) {
         // Destroy-evict fallback (no cold tier, or the spill failed): the
         // candidate takes the victim's slot.
@@ -860,14 +896,13 @@ size_t AdaptiveColumn::DemoteLocked(const std::vector<VirtualView*>& victims,
         epoch_.RetireObject(std::move(removed).ValueOrDie());
         health_.emergency_evictions.fetch_add(1, std::memory_order_relaxed);
         lifecycle_.RecordEviction();
-        edit.removed_ids.push_back(removed_id);
+        edit.Record(ManifestDeltaOp::kRemoveView, removed_id);
       }
-      MarkStale();
       ++shed;
     }
     if (candidate != nullptr) {
       // Admitted beside its demoted victim.
-      edit.upserted.push_back(candidate.get());
+      edit.Upsert(candidate.get());
       view_index_.Insert(std::move(candidate));
     }
     // Demotions may overflow the cold tier: destroy its lowest-scoring
@@ -891,15 +926,14 @@ size_t AdaptiveColumn::DemoteLocked(const std::vector<VirtualView*>& victims,
       epoch_.RetireObject(std::move(removed).ValueOrDie());
       metrics_.views_evicted.fetch_add(1, std::memory_order_relaxed);
       lifecycle_.RecordEviction();
-      MarkStale();
-      edit.removed_ids.push_back(removed_id);
+      edit.Record(ManifestDeltaOp::kRemoveView, removed_id);
       --cold_views;
     }
   }
   // Reclamation unmaps whole arenas — run it after readers are unblocked.
   epoch_.TryReclaim();
   // Phase (3).
-  PersistPoolEditLocked(edit);
+  PersistPoolEditLocked(std::move(edit));
   return shed;
 }
 
@@ -1026,7 +1060,7 @@ StatusOr<UpdateApplyStats> AdaptiveColumn::FlushUpdates() {
 }
 
 StatusOr<UpdateApplyStats> AdaptiveColumn::FlushUpdatesLocked(
-    bool compact_after) {
+    bool compact_after, DurableState::CheckpointKind kind) {
   // Durable commit point: every journaled record of this batch is on
   // stable storage before alignment consumes the batch. (Records already
   // committed by the per-update ack or a group-commit leader make this a
@@ -1042,9 +1076,12 @@ StatusOr<UpdateApplyStats> AdaptiveColumn::FlushUpdatesLocked(
   // narrow them again while the readers of the table are fenced off too.
   DeriveZones(column_.get(), pending_.TouchedPages());
   auto views = view_index_.MutableViews();
+  std::vector<ViewPageChanges> changes;
   auto stats = AlignPartialViews(*column_, views, pending_,
-                                 MappingSource::kUserSpaceTable);
+                                 MappingSource::kUserSpaceTable,
+                                 durable_ != nullptr ? &changes : nullptr);
   bool reclaim_after = false;
+  PoolEditLog edit;
   if (!stats.ok()) {
     const StatusCode code = stats.status().code();
     if (code != StatusCode::kIoError &&
@@ -1066,11 +1103,32 @@ StatusOr<UpdateApplyStats> AdaptiveColumn::FlushUpdatesLocked(
     MarkStale();
     reclaim_after = true;
     stats = UpdateApplyStats{};
+  } else {
+    // The page records of the realigned views. A demoted view's cold file
+    // is authoritative on Open and is resolved after the deltas replay, so
+    // page records cannot edit it: its changed membership marks the state
+    // stale, and the snapshot re-spills it.
+    for (size_t vi = 0; vi < changes.size(); ++vi) {
+      ViewPageChanges& changed = changes[vi];
+      if (changed.added.empty() && changed.removed.empty()) continue;
+      if (views[vi]->demoted()) {
+        MarkStale();
+        continue;
+      }
+      const uint64_t id = views[vi]->durable_id();
+      if (!changed.added.empty()) {
+        edit.Record(ManifestDeltaOp::kAddViewPages, id).pages =
+            std::move(changed.added);
+      }
+      if (!changed.removed.empty()) {
+        edit.Record(ManifestDeltaOp::kRemoveViewPages, id).pages =
+            std::move(changed.removed);
+      }
+    }
   }
   const bool had_updates = !pending_.empty();
   pending_.clear();
   pending_count_.store(0, std::memory_order_release);
-  if (stats->pages_added + stats->pages_removed > 0) MarkStale();
   if (compact_after && stats->pages_removed + stats->pages_added > 0) {
     // Removals punch holes and adds can scatter file runs; re-densify any
     // view a lifecycle trigger trips so its scans return to the dense fast
@@ -1079,11 +1137,12 @@ StatusOr<UpdateApplyStats> AdaptiveColumn::FlushUpdatesLocked(
     // keep a view the next scan could fault on; its range full-scans and
     // re-adapts. We already waited for quiescence, so in-place mremap
     // compaction is safe; superseded arenas still go through the limbo
-    // list for uniform lifetime handling. Either way the page layout on
-    // disk is stale.
+    // list for uniform lifetime handling. A compaction only reorders the
+    // view's slots, and the manifest's page order is a materialization
+    // hint that no answer depends on (ManifestView::pages), so only an
+    // abandoned view needs a record.
     for (VirtualView* view : view_index_.MutableViews()) {
       if (!lifecycle_.ShouldCompact(*view)) continue;
-      MarkStale();
       std::unique_ptr<VirtualArena> retired;
       if (lifecycle_.CompactView(view, &retired).ok()) {
         if (retired != nullptr) epoch_.RetireObject(std::move(retired));
@@ -1093,8 +1152,12 @@ StatusOr<UpdateApplyStats> AdaptiveColumn::FlushUpdatesLocked(
         // re-adapts.
         health_.abandoned_compactions.fetch_add(1, std::memory_order_relaxed);
         NoteMapFailure();
+        const uint64_t removed_id = view->durable_id();
         auto removed = view_index_.Remove(view);
-        if (removed.ok()) epoch_.RetireObject(std::move(removed).ValueOrDie());
+        if (removed.ok()) {
+          epoch_.RetireObject(std::move(removed).ValueOrDie());
+          edit.Record(ManifestDeltaOp::kRemoveView, removed_id);
+        }
       }
       reclaim_after = true;
     }
@@ -1103,12 +1166,15 @@ StatusOr<UpdateApplyStats> AdaptiveColumn::FlushUpdatesLocked(
   // not inside the exclusive section.
   xlock.unlock();
   if (reclaim_after) epoch_.TryReclaim();
-  // Checkpoint sequence: data writeback per policy, manifest if stale
-  // (alignment/compaction/eviction since the last snapshot), then journal
-  // reset. Runs outside views_mu_ — maintenance_mu_ alone keeps the pool
+  // The flush's records go down before the checkpoint sequence (data
+  // writeback per policy, a snapshot only when the state is stale or the
+  // policy of `kind` asks for one, then the journal reset): the journal
+  // forgets the batch only once base plus deltas describe the aligned
+  // pool. Runs outside views_mu_ — maintenance_mu_ alone keeps the pool
   // stable — so readers are not blocked on fsync.
+  PersistPoolEditLocked(std::move(edit));
   if (durable_ != nullptr && (had_updates || durable_->stale())) {
-    VMSV_RETURN_IF_ERROR(CheckpointLocked());
+    VMSV_RETURN_IF_ERROR(CheckpointLocked(kind));
   }
   return stats;
 }

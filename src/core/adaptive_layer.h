@@ -30,8 +30,9 @@
 // once max_views is reached" cliff. Admission decides under the maintenance
 // lock alone, then applies in one short exclusive section; evictions,
 // pressure relief and explicit demotion share one demotion routine. Durable
-// I/O is not this layer's job: pool edits go to a DurableState
-// (storage/durable_state.h) as ManifestView records and view ids.
+// I/O is not this layer's job: each pool edit goes to a DurableState
+// (storage/durable_state.h) as manifest delta records, in the order the
+// pool changed.
 //
 // CONCURRENCY MODEL (full walkthrough in ARCHITECTURE.md):
 //
@@ -148,9 +149,10 @@ struct AdaptiveConfig {
   /// policy applied at the max_views budget (core/view_lifecycle.h).
   LifecycleConfig lifecycle;
   /// Durability: with a persist_dir the column lives in a real file, every
-  /// Update is journaled, and view memberships are snapshotted to a
-  /// manifest so Open() restores the whole engine state after a restart
-  /// (storage/storage_config.h; ARCHITECTURE.md "Durability model").
+  /// Update is journaled, and view memberships persist as a manifest
+  /// snapshot plus a log of pool edits, so Open() restores the whole engine
+  /// state after a restart (storage/storage_config.h; ARCHITECTURE.md
+  /// "Durability model").
   StorageConfig storage;
   /// Address-space operation layer for every arena the column builds (base
   /// mapping, view materialization, compaction). Null means real syscalls;
@@ -346,7 +348,9 @@ class AdaptiveColumn {
   /// column.dat, restores every manifest view as an UNMATERIALIZED page
   /// list (first use lazily rewires it), and replays the journal — replayed
   /// updates become pending, so the flush-first rule realigns views before
-  /// the first post-restart query answers. Scans after Open are
+  /// the first post-restart query answers; a restored view also takes any
+  /// page the column holds a value of its range on but the view lacks
+  /// (a cell whose journal record was lost). Scans after Open are
   /// bit-identical to pre-restart scans. Replay is idempotent: killing the
   /// process after Open and reopening replays the same journal to the same
   /// state (the journal only resets at the next flush/checkpoint). At most
@@ -361,8 +365,9 @@ class AdaptiveColumn {
                                                         AdaptiveConfig config);
 
   /// Durable only (no-op OK otherwise): flush pending updates, push data
-  /// per the flush policy, re-snapshot the manifest if the pool changed,
-  /// and reset the journal. There is deliberately NO destructor checkpoint:
+  /// per the flush policy, compact the manifest (a fresh snapshot when the
+  /// state is stale or the delta log holds any record), and reset the
+  /// journal. There is deliberately NO destructor checkpoint:
   /// a process that exits without one is exactly the crash case recovery
   /// is tested against.
   Status Checkpoint();
@@ -530,28 +535,47 @@ class AdaptiveColumn {
                                       : config_.max_views;
   }
 
-  /// What one pool edit did, in apply order, for the manifest deltas: tier
-  /// flips to cold, views displaced (by durable id), views added.
+  /// One pool edit's manifest delta records, in the order the pool changed.
+  /// An upsert names its view: the view's durable id and record are taken
+  /// when the edit persists, outside views_mu_. Every other record is
+  /// complete when logged.
   struct PoolEditLog {
-    std::vector<uint64_t> demoted_ids;
-    std::vector<uint64_t> removed_ids;
-    std::vector<VirtualView*> upserted;
+    struct Entry {
+      ManifestDelta delta;
+      VirtualView* upserted = nullptr;
+    };
+    std::vector<Entry> entries;
+
+    void Upsert(VirtualView* view) {
+      Entry& entry = entries.emplace_back();
+      entry.delta.op = ManifestDeltaOp::kUpsertView;
+      entry.upserted = view;
+    }
+    /// Logs an `op` record on the view `id`; the caller fills in the fields
+    /// the op carries.
+    ManifestView& Record(ManifestDeltaOp op, uint64_t id) {
+      Entry& entry = entries.emplace_back();
+      entry.delta.op = op;
+      entry.delta.view.id = id;
+      return entry.delta.view;
+    }
   };
 
   /// Durable only: gives every upserted view a durable id and appends the
   /// edit's deltas. Caller holds maintenance_mu_ (so the views stay valid)
   /// and NOT views_mu_ — readers keep routing through the append/fsync.
-  void PersistPoolEditLocked(const PoolEditLog& edit);
+  void PersistPoolEditLocked(PoolEditLog edit);
 
-  /// Marks the durable manifest stale (no-op in memory).
+  /// Marks the durable manifest stale — for an edit the delta log cannot
+  /// carry (no-op in memory).
   void MarkStale() {
     if (durable_ != nullptr) durable_->MarkStale();
   }
 
-  /// Durable only: the checkpoint sequence over the current pool. Caller
-  /// holds maintenance_mu_ (pool mutators all do, so the snapshot is
-  /// consistent without views_mu_).
-  Status CheckpointLocked();
+  /// Durable only: the checkpoint sequence over the current pool, with
+  /// `kind`'s snapshot policy. Caller holds maintenance_mu_ (pool mutators
+  /// all do, so the snapshot is consistent without views_mu_).
+  Status CheckpointLocked(DurableState::CheckpointKind kind);
 
   /// The one demotion routine behind admission's eviction, pressure relief
   /// and DemoteColdestViews (phases: see "Tiering" in adaptive_layer.cc).
@@ -571,9 +595,12 @@ class AdaptiveColumn {
   /// Flush + (optionally) the post-flush compaction sweep. Caller holds
   /// maintenance_mu_; takes views_mu_ exclusive + epoch quiescence inside.
   /// Durable mode: syncs the journal first (the batch's commit point), then
-  /// after alignment runs the checkpoint sequence when the batch held
-  /// updates or the manifest is stale.
-  StatusOr<UpdateApplyStats> FlushUpdatesLocked(bool compact_after);
+  /// after alignment appends the flush's page records and runs the
+  /// checkpoint sequence, with `kind`'s snapshot policy, when the batch
+  /// held updates or the manifest is stale.
+  StatusOr<UpdateApplyStats> FlushUpdatesLocked(
+      bool compact_after, DurableState::CheckpointKind kind =
+                              DurableState::CheckpointKind::kFlush);
 
   /// An admission outcome and the view it acts on.
   struct Admission {

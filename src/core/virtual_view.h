@@ -203,13 +203,16 @@ class VirtualView {
   Value hi() const { return hi_; }
   RangeQuery value_range() const { return RangeQuery{lo_, hi_}; }
 
-  /// Widens the view's value range to include [lo, hi]. ONLY legal when the
-  /// caller has proven the view already contains every page holding a value
-  /// in the extension (e.g. an exact page-subset candidate was discarded);
-  /// otherwise the view would silently miss pages for covered queries.
-  void ExtendRange(Value lo, Value hi) {
+  /// Widens the view's value range to include [lo, hi]; true when lo or hi
+  /// moved. ONLY legal when the caller has proven the view already
+  /// contains every page holding a value in the extension (e.g. an exact
+  /// page-subset candidate was discarded); otherwise the view would
+  /// silently miss pages for covered queries.
+  bool ExtendRange(Value lo, Value hi) {
+    const bool widened = lo < lo_ || hi > hi_;
     if (lo < lo_) lo_ = lo;
     if (hi > hi_) hi_ = hi;
+    return widened;
   }
 
   /// True when this view's pages can answer q exactly: the view indexes

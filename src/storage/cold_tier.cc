@@ -32,10 +32,15 @@ Status WriteColdViewFile(const std::string& dir, uint64_t view_id,
                          StorageIo* io) {
   if (io == nullptr) io = RealStorageIo();
   std::string buf;
+  buf.reserve(sizeof(kColdMagic) + (2 + pages.size()) * sizeof(uint64_t) +
+              sizeof(uint32_t));
   buf.append(kColdMagic, sizeof(kColdMagic));
   PutU64(&buf, view_id);
   PutU64(&buf, pages.size());
-  for (const uint64_t page : pages) PutU64(&buf, page);
+  if (!pages.empty()) {  // an empty vector's data() may be null
+    buf.append(reinterpret_cast<const char*>(pages.data()),
+               pages.size() * sizeof(uint64_t));
+  }
   uint32_t crc = Crc32(buf.data(), buf.size());
   buf.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
 

@@ -182,47 +182,53 @@ void DurableState::RemoveCold(uint64_t view_id) {
   RemoveColdViewFile(dir_, view_id);
 }
 
-void DurableState::AppendDeltas(const std::vector<uint64_t>& demoted_ids,
-                                const std::vector<uint64_t>& removed_ids,
-                                const std::vector<ManifestView>& upserted) {
-  const auto append = [this](ManifestDeltaOp op, const ManifestView& view) {
-    if (!delta_log_->Append(ManifestDelta{op, epoch_, view}, sync_).ok()) {
-      return false;
-    }
-    ++stats_.manifest_delta_appends;
-    return true;
-  };
+void DurableState::AppendDeltas(std::vector<ManifestDelta> records) {
   bool ok = true;
-  for (const uint64_t id : demoted_ids) {
-    ManifestView view;
-    view.id = id;
-    view.demoted = true;
-    ok = ok && append(ManifestDeltaOp::kSetViewTier, view);
+  uint64_t appended = 0;
+  for (ManifestDelta& record : records) {
+    // A view without an id was never persisted; only its upsert can name it.
+    if (record.view.id == 0 && record.op != ManifestDeltaOp::kUpsertView) {
+      continue;
+    }
+    record.epoch = epoch_;
+    ok = delta_log_->Append(record).ok();
+    if (!ok) break;
+    ++appended;
   }
-  for (const uint64_t id : removed_ids) {
-    if (id == 0) continue;  // never persisted; nothing to remove
-    ManifestView view;
-    view.id = id;
-    ok = ok && append(ManifestDeltaOp::kRemoveView, view);
-  }
-  for (const ManifestView& view : upserted) {
-    ok = ok && append(ManifestDeltaOp::kUpsertView, view);
-  }
+  if (ok && appended > 0 && sync_) ok = delta_log_->Sync().ok();
+  stats_.manifest_delta_appends += appended;
   if (!ok) {
     MarkStale();
     ++stats_.manifest_write_failures;
   }
 }
 
-Status DurableState::Checkpoint(
-    const std::function<std::vector<ManifestView>()>& pool) {
+Status DurableState::Checkpoint(CheckpointKind kind, const Pool& pool) {
   if (data_flush_ != FlushPolicy::kNone) {
     VMSV_RETURN_IF_ERROR(file_->Sync(/*wait=*/sync_, io_));
   }
-  // Clear the flag BEFORE reading the pool: a reader promotion that races
-  // the snapshot re-marks it, and the next checkpoint picks it up.
-  if (stale_.exchange(false, std::memory_order_acq_rel)) {
-    const Status written = WriteSnapshot(pool());
+  // A flush snapshots only once the log holds more garbage than live
+  // state (twice a snapshot's size); that bounds what recovery reads and
+  // what the log makes the disk write per pool edit. Clear the stale flag
+  // BEFORE reading the pool: a reader promotion that races the snapshot
+  // re-marks it, and the next checkpoint picks it up.
+  bool snapshot =
+      stale_.exchange(false, std::memory_order_acq_rel) ||
+      (kind == CheckpointKind::kCompact
+           ? delta_log_->record_count() > 0
+           : delta_log_->bytes() >
+                 2 * ManifestSnapshotBytes(pool.views, pool.pages));
+  // Without a snapshot the journal reset below destroys the only other
+  // record of what the deltas say, so unsynced records are fsynced first
+  // under every policy: a write the device acknowledged but dropped must
+  // be caught while the journal still holds the batch. A failed sync
+  // leaves the log's content unknown, so this checkpoint snapshots.
+  if (!snapshot && delta_log_->unsynced() && !delta_log_->Sync().ok()) {
+    ++stats_.manifest_write_failures;
+    snapshot = true;
+  }
+  if (snapshot) {
+    const Status written = WriteSnapshot(pool.records());
     if (!written.ok()) {
       stale_.store(true, std::memory_order_release);
       return written;
@@ -289,7 +295,7 @@ Status DurableState::WriteSnapshot(std::vector<ManifestView> views) {
   // Compaction: the snapshot covers everything the delta log said. A failed
   // reset is SOFT — the stale records carry a previous epoch, so recovery
   // skips them; the next snapshot retries the truncate.
-  if (delta_log_->record_count() > 0 && !delta_log_->Reset().ok()) {
+  if (!delta_log_->empty() && !delta_log_->Reset().ok()) {
     ++stats_.manifest_write_failures;
   }
   return OkStatus();
@@ -300,6 +306,7 @@ DurabilityStats DurableState::stats() const {
   stats.journal_appended_lsn = journal_->appended_lsn();
   stats.journal_durable_lsn = journal_->durable_lsn();
   stats.journal_group_commits = journal_->group_commits();
+  stats.manifest_stale = stale();
   return stats;
 }
 

@@ -4,13 +4,19 @@
 // open/create of the column directory. Every StorageIo operation a column
 // issues runs here. The split is policy / backing driver, as in a
 // SunOS-style VMM: the adaptive layer decides what the view pool looks
-// like and hands its edits over as ManifestView records and view ids; this
+// like and hands each edit over as ordered manifest delta records; this
 // class only makes them durable, and includes nothing from src/core/.
 //
-// One staleness flag says "the on-disk manifest no longer describes the
-// pool": the engine marks it for every edit the delta log does not carry, a
-// failed delta append or re-spill marks it too, and the next checkpoint
-// writes a full snapshot exactly when it is set.
+// The delta log carries every pool edit adaptation and update flushes make
+// (ops in storage/manifest.h), so a flush normally appends a few records
+// and writes no snapshot. One staleness flag says "the on-disk manifest no
+// longer describes the pool": it covers only the edits the log could not
+// carry — a reader's promotion, the membership of a demoted view (Open
+// resolves its cold file after replay), a wholesale pool drop, a lossy
+// restore — and a failed delta append or re-spill. A snapshot is written
+// when the flag is set, when a flush finds the log larger than twice a
+// snapshot of the pool, and on every explicit checkpoint that has records
+// to compact.
 //
 // Thread-safety: driven from the engine's serialized maintenance path,
 // except CommitThrough (any thread), MarkStale (also from readers that
@@ -46,14 +52,17 @@ struct DurabilityStats {
   uint64_t journal_replayed = 0;
   /// True when Open found and truncated a torn journal tail.
   bool journal_tail_truncated = false;
-  /// Manifest BASE snapshots written (initial create, checkpoints, and the
-  /// soft-fail fallback when a delta append fails).
+  /// Manifest BASE snapshots written (initial create, explicit checkpoints
+  /// with records to compact, flushes that find the state stale or the
+  /// delta log past twice the snapshot size).
   uint64_t manifest_writes = 0;
-  /// Manifest writes that failed softly on the adaptation path (the
-  /// snapshot stays stale and the next flush retries).
+  /// Manifest writes that failed softly — a delta append or sync, a
+  /// re-spill, a delta-log reset (the state turns stale and the next flush
+  /// snapshots).
   uint64_t manifest_write_failures = 0;
   /// Incremental manifest delta records appended (pool edits in durable
-  /// mode: one per tier flip, one per view removed, one per view upserted).
+  /// mode: one per view upserted, removed, re-tiered or re-ranged, and one
+  /// per view whose pages a flush added or removed, for each direction).
   uint64_t manifest_delta_appends = 0;
   /// Delta records Open replayed onto the base snapshot (current epoch
   /// only; stale-epoch records are skipped silently — views are
@@ -61,6 +70,9 @@ struct DurabilityStats {
   uint64_t manifest_deltas_replayed = 0;
   /// True when Open found and truncated a torn delta-log tail.
   bool manifest_delta_tail_truncated = false;
+  /// Live: the on-disk manifest misses an edit the delta log could not
+  /// carry, so the next flush or checkpoint writes a snapshot.
+  bool manifest_stale = false;
   /// Views rebuilt from the manifest by Open.
   uint64_t views_restored = 0;
   /// Wall time Open spent reading the manifest + replaying the journal.
@@ -76,6 +88,26 @@ struct DurabilityStats {
 
 class DurableState {
  public:
+  /// Who runs a checkpoint, which decides whether it writes a snapshot.
+  enum class CheckpointKind {
+    /// An update flush: snapshots only when the state is stale, or when
+    /// the delta log holds more than twice the bytes a snapshot of the pool
+    /// would take (its garbage then outweighs the live state).
+    kFlush,
+    /// An explicit Checkpoint(): compacts, snapshotting when the state is
+    /// stale or the delta log holds any record.
+    kCompact,
+  };
+
+  /// The pool a checkpoint persists: its size, which is all the snapshot
+  /// policy reads, and the producer of its records, called only when a
+  /// snapshot is written.
+  struct Pool {
+    uint64_t views = 0;
+    uint64_t pages = 0;
+    std::function<std::vector<ManifestView>()> records;
+  };
+
   /// What Open hands the engine to rebuild from.
   struct Opened {
     std::unique_ptr<DurableState> state;
@@ -122,7 +154,8 @@ class DurableState {
   /// The flush-time commit point: every journaled record is durable after.
   Status SyncJournal() { return journal_->Sync(); }
 
-  /// Marks the on-disk manifest stale; the next checkpoint snapshots.
+  /// Marks the on-disk manifest stale — an edit the delta log cannot
+  /// carry; the next checkpoint snapshots.
   void MarkStale() { stale_.store(true, std::memory_order_release); }
   bool stale() const { return stale_.load(std::memory_order_acquire); }
 
@@ -140,26 +173,29 @@ class DurableState {
   /// Best-effort unlink of a destroyed cold view's spill file.
   void RemoveCold(uint64_t view_id);
 
-  /// The one delta-append path: one set-tier (demoted) record per
-  /// `demoted_ids` entry, then one remove per `removed_ids` entry, then one
-  /// upsert per `upserted` view, in that order (the delta log replays in
-  /// order; a replace is remove-then-upsert). Soft-fail rule: the first
-  /// failed append skips the rest, counts a manifest write failure and
-  /// marks the state stale — base snapshot plus the landed deltas still
-  /// recover a consistent (merely stale) pool, and the next checkpoint's
-  /// snapshot compacts the partial batch away.
-  void AppendDeltas(const std::vector<uint64_t>& demoted_ids,
-                    const std::vector<uint64_t>& removed_ids,
-                    const std::vector<ManifestView>& upserted);
+  /// The one delta-append path: appends one pool edit's records in the
+  /// order the pool changed (the log replays in order; a replace is
+  /// remove-then-upsert), stamped with the current epoch, and under kSync
+  /// fdatasyncs once for the whole edit. Records without a view id, other
+  /// than upserts, are skipped (the view was never persisted). Soft-fail
+  /// rule: the first failed append skips the rest, counts a manifest write
+  /// failure and marks the state stale — base snapshot plus the landed
+  /// deltas still recover a consistent (merely stale) pool while the
+  /// journal holds the batch, and the next checkpoint's snapshot compacts
+  /// the partial edit away.
+  void AppendDeltas(std::vector<ManifestDelta> records);
 
   /// The checkpoint sequence: data writeback per the flush policy → a full
-  /// snapshot of `pool()` if the state is stale → journal reset. The
-  /// write-ahead ordering lives here: the journal only resets after the
-  /// manifest (and, under kSync, the data) made it down. A snapshot
-  /// re-spills every demoted view (persisting it with an empty page list;
-  /// a failed re-spill persists it hot with inline pages and keeps the
-  /// state stale), sweeps unreferenced cold files and resets the delta log.
-  Status Checkpoint(const std::function<std::vector<ManifestView>()>& pool);
+  /// snapshot of `pool` when `kind`'s policy asks for one → journal reset.
+  /// The write-ahead ordering lives here: the journal only resets after
+  /// the manifest — base plus deltas — and, under kSync, the data made it
+  /// down, so the caller appends a flush's records before calling this. A
+  /// snapshot re-spills every demoted view (persisting it with an empty
+  /// page list; a failed re-spill persists it hot with inline pages and
+  /// keeps the state stale), sweeps unreferenced cold files and resets the
+  /// delta log. A failed snapshot leaves the state stale and the journal
+  /// intact.
+  Status Checkpoint(CheckpointKind kind, const Pool& pool);
 
   /// Counters; the journal watermarks are read live.
   DurabilityStats stats() const;

@@ -1,6 +1,7 @@
 #include "storage/journal.h"
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstring>
 
@@ -19,6 +20,29 @@ constexpr char kHeaderMagic[8] = {'V', 'M', 'S', 'V', 'W', 'A', 'L', '1'};
 constexpr uint32_t kRecordMagic = 0x4C41u;
 constexpr size_t kHeaderSize = sizeof(kHeaderMagic);
 constexpr size_t kRecordSize = 3 * sizeof(uint64_t) + 2 * sizeof(uint32_t);
+
+/// Slice-by-8 lookup tables of the reflected CRC-32 (polynomial 0xEDB88320).
+/// Table 0 is the byte-at-a-time table; table k advances a byte's CRC over
+/// k more zero bytes, so eight lookups fold eight input bytes at once.
+constexpr std::array<std::array<uint32_t, 256>, 8> MakeCrcTables() {
+  std::array<std::array<uint32_t, 256>, 8> tables{};
+  for (uint32_t byte = 0; byte < 256; ++byte) {
+    uint32_t crc = byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (~(crc & 1u) + 1u));
+    }
+    tables[0][byte] = crc;
+  }
+  for (uint32_t byte = 0; byte < 256; ++byte) {
+    for (size_t k = 1; k < 8; ++k) {
+      const uint32_t prev = tables[k - 1][byte];
+      tables[k][byte] = (prev >> 8) ^ tables[0][prev & 0xFF];
+    }
+  }
+  return tables;
+}
+
+constexpr std::array<std::array<uint32_t, 256>, 8> kCrcTables = MakeCrcTables();
 
 /// Serialized record layout. Fixed-width little-endian fields written as one
 /// contiguous buffer so a record append is a single write(2).
@@ -52,15 +76,23 @@ struct RecordBuf {
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t len) {
-  // Bitwise reflected CRC-32; journal records are 24 bytes, so a lookup
-  // table buys nothing worth its footprint.
+  // Slice-by-8: each step folds eight input bytes through eight lookups.
+  // The words are read little-endian, the byte order every on-disk format
+  // here already assumes.
   const unsigned char* p = static_cast<const unsigned char*>(data);
   uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < len; ++i) {
-    crc ^= p[i];
-    for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc >> 1) ^ (0xEDB88320u & (~(crc & 1u) + 1u));
-    }
+  for (; len >= 8; p += 8, len -= 8) {
+    uint32_t lo = 0, hi = 0;
+    std::memcpy(&lo, p, 4);
+    std::memcpy(&hi, p + 4, 4);
+    lo ^= crc;
+    crc = kCrcTables[7][lo & 0xFF] ^ kCrcTables[6][(lo >> 8) & 0xFF] ^
+          kCrcTables[5][(lo >> 16) & 0xFF] ^ kCrcTables[4][lo >> 24] ^
+          kCrcTables[3][hi & 0xFF] ^ kCrcTables[2][(hi >> 8) & 0xFF] ^
+          kCrcTables[1][(hi >> 16) & 0xFF] ^ kCrcTables[0][hi >> 24];
+  }
+  for (; len > 0; ++p, --len) {
+    crc = (crc >> 8) ^ kCrcTables[0][(crc ^ *p) & 0xFF];
   }
   return ~crc;
 }

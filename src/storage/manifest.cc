@@ -1,12 +1,14 @@
 #include "storage/manifest.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <unordered_map>
 
 #include <fcntl.h>
 #include <unistd.h>
 
-#include "storage/journal.h"  // Crc32, WriteAll
+#include "storage/journal.h"  // Crc32
 #include "storage/storage_io.h"
 #include "util/macros.h"
 
@@ -27,6 +29,12 @@ constexpr size_t kDeltaRecordHeadSize = 2 * sizeof(uint32_t) + 7 * sizeof(uint64
 constexpr uint64_t kViewFlagDemoted = 1;
 /// Trailing crc + record magic.
 constexpr size_t kDeltaRecordTailSize = 2 * sizeof(uint32_t);
+/// Base snapshot: magic + version + reserved + 6 u64 header fields, and the
+/// trailing crc; each view adds 6 u64 fields before its page list.
+constexpr size_t kManifestFixedSize = sizeof(kManifestMagic) +
+                                      2 * sizeof(uint32_t) +
+                                      6 * sizeof(uint64_t) + sizeof(uint32_t);
+constexpr size_t kManifestViewHeadSize = 6 * sizeof(uint64_t);
 
 void PutU32(std::string* out, uint32_t v) {
   out->append(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -34,6 +42,13 @@ void PutU32(std::string* out, uint32_t v) {
 
 void PutU64(std::string* out, uint64_t v) {
   out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+/// A page list as one append of its bytes (u64 ids, host = disk order).
+void PutPages(std::string* out, const std::vector<uint64_t>& pages) {
+  if (pages.empty()) return;  // an empty vector's data() may be null
+  out->append(reinterpret_cast<const char*>(pages.data()),
+              pages.size() * sizeof(uint64_t));
 }
 
 /// Cursor over the serialized form; Get* return false past the end.
@@ -56,11 +71,24 @@ struct Reader {
     left -= sizeof(*v);
     return true;
   }
+
+  /// Reads `count` u64 page ids into `pages` with one copy.
+  bool GetPages(uint64_t count, std::vector<uint64_t>* pages) {
+    if (count > left / sizeof(uint64_t)) return false;
+    pages->resize(count);
+    if (count == 0) return true;  // an empty vector's data() may be null
+    std::memcpy(pages->data(), p, count * sizeof(uint64_t));
+    p += count * sizeof(uint64_t);
+    left -= count * sizeof(uint64_t);
+    return true;
+  }
 };
 
 /// Serializes one delta record (self-framing: crc + magic at the tail).
 std::string EncodeDelta(const ManifestDelta& delta) {
   std::string buf;
+  buf.reserve(kDeltaRecordHeadSize + delta.view.pages.size() * sizeof(uint64_t) +
+              kDeltaRecordTailSize);
   PutU32(&buf, static_cast<uint32_t>(delta.op));
   PutU32(&buf, 0);  // reserved
   PutU64(&buf, delta.epoch);
@@ -70,7 +98,7 @@ std::string EncodeDelta(const ManifestDelta& delta) {
   PutU64(&buf, delta.view.creation_scanned_pages);
   PutU64(&buf, delta.view.demoted ? kViewFlagDemoted : 0);
   PutU64(&buf, delta.view.pages.size());
-  for (const uint64_t page : delta.view.pages) PutU64(&buf, page);
+  PutPages(&buf, delta.view.pages);
   PutU32(&buf, Crc32(buf.data(), buf.size()));
   PutU32(&buf, kDeltaRecordMagic);
   return buf;
@@ -109,9 +137,8 @@ size_t DecodeDelta(const unsigned char* data, size_t left,
       stored_crc != Crc32(data, record_size - 8)) {
     return 0;
   }
-  if (op != static_cast<uint32_t>(ManifestDeltaOp::kUpsertView) &&
-      op != static_cast<uint32_t>(ManifestDeltaOp::kRemoveView) &&
-      op != static_cast<uint32_t>(ManifestDeltaOp::kSetViewTier)) {
+  if (op < static_cast<uint32_t>(ManifestDeltaOp::kUpsertView) ||
+      op > static_cast<uint32_t>(ManifestDeltaOp::kRemoveViewPages)) {
     return 0;
   }
   delta->op = static_cast<ManifestDeltaOp>(op);
@@ -132,10 +159,18 @@ std::string ManifestDeltaPath(const std::string& dir) {
   return dir + "/MANIFEST.delta";
 }
 
+uint64_t ManifestSnapshotBytes(uint64_t views, uint64_t pages) {
+  return kManifestFixedSize + views * kManifestViewHeadSize +
+         pages * sizeof(uint64_t);
+}
+
 Status WriteManifest(const std::string& dir, const ViewManifest& manifest,
                      bool sync, StorageIo* io) {
   if (io == nullptr) io = RealStorageIo();
+  uint64_t pages = 0;
+  for (const ManifestView& view : manifest.views) pages += view.pages.size();
   std::string buf;
+  buf.reserve(ManifestSnapshotBytes(manifest.views.size(), pages));
   buf.append(kManifestMagic, sizeof(kManifestMagic));
   PutU32(&buf, kManifestVersion);
   PutU32(&buf, 0);  // reserved
@@ -152,7 +187,7 @@ Status WriteManifest(const std::string& dir, const ViewManifest& manifest,
     PutU64(&buf, view.creation_scanned_pages);
     PutU64(&buf, view.demoted ? kViewFlagDemoted : 0);
     PutU64(&buf, view.pages.size());
-    for (const uint64_t page : view.pages) PutU64(&buf, page);
+    PutPages(&buf, view.pages);
   }
   PutU32(&buf, Crc32(buf.data(), buf.size()));
 
@@ -201,9 +236,7 @@ StatusOr<ViewManifest> ReadManifest(const std::string& dir) {
   ::close(fd);
   if (n < 0) return ErrnoError("read(manifest)", saved);
 
-  const size_t min_size = sizeof(kManifestMagic) + 2 * sizeof(uint32_t) +
-                          6 * sizeof(uint64_t) + sizeof(uint32_t);
-  if (buf.size() < min_size ||
+  if (buf.size() < kManifestFixedSize ||
       std::memcmp(buf.data(), kManifestMagic, sizeof(kManifestMagic)) != 0) {
     return IoError(path + " is not a vmsv manifest (bad magic)");
   }
@@ -257,18 +290,10 @@ StatusOr<ViewManifest> ReadManifest(const std::string& dir) {
         !reader.GetU64(&view.hi) ||
         !reader.GetU64(&view.creation_scanned_pages) ||
         (has_flags_word && !reader.GetU64(&flags)) ||
-        !reader.GetU64(&page_count) ||
-        page_count > reader.left / sizeof(uint64_t)) {
+        !reader.GetU64(&page_count) || !reader.GetPages(page_count, &view.pages)) {
       return IoError(path + ": truncated view record " + std::to_string(vi));
     }
     view.demoted = (flags & kViewFlagDemoted) != 0;
-    view.pages.resize(page_count);
-    for (uint64_t i = 0; i < page_count; ++i) {
-      if (!reader.GetU64(&view.pages[i])) {
-        return IoError(path + ": truncated page list in view record " +
-                       std::to_string(vi));
-      }
-    }
     manifest.views.push_back(std::move(view));
   }
   if (reader.left != 0) {
@@ -340,23 +365,33 @@ ManifestDeltaLog::~ManifestDeltaLog() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-Status ManifestDeltaLog::Append(const ManifestDelta& delta, bool sync) {
+Status ManifestDeltaLog::Append(const ManifestDelta& delta) {
+  if (torn_tail_) {
+    // Replay would stop at the torn bytes and never reach this record.
+    return IoError("manifest delta log has an unrewound torn tail");
+  }
   const std::string buf = EncodeDelta(delta);
   Status st = io_->Write(fd_, buf.data(), buf.size(), "write(manifest delta)");
   if (!st.ok()) {
     // Same framing discipline as the journal: a partial record at the tail
     // would shadow every later append during replay, so rewind to the last
-    // whole-record boundary (best effort; replay's torn-tail handling is
-    // the backstop).
-    if (io_->Truncate(fd_, end_offset_, "ftruncate(manifest delta rewind)")
-            .ok()) {
-      ::lseek(fd_, static_cast<off_t>(end_offset_), SEEK_SET);
-    }
+    // whole-record boundary. Until a rewind or Reset succeeds, appends
+    // fail (replay's torn-tail handling is the backstop for a crash).
+    torn_tail_ =
+        !io_->Truncate(fd_, end_offset_, "ftruncate(manifest delta rewind)")
+             .ok() ||
+        ::lseek(fd_, static_cast<off_t>(end_offset_), SEEK_SET) < 0;
     return st;
   }
   end_offset_ += buf.size();
   ++record_count_;
-  if (sync) return io_->Fsync(fd_, "fdatasync(manifest delta)");
+  unsynced_ = true;
+  return OkStatus();
+}
+
+Status ManifestDeltaLog::Sync() {
+  VMSV_RETURN_IF_ERROR(io_->Fsync(fd_, "fdatasync(manifest delta)"));
+  unsynced_ = false;
   return OkStatus();
 }
 
@@ -368,12 +403,40 @@ Status ManifestDeltaLog::Reset() {
   }
   record_count_ = 0;
   end_offset_ = kDeltaHeaderSize;
-  return io_->Fsync(fd_, "fdatasync(manifest delta reset)");
+  torn_tail_ = false;
+  VMSV_RETURN_IF_ERROR(io_->Fsync(fd_, "fdatasync(manifest delta reset)"));
+  unsynced_ = false;
+  return OkStatus();
+}
+
+uint64_t ManifestDeltaLog::bytes() const {
+  return end_offset_ - kDeltaHeaderSize;
 }
 
 uint64_t ApplyManifestDeltas(ViewManifest* base,
                              const std::vector<ManifestDelta>& deltas,
                              uint64_t* skipped_epoch) {
+  // Page records edit single pages of possibly large views, so each view a
+  // page record touches gets a page -> slot index once. A removed page
+  // leaves a tombstone in its slot (slot order stays), and the tombstones
+  // are dropped when replay ends.
+  constexpr uint64_t kErased = ~uint64_t{0};
+  std::unordered_map<uint64_t, std::unordered_map<uint64_t, size_t>> slots;
+  const auto find = [base](uint64_t id) -> ManifestView* {
+    for (ManifestView& view : base->views) {
+      if (view.id == id) return &view;
+    }
+    return nullptr;
+  };
+  const auto slots_of = [&slots](ManifestView* view) -> auto& {
+    auto [it, fresh] = slots.try_emplace(view->id);
+    if (fresh) {
+      for (size_t slot = 0; slot < view->pages.size(); ++slot) {
+        it->second.emplace(view->pages[slot], slot);
+      }
+    }
+    return it->second;
+  };
   uint64_t applied = 0, skipped = 0;
   for (const ManifestDelta& delta : deltas) {
     // Raise the id watermark over EVERY record (any epoch): an id handed
@@ -388,37 +451,71 @@ uint64_t ApplyManifestDeltas(ViewManifest* base,
       ++skipped;
       continue;
     }
+    ++applied;
+    if (delta.op == ManifestDeltaOp::kUpsertView) {
+      slots.erase(delta.view.id);
+      if (ManifestView* view = find(delta.view.id)) {
+        *view = delta.view;
+      } else {
+        base->views.push_back(delta.view);
+      }
+      continue;
+    }
     if (delta.op == ManifestDeltaOp::kRemoveView) {
+      slots.erase(delta.view.id);
       for (auto it = base->views.begin(); it != base->views.end(); ++it) {
         if (it->id == delta.view.id) {
           base->views.erase(it);
           break;
         }
       }
-    } else if (delta.op == ManifestDeltaOp::kSetViewTier) {
-      // Tier flip in place: the view's recorded membership stays whatever
-      // the base/upserts said (a demote delta may land before the snapshot
-      // re-spills, so those pages are still the authoritative fallback when
-      // the cold file is missing). An unknown id means the view's upsert
-      // never became durable — nothing to re-tier.
-      for (ManifestView& view : base->views) {
-        if (view.id == delta.view.id) {
-          view.demoted = delta.view.demoted;
-          break;
-        }
-      }
-    } else {
-      bool replaced = false;
-      for (ManifestView& view : base->views) {
-        if (view.id == delta.view.id) {
-          view = delta.view;
-          replaced = true;
-          break;
-        }
-      }
-      if (!replaced) base->views.push_back(delta.view);
+      continue;
     }
-    ++applied;
+    // The in-place edits. An unknown id means the view's upsert never
+    // became durable (or a later remove won): there is nothing to edit.
+    ManifestView* view = find(delta.view.id);
+    if (view == nullptr) continue;
+    switch (delta.op) {
+      case ManifestDeltaOp::kSetViewTier:
+        // Tier flip in place: the view's recorded membership stays whatever
+        // the base/upserts said (a demote delta may land before the
+        // snapshot re-spills, so those pages are still the authoritative
+        // fallback when the cold file is missing).
+        view->demoted = delta.view.demoted;
+        break;
+      case ManifestDeltaOp::kSetViewRange:
+        view->lo = delta.view.lo;
+        view->hi = delta.view.hi;
+        break;
+      case ManifestDeltaOp::kAddViewPages: {
+        auto& index = slots_of(view);
+        for (const uint64_t page : delta.view.pages) {
+          if (index.emplace(page, view->pages.size()).second) {
+            view->pages.push_back(page);
+          }
+        }
+        break;
+      }
+      case ManifestDeltaOp::kRemoveViewPages: {
+        auto& index = slots_of(view);
+        for (const uint64_t page : delta.view.pages) {
+          const auto it = index.find(page);
+          if (it == index.end()) continue;
+          view->pages[it->second] = kErased;
+          index.erase(it);
+        }
+        break;
+      }
+      default:
+        break;
+    }
+  }
+  for (const auto& [id, index] : slots) {
+    ManifestView* view = find(id);
+    if (view == nullptr) continue;
+    view->pages.erase(
+        std::remove(view->pages.begin(), view->pages.end(), kErased),
+        view->pages.end());
   }
   if (skipped_epoch != nullptr) *skipped_epoch = skipped;
   return applied;

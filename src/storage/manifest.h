@@ -4,12 +4,13 @@
 // rebuilds every view from this record without rescanning the column).
 //
 // The manifest is INCREMENTAL: a base snapshot (atomically replaced, whole
-// file) plus an append-only delta log (MANIFEST.delta) of per-view
-// upsert/remove records. Adaptation decisions that change one pool member
-// append one or two delta records — O(view) bytes — instead of rewriting
-// the whole file; checkpoints compact: they write a fresh base snapshot
-// (bumping its EPOCH) and reset the delta log. Recovery reads the base,
-// then applies, in order, every delta stamped with the base's epoch;
+// file) plus an append-only delta log (MANIFEST.delta) of per-view edit
+// records. Every pool edit the engine makes — a view added, replaced or
+// removed, a tier flip, a widened range, pages added to or removed from a
+// view by update alignment — appends records of O(edit) bytes instead of
+// rewriting the whole file; checkpoints compact: they write a fresh base
+// snapshot (bumping its EPOCH) and reset the delta log. Recovery reads the
+// base, then applies, in order, every delta stamped with the base's epoch;
 // deltas from another epoch are ignored (they describe a snapshot that was
 // superseded — or one whose rename never became durable — and views are
 // reconstructible, so dropping them only costs re-adaptation).
@@ -38,14 +39,22 @@
 // Delta log on-disk format (little-endian):
 //   u8[8]  magic "VMSVMDL1"
 //   per record:
-//     u32 op (1 = upsert, 2 = remove, 3 = set-tier) | u32 reserved |
+//     u32 op | u32 reserved |
 //     u64 epoch | u64 id | u64 lo | u64 hi | u64 creation_scanned_pages |
 //     u64 flags (bit 0 = demoted) |
 //     u64 page_count | page_count * u64 page ids |
 //     u32 crc32 of the record bytes before it | u32 record magic 0x4C44u
-// Set-tier records carry no pages (page_count 0): they flip the demoted
-// flag of the identified view in place, leaving its recorded membership
-// untouched — O(1) bytes per demotion/promotion instead of O(view).
+// Ops, all in this one layout (a field an op does not use is written 0):
+//   1 upsert        the whole view: add it, or replace the view with its id
+//   2 remove        drop the view with the id
+//   3 set-tier      flip the demoted flag in place, pages untouched
+//   4 set-range     set lo/hi in place (a discard widened the view)
+//   5 add-pages     append each listed page the view does not hold
+//   6 remove-pages  erase each listed page the view holds
+// Ops 3-6 edit a view in place — O(1) or O(pages edited) bytes instead of
+// O(view) — and are no-ops on an id replay does not know. A log holding
+// only ops 1-3 replays exactly as before ops 4-6 existed; any other op
+// value fails the record like a bad crc.
 // Each record is self-framing (crc + magic): a torn or corrupt tail ends
 // replay there and Open truncates it, exactly like the journal.
 //
@@ -68,7 +77,7 @@ class StorageIo;
 
 struct ManifestView {
   /// Durable view identity — unique within a column directory, assigned by
-  /// the engine, monotonic. Delta records upsert/remove by this id.
+  /// the engine, monotonic. Delta records address views by this id.
   uint64_t id = 0;
   Value lo = 0;
   Value hi = 0;
@@ -78,8 +87,12 @@ struct ManifestView {
   /// to the per-view cold file and `pages` here may be empty (base
   /// snapshot) or carry the last hot membership (set-tier delta replay).
   bool demoted = false;
-  /// Physical page membership in slot order (dense: holes never persist —
-  /// a manifest is only written from aligned, flush-consistent states).
+  /// Physical page membership (dense: holes never persist — a manifest is
+  /// only written from aligned, flush-consistent states). Recorded in slot
+  /// order, but replayed page records and in-memory compaction reorder it
+  /// independently: the order only decides how the first materialization
+  /// coalesces its mmap runs, never an answer (scans add up counts and
+  /// sums, which commute).
   std::vector<uint64_t> pages;
 };
 
@@ -96,13 +109,16 @@ struct ViewManifest {
   std::vector<ManifestView> views;
 };
 
-/// One incremental manifest record: upsert (add or replace the view with
-/// `view.id`), remove (only `view.id` is meaningful), or set-tier (flip
-/// `view.id`'s demoted flag to `view.demoted`, keeping its pages).
+/// One incremental manifest record on the view `view.id`: upsert (add or
+/// replace the whole view), remove, set-tier (`view.demoted`, pages kept),
+/// set-range (`view.lo`/`view.hi`), or add/remove the pages in `view.pages`.
 enum class ManifestDeltaOp : uint32_t {
   kUpsertView = 1,
   kRemoveView = 2,
   kSetViewTier = 3,
+  kSetViewRange = 4,
+  kAddViewPages = 5,
+  kRemoveViewPages = 6,
 };
 
 struct ManifestDelta {
@@ -129,6 +145,10 @@ std::string ManifestPath(const std::string& dir);
 /// "<dir>/MANIFEST.delta" — likewise.
 std::string ManifestDeltaPath(const std::string& dir);
 
+/// Size in bytes of a base snapshot of `views` views holding `pages` page
+/// ids in all — what WriteManifest would write, computed from counts alone.
+uint64_t ManifestSnapshotBytes(uint64_t views, uint64_t pages);
+
 /// The append-only side of the incremental manifest. One instance is owned
 /// by the durable column (single writer — the engine's maintenance path);
 /// recovery uses Open's replayed records.
@@ -153,10 +173,18 @@ class ManifestDeltaLog {
   ManifestDeltaLog& operator=(const ManifestDeltaLog&) = delete;
   ~ManifestDeltaLog();
 
-  /// Appends one record; `sync` fdatasyncs before returning. On a failed
-  /// (possibly partial) write the tail is rewound to the last whole-record
-  /// boundary, best effort.
-  Status Append(const ManifestDelta& delta, bool sync);
+  /// Appends one record, unsynced (Sync makes a batch of them durable with
+  /// one fdatasync). On a failed (possibly partial) write the tail is
+  /// rewound to the last whole-record boundary; while that rewind has not
+  /// succeeded, every Append fails (replay would stop at the torn bytes)
+  /// until Reset.
+  Status Append(const ManifestDelta& delta);
+
+  /// fdatasyncs every record appended so far.
+  Status Sync();
+
+  /// True when records were appended since the last Sync or Reset.
+  bool unsynced() const { return unsynced_; }
 
   /// Truncates back to the bare header — the checkpoint compaction step,
   /// called right after the base snapshot (with the NEXT epoch) landed.
@@ -165,6 +193,13 @@ class ManifestDeltaLog {
   /// Records appended (or replayed) since the last Reset.
   uint64_t record_count() const { return record_count_; }
 
+  /// Bytes of those records (the file minus its header).
+  uint64_t bytes() const;
+
+  /// True when the log holds nothing a Reset would drop: no record, and no
+  /// torn tail left by a failed append.
+  bool empty() const { return record_count_ == 0 && !torn_tail_; }
+
  private:
   ManifestDeltaLog(int fd, StorageIo* io) : fd_(fd), io_(io) {}
 
@@ -172,14 +207,19 @@ class ManifestDeltaLog {
   StorageIo* io_ = nullptr;
   uint64_t record_count_ = 0;
   uint64_t end_offset_ = 0;
+  /// A failed append left bytes past end_offset_ that could not be rewound.
+  bool torn_tail_ = false;
+  bool unsynced_ = false;
 };
 
 /// Applies `deltas` (append order) to `base`: records stamped with
-/// base->epoch upsert/remove views by id (set-tier flips the demoted flag
-/// of an existing view, keeping its pages; an unknown id is a no-op — the
-/// view's upsert never became durable, so there is nothing to re-tier).
-/// Records from any other epoch are skipped and counted. Raises
-/// base->next_view_id above every id seen.
+/// base->epoch upsert/remove views by id, and set-tier, set-range,
+/// add-pages and remove-pages edit an existing view in place (an unknown
+/// id is a no-op — the view's upsert never became durable, so there is
+/// nothing to edit). Added pages go after the view's last slot; removed
+/// ones leave the order of the rest unchanged. Records from any other
+/// epoch are skipped and counted. Raises base->next_view_id above every id
+/// seen.
 /// Returns the number of records applied; `skipped_epoch` (optional)
 /// receives the skip count.
 uint64_t ApplyManifestDeltas(ViewManifest* base,

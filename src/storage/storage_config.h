@@ -3,18 +3,23 @@
 //
 // With an empty persist_dir the engine behaves exactly as before: the
 // column lives in anonymous memfd/shm memory and vanishes with the process.
-// With a persist_dir, three files make the column a restartable storage
+// With a persist_dir, these files make the column a restartable storage
 // engine (full walkthrough in ARCHITECTURE.md "Durability model"):
 //
-//   column.dat   the data pages themselves, mmap'ed MAP_SHARED — every
-//                write through the column lands in the page cache and is
-//                written back by the kernel (or forced by the flush policy);
-//   journal.wal  a write-ahead journal of row updates, appended on every
-//                AdaptiveColumn::Update and replayed on Open;
-//   MANIFEST     an atomically-replaced snapshot of the column geometry and
-//                every partial view's page membership, rewritten whenever a
-//                flush, adaptation decision, compaction, or eviction changes
-//                the pool.
+//   column.dat      the data pages themselves, mmap'ed MAP_SHARED — every
+//                   write through the column lands in the page cache and
+//                   is written back by the kernel (or forced by the flush
+//                   policy);
+//   journal.wal     a write-ahead journal of row updates, appended on every
+//                   AdaptiveColumn::Update and replayed on Open;
+//   MANIFEST        an atomically-replaced base snapshot of the column
+//                   geometry and every partial view's page membership;
+//   MANIFEST.delta  the append-only log of every pool edit since that
+//                   snapshot — adaptation decisions and update flushes
+//                   append records; the snapshot is rewritten only when an
+//                   edit cannot be logged, when the log outgrows twice the
+//                   snapshot, or when an explicit checkpoint compacts it;
+//   view_<id>.cold  the spilled membership of each demoted view.
 //
 // Crash-safety contract: process kill (SIGKILL mid-anything) is always
 // recoverable — the page cache survives the process, the journal covers

@@ -21,11 +21,14 @@
 // (tools/fault_matrix.py crash drives that mode in CI).
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <climits>
 #include <cstdint>
+#include <cstring>
 #include <fcntl.h>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -35,6 +38,8 @@
 
 #include "vmsv.h"
 #include "scoped_temp_dir.h"
+#include "exec/scan_kernels.h"
+#include "storage/manifest.h"
 #include "storage/storage_io.h"
 #include "util/env.h"
 #include "workload/distribution.h"
@@ -46,18 +51,24 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr Value kMaxValue = 100'000'000;
-constexpr uint64_t kTotalUpdates = 32;
+constexpr uint64_t kTotalUpdates = 40;
 constexpr uint64_t kMinFullPointsPerScenario = 200;  // ISSUE 6 satellite (a)
 
 uint64_t TestPages() { return GetEnvUint64("VMSV_CRASH_PAGES", 16); }
 uint64_t NumRows() { return TestPages() * kValuesPerPage; }
 bool FullSweep() { return GetEnvUint64("VMSV_CRASH_FULL", 0) != 0; }
 
-/// Update #j (1-based) always hits the same row with the same value, spread
-/// across pages and above every genesis value so "did update j land?" is a
-/// single Get.
+/// Update #j (1-based) of the script's default plan: spread across pages,
+/// above every genesis value and outside every view's range. The script
+/// replaces a few of them with updates aimed at the pool (see RunScript).
 uint64_t UpdateRow(uint64_t j) { return (j * 37) % NumRows(); }
 Value UpdateValue(uint64_t j) { return kMaxValue + j; }
+
+/// One scripted update.
+struct PlannedUpdate {
+  uint64_t row = 0;
+  Value value = 0;
+};
 
 struct Scenario {
   const char* name;
@@ -98,6 +109,8 @@ struct ScriptOutcome {
   /// Updates issued (1..issued); the script stops at the first failure, so
   /// they are always a prefix of the full script.
   uint64_t issued = 0;
+  /// The rows and values of updates 1..issued, in issue order.
+  std::vector<PlannedUpdate> plan;
   /// Highest update index the column ACKNOWLEDGED as recoverable under the
   /// scenario's semantics. Process kill: every OK update (journal append
   /// reached the page cache before the cell write). Power loss: only
@@ -110,6 +123,7 @@ struct ScriptOutcome {
 struct OwnedColumn {
   std::unique_ptr<Table> table;
   AdaptiveColumn* operator->() const { return table->shard(0); }
+  AdaptiveColumn& operator*() const { return *table->shard(0); }
 };
 
 StatusOr<OwnedColumn> OpenColumn(const std::string& dir,
@@ -117,6 +131,83 @@ StatusOr<OwnedColumn> OpenColumn(const std::string& dir,
   auto table_r = Db::Open(dir, DbOptions{config});
   if (!table_r.ok()) return table_r.status();
   return OwnedColumn{std::move(table_r).ValueOrDie()};
+}
+
+/// Pages of the column holding any value in q.
+std::vector<uint64_t> PagesHolding(const PhysicalColumn& column,
+                                   const RangeQuery& q) {
+  std::vector<uint64_t> pages;
+  for (uint64_t page = 0; page < column.num_pages(); ++page) {
+    if (PageContainsAny(column.PageData(page), kValuesPerPage, q)) {
+      pages.push_back(page);
+    }
+  }
+  return pages;
+}
+
+/// An update that moves a page into a hot view: a value inside the view's
+/// range, written to the last row of a page the view does not hold.
+std::optional<PlannedUpdate> PageAddition(const AdaptiveColumn& col,
+                                          uint64_t skip_page) {
+  for (const auto& view : col.view_index().views()) {
+    if (view->demoted()) continue;
+    for (uint64_t page = 0; page < col.column().num_pages(); ++page) {
+      if (page == skip_page || view->ContainsPage(page)) continue;
+      return PlannedUpdate{page * kValuesPerPage + kValuesPerPage - 1,
+                           view->lo() + (view->hi() - view->lo()) / 2};
+    }
+  }
+  return std::nullopt;
+}
+
+/// The rows whose update moves a page out of a hot view: every row of the
+/// page with a value in the view's range, for the page with fewest such
+/// rows — if it has at most `max_rows`. `*page` receives the page.
+std::vector<uint64_t> PageRemoval(const AdaptiveColumn& col, size_t max_rows,
+                                  uint64_t* page) {
+  std::vector<uint64_t> best;
+  bool found = false;
+  for (const auto& view : col.view_index().views()) {
+    if (view->demoted()) continue;
+    view->ForEachPage([&](uint64_t member) {
+      std::vector<uint64_t> rows;
+      const Value* data = col.column().PageData(member);
+      for (uint64_t i = 0; i < kValuesPerPage; ++i) {
+        if (data[i] >= view->lo() && data[i] <= view->hi()) {
+          rows.push_back(member * kValuesPerPage + i);
+        }
+      }
+      if (!found || rows.size() < best.size()) {
+        found = true;
+        best = std::move(rows);
+        *page = member;
+      }
+    });
+  }
+  if (!found || best.size() > max_rows) return {};
+  return best;
+}
+
+/// A query [lo, hi + 1] of a view whose candidate is exactly that view's
+/// pages: admission discards it against the view and widens its range.
+std::optional<RangeQuery> WideningQuery(const AdaptiveColumn& col) {
+  const auto& views = col.view_index().views();
+  for (const auto& view : views) {
+    if (view->num_pages() == 0 || view->hi() >= kMaxValue) continue;
+    const RangeQuery wider{view->lo(), view->hi() + 1};
+    if (col.view_index().FindSmallestCovering(wider) != nullptr) continue;
+    const std::vector<uint64_t> pages = PagesHolding(col.column(), wider);
+    if (pages.size() != view->num_pages()) continue;
+    // DecideCandidate discards against the first view holding every page.
+    for (const auto& first : views) {
+      bool holds = true;
+      for (const uint64_t page : pages) holds = holds && first->ContainsPage(page);
+      if (!holds) continue;
+      if (first.get() == view.get()) return wider;
+      break;
+    }
+  }
+  return std::nullopt;
 }
 
 ScriptOutcome RunScript(const std::string& dir, const Scenario& s,
@@ -127,19 +218,23 @@ ScriptOutcome RunScript(const std::string& dir, const Scenario& s,
   auto col = std::move(open_r).ValueOrDie();
   const std::vector<RangeQuery> queries = ScriptQueries();
 
-  auto issue = [&](uint64_t j) -> bool {
-    out.issued = j;
-    if (!col->Update(UpdateRow(j), UpdateValue(j)).ok()) return false;
+  auto issue = [&](const PlannedUpdate& update) -> bool {
+    out.plan.push_back(update);
+    out.issued = out.plan.size();
+    if (!col->Update(update.row, update.value).ok()) return false;
     if (!s.power_loss) {
-      out.acked = j;
+      out.acked = out.issued;
     } else {
       const DurabilityStats ds = col->durability_stats();
       if (ds.journal_appended_lsn > 0 &&
           ds.journal_durable_lsn >= ds.journal_appended_lsn) {
-        out.acked = j;
+        out.acked = out.issued;
       }
     }
     return true;
+  };
+  auto issue_default = [&](uint64_t j) {
+    return issue(PlannedUpdate{UpdateRow(j), UpdateValue(j)});
   };
   auto all_durable = [&] {
     // A successful kSync flush/checkpoint fsynced journal + data: every
@@ -148,7 +243,7 @@ ScriptOutcome RunScript(const std::string& dir, const Scenario& s,
   };
 
   for (uint64_t j = 1; j <= 12; ++j) {
-    if (!issue(j)) return out;
+    if (!issue_default(j)) return out;
   }
   for (int q = 0; q < 4; ++q) (void)col->Execute(queries[q]);  // adapt
   if (!col->FlushUpdates().ok()) return out;
@@ -156,15 +251,43 @@ ScriptOutcome RunScript(const std::string& dir, const Scenario& s,
   // Spill scenarios: demote here so the later queries promote some views
   // back (promote + demote + checkpoint re-spill all inside the surface).
   if (s.demote) (void)col->DemoteColdestViews(2);
-  for (uint64_t j = 13; j <= 24; ++j) {
-    if (!issue(j)) return out;
+  for (uint64_t j = 13; j <= 23; ++j) {
+    if (!issue_default(j)) return out;
+  }
+  // Update 24 moves a page into a hot view; query 4's flush-first appends
+  // the add-pages record.
+  const std::optional<PlannedUpdate> add =
+      PageAddition(*col, /*skip_page=*/~uint64_t{0});
+  if (!issue(add.value_or(PlannedUpdate{UpdateRow(24), UpdateValue(24)}))) {
+    return out;
   }
   for (int q = 4; q < 8; ++q) (void)col->Execute(queries[q]);
+  // A discard that widens a view's range: the set-range record.
+  if (const std::optional<RangeQuery> wider = WideningQuery(*col)) {
+    (void)col->Execute(*wider);
+  }
+  // Updates 25-30: up to five move a page out of a hot view, update 30
+  // moves another page into one, and one flush appends both page records.
+  uint64_t emptied = ~uint64_t{0};
+  const std::vector<uint64_t> removal = PageRemoval(*col, 5, &emptied);
+  for (uint64_t j = 25; j <= 29; ++j) {
+    const size_t i = j - 25;
+    if (!issue(i < removal.size() ? PlannedUpdate{removal[i], UpdateValue(j)}
+                                  : PlannedUpdate{UpdateRow(j), UpdateValue(j)})) {
+      return out;
+    }
+  }
+  const std::optional<PlannedUpdate> second_add = PageAddition(*col, emptied);
+  if (!issue(second_add.value_or(PlannedUpdate{UpdateRow(30), UpdateValue(30)}))) {
+    return out;
+  }
+  if (!col->FlushUpdates().ok()) return out;
+  all_durable();
   if (s.demote) (void)col->DemoteColdestViews(2);
   if (!col->Checkpoint().ok()) return out;
   all_durable();
-  for (uint64_t j = 25; j <= kTotalUpdates; ++j) {
-    if (!issue(j)) return out;
+  for (uint64_t j = 31; j <= kTotalUpdates; ++j) {
+    if (!issue_default(j)) return out;
   }
   // Tail demote: only the set-tier delta and the cold file land before the
   // kill — recovery must honor the delta or fall back hot, never tear.
@@ -234,41 +357,62 @@ bool CaptureState(const std::string& dir, const Scenario& s, bool adapt,
   return true;
 }
 
-/// Invariant 1: `values` == genesis + updates 1..K for some K >= acked.
+/// Invariant 1: `values` == genesis + plan[0..K) for some K >= acked. The
+/// plan may write a row twice, so every prefix state is compared whole.
 bool CheckPrefix(const std::vector<Value>& base,
-                 const std::vector<Value>& values, uint64_t issued,
-                 uint64_t acked, std::string* error) {
-  uint64_t k = 0;
-  while (k < kTotalUpdates && values[UpdateRow(k + 1)] == UpdateValue(k + 1)) {
-    ++k;
+                 const std::vector<Value>& values,
+                 const std::vector<PlannedUpdate>& plan, uint64_t acked,
+                 std::string* error) {
+  std::vector<Value> expected = base;
+  uint64_t matched = 0;
+  bool any = false;
+  for (uint64_t k = 0; k <= plan.size(); ++k) {
+    if (k > 0) expected[plan[k - 1].row] = plan[k - 1].value;
+    if (expected != values) continue;
+    if (k >= acked) return true;
+    any = true;
+    matched = k;
   }
-  if (k < acked) {
+  if (any) {
     *error = "acknowledged update lost: recovered prefix K=" +
-             std::to_string(k) + " < acked=" + std::to_string(acked);
+             std::to_string(matched) + " < acked=" + std::to_string(acked);
     return false;
   }
-  for (uint64_t j = k + 1; j <= issued; ++j) {
-    if (values[UpdateRow(j)] != base[UpdateRow(j)]) {
-      *error = "gap/reorder: update " + std::to_string(j) +
-               " visible past prefix K=" + std::to_string(k);
+  for (uint64_t row = 0; row < values.size(); ++row) {
+    if (values[row] != expected[row] && values[row] != base[row]) {
+      *error = "gap/reorder: row " + std::to_string(row) + " = " +
+               std::to_string(values[row]) +
+               " matches no prefix of the " + std::to_string(plan.size()) +
+               " issued updates";
       return false;
     }
   }
-  for (uint64_t row = 0; row < NumRows(); ++row) {
-    Value expected = base[row];
-    for (uint64_t j = 1; j <= k; ++j) {
-      if (UpdateRow(j) == row) expected = UpdateValue(j);
-    }
-    if (values[row] != expected) {
-      *error = "row " + std::to_string(row) + " = " +
-               std::to_string(values[row]) + ", expected " +
-               std::to_string(expected) + " under prefix K=" +
-               std::to_string(k);
-      return false;
-    }
-  }
-  return true;
+  *error = "recovered column matches no prefix of the " +
+           std::to_string(plan.size()) + " issued updates";
+  return false;
 }
+
+/// Counts the manifest delta records a run appends, by op, on top of the
+/// fault-free FaultInjectingIo: every delta record is one write.
+class DeltaOpCountingIo : public FaultInjectingIo {
+ public:
+  Status Write(int fd, const void* data, size_t len,
+               const char* what) override {
+    uint32_t op = 0;
+    if (std::string(what) == "write(manifest delta)" && len >= sizeof(op)) {
+      std::memcpy(&op, data, sizeof(op));
+      if (op < ops_.size()) ++ops_[op];
+    }
+    return FaultInjectingIo::Write(fd, data, len, what);
+  }
+
+  uint64_t appended(ManifestDeltaOp op) const {
+    return ops_[static_cast<uint32_t>(op)];
+  }
+
+ private:
+  std::array<uint64_t, 8> ops_{};
+};
 
 class CrashMatrix {
  public:
@@ -333,13 +477,21 @@ class CrashMatrix {
   }
 
   /// The fault-free scripted run, counted: T ops define the fault surface.
+  /// It must reach every in-place delta op, so the surface covers them.
   uint64_t CountOps() {
     CopyDir(genesis_, work_);
-    FaultInjectingIo io;
+    DeltaOpCountingIo io;
     const ScriptOutcome out = RunScript(work_, scenario_, &io);
     EXPECT_EQ(out.issued, kTotalUpdates)
         << scenario_.name << ": fault-free script must complete";
     EXPECT_EQ(out.acked, kTotalUpdates);
+    for (const ManifestDeltaOp op :
+         {ManifestDeltaOp::kSetViewRange, ManifestDeltaOp::kAddViewPages,
+          ManifestDeltaOp::kRemoveViewPages}) {
+      EXPECT_GT(io.appended(op), 0u)
+          << scenario_.name << ": the script appended no op "
+          << static_cast<uint32_t>(op) << " record";
+    }
     return io.op_count();
   }
 
@@ -380,7 +532,7 @@ class CrashMatrix {
     std::string error;
     RecoveredState first;
     if (!CaptureState(work_, scenario_, /*adapt=*/true, &first, &error) ||
-        !CheckPrefix(base_, first.values, out.issued, out.acked, &error)) {
+        !CheckPrefix(base_, first.values, out.plan, out.acked, &error)) {
       Fail(kind, op, seed, error);
       return false;
     }

@@ -3,6 +3,7 @@
 // — a restart round-trip whose post-reopen scans are bit-identical to the
 // pre-restart execution (ISSUE 5 / ARCHITECTURE.md "Durability model").
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -10,6 +11,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -220,6 +222,45 @@ TEST(JournalTest, ResetForgetsAndRejectsForeignFiles) {
     f.write("DEADBEEFDEADBEEF", 16);
   }
   EXPECT_FALSE(WriteAheadJournal::Open(bogus).ok());
+}
+
+// ---------------------------------------------------------------------------
+// CRC-32 (journal, manifest, delta log and cold files all frame with it)
+
+/// The bitwise reflected CRC-32 the table-driven one must equal bit for
+/// bit: every journal, manifest, delta log and cold file written before the
+/// table version still has to verify. Returns the register before the final
+/// inversion so a caller can extend it byte by byte.
+uint32_t BitwiseCrcStep(uint32_t crc, unsigned char byte) {
+  crc ^= byte;
+  for (int bit = 0; bit < 8; ++bit) {
+    crc = (crc >> 1) ^ (0xEDB88320u & (~(crc & 1u) + 1u));
+  }
+  return crc;
+}
+
+TEST(Crc32Test, KnownAnswer) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32Test, EqualsBitwiseReferenceAtEveryLengthAndOffset) {
+  constexpr size_t kMaxLen = 4097;
+  std::vector<unsigned char> buf(kMaxLen + 8);
+  uint64_t state = 0x9E3779B97F4A7C15ull;
+  for (unsigned char& byte : buf) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    byte = static_cast<unsigned char>(state >> 56);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    const unsigned char* start = buf.data() + offset;
+    uint32_t reference = 0xFFFFFFFFu;  // register after `len` bytes
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      ASSERT_EQ(Crc32(start, len), ~reference)
+          << "offset " << offset << " length " << len;
+      if (len < kMaxLen) reference = BitwiseCrcStep(reference, start[len]);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -720,9 +761,9 @@ TEST(ManifestDeltaLogTest, AppendReplayRoundTrip) {
     ASSERT_TRUE(open_r.ok()) << open_r.status().ToString();
     ASSERT_TRUE(open_r->replayed.empty());
     auto log = std::move(open_r.ValueOrDie().log);
-    ASSERT_TRUE(log->Append(UpsertDelta(1, 5, 10, 20, {0, 3, 7}), true).ok());
-    ASSERT_TRUE(log->Append(RemoveDelta(1, 4), true).ok());
-    ASSERT_TRUE(log->Append(UpsertDelta(2, 6, 30, 40, {}), false).ok());
+    ASSERT_TRUE(log->Append(UpsertDelta(1, 5, 10, 20, {0, 3, 7})).ok());
+    ASSERT_TRUE(log->Append(RemoveDelta(1, 4)).ok());
+    ASSERT_TRUE(log->Append(UpsertDelta(2, 6, 30, 40, {})).ok());
     EXPECT_EQ(log->record_count(), 3u);
   }
   auto reopen_r = ManifestDeltaLog::Open(scratch.path());
@@ -746,8 +787,8 @@ TEST(ManifestDeltaLogTest, TornTailIsTruncatedOnce) {
     auto open_r = ManifestDeltaLog::Open(scratch.path());
     ASSERT_TRUE(open_r.ok());
     auto log = std::move(open_r.ValueOrDie().log);
-    ASSERT_TRUE(log->Append(UpsertDelta(1, 1, 0, 9, {2}), true).ok());
-    ASSERT_TRUE(log->Append(UpsertDelta(1, 2, 10, 19, {4}), true).ok());
+    ASSERT_TRUE(log->Append(UpsertDelta(1, 1, 0, 9, {2})).ok());
+    ASSERT_TRUE(log->Append(UpsertDelta(1, 2, 10, 19, {4})).ok());
   }
   {
     // Crash mid-append: a partial record's bytes at the tail.
@@ -762,7 +803,7 @@ TEST(ManifestDeltaLogTest, TornTailIsTruncatedOnce) {
   {
     // The torn tail is gone: appends after recovery replay cleanly.
     auto log = std::move(open_r.ValueOrDie().log);
-    ASSERT_TRUE(log->Append(RemoveDelta(1, 1), true).ok());
+    ASSERT_TRUE(log->Append(RemoveDelta(1, 1)).ok());
   }
   auto again_r = ManifestDeltaLog::Open(scratch.path());
   ASSERT_TRUE(again_r.ok());
@@ -777,8 +818,8 @@ TEST(ManifestDeltaLogTest, MidRecordCorruptionEndsReplayThere) {
     auto open_r = ManifestDeltaLog::Open(scratch.path());
     ASSERT_TRUE(open_r.ok());
     auto log = std::move(open_r.ValueOrDie().log);
-    ASSERT_TRUE(log->Append(UpsertDelta(1, 1, 0, 9, {2, 5}), true).ok());
-    ASSERT_TRUE(log->Append(UpsertDelta(1, 2, 10, 19, {4}), true).ok());
+    ASSERT_TRUE(log->Append(UpsertDelta(1, 1, 0, 9, {2, 5})).ok());
+    ASSERT_TRUE(log->Append(UpsertDelta(1, 2, 10, 19, {4})).ok());
   }
   {
     // Flip a byte INSIDE the first record's payload (past the 8-byte file
@@ -798,16 +839,80 @@ TEST(ManifestDeltaLogTest, MidRecordCorruptionEndsReplayThere) {
   EXPECT_EQ(open_r->log->record_count(), 0u);
 }
 
+/// Real I/O, except that while `tear` is set a delta write lands only its
+/// first half and fails, and the rewind after it fails too.
+class TearingDeltaIo : public StorageIo {
+ public:
+  bool tear = false;
+
+  Status Write(int fd, const void* data, size_t len,
+               const char* what) override {
+    if (tear) {
+      (void)RealStorageIo()->Write(fd, data, len / 2, what);
+      return IoError("injected torn delta write");
+    }
+    return RealStorageIo()->Write(fd, data, len, what);
+  }
+  Status Pwrite(int fd, const void* data, size_t len, uint64_t offset,
+                const char* what) override {
+    return RealStorageIo()->Pwrite(fd, data, len, offset, what);
+  }
+  Status Fsync(int fd, const char* what) override {
+    return RealStorageIo()->Fsync(fd, what);
+  }
+  Status FsyncDir(const std::string& dir) override {
+    return RealStorageIo()->FsyncDir(dir);
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    return RealStorageIo()->Rename(from, to);
+  }
+  Status Truncate(int fd, uint64_t len, const char* what) override {
+    if (tear && std::string(what).find("rewind") != std::string::npos) {
+      return IoError("injected rewind failure");
+    }
+    return RealStorageIo()->Truncate(fd, len, what);
+  }
+  Status SyncFileRange(int fd, const char* what) override {
+    return RealStorageIo()->SyncFileRange(fd, what);
+  }
+};
+
+TEST(ManifestDeltaLogTest, UnrewoundTornTailRefusesAppendsUntilReset) {
+  // Records appended behind torn bytes would be unreachable on replay, so
+  // the log refuses them until a Reset truncates the tear away.
+  ScratchDir scratch("mdl_unrewound");
+  TearingDeltaIo io;
+  auto open_r = ManifestDeltaLog::Open(scratch.path(), &io);
+  ASSERT_TRUE(open_r.ok());
+  auto log = std::move(open_r.ValueOrDie().log);
+  ASSERT_TRUE(log->Append(UpsertDelta(1, 1, 0, 9, {2})).ok());
+  io.tear = true;
+  EXPECT_FALSE(log->Append(UpsertDelta(1, 2, 10, 19, {4, 5})).ok());
+  io.tear = false;
+  EXPECT_FALSE(log->empty());
+  EXPECT_FALSE(log->Append(RemoveDelta(1, 1)).ok())
+      << "an append behind the torn tail would be lost on replay";
+  ASSERT_TRUE(log->Reset().ok());
+  EXPECT_TRUE(log->empty());
+  ASSERT_TRUE(log->Append(UpsertDelta(2, 3, 20, 29, {6})).ok());
+  log.reset();
+  auto reopen_r = ManifestDeltaLog::Open(scratch.path());
+  ASSERT_TRUE(reopen_r.ok());
+  EXPECT_FALSE(reopen_r->tail_truncated);
+  ASSERT_EQ(reopen_r->replayed.size(), 1u);
+  EXPECT_EQ(reopen_r->replayed[0].view.id, 3u);
+}
+
 TEST(ManifestDeltaLogTest, ResetCompactsToBareHeader) {
   ScratchDir scratch("mdl_reset");
   {
     auto open_r = ManifestDeltaLog::Open(scratch.path());
     ASSERT_TRUE(open_r.ok());
     auto log = std::move(open_r.ValueOrDie().log);
-    ASSERT_TRUE(log->Append(UpsertDelta(1, 1, 0, 9, {2}), true).ok());
+    ASSERT_TRUE(log->Append(UpsertDelta(1, 1, 0, 9, {2})).ok());
     ASSERT_TRUE(log->Reset().ok());
     EXPECT_EQ(log->record_count(), 0u);
-    ASSERT_TRUE(log->Append(UpsertDelta(2, 2, 5, 6, {1}), true).ok());
+    ASSERT_TRUE(log->Append(UpsertDelta(2, 2, 5, 6, {1})).ok());
   }
   auto open_r = ManifestDeltaLog::Open(scratch.path());
   ASSERT_TRUE(open_r.ok());
@@ -839,6 +944,171 @@ TEST(ManifestDeltaLogTest, ApplyFiltersByEpochAndRaisesIdWatermark) {
   // The watermark rose above EVERY id seen, applied or skipped: an id
   // handed out before a crash is never reissued.
   EXPECT_EQ(base.next_view_id, 10u);
+}
+
+ManifestDelta EditDelta(ManifestDeltaOp op, uint64_t epoch, uint64_t id,
+                        std::vector<uint64_t> pages) {
+  ManifestDelta delta;
+  delta.op = op;
+  delta.epoch = epoch;
+  delta.view.id = id;
+  delta.view.pages = std::move(pages);
+  return delta;
+}
+
+ManifestDelta RangeDelta(uint64_t epoch, uint64_t id, Value lo, Value hi) {
+  ManifestDelta delta = EditDelta(ManifestDeltaOp::kSetViewRange, epoch, id, {});
+  delta.view.lo = lo;
+  delta.view.hi = hi;
+  return delta;
+}
+
+/// Writes `deltas` to a fresh log in `dir` and returns what Open replays.
+std::vector<ManifestDelta> RoundTripLog(const std::string& dir,
+                                        const std::vector<ManifestDelta>& deltas) {
+  {
+    auto open_r = ManifestDeltaLog::Open(dir);
+    EXPECT_TRUE(open_r.ok()) << open_r.status().ToString();
+    auto log = std::move(open_r.ValueOrDie().log);
+    for (const ManifestDelta& delta : deltas) {
+      EXPECT_TRUE(log->Append(delta).ok());
+    }
+    EXPECT_TRUE(log->Sync().ok());
+  }
+  auto open_r = ManifestDeltaLog::Open(dir);
+  EXPECT_TRUE(open_r.ok()) << open_r.status().ToString();
+  EXPECT_FALSE(open_r->tail_truncated);
+  return std::move(open_r.ValueOrDie().replayed);
+}
+
+TEST(ManifestDeltaLogTest, InPlaceEditsReplayByIdAndIgnoreUnknownIds) {
+  ScratchDir scratch("mdl_edits");
+  ViewManifest base;
+  base.epoch = 5;
+  base.next_view_id = 3;
+  base.views.push_back(ManifestView{1, 0, 9, 3, false, {0, 1, 2}});
+  base.views.push_back(ManifestView{2, 10, 19, 2, false, {3, 4}});
+  const std::vector<ManifestDelta> replayed = RoundTripLog(
+      scratch.path(),
+      {
+          RangeDelta(5, 1, 0, 12),
+          EditDelta(ManifestDeltaOp::kAddViewPages, 5, 1, {2, 5, 6}),
+          EditDelta(ManifestDeltaOp::kRemoveViewPages, 5, 1, {1, 7}),
+          EditDelta(ManifestDeltaOp::kAddViewPages, 5, 1, {1}),
+          EditDelta(ManifestDeltaOp::kRemoveViewPages, 5, 2, {3, 4}),
+          EditDelta(ManifestDeltaOp::kAddViewPages, 5, 9, {8}),   // unknown id
+          RangeDelta(5, 9, 1, 2),                                 // unknown id
+          EditDelta(ManifestDeltaOp::kRemoveViewPages, 4, 1, {0}),  // old epoch
+          EditDelta(ManifestDeltaOp::kAddViewPages, 5, 2, {9}),
+      });
+  ASSERT_EQ(replayed.size(), 9u);
+  EXPECT_EQ(replayed[0].op, ManifestDeltaOp::kSetViewRange);
+  EXPECT_EQ(replayed[0].view.hi, 12u);
+  EXPECT_EQ(replayed[1].view.pages, (std::vector<uint64_t>{2, 5, 6}));
+  uint64_t skipped = 0;
+  EXPECT_EQ(ApplyManifestDeltas(&base, replayed, &skipped), 8u);
+  EXPECT_EQ(skipped, 1u);
+  ASSERT_EQ(base.views.size(), 2u);
+  EXPECT_EQ(base.views[0].lo, 0u);
+  EXPECT_EQ(base.views[0].hi, 12u);
+  // Present pages are not added twice, absent ones are not removed, the
+  // survivors keep their order and added pages go after them.
+  EXPECT_EQ(base.views[0].pages, (std::vector<uint64_t>{0, 2, 5, 6, 1}));
+  EXPECT_EQ(base.views[0].creation_scanned_pages, 3u);
+  EXPECT_EQ(base.views[1].hi, 19u);
+  EXPECT_EQ(base.views[1].pages, (std::vector<uint64_t>{9}));
+  EXPECT_EQ(base.next_view_id, 10u);  // the unknown id still raised it
+
+  // An upsert replaces the whole view, page edits after it included.
+  ViewManifest again;
+  again.epoch = 1;
+  again.views.push_back(ManifestView{4, 0, 9, 1, false, {1, 2}});
+  ApplyManifestDeltas(
+      &again, {EditDelta(ManifestDeltaOp::kRemoveViewPages, 1, 4, {1}),
+               UpsertDelta(1, 4, 0, 9, {7}),
+               EditDelta(ManifestDeltaOp::kAddViewPages, 1, 4, {7, 8}),
+               EditDelta(ManifestDeltaOp::kRemoveViewPages, 1, 4, {7})});
+  ASSERT_EQ(again.views.size(), 1u);
+  EXPECT_EQ(again.views[0].pages, (std::vector<uint64_t>{8}));
+}
+
+TEST(ManifestDeltaLogTest, LogOfOpsOneToThreeReplaysUnchanged) {
+  // A log written before ops 4-6 existed holds only upserts, removes and
+  // tier flips; it must replay to exactly the pool it always did.
+  ScratchDir scratch("mdl_v1_ops");
+  ManifestDelta demote = EditDelta(ManifestDeltaOp::kSetViewTier, 2, 1, {});
+  demote.view.demoted = true;
+  const std::vector<ManifestDelta> written = {
+      UpsertDelta(2, 1, 0, 9, {4, 0, 2}),
+      UpsertDelta(2, 2, 10, 19, {5}),
+      demote,
+      RemoveDelta(2, 2),
+      UpsertDelta(2, 3, 20, 29, {6, 7}),
+      UpsertDelta(2, 3, 20, 35, {7}),
+  };
+  const std::vector<ManifestDelta> replayed =
+      RoundTripLog(scratch.path(), written);
+  ASSERT_EQ(replayed.size(), written.size());
+  for (size_t i = 0; i < written.size(); ++i) {
+    EXPECT_EQ(replayed[i].op, written[i].op) << "record " << i;
+    EXPECT_EQ(replayed[i].view.id, written[i].view.id) << "record " << i;
+    EXPECT_EQ(replayed[i].view.pages, written[i].view.pages) << "record " << i;
+    EXPECT_EQ(replayed[i].view.demoted, written[i].view.demoted)
+        << "record " << i;
+  }
+  ViewManifest base;
+  base.epoch = 2;
+  EXPECT_EQ(ApplyManifestDeltas(&base, replayed), written.size());
+  ASSERT_EQ(base.views.size(), 2u);
+  EXPECT_EQ(base.views[0].id, 1u);
+  EXPECT_TRUE(base.views[0].demoted);
+  EXPECT_EQ(base.views[0].pages, (std::vector<uint64_t>{4, 0, 2}));
+  EXPECT_EQ(base.views[1].id, 3u);
+  EXPECT_EQ(base.views[1].hi, 35u);
+  EXPECT_EQ(base.views[1].pages, (std::vector<uint64_t>{7}));
+  EXPECT_EQ(base.next_view_id, 4u);
+}
+
+TEST(ManifestDeltaLogTest, UnknownOpEndsReplayAsTornTail) {
+  ScratchDir scratch("mdl_unknown_op");
+  {
+    auto open_r = ManifestDeltaLog::Open(scratch.path());
+    ASSERT_TRUE(open_r.ok());
+    auto log = std::move(open_r.ValueOrDie().log);
+    ASSERT_TRUE(log->Append(UpsertDelta(1, 1, 0, 9, {2})).ok());
+  }
+  {
+    // A well-framed record (valid crc and magic) with op 7, which no
+    // version writes.
+    std::string record;
+    const auto put32 = [&record](uint32_t v) {
+      record.append(reinterpret_cast<const char*>(&v), 4);
+    };
+    const auto put64 = [&record](uint64_t v) {
+      record.append(reinterpret_cast<const char*>(&v), 8);
+    };
+    put32(7);  // op
+    put32(0);  // reserved
+    put64(1);  // epoch
+    put64(1);  // id
+    for (int field = 0; field < 5; ++field) put64(0);  // lo..page_count
+    put32(Crc32(record.data(), record.size()));
+    put32(0x4C44u);
+    std::ofstream f(ManifestDeltaPath(scratch.path()),
+                    std::ios::binary | std::ios::app);
+    f.write(record.data(), static_cast<std::streamsize>(record.size()));
+  }
+  {
+    auto open_r = ManifestDeltaLog::Open(scratch.path());
+    ASSERT_TRUE(open_r.ok()) << open_r.status().ToString();
+    EXPECT_TRUE(open_r->tail_truncated);
+    ASSERT_EQ(open_r->replayed.size(), 1u);
+    EXPECT_EQ(open_r->replayed[0].op, ManifestDeltaOp::kUpsertView);
+  }
+  auto again_r = ManifestDeltaLog::Open(scratch.path());
+  ASSERT_TRUE(again_r.ok());
+  EXPECT_FALSE(again_r->tail_truncated);  // truncated once, for good
+  EXPECT_EQ(again_r->replayed.size(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -977,6 +1247,281 @@ TEST(DurableColumnTest, KillBeforeCheckpointRestoresViewsFromDeltas) {
   EXPECT_EQ(after, before);
   EXPECT_EQ(reopened->metrics().views_created, 0u)
       << "covered queries should hit delta-restored views, not rebuild them";
+}
+
+/// The pool as recovery must reproduce it: (id, lo, hi, sorted pages,
+/// demoted) per view, sorted. Slot order is left out on purpose — it only
+/// shapes the first materialization's mmap runs (ManifestView::pages).
+using PoolState =
+    std::vector<std::tuple<uint64_t, Value, Value, std::vector<uint64_t>, bool>>;
+
+PoolState StateOf(const AdaptiveColumn& adaptive) {
+  PoolState state;
+  for (const auto& view : adaptive.view_index().views()) {
+    std::vector<uint64_t> pages = view->physical_pages();
+    std::sort(pages.begin(), pages.end());
+    state.emplace_back(view->durable_id(), view->lo(), view->hi(),
+                       std::move(pages), view->demoted());
+  }
+  std::sort(state.begin(), state.end());
+  return state;
+}
+
+/// Pages of the column holding any value in q.
+std::vector<uint64_t> PagesHolding(const PhysicalColumn& column,
+                                   const RangeQuery& q) {
+  std::vector<uint64_t> pages;
+  for (uint64_t page = 0; page < column.num_pages(); ++page) {
+    if (PageContainsAny(column.PageData(page), kValuesPerPage, q)) {
+      pages.push_back(page);
+    }
+  }
+  return pages;
+}
+
+bool HoldsAll(const VirtualView& view, const std::vector<uint64_t>& pages) {
+  for (const uint64_t page : pages) {
+    if (!view.ContainsPage(page)) return false;
+  }
+  return true;
+}
+
+/// The view an exact-subset candidate of `pages` is discarded against: the
+/// first in pool order that holds them all (DecideCandidate's rule with
+/// discard_tolerance 0).
+const VirtualView* DiscardTarget(const AdaptiveColumn& adaptive,
+                                 const std::vector<uint64_t>& pages) {
+  for (const auto& view : adaptive.view_index().views()) {
+    if (HoldsAll(*view, pages)) return view.get();
+  }
+  return nullptr;
+}
+
+bool Covered(const AdaptiveColumn& adaptive, const RangeQuery& q) {
+  return adaptive.view_index().FindSmallestCovering(q) != nullptr;
+}
+
+/// A query [lo, hi + 1] of some view whose candidate is exactly that view's
+/// pages, so admission discards it against the view and widens its range.
+bool FindWideningDiscard(const AdaptiveColumn& adaptive, RangeQuery* q) {
+  for (const auto& view : adaptive.view_index().views()) {
+    if (view->num_pages() == 0 || view->hi() == ~Value{0}) continue;
+    const RangeQuery wider{view->lo(), view->hi() + 1};
+    const std::vector<uint64_t> pages =
+        PagesHolding(adaptive.column(), wider);
+    if (Covered(adaptive, wider) || pages.size() != view->num_pages() ||
+        DiscardTarget(adaptive, pages) != view.get()) {
+      continue;
+    }
+    *q = wider;
+    return true;
+  }
+  return false;
+}
+
+/// A one-value query no view covers whose candidate is discarded against a
+/// view whose range does not touch the value — a discard that widens
+/// nothing.
+bool FindNonWideningDiscard(const AdaptiveColumn& adaptive, RangeQuery* q) {
+  const PhysicalColumn& column = adaptive.column();
+  for (const auto& holder : adaptive.view_index().views()) {
+    for (const uint64_t page : holder->physical_pages()) {
+      const PageZone zone = ComputePageZone(column.PageData(page), kValuesPerPage);
+      for (const Value value : {zone.min, zone.max}) {
+        const RangeQuery point{value, value};
+        if (Covered(adaptive, point)) continue;
+        const VirtualView* target =
+            DiscardTarget(adaptive, PagesHolding(column, point));
+        if (target == nullptr) continue;
+        const bool touches = value + 1 >= target->lo() &&
+                             (target->hi() == ~Value{0} ||
+                              value <= target->hi() + 1);
+        if (touches) continue;
+        *q = point;
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+// The delta log alone recovers every pool edit a flush and adaptation make:
+// page additions and removals, a widened range, and a discard that edits
+// nothing — no snapshot after the adaptation's checkpoint. (The discards
+// run before the updates: a query flushes pending updates first.)
+TEST(DurableColumnTest, FlushAppendsPageDeltasAndRecoveryNeedsNoSnapshot) {
+  ScratchDir scratch("durable_pagedeltas");
+  AdaptiveConfig config;
+  config.max_views = 32;
+  PoolState before;
+  {
+    auto adaptive = MakeDurable(scratch.path(), config);
+    ExecuteAll(adaptive.get(), TestQueries(10, 13));  // adapt
+    ASSERT_TRUE(adaptive->Checkpoint().ok());
+    ASSERT_GE(adaptive->view_index().num_partial_views(), 2u);
+    const uint64_t writes = adaptive->durability_stats().manifest_writes;
+
+    // A discard that widens a range appends one set-range record.
+    RangeQuery widen;
+    ASSERT_TRUE(FindWideningDiscard(*adaptive, &widen));
+    uint64_t appends = adaptive->durability_stats().manifest_delta_appends;
+    auto exec = adaptive->Execute(widen);
+    ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+    EXPECT_EQ(exec->stats.decision, CandidateDecision::kDiscardedSubset);
+    const VirtualView* widened =
+        adaptive->view_index().FindSmallestCovering(widen);
+    ASSERT_NE(widened, nullptr) << "the discard widened no range";
+    EXPECT_EQ(widened->hi(), widen.hi);
+    EXPECT_EQ(adaptive->durability_stats().manifest_delta_appends, appends + 1);
+    EXPECT_FALSE(adaptive->durability_stats().manifest_stale);
+
+    // A discard that widens nothing appends nothing and stays clean.
+    RangeQuery plain;
+    ASSERT_TRUE(FindNonWideningDiscard(*adaptive, &plain));
+    const PoolState shape = StateOf(*adaptive);
+    appends = adaptive->durability_stats().manifest_delta_appends;
+    exec = adaptive->Execute(plain);
+    ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+    EXPECT_EQ(exec->stats.decision, CandidateDecision::kDiscardedSubset);
+    EXPECT_EQ(StateOf(*adaptive), shape);
+    EXPECT_EQ(adaptive->durability_stats().manifest_delta_appends, appends);
+    EXPECT_FALSE(adaptive->durability_stats().manifest_stale);
+
+    // One update adds a page to hot view A; others remove page q from a
+    // second view B by moving every value of q in B's range out of the
+    // domain.
+    const PhysicalColumn& column = adaptive->column();
+    const VirtualView* a = nullptr;
+    uint64_t added = 0;
+    for (const auto& view : adaptive->view_index().views()) {
+      for (uint64_t page = 0; a == nullptr && page < column.num_pages();
+           ++page) {
+        if (!view->ContainsPage(page)) {
+          a = view.get();
+          added = page;
+        }
+      }
+    }
+    ASSERT_NE(a, nullptr);
+    const VirtualView* b = nullptr;
+    uint64_t removed = 0;
+    std::vector<uint64_t> removed_rows;
+    for (const auto& view : adaptive->view_index().views()) {
+      if (view.get() == a) continue;
+      for (const uint64_t page : view->physical_pages()) {
+        if (page == added) continue;
+        std::vector<uint64_t> rows;
+        for (uint64_t i = 0; i < kValuesPerPage; ++i) {
+          const Value value = column.PageData(page)[i];
+          if (value >= view->lo() && value <= view->hi()) {
+            rows.push_back(page * kValuesPerPage + i);
+          }
+        }
+        if (b == nullptr || rows.size() < removed_rows.size()) {
+          b = view.get();
+          removed = page;
+          removed_rows = std::move(rows);
+        }
+      }
+    }
+    ASSERT_NE(b, nullptr);
+    ASSERT_TRUE(
+        adaptive->Update(added * kValuesPerPage, (a->lo() + a->hi()) / 2).ok());
+    for (const uint64_t row : removed_rows) {
+      ASSERT_TRUE(adaptive->Update(row, kMaxValue + 1).ok());
+    }
+
+    // The flush appends page records and writes no snapshot.
+    appends = adaptive->durability_stats().manifest_delta_appends;
+    auto flushed = adaptive->FlushUpdates();
+    ASSERT_TRUE(flushed.ok()) << flushed.status().ToString();
+    EXPECT_TRUE(a->ContainsPage(added));
+    EXPECT_FALSE(b->ContainsPage(removed));
+    const DurabilityStats stats = adaptive->durability_stats();
+    EXPECT_EQ(stats.manifest_writes, writes);
+    EXPECT_GE(stats.manifest_delta_appends, appends + 2);
+    EXPECT_FALSE(stats.manifest_stale);
+    EXPECT_EQ(stats.manifest_write_failures, 0u);
+    before = StateOf(*adaptive);
+  }  // kill WITHOUT a checkpoint: base snapshot + deltas only
+
+  auto reopened_r = OpenColumn(scratch.path(), config);
+  ASSERT_TRUE(reopened_r.ok()) << reopened_r.status().ToString();
+  auto reopened = std::move(reopened_r).ValueOrDie();
+  EXPECT_EQ(reopened->durability_stats().journal_replayed, 0u)
+      << "the flush reset the journal; the deltas alone must recover";
+  EXPECT_GE(reopened->durability_stats().manifest_deltas_replayed, 3u);
+  EXPECT_EQ(StateOf(*reopened), before);
+  // Open's backstop for lost journal records found nothing to add: base
+  // plus deltas described the pool on their own.
+  EXPECT_FALSE(reopened->durability_stats().manifest_stale);
+  // Queries strictly inside each restored view agree with full scans.
+  std::vector<RangeQuery> inner;
+  for (const auto& view : reopened->view_index().views()) {
+    const Value width = view->hi() - view->lo();
+    inner.push_back({view->lo() + width / 3, view->hi() - width / 3});
+  }
+  EXPECT_EQ(ExecuteAll(reopened.get(), inner), FullScanAll(reopened.get(), inner));
+  EXPECT_EQ(reopened->metrics().views_created, 0u);
+
+  // An explicit checkpoint compacts the log into a fresh base.
+  const uint64_t writes = reopened->durability_stats().manifest_writes;
+  ASSERT_TRUE(reopened->Checkpoint().ok());
+  EXPECT_EQ(reopened->durability_stats().manifest_writes, writes + 1);
+  {
+    auto log_r = ManifestDeltaLog::Open(scratch.path());
+    ASSERT_TRUE(log_r.ok());
+    EXPECT_TRUE(log_r->replayed.empty());
+  }
+  reopened.reset();
+  auto again_r = OpenColumn(scratch.path(), config);
+  ASSERT_TRUE(again_r.ok()) << again_r.status().ToString();
+  EXPECT_EQ(StateOf(*again_r->get()), before);
+}
+
+// Churn: every flush adds a page to a view or removes it again. The log
+// grows by a record per flush until it holds more than twice the bytes of
+// a snapshot of the pool; that flush snapshots and the log starts over.
+TEST(DurableColumnTest, FlushSnapshotsOnceTheLogOutgrowsTwiceThePool) {
+  ScratchDir scratch("durable_churn");
+  AdaptiveConfig config;
+  config.max_views = 32;
+  PoolState before;
+  {
+    auto adaptive = MakeDurable(scratch.path(), config);
+    ExecuteAll(adaptive.get(), TestQueries(4, 13));
+    ASSERT_TRUE(adaptive->Checkpoint().ok());
+    const PhysicalColumn& column = adaptive->column();
+    const VirtualView* view = adaptive->view_index().views().front().get();
+    uint64_t page = 0;
+    while (page < column.num_pages() && view->ContainsPage(page)) ++page;
+    ASSERT_LT(page, column.num_pages());
+    const uint64_t row = page * kValuesPerPage;
+    const Value original = column.Get(row);
+    const Value inside = (view->lo() + view->hi()) / 2;
+    const uint64_t writes = adaptive->durability_stats().manifest_writes;
+    constexpr uint64_t kOnePageRecord = 80;  // head 64 + page 8 + tail 8
+    for (int flush = 0; flush < 64; ++flush) {
+      ASSERT_TRUE(adaptive->Update(row, flush % 2 == 0 ? inside : original).ok());
+      ASSERT_TRUE(adaptive->FlushUpdates().ok());
+      ASSERT_EQ(view->ContainsPage(page), flush % 2 == 0);
+      uint64_t pages = 0;
+      for (const auto& v : adaptive->view_index().views()) pages += v->num_pages();
+      const uint64_t live = ManifestSnapshotBytes(
+          adaptive->view_index().views().size(), pages);
+      const uint64_t log =
+          fs::file_size(ManifestDeltaPath(scratch.path())) - 8;  // header
+      EXPECT_LE(log, 2 * live + kOnePageRecord) << "flush " << flush;
+    }
+    const DurabilityStats stats = adaptive->durability_stats();
+    EXPECT_GE(stats.manifest_writes, writes + 2) << "the 2x rule never fired";
+    EXPECT_EQ(stats.manifest_write_failures, 0u);
+    before = StateOf(*adaptive);
+  }
+  auto reopened_r = OpenColumn(scratch.path(), config);
+  ASSERT_TRUE(reopened_r.ok()) << reopened_r.status().ToString();
+  EXPECT_EQ(StateOf(*reopened_r->get()), before);
+  EXPECT_FALSE(reopened_r->get()->durability_stats().manifest_stale);
 }
 
 TEST(DurableColumnTest, InMemoryColumnsReportNoDurability) {

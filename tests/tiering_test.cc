@@ -522,6 +522,50 @@ TEST(TieringTest, FailedRespillNeverRecoversStaleColdFile) {
   }
 }
 
+TEST(TieringTest, DemotedMembershipChangeSurvivesKillAfterFlush) {
+  // A flush that moves a page into a demoted view cannot carry the change
+  // as a page record: Open resolves the view's cold file after the deltas
+  // replay. The flush snapshots instead (re-spilling the cold file), and a
+  // kill right after it reopens the new membership.
+  ScratchDir scratch("tiering_cold_flush");
+  const auto queries = TestQueries(4, 97);
+  RangeQuery probe{0, 0};
+  uint64_t absent_page = 0;
+  std::vector<std::tuple<Value, Value, bool>> shape;
+  {
+    auto adaptive = MakeDurable(scratch.path(), TieringConfig());
+    for (const RangeQuery& q : queries) Adaptive(adaptive.get(), q);
+    ASSERT_TRUE(adaptive->Checkpoint().ok());
+    ASSERT_GT(adaptive->DemoteColdestViews(
+                  adaptive->view_index().num_partial_views()), 0u);
+    const VirtualView* view =
+        FindDemotedViewWithAbsentPage(*adaptive, &absent_page);
+    ASSERT_NE(view, nullptr);
+    probe = RangeQuery{view->lo(), view->hi()};
+    ASSERT_TRUE(adaptive->Update(absent_page * kValuesPerPage,
+                                 (probe.lo + probe.hi) / 2).ok());
+    const uint64_t writes = adaptive->durability_stats().manifest_writes;
+    auto flushed = adaptive->FlushUpdates();
+    ASSERT_TRUE(flushed.ok()) << flushed.status().ToString();
+    ASSERT_TRUE(view->demoted());
+    ASSERT_TRUE(view->ContainsPage(absent_page));
+    EXPECT_EQ(adaptive->durability_stats().manifest_writes, writes + 1);
+    EXPECT_FALSE(adaptive->durability_stats().manifest_stale);
+    shape = PoolShape(*adaptive);
+  }  // kill: no checkpoint after the flush
+  auto reopen_r = OpenColumn(scratch.path(), TieringConfig());
+  ASSERT_TRUE(reopen_r.ok()) << reopen_r.status().ToString();
+  auto adaptive = std::move(reopen_r).ValueOrDie();
+  EXPECT_EQ(PoolShape(*adaptive), shape);
+  const VirtualView* restored = adaptive->view_index().FindSmallestCovering(probe);
+  ASSERT_NE(restored, nullptr);
+  EXPECT_TRUE(restored->ContainsPage(absent_page));
+  EXPECT_EQ(Adaptive(adaptive.get(), probe), Oracle(adaptive.get(), probe));
+  for (const RangeQuery& q : queries) {
+    EXPECT_EQ(Adaptive(adaptive.get(), q), Oracle(adaptive.get(), q));
+  }
+}
+
 TEST(TieringTest, CheckpointSweepReclaimsOrphanColdFiles) {
   // Views destroyed outside the trim path (replace, destroy-evict) leave
   // cold files nothing references, and a crashed spill leaves a .tmp; the
