@@ -11,10 +11,10 @@
 //   - destroy_evict:   enable_demotion=false — a cold view is destroyed at
 //                      eviction; revisiting its slice pays a full scan and
 //                      a fresh adaptation (the pre-tiering behavior);
-//   - demote_promote:  the lifecycle spills the victim's page membership to
-//                      its cold file and keeps the manifest entry; the
-//                      revisit routes into the demoted view, re-materializes
-//                      it, and promotes it back hot.
+//   - demote_promote:  the lifecycle releases the victim's arena, keeps its
+//                      page list and records the tier flip in the manifest;
+//                      the revisit routes into the demoted view,
+//                      re-materializes it, and promotes it back hot.
 // Reported per (budget, policy): view hit rate (fraction of queries
 // answered from a view), accumulated adaptive time (median over reps),
 // pages scanned, and the demote/promote/evict counters. The headline
@@ -108,7 +108,7 @@ PolicyRun RunPolicy(const bench::BenchEnv& env, const std::string& dir,
 
   SampleStats times;
   for (uint64_t rep = 0; rep < env.reps; ++rep) {
-    // Fresh column per rep: the durable state (manifest, cold files) is the
+    // Fresh column per rep: the durable state (manifest and delta log) is the
     // mechanism under test, so no rep may inherit another's pool.
     std::error_code ec;
     std::filesystem::remove_all(dir, ec);

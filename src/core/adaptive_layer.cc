@@ -42,8 +42,8 @@ bool RangesTouch(Value lo_a, Value hi_a, Value lo_b, Value hi_b) {
 }
 
 /// The one view → manifest record conversion, behind both the snapshot and
-/// the upsert delta. Carries the pages for demoted views too: the snapshot
-/// re-spills them to the cold file.
+/// the upsert delta. Carries the pages for demoted views too: the manifest
+/// is their only durable record.
 ManifestView ToManifestView(const VirtualView& view) {
   ManifestView mview;
   mview.id = view.durable_id();
@@ -269,7 +269,11 @@ StatusOr<std::unique_ptr<AdaptiveColumn>> AdaptiveColumn::OpenDurable(
   // each missing page whose exact zone meets its range and that holds a
   // value in it. A page a view holds without needing it costs a scan, never
   // an answer, so the other direction is left to alignment. Zones were
-  // derived above, so most pages are ruled out by one comparison.
+  // derived above, so most pages are ruled out by one comparison. The same
+  // pass rebuilds a demoted entry that a snapshot written while cold views
+  // kept their membership in view_<id>.cold files recorded with no pages:
+  // it takes exactly the pages meeting its range, and the stale mark below
+  // makes the next checkpoint write them inline. Such files are never read.
   bool completed = false;
   for (const auto& view : adaptive->view_index_.views()) {
     const RangeQuery range = view->value_range();
@@ -636,10 +640,9 @@ StatusOr<QueryExecution> AdaptiveColumn::FullScanAndAdapt(const RangeQuery& q) {
   const Admission admission = DecideCandidate(*candidate);
   exec.stats.decision = admission.outcome;
   if (admission.outcome == CandidateDecision::kEvictedExisting) {
-    // The demotion routine spills the victim before its exclusive section
-    // and falls back to destroy-evict when it cannot.
-    if (DemoteLocked({admission.target}, /*destroy_unspilled=*/true,
-                     std::move(candidate)) == 0) {
+    // The demotion routine demotes the victim when the cold tier is
+    // available and destroy-evicts it otherwise.
+    if (DemoteLocked({admission.target}, std::move(candidate)) == 0) {
       exec.stats.decision = CandidateDecision::kBudgetExhausted;
     }
   } else {
@@ -779,9 +782,9 @@ AdaptiveColumn::Admission AdaptiveColumn::AdmitAtBudget(
   // cost-aware policy instead displaces the coldest view when the fresh
   // candidate outscores it, so the pool tracks the working set. The
   // demotion routine then DEMOTES the displaced view when the cold tier is
-  // available (spilled, kept routable, so a returning working set promotes
-  // it for the price of re-mapping instead of a full creation scan), and
-  // destroys it otherwise.
+  // available (arena released, page list kept, still routable, so a
+  // returning working set promotes it for the price of re-mapping instead
+  // of a full creation scan), and destroys it otherwise.
   if (config_.lifecycle.eviction_policy == EvictionPolicy::kCostAware) {
     const uint64_t now = metrics_.queries.load(std::memory_order_relaxed);
     const uint64_t column_pages = column_->num_pages();
@@ -825,53 +828,35 @@ bool AdaptiveColumn::ReplaceInPoolLocked(
 // ---------------------------------------------------------------------------
 // Tiering: the one demotion routine
 //
-// A demotion runs in three phases so its fsync-heavy spill never executes
-// while readers are fenced out by views_mu_ exclusive. The phase ordering
-// is also the crash-safety argument (ARCHITECTURE.md "Tiering model"):
-//   (1) spill — maintenance_mu_ only, readers keep routing: the cold file
-//       lands durably FIRST. A failure leaves the view untouched; a kill
-//       after this point at worst leaves an orphaned cold file (harmless:
-//       nothing references it, and the next snapshot's sweep reclaims it).
-//   (2) one views_mu_ exclusive section, readers quiesced: arenas
-//       released, tier flags flipped, destroy-evict fallbacks and the
-//       cold-tier trim applied. Purely in-memory.
-//   (3) maintenance_mu_ only again: the set-tier, removal and upsert
-//       deltas, in the order (2) applied them, make the edit durable. A
-//       kill before them reopens a view HOT from the still-valid manifest
-//       entry, never torn.
-//       (A routed query may promote the view between (2) and (3); the
-//       delta then records a tier the reader already reversed — benign,
-//       since the promotion marked the manifest stale and the next
-//       checkpoint persists the hot state. Tier is advisory; membership is
-//       what correctness needs.)
+// A demotion is one views_mu_ exclusive section and then the deltas; it
+// does no file I/O of its own, because the manifest already holds the
+// victims' membership (ARCHITECTURE.md "Tiering model"):
+//   - readers quiesced, the pool edit: arenas released, tier flags flipped
+//     and the cold-budget trim applied — or, without the cold tier, the
+//     victims destroyed. Purely in-memory.
+//   - maintenance_mu_ only: the set-tier, removal and upsert deltas, in the
+//     order the section applied them, make the edit durable. A kill before
+//     them reopens a view HOT from the still-valid manifest entry, never
+//     torn.
+// A routed query may promote a view between the two; the delta then
+// records a tier the reader already reversed — benign, since the promotion
+// marked the manifest stale and the next checkpoint persists the hot
+// state. Tier is advisory; membership is what correctness needs.
 
 size_t AdaptiveColumn::DemoteLocked(const std::vector<VirtualView*>& victims,
-                                    bool destroy_unspilled,
                                     std::unique_ptr<VirtualView> candidate) {
-  // Phase (1). The victims cannot leave the pool meanwhile, and their
-  // membership cannot change: every mutator holds maintenance_mu_.
-  size_t spilled = 0;
-  if (DemotionAvailable()) {
-    while (spilled < victims.size() &&
-           durable_
-               ->SpillCold(victims[spilled]->durable_id(),
-                           victims[spilled]->physical_pages())
-               .ok()) {
-      ++spilled;
-    }
-  }
-  const size_t affected = destroy_unspilled ? victims.size() : spilled;
-  if (affected == 0) return 0;
+  if (victims.empty()) return 0;
+  const bool demote = DemotionAvailable();
   PoolEditLog edit;
   size_t shed = 0;
   {
-    // Phase (2). ReleaseArena mutates a view's slot table in place, so
-    // in-flight scans must drain first.
+    // ReleaseArena mutates a view's slot table in place, so in-flight scans
+    // must drain first. The victims cannot have left the pool: every
+    // mutator holds maintenance_mu_.
     std::unique_lock<std::shared_mutex> xlock(views_mu_);
-    if (spilled > 0) epoch_.WaitQuiescent();
-    for (size_t i = 0; i < affected; ++i) {
-      VirtualView* victim = victims[i];
-      if (i < spilled) {
+    if (demote) epoch_.WaitQuiescent();
+    for (VirtualView* victim : victims) {
+      if (demote) {
         std::unique_ptr<VirtualArena> retired = victim->ReleaseArena();
         if (retired != nullptr) epoch_.RetireObject(std::move(retired));
         victim->set_demoted(true);
@@ -882,8 +867,7 @@ size_t AdaptiveColumn::DemoteLocked(const std::vector<VirtualView*>& victims,
         edit.Record(ManifestDeltaOp::kSetViewTier, victim->durable_id())
             .demoted = true;
       } else if (candidate != nullptr) {
-        // Destroy-evict fallback (no cold tier, or the spill failed): the
-        // candidate takes the victim's slot.
+        // Destroy-evict: the candidate takes the victim's slot.
         if (!ReplaceInPoolLocked(victim, std::move(candidate), &edit)) {
           continue;
         }
@@ -912,7 +896,7 @@ size_t AdaptiveColumn::DemoteLocked(const std::vector<VirtualView*>& victims,
       if (view->demoted()) ++cold_views;
     }
     const uint64_t now = metrics_.queries.load(std::memory_order_relaxed);
-    while (spilled > 0 && cold_views > ColdBudget()) {
+    while (demote && cold_views > ColdBudget()) {
       VirtualView* victim = lifecycle_.PickEvictionVictim(
           view_index_.views(), now, column_->num_pages(),
           [](const VirtualView& view) { return view.demoted(); });
@@ -920,9 +904,6 @@ size_t AdaptiveColumn::DemoteLocked(const std::vector<VirtualView*>& victims,
       const uint64_t removed_id = victim->durable_id();
       auto removed = view_index_.Remove(victim);
       if (!removed.ok()) break;
-      // The view is gone for good — reclaim its spill file too. Best-effort:
-      // a leftover cold file is unreferenced once the remove delta lands.
-      durable_->RemoveCold(removed_id);
       epoch_.RetireObject(std::move(removed).ValueOrDie());
       metrics_.views_evicted.fetch_add(1, std::memory_order_relaxed);
       lifecycle_.RecordEviction();
@@ -932,7 +913,6 @@ size_t AdaptiveColumn::DemoteLocked(const std::vector<VirtualView*>& victims,
   }
   // Reclamation unmaps whole arenas — run it after readers are unblocked.
   epoch_.TryReclaim();
-  // Phase (3).
   PersistPoolEditLocked(std::move(edit));
   return shed;
 }
@@ -956,7 +936,7 @@ size_t AdaptiveColumn::DemoteColdestViews(size_t count) {
     if (victim == nullptr) break;
     victims.push_back(victim);
   }
-  return DemoteLocked(victims, /*destroy_unspilled=*/false, nullptr);
+  return DemoteLocked(victims, nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -1104,17 +1084,10 @@ StatusOr<UpdateApplyStats> AdaptiveColumn::FlushUpdatesLocked(
     reclaim_after = true;
     stats = UpdateApplyStats{};
   } else {
-    // The page records of the realigned views. A demoted view's cold file
-    // is authoritative on Open and is resolved after the deltas replay, so
-    // page records cannot edit it: its changed membership marks the state
-    // stale, and the snapshot re-spills it.
+    // The page records of the realigned views, hot or demoted alike: the
+    // manifest holds every view's membership.
     for (size_t vi = 0; vi < changes.size(); ++vi) {
       ViewPageChanges& changed = changes[vi];
-      if (changed.added.empty() && changed.removed.empty()) continue;
-      if (views[vi]->demoted()) {
-        MarkStale();
-        continue;
-      }
       const uint64_t id = views[vi]->durable_id();
       if (!changed.added.empty()) {
         edit.Record(ManifestDeltaOp::kAddViewPages, id).pages =
@@ -1237,13 +1210,12 @@ void AdaptiveColumn::RelievePressureLocked() {
     if (victim == nullptr) break;  // nothing left to shed
     // Shedding a mapping does not require destroying the view: the
     // demotion routine demotes it when the cold tier is available (arena
-    // released, membership spilled, slot kept), so the working set survives
-    // the pressure episode. Destroy-evict remains the last resort —
-    // demotion off, in-memory column, or the spill itself failing (likely
-    // when the disk is the scarce resource too) — and logs its removal like
-    // any other pool edit. Its reclamation is what actually returns the
-    // victim's mappings to the kernel.
-    if (DemoteLocked({victim}, /*destroy_unspilled=*/true, nullptr) == 0) {
+    // released, page list and slot kept), so the working set survives the
+    // pressure episode. Destroy-evict remains the fallback — demotion off
+    // or an in-memory column — and logs its removal like any other pool
+    // edit. Either way the arena's reclamation is what actually returns
+    // the victim's mappings to the kernel.
+    if (DemoteLocked({victim}, nullptr) == 0) {
       break;  // pool lost track of the victim
     }
     std::this_thread::sleep_for(kPressureReliefBackoff * (attempt + 1));

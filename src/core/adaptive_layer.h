@@ -312,9 +312,9 @@ struct ColumnHealth {
   /// Transitions into / out of read-only degraded mode.
   uint64_t read_only_entries = 0;
   uint64_t read_only_exits = 0;
-  /// Tiering counters (ARCHITECTURE.md "Tiering model"): hot views spilled
+  /// Tiering counters (ARCHITECTURE.md "Tiering model"): hot views demoted
   /// to the cold tier, cold views promoted back by a routed query, and
-  /// demoted views restored from their cold files at Open.
+  /// manifest entries Open restored as demoted views.
   uint64_t views_demoted = 0;
   uint64_t views_promoted = 0;
   uint64_t cold_view_reloads = 0;
@@ -462,8 +462,8 @@ class AdaptiveColumn {
   ColumnHealth Health() const;
 
   /// Demotes up to `count` of the lowest-scoring hot views to the cold
-  /// tier (spill + arena release + set-tier delta), returning how many
-  /// were demoted. The deterministic maintenance hook behind the tiering
+  /// tier (arena release + set-tier delta), returning how many were
+  /// demoted. The deterministic maintenance hook behind the tiering
   /// tests and bench; admission's eviction and pressure relief run the
   /// same demotion routine. No-op (0) when demotion is disabled or the
   /// column is not durable. Thread-safe (serializes with maintenance).
@@ -523,7 +523,9 @@ class AdaptiveColumn {
   void RelievePressureLocked();
 
   /// True when the cold tier is available at all: demotion enabled and the
-  /// column durable (an in-memory column has nowhere to spill).
+  /// column durable. The tier is a durable-pool policy: an in-memory pool
+  /// keeps destroy-evict, the eviction BENCH_lifecycle's scenarios measure,
+  /// and demoting there would be a policy change of its own.
   bool DemotionAvailable() const {
     return config_.lifecycle.enable_demotion && durable_ != nullptr;
   }
@@ -578,13 +580,12 @@ class AdaptiveColumn {
   Status CheckpointLocked(DurableState::CheckpointKind kind);
 
   /// The one demotion routine behind admission's eviction, pressure relief
-  /// and DemoteColdestViews (phases: see "Tiering" in adaptive_layer.cc).
-  /// Spilled victims turn cold; with `destroy_unspilled` the rest are
-  /// destroyed, `candidate` taking a destroyed victim's slot or joining
-  /// beside a demoted one. Returns how many victims left the hot tier.
-  /// Caller holds maintenance_mu_ and NOT views_mu_.
+  /// and DemoteColdestViews (see "Tiering" in adaptive_layer.cc). When
+  /// DemotionAvailable() the victims turn cold and `candidate` joins beside
+  /// them; otherwise they are destroyed and `candidate` takes a destroyed
+  /// victim's slot. Returns how many victims left the hot tier. Caller
+  /// holds maintenance_mu_ and NOT views_mu_.
   size_t DemoteLocked(const std::vector<VirtualView*>& victims,
-                      bool destroy_unspilled,
                       std::unique_ptr<VirtualView> candidate);
 
   /// Routes q per config().mode against the pool: fills `cover` with the

@@ -67,13 +67,14 @@ struct LifecycleConfig {
   ViewCompactionOptions compaction;
   /// Budget-pressure policy. kCostAware is the default: hot views survive.
   EvictionPolicy eviction_policy = EvictionPolicy::kCostAware;
-  /// Cold-tier master switch (durable pools only — an in-memory column has
-  /// no spill directory, so demotion degenerates to destroy-evict). When
-  /// on, a cost-aware eviction DEMOTES the victim — spills its membership
-  /// to a cold file, releases its arena, keeps it routable — instead of
-  /// destroying it; a later routed query promotes it back for the price of
-  /// re-materialization instead of a full creation scan. Off restores the
-  /// pure destroy-evict policy (the bench ablation baseline).
+  /// Cold-tier master switch (durable pools only — an in-memory column
+  /// keeps destroy-evict; see AdaptiveColumn::DemotionAvailable). When on,
+  /// a cost-aware eviction DEMOTES the victim — releases its arena, keeps
+  /// its page list and its slot, and records the tier flip in the
+  /// manifest — instead of destroying it; a later routed query promotes it
+  /// back for the price of re-materialization instead of a full creation
+  /// scan. Off restores the pure destroy-evict policy (the bench ablation
+  /// baseline).
   bool enable_demotion = true;
   /// Hit-recency decay: a view's recency weight halves every this many
   /// queries since it last answered one. Smaller = more aggressive chasing
@@ -106,7 +107,7 @@ struct LifecycleStats {
   /// trigger site.
   uint64_t failed_compactions = 0;
   uint64_t evictions = 0;
-  /// Hot views spilled to the cold tier instead of destroyed (demote path;
+  /// Hot views demoted to the cold tier instead of destroyed (demote path;
   /// counted on the serialized maintenance path like every field here —
   /// promotions happen on the lock-free reader path and are counted in
   /// ColumnHealth::views_promoted instead).

@@ -268,8 +268,8 @@ std::unique_ptr<VirtualArena> VirtualView::ReleaseArena() {
   std::unique_ptr<VirtualArena> retired = std::move(arena_);
   if (!holes_.empty()) {
     // Densify in slot order (not swap-remove): demotion must be
-    // deterministic so the spilled page order — and with it every restored
-    // scan — matches across runs and restarts.
+    // deterministic so the page order a snapshot records — and with it
+    // every restored scan — matches across runs and restarts.
     std::vector<uint64_t> dense;
     dense.reserve(num_live_);
     for (const uint64_t page : pages_) {

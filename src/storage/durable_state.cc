@@ -1,11 +1,9 @@
 #include "storage/durable_state.h"
 
 #include <filesystem>
-#include <unordered_set>
 #include <utility>
 
 #include "rewiring/physical_memory_file.h"
-#include "storage/cold_tier.h"
 #include "storage/storage_io.h"
 #include "util/macros.h"
 #include "util/stopwatch.h"
@@ -117,28 +115,15 @@ StatusOr<DurableState::Opened> DurableState::Open(
   state.stats_.manifest_delta_tail_truncated = delta.tail_truncated;
   state.stats_.journal_tail_truncated = journal.tail_truncated;
 
+  // The composed views go to the engine as they are, demoted ones with the
+  // pages the manifest records for them. Keep each persisted identity so
+  // post-restart delta records keep addressing the view; an entry without
+  // one gets a fresh id.
   for (ManifestView& view : manifest.views) {
-    // For a demoted entry the cold file is authoritative — the base
-    // snapshot persisted it with an empty page list. An entry whose demote
-    // delta landed but whose snapshot never re-spilled carries its pages
-    // inline. With neither there is nothing trustworthy to restore from:
-    // drop the entry and mark the state stale, so the next checkpoint
-    // rewrites the manifest without it.
-    if (view.demoted) {
-      auto cold_r = ReadColdViewFile(dir, view.id);
-      if (cold_r.ok()) {
-        view.pages = std::move(cold_r).ValueOrDie();
-      } else if (view.pages.empty()) {
-        state.MarkStale();
-        continue;
-      }
-    }
-    // Keep the persisted identity so post-restart delta records keep
-    // addressing the view; an entry without one gets a fresh id.
     if (view.id == 0) view.id = state.next_view_id_;
     if (view.id >= state.next_view_id_) state.next_view_id_ = view.id + 1;
-    out.views.push_back(std::move(view));
   }
+  out.views = std::move(manifest.views);
 
   // Journal replay: re-apply every journaled value (idempotent — absolute
   // values). The RECORDED old values feed the engine's net-effect
@@ -171,15 +156,6 @@ Status DurableState::AppendUpdate(const RowUpdate& update, uint64_t* ack_lsn) {
 void DurableState::NoteRestored(uint64_t restored, uint64_t recovered) {
   stats_.views_restored = restored;
   if (restored < recovered) MarkStale();
-}
-
-Status DurableState::SpillCold(uint64_t view_id,
-                               const std::vector<uint64_t>& pages) {
-  return WriteColdViewFile(dir_, view_id, pages, sync_, io_);
-}
-
-void DurableState::RemoveCold(uint64_t view_id) {
-  RemoveColdViewFile(dir_, view_id);
 }
 
 void DurableState::AppendDeltas(std::vector<ManifestDelta> records) {
@@ -251,47 +227,10 @@ Status DurableState::WriteSnapshot(std::vector<ManifestView> views) {
   // never lands.
   manifest.epoch = epoch_ + 1;
   manifest.next_view_id = next_view_id_;
-  bool respill_failed = false;
-  std::unordered_set<uint64_t> live_cold_ids;
-  for (ManifestView& view : views) {
-    if (!view.demoted) continue;
-    // The cold file is authoritative for a demoted view, and its membership
-    // may have drifted since the demotion-time spill (update alignment
-    // edits unmaterialized views too) — re-spill it now and persist the
-    // base entry with an EMPTY page list.
-    if (SpillCold(view.id, view.pages).ok()) {
-      live_cold_ids.insert(view.id);
-      view.pages.clear();
-    } else {
-      // Failed re-spill (ENOSPC/EIO): the demotion-time cold file on disk
-      // is now STALE, and Open prefers a readable cold file — recovering
-      // through it would resurrect membership from before the drift,
-      // silently corrupting answers. Persist the entry HOT with its pages
-      // inline so recovery never consults the cold file, and unlink the
-      // stale file too (unlink succeeds even on the full disk that failed
-      // the spill). The view itself stays demoted — the snapshot merely
-      // understates the tier — and the state stays stale, so the next
-      // checkpoint retries the spill.
-      ++stats_.manifest_write_failures;
-      respill_failed = true;
-      RemoveCold(view.id);
-      view.demoted = false;
-    }
-  }
   manifest.views = std::move(views);
   VMSV_RETURN_IF_ERROR(WriteManifest(dir_, manifest, sync_, io_));
   epoch_ = manifest.epoch;
   ++stats_.manifest_writes;
-  if (respill_failed) stale_.store(true, std::memory_order_release);
-  // The snapshot just written names every cold file recovery may read;
-  // unlink the rest — promoted views' leftovers, spills of views destroyed
-  // by replace/trim/emergency eviction, crash orphans — so a long-lived
-  // store cannot accumulate unreferenced .cold files. Best-effort, and
-  // safe against a later crash: an OLDER manifest resurrected by a failed
-  // future snapshot could only reference a swept id on its demoted-with-
-  // empty-inline-pages path, which drops the view (reconstructible), never
-  // mis-answers.
-  SweepColdViewFiles(dir_, live_cold_ids);
   // Compaction: the snapshot covers everything the delta log said. A failed
   // reset is SOFT — the stale records carry a previous epoch, so recovery
   // skips them; the next snapshot retries the truncate.

@@ -1,19 +1,20 @@
 // DurableState — the one owner of a persisted column's durable state
 // (ARCHITECTURE.md "Durability model"): journal, manifest snapshot and
-// delta log, cold-tier spill files, the checkpoint sequence, and the
-// open/create of the column directory. Every StorageIo operation a column
-// issues runs here. The split is policy / backing driver, as in a
-// SunOS-style VMM: the adaptive layer decides what the view pool looks
-// like and hands each edit over as ordered manifest delta records; this
-// class only makes them durable, and includes nothing from src/core/.
+// delta log, the checkpoint sequence, and the open/create of the column
+// directory. Every StorageIo operation a column issues runs here. The
+// split is policy / backing driver, as in a SunOS-style VMM: the adaptive
+// layer decides what the view pool looks like and hands each edit over as
+// ordered manifest delta records; this class only makes them durable, and
+// includes nothing from src/core/.
 //
-// The delta log carries every pool edit adaptation and update flushes make
-// (ops in storage/manifest.h), so a flush normally appends a few records
-// and writes no snapshot. One staleness flag says "the on-disk manifest no
-// longer describes the pool": it covers only the edits the log could not
-// carry — a reader's promotion, the membership of a demoted view (Open
-// resolves its cold file after replay), a wholesale pool drop, a lossy
-// restore — and a failed delta append or re-spill. A snapshot is written
+// The manifest is the one durable record of every view's membership, hot
+// or demoted: a demotion appends a set-tier record and writes no file of
+// its own. The delta log carries every pool edit adaptation, demotion and
+// update flushes make (ops in storage/manifest.h), so a flush normally
+// appends a few records and writes no snapshot. One staleness flag says
+// "the on-disk manifest no longer describes the pool": it covers only the
+// edits the log could not carry — a reader's promotion, a wholesale pool
+// drop, a lossy restore — and a failed delta append. A snapshot is written
 // when the flag is set, when a flush finds the log larger than twice a
 // snapshot of the pool, and on every explicit checkpoint that has records
 // to compact.
@@ -57,8 +58,7 @@ struct DurabilityStats {
   /// delta log past twice the snapshot size).
   uint64_t manifest_writes = 0;
   /// Manifest writes that failed softly — a delta append or sync, a
-  /// re-spill, a delta-log reset (the state turns stale and the next flush
-  /// snapshots).
+  /// delta-log reset (the state turns stale and the next flush snapshots).
   uint64_t manifest_write_failures = 0;
   /// Incremental manifest delta records appended (pool edits in durable
   /// mode: one per view upserted, removed, re-tiered or re-ranged, and one
@@ -113,8 +113,9 @@ class DurableState {
     std::unique_ptr<DurableState> state;
     /// The column over column.dat, journal records already re-applied.
     std::unique_ptr<PhysicalColumn> column;
-    /// The composed manifest's views (base snapshot + current-epoch deltas),
-    /// ids set and cold pages resolved (see Open). Empty on create.
+    /// The composed manifest's views (base snapshot + current-epoch deltas)
+    /// with ids set; demoted ones carry their pages like hot ones. Empty on
+    /// create.
     std::vector<ManifestView> views;
     /// The replayed journal records, append order, for the engine to queue
     /// as pending (their values are in the column already).
@@ -167,12 +168,6 @@ class DurableState {
   /// pool no longer holds, so the state turns stale.
   void NoteRestored(uint64_t restored, uint64_t recovered);
 
-  /// Atomically writes the cold spill file of a view being demoted.
-  Status SpillCold(uint64_t view_id, const std::vector<uint64_t>& pages);
-
-  /// Best-effort unlink of a destroyed cold view's spill file.
-  void RemoveCold(uint64_t view_id);
-
   /// The one delta-append path: appends one pool edit's records in the
   /// order the pool changed (the log replays in order; a replace is
   /// remove-then-upsert), stamped with the current epoch, and under kSync
@@ -190,11 +185,9 @@ class DurableState {
   /// The write-ahead ordering lives here: the journal only resets after
   /// the manifest — base plus deltas — and, under kSync, the data made it
   /// down, so the caller appends a flush's records before calling this. A
-  /// snapshot re-spills every demoted view (persisting it with an empty
-  /// page list; a failed re-spill persists it hot with inline pages and
-  /// keeps the state stale), sweeps unreferenced cold files and resets the
-  /// delta log. A failed snapshot leaves the state stale and the journal
-  /// intact.
+  /// snapshot writes every view, demoted ones with their pages inline, and
+  /// resets the delta log. A failed snapshot leaves the state stale and the
+  /// journal intact.
   Status Checkpoint(CheckpointKind kind, const Pool& pool);
 
   /// Counters; the journal watermarks are read live.
@@ -213,7 +206,7 @@ class DurableState {
   /// The column's backing file, for data writeback.
   const std::shared_ptr<PhysicalMemoryFile> file_;
   const FlushPolicy data_flush_;
-  /// data_flush_ == kSync: fsync every manifest, delta and cold-file write.
+  /// data_flush_ == kSync: fsync every manifest and delta write.
   const bool sync_;
   const uint64_t group_commit_batch_;
   const uint64_t num_rows_;

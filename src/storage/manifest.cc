@@ -477,10 +477,8 @@ uint64_t ApplyManifestDeltas(ViewManifest* base,
     if (view == nullptr) continue;
     switch (delta.op) {
       case ManifestDeltaOp::kSetViewTier:
-        // Tier flip in place: the view's recorded membership stays whatever
-        // the base/upserts said (a demote delta may land before the
-        // snapshot re-spills, so those pages are still the authoritative
-        // fallback when the cold file is missing).
+        // Tier flip in place: the view's membership stays what the base,
+        // upserts and page records say, in either tier.
         view->demoted = delta.view.demoted;
         break;
       case ManifestDeltaOp::kSetViewRange:

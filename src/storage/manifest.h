@@ -26,11 +26,12 @@
 //             u64 page_count | page_count * u64 page ids (slot order)
 //   u32    crc32 over everything before it
 //
-// Demoted (cold-tier) views persist with an EMPTY page list in the base
-// snapshot: their membership lives in the per-view cold spill file
-// (storage/cold_tier.h), which the snapshot protocol re-spills first. The
-// flag tells recovery to read the cold file instead of treating the empty
-// list as an empty view.
+// Demoted (cold-tier) views persist like hot ones, pages inline; the flag
+// only says which tier the view reopens in. Snapshots written while demoted
+// membership lived in per-view view_<id>.cold files hold those entries with
+// an EMPTY page list; they open as empty views that the engine's open-time
+// completion fills with every page meeting their range (ARCHITECTURE.md
+// "Tiering model"). Such files are never read.
 //
 // Base writes go to MANIFEST.tmp, are fsynced, renamed over MANIFEST, and
 // the directory is fsynced: a crash leaves either the old or the new
@@ -83,9 +84,9 @@ struct ManifestView {
   Value hi = 0;
   /// Pages the creating scan read — feeds eviction scoring after reopen.
   uint64_t creation_scanned_pages = 0;
-  /// True when the view lives in the cold tier: its membership is spilled
-  /// to the per-view cold file and `pages` here may be empty (base
-  /// snapshot) or carry the last hot membership (set-tier delta replay).
+  /// True when the view lives in the cold tier: it holds no arena and
+  /// materializes on its next routed query. `pages` is its membership in
+  /// either tier.
   bool demoted = false;
   /// Physical page membership (dense: holes never persist — a manifest is
   /// only written from aligned, flush-consistent states). Recorded in slot

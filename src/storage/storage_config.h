@@ -18,8 +18,10 @@
 //                   snapshot — adaptation decisions and update flushes
 //                   append records; the snapshot is rewritten only when an
 //                   edit cannot be logged, when the log outgrows twice the
-//                   snapshot, or when an explicit checkpoint compacts it;
-//   view_<id>.cold  the spilled membership of each demoted view.
+//                   snapshot, or when an explicit checkpoint compacts it.
+//
+// No other file is kept: a demoted view's membership is in the manifest
+// like a hot view's.
 //
 // Crash-safety contract: process kill (SIGKILL mid-anything) is always
 // recoverable — the page cache survives the process, the journal covers

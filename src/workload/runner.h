@@ -80,8 +80,8 @@ struct WorkloadReport {
   std::vector<ColumnHealth> shard_health;
   /// Tiering activity over the run (mirrors of the `health` counters, so
   /// benches and tests read the demote/promote/reload totals directly):
-  /// hot views spilled cold, cold views promoted back by a routed query,
-  /// and demoted views reloaded from their cold files at Open.
+  /// hot views demoted, cold views promoted back by a routed query, and
+  /// manifest entries Open restored as demoted views.
   uint64_t views_demoted = 0;
   uint64_t views_promoted = 0;
   uint64_t cold_view_reloads = 0;

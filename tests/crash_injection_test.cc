@@ -78,12 +78,15 @@ struct Scenario {
   /// false: process kill — files survive as written (page cache lives).
   /// true: power loss — column.dat rolls back to its last successful fsync.
   bool power_loss;
-  /// Interleave DemoteColdestViews into the script so cold-file spill ops
-  /// (tmp write/fsync/rename/dir-fsync) enter the fault surface. Recovery
-  /// must come back hot-or-demoted — never torn — at every fault point.
+  /// Interleave DemoteColdestViews into the script and move a page into a
+  /// view while it is demoted, so set-tier records, a demoted view's
+  /// add-pages record and snapshots holding demoted entries enter the fault
+  /// surface. Recovery must come back hot-or-demoted with its membership —
+  /// never torn — at every fault point.
   bool demote = false;
   /// errno carried by kFailOp points (0 = legacy untyped IoError); lets the
-  /// spill scenarios model disk-full vs media-error on the cold-file write.
+  /// demotion scenarios model disk-full vs media-error on the journal and
+  /// manifest writes of the demote-heavy script.
   int fail_errno = 0;
 };
 
@@ -117,6 +120,8 @@ struct ScriptOutcome {
   /// updates whose journal LSN the durable watermark reached, or that a
   /// successful kSync flush/checkpoint covered.
   uint64_t acked = 0;
+  /// Demotion scenarios: update 13 moved a page into a demoted view.
+  bool demoted_addition = false;
 };
 
 /// Owns the facade table while exposing the engine for white-box use.
@@ -145,12 +150,14 @@ std::vector<uint64_t> PagesHolding(const PhysicalColumn& column,
   return pages;
 }
 
-/// An update that moves a page into a hot view: a value inside the view's
-/// range, written to the last row of a page the view does not hold.
+/// An update that moves a page into a hot view — or, with `demoted`, into a
+/// demoted one: a value inside the view's range, written to the last row of
+/// a page the view does not hold.
 std::optional<PlannedUpdate> PageAddition(const AdaptiveColumn& col,
-                                          uint64_t skip_page) {
+                                          uint64_t skip_page,
+                                          bool demoted = false) {
   for (const auto& view : col.view_index().views()) {
-    if (view->demoted()) continue;
+    if (view->demoted() != demoted) continue;
     for (uint64_t page = 0; page < col.column().num_pages(); ++page) {
       if (page == skip_page || view->ContainsPage(page)) continue;
       return PlannedUpdate{page * kValuesPerPage + kValuesPerPage - 1,
@@ -248,16 +255,27 @@ ScriptOutcome RunScript(const std::string& dir, const Scenario& s,
   for (int q = 0; q < 4; ++q) (void)col->Execute(queries[q]);  // adapt
   if (!col->FlushUpdates().ok()) return out;
   all_durable();
-  // Spill scenarios: demote here so the later queries promote some views
-  // back (promote + demote + checkpoint re-spill all inside the surface).
-  if (s.demote) (void)col->DemoteColdestViews(2);
-  for (uint64_t j = 13; j <= 23; ++j) {
-    if (!issue_default(j)) return out;
+  // Demotion scenarios: demote here so the later queries promote some
+  // views back, and aim update 13 at a view that stays demoted until query
+  // 4's flush-first appends its add-pages record, before any routing.
+  std::optional<PlannedUpdate> demoted_add;
+  if (s.demote) {
+    (void)col->DemoteColdestViews(2);
+    demoted_add = PageAddition(*col, /*skip_page=*/~uint64_t{0},
+                               /*demoted=*/true);
+    out.demoted_addition = demoted_add.has_value();
   }
-  // Update 24 moves a page into a hot view; query 4's flush-first appends
-  // the add-pages record.
-  const std::optional<PlannedUpdate> add =
-      PageAddition(*col, /*skip_page=*/~uint64_t{0});
+  for (uint64_t j = 13; j <= 23; ++j) {
+    if (!issue(j == 13 && demoted_add
+                   ? *demoted_add
+                   : PlannedUpdate{UpdateRow(j), UpdateValue(j)})) {
+      return out;
+    }
+  }
+  // Update 24 moves another page into a hot view; query 4's flush-first
+  // appends the add-pages record.
+  const std::optional<PlannedUpdate> add = PageAddition(
+      *col, demoted_add ? demoted_add->row / kValuesPerPage : ~uint64_t{0});
   if (!issue(add.value_or(PlannedUpdate{UpdateRow(24), UpdateValue(24)}))) {
     return out;
   }
@@ -289,8 +307,8 @@ ScriptOutcome RunScript(const std::string& dir, const Scenario& s,
   for (uint64_t j = 31; j <= kTotalUpdates; ++j) {
     if (!issue_default(j)) return out;
   }
-  // Tail demote: only the set-tier delta and the cold file land before the
-  // kill — recovery must honor the delta or fall back hot, never tear.
+  // Tail demote: only the set-tier delta lands before the kill — recovery
+  // must honor it or reopen the view hot, never tear.
   if (s.demote) (void)col->DemoteColdestViews(1);
   return out;  // destructor = SIGKILL: no flush, just closed fds
 }
@@ -485,6 +503,10 @@ class CrashMatrix {
     EXPECT_EQ(out.issued, kTotalUpdates)
         << scenario_.name << ": fault-free script must complete";
     EXPECT_EQ(out.acked, kTotalUpdates);
+    if (scenario_.demote) {
+      EXPECT_TRUE(out.demoted_addition)
+          << scenario_.name << ": no demoted view to move a page into";
+    }
     for (const ManifestDeltaOp op :
          {ManifestDeltaOp::kSetViewRange, ManifestDeltaOp::kAddViewPages,
           ManifestDeltaOp::kRemoveViewPages}) {
@@ -588,10 +610,13 @@ TEST(CrashMatrixTest, PowerSyncGroupCommit) {
   CrashMatrix({"power_sync_group8", FlushPolicy::kSync, 8, true}).Run();
 }
 
-// Spill-path scenarios (ISSUE 8 satellite): the script demotes views at
-// three points, so every cold-file op — tmp write, fsync, rename, directory
-// fsync — is a fault point. Kill mid-demotion must reopen hot-or-demoted,
-// never torn, and the adaptive scans must stay bit-identical.
+// Demotion scenarios (named spill_* since demotion wrote per-view files;
+// tools/fault_matrix.py and the CI artifacts keep the names): the script
+// demotes views at three points and moves a page into a demoted view, so
+// every set-tier record, that view's add-pages record and the snapshots
+// writing demoted entries inline are fault points. A kill mid-demotion
+// must reopen hot-or-demoted, never torn, and the adaptive scans must stay
+// bit-identical.
 
 TEST(CrashMatrixTest, SpillKillSync) {
   CrashMatrix({"spill_kill_sync", FlushPolicy::kSync, 0, false,

@@ -225,11 +225,11 @@ TEST(JournalTest, ResetForgetsAndRejectsForeignFiles) {
 }
 
 // ---------------------------------------------------------------------------
-// CRC-32 (journal, manifest, delta log and cold files all frame with it)
+// CRC-32 (journal, manifest and delta log all frame with it)
 
 /// The bitwise reflected CRC-32 the table-driven one must equal bit for
-/// bit: every journal, manifest, delta log and cold file written before the
-/// table version still has to verify. Returns the register before the final
+/// bit: every journal, manifest and delta log written before the table
+/// version still has to verify. Returns the register before the final
 /// inversion so a caller can extend it byte by byte.
 uint32_t BitwiseCrcStep(uint32_t crc, unsigned char byte) {
   crc ^= byte;

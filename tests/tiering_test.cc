@@ -1,16 +1,18 @@
-// Tiered cold-view lifecycle suite (ISSUE 8 / ARCHITECTURE.md "Tiering
-// model"): the cold-file format, the set-tier manifest delta, the
-// demote → reopen → promote acceptance round-trip (bit-identical to a
-// never-demoted column), seeded randomized interleavings of
+// Tiered cold-view lifecycle suite (ARCHITECTURE.md "Tiering model"): the
+// set-tier and page manifest deltas on demoted entries, the demote →
+// reopen → promote acceptance round-trip (bit-identical to a
+// never-demoted column), demoted membership surviving a flush or a
+// checkpoint and a kill, a snapshot whose demoted entries hold no pages
+// reopening exactly, seeded randomized interleavings of
 // update/flush/demote/checkpoint/reopen against the full-scan serial
 // oracle, pressure relief's pool edits surviving a kill, and the
 // demote-while-scan race (the CI TSAN job runs this binary).
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <random>
 #include <string>
@@ -24,10 +26,8 @@
 #include "vmsv.h"
 #include "scoped_temp_dir.h"
 #include "rewiring/vm_io.h"
-#include "storage/cold_tier.h"
 #include "storage/journal.h"  // Crc32
 #include "storage/manifest.h"
-#include "storage/storage_io.h"
 #include "util/env.h"
 #include "workload/distribution.h"
 #include "workload/query_generator.h"
@@ -156,112 +156,49 @@ const VirtualView* FindDemotedViewWithAbsentPage(const AdaptiveColumn& adaptive,
   return nullptr;
 }
 
-/// Delegates everything to the real io but fails cold-view spill writes
-/// with ENOSPC while armed — the narrowest seam that makes ONLY the
-/// checkpoint re-spill fail while the manifest itself keeps landing.
-class ColdSpillFailingIo : public StorageIo {
- public:
-  std::atomic<bool> fail{false};
-
-  Status Write(int fd, const void* data, size_t len,
-               const char* what) override {
-    if (fail.load(std::memory_order_acquire) &&
-        std::string(what).find("cold view") != std::string::npos) {
-      return ErrnoError("injected cold-spill failure", ENOSPC);
-    }
-    return RealStorageIo()->Write(fd, data, len, what);
+/// Every view's sorted page set, by durable id.
+std::map<uint64_t, std::vector<uint64_t>> Members(
+    const AdaptiveColumn& adaptive) {
+  std::map<uint64_t, std::vector<uint64_t>> members;
+  for (const auto& view : adaptive.view_index().views()) {
+    std::vector<uint64_t> pages = view->physical_pages();
+    std::sort(pages.begin(), pages.end());
+    members[view->durable_id()] = std::move(pages);
   }
-  Status Pwrite(int fd, const void* data, size_t len, uint64_t offset,
-                const char* what) override {
-    return RealStorageIo()->Pwrite(fd, data, len, offset, what);
-  }
-  Status Fsync(int fd, const char* what) override {
-    return RealStorageIo()->Fsync(fd, what);
-  }
-  Status FsyncDir(const std::string& dir) override {
-    return RealStorageIo()->FsyncDir(dir);
-  }
-  Status Rename(const std::string& from, const std::string& to) override {
-    return RealStorageIo()->Rename(from, to);
-  }
-  Status Truncate(int fd, uint64_t len, const char* what) override {
-    return RealStorageIo()->Truncate(fd, len, what);
-  }
-  Status SyncFileRange(int fd, const char* what) override {
-    return RealStorageIo()->SyncFileRange(fd, what);
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Cold-file format
-
-TEST(ColdTierFileTest, WriteReadRoundTrip) {
-  ScratchDir scratch("cold_file");
-  const std::vector<uint64_t> pages = {3, 4, 5, 9, 11};
-  ASSERT_TRUE(
-      WriteColdViewFile(scratch.path(), 7, pages, /*sync=*/true).ok());
-  auto read_r = ReadColdViewFile(scratch.path(), 7);
-  ASSERT_TRUE(read_r.ok()) << read_r.status().ToString();
-  EXPECT_EQ(read_r.ValueOrDie(), pages);
+  return members;
 }
 
-TEST(ColdTierFileTest, EmptyPageListRoundTrips) {
-  ScratchDir scratch("cold_file");
-  ASSERT_TRUE(WriteColdViewFile(scratch.path(), 3, {}, /*sync=*/false).ok());
-  auto read_r = ReadColdViewFile(scratch.path(), 3);
-  ASSERT_TRUE(read_r.ok()) << read_r.status().ToString();
-  EXPECT_TRUE(read_r.ValueOrDie().empty());
+/// The file names in `dir`, sorted.
+std::vector<std::string> DirListing(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
 }
 
-TEST(ColdTierFileTest, MissingFileIsNotFound) {
-  ScratchDir scratch("cold_file");
-  auto read_r = ReadColdViewFile(scratch.path(), 42);
-  ASSERT_FALSE(read_r.ok());
-  EXPECT_EQ(read_r.status().code(), StatusCode::kNotFound);
-}
-
-TEST(ColdTierFileTest, CorruptPayloadIsRejected) {
-  ScratchDir scratch("cold_file");
-  ASSERT_TRUE(
-      WriteColdViewFile(scratch.path(), 5, {1, 2, 3}, /*sync=*/true).ok());
-  // Flip one byte in the page payload; the CRC must catch it.
-  const std::string path = ColdFilePath(scratch.path(), 5);
-  FILE* f = ::fopen(path.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(::fseek(f, 8 + 8 + 8 + 2, SEEK_SET), 0);
-  ::fputc(0x5A, f);
-  ::fclose(f);
-  auto read_r = ReadColdViewFile(scratch.path(), 5);
-  ASSERT_FALSE(read_r.ok());
-  EXPECT_EQ(read_r.status().code(), StatusCode::kIoError);
-}
-
-TEST(ColdTierFileTest, IdMismatchIsRejected) {
-  ScratchDir scratch("cold_file");
-  ASSERT_TRUE(
-      WriteColdViewFile(scratch.path(), 5, {1, 2, 3}, /*sync=*/true).ok());
-  // A cold file renamed to another view's slot must not be accepted: the
-  // embedded id is part of the validated payload.
-  std::error_code ec;
-  fs::rename(ColdFilePath(scratch.path(), 5), ColdFilePath(scratch.path(), 6),
-             ec);
-  ASSERT_FALSE(ec);
-  auto read_r = ReadColdViewFile(scratch.path(), 6);
-  ASSERT_FALSE(read_r.ok());
-  EXPECT_EQ(read_r.status().code(), StatusCode::kIoError);
-}
-
-TEST(ColdTierFileTest, RemoveIsIdempotent) {
-  ScratchDir scratch("cold_file");
-  ASSERT_TRUE(WriteColdViewFile(scratch.path(), 9, {1}, /*sync=*/false).ok());
-  RemoveColdViewFile(scratch.path(), 9);
-  RemoveColdViewFile(scratch.path(), 9);  // ENOENT is fine
-  EXPECT_EQ(ReadColdViewFile(scratch.path(), 9).status().code(),
-            StatusCode::kNotFound);
+/// Writes "<dir>/view_<id>.cold" in the format demoted membership was once
+/// kept in: magic "VMSVCLD1", u64 id, u64 page count, the pages, crc32.
+void WriteColdFile(const std::string& dir, uint64_t id,
+                   const std::vector<uint64_t>& pages) {
+  std::string buf("VMSVCLD1", 8);
+  auto put_u64 = [&buf](uint64_t v) {
+    buf.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  put_u64(id);
+  put_u64(pages.size());
+  for (const uint64_t page : pages) put_u64(page);
+  const uint32_t crc = Crc32(buf.data(), buf.size());
+  buf.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  std::ofstream out(dir + "/view_" + std::to_string(id) + ".cold",
+                    std::ios::binary | std::ios::trunc);
+  out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+  ASSERT_TRUE(out.good());
 }
 
 // ---------------------------------------------------------------------------
-// Manifest: the set-tier delta
+// Manifest: deltas on demoted entries
 
 TEST(ManifestTierTest, SetTierDeltaFlipsFlagKeepingPages) {
   ViewManifest manifest;
@@ -285,6 +222,30 @@ TEST(ManifestTierTest, SetTierDeltaFlipsFlagKeepingPages) {
   stray.view.id = 99;
   EXPECT_EQ(ApplyManifestDeltas(&manifest, {stray}), 1u);
   EXPECT_EQ(manifest.views.size(), 1u);
+}
+
+TEST(ManifestTierTest, PageDeltasEditDemotedEntryKeepingFlag) {
+  // A flush realigns demoted views like hot ones, so add-pages and
+  // remove-pages records must edit a demoted entry in place and leave it
+  // demoted.
+  ViewManifest manifest;
+  manifest.epoch = 4;
+  manifest.views.push_back(
+      ManifestView{3, 100, 200, 25, /*demoted=*/true, {3, 4, 5}});
+
+  ManifestDelta add;
+  add.op = ManifestDeltaOp::kAddViewPages;
+  add.epoch = 4;
+  add.view.id = 3;
+  add.view.pages = {9, 4};
+  ManifestDelta remove = add;
+  remove.op = ManifestDeltaOp::kRemoveViewPages;
+  remove.view.pages = {3, 7};
+
+  EXPECT_EQ(ApplyManifestDeltas(&manifest, {add, remove}), 2u);
+  ASSERT_EQ(manifest.views.size(), 1u);
+  EXPECT_TRUE(manifest.views[0].demoted);
+  EXPECT_EQ(manifest.views[0].pages, (std::vector<uint64_t>{4, 5, 9}));
 }
 
 TEST(ManifestTierTest, DemotedFlagSurvivesBaseSnapshotRoundTrip) {
@@ -426,7 +387,7 @@ TEST(TieringTest, DemoteReopenPromoteBitIdenticalToNeverDemoted) {
 
 TEST(TieringTest, TierStateSurvivesKillWithoutCheckpoint) {
   // The set-tier delta alone (no base snapshot after the demote) must
-  // reopen the view demoted, restored from its cold file.
+  // reopen the view demoted, with the pages its manifest entry holds.
   ScratchDir scratch("tiering_kill");
   const auto queries = TestQueries(4, 53);
   size_t demoted = 0;
@@ -469,140 +430,138 @@ TEST(TieringTest, ColdBudgetTrimsLowestScoringColdView) {
   }
 }
 
-TEST(TieringTest, FailedRespillNeverRecoversStaleColdFile) {
-  // The recovery hazard behind the hot-fallback path: a demoted view's
-  // membership drifts (update alignment edits unmaterialized views too),
-  // the checkpoint re-spill fails on ENOSPC, and the journal still resets.
-  // Recovery must NOT read the stale demotion-time cold file — the
-  // snapshot persists the entry hot with its fresh inline pages and
-  // unlinks the stale file.
-  ScratchDir scratch("tiering_respill");
-  ColdSpillFailingIo io;
-  AdaptiveConfig config = TieringConfig();
-  config.storage.io = &io;
-  const auto queries = TestQueries(4, 97);
-  uint64_t probe_lo = 0, probe_hi = 0;
-  {
-    auto adaptive = MakeDurable(scratch.path(), config);
-    for (const RangeQuery& q : queries) Adaptive(adaptive.get(), q);
-    ASSERT_GT(adaptive->DemoteColdestViews(
-                  adaptive->view_index().num_partial_views()), 0u);
-    ASSERT_TRUE(adaptive->Checkpoint().ok());
-
+TEST(TieringTest, DemotedMembershipChangeSurvivesKillAfterFlush) {
+  // A flush that moves a page into a demoted view appends an add-pages
+  // record for it exactly as for a hot view and writes no snapshot; a kill
+  // right after it reopens the new membership. The second round checkpoints
+  // instead of flushing: the snapshot writes the drifted demoted membership
+  // inline, and a kill after it reopens that.
+  for (const bool checkpoint : {false, true}) {
+    SCOPED_TRACE(checkpoint ? "checkpoint" : "flush");
+    ScratchDir scratch(checkpoint ? "tiering_cold_checkpoint"
+                                  : "tiering_cold_flush");
+    const auto queries = TestQueries(4, 97);
+    RangeQuery probe{0, 0};
     uint64_t absent_page = 0;
-    const VirtualView* view =
-        FindDemotedViewWithAbsentPage(*adaptive, &absent_page);
-    ASSERT_NE(view, nullptr);
-    probe_lo = view->lo();
-    probe_hi = view->hi();
-    const uint64_t view_id = view->durable_id();
-    // Drift the demoted view's membership: a row of an absent page gets a
-    // value inside the view's range, so alignment must ADD the page. The
-    // stale cold file misses exactly this page.
-    ASSERT_TRUE(adaptive->Update(absent_page * kValuesPerPage,
-                                 (probe_lo + probe_hi) / 2).ok());
-    io.fail.store(true, std::memory_order_release);
-    ASSERT_TRUE(adaptive->Checkpoint().ok());  // spill failure is soft
-    io.fail.store(false, std::memory_order_release);
-    // The stale file is gone and the failure was counted; the manifest
-    // stays dirty, so a later healthy checkpoint retries the spill.
-    EXPECT_EQ(ReadColdViewFile(scratch.path(), view_id).status().code(),
-              StatusCode::kNotFound);
-    EXPECT_GE(adaptive->durability_stats().manifest_write_failures, 1u);
-  }
-  auto reopen_r = OpenColumn(scratch.path(), config);
-  ASSERT_TRUE(reopen_r.ok()) << reopen_r.status().ToString();
-  auto adaptive = std::move(reopen_r).ValueOrDie();
-  // The probe range routes to the restored view; a stale-membership
-  // restore would miss the added page and silently undercount.
-  const RangeQuery probe{probe_lo, probe_hi};
-  EXPECT_EQ(Adaptive(adaptive.get(), probe), Oracle(adaptive.get(), probe));
-  for (const RangeQuery& q : queries) {
-    EXPECT_EQ(Adaptive(adaptive.get(), q), Oracle(adaptive.get(), q));
+    std::vector<std::tuple<Value, Value, bool>> shape;
+    {
+      auto adaptive = MakeDurable(scratch.path(), TieringConfig());
+      for (const RangeQuery& q : queries) Adaptive(adaptive.get(), q);
+      ASSERT_TRUE(adaptive->Checkpoint().ok());
+      ASSERT_GT(adaptive->DemoteColdestViews(
+                    adaptive->view_index().num_partial_views()), 0u);
+      const VirtualView* view =
+          FindDemotedViewWithAbsentPage(*adaptive, &absent_page);
+      ASSERT_NE(view, nullptr);
+      probe = RangeQuery{view->lo(), view->hi()};
+      ASSERT_TRUE(adaptive->Update(absent_page * kValuesPerPage,
+                                   (probe.lo + probe.hi) / 2).ok());
+      const DurabilityStats before = adaptive->durability_stats();
+      if (checkpoint) {
+        ASSERT_TRUE(adaptive->Checkpoint().ok());
+      } else {
+        auto flushed = adaptive->FlushUpdates();
+        ASSERT_TRUE(flushed.ok()) << flushed.status().ToString();
+      }
+      ASSERT_TRUE(view->demoted());
+      ASSERT_TRUE(view->ContainsPage(absent_page));
+      const DurabilityStats after = adaptive->durability_stats();
+      if (checkpoint) {
+        EXPECT_EQ(after.manifest_writes, before.manifest_writes + 1);
+      } else {
+        EXPECT_EQ(after.manifest_writes, before.manifest_writes);
+        EXPECT_GT(after.manifest_delta_appends, before.manifest_delta_appends);
+      }
+      EXPECT_FALSE(after.manifest_stale);
+      shape = PoolShape(*adaptive);
+    }  // kill: nothing runs after the flush or checkpoint
+    auto reopen_r = OpenColumn(scratch.path(), TieringConfig());
+    ASSERT_TRUE(reopen_r.ok()) << reopen_r.status().ToString();
+    auto adaptive = std::move(reopen_r).ValueOrDie();
+    EXPECT_EQ(PoolShape(*adaptive), shape);
+    const VirtualView* restored =
+        adaptive->view_index().FindSmallestCovering(probe);
+    ASSERT_NE(restored, nullptr);
+    EXPECT_TRUE(restored->ContainsPage(absent_page));
+    EXPECT_EQ(Adaptive(adaptive.get(), probe), Oracle(adaptive.get(), probe));
+    for (const RangeQuery& q : queries) {
+      EXPECT_EQ(Adaptive(adaptive.get(), q), Oracle(adaptive.get(), q));
+    }
   }
 }
 
-TEST(TieringTest, DemotedMembershipChangeSurvivesKillAfterFlush) {
-  // A flush that moves a page into a demoted view cannot carry the change
-  // as a page record: Open resolves the view's cold file after the deltas
-  // replay. The flush snapshots instead (re-spilling the cold file), and a
-  // kill right after it reopens the new membership.
-  ScratchDir scratch("tiering_cold_flush");
-  const auto queries = TestQueries(4, 97);
-  RangeQuery probe{0, 0};
-  uint64_t absent_page = 0;
-  std::vector<std::tuple<Value, Value, bool>> shape;
+TEST(TieringTest, DemotedEntriesWithoutPagesReopenExactly) {
+  // Stores that kept demoted membership in per-view view_<id>.cold files
+  // snapshotted demoted entries with no pages. Such a directory must open
+  // with every view's exact membership — the open-time completion adds
+  // each page whose values meet the entry's range — never read a leftover
+  // cold file, and write the pages inline at the next checkpoint.
+  ScratchDir scratch("tiering_layout");
+  std::map<uint64_t, std::vector<uint64_t>> members;
   {
     auto adaptive = MakeDurable(scratch.path(), TieringConfig());
-    for (const RangeQuery& q : queries) Adaptive(adaptive.get(), q);
+    for (const RangeQuery& q : TestQueries(6, 131)) Adaptive(adaptive.get(), q);
+    const size_t pool = adaptive->view_index().num_partial_views();
+    ASSERT_GT(pool, 0u);
+    adaptive->DemoteColdestViews(pool);
+    ASSERT_EQ(ColdCount(*adaptive), pool);
     ASSERT_TRUE(adaptive->Checkpoint().ok());
-    ASSERT_GT(adaptive->DemoteColdestViews(
-                  adaptive->view_index().num_partial_views()), 0u);
-    const VirtualView* view =
-        FindDemotedViewWithAbsentPage(*adaptive, &absent_page);
-    ASSERT_NE(view, nullptr);
-    probe = RangeQuery{view->lo(), view->hi()};
-    ASSERT_TRUE(adaptive->Update(absent_page * kValuesPerPage,
-                                 (probe.lo + probe.hi) / 2).ok());
-    const uint64_t writes = adaptive->durability_stats().manifest_writes;
-    auto flushed = adaptive->FlushUpdates();
-    ASSERT_TRUE(flushed.ok()) << flushed.status().ToString();
-    ASSERT_TRUE(view->demoted());
-    ASSERT_TRUE(view->ContainsPage(absent_page));
-    EXPECT_EQ(adaptive->durability_stats().manifest_writes, writes + 1);
-    EXPECT_FALSE(adaptive->durability_stats().manifest_stale);
-    shape = PoolShape(*adaptive);
-  }  // kill: no checkpoint after the flush
+    members = Members(*adaptive);
+  }  // kill
+  // Demotion and the checkpoint write no file of their own.
+  EXPECT_EQ(DirListing(scratch.path()),
+            (std::vector<std::string>{"MANIFEST", "MANIFEST.delta",
+                                      "column.dat", "journal.wal"}));
+
+  auto manifest_r = ReadManifest(scratch.path());
+  ASSERT_TRUE(manifest_r.ok()) << manifest_r.status().ToString();
+  ViewManifest manifest = std::move(manifest_r).ValueOrDie();
+  ASSERT_EQ(manifest.views.size(), members.size());
+  for (ManifestView& view : manifest.views) {
+    ASSERT_TRUE(view.demoted);
+    view.pages.clear();
+  }
+  ASSERT_TRUE(WriteManifest(scratch.path(), manifest, /*sync=*/true).ok());
+  // A leftover cold file naming every page the view does NOT hold.
+  const uint64_t stray_id = members.begin()->first;
+  std::vector<uint64_t> wrong;
+  for (uint64_t page = 0; page < TestPages(); ++page) {
+    if (!std::binary_search(members.begin()->second.begin(),
+                            members.begin()->second.end(), page)) {
+      wrong.push_back(page);
+    }
+  }
+  WriteColdFile(scratch.path(), stray_id, wrong);
+
+  {
+    auto reopen_r = OpenColumn(scratch.path(), TieringConfig());
+    ASSERT_TRUE(reopen_r.ok()) << reopen_r.status().ToString();
+    auto adaptive = std::move(reopen_r).ValueOrDie();
+    EXPECT_EQ(Members(*adaptive), members);
+    EXPECT_EQ(ColdCount(*adaptive), members.size());
+    EXPECT_TRUE(adaptive->durability_stats().manifest_stale);
+    ASSERT_TRUE(adaptive->Checkpoint().ok());
+    // Queries strictly inside each view route to a view and answer exactly.
+    for (const auto& view : adaptive->view_index().views()) {
+      if (view->hi() - view->lo() < 2) continue;
+      const RangeQuery inside{view->lo() + 1, view->hi() - 1};
+      EXPECT_EQ(Adaptive(adaptive.get(), inside),
+                Oracle(adaptive.get(), inside));
+    }
+  }
+  // The checkpoint above wrote every demoted entry with its pages.
+  manifest_r = ReadManifest(scratch.path());
+  ASSERT_TRUE(manifest_r.ok()) << manifest_r.status().ToString();
+  for (ManifestView& view : manifest_r->views) {
+    EXPECT_TRUE(view.demoted);
+    std::sort(view.pages.begin(), view.pages.end());
+    EXPECT_EQ(view.pages, members[view.id]) << "view " << view.id;
+  }
   auto reopen_r = OpenColumn(scratch.path(), TieringConfig());
   ASSERT_TRUE(reopen_r.ok()) << reopen_r.status().ToString();
   auto adaptive = std::move(reopen_r).ValueOrDie();
-  EXPECT_EQ(PoolShape(*adaptive), shape);
-  const VirtualView* restored = adaptive->view_index().FindSmallestCovering(probe);
-  ASSERT_NE(restored, nullptr);
-  EXPECT_TRUE(restored->ContainsPage(absent_page));
-  EXPECT_EQ(Adaptive(adaptive.get(), probe), Oracle(adaptive.get(), probe));
-  for (const RangeQuery& q : queries) {
-    EXPECT_EQ(Adaptive(adaptive.get(), q), Oracle(adaptive.get(), q));
-  }
-}
-
-TEST(TieringTest, CheckpointSweepReclaimsOrphanColdFiles) {
-  // Views destroyed outside the trim path (replace, destroy-evict) leave
-  // cold files nothing references, and a crashed spill leaves a .tmp; the
-  // snapshot sweep must reclaim both while keeping live cold files intact.
-  ScratchDir scratch("tiering_sweep");
-  auto adaptive = MakeDurable(scratch.path(), TieringConfig());
-  for (const RangeQuery& q : TestQueries(4, 97)) Adaptive(adaptive.get(), q);
-  ASSERT_GT(adaptive->DemoteColdestViews(
-                adaptive->view_index().num_partial_views()), 0u);
-  ASSERT_TRUE(adaptive->Checkpoint().ok());
-
-  uint64_t absent_page = 0;
-  const VirtualView* view =
-      FindDemotedViewWithAbsentPage(*adaptive, &absent_page);
-  ASSERT_NE(view, nullptr);
-  const uint64_t live_id = view->durable_id();
-  // An orphan spill (its view is long gone) and an abandoned tmp file.
-  ASSERT_TRUE(
-      WriteColdViewFile(scratch.path(), 999, {1, 2}, /*sync=*/false).ok());
-  const std::string tmp_path = scratch.path() + "/view_998.cold.tmp";
-  {
-    std::ofstream tmp(tmp_path, std::ios::binary);
-    tmp << "partial spill";
-    ASSERT_TRUE(tmp.good());
-  }
-  // Dirty the manifest (alignment adds a page) so the checkpoint
-  // snapshots — the sweep rides on the snapshot.
-  ASSERT_TRUE(adaptive->Update(absent_page * kValuesPerPage,
-                               (view->lo() + view->hi()) / 2).ok());
-  ASSERT_TRUE(adaptive->Checkpoint().ok());
-
-  EXPECT_EQ(ReadColdViewFile(scratch.path(), 999).status().code(),
-            StatusCode::kNotFound);
-  EXPECT_FALSE(fs::exists(tmp_path));
-  // The pooled demoted view's fresh spill survived the sweep.
-  auto live = ReadColdViewFile(scratch.path(), live_id);
-  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  EXPECT_EQ(Members(*adaptive), members);
+  EXPECT_FALSE(adaptive->durability_stats().manifest_stale);
 }
 
 TEST(TieringTest, DemotionDisabledIsNoOp) {

@@ -14,10 +14,13 @@ Two suites share this driver:
              VM-FAULT-POINT-FAILED scenario=... target=... kind=... op=...
                  seed=... :: ...
 
-The binary runs once per scenario (one gtest case each). Failing lines are
-collected into --failures-out (default crash_matrix_failures.txt or
-vm_fault_matrix_failures.txt) so CI can attach the exact reproduction seeds
-as an artifact. Any failing point — or a scenario that
+The binary runs once per scenario (one gtest case each). Before any of
+them runs, the scenario list here is compared with the cases the binary
+lists (--gtest_list_tests), and any difference exits nonzero, so a case
+added to the test file cannot silently drop out of the sweep. Failing
+lines are collected into --failures-out (default crash_matrix_failures.txt
+or vm_fault_matrix_failures.txt) so CI can attach the exact reproduction
+seeds as an artifact. Any failing point — or a scenario that
 dies outright (an abort IS a bug both matrices hunt) — makes the driver exit
 nonzero.
 
@@ -34,7 +37,8 @@ import time
 
 # Per suite: the gtest binary and case prefix, the env var that selects the
 # full sweep, the failure-line regex and its marker, the artifact name, and
-# the scenarios (one gtest case each; keep in sync with the test file).
+# the scenarios (one gtest case each; checked against the binary's own list
+# before a sweep).
 SUITES = {
     "crash": {
         "binary": "build/crash_injection_test",
@@ -67,9 +71,23 @@ SUITES = {
             "multi_view_cost",
             "tight_budget",
             "tiering",
+            "huge_page_lifecycle",
         ],
     },
 }
+
+
+def listed_scenarios(suite, binary):
+    """The suite's gtest cases as `binary` lists them, or None on failure."""
+    proc = subprocess.run(
+        [binary, "--gtest_list_tests",
+         f"--gtest_filter={suite['gtest_suite']}.*"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    if proc.returncode != 0:
+        return None
+    # Case lines are indented under the "<suite>." line.
+    return [line.split()[0] for line in proc.stdout.splitlines()
+            if line.startswith("  ") and line.strip()]
 
 
 def run_scenario(suite_name, suite, binary, name, env):
@@ -118,6 +136,20 @@ def main():
     if not os.path.exists(binary):
         print(f"fault_matrix {args.suite}: binary not found: {binary}",
               file=sys.stderr)
+        return 2
+
+    listed = listed_scenarios(suite, binary)
+    if listed is None:
+        print(f"fault_matrix {args.suite}: {binary} --gtest_list_tests failed",
+              file=sys.stderr)
+        return 2
+    if sorted(listed) != sorted(suite["scenarios"]):
+        unswept = sorted(set(listed) - set(suite["scenarios"]))
+        unknown = sorted(set(suite["scenarios"]) - set(listed))
+        print(f"fault_matrix {args.suite}: scenario list differs from the "
+              f"{suite['gtest_suite']} cases in {binary}; in the binary "
+              f"only: {unswept or 'none'}; in this script only: "
+              f"{unknown or 'none'}", file=sys.stderr)
         return 2
 
     env = dict(os.environ)
