@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <chrono>
 #include <map>
-#include <numeric>
 #include <thread>
 #include <unordered_set>
 
@@ -14,6 +13,7 @@
 #include "rewiring/virtual_arena.h"
 #include "rewiring/vm_io.h"
 #include "util/macros.h"
+#include "util/stopwatch.h"
 
 namespace vmsv {
 
@@ -42,8 +42,7 @@ bool RangesTouch(Value lo_a, Value hi_a, Value lo_b, Value hi_b) {
 }
 
 /// The one view → manifest record conversion, behind both the snapshot and
-/// the upsert delta. Carries the pages for demoted views too: the manifest
-/// is their only durable record.
+/// the upsert delta: the range, cost and tier, never the pages.
 ManifestView ToManifestView(const VirtualView& view) {
   ManifestView mview;
   mview.id = view.durable_id();
@@ -52,7 +51,6 @@ ManifestView ToManifestView(const VirtualView& view) {
   mview.creation_scanned_pages =
       view.usage().creation_scanned_pages.load(std::memory_order_relaxed);
   mview.demoted = view.demoted();
-  mview.pages = view.physical_pages();
   return mview;
 }
 
@@ -67,6 +65,46 @@ void DeriveZones(PhysicalColumn* column, const std::vector<uint64_t>& pages) {
                                                     kValuesPerPage));
         }
       });
+}
+
+/// Sets every page's zone to its exact [min, max] and returns, for each of
+/// `ranges`, the ascending pages holding a value in it — one pass over the
+/// column, sharded across the pool. A range that contains a page's zone
+/// takes the page unread (the zone is the page's exact min and max); only
+/// a range the zone meets without containing reads it. Readers excluded.
+std::vector<std::vector<uint64_t>> DeriveZonesAndMembers(
+    PhysicalColumn* column, const std::vector<RangeQuery>& ranges) {
+  const ParallelScanner scanner;
+  std::vector<std::vector<std::vector<uint64_t>>> partial(
+      std::max(1u, scanner.NumShards(column->num_pages())),
+      std::vector<std::vector<uint64_t>>(ranges.size()));
+  scanner.ForShards(
+      column->num_pages(), [&](unsigned shard, uint64_t begin, uint64_t end) {
+        std::vector<std::vector<uint64_t>>& members = partial[shard];
+        for (uint64_t page = begin; page < end; ++page) {
+          const Value* data = column->PageData(page);
+          const PageZone zone = ComputePageZone(data, kValuesPerPage);
+          column->SetZone(page, zone);
+          for (size_t r = 0; r < ranges.size(); ++r) {
+            const RangeQuery& range = ranges[r];
+            if (!zone.Intersects(range)) continue;
+            if ((range.lo <= zone.min && zone.max <= range.hi) ||
+                PageContainsAny(data, kValuesPerPage, range)) {
+              members[r].push_back(page);
+            }
+          }
+        }
+      });
+  // Shards are ascending and contiguous, so concatenating them in shard
+  // order keeps every list ascending.
+  std::vector<std::vector<uint64_t>> members = std::move(partial[0]);
+  for (size_t shard = 1; shard < partial.size(); ++shard) {
+    for (size_t r = 0; r < ranges.size(); ++r) {
+      members[r].insert(members[r].end(), partial[shard][r].begin(),
+                        partial[shard][r].end());
+    }
+  }
+  return members;
 }
 
 }  // namespace
@@ -204,28 +242,16 @@ StatusOr<std::unique_ptr<AdaptiveColumn>> AdaptiveColumn::OpenDurable(
   auto adaptive = std::move(adaptive_r).ValueOrDie();
   adaptive->durable_ = std::move(opened.state);
 
-  // Attach starts every page zone at the full domain. A created file is
-  // zeroed; a reopened one holds the last process's data plus the replayed
-  // journal, so its exact zones are derived before the first query.
-  PhysicalColumn* column = adaptive->column_.get();
-  if (create_rows.has_value()) {
-    for (uint64_t page = 0; page < column->num_pages(); ++page) {
-      column->SetZone(page, PageZone{0, 0});
-    }
-  } else {
-    std::vector<uint64_t> pages(column->num_pages());
-    std::iota(pages.begin(), pages.end(), uint64_t{0});
-    DeriveZones(column, pages);
-  }
-
-  // Rebuild views as unmaterialized page lists; the first scan pays the
-  // rewiring lazily, so Open stays proportional to the manifest size.
-  // The restore respects THIS configuration's budget: a column
-  // checkpointed under a larger max_views must not pin the pool over the
-  // reopening process's limit (nothing below ever shrinks the pool, so an
-  // over-budget restore would persist for the process lifetime). Views
-  // beyond the budget are simply not restored — their ranges re-adapt on
-  // demand like any cold range.
+  // Rebuild views as empty, unmaterialized views over their persisted
+  // ranges; the pass below derives their pages, and the first scan pays
+  // the rewiring lazily. The restore respects THIS configuration's budget:
+  // a column checkpointed under a larger max_views must not pin the pool
+  // over the reopening process's limit (nothing below ever shrinks the
+  // pool, so an over-budget restore would persist for the process
+  // lifetime). Views beyond the budget are simply not restored — their
+  // ranges re-adapt on demand like any cold range.
+  std::vector<std::unique_ptr<VirtualView>> restored;
+  std::vector<RangeQuery> ranges;
   size_t hot_restored = 0;
   size_t cold_restored = 0;
   for (const ManifestView& mview : opened.views) {
@@ -241,8 +267,6 @@ StatusOr<std::unique_ptr<AdaptiveColumn>> AdaptiveColumn::OpenDurable(
         VirtualView::CreateEmpty(adaptive->column(), mview.lo, mview.hi);
     if (!view_r.ok()) return view_r.status();
     auto view = std::move(view_r).ValueOrDie();
-    VMSV_RETURN_IF_ERROR(
-        view->RestorePages(mview.pages, adaptive->column().num_pages()));
     // Hit history does not survive a restart; the recorded creation cost
     // does, so eviction scoring stays calibrated from the first query.
     view->SetCreationInfo(/*query_seq=*/0, mview.creation_scanned_pages);
@@ -257,40 +281,37 @@ StatusOr<std::unique_ptr<AdaptiveColumn>> AdaptiveColumn::OpenDurable(
       if (mview.demoted) adaptive->MarkStale();
       ++hot_restored;
     }
-    adaptive->view_index_.Insert(std::move(view));
+    ranges.push_back(view->value_range());
+    restored.push_back(std::move(view));
   }
-  adaptive->durable_->NoteRestored(hot_restored + cold_restored,
-                                   opened.views.size());
 
-  // The backstop for a cell whose write reached column.dat while its
-  // journal record did not (a device that dropped the unsynced append
-  // before a crash): the flush-first realignment below only reaches the
-  // pages the surviving journal names. Every restored view therefore takes
-  // each missing page whose exact zone meets its range and that holds a
-  // value in it. A page a view holds without needing it costs a scan, never
-  // an answer, so the other direction is left to alignment. Zones were
-  // derived above, so most pages are ruled out by one comparison. The same
-  // pass rebuilds a demoted entry that a snapshot written while cold views
-  // kept their membership in view_<id>.cold files recorded with no pages:
-  // it takes exactly the pages meeting its range, and the stale mark below
-  // makes the next checkpoint write them inline. Such files are never read.
-  bool completed = false;
-  for (const auto& view : adaptive->view_index_.views()) {
-    const RangeQuery range = view->value_range();
+  // Attach starts every page zone at the full domain. A created file is
+  // zeroed and restores no view. A reopened one holds the last process's
+  // data plus the replayed journal, and one pass derives every page's
+  // exact zone and every restored view's pages from it: the pool matches
+  // the data before the first query, whatever a lost journal record left
+  // behind in column.dat.
+  Stopwatch derive_timer;
+  PhysicalColumn* column = adaptive->column_.get();
+  if (create_rows.has_value()) {
     for (uint64_t page = 0; page < column->num_pages(); ++page) {
-      if (!column->zones()[page].Intersects(range) ||
-          view->ContainsPage(page) ||
-          !PageContainsAny(column->PageData(page), kValuesPerPage, range)) {
-        continue;
-      }
-      VMSV_RETURN_IF_ERROR(view->AppendPage(page));
-      completed = true;
+      column->SetZone(page, PageZone{0, 0});
+    }
+  } else {
+    std::vector<std::vector<uint64_t>> members =
+        DeriveZonesAndMembers(column, ranges);
+    for (size_t i = 0; i < restored.size(); ++i) {
+      VMSV_RETURN_IF_ERROR(restored[i]->RestorePages(std::move(members[i])));
+      adaptive->view_index_.Insert(std::move(restored[i]));
     }
   }
-  if (completed) adaptive->MarkStale();
+  adaptive->durable_->NoteRestored(hot_restored + cold_restored,
+                                   opened.views.size(),
+                                   derive_timer.ElapsedMillis());
 
-  // The replayed records are pending, so the flush-first rule realigns the
-  // restored views before any post-restart query answers.
+  // The replayed records stay pending: the first flush consumes them (its
+  // alignment moves nothing, the derived pages already reflect their
+  // values) and its checkpoint resets the journal.
   adaptive->pending_ = std::move(opened.replayed);
   adaptive->pending_count_.store(adaptive->pending_.size(),
                                  std::memory_order_release);
@@ -312,7 +333,6 @@ Status AdaptiveColumn::Checkpoint() {
 Status AdaptiveColumn::CheckpointLocked(DurableState::CheckpointKind kind) {
   DurableState::Pool pool;
   pool.views = view_index_.views().size();
-  for (const auto& view : view_index_.views()) pool.pages += view->num_pages();
   pool.records = [this] {
     std::vector<ManifestView> views;
     views.reserve(view_index_.views().size());
@@ -1055,11 +1075,8 @@ StatusOr<UpdateApplyStats> AdaptiveColumn::FlushUpdatesLocked(
   // Each Set of the batch only widened its page's zone; the exact zones
   // narrow them again while the readers of the table are fenced off too.
   DeriveZones(column_.get(), pending_.TouchedPages());
-  auto views = view_index_.MutableViews();
-  std::vector<ViewPageChanges> changes;
-  auto stats = AlignPartialViews(*column_, views, pending_,
-                                 MappingSource::kUserSpaceTable,
-                                 durable_ != nullptr ? &changes : nullptr);
+  auto stats = AlignPartialViews(*column_, view_index_.MutableViews(),
+                                 pending_, MappingSource::kUserSpaceTable);
   bool reclaim_after = false;
   PoolEditLog edit;
   if (!stats.ok()) {
@@ -1083,21 +1100,6 @@ StatusOr<UpdateApplyStats> AdaptiveColumn::FlushUpdatesLocked(
     MarkStale();
     reclaim_after = true;
     stats = UpdateApplyStats{};
-  } else {
-    // The page records of the realigned views, hot or demoted alike: the
-    // manifest holds every view's membership.
-    for (size_t vi = 0; vi < changes.size(); ++vi) {
-      ViewPageChanges& changed = changes[vi];
-      const uint64_t id = views[vi]->durable_id();
-      if (!changed.added.empty()) {
-        edit.Record(ManifestDeltaOp::kAddViewPages, id).pages =
-            std::move(changed.added);
-      }
-      if (!changed.removed.empty()) {
-        edit.Record(ManifestDeltaOp::kRemoveViewPages, id).pages =
-            std::move(changed.removed);
-      }
-    }
   }
   const bool had_updates = !pending_.empty();
   pending_.clear();
@@ -1111,9 +1113,8 @@ StatusOr<UpdateApplyStats> AdaptiveColumn::FlushUpdatesLocked(
     // re-adapts. We already waited for quiescence, so in-place mremap
     // compaction is safe; superseded arenas still go through the limbo
     // list for uniform lifetime handling. A compaction only reorders the
-    // view's slots, and the manifest's page order is a materialization
-    // hint that no answer depends on (ManifestView::pages), so only an
-    // abandoned view needs a record.
+    // view's slots, and the manifest records no pages, so only an
+    // abandoned view needs a record — the one record a flush appends.
     for (VirtualView* view : view_index_.MutableViews()) {
       if (!lifecycle_.ShouldCompact(*view)) continue;
       std::unique_ptr<VirtualArena> retired;

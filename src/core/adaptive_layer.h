@@ -149,7 +149,7 @@ struct AdaptiveConfig {
   /// policy applied at the max_views budget (core/view_lifecycle.h).
   LifecycleConfig lifecycle;
   /// Durability: with a persist_dir the column lives in a real file, every
-  /// Update is journaled, and view memberships persist as a manifest
+  /// Update is journaled, and the views persist as ranges in a manifest
   /// snapshot plus a log of pool edits, so Open() restores the whole engine
   /// state after a restart (storage/storage_config.h; ARCHITECTURE.md
   /// "Durability model").
@@ -345,13 +345,12 @@ class AdaptiveColumn {
 
   /// \internal Use vmsv::Db::Open.
   /// Reopens the durable column in `dir`: rebuilds the column over
-  /// column.dat, restores every manifest view as an UNMATERIALIZED page
-  /// list (first use lazily rewires it), and replays the journal — replayed
-  /// updates become pending, so the flush-first rule realigns views before
-  /// the first post-restart query answers; a restored view also takes any
-  /// page the column holds a value of its range on but the view lacks
-  /// (a cell whose journal record was lost). Scans after Open are
-  /// bit-identical to pre-restart scans. Replay is idempotent: killing the
+  /// column.dat, replays the journal (replayed updates become pending for
+  /// the next flush), and restores every manifest view as an
+  /// UNMATERIALIZED page list (first use lazily rewires it) holding
+  /// exactly the pages with a value in its range, derived from the data in
+  /// the pass that computes page zones. Scans after Open are bit-identical
+  /// to pre-restart scans. Replay is idempotent: killing the
   /// process after Open and reopening replays the same journal to the same
   /// state (the journal only resets at the next flush/checkpoint). At most
   /// config.max_views views are restored — a column checkpointed under a
@@ -596,9 +595,9 @@ class AdaptiveColumn {
   /// Flush + (optionally) the post-flush compaction sweep. Caller holds
   /// maintenance_mu_; takes views_mu_ exclusive + epoch quiescence inside.
   /// Durable mode: syncs the journal first (the batch's commit point), then
-  /// after alignment appends the flush's page records and runs the
-  /// checkpoint sequence, with `kind`'s snapshot policy, when the batch
-  /// held updates or the manifest is stale.
+  /// after alignment appends the remove record of any view an abandoned
+  /// compaction dropped and runs the checkpoint sequence, with `kind`'s
+  /// snapshot policy, when the batch held updates or the manifest is stale.
   StatusOr<UpdateApplyStats> FlushUpdatesLocked(
       bool compact_after, DurableState::CheckpointKind kind =
                               DurableState::CheckpointKind::kFlush);

@@ -9,10 +9,8 @@ namespace vmsv {
 
 StatusOr<UpdateApplyStats> AlignPartialViews(
     const PhysicalColumn& column, const std::vector<VirtualView*>& views,
-    const UpdateBatch& batch, MappingSource source,
-    std::vector<ViewPageChanges>* changes) {
+    const UpdateBatch& batch, MappingSource source) {
   UpdateApplyStats stats;
-  if (changes != nullptr) changes->assign(views.size(), ViewPageChanges{});
   if (batch.empty() || views.empty()) return stats;
 
   const UpdateBatch net = batch.FilterLastPerRow();
@@ -51,11 +49,9 @@ StatusOr<UpdateApplyStats> AlignPartialViews(
       if (qualifies && !member) {
         VMSV_RETURN_IF_ERROR(view->AppendPage(page));
         ++stats.pages_added;
-        if (changes != nullptr) (*changes)[vi].added.push_back(page);
       } else if (!qualifies && member) {
         VMSV_RETURN_IF_ERROR(view->RemovePage(page));
         ++stats.pages_removed;
-        if (changes != nullptr) (*changes)[vi].removed.push_back(page);
       }
     }
   }

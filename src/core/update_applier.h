@@ -40,22 +40,12 @@ struct UpdateApplyStats {
   uint64_t net_updates = 0;
 };
 
-/// The pages alignment added to and removed from one view, in the order it
-/// edited them.
-struct ViewPageChanges {
-  std::vector<uint64_t> added;
-  std::vector<uint64_t> removed;
-};
-
 /// Aligns every view in `views` with the current column content, assuming
 /// `batch` is the complete log of changes since the views were last aligned.
-/// The column must already hold the new values. `changes` (optional)
-/// receives one entry per view, parallel to `views` — what a durable pool
-/// records in its manifest delta log.
+/// The column must already hold the new values.
 StatusOr<UpdateApplyStats> AlignPartialViews(
     const PhysicalColumn& column, const std::vector<VirtualView*>& views,
-    const UpdateBatch& batch, MappingSource source,
-    std::vector<ViewPageChanges>* changes = nullptr);
+    const UpdateBatch& batch, MappingSource source);
 
 }  // namespace vmsv
 

@@ -242,23 +242,25 @@ Status VirtualView::AppendPageRun(uint64_t first_page, uint64_t count,
   return OkStatus();
 }
 
-Status VirtualView::RestorePages(const std::vector<uint64_t>& pages,
-                                 uint64_t column_pages) {
+Status VirtualView::RestorePages(std::vector<uint64_t> pages) {
   if (!pages_.empty() || arena_ != nullptr) {
     return FailedPrecondition("RestorePages needs an empty unmaterialized view");
   }
-  pages_.reserve(pages.size());
-  for (const uint64_t page : pages) {
-    if (page >= column_pages) {
-      return InvalidArgument("restored page " + std::to_string(page) +
-                             " beyond column (" + std::to_string(column_pages) +
-                             " pages)");
-    }
-    if (page_to_slot_.count(page) != 0) {
-      return InvalidArgument("duplicate restored page " + std::to_string(page));
-    }
-    RecordPageAt(pages_.size(), page);
+  // Slot order is page order, so the file runs and the set runs are the
+  // same runs: one starts wherever a page does not follow its neighbour.
+  page_to_slot_.reserve(pages.size());
+  uint64_t runs = 0;
+  for (uint64_t slot = 0; slot < pages.size(); ++slot) {
+    if (slot == 0 || pages[slot - 1] + 1 != pages[slot]) ++runs;
+    page_to_slot_.emplace(pages[slot], slot);
   }
+  pages_ = std::move(pages);
+  num_live_ = pages_.size();
+  num_slot_runs_ = pages_.empty() ? 0 : 1;
+  num_file_runs_ = runs;
+  file_runs_dirty_ = false;
+  num_set_runs_ = runs;
+  InvalidateRunCache();
   return OkStatus();
 }
 
@@ -268,8 +270,8 @@ std::unique_ptr<VirtualArena> VirtualView::ReleaseArena() {
   std::unique_ptr<VirtualArena> retired = std::move(arena_);
   if (!holes_.empty()) {
     // Densify in slot order (not swap-remove): demotion must be
-    // deterministic so the page order a snapshot records — and with it
-    // every restored scan — matches across runs and restarts.
+    // deterministic, so the slot order the next materialization maps — and
+    // with it every later scan — matches across runs.
     std::vector<uint64_t> dense;
     dense.reserve(num_live_);
     for (const uint64_t page : pages_) {

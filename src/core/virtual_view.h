@@ -331,14 +331,13 @@ class VirtualView {
   Status AppendPageRun(uint64_t first_page, uint64_t count,
                        BackgroundMapper* mapper = nullptr);
 
-  /// Installs a recovered page membership (manifest slot order) into an
-  /// EMPTY, unmaterialized view — the durable reopen path. Pure
-  /// bookkeeping: no mmap happens until the first scan materializes the
-  /// view lazily.
+  /// Installs a derived page membership — ascending, duplicate-free page
+  /// ids of the view's column — into an EMPTY, unmaterialized view in one
+  /// pass: the durable reopen path. Pure bookkeeping: no mmap happens until
+  /// the first scan materializes the view lazily.
   /// Error contract: FailedPrecondition when the view already has pages or
-  /// an arena; InvalidArgument on duplicate or out-of-range page ids.
-  Status RestorePages(const std::vector<uint64_t>& pages,
-                      uint64_t column_pages);
+  /// an arena.
+  Status RestorePages(std::vector<uint64_t> pages);
 
   /// Returns the view to the unmaterialized state, handing back the arena
   /// for epoch retirement (null when already unmaterialized) — the

@@ -115,10 +115,9 @@ StatusOr<DurableState::Opened> DurableState::Open(
   state.stats_.manifest_delta_tail_truncated = delta.tail_truncated;
   state.stats_.journal_tail_truncated = journal.tail_truncated;
 
-  // The composed views go to the engine as they are, demoted ones with the
-  // pages the manifest records for them. Keep each persisted identity so
-  // post-restart delta records keep addressing the view; an entry without
-  // one gets a fresh id.
+  // The composed views go to the engine as ranges; it derives their pages.
+  // Keep each persisted identity so post-restart delta records keep
+  // addressing the view; an entry without one gets a fresh id.
   for (ManifestView& view : manifest.views) {
     if (view.id == 0) view.id = state.next_view_id_;
     if (view.id >= state.next_view_id_) state.next_view_id_ = view.id + 1;
@@ -153,8 +152,10 @@ Status DurableState::AppendUpdate(const RowUpdate& update, uint64_t* ack_lsn) {
   return OkStatus();
 }
 
-void DurableState::NoteRestored(uint64_t restored, uint64_t recovered) {
+void DurableState::NoteRestored(uint64_t restored, uint64_t recovered,
+                                double derive_ms) {
   stats_.views_restored = restored;
+  stats_.open_recover_ms += derive_ms;
   if (restored < recovered) MarkStale();
 }
 
@@ -192,8 +193,7 @@ Status DurableState::Checkpoint(CheckpointKind kind, const Pool& pool) {
       stale_.exchange(false, std::memory_order_acq_rel) ||
       (kind == CheckpointKind::kCompact
            ? delta_log_->record_count() > 0
-           : delta_log_->bytes() >
-                 2 * ManifestSnapshotBytes(pool.views, pool.pages));
+           : delta_log_->bytes() > 2 * ManifestSnapshotBytes(pool.views));
   // Without a snapshot the journal reset below destroys the only other
   // record of what the deltas say, so unsynced records are fsynced first
   // under every policy: a write the device acknowledged but dropped must

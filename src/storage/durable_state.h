@@ -7,17 +7,18 @@
 // ordered manifest delta records; this class only makes them durable, and
 // includes nothing from src/core/.
 //
-// The manifest is the one durable record of every view's membership, hot
-// or demoted: a demotion appends a set-tier record and writes no file of
-// its own. The delta log carries every pool edit adaptation, demotion and
-// update flushes make (ops in storage/manifest.h), so a flush normally
-// appends a few records and writes no snapshot. One staleness flag says
-// "the on-disk manifest no longer describes the pool": it covers only the
-// edits the log could not carry — a reader's promotion, a wholesale pool
-// drop, a lossy restore — and a failed delta append. A snapshot is written
-// when the flag is set, when a flush finds the log larger than twice a
-// snapshot of the pool, and on every explicit checkpoint that has records
-// to compact.
+// The manifest records every view, hot or demoted, as its range, creation
+// cost and tier; membership is derived by the engine on open, so it is
+// never written. A demotion appends a set-tier record and writes no file
+// of its own. The delta log carries every pool edit adaptation and
+// demotion make (ops in storage/manifest.h); an update flush moves pages
+// between views without changing any record, so it appends nothing unless
+// a compaction abandons a view. One staleness flag says "the on-disk
+// manifest no longer describes the pool": it covers only the edits the log
+// could not carry — a reader's promotion, a wholesale pool drop, a lossy
+// restore — and a failed delta append. A snapshot is written when the flag
+// is set, when a flush finds the log larger than twice a snapshot of the
+// pool, and on every explicit checkpoint that has records to compact.
 //
 // Thread-safety: driven from the engine's serialized maintenance path,
 // except CommitThrough (any thread), MarkStale (also from readers that
@@ -61,8 +62,7 @@ struct DurabilityStats {
   /// delta-log reset (the state turns stale and the next flush snapshots).
   uint64_t manifest_write_failures = 0;
   /// Incremental manifest delta records appended (pool edits in durable
-  /// mode: one per view upserted, removed, re-tiered or re-ranged, and one
-  /// per view whose pages a flush added or removed, for each direction).
+  /// mode: one per view upserted, removed, re-tiered or re-ranged).
   uint64_t manifest_delta_appends = 0;
   /// Delta records Open replayed onto the base snapshot (current epoch
   /// only; stale-epoch records are skipped silently — views are
@@ -75,7 +75,9 @@ struct DurabilityStats {
   bool manifest_stale = false;
   /// Views rebuilt from the manifest by Open.
   uint64_t views_restored = 0;
-  /// Wall time Open spent reading the manifest + replaying the journal.
+  /// Wall time of the whole recovery: reading the manifest and replaying
+  /// the journal here, plus the engine's pass that derives page zones and
+  /// every restored view's pages (added through NoteRestored).
   double open_recover_ms = 0;
   /// Live journal watermarks, refreshed when the stats are read: LSN of
   /// the last appended record and the highest LSN known durable.
@@ -99,12 +101,11 @@ class DurableState {
     kCompact,
   };
 
-  /// The pool a checkpoint persists: its size, which is all the snapshot
-  /// policy reads, and the producer of its records, called only when a
-  /// snapshot is written.
+  /// The pool a checkpoint persists: its view count, which is all the
+  /// snapshot policy reads, and the producer of its records, called only
+  /// when a snapshot is written.
   struct Pool {
     uint64_t views = 0;
-    uint64_t pages = 0;
     std::function<std::vector<ManifestView>()> records;
   };
 
@@ -114,7 +115,7 @@ class DurableState {
     /// The column over column.dat, journal records already re-applied.
     std::unique_ptr<PhysicalColumn> column;
     /// The composed manifest's views (base snapshot + current-epoch deltas)
-    /// with ids set; demoted ones carry their pages like hot ones. Empty on
+    /// with ids set: ranges only, the engine derives their pages. Empty on
     /// create.
     std::vector<ManifestView> views;
     /// The replayed journal records, append order, for the engine to queue
@@ -163,10 +164,12 @@ class DurableState {
   /// A fresh durable view id (persisted by the next snapshot).
   uint64_t NewViewId() { return next_view_id_++; }
 
-  /// Records that the engine rebuilt `restored` of the views Open returned.
-  /// Fewer (a budget-clamped restore) leaves the manifest listing views the
-  /// pool no longer holds, so the state turns stale.
-  void NoteRestored(uint64_t restored, uint64_t recovered);
+  /// Records that the engine rebuilt `restored` of the views Open returned,
+  /// taking `derive_ms` to derive the column's zones and their pages (added
+  /// to open_recover_ms). Fewer (a budget-clamped restore) leaves the
+  /// manifest listing views the pool no longer holds, so the state turns
+  /// stale.
+  void NoteRestored(uint64_t restored, uint64_t recovered, double derive_ms);
 
   /// The one delta-append path: appends one pool edit's records in the
   /// order the pool changed (the log replays in order; a replace is
@@ -185,9 +188,8 @@ class DurableState {
   /// The write-ahead ordering lives here: the journal only resets after
   /// the manifest — base plus deltas — and, under kSync, the data made it
   /// down, so the caller appends a flush's records before calling this. A
-  /// snapshot writes every view, demoted ones with their pages inline, and
-  /// resets the delta log. A failed snapshot leaves the state stale and the
-  /// journal intact.
+  /// snapshot writes every view, hot or demoted, and resets the delta log.
+  /// A failed snapshot leaves the state stale and the journal intact.
   Status Checkpoint(CheckpointKind kind, const Pool& pool);
 
   /// Counters; the journal watermarks are read live.

@@ -1,9 +1,7 @@
 #include "storage/manifest.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <unordered_map>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -30,11 +28,11 @@ constexpr uint64_t kViewFlagDemoted = 1;
 /// Trailing crc + record magic.
 constexpr size_t kDeltaRecordTailSize = 2 * sizeof(uint32_t);
 /// Base snapshot: magic + version + reserved + 6 u64 header fields, and the
-/// trailing crc; each view adds 6 u64 fields before its page list.
+/// trailing crc; each view adds 6 u64 fields (its page count always 0).
 constexpr size_t kManifestFixedSize = sizeof(kManifestMagic) +
                                       2 * sizeof(uint32_t) +
                                       6 * sizeof(uint64_t) + sizeof(uint32_t);
-constexpr size_t kManifestViewHeadSize = 6 * sizeof(uint64_t);
+constexpr size_t kManifestViewSize = 6 * sizeof(uint64_t);
 
 void PutU32(std::string* out, uint32_t v) {
   out->append(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -42,13 +40,6 @@ void PutU32(std::string* out, uint32_t v) {
 
 void PutU64(std::string* out, uint64_t v) {
   out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-/// A page list as one append of its bytes (u64 ids, host = disk order).
-void PutPages(std::string* out, const std::vector<uint64_t>& pages) {
-  if (pages.empty()) return;  // an empty vector's data() may be null
-  out->append(reinterpret_cast<const char*>(pages.data()),
-              pages.size() * sizeof(uint64_t));
 }
 
 /// Cursor over the serialized form; Get* return false past the end.
@@ -72,12 +63,10 @@ struct Reader {
     return true;
   }
 
-  /// Reads `count` u64 page ids into `pages` with one copy.
-  bool GetPages(uint64_t count, std::vector<uint64_t>* pages) {
+  /// Steps over `count` u64 page ids — the membership files written while
+  /// the manifest recorded it hold; it is derived now.
+  bool SkipPages(uint64_t count) {
     if (count > left / sizeof(uint64_t)) return false;
-    pages->resize(count);
-    if (count == 0) return true;  // an empty vector's data() may be null
-    std::memcpy(pages->data(), p, count * sizeof(uint64_t));
     p += count * sizeof(uint64_t);
     left -= count * sizeof(uint64_t);
     return true;
@@ -87,8 +76,7 @@ struct Reader {
 /// Serializes one delta record (self-framing: crc + magic at the tail).
 std::string EncodeDelta(const ManifestDelta& delta) {
   std::string buf;
-  buf.reserve(kDeltaRecordHeadSize + delta.view.pages.size() * sizeof(uint64_t) +
-              kDeltaRecordTailSize);
+  buf.reserve(kDeltaRecordHeadSize + kDeltaRecordTailSize);
   PutU32(&buf, static_cast<uint32_t>(delta.op));
   PutU32(&buf, 0);  // reserved
   PutU64(&buf, delta.epoch);
@@ -97,16 +85,16 @@ std::string EncodeDelta(const ManifestDelta& delta) {
   PutU64(&buf, delta.view.hi);
   PutU64(&buf, delta.view.creation_scanned_pages);
   PutU64(&buf, delta.view.demoted ? kViewFlagDemoted : 0);
-  PutU64(&buf, delta.view.pages.size());
-  PutPages(&buf, delta.view.pages);
+  PutU64(&buf, 0);  // page_count
   PutU32(&buf, Crc32(buf.data(), buf.size()));
   PutU32(&buf, kDeltaRecordMagic);
   return buf;
 }
 
-/// Parses one delta record at `data` (size `left`). Returns the record size
-/// consumed, or 0 when the bytes do not frame a whole valid record (torn or
-/// corrupt tail — replay must stop here).
+/// Parses one delta record at `data` (size `left`), skipping any page ids a
+/// legacy record carries. Returns the record size consumed, or 0 when the
+/// bytes do not frame a whole valid record (torn or corrupt tail — replay
+/// must stop here).
 size_t DecodeDelta(const unsigned char* data, size_t left,
                    ManifestDelta* delta) {
   if (left < kDeltaRecordHeadSize + kDeltaRecordTailSize) return 0;
@@ -138,16 +126,11 @@ size_t DecodeDelta(const unsigned char* data, size_t left,
     return 0;
   }
   if (op < static_cast<uint32_t>(ManifestDeltaOp::kUpsertView) ||
-      op > static_cast<uint32_t>(ManifestDeltaOp::kRemoveViewPages)) {
+      op > static_cast<uint32_t>(ManifestDeltaOp::kLegacyRemoveViewPages)) {
     return 0;
   }
   delta->op = static_cast<ManifestDeltaOp>(op);
   delta->view.demoted = (flags & kViewFlagDemoted) != 0;
-  delta->view.pages.resize(page_count);
-  if (page_count > 0) {  // an empty vector's data() may be null
-    std::memcpy(delta->view.pages.data(), data + kDeltaRecordHeadSize,
-                page_count * sizeof(uint64_t));
-  }
   return record_size;
 }
 
@@ -159,18 +142,15 @@ std::string ManifestDeltaPath(const std::string& dir) {
   return dir + "/MANIFEST.delta";
 }
 
-uint64_t ManifestSnapshotBytes(uint64_t views, uint64_t pages) {
-  return kManifestFixedSize + views * kManifestViewHeadSize +
-         pages * sizeof(uint64_t);
+uint64_t ManifestSnapshotBytes(uint64_t views) {
+  return kManifestFixedSize + views * kManifestViewSize;
 }
 
 Status WriteManifest(const std::string& dir, const ViewManifest& manifest,
                      bool sync, StorageIo* io) {
   if (io == nullptr) io = RealStorageIo();
-  uint64_t pages = 0;
-  for (const ManifestView& view : manifest.views) pages += view.pages.size();
   std::string buf;
-  buf.reserve(ManifestSnapshotBytes(manifest.views.size(), pages));
+  buf.reserve(ManifestSnapshotBytes(manifest.views.size()));
   buf.append(kManifestMagic, sizeof(kManifestMagic));
   PutU32(&buf, kManifestVersion);
   PutU32(&buf, 0);  // reserved
@@ -186,8 +166,7 @@ Status WriteManifest(const std::string& dir, const ViewManifest& manifest,
     PutU64(&buf, view.hi);
     PutU64(&buf, view.creation_scanned_pages);
     PutU64(&buf, view.demoted ? kViewFlagDemoted : 0);
-    PutU64(&buf, view.pages.size());
-    PutPages(&buf, view.pages);
+    PutU64(&buf, 0);  // page_count
   }
   PutU32(&buf, Crc32(buf.data(), buf.size()));
 
@@ -290,7 +269,7 @@ StatusOr<ViewManifest> ReadManifest(const std::string& dir) {
         !reader.GetU64(&view.hi) ||
         !reader.GetU64(&view.creation_scanned_pages) ||
         (has_flags_word && !reader.GetU64(&flags)) ||
-        !reader.GetU64(&page_count) || !reader.GetPages(page_count, &view.pages)) {
+        !reader.GetU64(&page_count) || !reader.SkipPages(page_count)) {
       return IoError(path + ": truncated view record " + std::to_string(vi));
     }
     view.demoted = (flags & kViewFlagDemoted) != 0;
@@ -416,26 +395,11 @@ uint64_t ManifestDeltaLog::bytes() const {
 uint64_t ApplyManifestDeltas(ViewManifest* base,
                              const std::vector<ManifestDelta>& deltas,
                              uint64_t* skipped_epoch) {
-  // Page records edit single pages of possibly large views, so each view a
-  // page record touches gets a page -> slot index once. A removed page
-  // leaves a tombstone in its slot (slot order stays), and the tombstones
-  // are dropped when replay ends.
-  constexpr uint64_t kErased = ~uint64_t{0};
-  std::unordered_map<uint64_t, std::unordered_map<uint64_t, size_t>> slots;
   const auto find = [base](uint64_t id) -> ManifestView* {
     for (ManifestView& view : base->views) {
       if (view.id == id) return &view;
     }
     return nullptr;
-  };
-  const auto slots_of = [&slots](ManifestView* view) -> auto& {
-    auto [it, fresh] = slots.try_emplace(view->id);
-    if (fresh) {
-      for (size_t slot = 0; slot < view->pages.size(); ++slot) {
-        it->second.emplace(view->pages[slot], slot);
-      }
-    }
-    return it->second;
   };
   uint64_t applied = 0, skipped = 0;
   for (const ManifestDelta& delta : deltas) {
@@ -453,7 +417,6 @@ uint64_t ApplyManifestDeltas(ViewManifest* base,
     }
     ++applied;
     if (delta.op == ManifestDeltaOp::kUpsertView) {
-      slots.erase(delta.view.id);
       if (ManifestView* view = find(delta.view.id)) {
         *view = delta.view;
       } else {
@@ -462,7 +425,6 @@ uint64_t ApplyManifestDeltas(ViewManifest* base,
       continue;
     }
     if (delta.op == ManifestDeltaOp::kRemoveView) {
-      slots.erase(delta.view.id);
       for (auto it = base->views.begin(); it != base->views.end(); ++it) {
         if (it->id == delta.view.id) {
           base->views.erase(it);
@@ -473,47 +435,15 @@ uint64_t ApplyManifestDeltas(ViewManifest* base,
     }
     // The in-place edits. An unknown id means the view's upsert never
     // became durable (or a later remove won): there is nothing to edit.
+    // Legacy page records fall through: Open derives membership.
     ManifestView* view = find(delta.view.id);
     if (view == nullptr) continue;
-    switch (delta.op) {
-      case ManifestDeltaOp::kSetViewTier:
-        // Tier flip in place: the view's membership stays what the base,
-        // upserts and page records say, in either tier.
-        view->demoted = delta.view.demoted;
-        break;
-      case ManifestDeltaOp::kSetViewRange:
-        view->lo = delta.view.lo;
-        view->hi = delta.view.hi;
-        break;
-      case ManifestDeltaOp::kAddViewPages: {
-        auto& index = slots_of(view);
-        for (const uint64_t page : delta.view.pages) {
-          if (index.emplace(page, view->pages.size()).second) {
-            view->pages.push_back(page);
-          }
-        }
-        break;
-      }
-      case ManifestDeltaOp::kRemoveViewPages: {
-        auto& index = slots_of(view);
-        for (const uint64_t page : delta.view.pages) {
-          const auto it = index.find(page);
-          if (it == index.end()) continue;
-          view->pages[it->second] = kErased;
-          index.erase(it);
-        }
-        break;
-      }
-      default:
-        break;
+    if (delta.op == ManifestDeltaOp::kSetViewTier) {
+      view->demoted = delta.view.demoted;
+    } else if (delta.op == ManifestDeltaOp::kSetViewRange) {
+      view->lo = delta.view.lo;
+      view->hi = delta.view.hi;
     }
-  }
-  for (const auto& [id, index] : slots) {
-    ManifestView* view = find(id);
-    if (view == nullptr) continue;
-    view->pages.erase(
-        std::remove(view->pages.begin(), view->pages.end(), kErased),
-        view->pages.end());
   }
   if (skipped_epoch != nullptr) *skipped_epoch = skipped;
   return applied;

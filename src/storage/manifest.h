@@ -1,19 +1,23 @@
 // ViewManifest — the durable record that makes partial views
 // RECONSTRUCTIBLE state (paper §2.5 argues views can be recovered rather
-// than owned; the durable backend takes that to its conclusion: a restart
-// rebuilds every view from this record without rescanning the column).
+// than owned; the durable backend takes that to its conclusion). A view's
+// membership is a function of its value range and the column's data:
+// exactly the pages holding a value in [lo, hi]. So the manifest records
+// each view as its range alone — id, lo, hi, creation cost and tier — and
+// the engine's Open derives every view's pages in the pass that computes
+// the column's page zones.
 //
 // The manifest is INCREMENTAL: a base snapshot (atomically replaced, whole
 // file) plus an append-only delta log (MANIFEST.delta) of per-view edit
 // records. Every pool edit the engine makes — a view added, replaced or
-// removed, a tier flip, a widened range, pages added to or removed from a
-// view by update alignment — appends records of O(edit) bytes instead of
-// rewriting the whole file; checkpoints compact: they write a fresh base
-// snapshot (bumping its EPOCH) and reset the delta log. Recovery reads the
-// base, then applies, in order, every delta stamped with the base's epoch;
-// deltas from another epoch are ignored (they describe a snapshot that was
-// superseded — or one whose rename never became durable — and views are
-// reconstructible, so dropping them only costs re-adaptation).
+// removed, a tier flip, a widened range — appends one fixed-size record
+// instead of rewriting the whole file; checkpoints compact: they write a
+// fresh base snapshot (bumping its EPOCH) and reset the delta log. Recovery
+// reads the base, then applies, in order, every delta stamped with the
+// base's epoch; deltas from another epoch are ignored (they describe a
+// snapshot that was superseded — or one whose rename never became durable
+// — and views are reconstructible, so dropping them only costs
+// re-adaptation).
 //
 // Base snapshot on-disk format (little-endian):
 //   u8[8]  magic "VMSVMAN1"
@@ -23,15 +27,13 @@
 //   u64    epoch | u64 next_view_id | u64 view_count
 //   per view: u64 id | u64 lo | u64 hi | u64 creation_scanned_pages |
 //             u64 flags (bit 0 = demoted) |
-//             u64 page_count | page_count * u64 page ids (slot order)
+//             u64 page_count | page_count * u64 page ids
 //   u32    crc32 over everything before it
-//
-// Demoted (cold-tier) views persist like hot ones, pages inline; the flag
-// only says which tier the view reopens in. Snapshots written while demoted
-// membership lived in per-view view_<id>.cold files hold those entries with
-// an EMPTY page list; they open as empty views that the engine's open-time
-// completion fills with every page meeting their range (ARCHITECTURE.md
-// "Tiering model"). Such files are never read.
+// Writers put page_count 0, so a snapshot is 68 + 48 * views bytes. Files
+// written while the manifest recorded membership hold page ids there;
+// readers skip them (bounded by the file's bytes) and derive the pages.
+// Demoted views persist like hot ones; the flag only says which tier the
+// view reopens in.
 //
 // Base writes go to MANIFEST.tmp, are fsynced, renamed over MANIFEST, and
 // the directory is fsynced: a crash leaves either the old or the new
@@ -45,17 +47,19 @@
 //     u64 flags (bit 0 = demoted) |
 //     u64 page_count | page_count * u64 page ids |
 //     u32 crc32 of the record bytes before it | u32 record magic 0x4C44u
-// Ops, all in this one layout (a field an op does not use is written 0):
+// Ops, all in this one layout (a field an op does not use is written 0;
+// writers always write page_count 0, so a record is 72 bytes):
 //   1 upsert        the whole view: add it, or replace the view with its id
 //   2 remove        drop the view with the id
-//   3 set-tier      flip the demoted flag in place, pages untouched
+//   3 set-tier      flip the demoted flag in place
 //   4 set-range     set lo/hi in place (a discard widened the view)
-//   5 add-pages     append each listed page the view does not hold
-//   6 remove-pages  erase each listed page the view holds
-// Ops 3-6 edit a view in place — O(1) or O(pages edited) bytes instead of
-// O(view) — and are no-ops on an id replay does not know. A log holding
-// only ops 1-3 replays exactly as before ops 4-6 existed; any other op
-// value fails the record like a bad crc.
+//   5 add-pages     read-only legacy: decoded, then dropped by replay
+//   6 remove-pages  read-only legacy: decoded, then dropped by replay
+// Ops 3-4 edit a view in place and are no-ops on an id replay does not
+// know. Ops 5 and 6 carried page membership when the manifest recorded it;
+// they still decode, so replay moves past them to the records behind, and
+// ApplyManifestDeltas ignores them. Any other op value fails the record
+// like a bad crc.
 // Each record is self-framing (crc + magic): a torn or corrupt tail ends
 // replay there and Open truncates it, exactly like the journal.
 //
@@ -85,16 +89,8 @@ struct ManifestView {
   /// Pages the creating scan read — feeds eviction scoring after reopen.
   uint64_t creation_scanned_pages = 0;
   /// True when the view lives in the cold tier: it holds no arena and
-  /// materializes on its next routed query. `pages` is its membership in
-  /// either tier.
+  /// materializes on its next routed query.
   bool demoted = false;
-  /// Physical page membership (dense: holes never persist — a manifest is
-  /// only written from aligned, flush-consistent states). Recorded in slot
-  /// order, but replayed page records and in-memory compaction reorder it
-  /// independently: the order only decides how the first materialization
-  /// coalesces its mmap runs, never an answer (scans add up counts and
-  /// sums, which commute).
-  std::vector<uint64_t> pages;
 };
 
 struct ViewManifest {
@@ -111,15 +107,16 @@ struct ViewManifest {
 };
 
 /// One incremental manifest record on the view `view.id`: upsert (add or
-/// replace the whole view), remove, set-tier (`view.demoted`, pages kept),
-/// set-range (`view.lo`/`view.hi`), or add/remove the pages in `view.pages`.
+/// replace the whole view), remove, set-tier (`view.demoted`) or set-range
+/// (`view.lo`/`view.hi`). The two page ops are only ever read: they carried
+/// membership in logs written while the manifest recorded it.
 enum class ManifestDeltaOp : uint32_t {
   kUpsertView = 1,
   kRemoveView = 2,
   kSetViewTier = 3,
   kSetViewRange = 4,
-  kAddViewPages = 5,
-  kRemoveViewPages = 6,
+  kLegacyAddViewPages = 5,
+  kLegacyRemoveViewPages = 6,
 };
 
 struct ManifestDelta {
@@ -146,9 +143,9 @@ std::string ManifestPath(const std::string& dir);
 /// "<dir>/MANIFEST.delta" — likewise.
 std::string ManifestDeltaPath(const std::string& dir);
 
-/// Size in bytes of a base snapshot of `views` views holding `pages` page
-/// ids in all — what WriteManifest would write, computed from counts alone.
-uint64_t ManifestSnapshotBytes(uint64_t views, uint64_t pages);
+/// Size in bytes of a base snapshot of `views` views — what WriteManifest
+/// would write, computed from the count alone.
+uint64_t ManifestSnapshotBytes(uint64_t views);
 
 /// The append-only side of the incremental manifest. One instance is owned
 /// by the durable column (single writer — the engine's maintenance path);
@@ -214,14 +211,13 @@ class ManifestDeltaLog {
 };
 
 /// Applies `deltas` (append order) to `base`: records stamped with
-/// base->epoch upsert/remove views by id, and set-tier, set-range,
-/// add-pages and remove-pages edit an existing view in place (an unknown
-/// id is a no-op — the view's upsert never became durable, so there is
-/// nothing to edit). Added pages go after the view's last slot; removed
-/// ones leave the order of the rest unchanged. Records from any other
-/// epoch are skipped and counted. Raises base->next_view_id above every id
-/// seen.
-/// Returns the number of records applied; `skipped_epoch` (optional)
+/// base->epoch upsert/remove views by id, and set-tier and set-range edit
+/// an existing view in place (an unknown id is a no-op — the view's upsert
+/// never became durable, so there is nothing to edit). Legacy page records
+/// are dropped: membership is derived, never replayed. Records from any
+/// other epoch are skipped and counted. Raises base->next_view_id above
+/// every id seen.
+/// Returns the number of current-epoch records; `skipped_epoch` (optional)
 /// receives the skip count.
 uint64_t ApplyManifestDeltas(ViewManifest* base,
                              const std::vector<ManifestDelta>& deltas,

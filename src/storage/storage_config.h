@@ -13,15 +13,16 @@
 //   journal.wal     a write-ahead journal of row updates, appended on every
 //                   AdaptiveColumn::Update and replayed on Open;
 //   MANIFEST        an atomically-replaced base snapshot of the column
-//                   geometry and every partial view's page membership;
+//                   geometry and every partial view's value range, creation
+//                   cost and tier;
 //   MANIFEST.delta  the append-only log of every pool edit since that
-//                   snapshot — adaptation decisions and update flushes
-//                   append records; the snapshot is rewritten only when an
-//                   edit cannot be logged, when the log outgrows twice the
-//                   snapshot, or when an explicit checkpoint compacts it.
+//                   snapshot — adaptation decisions append records; the
+//                   snapshot is rewritten only when an edit cannot be
+//                   logged, when the log outgrows twice the snapshot, or
+//                   when an explicit checkpoint compacts it.
 //
-// No other file is kept: a demoted view's membership is in the manifest
-// like a hot view's.
+// No other file is kept: page membership, hot or demoted, is derived from
+// each view's range and the data when the column opens.
 //
 // Crash-safety contract: process kill (SIGKILL mid-anything) is always
 // recoverable — the page cache survives the process, the journal covers

@@ -6,8 +6,9 @@
 //   1. prefix consistency — the recovered column equals the genesis data
 //      plus updates 1..K for some K, with K >= every acknowledged update
 //      (no acknowledged-then-lost update, no gap, no reordering);
-//   2. scan bit-identity — adaptive Execute on the recovered column returns
-//      exactly what a full scan returns (restored views agree with data);
+//   2. aligned pool and scan bit-identity — right after the reopen every
+//      restored view holds exactly the pages with a value in its range,
+//      and adaptive Execute returns exactly what a full scan returns;
 //   3. idempotent replay — a second reopen reproduces the same state.
 //
 // Scenario axes: every FlushPolicy under process-kill semantics (the page
@@ -79,10 +80,10 @@ struct Scenario {
   /// true: power loss — column.dat rolls back to its last successful fsync.
   bool power_loss;
   /// Interleave DemoteColdestViews into the script and move a page into a
-  /// view while it is demoted, so set-tier records, a demoted view's
-  /// add-pages record and snapshots holding demoted entries enter the fault
-  /// surface. Recovery must come back hot-or-demoted with its membership —
-  /// never torn — at every fault point.
+  /// view while it is demoted, so set-tier records and snapshots holding
+  /// demoted entries enter the fault surface. Recovery must come back
+  /// hot-or-demoted with the moved page derived — never torn — at every
+  /// fault point.
   bool demote = false;
   /// errno carried by kFailOp points (0 = legacy untyped IoError); lets the
   /// demotion scenarios model disk-full vs media-error on the journal and
@@ -257,7 +258,8 @@ ScriptOutcome RunScript(const std::string& dir, const Scenario& s,
   all_durable();
   // Demotion scenarios: demote here so the later queries promote some
   // views back, and aim update 13 at a view that stays demoted until query
-  // 4's flush-first appends its add-pages record, before any routing.
+  // 4's flush-first moves the page into it, before any routing: recovery
+  // must derive that page for a demoted entry.
   std::optional<PlannedUpdate> demoted_add;
   if (s.demote) {
     (void)col->DemoteColdestViews(2);
@@ -273,7 +275,7 @@ ScriptOutcome RunScript(const std::string& dir, const Scenario& s,
     }
   }
   // Update 24 moves another page into a hot view; query 4's flush-first
-  // appends the add-pages record.
+  // aligns it, and recovery must derive it.
   const std::optional<PlannedUpdate> add = PageAddition(
       *col, demoted_add ? demoted_add->row / kValuesPerPage : ~uint64_t{0});
   if (!issue(add.value_or(PlannedUpdate{UpdateRow(24), UpdateValue(24)}))) {
@@ -285,7 +287,8 @@ ScriptOutcome RunScript(const std::string& dir, const Scenario& s,
     (void)col->Execute(*wider);
   }
   // Updates 25-30: up to five move a page out of a hot view, update 30
-  // moves another page into one, and one flush appends both page records.
+  // moves another page into one, and one flush aligns both: recovery must
+  // derive the removal and the addition.
   uint64_t emptied = ~uint64_t{0};
   const std::vector<uint64_t> removal = PageRemoval(*col, 5, &emptied);
   for (uint64_t j = 25; j <= 29; ++j) {
@@ -337,8 +340,9 @@ struct RecoveredState {
 };
 
 /// Reopens `dir` with real I/O and captures everything the invariants
-/// compare. `adapt` additionally routes every query through Execute and
-/// checks it against the full scan (invariant 2).
+/// compare; before any query runs, every restored view must hold exactly
+/// the pages with a value in its range (invariant 2). `adapt` additionally
+/// routes every query through Execute and checks it against the full scan.
 bool CaptureState(const std::string& dir, const Scenario& s, bool adapt,
                   RecoveredState* state, std::string* error) {
   auto open_r = OpenColumn(dir, MakeConfig(s, nullptr));
@@ -347,6 +351,16 @@ bool CaptureState(const std::string& dir, const Scenario& s, bool adapt,
     return false;
   }
   auto col = std::move(open_r).ValueOrDie();
+  for (const auto& view : col->view_index().views()) {
+    std::vector<uint64_t> pages = view->physical_pages();
+    std::sort(pages.begin(), pages.end());
+    if (pages != PagesHolding(col->column(), view->value_range())) {
+      *error = "restored view [" + std::to_string(view->lo()) + "," +
+               std::to_string(view->hi()) +
+               "] does not hold exactly the pages with a value in its range";
+      return false;
+    }
+  }
   state->journal_replayed = col->durability_stats().journal_replayed;
   state->values.resize(NumRows());
   for (uint64_t row = 0; row < NumRows(); ++row) {
@@ -495,7 +509,7 @@ class CrashMatrix {
   }
 
   /// The fault-free scripted run, counted: T ops define the fault surface.
-  /// It must reach every in-place delta op, so the surface covers them.
+  /// It must reach the set-range op, so the surface covers it.
   uint64_t CountOps() {
     CopyDir(genesis_, work_);
     DeltaOpCountingIo io;
@@ -507,13 +521,8 @@ class CrashMatrix {
       EXPECT_TRUE(out.demoted_addition)
           << scenario_.name << ": no demoted view to move a page into";
     }
-    for (const ManifestDeltaOp op :
-         {ManifestDeltaOp::kSetViewRange, ManifestDeltaOp::kAddViewPages,
-          ManifestDeltaOp::kRemoveViewPages}) {
-      EXPECT_GT(io.appended(op), 0u)
-          << scenario_.name << ": the script appended no op "
-          << static_cast<uint32_t>(op) << " record";
-    }
+    EXPECT_GT(io.appended(ManifestDeltaOp::kSetViewRange), 0u)
+        << scenario_.name << ": the script appended no set-range record";
     return io.op_count();
   }
 
@@ -613,9 +622,9 @@ TEST(CrashMatrixTest, PowerSyncGroupCommit) {
 // Demotion scenarios (named spill_* since demotion wrote per-view files;
 // tools/fault_matrix.py and the CI artifacts keep the names): the script
 // demotes views at three points and moves a page into a demoted view, so
-// every set-tier record, that view's add-pages record and the snapshots
-// writing demoted entries inline are fault points. A kill mid-demotion
-// must reopen hot-or-demoted, never torn, and the adaptive scans must stay
+// every set-tier record and the snapshots writing demoted entries are
+// fault points. A kill mid-demotion must reopen hot-or-demoted, never
+// torn, with the moved page derived, and the adaptive scans must stay
 // bit-identical.
 
 TEST(CrashMatrixTest, SpillKillSync) {

@@ -274,10 +274,12 @@ TEST(ManifestTest, RoundTrip) {
   manifest.pool_generation = 7;
   manifest.epoch = 3;
   manifest.next_view_id = 9;
-  manifest.views.push_back(
-      ManifestView{7, 100, 200, 25, /*demoted=*/false, {3, 4, 5, 9}});
-  manifest.views.push_back(ManifestView{8, 0, 50, 10, /*demoted=*/false, {}});
+  manifest.views.push_back(ManifestView{7, 100, 200, 25, /*demoted=*/false});
+  manifest.views.push_back(ManifestView{8, 0, 50, 10, /*demoted=*/true});
   ASSERT_TRUE(WriteManifest(scratch.path(), manifest, /*sync=*/true).ok());
+  // Ranges only: the fixed part plus 48 bytes per view.
+  EXPECT_EQ(fs::file_size(ManifestPath(scratch.path())), 68u + 2 * 48u);
+  EXPECT_EQ(ManifestSnapshotBytes(2), 68u + 2 * 48u);
 
   auto read_r = ReadManifest(scratch.path());
   ASSERT_TRUE(read_r.ok()) << read_r.status().ToString();
@@ -292,8 +294,8 @@ TEST(ManifestTest, RoundTrip) {
   EXPECT_EQ(read_r->views[0].lo, 100u);
   EXPECT_EQ(read_r->views[0].hi, 200u);
   EXPECT_EQ(read_r->views[0].creation_scanned_pages, 25u);
-  EXPECT_EQ(read_r->views[0].pages, (std::vector<uint64_t>{3, 4, 5, 9}));
-  EXPECT_TRUE(read_r->views[1].pages.empty());
+  EXPECT_FALSE(read_r->views[0].demoted);
+  EXPECT_TRUE(read_r->views[1].demoted);
 }
 
 TEST(ManifestTest, ReplaceIsAtomicAndCorruptionIsDetected) {
@@ -304,7 +306,7 @@ TEST(ManifestTest, ReplaceIsAtomicAndCorruptionIsDetected) {
   manifest.num_rows = 10;
   manifest.num_pages = 1;
   ASSERT_TRUE(WriteManifest(scratch.path(), manifest, true).ok());
-  manifest.views.push_back(ManifestView{1, 1, 2, 1, {0}});
+  manifest.views.push_back(ManifestView{1, 1, 2, 1, /*demoted=*/false});
   ASSERT_TRUE(WriteManifest(scratch.path(), manifest, true).ok());
   // The tmp file never lingers after a successful replace.
   EXPECT_FALSE(fs::exists(ManifestPath(scratch.path()) + ".tmp"));
@@ -736,13 +738,12 @@ TEST(ManifestTest, HostileCountsFailInsteadOfAllocating) {
 // ---------------------------------------------------------------------------
 // Incremental manifest: the delta log
 
-ManifestDelta UpsertDelta(uint64_t epoch, uint64_t id, Value lo, Value hi,
-                          std::vector<uint64_t> pages) {
+ManifestDelta UpsertDelta(uint64_t epoch, uint64_t id, Value lo, Value hi) {
   ManifestDelta delta;
   delta.op = ManifestDeltaOp::kUpsertView;
   delta.epoch = epoch;
-  delta.view = ManifestView{id, lo, hi, /*creation_scanned_pages=*/pages.size(),
-                            /*demoted=*/false, std::move(pages)};
+  delta.view = ManifestView{id, lo, hi, /*creation_scanned_pages=*/hi - lo,
+                            /*demoted=*/false};
   return delta;
 }
 
@@ -761,9 +762,9 @@ TEST(ManifestDeltaLogTest, AppendReplayRoundTrip) {
     ASSERT_TRUE(open_r.ok()) << open_r.status().ToString();
     ASSERT_TRUE(open_r->replayed.empty());
     auto log = std::move(open_r.ValueOrDie().log);
-    ASSERT_TRUE(log->Append(UpsertDelta(1, 5, 10, 20, {0, 3, 7})).ok());
+    ASSERT_TRUE(log->Append(UpsertDelta(1, 5, 10, 20)).ok());
     ASSERT_TRUE(log->Append(RemoveDelta(1, 4)).ok());
-    ASSERT_TRUE(log->Append(UpsertDelta(2, 6, 30, 40, {})).ok());
+    ASSERT_TRUE(log->Append(UpsertDelta(2, 6, 30, 40)).ok());
     EXPECT_EQ(log->record_count(), 3u);
   }
   auto reopen_r = ManifestDeltaLog::Open(scratch.path());
@@ -773,12 +774,13 @@ TEST(ManifestDeltaLogTest, AppendReplayRoundTrip) {
   EXPECT_EQ(reopen_r->replayed[0].op, ManifestDeltaOp::kUpsertView);
   EXPECT_EQ(reopen_r->replayed[0].epoch, 1u);
   EXPECT_EQ(reopen_r->replayed[0].view.id, 5u);
-  EXPECT_EQ(reopen_r->replayed[0].view.pages,
-            (std::vector<uint64_t>{0, 3, 7}));
+  EXPECT_EQ(reopen_r->replayed[0].view.lo, 10u);
+  EXPECT_EQ(reopen_r->replayed[0].view.hi, 20u);
+  EXPECT_EQ(reopen_r->replayed[0].view.creation_scanned_pages, 10u);
   EXPECT_EQ(reopen_r->replayed[1].op, ManifestDeltaOp::kRemoveView);
   EXPECT_EQ(reopen_r->replayed[1].view.id, 4u);
   EXPECT_EQ(reopen_r->replayed[2].epoch, 2u);
-  EXPECT_TRUE(reopen_r->replayed[2].view.pages.empty());
+  EXPECT_EQ(reopen_r->replayed[2].view.hi, 40u);
 }
 
 TEST(ManifestDeltaLogTest, TornTailIsTruncatedOnce) {
@@ -787,8 +789,8 @@ TEST(ManifestDeltaLogTest, TornTailIsTruncatedOnce) {
     auto open_r = ManifestDeltaLog::Open(scratch.path());
     ASSERT_TRUE(open_r.ok());
     auto log = std::move(open_r.ValueOrDie().log);
-    ASSERT_TRUE(log->Append(UpsertDelta(1, 1, 0, 9, {2})).ok());
-    ASSERT_TRUE(log->Append(UpsertDelta(1, 2, 10, 19, {4})).ok());
+    ASSERT_TRUE(log->Append(UpsertDelta(1, 1, 0, 9)).ok());
+    ASSERT_TRUE(log->Append(UpsertDelta(1, 2, 10, 19)).ok());
   }
   {
     // Crash mid-append: a partial record's bytes at the tail.
@@ -818,8 +820,8 @@ TEST(ManifestDeltaLogTest, MidRecordCorruptionEndsReplayThere) {
     auto open_r = ManifestDeltaLog::Open(scratch.path());
     ASSERT_TRUE(open_r.ok());
     auto log = std::move(open_r.ValueOrDie().log);
-    ASSERT_TRUE(log->Append(UpsertDelta(1, 1, 0, 9, {2, 5})).ok());
-    ASSERT_TRUE(log->Append(UpsertDelta(1, 2, 10, 19, {4})).ok());
+    ASSERT_TRUE(log->Append(UpsertDelta(1, 1, 0, 9)).ok());
+    ASSERT_TRUE(log->Append(UpsertDelta(1, 2, 10, 19)).ok());
   }
   {
     // Flip a byte INSIDE the first record's payload (past the 8-byte file
@@ -885,16 +887,16 @@ TEST(ManifestDeltaLogTest, UnrewoundTornTailRefusesAppendsUntilReset) {
   auto open_r = ManifestDeltaLog::Open(scratch.path(), &io);
   ASSERT_TRUE(open_r.ok());
   auto log = std::move(open_r.ValueOrDie().log);
-  ASSERT_TRUE(log->Append(UpsertDelta(1, 1, 0, 9, {2})).ok());
+  ASSERT_TRUE(log->Append(UpsertDelta(1, 1, 0, 9)).ok());
   io.tear = true;
-  EXPECT_FALSE(log->Append(UpsertDelta(1, 2, 10, 19, {4, 5})).ok());
+  EXPECT_FALSE(log->Append(UpsertDelta(1, 2, 10, 19)).ok());
   io.tear = false;
   EXPECT_FALSE(log->empty());
   EXPECT_FALSE(log->Append(RemoveDelta(1, 1)).ok())
       << "an append behind the torn tail would be lost on replay";
   ASSERT_TRUE(log->Reset().ok());
   EXPECT_TRUE(log->empty());
-  ASSERT_TRUE(log->Append(UpsertDelta(2, 3, 20, 29, {6})).ok());
+  ASSERT_TRUE(log->Append(UpsertDelta(2, 3, 20, 29)).ok());
   log.reset();
   auto reopen_r = ManifestDeltaLog::Open(scratch.path());
   ASSERT_TRUE(reopen_r.ok());
@@ -909,10 +911,10 @@ TEST(ManifestDeltaLogTest, ResetCompactsToBareHeader) {
     auto open_r = ManifestDeltaLog::Open(scratch.path());
     ASSERT_TRUE(open_r.ok());
     auto log = std::move(open_r.ValueOrDie().log);
-    ASSERT_TRUE(log->Append(UpsertDelta(1, 1, 0, 9, {2})).ok());
+    ASSERT_TRUE(log->Append(UpsertDelta(1, 1, 0, 9)).ok());
     ASSERT_TRUE(log->Reset().ok());
     EXPECT_EQ(log->record_count(), 0u);
-    ASSERT_TRUE(log->Append(UpsertDelta(2, 2, 5, 6, {1})).ok());
+    ASSERT_TRUE(log->Append(UpsertDelta(2, 2, 5, 6)).ok());
   }
   auto open_r = ManifestDeltaLog::Open(scratch.path());
   ASSERT_TRUE(open_r.ok());
@@ -924,13 +926,13 @@ TEST(ManifestDeltaLogTest, ApplyFiltersByEpochAndRaisesIdWatermark) {
   ViewManifest base;
   base.epoch = 5;
   base.next_view_id = 3;
-  base.views.push_back(ManifestView{1, 0, 9, 1, {0}});
-  base.views.push_back(ManifestView{2, 10, 19, 1, {1}});
+  base.views.push_back(ManifestView{1, 0, 9, 1, /*demoted=*/false});
+  base.views.push_back(ManifestView{2, 10, 19, 1, /*demoted=*/false});
   const std::vector<ManifestDelta> deltas = {
-      UpsertDelta(4, 7, 90, 99, {5}),    // stale epoch: skipped
-      UpsertDelta(5, 2, 10, 25, {1, 2}), // replaces view 2 in place
+      UpsertDelta(4, 7, 90, 99),    // stale epoch: skipped
+      UpsertDelta(5, 2, 10, 25), // replaces view 2 in place
       RemoveDelta(5, 1),                 // removes view 1
-      UpsertDelta(5, 9, 40, 49, {3}),    // appends a new view
+      UpsertDelta(5, 9, 40, 49),    // appends a new view
       RemoveDelta(6, 9),                 // FUTURE epoch: skipped too
   };
   uint64_t skipped = 0;
@@ -946,18 +948,16 @@ TEST(ManifestDeltaLogTest, ApplyFiltersByEpochAndRaisesIdWatermark) {
   EXPECT_EQ(base.next_view_id, 10u);
 }
 
-ManifestDelta EditDelta(ManifestDeltaOp op, uint64_t epoch, uint64_t id,
-                        std::vector<uint64_t> pages) {
+ManifestDelta EditDelta(ManifestDeltaOp op, uint64_t epoch, uint64_t id) {
   ManifestDelta delta;
   delta.op = op;
   delta.epoch = epoch;
   delta.view.id = id;
-  delta.view.pages = std::move(pages);
   return delta;
 }
 
 ManifestDelta RangeDelta(uint64_t epoch, uint64_t id, Value lo, Value hi) {
-  ManifestDelta delta = EditDelta(ManifestDeltaOp::kSetViewRange, epoch, id, {});
+  ManifestDelta delta = EditDelta(ManifestDeltaOp::kSetViewRange, epoch, id);
   delta.view.lo = lo;
   delta.view.hi = hi;
   return delta;
@@ -986,65 +986,42 @@ TEST(ManifestDeltaLogTest, InPlaceEditsReplayByIdAndIgnoreUnknownIds) {
   ViewManifest base;
   base.epoch = 5;
   base.next_view_id = 3;
-  base.views.push_back(ManifestView{1, 0, 9, 3, false, {0, 1, 2}});
-  base.views.push_back(ManifestView{2, 10, 19, 2, false, {3, 4}});
+  base.views.push_back(ManifestView{1, 0, 9, 3, /*demoted=*/false});
+  base.views.push_back(ManifestView{2, 10, 19, 2, /*demoted=*/false});
   const std::vector<ManifestDelta> replayed = RoundTripLog(
       scratch.path(),
       {
           RangeDelta(5, 1, 0, 12),
-          EditDelta(ManifestDeltaOp::kAddViewPages, 5, 1, {2, 5, 6}),
-          EditDelta(ManifestDeltaOp::kRemoveViewPages, 5, 1, {1, 7}),
-          EditDelta(ManifestDeltaOp::kAddViewPages, 5, 1, {1}),
-          EditDelta(ManifestDeltaOp::kRemoveViewPages, 5, 2, {3, 4}),
-          EditDelta(ManifestDeltaOp::kAddViewPages, 5, 9, {8}),   // unknown id
-          RangeDelta(5, 9, 1, 2),                                 // unknown id
-          EditDelta(ManifestDeltaOp::kRemoveViewPages, 4, 1, {0}),  // old epoch
-          EditDelta(ManifestDeltaOp::kAddViewPages, 5, 2, {9}),
+          RangeDelta(5, 9, 1, 2),    // unknown id
+          RangeDelta(4, 2, 10, 99),  // old epoch
       });
-  ASSERT_EQ(replayed.size(), 9u);
+  ASSERT_EQ(replayed.size(), 3u);
   EXPECT_EQ(replayed[0].op, ManifestDeltaOp::kSetViewRange);
   EXPECT_EQ(replayed[0].view.hi, 12u);
-  EXPECT_EQ(replayed[1].view.pages, (std::vector<uint64_t>{2, 5, 6}));
   uint64_t skipped = 0;
-  EXPECT_EQ(ApplyManifestDeltas(&base, replayed, &skipped), 8u);
+  EXPECT_EQ(ApplyManifestDeltas(&base, replayed, &skipped), 2u);
   EXPECT_EQ(skipped, 1u);
   ASSERT_EQ(base.views.size(), 2u);
   EXPECT_EQ(base.views[0].lo, 0u);
   EXPECT_EQ(base.views[0].hi, 12u);
-  // Present pages are not added twice, absent ones are not removed, the
-  // survivors keep their order and added pages go after them.
-  EXPECT_EQ(base.views[0].pages, (std::vector<uint64_t>{0, 2, 5, 6, 1}));
   EXPECT_EQ(base.views[0].creation_scanned_pages, 3u);
   EXPECT_EQ(base.views[1].hi, 19u);
-  EXPECT_EQ(base.views[1].pages, (std::vector<uint64_t>{9}));
   EXPECT_EQ(base.next_view_id, 10u);  // the unknown id still raised it
-
-  // An upsert replaces the whole view, page edits after it included.
-  ViewManifest again;
-  again.epoch = 1;
-  again.views.push_back(ManifestView{4, 0, 9, 1, false, {1, 2}});
-  ApplyManifestDeltas(
-      &again, {EditDelta(ManifestDeltaOp::kRemoveViewPages, 1, 4, {1}),
-               UpsertDelta(1, 4, 0, 9, {7}),
-               EditDelta(ManifestDeltaOp::kAddViewPages, 1, 4, {7, 8}),
-               EditDelta(ManifestDeltaOp::kRemoveViewPages, 1, 4, {7})});
-  ASSERT_EQ(again.views.size(), 1u);
-  EXPECT_EQ(again.views[0].pages, (std::vector<uint64_t>{8}));
 }
 
 TEST(ManifestDeltaLogTest, LogOfOpsOneToThreeReplaysUnchanged) {
   // A log written before ops 4-6 existed holds only upserts, removes and
   // tier flips; it must replay to exactly the pool it always did.
   ScratchDir scratch("mdl_v1_ops");
-  ManifestDelta demote = EditDelta(ManifestDeltaOp::kSetViewTier, 2, 1, {});
+  ManifestDelta demote = EditDelta(ManifestDeltaOp::kSetViewTier, 2, 1);
   demote.view.demoted = true;
   const std::vector<ManifestDelta> written = {
-      UpsertDelta(2, 1, 0, 9, {4, 0, 2}),
-      UpsertDelta(2, 2, 10, 19, {5}),
+      UpsertDelta(2, 1, 0, 9),
+      UpsertDelta(2, 2, 10, 19),
       demote,
       RemoveDelta(2, 2),
-      UpsertDelta(2, 3, 20, 29, {6, 7}),
-      UpsertDelta(2, 3, 20, 35, {7}),
+      UpsertDelta(2, 3, 20, 29),
+      UpsertDelta(2, 3, 20, 35),
   };
   const std::vector<ManifestDelta> replayed =
       RoundTripLog(scratch.path(), written);
@@ -1052,7 +1029,7 @@ TEST(ManifestDeltaLogTest, LogOfOpsOneToThreeReplaysUnchanged) {
   for (size_t i = 0; i < written.size(); ++i) {
     EXPECT_EQ(replayed[i].op, written[i].op) << "record " << i;
     EXPECT_EQ(replayed[i].view.id, written[i].view.id) << "record " << i;
-    EXPECT_EQ(replayed[i].view.pages, written[i].view.pages) << "record " << i;
+    EXPECT_EQ(replayed[i].view.hi, written[i].view.hi) << "record " << i;
     EXPECT_EQ(replayed[i].view.demoted, written[i].view.demoted)
         << "record " << i;
   }
@@ -1062,10 +1039,9 @@ TEST(ManifestDeltaLogTest, LogOfOpsOneToThreeReplaysUnchanged) {
   ASSERT_EQ(base.views.size(), 2u);
   EXPECT_EQ(base.views[0].id, 1u);
   EXPECT_TRUE(base.views[0].demoted);
-  EXPECT_EQ(base.views[0].pages, (std::vector<uint64_t>{4, 0, 2}));
+  EXPECT_EQ(base.views[0].hi, 9u);
   EXPECT_EQ(base.views[1].id, 3u);
   EXPECT_EQ(base.views[1].hi, 35u);
-  EXPECT_EQ(base.views[1].pages, (std::vector<uint64_t>{7}));
   EXPECT_EQ(base.next_view_id, 4u);
 }
 
@@ -1075,7 +1051,7 @@ TEST(ManifestDeltaLogTest, UnknownOpEndsReplayAsTornTail) {
     auto open_r = ManifestDeltaLog::Open(scratch.path());
     ASSERT_TRUE(open_r.ok());
     auto log = std::move(open_r.ValueOrDie().log);
-    ASSERT_TRUE(log->Append(UpsertDelta(1, 1, 0, 9, {2})).ok());
+    ASSERT_TRUE(log->Append(UpsertDelta(1, 1, 0, 9)).ok());
   }
   {
     // A well-framed record (valid crc and magic) with op 7, which no
@@ -1215,9 +1191,12 @@ TEST(DurableColumnTest, AdaptationAppendsDeltasInsteadOfSnapshots) {
   EXPECT_EQ(stats.manifest_writes, 1u);
   EXPECT_GT(stats.manifest_delta_appends, 0u);
   EXPECT_EQ(stats.manifest_write_failures, 0u);
-  // Checkpoint compacts: fresh base (epoch bump), delta log emptied.
+  // Checkpoint compacts: fresh base (epoch bump), delta log emptied. The
+  // base holds ranges only, 48 bytes per view.
   ASSERT_TRUE(adaptive->Checkpoint().ok());
   EXPECT_EQ(adaptive->durability_stats().manifest_writes, 2u);
+  EXPECT_EQ(fs::file_size(ManifestPath(scratch.path())),
+            68 + 48 * adaptive->view_index().num_partial_views());
   auto reopened_r = ManifestDeltaLog::Open(scratch.path());
   ASSERT_TRUE(reopened_r.ok());
   EXPECT_TRUE(reopened_r->replayed.empty());
@@ -1250,8 +1229,9 @@ TEST(DurableColumnTest, KillBeforeCheckpointRestoresViewsFromDeltas) {
 }
 
 /// The pool as recovery must reproduce it: (id, lo, hi, sorted pages,
-/// demoted) per view, sorted. Slot order is left out on purpose — it only
-/// shapes the first materialization's mmap runs (ManifestView::pages).
+/// demoted) per view, sorted. Slot order is left out on purpose: recovery
+/// installs derived pages in page order, and the order only shapes the
+/// first materialization's mmap runs.
 using PoolState =
     std::vector<std::tuple<uint64_t, Value, Value, std::vector<uint64_t>, bool>>;
 
@@ -1345,11 +1325,12 @@ bool FindNonWideningDiscard(const AdaptiveColumn& adaptive, RangeQuery* q) {
   return false;
 }
 
-// The delta log alone recovers every pool edit a flush and adaptation make:
-// page additions and removals, a widened range, and a discard that edits
-// nothing — no snapshot after the adaptation's checkpoint. (The discards
-// run before the updates: a query flushes pending updates first.)
-TEST(DurableColumnTest, FlushAppendsPageDeltasAndRecoveryNeedsNoSnapshot) {
+// Base snapshot plus delta log recover every pool edit adaptation makes —
+// a widened range, and a discard that edits nothing — with no snapshot
+// after the adaptation's checkpoint. A flush that adds and removes pages
+// appends nothing: recovery derives the moved pages from the data. (The
+// discards run before the updates: a query flushes pending updates first.)
+TEST(DurableColumnTest, FlushAppendsNoPageDeltasAndRecoveryNeedsNoSnapshot) {
   ScratchDir scratch("durable_pagedeltas");
   AdaptiveConfig config;
   config.max_views = 32;
@@ -1431,7 +1412,7 @@ TEST(DurableColumnTest, FlushAppendsPageDeltasAndRecoveryNeedsNoSnapshot) {
       ASSERT_TRUE(adaptive->Update(row, kMaxValue + 1).ok());
     }
 
-    // The flush appends page records and writes no snapshot.
+    // The flush moves both pages, appends nothing and writes no snapshot.
     appends = adaptive->durability_stats().manifest_delta_appends;
     auto flushed = adaptive->FlushUpdates();
     ASSERT_TRUE(flushed.ok()) << flushed.status().ToString();
@@ -1439,7 +1420,7 @@ TEST(DurableColumnTest, FlushAppendsPageDeltasAndRecoveryNeedsNoSnapshot) {
     EXPECT_FALSE(b->ContainsPage(removed));
     const DurabilityStats stats = adaptive->durability_stats();
     EXPECT_EQ(stats.manifest_writes, writes);
-    EXPECT_GE(stats.manifest_delta_appends, appends + 2);
+    EXPECT_EQ(stats.manifest_delta_appends, appends);
     EXPECT_FALSE(stats.manifest_stale);
     EXPECT_EQ(stats.manifest_write_failures, 0u);
     before = StateOf(*adaptive);
@@ -1449,11 +1430,15 @@ TEST(DurableColumnTest, FlushAppendsPageDeltasAndRecoveryNeedsNoSnapshot) {
   ASSERT_TRUE(reopened_r.ok()) << reopened_r.status().ToString();
   auto reopened = std::move(reopened_r).ValueOrDie();
   EXPECT_EQ(reopened->durability_stats().journal_replayed, 0u)
-      << "the flush reset the journal; the deltas alone must recover";
-  EXPECT_GE(reopened->durability_stats().manifest_deltas_replayed, 3u);
+      << "the flush reset the journal; base and deltas alone must recover";
+  // The set-range record is the one delta since the checkpoint.
+  EXPECT_EQ(reopened->durability_stats().manifest_deltas_replayed, 1u);
   EXPECT_EQ(StateOf(*reopened), before);
-  // Open's backstop for lost journal records found nothing to add: base
-  // plus deltas described the pool on their own.
+  for (const auto& view : reopened->view_index().views()) {
+    EXPECT_EQ(view->physical_pages(),
+              PagesHolding(reopened->column(), view->value_range()))
+        << "view " << view->durable_id();
+  }
   EXPECT_FALSE(reopened->durability_stats().manifest_stale);
   // Queries strictly inside each restored view agree with full scans.
   std::vector<RangeQuery> inner;
@@ -1479,9 +1464,12 @@ TEST(DurableColumnTest, FlushAppendsPageDeltasAndRecoveryNeedsNoSnapshot) {
   EXPECT_EQ(StateOf(*again_r->get()), before);
 }
 
-// Churn: every flush adds a page to a view or removes it again. The log
-// grows by a record per flush until it holds more than twice the bytes of
-// a snapshot of the pool; that flush snapshots and the log starts over.
+// Churn: every round widens a view's range by one value through a
+// discard, appending one set-range record, then flushes an update that
+// moves a page into or out of a view, which appends nothing. The log grows
+// by a record per round until it holds more than twice the bytes of a
+// snapshot of the pool; that round's flush snapshots and the log starts
+// over.
 TEST(DurableColumnTest, FlushSnapshotsOnceTheLogOutgrowsTwiceThePool) {
   ScratchDir scratch("durable_churn");
   AdaptiveConfig config;
@@ -1500,18 +1488,22 @@ TEST(DurableColumnTest, FlushSnapshotsOnceTheLogOutgrowsTwiceThePool) {
     const Value original = column.Get(row);
     const Value inside = (view->lo() + view->hi()) / 2;
     const uint64_t writes = adaptive->durability_stats().manifest_writes;
-    constexpr uint64_t kOnePageRecord = 80;  // head 64 + page 8 + tail 8
-    for (int flush = 0; flush < 64; ++flush) {
-      ASSERT_TRUE(adaptive->Update(row, flush % 2 == 0 ? inside : original).ok());
+    constexpr uint64_t kRecord = 72;  // head 64 + tail 8
+    for (int round = 0; round < 64; ++round) {
+      RangeQuery widen;
+      ASSERT_TRUE(FindWideningDiscard(*adaptive, &widen)) << "round " << round;
+      auto exec = adaptive->Execute(widen);
+      ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+      ASSERT_EQ(exec->stats.decision, CandidateDecision::kDiscardedSubset);
+      ASSERT_TRUE(adaptive->Update(row, round % 2 == 0 ? inside : original).ok());
       ASSERT_TRUE(adaptive->FlushUpdates().ok());
-      ASSERT_EQ(view->ContainsPage(page), flush % 2 == 0);
-      uint64_t pages = 0;
-      for (const auto& v : adaptive->view_index().views()) pages += v->num_pages();
-      const uint64_t live = ManifestSnapshotBytes(
-          adaptive->view_index().views().size(), pages);
+      ASSERT_EQ(view->ContainsPage(page), round % 2 == 0);
+      const uint64_t live =
+          ManifestSnapshotBytes(adaptive->view_index().views().size());
       const uint64_t log =
           fs::file_size(ManifestDeltaPath(scratch.path())) - 8;  // header
-      EXPECT_LE(log, 2 * live + kOnePageRecord) << "flush " << flush;
+      EXPECT_EQ(log % kRecord, 0u) << "round " << round;
+      EXPECT_LE(log, 2 * live + kRecord) << "round " << round;
     }
     const DurabilityStats stats = adaptive->durability_stats();
     EXPECT_GE(stats.manifest_writes, writes + 2) << "the 2x rule never fired";

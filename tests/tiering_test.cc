@@ -1,12 +1,12 @@
 // Tiered cold-view lifecycle suite (ARCHITECTURE.md "Tiering model"): the
-// set-tier and page manifest deltas on demoted entries, the demote →
-// reopen → promote acceptance round-trip (bit-identical to a
-// never-demoted column), demoted membership surviving a flush or a
-// checkpoint and a kill, a snapshot whose demoted entries hold no pages
-// reopening exactly, seeded randomized interleavings of
-// update/flush/demote/checkpoint/reopen against the full-scan serial
-// oracle, pressure relief's pool edits surviving a kill, and the
-// demote-while-scan race (the CI TSAN job runs this binary).
+// set-tier manifest delta on demoted entries, the demote → reopen →
+// promote acceptance round-trip (bit-identical to a never-demoted column),
+// demoted membership surviving a flush or a checkpoint and a kill, a
+// directory whose manifest still records page lists reopening exactly,
+// seeded randomized interleavings of update/flush/demote/checkpoint/reopen
+// against the full-scan serial oracle, pressure relief's pool edits
+// surviving a kill, and the demote-while-scan race (the CI TSAN job runs
+// this binary).
 
 #include <algorithm>
 #include <atomic>
@@ -25,6 +25,7 @@
 
 #include "vmsv.h"
 #include "scoped_temp_dir.h"
+#include "exec/scan_kernels.h"
 #include "rewiring/vm_io.h"
 #include "storage/journal.h"  // Crc32
 #include "storage/manifest.h"
@@ -178,33 +179,42 @@ std::vector<std::string> DirListing(const std::string& dir) {
   return names;
 }
 
-/// Writes "<dir>/view_<id>.cold" in the format demoted membership was once
-/// kept in: magic "VMSVCLD1", u64 id, u64 page count, the pages, crc32.
-void WriteColdFile(const std::string& dir, uint64_t id,
-                   const std::vector<uint64_t>& pages) {
-  std::string buf("VMSVCLD1", 8);
-  auto put_u64 = [&buf](uint64_t v) {
-    buf.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  put_u64(id);
-  put_u64(pages.size());
-  for (const uint64_t page : pages) put_u64(page);
-  const uint32_t crc = Crc32(buf.data(), buf.size());
-  buf.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  std::ofstream out(dir + "/view_" + std::to_string(id) + ".cold",
-                    std::ios::binary | std::ios::trunc);
-  out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-  ASSERT_TRUE(out.good());
+/// Pages of the column holding any value in q.
+std::vector<uint64_t> PagesHolding(const PhysicalColumn& column,
+                                   const RangeQuery& q) {
+  std::vector<uint64_t> pages;
+  for (uint64_t page = 0; page < column.num_pages(); ++page) {
+    if (PageContainsAny(column.PageData(page), kValuesPerPage, q)) {
+      pages.push_back(page);
+    }
+  }
+  return pages;
+}
+
+/// Little-endian writer for hand-built manifest files.
+struct Bytes {
+  std::string buf;
+  void U32(uint32_t v) { buf.append(reinterpret_cast<const char*>(&v), 4); }
+  void U64(uint64_t v) { buf.append(reinterpret_cast<const char*>(&v), 8); }
+  void Pages(const std::vector<uint64_t>& pages) {
+    U64(pages.size());
+    for (const uint64_t page : pages) U64(page);
+  }
+};
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(out.good()) << path;
 }
 
 // ---------------------------------------------------------------------------
 // Manifest: deltas on demoted entries
 
-TEST(ManifestTierTest, SetTierDeltaFlipsFlagKeepingPages) {
+TEST(ManifestTierTest, SetTierDeltaFlipsFlagInPlace) {
   ViewManifest manifest;
   manifest.epoch = 2;
-  manifest.views.push_back(
-      ManifestView{7, 100, 200, 25, /*demoted=*/false, {3, 4, 5}});
+  manifest.views.push_back(ManifestView{7, 100, 200, 25, /*demoted=*/false});
 
   ManifestDelta demote;
   demote.op = ManifestDeltaOp::kSetViewTier;
@@ -215,37 +225,13 @@ TEST(ManifestTierTest, SetTierDeltaFlipsFlagKeepingPages) {
   EXPECT_EQ(ApplyManifestDeltas(&manifest, {demote}), 1u);
   ASSERT_EQ(manifest.views.size(), 1u);
   EXPECT_TRUE(manifest.views[0].demoted);
-  EXPECT_EQ(manifest.views[0].pages, (std::vector<uint64_t>{3, 4, 5}));
+  EXPECT_EQ(manifest.views[0].hi, 200u);
 
   // Unknown id: no-op (the view may have been trimmed meanwhile).
   ManifestDelta stray = demote;
   stray.view.id = 99;
   EXPECT_EQ(ApplyManifestDeltas(&manifest, {stray}), 1u);
   EXPECT_EQ(manifest.views.size(), 1u);
-}
-
-TEST(ManifestTierTest, PageDeltasEditDemotedEntryKeepingFlag) {
-  // A flush realigns demoted views like hot ones, so add-pages and
-  // remove-pages records must edit a demoted entry in place and leave it
-  // demoted.
-  ViewManifest manifest;
-  manifest.epoch = 4;
-  manifest.views.push_back(
-      ManifestView{3, 100, 200, 25, /*demoted=*/true, {3, 4, 5}});
-
-  ManifestDelta add;
-  add.op = ManifestDeltaOp::kAddViewPages;
-  add.epoch = 4;
-  add.view.id = 3;
-  add.view.pages = {9, 4};
-  ManifestDelta remove = add;
-  remove.op = ManifestDeltaOp::kRemoveViewPages;
-  remove.view.pages = {3, 7};
-
-  EXPECT_EQ(ApplyManifestDeltas(&manifest, {add, remove}), 2u);
-  ASSERT_EQ(manifest.views.size(), 1u);
-  EXPECT_TRUE(manifest.views[0].demoted);
-  EXPECT_EQ(manifest.views[0].pages, (std::vector<uint64_t>{4, 5, 9}));
 }
 
 TEST(ManifestTierTest, DemotedFlagSurvivesBaseSnapshotRoundTrip) {
@@ -255,10 +241,8 @@ TEST(ManifestTierTest, DemotedFlagSurvivesBaseSnapshotRoundTrip) {
   manifest.num_pages = 10;
   manifest.epoch = 1;
   manifest.next_view_id = 3;
-  manifest.views.push_back(
-      ManifestView{1, 0, 50, 10, /*demoted=*/true, {}});
-  manifest.views.push_back(
-      ManifestView{2, 60, 90, 4, /*demoted=*/false, {1, 2}});
+  manifest.views.push_back(ManifestView{1, 0, 50, 10, /*demoted=*/true});
+  manifest.views.push_back(ManifestView{2, 60, 90, 4, /*demoted=*/false});
   ASSERT_TRUE(WriteManifest(scratch.path(), manifest, /*sync=*/true).ok());
   auto read_r = ReadManifest(scratch.path());
   ASSERT_TRUE(read_r.ok()) << read_r.status().ToString();
@@ -305,9 +289,13 @@ TEST(ManifestTierTest, ReadsVersion2ManifestAsAllHot) {
   EXPECT_EQ(read_r->next_view_id, 3u);
   ASSERT_EQ(read_r->views.size(), 2u);
   EXPECT_FALSE(read_r->views[0].demoted);
-  EXPECT_EQ(read_r->views[0].pages, (std::vector<uint64_t>{3, 4}));
+  EXPECT_EQ(read_r->views[0].lo, 0u);
+  EXPECT_EQ(read_r->views[0].hi, 50u);
+  EXPECT_EQ(read_r->views[0].creation_scanned_pages, 10u);
   EXPECT_FALSE(read_r->views[1].demoted);
-  EXPECT_TRUE(read_r->views[1].pages.empty());
+  EXPECT_EQ(read_r->views[1].id, 2u);
+  EXPECT_EQ(read_r->views[1].lo, 60u);
+  EXPECT_EQ(read_r->views[1].hi, 90u);
 }
 
 // ---------------------------------------------------------------------------
@@ -431,11 +419,11 @@ TEST(TieringTest, ColdBudgetTrimsLowestScoringColdView) {
 }
 
 TEST(TieringTest, DemotedMembershipChangeSurvivesKillAfterFlush) {
-  // A flush that moves a page into a demoted view appends an add-pages
-  // record for it exactly as for a hot view and writes no snapshot; a kill
-  // right after it reopens the new membership. The second round checkpoints
-  // instead of flushing: the snapshot writes the drifted demoted membership
-  // inline, and a kill after it reopens that.
+  // A flush that moves a page into a demoted view appends nothing and
+  // writes no snapshot, exactly as for a hot view; a kill right after it
+  // reopens the new membership, derived from the data. The second round
+  // checkpoints instead of flushing: the snapshot writes ranges only, and a
+  // kill after it reopens the same membership.
   for (const bool checkpoint : {false, true}) {
     SCOPED_TRACE(checkpoint ? "checkpoint" : "flush");
     ScratchDir scratch(checkpoint ? "tiering_cold_checkpoint"
@@ -470,7 +458,7 @@ TEST(TieringTest, DemotedMembershipChangeSurvivesKillAfterFlush) {
         EXPECT_EQ(after.manifest_writes, before.manifest_writes + 1);
       } else {
         EXPECT_EQ(after.manifest_writes, before.manifest_writes);
-        EXPECT_GT(after.manifest_delta_appends, before.manifest_delta_appends);
+        EXPECT_EQ(after.manifest_delta_appends, before.manifest_delta_appends);
       }
       EXPECT_FALSE(after.manifest_stale);
       shape = PoolShape(*adaptive);
@@ -490,57 +478,117 @@ TEST(TieringTest, DemotedMembershipChangeSurvivesKillAfterFlush) {
   }
 }
 
-TEST(TieringTest, DemotedEntriesWithoutPagesReopenExactly) {
-  // Stores that kept demoted membership in per-view view_<id>.cold files
-  // snapshotted demoted entries with no pages. Such a directory must open
-  // with every view's exact membership — the open-time completion adds
-  // each page whose values meet the entry's range — never read a leftover
-  // cold file, and write the pages inline at the next checkpoint.
+TEST(TieringTest, DirectoryWithPageListsReopensExactly) {
+  // Directories written while the manifest recorded membership hold a v3
+  // MANIFEST whose entries carry page lists and a delta log that may hold
+  // add-pages (op 5) and remove-pages (op 6) records. Such a directory must
+  // open with every view's pages derived from its range and the data —
+  // wrong lists and page records change nothing — and replay must move
+  // past the page records to the set-range record behind them.
   ScratchDir scratch("tiering_layout");
   std::map<uint64_t, std::vector<uint64_t>> members;
   {
     auto adaptive = MakeDurable(scratch.path(), TieringConfig());
     for (const RangeQuery& q : TestQueries(6, 131)) Adaptive(adaptive.get(), q);
-    const size_t pool = adaptive->view_index().num_partial_views();
-    ASSERT_GT(pool, 0u);
-    adaptive->DemoteColdestViews(pool);
-    ASSERT_EQ(ColdCount(*adaptive), pool);
+    ASSERT_GT(adaptive->DemoteColdestViews(2), 0u);
     ASSERT_TRUE(adaptive->Checkpoint().ok());
     members = Members(*adaptive);
   }  // kill
-  // Demotion and the checkpoint write no file of their own.
   EXPECT_EQ(DirListing(scratch.path()),
             (std::vector<std::string>{"MANIFEST", "MANIFEST.delta",
                                       "column.dat", "journal.wal"}));
-
   auto manifest_r = ReadManifest(scratch.path());
   ASSERT_TRUE(manifest_r.ok()) << manifest_r.status().ToString();
-  ViewManifest manifest = std::move(manifest_r).ValueOrDie();
-  ASSERT_EQ(manifest.views.size(), members.size());
-  for (ManifestView& view : manifest.views) {
-    ASSERT_TRUE(view.demoted);
-    view.pages.clear();
-  }
-  ASSERT_TRUE(WriteManifest(scratch.path(), manifest, /*sync=*/true).ok());
-  // A leftover cold file naming every page the view does NOT hold.
-  const uint64_t stray_id = members.begin()->first;
-  std::vector<uint64_t> wrong;
-  for (uint64_t page = 0; page < TestPages(); ++page) {
-    if (!std::binary_search(members.begin()->second.begin(),
-                            members.begin()->second.end(), page)) {
-      wrong.push_back(page);
+  const ViewManifest& manifest = *manifest_r;
+  const std::vector<ManifestView>& views = manifest.views;
+  ASSERT_GE(views.size(), 3u);
+  /// The pages of view `i` does NOT hold.
+  const auto absent = [&](size_t i) {
+    std::vector<uint64_t> pages;
+    const std::vector<uint64_t>& held = members[views[i].id];
+    for (uint64_t page = 0; page < TestPages(); ++page) {
+      if (!std::binary_search(held.begin(), held.end(), page)) {
+        pages.push_back(page);
+      }
     }
+    return pages;
+  };
+
+  // MANIFEST: every entry lists its pages, except view 0, which lists
+  // exactly the pages it does not hold.
+  Bytes base;
+  base.buf.append("VMSVMAN1", 8);
+  base.U32(3);  // version
+  base.U32(0);  // reserved
+  base.U64(manifest.num_rows);
+  base.U64(manifest.num_pages);
+  base.U64(manifest.pool_generation);
+  base.U64(manifest.epoch);
+  base.U64(manifest.next_view_id);
+  base.U64(views.size());
+  for (size_t i = 0; i < views.size(); ++i) {
+    base.U64(views[i].id);
+    base.U64(views[i].lo);
+    base.U64(views[i].hi);
+    base.U64(views[i].creation_scanned_pages);
+    base.U64(views[i].demoted ? 1 : 0);
+    base.Pages(i == 0 ? absent(0) : members[views[i].id]);
   }
-  WriteColdFile(scratch.path(), stray_id, wrong);
+  base.U32(Crc32(base.buf.data(), base.buf.size()));
+  WriteFile(ManifestPath(scratch.path()), base.buf);
+
+  // MANIFEST.delta: op 5 adds to view 1 every page it does not hold, op 6
+  // removes every page of view 2, then a set-range widens the last view.
+  const ManifestView& widened = views.back();
+  const Value wider_hi = std::min<Value>(widened.hi + kMaxValue / 20, kMaxValue);
+  ASSERT_GT(wider_hi, widened.hi);
+  Bytes log;
+  log.buf.append("VMSVMDL1", 8);
+  const auto record = [&](uint32_t op, const ManifestView& view, Value hi,
+                          const std::vector<uint64_t>& pages) {
+    const size_t start = log.buf.size();
+    log.U32(op);
+    log.U32(0);  // reserved
+    log.U64(manifest.epoch);
+    log.U64(view.id);
+    log.U64(op == 4 ? view.lo : 0);
+    log.U64(op == 4 ? hi : 0);
+    log.U64(0);  // creation_scanned_pages
+    log.U64(0);  // flags
+    log.Pages(pages);
+    log.U32(Crc32(log.buf.data() + start, log.buf.size() - start));
+    log.U32(0x4C44u);
+  };
+  record(5, views[1], 0, absent(1));
+  record(6, views[2], 0, members[views[2].id]);
+  record(4, widened, wider_hi, {});
+  WriteFile(ManifestDeltaPath(scratch.path()), log.buf);
 
   {
     auto reopen_r = OpenColumn(scratch.path(), TieringConfig());
     ASSERT_TRUE(reopen_r.ok()) << reopen_r.status().ToString();
     auto adaptive = std::move(reopen_r).ValueOrDie();
-    EXPECT_EQ(Members(*adaptive), members);
-    EXPECT_EQ(ColdCount(*adaptive), members.size());
-    EXPECT_TRUE(adaptive->durability_stats().manifest_stale);
+    const DurabilityStats stats = adaptive->durability_stats();
+    EXPECT_FALSE(stats.manifest_delta_tail_truncated);
+    EXPECT_EQ(stats.manifest_deltas_replayed, 3u);
+    EXPECT_FALSE(stats.manifest_stale);
+    ASSERT_EQ(adaptive->view_index().num_partial_views(), views.size());
+    for (const auto& view : adaptive->view_index().views()) {
+      EXPECT_EQ(view->physical_pages(),
+                PagesHolding(adaptive->column(), view->value_range()))
+          << "view " << view->durable_id();
+      if (view->durable_id() == widened.id) {
+        EXPECT_EQ(view->hi(), wider_hi) << "replay stopped before set-range";
+      } else {
+        EXPECT_EQ(Members(*adaptive)[view->durable_id()],
+                  members[view->durable_id()]);
+      }
+    }
+    // The next snapshot records ranges only.
     ASSERT_TRUE(adaptive->Checkpoint().ok());
+    EXPECT_EQ(fs::file_size(ManifestPath(scratch.path())),
+              68 + 48 * views.size());
+    members = Members(*adaptive);
     // Queries strictly inside each view route to a view and answer exactly.
     for (const auto& view : adaptive->view_index().views()) {
       if (view->hi() - view->lo() < 2) continue;
@@ -548,14 +596,6 @@ TEST(TieringTest, DemotedEntriesWithoutPagesReopenExactly) {
       EXPECT_EQ(Adaptive(adaptive.get(), inside),
                 Oracle(adaptive.get(), inside));
     }
-  }
-  // The checkpoint above wrote every demoted entry with its pages.
-  manifest_r = ReadManifest(scratch.path());
-  ASSERT_TRUE(manifest_r.ok()) << manifest_r.status().ToString();
-  for (ManifestView& view : manifest_r->views) {
-    EXPECT_TRUE(view.demoted);
-    std::sort(view.pages.begin(), view.pages.end());
-    EXPECT_EQ(view.pages, members[view.id]) << "view " << view.id;
   }
   auto reopen_r = OpenColumn(scratch.path(), TieringConfig());
   ASSERT_TRUE(reopen_r.ok()) << reopen_r.status().ToString();
