@@ -11,8 +11,10 @@
 //
 // Paper shape: both optimizations help; coalescing pays off most under
 // clustering (sine), concurrent mapping is distribution-independent. NOTE:
-// on a single-vCPU container the concurrent optimization has little room to
-// overlap — EXPERIMENTS.md discusses this.
+// the scan pass finishes before the first mapping call is queued, so the
+// background mapper overlaps only the queueing of later runs, not the scan;
+// on a single-vCPU container it has even less room — EXPERIMENTS.md
+// discusses this.
 
 #include <memory>
 #include <vector>

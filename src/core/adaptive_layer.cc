@@ -301,7 +301,7 @@ StatusOr<std::unique_ptr<AdaptiveColumn>> AdaptiveColumn::OpenDurable(
     std::vector<std::vector<uint64_t>> members =
         DeriveZonesAndMembers(column, ranges);
     for (size_t i = 0; i < restored.size(); ++i) {
-      VMSV_RETURN_IF_ERROR(restored[i]->RestorePages(std::move(members[i])));
+      VMSV_RETURN_IF_ERROR(restored[i]->InstallPages(std::move(members[i])));
       adaptive->view_index_.Insert(std::move(restored[i]));
     }
   }
@@ -740,13 +740,10 @@ AdaptiveColumn::Admission AdaptiveColumn::DecideCandidate(
   }
 
   // Discard: candidate pages are (nearly) contained in an existing view.
+  // The counts are bitmap popcounts, exact up to the tolerance.
   for (const auto& view : view_index_.views()) {
-    uint64_t missing = 0;
-    for (const uint64_t page : candidate.physical_pages()) {
-      if (!view->ContainsPage(page) && ++missing > config_.discard_tolerance) {
-        break;
-      }
-    }
+    const uint64_t missing =
+        candidate.CountPagesNotIn(*view, config_.discard_tolerance);
     if (missing <= config_.discard_tolerance) {
       // An exact subset proves the view holds every page with a value in the
       // candidate's range, so the view's range may absorb it — otherwise the
@@ -773,13 +770,8 @@ AdaptiveColumn::Admission AdaptiveColumn::DecideCandidate(
         !(candidate.lo() <= view->lo() && candidate.hi() >= view->hi())) {
       continue;
     }
-    uint64_t missing = 0;
-    for (const uint64_t page : view->physical_pages()) {
-      if (!candidate.ContainsPage(page) &&
-          ++missing > config_.replace_tolerance) {
-        break;
-      }
-    }
+    const uint64_t missing =
+        view->CountPagesNotIn(candidate, config_.replace_tolerance);
     if (missing <= config_.replace_tolerance) {
       return {CandidateDecision::kReplacedExisting, view.get()};
     }

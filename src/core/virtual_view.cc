@@ -124,18 +124,49 @@ void VirtualView::RecordPageAt(uint64_t slot, uint64_t page) {
     }
   }
   // Set-run transitions (sorted page order): membership of page±1 decides.
-  const bool set_left = page > 0 && page_to_slot_.count(page - 1) != 0;
-  const bool set_right = page_to_slot_.count(page + 1) != 0;
+  const bool set_left = page > 0 && ContainsPage(page - 1);
+  const bool set_right = ContainsPage(page + 1);
   if (set_left && set_right) {
     --num_set_runs_;
   } else if (!set_left && !set_right) {
     ++num_set_runs_;
   }
   pages_[slot] = page;
-  page_to_slot_[page] = slot;
+  SetMember(page);
+  if (page_to_slot_.has_value()) (*page_to_slot_)[page] = slot;
   holes_.erase(slot);
   ++num_live_;
   InvalidateRunCache();
+}
+
+Status VirtualView::CheckPageRange(uint64_t first_page, uint64_t count) const {
+  if (first_page >= arena_slots_ || count > arena_slots_ - first_page) {
+    return InvalidArgument("page beyond the view's column");
+  }
+  return OkStatus();
+}
+
+std::unordered_map<uint64_t, uint64_t>& VirtualView::SlotIndex() {
+  if (!page_to_slot_.has_value()) {
+    auto& index = page_to_slot_.emplace();
+    index.reserve(num_live_);
+    for (uint64_t slot = 0; slot < pages_.size(); ++slot) {
+      if (pages_[slot] != kHoleSlot) index.emplace(pages_[slot], slot);
+    }
+  }
+  return *page_to_slot_;
+}
+
+uint64_t VirtualView::CountPagesNotIn(const VirtualView& other,
+                                      uint64_t limit) const {
+  uint64_t missing = 0;
+  for (size_t word = 0; word < members_.size() && missing <= limit; ++word) {
+    const uint64_t theirs =
+        word < other.members_.size() ? other.members_[word] : 0;
+    missing += static_cast<uint64_t>(
+        __builtin_popcountll(members_[word] & ~theirs));
+  }
+  return missing;
 }
 
 Status VirtualView::EnsureMaterialized() {
@@ -171,9 +202,8 @@ Status VirtualView::EnsureMaterialized() {
 }
 
 Status VirtualView::AppendPage(uint64_t page, BackgroundMapper* mapper) {
-  if (page_to_slot_.count(page) != 0) {
-    return FailedPrecondition("page already in view");
-  }
+  VMSV_RETURN_IF_ERROR(CheckPageRange(page, 1));
+  if (ContainsPage(page)) return FailedPrecondition("page already in view");
   // A single page re-densifies: fill the lowest hole if one exists (the
   // mmap cost is the same either way, and the arena stays short).
   if (arena_ != nullptr && !holes_.empty()) {
@@ -191,8 +221,9 @@ Status VirtualView::AppendPage(uint64_t page, BackgroundMapper* mapper) {
 
 Status VirtualView::AppendPageRun(uint64_t first_page, uint64_t count,
                                   BackgroundMapper* mapper) {
+  VMSV_RETURN_IF_ERROR(CheckPageRange(first_page, count));
   for (uint64_t i = 0; i < count; ++i) {
-    if (page_to_slot_.count(first_page + i) != 0) {
+    if (ContainsPage(first_page + i)) {
       return FailedPrecondition("page already in view");
     }
   }
@@ -242,19 +273,28 @@ Status VirtualView::AppendPageRun(uint64_t first_page, uint64_t count,
   return OkStatus();
 }
 
-Status VirtualView::RestorePages(std::vector<uint64_t> pages) {
+Status VirtualView::InstallPages(std::vector<uint64_t> pages) {
   if (!pages_.empty() || arena_ != nullptr) {
-    return FailedPrecondition("RestorePages needs an empty unmaterialized view");
+    return FailedPrecondition("InstallPages needs an empty unmaterialized view");
   }
   // Slot order is page order, so the file runs and the set runs are the
   // same runs: one starts wherever a page does not follow its neighbour.
-  page_to_slot_.reserve(pages.size());
+  // An empty unmaterialized view has no members, so a rejected list leaves
+  // it untouched by zeroing the bits set so far.
   uint64_t runs = 0;
   for (uint64_t slot = 0; slot < pages.size(); ++slot) {
-    if (slot == 0 || pages[slot - 1] + 1 != pages[slot]) ++runs;
-    page_to_slot_.emplace(pages[slot], slot);
+    const uint64_t page = pages[slot];
+    if (page >= arena_slots_ || (slot > 0 && pages[slot - 1] >= page)) {
+      std::fill(members_.begin(), members_.end(), 0);
+      return InvalidArgument(page >= arena_slots_
+                                 ? "installed page beyond the view's column"
+                                 : "installed pages not strictly ascending");
+    }
+    if (slot == 0 || pages[slot - 1] + 1 != page) ++runs;
+    SetMember(page);
   }
   pages_ = std::move(pages);
+  page_to_slot_.reset();
   num_live_ = pages_.size();
   num_slot_runs_ = pages_.empty() ? 0 : 1;
   num_file_runs_ = runs;
@@ -278,10 +318,7 @@ std::unique_ptr<VirtualArena> VirtualView::ReleaseArena() {
       if (page != kHoleSlot) dense.push_back(page);
     }
     pages_ = std::move(dense);
-    page_to_slot_.clear();
-    for (uint64_t slot = 0; slot < pages_.size(); ++slot) {
-      page_to_slot_[pages_[slot]] = slot;
-    }
+    page_to_slot_.reset();
     holes_.clear();
     file_runs_dirty_ = true;  // densification can merge hole-split runs
   }
@@ -291,15 +328,16 @@ std::unique_ptr<VirtualArena> VirtualView::ReleaseArena() {
 }
 
 Status VirtualView::RemovePage(uint64_t page) {
-  auto it = page_to_slot_.find(page);
-  if (it == page_to_slot_.end()) return NotFound("page not in view");
+  if (!ContainsPage(page)) return NotFound("page not in view");
+  std::unordered_map<uint64_t, uint64_t>& index = SlotIndex();
+  auto it = index.find(page);
   const uint64_t slot = it->second;
 
   // Set-run transitions mirror RecordPageAt's, inverted: removing a page
   // that bridged both neighbors splits a run, removing an isolated page
   // ends one. Order-independent, so shared by both branches below.
-  const bool set_left = page > 0 && page_to_slot_.count(page - 1) != 0;
-  const bool set_right = page_to_slot_.count(page + 1) != 0;
+  const bool set_left = page > 0 && ContainsPage(page - 1);
+  const bool set_right = ContainsPage(page + 1);
   if (set_left && set_right) {
     ++num_set_runs_;
   } else if (!set_left && !set_right) {
@@ -316,10 +354,11 @@ Status VirtualView::RemovePage(uint64_t page) {
     if (slot != last_slot) {
       const uint64_t moved_page = pages_[last_slot];
       pages_[slot] = moved_page;
-      page_to_slot_[moved_page] = slot;
+      index[moved_page] = slot;
     }
     pages_.pop_back();
-    page_to_slot_.erase(it);
+    index.erase(it);
+    ClearMember(page);
     --num_live_;
     num_slot_runs_ = num_live_ > 0 ? 1 : 0;
     InvalidateRunCache();
@@ -354,7 +393,8 @@ Status VirtualView::RemovePage(uint64_t page) {
   }
   pages_[slot] = kHoleSlot;
   holes_.insert(slot);
-  page_to_slot_.erase(it);
+  index.erase(it);
+  ClearMember(page);
   --num_live_;
   // Trailing holes shrink the slot range for free (their slots are already
   // back in the reserved state).
@@ -486,12 +526,9 @@ Status VirtualView::Compact(const ViewCompactionOptions& options,
 
   pages_.clear();
   pages_.reserve(num_live_);
-  page_to_slot_.clear();
+  page_to_slot_.reset();
   for (const MoveUnit& unit : units) {
-    for (uint64_t i = 0; i < unit.len; ++i) {
-      page_to_slot_[unit.page + i] = pages_.size();
-      pages_.push_back(unit.page + i);
-    }
+    for (uint64_t i = 0; i < unit.len; ++i) pages_.push_back(unit.page + i);
   }
   holes_.clear();
   num_slot_runs_ = pages_.empty() ? 0 : 1;
@@ -603,11 +640,10 @@ struct BuildState {
 
 }  // namespace
 
-StatusOr<ViewBuildOutput> BuildViewAndAnswer(const PhysicalColumn& column,
-                                             Value lo, Value hi,
-                                             const RangeQuery& query,
-                                             const ViewCreationOptions& options,
-                                             BackgroundMapper* mapper) {
+StatusOr<ViewBuildOutput> BuildViewAndAnswer(
+    const PhysicalColumn& column, Value lo, Value hi, const RangeQuery& query,
+    const ViewCreationOptions& options, BackgroundMapper* mapper,
+    const ParallelScanOptions& scan_options) {
   if (options.background_mapping && mapper == nullptr) {
     return InvalidArgument("background_mapping requires a BackgroundMapper");
   }
@@ -618,7 +654,7 @@ StatusOr<ViewBuildOutput> BuildViewAndAnswer(const PhysicalColumn& column,
 
   BackgroundMapper* effective_mapper =
       options.background_mapping ? mapper : nullptr;
-  // Producer session (see BackgroundMapper): this whole scan is one
+  // Producer session (see BackgroundMapper): this whole build is one
   // Enqueue...Drain window; a concurrent lazy materialization on another
   // thread must not interleave its Drain with ours.
   std::unique_lock<std::mutex> session;
@@ -626,69 +662,67 @@ StatusOr<ViewBuildOutput> BuildViewAndAnswer(const PhysicalColumn& column,
     session = std::unique_lock<std::mutex>(effective_mapper->producer_mutex());
   }
   if (!options.lazy_materialize) {
-    // Eager creation: the arena exists up front and pages are rewired as the
-    // scan discovers them (§2.3). Lazy creation records the list only.
+    // Eager creation: the arena exists up front and the pages are rewired
+    // right after the pass (§2.3). Lazy creation records the list only.
     VMSV_RETURN_IF_ERROR(out.view->EnsureMaterialized());
   }
-  BuildState state;
-  state.view = out.view.get();
-  state.mapper = effective_mapper;
-  state.coalesce = options.coalesce_runs;
   const RangeQuery view_range{lo, hi};
   const bool ranges_equal = view_range == query;
   const uint64_t num_pages = column.num_pages();
   // A page whose zone misses the view range holds no value of it, nor of
   // the query inside it: it is no member and adds {0, 0}, so it is not read.
   const PageZone* zones = column.zones();
-  // The data pass (filter + membership probe) shards across the scan pool;
-  // page membership and mmap work replay serially in page order afterwards,
-  // so view page order — and with it run coalescing and every result — is
-  // identical to the serial pass for any thread count.
-  const ParallelScanner scanner;
-  const unsigned shards = scanner.NumShards(num_pages);
-  if (shards <= 1) {
-    // Serial path: membership (and on the eager path, mapping) interleaves
-    // with the scan, so mmap work overlaps scanning as §2.3 describes.
-    for (uint64_t page = 0; page < num_pages; ++page) {
+  // One data pass (filter + membership probe), sharded across the scan pool
+  // and inline for one shard, collects each shard's ascending qualifying
+  // pages; their concatenation in shard order is the view's page list, so
+  // view page order — and with it run coalescing and every result — is the
+  // same for any thread count.
+  struct ShardScan {
+    PageScanResult result;
+    std::vector<uint64_t> qualifying;
+  };
+  const ParallelScanner scanner(scan_options);
+  std::vector<ShardScan> per_shard(scanner.NumShards(num_pages));
+  scanner.ForShards(num_pages, [&](unsigned shard, uint64_t begin,
+                                   uint64_t end) {
+    ShardScan& s = per_shard[shard];
+    for (uint64_t page = begin; page < end; ++page) {
       if (!zones[page].Intersects(view_range)) continue;
       const Value* data = column.PageData(page);
       // One vectorized filter pass answers the query; on the adaptive path
       // the candidate range IS the query range, so the same pass also
-      // decides page membership and creation rides on the answering scan for
-      // free. A wider view range needs a qualification probe only when the
-      // query found nothing on the page.
+      // decides page membership and creation rides on the answering scan
+      // for free. A wider view range needs a qualification probe only when
+      // the query found nothing on the page.
       const PageScanResult r = ScanPage(data, kValuesPerPage, query);
-      out.query_result.Merge(r);
+      s.result.Merge(r);
       const bool qualifies =
           r.match_count > 0 ||
           (!ranges_equal && PageContainsAny(data, kValuesPerPage, view_range));
-      if (qualifies) state.AddPage(page);
+      if (qualifies) s.qualifying.push_back(page);
     }
-  } else {
-    struct ShardScan {
-      PageScanResult result;
-      std::vector<uint64_t> qualifying;
-    };
-    std::vector<ShardScan> per_shard(shards);
-    scanner.ForShards(num_pages, [&](unsigned shard, uint64_t begin,
-                                     uint64_t end) {
-      ShardScan& s = per_shard[shard];
-      for (uint64_t page = begin; page < end; ++page) {
-        if (!zones[page].Intersects(view_range)) continue;
-        const Value* data = column.PageData(page);
-        const PageScanResult r = ScanPage(data, kValuesPerPage, query);
-        s.result.Merge(r);
-        const bool qualifies =
-            r.match_count > 0 ||
-            (!ranges_equal &&
-             PageContainsAny(data, kValuesPerPage, view_range));
-        if (qualifies) s.qualifying.push_back(page);
-      }
-    });
-    for (const ShardScan& s : per_shard) {
-      out.query_result.Merge(s.result);
-      for (const uint64_t page : s.qualifying) state.AddPage(page);
+  });
+  for (const ShardScan& s : per_shard) out.query_result.Merge(s.result);
+  out.scanned_pages = num_pages;
+
+  if (options.lazy_materialize) {
+    std::vector<uint64_t> pages = std::move(per_shard.front().qualifying);
+    for (size_t shard = 1; shard < per_shard.size(); ++shard) {
+      pages.insert(pages.end(), per_shard[shard].qualifying.begin(),
+                   per_shard[shard].qualifying.end());
     }
+    VMSV_RETURN_IF_ERROR(out.view->InstallPages(std::move(pages)));
+    return out;
+  }
+  // Eager: replay the list in page order through the append paths, so the
+  // mapping calls (coalesced or page-wise, inline or queued on the mapper)
+  // are the ones a page-by-page build would issue, in the same order.
+  BuildState state;
+  state.view = out.view.get();
+  state.mapper = effective_mapper;
+  state.coalesce = options.coalesce_runs;
+  for (const ShardScan& s : per_shard) {
+    for (const uint64_t page : s.qualifying) state.AddPage(page);
   }
   state.FlushRun();
   if (effective_mapper != nullptr) {
@@ -697,15 +731,15 @@ StatusOr<ViewBuildOutput> BuildViewAndAnswer(const PhysicalColumn& column,
     VMSV_RETURN_IF_ERROR(effective_mapper->Drain());
   }
   if (!state.status.ok()) return state.status;
-  out.scanned_pages = num_pages;
   return out;
 }
 
 StatusOr<std::unique_ptr<VirtualView>> BuildViewByScan(
     const PhysicalColumn& column, Value lo, Value hi,
-    const ViewCreationOptions& options, BackgroundMapper* mapper) {
+    const ViewCreationOptions& options, BackgroundMapper* mapper,
+    const ParallelScanOptions& scan_options) {
   auto out = BuildViewAndAnswer(column, lo, hi, RangeQuery{lo, hi}, options,
-                                mapper);
+                                mapper, scan_options);
   if (!out.ok()) return out.status();
   return std::move(out->view);
 }

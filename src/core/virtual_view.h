@@ -8,9 +8,11 @@
 // View creation (§2.3) happens as a by-product of a full scan and supports
 // the paper's two optimizations:
 //   - run coalescing: consecutive qualifying pages are mapped in one mmap,
-//   - concurrent mapping: mmap calls are shipped to a background thread so
-//     mapping overlaps the scan (BuildViewByScan with a BackgroundMapper;
-//     the adaptive engine builds its candidates lazily instead).
+//   - concurrent mapping: mmap calls are shipped to a background thread
+//     (BuildViewByScan with a BackgroundMapper; the adaptive engine builds
+//     its candidates lazily instead). The scan pass finishes before the
+//     first call is queued, so the worker overlaps the queueing of later
+//     runs, not the scan.
 //
 // Lifecycle (this layer + core/view_lifecycle.h): a view is born as a page
 // list (created), rewired into its arena on first use (mapped), fragments
@@ -39,6 +41,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <queue>
 #include <set>
 #include <thread>
@@ -60,11 +63,14 @@ namespace vmsv {
 struct ViewCreationOptions {
   /// Map runs of consecutive qualifying pages with one mmap call.
   bool coalesce_runs = false;
-  /// Ship mapping calls to a BackgroundMapper so they overlap the scan.
+  /// Ship mapping calls to a BackgroundMapper's worker thread; they are
+  /// queued after the scan pass (see lazy_materialize).
   bool background_mapping = false;
   /// Collect the page list only; defer all mmap work to the first use of
-  /// the view (EnsureMaterialized). Candidates that end up discarded then
-  /// never pay for rewiring at all.
+  /// the view (EnsureMaterialized). The scan's ascending page list is
+  /// installed in one step (VirtualView::InstallPages), and candidates that
+  /// end up discarded never pay for rewiring at all. Eager builds replay the
+  /// same list through AppendPage/AppendPageRun after the scan.
   bool lazy_materialize = false;
 };
 
@@ -182,6 +188,12 @@ class BackgroundMapper {
 /// first scan (the adaptive path). While unmaterialized, membership updates
 /// are list edits and cost no syscalls.
 ///
+/// Membership is a bitmap with one bit per column page: ContainsPage, the
+/// duplicate checks and the admission counts (CountPagesNotIn) are bit
+/// tests, with no hashing. Only RemovePage needs a page's slot; the first
+/// removal builds that page->slot index, and the paths that reorder slots
+/// wholesale drop it again.
+///
 /// Fragmentation model: while materialized, RemovePage punches a PROT_NONE
 /// hole into the slot range (one mmap) instead of rewiring the tail into the
 /// gap (two mmaps) — cheaper per removal and order-preserving, at the price
@@ -258,9 +270,18 @@ class VirtualView {
     }
   }
 
+  /// One bit test on the membership bitmap; false for any page at or past
+  /// the column's end.
   bool ContainsPage(uint64_t page) const {
-    return page_to_slot_.count(page) != 0;
+    return page < arena_slots_ && ((members_[page / 64] >> (page % 64)) & 1);
   }
+
+  /// Number of this view's pages that `other` does not hold — the popcount
+  /// of (mine & ~theirs), word by word. Exact up to `limit`: counting stops
+  /// at the first word that takes it past `limit`, so any result above
+  /// `limit` only says "more than limit". Both views must be over the same
+  /// column.
+  uint64_t CountPagesNotIn(const VirtualView& other, uint64_t limit) const;
 
   /// True once the arena mapping exists. arena() is only valid then. The
   /// acquire load pairs with EnsureMaterialized's release publish, so a
@@ -320,24 +341,29 @@ class VirtualView {
   /// lowest hole if one exists (re-densifying as membership churns),
   /// otherwise maps at the tail slot. `mapper` non-null routes the mmap to
   /// the background thread.
-  /// Error contract: FailedPrecondition if the page is already a member;
+  /// Error contract: InvalidArgument for a page at or past the column's
+  /// end; FailedPrecondition if the page is already a member;
   /// ResourceExhausted when the arena reservation is full; on mmap failure
   /// membership is NOT recorded.
   Status AppendPage(uint64_t page, BackgroundMapper* mapper = nullptr);
 
   /// Appends `count` consecutive physical pages at the tail (one mmap call
   /// when materialized); falls back to filling holes page-wise when the tail
-  /// reservation is exhausted but holes can take the pages.
+  /// reservation is exhausted but holes can take the pages. Same error
+  /// contract as AppendPage.
   Status AppendPageRun(uint64_t first_page, uint64_t count,
                        BackgroundMapper* mapper = nullptr);
 
-  /// Installs a derived page membership — ascending, duplicate-free page
-  /// ids of the view's column — into an EMPTY, unmaterialized view in one
-  /// pass: the durable reopen path. Pure bookkeeping: no mmap happens until
-  /// the first scan materializes the view lazily.
+  /// Installs a page membership — strictly ascending page ids of the view's
+  /// column — into an EMPTY, unmaterialized view in one pass: the lazy
+  /// candidate build and the durable reopen both end here. Slot order is
+  /// page order; the slot, file and set run counts follow from neighbour
+  /// gaps. Pure bookkeeping: no mmap happens until the first scan
+  /// materializes the view lazily, and no page->slot index is built.
   /// Error contract: FailedPrecondition when the view already has pages or
-  /// an arena.
-  Status RestorePages(std::vector<uint64_t> pages);
+  /// an arena; InvalidArgument, leaving the view untouched, when the list
+  /// is not strictly ascending or holds a page at or past the column's end.
+  Status InstallPages(std::vector<uint64_t> pages);
 
   /// Returns the view to the unmaterialized state, handing back the arena
   /// for epoch retirement (null when already unmaterialized) — the
@@ -417,7 +443,11 @@ class VirtualView {
  private:
   VirtualView(std::shared_ptr<PhysicalMemoryFile> file, uint64_t arena_slots,
               Value lo, Value hi)
-      : file_(std::move(file)), arena_slots_(arena_slots), lo_(lo), hi_(hi) {}
+      : file_(std::move(file)),
+        arena_slots_(arena_slots),
+        lo_(lo),
+        hi_(hi),
+        members_((arena_slots + 63) / 64, 0) {}
 
   /// ScanMany over an explicit slot list (ascending slot order; every slot
   /// must be live). Consecutive slots coalesce into multi-page kernel calls.
@@ -427,9 +457,22 @@ class VirtualView {
       const PageZone* column_zones) const;
 
   /// Installs `page` at `slot` in the bookkeeping tables (slot-run counter,
-  /// membership maps, live count). The mapping itself must already be
-  /// arranged by the caller.
+  /// membership bitmap, slot index if built, live count). The mapping itself
+  /// must already be arranged by the caller.
   void RecordPageAt(uint64_t slot, uint64_t page);
+
+  /// Rejects page ids at or past the column's end (the bitmap's size).
+  Status CheckPageRange(uint64_t first_page, uint64_t count) const;
+
+  void SetMember(uint64_t page) {
+    members_[page / 64] |= uint64_t{1} << (page % 64);
+  }
+  void ClearMember(uint64_t page) {
+    members_[page / 64] &= ~(uint64_t{1} << (page % 64));
+  }
+
+  /// The page->slot index, built from the slot table on first use.
+  std::unordered_map<uint64_t, uint64_t>& SlotIndex();
 
   /// Collects the maximal live slot runs in ascending slot order.
   std::vector<PageRun> LiveSlotRuns() const;
@@ -464,7 +507,15 @@ class VirtualView {
   Value lo_;
   Value hi_;
   std::vector<uint64_t> pages_;             // slot -> physical page | kHoleSlot
-  std::unordered_map<uint64_t, uint64_t> page_to_slot_;
+  /// Membership: bit p % 64 of word p / 64 is set when column page p is a
+  /// live member. Sized to the column at creation (8 KiB per 65,536 pages).
+  std::vector<uint64_t> members_;
+  /// page -> slot, for RemovePage alone. Built by the first removal (see
+  /// SlotIndex), kept current by RecordPageAt and RemovePage while it
+  /// exists, and dropped by InstallPages, ReleaseArena's densify and
+  /// Compact, which reorder slots wholesale. A view that never loses a
+  /// page never allocates it.
+  std::optional<std::unordered_map<uint64_t, uint64_t>> page_to_slot_;
   std::set<uint64_t> holes_;                // hole slots, ascending
   uint64_t num_live_ = 0;
   uint64_t num_slot_runs_ = 0;
@@ -488,11 +539,14 @@ class VirtualView {
 /// creation path: the scan that answers the triggering query also emits the
 /// view). Pages whose zone (PhysicalColumn::zones()) misses [lo, hi] hold
 /// no member value and are not read; the reported page count is still the
-/// whole column. Optimizations per `options`; `mapper` may be null unless
+/// whole column. The pass shards per `scan_options` (defaults follow
+/// VMSV_THREADS / VMSV_SERIAL_CUTOFF); the view is identical for any
+/// setting. Optimizations per `options`; `mapper` may be null unless
 /// options.background_mapping is set, in which case it must be provided.
 StatusOr<std::unique_ptr<VirtualView>> BuildViewByScan(
     const PhysicalColumn& column, Value lo, Value hi,
-    const ViewCreationOptions& options = {}, BackgroundMapper* mapper = nullptr);
+    const ViewCreationOptions& options = {}, BackgroundMapper* mapper = nullptr,
+    const ParallelScanOptions& scan_options = {});
 
 /// Same scan, but additionally returns the filtered result of `query` from
 /// the single pass (used by the adaptive layer: answer + candidate in one
@@ -502,11 +556,10 @@ struct ViewBuildOutput {
   PageScanResult query_result;
   uint64_t scanned_pages = 0;
 };
-StatusOr<ViewBuildOutput> BuildViewAndAnswer(const PhysicalColumn& column,
-                                             Value lo, Value hi,
-                                             const RangeQuery& query,
-                                             const ViewCreationOptions& options,
-                                             BackgroundMapper* mapper);
+StatusOr<ViewBuildOutput> BuildViewAndAnswer(
+    const PhysicalColumn& column, Value lo, Value hi, const RangeQuery& query,
+    const ViewCreationOptions& options, BackgroundMapper* mapper,
+    const ParallelScanOptions& scan_options = {});
 
 }  // namespace vmsv
 

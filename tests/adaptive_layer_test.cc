@@ -302,6 +302,108 @@ TEST(AdaptiveColumnTest, PendingUpdatesAreFlushedBeforeAnswering) {
 }
 
 // ---------------------------------------------------------------------------
+// Admission at the tolerance edges. Page p of a step column holds only the
+// value (p + 1) * 1000, so StepPages(a, b) qualifies exactly pages a..b and
+// each case below fixes how many pages a candidate and a view differ by.
+// The 3-page cases put two of the pages in one 64-page membership word and
+// the third in the next, so a count that stops at the tolerance after the
+// first word would decide wrongly.
+
+constexpr uint64_t kStepPages = 128;
+
+Value StepValue(uint64_t page) { return static_cast<Value>((page + 1) * 1000); }
+
+RangeQuery StepPages(uint64_t first, uint64_t last) {
+  return RangeQuery{StepValue(first), StepValue(last)};
+}
+
+/// A table over the step column holding one view, over pages first..last.
+std::unique_ptr<Table> MakeStepTable(uint64_t first, uint64_t last) {
+  auto column_r = PhysicalColumn::Create(kStepPages * kValuesPerPage);
+  EXPECT_TRUE(column_r.ok()) << column_r.status().ToString();
+  auto column = std::move(column_r).ValueOrDie();
+  column->Load([](uint64_t row) { return StepValue(row / kValuesPerPage); });
+  AdaptiveConfig config;
+  config.discard_tolerance = 2;
+  config.replace_tolerance = 2;
+  auto table_r = Db::Create(std::move(column), DbOptions{config});
+  EXPECT_TRUE(table_r.ok()) << table_r.status().ToString();
+  auto table = std::move(table_r).ValueOrDie();
+  auto seed = table->Execute(StepPages(first, last));
+  EXPECT_TRUE(seed.ok());
+  EXPECT_EQ(seed->stats.decision, CandidateDecision::kInserted);
+  return table;
+}
+
+/// Executes q, checks the answer against the full scan, returns the decision.
+CandidateDecision ExecuteChecked(Table* table, const RangeQuery& q) {
+  auto exec = table->Execute(q);
+  EXPECT_TRUE(exec.ok()) << exec.status().ToString();
+  auto baseline = table->ExecuteFullScan(q);
+  EXPECT_TRUE(baseline.ok());
+  EXPECT_EQ(exec->match_count, baseline->match_count);
+  EXPECT_EQ(exec->sum, baseline->sum);
+  return exec->stats.decision;
+}
+
+const VirtualView& OnlyView(Table* table) {
+  const auto& views = table->shard(0)->view_index().views();
+  EXPECT_EQ(views.size(), 1u);
+  return *views.front();
+}
+
+TEST(AdmissionEdgeTest, DiscardToleranceIsExact) {
+  {
+    // Candidate 50..63 holds 2 pages the view 50..61 lacks: discarded, and
+    // being inexact it does not widen the view's range.
+    auto table = MakeStepTable(50, 61);
+    EXPECT_EQ(ExecuteChecked(table.get(), StepPages(50, 63)),
+              CandidateDecision::kDiscardedSubset);
+    EXPECT_EQ(OnlyView(table.get()).value_range(), StepPages(50, 61));
+  }
+  {
+    // Candidate 50..64 holds 3 (62 and 63, then 64 in the next word): not
+    // discarded; the view, missing nothing from it, is replaced instead.
+    auto table = MakeStepTable(50, 61);
+    EXPECT_EQ(ExecuteChecked(table.get(), StepPages(50, 64)),
+              CandidateDecision::kReplacedExisting);
+    EXPECT_EQ(OnlyView(table.get()).value_range(), StepPages(50, 64));
+    EXPECT_EQ(OnlyView(table.get()).num_pages(), 15u);
+  }
+}
+
+TEST(AdmissionEdgeTest, ReplaceToleranceIsExact) {
+  {
+    // View 62..75 has 2 pages candidate 64..90 lacks: it is replaced.
+    auto table = MakeStepTable(62, 75);
+    EXPECT_EQ(ExecuteChecked(table.get(), StepPages(64, 90)),
+              CandidateDecision::kReplacedExisting);
+    EXPECT_EQ(OnlyView(table.get()).value_range(), StepPages(64, 90));
+  }
+  {
+    // Three view pages (62 and 63, then 64) missing from candidate 65..90:
+    // both views stay.
+    auto table = MakeStepTable(62, 75);
+    EXPECT_EQ(ExecuteChecked(table.get(), StepPages(65, 90)),
+              CandidateDecision::kInserted);
+    EXPECT_EQ(table->shard(0)->view_index().num_partial_views(), 2u);
+  }
+}
+
+TEST(AdmissionEdgeTest, TouchingExactSubsetWidensTheRange) {
+  auto table = MakeStepTable(50, 61);
+  // Pages 55..61 again, over a range reaching past the view's hi into
+  // values no page holds: an exact subset that overlaps the view.
+  const RangeQuery q{StepValue(55), StepValue(61) + 500};
+  EXPECT_EQ(ExecuteChecked(table.get(), q),
+            CandidateDecision::kDiscardedSubset);
+  EXPECT_EQ(OnlyView(table.get()).value_range(),
+            (RangeQuery{StepValue(50), StepValue(61) + 500}));
+  EXPECT_EQ(ExecuteChecked(table.get(), q),
+            CandidateDecision::kAnsweredFromView);
+}
+
+// ---------------------------------------------------------------------------
 // Page zones: every writer keeps each page's zone a bound of the page, so
 // zone-filtered view hits, candidate builds and base passes stay exact.
 

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -405,6 +407,276 @@ TEST(AdaptiveCompactionTest, UpdateChurnTriggersCompaction) {
   ASSERT_TRUE(baseline.ok());
   EXPECT_EQ(exec->match_count, baseline->match_count);
   EXPECT_EQ(exec->sum, baseline->sum);
+}
+
+// ---------------------------------------------------------------------------
+// Membership: the bitmap, InstallPages and the lazily built slot index.
+
+std::unique_ptr<VirtualView> MakeEmptyView(const PhysicalColumn& column) {
+  auto view_r = VirtualView::CreateEmpty(column, 0, kMaxValue);
+  EXPECT_TRUE(view_r.ok()) << view_r.status().ToString();
+  return std::move(view_r).ValueOrDie();
+}
+
+// Runs of consecutive ids in a sorted page set.
+uint64_t SetRuns(const std::set<uint64_t>& pages) {
+  uint64_t runs = 0;
+  uint64_t prev = 0;
+  for (const uint64_t page : pages) {
+    if (runs == 0 || page != prev + 1) ++runs;
+    prev = page;
+  }
+  return runs;
+}
+
+TEST(ViewMembershipTest, InstallPagesRejectsBadListsAndLeavesViewUntouched) {
+  auto column = MakeTestColumn(DataDistribution::kUniform);
+  auto view = MakeEmptyView(*column);
+  for (const std::vector<uint64_t>& bad :
+       {std::vector<uint64_t>{1, 4, 4, 9}, std::vector<uint64_t>{2, 7, 3},
+        std::vector<uint64_t>{0, kTestPages}, std::vector<uint64_t>{~0ull}}) {
+    const Status st = view->InstallPages(bad);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    EXPECT_EQ(view->num_pages(), 0u);
+    EXPECT_EQ(view->num_slots(), 0u);
+    EXPECT_EQ(view->MinimalFileRuns(), 0u);
+    for (uint64_t page = 0; page < kTestPages; ++page) {
+      ASSERT_FALSE(view->ContainsPage(page)) << page;
+    }
+  }
+  // A valid list still installs afterwards, and a second install is refused.
+  ASSERT_TRUE(view->InstallPages({1, 2, 3, 7}).ok());
+  EXPECT_EQ(view->num_pages(), 4u);
+  EXPECT_EQ(view->MinimalFileRuns(), 2u);
+  EXPECT_EQ(view->CountFileRuns(), 2u);
+  EXPECT_EQ(view->num_slot_runs(), 1u);
+  EXPECT_EQ(view->InstallPages({9}).code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(ViewMembershipTest, PagesAtOrPastTheColumnEndAreNeverMembers) {
+  auto column = MakeTestColumn(DataDistribution::kUniform);
+  auto view = MakeEmptyView(*column);
+  std::vector<uint64_t> all(kTestPages);
+  for (uint64_t page = 0; page < kTestPages; ++page) all[page] = page;
+  ASSERT_TRUE(view->InstallPages(all).ok());
+  EXPECT_TRUE(view->ContainsPage(kTestPages - 1));
+  EXPECT_FALSE(view->ContainsPage(kTestPages));
+  EXPECT_FALSE(view->ContainsPage(kTestPages + 1));
+  EXPECT_FALSE(view->ContainsPage(~uint64_t{0}));
+  EXPECT_EQ(view->MinimalFileRuns(), 1u);
+  // Removing the last page probes page + 1 past the end.
+  ASSERT_TRUE(view->RemovePage(kTestPages - 1).ok());
+  EXPECT_EQ(view->MinimalFileRuns(), 1u);
+  EXPECT_EQ(view->AppendPage(kTestPages).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(view->AppendPageRun(kTestPages - 1, 2).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(view->RemovePage(kTestPages).code(), StatusCode::kNotFound);
+}
+
+// Seeded random mutation sequences against a std::set model: after every
+// step the bitmap, the live count and the set-run count must equal the
+// model's, whichever path (list edit, hole punch, hole fill, tail append,
+// compaction, release, install) changed them.
+TEST(ViewMembershipTest, RandomMutationsMatchSetModel) {
+  constexpr uint64_t kPages = 256;
+  DistributionSpec spec;
+  spec.kind = DataDistribution::kUniform;
+  spec.max_value = kMaxValue;
+  spec.seed = 42;
+  auto column_r = MakeColumn(spec, kPages * kValuesPerPage);
+  ASSERT_TRUE(column_r.ok());
+  const auto column = std::move(column_r).ValueOrDie();
+  const RangeQuery q{kMaxValue / 4, kMaxValue / 2};
+
+  for (const uint64_t seed : {1u, 2u, 3u, 4u}) {
+    Rng rng(seed);
+    std::unique_ptr<VirtualView> view;
+    std::set<uint64_t> model;
+    const auto random_page = [&] { return rng.Below(kPages); };
+    const auto install_fresh = [&] {
+      view = MakeEmptyView(*column);
+      model.clear();
+      const uint64_t density = rng.Below(4);  // 0: empty ... 3: most pages
+      std::vector<uint64_t> pages;
+      for (uint64_t page = 0; page < kPages; ++page) {
+        if (rng.Below(4) < density) pages.push_back(page);
+      }
+      model.insert(pages.begin(), pages.end());
+      ASSERT_TRUE(view->InstallPages(std::move(pages)).ok());
+    };
+    install_fresh();
+    for (int step = 0; step < 400; ++step) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                   std::to_string(step));
+      const uint64_t op = rng.Below(10);
+      if (op == 0) {
+        if (rng.Below(8) == 0) install_fresh();
+        if (view->num_slots() > 0 || view->is_materialized()) {
+          EXPECT_EQ(view->InstallPages({0}).code(),
+                    StatusCode::kFailedPrecondition);
+        }
+      } else if (op <= 2) {
+        const uint64_t page = random_page();
+        const Status st = view->AppendPage(page);
+        if (model.count(page) != 0) {
+          EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
+        } else {
+          ASSERT_TRUE(st.ok()) << st.ToString();
+          model.insert(page);
+        }
+      } else if (op == 3) {
+        const uint64_t first = random_page();
+        uint64_t count = 1 + rng.Below(6);
+        if (first + count > kPages) count = kPages - first;
+        bool any_member = false;
+        for (uint64_t i = 0; i < count; ++i) {
+          any_member = any_member || model.count(first + i) != 0;
+        }
+        const Status st = view->AppendPageRun(first, count);
+        if (any_member) {
+          EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
+        } else if (st.ok()) {
+          for (uint64_t i = 0; i < count; ++i) model.insert(first + i);
+        } else {
+          EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
+        }
+      } else if (op <= 6) {
+        // Members most of the time, so the set drains as well as fills.
+        uint64_t page = random_page();
+        if (!model.empty() && rng.Below(4) != 0) {
+          auto it = model.lower_bound(page);
+          page = it == model.end() ? *model.begin() : *it;
+        }
+        const Status st = view->RemovePage(page);
+        if (model.count(page) != 0) {
+          ASSERT_TRUE(st.ok()) << st.ToString();
+          model.erase(page);
+        } else {
+          EXPECT_EQ(st.code(), StatusCode::kNotFound);
+        }
+      } else if (op == 7) {
+        ASSERT_TRUE(view->Compact().ok());
+      } else if (op == 8) {
+        view->ReleaseArena();
+      } else {
+        ASSERT_TRUE(view->EnsureMaterialized().ok());
+      }
+
+      ASSERT_EQ(view->num_pages(), model.size());
+      for (uint64_t page = 0; page <= kPages; ++page) {
+        ASSERT_EQ(view->ContainsPage(page), model.count(page) != 0) << page;
+      }
+      ASSERT_EQ(view->MinimalFileRuns(), SetRuns(model));
+      std::vector<uint64_t> pages = view->physical_pages();
+      std::sort(pages.begin(), pages.end());
+      ASSERT_EQ(pages, std::vector<uint64_t>(model.begin(), model.end()));
+      if (view->is_materialized()) {
+        const PageScanResult got = view->Scan(q);
+        const PageScanResult ref = ReferenceScan(*column, *view, q);
+        ASSERT_EQ(got.match_count, ref.match_count);
+        ASSERT_EQ(got.sum, ref.sum);
+      }
+    }
+  }
+}
+
+// The lazy candidate path installs the pass's page list in one step; the
+// eager path replays it through the append paths. Once materialized, the
+// two views must be indistinguishable for every kernel, thread count,
+// distribution and range width.
+TEST(ViewBuildTest, LazyInstallEqualsEagerBuild) {
+  constexpr uint64_t kPages = 256;
+  // The last page is half full; its zeroed tail counts as the page holds it.
+  constexpr uint64_t kRows = kPages * kValuesPerPage - kValuesPerPage / 2;
+  const std::vector<RangeQuery> ranges = {
+      {kMaxValue + 1, kMaxValue + 1000},               // empty
+      {kMaxValue / 3, kMaxValue / 3 + 5'000},          // 5k wide
+      {kMaxValue / 5, kMaxValue / 5 + kMaxValue / 100},  // 1 %
+      {kMaxValue / 4, kMaxValue / 4 + kMaxValue / 2},  // 50 %
+      {0, kMaxValue},                                   // full domain
+  };
+  const ViewCreationOptions lazy{/*coalesce_runs=*/true,
+                                 /*background_mapping=*/false,
+                                 /*lazy_materialize=*/true};
+  const std::vector<ViewCreationOptions> eager_variants = {
+      {/*coalesce_runs=*/true, /*background_mapping=*/false,
+       /*lazy_materialize=*/false},
+      {/*coalesce_runs=*/false, /*background_mapping=*/false,
+       /*lazy_materialize=*/false},
+      {/*coalesce_runs=*/true, /*background_mapping=*/true,
+       /*lazy_materialize=*/false},
+  };
+  BackgroundMapper mapper;
+
+  const ScanKernel restore = ActiveScanKernel();
+  for (const DataDistribution kind :
+       {DataDistribution::kSine, DataDistribution::kUniform,
+        DataDistribution::kSparse}) {
+    DistributionSpec spec;
+    spec.kind = kind;
+    spec.max_value = kMaxValue;
+    spec.seed = 42;
+    auto column_r = MakeColumn(spec, kRows);
+    ASSERT_TRUE(column_r.ok());
+    const auto column = std::move(column_r).ValueOrDie();
+    ASSERT_EQ(column->num_pages(), kPages);
+    for (const ScanKernel kernel :
+         {ScanKernel::kScalar, ScanKernel::kAvx2, ScanKernel::kAvx512}) {
+      if (!ScanKernelAvailable(kernel)) continue;
+      ASSERT_TRUE(SetActiveScanKernel(kernel).ok());
+      for (const unsigned threads : {1u, 2u, 5u}) {
+        ParallelScanOptions options;
+        options.threads = threads;
+        options.serial_cutoff = 0;  // force sharding even at test scale
+        for (const RangeQuery& range : ranges) {
+          SCOPED_TRACE(std::string(DistributionName(kind)) + " " +
+                       ScanKernelName(kernel) + " threads=" +
+                       std::to_string(threads) + " [" +
+                       std::to_string(range.lo) + "," +
+                       std::to_string(range.hi) + "]");
+          auto lazy_r = BuildViewByScan(*column, range.lo, range.hi, lazy,
+                                        nullptr, options);
+          ASSERT_TRUE(lazy_r.ok()) << lazy_r.status().ToString();
+          const auto lazy_view = std::move(lazy_r).ValueOrDie();
+          ASSERT_FALSE(lazy_view->is_materialized());
+          ASSERT_TRUE(lazy_view->EnsureMaterialized().ok());
+          for (const ViewCreationOptions& eager : eager_variants) {
+            auto eager_r = BuildViewByScan(*column, range.lo, range.hi, eager,
+                                           &mapper, options);
+            ASSERT_TRUE(eager_r.ok()) << eager_r.status().ToString();
+            const auto eager_view = std::move(eager_r).ValueOrDie();
+            EXPECT_EQ(lazy_view->physical_pages(),
+                      eager_view->physical_pages());
+            EXPECT_EQ(lazy_view->num_slot_runs(), eager_view->num_slot_runs());
+            EXPECT_EQ(lazy_view->CountFileRuns(), eager_view->CountFileRuns());
+            EXPECT_EQ(lazy_view->MinimalFileRuns(),
+                      eager_view->MinimalFileRuns());
+            for (uint64_t page = 0; page <= kPages; ++page) {
+              ASSERT_EQ(lazy_view->ContainsPage(page),
+                        eager_view->ContainsPage(page))
+                  << page;
+            }
+            for (const RangeQuery& q : ranges) {
+              const PageScanResult a = lazy_view->Scan(q, options);
+              const PageScanResult b = eager_view->Scan(q, options);
+              EXPECT_EQ(a.match_count, b.match_count);
+              EXPECT_EQ(a.sum, b.sum);
+            }
+          }
+          // And the list is exactly the pages holding a value in range.
+          std::vector<uint64_t> holding;
+          for (uint64_t page = 0; page < kPages; ++page) {
+            if (PageContainsAnyScalar(column->PageData(page), kValuesPerPage,
+                                      range)) {
+              holding.push_back(page);
+            }
+          }
+          EXPECT_EQ(lazy_view->physical_pages(), holding);
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(SetActiveScanKernel(restore).ok());
 }
 
 }  // namespace
