@@ -34,6 +34,7 @@ int Main() {
     VMSV_BENCH_CHECK_OK(column_r.status());
     AdaptiveConfig config;
     config.max_views = 50;
+    config.materialize_after_hits = 1;  // the paper maps at the first hit
     auto adaptive_r =
         Db::Create(std::move(column_r).ValueOrDie(), DbOptions{config});
     VMSV_BENCH_CHECK_OK(adaptive_r.status());

@@ -45,6 +45,7 @@ AblationResult RunConfig(const bench::BenchEnv& env, QueryMode mode,
   config.max_views = 100;
   config.discard_tolerance = d;
   config.replace_tolerance = r;
+  config.materialize_after_hits = 1;  // the paper maps at the first hit
   auto adaptive_r = Db::Create(std::move(column_r).ValueOrDie(), DbOptions{config});
   VMSV_BENCH_CHECK_OK(adaptive_r.status());
   auto adaptive = std::move(adaptive_r).ValueOrDie();

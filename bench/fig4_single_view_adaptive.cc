@@ -57,6 +57,7 @@ int RunDistribution(const bench::BenchEnv& env, DataDistribution kind) {
   AdaptiveConfig config;
   config.mode = QueryMode::kSingleView;
   config.max_views = GetEnvUint64("VMSV_MAX_VIEWS", 100);
+  config.materialize_after_hits = 1;  // the paper maps at the first hit
   auto adaptive_r = Db::Create(std::move(column_r).ValueOrDie(), DbOptions{config});
   VMSV_BENCH_CHECK_OK(adaptive_r.status());
   auto adaptive = std::move(adaptive_r).ValueOrDie();

@@ -38,6 +38,7 @@ int RunScenario(const bench::BenchEnv& env, const Scenario& scenario) {
   AdaptiveConfig config;
   config.mode = QueryMode::kMultiView;
   config.max_views = scenario.max_views;
+  config.materialize_after_hits = 1;  // the paper maps at the first hit
   auto adaptive_r = Db::Create(std::move(column_r).ValueOrDie(), DbOptions{config});
   VMSV_BENCH_CHECK_OK(adaptive_r.status());
   auto adaptive = std::move(adaptive_r).ValueOrDie();

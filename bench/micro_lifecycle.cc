@@ -239,6 +239,8 @@ EvictionReport RunEvictionExperiment(const bench::BenchEnv& env) {
       config.mode = QueryMode::kMultiView;
       config.max_views = kEvictionMaxViews;
       config.lifecycle.eviction_policy = policy;
+      // Evictions pay munmap and re-materialization, as at the baseline.
+      config.materialize_after_hits = 1;
       auto adaptive_r =
           Db::Create(std::move(column_r).ValueOrDie(), DbOptions{config});
       VMSV_BENCH_CHECK_OK(adaptive_r.status());

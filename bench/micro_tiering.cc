@@ -118,6 +118,8 @@ PolicyRun RunPolicy(const bench::BenchEnv& env, const std::string& dir,
     config.max_cold_views = budget * kColdMultiplier;
     config.lifecycle.eviction_policy = EvictionPolicy::kCostAware;
     config.lifecycle.enable_demotion = demote;
+    // A revisit re-materializes and promotes at its first hit.
+    config.materialize_after_hits = 1;
     auto adaptive_r = Db::CreateDurable(
         dir, env.pages * kValuesPerPage, DbOptions{config});
     VMSV_BENCH_CHECK_OK(adaptive_r.status());

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <map>
 #include <thread>
-#include <unordered_set>
 
 #include "exec/batch_executor.h"
 #include "exec/parallel_scanner.h"
@@ -107,6 +106,15 @@ std::vector<std::vector<uint64_t>> DeriveZonesAndMembers(
   return members;
 }
 
+/// The configuration checks Create and the durable open share.
+Status CheckConfig(const AdaptiveConfig& config) {
+  if (config.max_views == 0) return InvalidArgument("max_views must be >= 1");
+  if (config.materialize_after_hits == 0) {
+    return InvalidArgument("materialize_after_hits must be >= 1");
+  }
+  return OkStatus();
+}
+
 }  // namespace
 
 const char* CandidateDecisionName(CandidateDecision decision) {
@@ -205,7 +213,7 @@ StatusOr<std::unique_ptr<VirtualView>> PartialViewIndex::Remove(
 StatusOr<std::unique_ptr<AdaptiveColumn>> AdaptiveColumn::Create(
     std::unique_ptr<PhysicalColumn> column, const AdaptiveConfig& config) {
   if (column == nullptr) return InvalidArgument("AdaptiveColumn needs a column");
-  if (config.max_views == 0) return InvalidArgument("max_views must be >= 1");
+  VMSV_RETURN_IF_ERROR(CheckConfig(config));
   auto adaptive = std::unique_ptr<AdaptiveColumn>(
       new AdaptiveColumn(std::move(column), config));
   // Install the VmIo seam on the backing file: every arena built over it
@@ -232,7 +240,7 @@ StatusOr<std::unique_ptr<AdaptiveColumn>> AdaptiveColumn::OpenDurable(
     const std::string& dir, AdaptiveConfig config,
     std::optional<uint64_t> create_rows) {
   // Create's own check, ahead of any file the durable open would write.
-  if (config.max_views == 0) return InvalidArgument("max_views must be >= 1");
+  VMSV_RETURN_IF_ERROR(CheckConfig(config));
   config.storage.persist_dir = dir;
   auto opened_r = DurableState::Open(dir, config.storage, create_rows);
   if (!opened_r.ok()) return opened_r.status();
@@ -484,23 +492,32 @@ StatusOr<std::vector<size_t>> AdaptiveColumn::AnswerFromViews(
   }
 
   const uint64_t seq = metrics_.queries.load(std::memory_order_relaxed);
+  const uint64_t column_pages = column_->num_pages();
   for (const std::vector<size_t>& members : groups) {
     const std::vector<VirtualView*>& cover = covers[members.front()];
     bool mapped = true;
+    bool all_arenas = true;
     for (VirtualView* view : cover) {
-      if (!view->EnsureMaterialized().ok()) {
-        mapped = false;
-        break;
+      // A view without an arena answers over the base mapping until its
+      // hits reach the threshold; the hit that gets there maps it.
+      if (!view->is_materialized() &&
+          view->CountUnmappedHits(members.size()) >=
+              config_.materialize_after_hits) {
+        if (!view->EnsureMaterialized().ok()) {
+          mapped = false;
+          break;
+        }
+        // A demoted view that just re-materialized is hot again: the routed
+        // query IS the promotion signal. The CAS elects one winner among
+        // concurrent readers; the tier flip happens outside any maintenance
+        // lock, so the stale flag asks the next flush/checkpoint to persist
+        // it.
+        if (view->PromoteIfDemoted()) {
+          health_.views_promoted.fetch_add(1, std::memory_order_relaxed);
+          MarkStale();
+        }
       }
-      // A demoted view that just re-materialized is hot again: the routed
-      // query IS the promotion signal. The CAS elects one winner among
-      // concurrent readers; the tier flip happens outside any maintenance
-      // lock, so the stale flag asks the next flush/checkpoint to persist
-      // it.
-      if (view->PromoteIfDemoted()) {
-        health_.views_promoted.fetch_add(1, std::memory_order_relaxed);
-        MarkStale();
-      }
+      all_arenas = all_arenas && view->is_materialized();
       for (size_t m = 0; m < members.size(); ++m) view->RecordHit(seq);
     }
     if (!mapped) {
@@ -530,19 +547,38 @@ StatusOr<std::vector<size_t>> AdaptiveColumn::AnswerFromViews(
       cover_pages = cover.front()->num_pages();
     } else {
       // Views in a cover may share physical pages; each is scanned once.
-      // Counts and sums are associative wrap-around adds, so merging the
-      // per-view partial results is bit-identical to one scan of the union.
-      results.resize(members.size());
-      std::unordered_set<uint64_t> seen;
-      for (const VirtualView* view : cover) {
-        const std::vector<PageScanResult> partial = view->ScanManyIf(
-            group, column_->zones(),
-            [&seen](uint64_t page) { return seen.insert(page).second; });
-        for (size_t m = 0; m < members.size(); ++m) {
-          results[m].Merge(partial[m]);
+      // Counts and sums are associative wrap-around adds, so any split of
+      // the union into passes is bit-identical to one scan of it.
+      std::vector<uint64_t> seen((column_pages + 63) / 64, 0);
+      if (all_arenas) {
+        // Each arena scans the pages no earlier member claimed, claiming
+        // them with a bit test-and-set.
+        results.resize(members.size());
+        for (const VirtualView* view : cover) {
+          const std::vector<PageScanResult> partial = view->ScanManyIf(
+              group, column_->zones(), [&seen](uint64_t page) {
+                uint64_t& word = seen[page / 64];
+                const uint64_t bit = uint64_t{1} << (page % 64);
+                if ((word & bit) != 0) return false;
+                word |= bit;
+                return true;
+              });
+          for (size_t m = 0; m < members.size(); ++m) {
+            results[m].Merge(partial[m]);
+          }
         }
+      } else {
+        // Some member reads over the base mapping anyway: one shared pass
+        // over the union of the members' pages answers the whole cover.
+        for (const VirtualView* view : cover) view->OrMembersInto(&seen);
+        results = BatchExecutor().SharedScanPageRuns(
+            reinterpret_cast<const Value*>(column_->base_arena().data()),
+            PageRunsOfBitmap(seen), group,
+            ZoneTable{column_->zones(), nullptr});
       }
-      cover_pages = seen.size();
+      for (const uint64_t word : seen) {
+        cover_pages += static_cast<uint64_t>(__builtin_popcountll(word));
+      }
     }
     for (size_t m = 0; m < members.size(); ++m) {
       QueryExecution& exec = out->queries[members[m]];

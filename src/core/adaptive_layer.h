@@ -17,7 +17,9 @@
 // ONE QUERY PATH: Execute and ExecuteBatch share a single route-and-answer
 // step (AnswerFromViews): due maintenance first (pressure relief, update
 // flush), then every query routed under one shared index-lock hold, one
-// epoch guard, and one materialize → promote → scan per distinct cover.
+// epoch guard, and one shared scan per distinct cover. A view answers over
+// the base mapping until its hits reach materialize_after_hits; the hit
+// that gets there maps (and, if demoted, promotes) it.
 // They differ only in what happens to the queries no view answered: a
 // batch answers them with one shared base-column pass, while Execute
 // answers a degraded query from the base column and adapts on a genuine
@@ -127,10 +129,19 @@ const char* CandidateDecisionName(CandidateDecision decision);
 
 struct AdaptiveConfig {
   QueryMode mode = QueryMode::kSingleView;
-  /// Upper bound on concurrently materialized partial views. With the cold
-  /// tier enabled this bounds the HOT views only; demoted views hold no
-  /// mapping budget and are bounded by max_cold_views.
+  /// Upper bound on the HOT views of the pool: views that hold an arena or
+  /// may earn one (a view below materialize_after_hits holds none yet).
+  /// With the cold tier enabled, demoted views are bounded by
+  /// max_cold_views instead.
   size_t max_views = 100;
+  /// A view without an arena answers its hits by reading its member page
+  /// runs over the base column's mapping; the hit that brings its count of
+  /// such hits to this threshold maps its arena (EnsureMaterialized). 1 maps
+  /// at the first hit, as the paper's figures do. The default is where an
+  /// arena's per-hit saving repays mapping and unmapping it
+  /// (bench/micro_view_life.cc, EXPERIMENTS.md "When a view earns its
+  /// arena"). Must be >= 1.
+  uint64_t materialize_after_hits = 256;
   /// Upper bound on demoted (cold-tier) views a durable pool may hold
   /// beyond the hot budget. 0 means "same as max_views". When the cold
   /// tier overflows, the lowest-scoring cold view is destroyed — the
@@ -329,8 +340,8 @@ struct ColumnHealth {
 class AdaptiveColumn {
  public:
   /// \internal Use vmsv::Db::Create.
-  /// Error contract: InvalidArgument when `column` is null or
-  /// config.max_views is 0.
+  /// Error contract: InvalidArgument when `column` is null, or
+  /// config.max_views or config.materialize_after_hits is 0.
   static StatusOr<std::unique_ptr<AdaptiveColumn>> Create(
       std::unique_ptr<PhysicalColumn> column, const AdaptiveConfig& config);
 
@@ -347,7 +358,8 @@ class AdaptiveColumn {
   /// Reopens the durable column in `dir`: rebuilds the column over
   /// column.dat, replays the journal (replayed updates become pending for
   /// the next flush), and restores every manifest view as an
-  /// UNMATERIALIZED page list (first use lazily rewires it) holding
+  /// UNMATERIALIZED page list (it answers over the base mapping until its
+  /// hits reach materialize_after_hits) holding
   /// exactly the pages with a value in its range, derived from the data in
   /// the pass that computes page zones. Scans after Open are bit-identical
   /// to pre-restart scans. Replay is idempotent: killing the
@@ -377,9 +389,10 @@ class AdaptiveColumn {
   /// one, due maintenance included: mapping-pressure relief, and the flush
   /// of pending updates, after which views left fragmented (or
   /// file-scattered) are compacted per config().lifecycle. Candidates are
-  /// built with coalesced runs and lazily: the creating scan records the
-  /// page list only and the view rewires on the first query it answers, so
-  /// discarded candidates never pay for mmap work. Thread-safe;
+  /// built lazily: the creating scan records the page list only, and the
+  /// view reads its pages over the base mapping until its hits reach
+  /// materialize_after_hits, so discarded candidates and rarely hit views
+  /// never pay for mmap work. Thread-safe;
   /// view-answered queries from different threads proceed in parallel,
   /// maintenance (flush/adapt) serializes.
   /// Error contract: InvalidArgument when q.lo > q.hi; mapping-layer
@@ -486,7 +499,10 @@ class AdaptiveColumn {
   /// — taken here unless `maintenance_held` says the caller holds it —
   /// then routes every query under one shared views_mu_ hold, enters
   /// `*guard` before releasing it, and answers each distinct cover with one
-  /// materialize → promote → shared scan, lock-free. Resets and fills `out`
+  /// shared scan, lock-free: over the members' arenas when all have one,
+  /// else over the union of their pages in the base mapping. A member whose
+  /// unmapped hits reach materialize_after_hits is mapped (and promoted)
+  /// first. Resets and fills `out`
   /// (answers, stats, view-side page accounting; no workload counters) and
   /// returns the queries no view answered, in batch order. A cover that
   /// failed to materialize leaves its queries labeled kBaseFallback; the

@@ -71,9 +71,10 @@ struct LifecycleConfig {
   /// keeps destroy-evict; see AdaptiveColumn::DemotionAvailable). When on,
   /// a cost-aware eviction DEMOTES the victim — releases its arena, keeps
   /// its page list and its slot, and records the tier flip in the
-  /// manifest — instead of destroying it; a later routed query promotes it
-  /// back for the price of re-materialization instead of a full creation
-  /// scan. Off restores the pure destroy-evict policy (the bench ablation
+  /// manifest — instead of destroying it; later routed queries read it
+  /// over the base mapping and, at the materialization threshold, promote
+  /// it back for the price of re-materialization instead of a full
+  /// creation scan. Off restores the pure destroy-evict policy (the bench ablation
   /// baseline).
   bool enable_demotion = true;
   /// Hit-recency decay: a view's recency weight halves every this many

@@ -94,8 +94,36 @@ void ForEachLiveRun(const std::vector<uint64_t>& pages, CanExtend can_extend,
 StatusOr<std::unique_ptr<VirtualView>> VirtualView::CreateEmpty(
     const PhysicalColumn& column, Value lo, Value hi) {
   if (lo > hi) return InvalidArgument("view range lo > hi");
-  return std::unique_ptr<VirtualView>(
-      new VirtualView(column.file(), column.num_pages(), lo, hi));
+  return std::unique_ptr<VirtualView>(new VirtualView(
+      column.file(), reinterpret_cast<const Value*>(column.base_arena().data()),
+      column.num_pages(), lo, hi));
+}
+
+std::vector<PageRun> PageRunsOfBitmap(const std::vector<uint64_t>& bits) {
+  // Word by word: a run ends at the first clear bit after a set one, which
+  // one count-trailing-zeros finds; all-zero and all-one words cost one
+  // compare each.
+  std::vector<PageRun> runs;
+  bool in_run = false;
+  uint64_t run_start = 0;
+  for (size_t w = 0; w < bits.size(); ++w) {
+    const uint64_t word = bits[w];
+    unsigned bit = 0;
+    while (bit < 64) {
+      const uint64_t rest = (in_run ? ~word : word) & (~uint64_t{0} << bit);
+      if (rest == 0) break;
+      bit = static_cast<unsigned>(__builtin_ctzll(rest));
+      const uint64_t page = w * 64 + bit;
+      if (in_run) {
+        runs.push_back(PageRun{run_start, page - run_start});
+      } else {
+        run_start = page;
+      }
+      in_run = !in_run;
+    }
+  }
+  if (in_run) runs.push_back(PageRun{run_start, bits.size() * 64 - run_start});
+  return runs;
 }
 
 void VirtualView::RecordPageAt(uint64_t slot, uint64_t page) {
@@ -169,10 +197,16 @@ uint64_t VirtualView::CountPagesNotIn(const VirtualView& other,
   return missing;
 }
 
+void VirtualView::OrMembersInto(std::vector<uint64_t>* bits) const {
+  for (size_t word = 0; word < members_.size(); ++word) {
+    (*bits)[word] |= members_[word];
+  }
+}
+
 Status VirtualView::EnsureMaterialized() {
   if (is_materialized()) return OkStatus();
-  // Lazy materialization happens on first use, and under the concurrent
-  // engine several readers can hit an unmaterialized view at once; the
+  // Lazy materialization happens at the engine's threshold hit, and under
+  // the concurrent engine several readers can reach it at once; the
   // per-view mutex makes exactly one of them build the arena.
   std::lock_guard<std::mutex> lock(materialize_mu_);
   if (is_materialized()) return OkStatus();
@@ -323,6 +357,7 @@ std::unique_ptr<VirtualArena> VirtualView::ReleaseArena() {
     file_runs_dirty_ = true;  // densification can merge hole-split runs
   }
   num_slot_runs_ = pages_.empty() ? 0 : 1;
+  unmapped_hits_.store(0, std::memory_order_relaxed);
   InvalidateRunCache();
   return retired;
 }
@@ -539,23 +574,43 @@ Status VirtualView::Compact(const ViewCompactionOptions& options,
   return OkStatus();
 }
 
+namespace {
+
+/// Loads `cache`, or builds and stores it when invalidated. Racing readers
+/// rebuild identical lists (membership is frozen while any reader scans);
+/// last store wins and both copies are valid.
+template <typename Build>
+std::shared_ptr<const std::vector<PageRun>> LoadOrBuildRuns(
+    std::shared_ptr<const std::vector<PageRun>>* cache, Build build) {
+  auto cached = std::atomic_load(cache);
+  if (cached != nullptr) return cached;
+  auto built = std::make_shared<const std::vector<PageRun>>(build());
+  std::atomic_store(cache, std::shared_ptr<const std::vector<PageRun>>(built));
+  return built;
+}
+
+}  // namespace
+
 std::shared_ptr<const std::vector<PageRun>> VirtualView::SlotRunsCached()
     const {
-  auto cached = std::atomic_load(&runs_cache_);
-  if (cached != nullptr) return cached;
-  auto built =
-      std::make_shared<const std::vector<PageRun>>(LiveSlotRuns());
-  // Racing readers rebuild identical lists (membership is frozen while any
-  // reader scans); last store wins and both copies are valid.
-  std::atomic_store(&runs_cache_,
-                    std::shared_ptr<const std::vector<PageRun>>(built));
-  return built;
+  return LoadOrBuildRuns(&runs_cache_, [this] { return LiveSlotRuns(); });
+}
+
+std::shared_ptr<const std::vector<PageRun>> VirtualView::MemberRunsCached()
+    const {
+  return LoadOrBuildRuns(&member_runs_cache_,
+                         [this] { return PageRunsOfBitmap(members_); });
 }
 
 PageScanResult VirtualView::Scan(const RangeQuery& q,
                                  const ParallelScanOptions& scan_options) const {
   const ParallelScanner scanner(scan_options);
-  const Value* base = reinterpret_cast<const Value*>(arena().data());
+  const VirtualArena* arena = arena_ptr_.load(std::memory_order_acquire);
+  if (arena == nullptr) {
+    // No arena: the member pages, read in place over the base mapping.
+    return scanner.ScanPageRuns(base_, *MemberRunsCached(), q);
+  }
+  const Value* base = reinterpret_cast<const Value*>(arena->data());
   if (holes_.empty()) {
     // Dense fast path — the whole point of rewiring (and of compaction): one
     // contiguous sweep, no indirection per page, sharded above the cutoff.
@@ -570,7 +625,12 @@ std::vector<PageScanResult> VirtualView::ScanMany(
     const std::vector<RangeQuery>& queries, const PageZone* column_zones,
     const ParallelScanOptions& scan_options) const {
   const BatchExecutor executor(scan_options);
-  const Value* base = reinterpret_cast<const Value*>(arena().data());
+  const VirtualArena* arena = arena_ptr_.load(std::memory_order_acquire);
+  if (arena == nullptr) {
+    return executor.SharedScanPageRuns(base_, *MemberRunsCached(), queries,
+                                       ZoneTable{column_zones, nullptr});
+  }
+  const Value* base = reinterpret_cast<const Value*>(arena->data());
   const ZoneTable zones{column_zones, pages_.data()};
   if (holes_.empty()) {
     return executor.SharedScanPages(base, pages_.size(), queries, zones);

@@ -15,23 +15,26 @@
 //     runs, not the scan.
 //
 // Lifecycle (this layer + core/view_lifecycle.h): a view is born as a page
-// list (created), rewired into its arena on first use (mapped), fragments
-// under membership churn — removals punch PROT_NONE holes instead of paying
-// two mmaps for a swap-remove — and is periodically re-densified
-// (compacted) by moving its live slot runs into a fresh dense arena with
-// mremap(2). Views that stop earning their keep are dropped from the pool
-// entirely (evicted), freeing their slot table and mapping budget.
+// list (created) and answers its first hits by reading its member page runs
+// over the column's base mapping — no syscall, no page-table cost. Only
+// once its hits have paid for one is it rewired into its own arena
+// (mapped; the engine's threshold is AdaptiveConfig::materialize_after_hits).
+// A mapped view fragments under membership churn — removals punch PROT_NONE
+// holes instead of paying two mmaps for a swap-remove — and is periodically
+// re-densified (compacted) by moving its live slot runs into a fresh dense
+// arena with mremap(2). Views that stop earning their keep are dropped from
+// the pool entirely (evicted), freeing their slot table and mapping budget.
 //
-// Thread-safety: scans, ScanMany, ContainsPage, RecordHit, and lazy
-// EnsureMaterialized may run concurrently from any number of reader threads
-// (materialization is internally serialized per view; usage counters are
-// relaxed atomics). Membership updates, Compact, and destruction mutate
-// mappings IN PLACE and must not overlap any reader — the concurrent engine
-// (core/adaptive_layer.h) excludes readers with an epoch quiescence wait
-// before running them, and hands displaced arenas/views to the epoch limbo
-// list instead of destroying them under readers. A BackgroundMapper only
-// holds arena pointers inside one BuildViewByScan call, which drains it
-// before returning.
+// Thread-safety: scans, ScanMany, ContainsPage, RecordHit, CountUnmappedHits
+// and lazy EnsureMaterialized may run concurrently from any number of
+// reader threads (materialization is internally serialized per view; usage
+// counters are relaxed atomics). Membership updates, Compact, ReleaseArena
+// and destruction mutate mappings IN PLACE and must not overlap any reader
+// — the concurrent engine (core/adaptive_layer.h) excludes readers with an
+// epoch quiescence wait before running them, and hands displaced
+// arenas/views to the epoch limbo list instead of destroying them under
+// readers. A BackgroundMapper only holds arena pointers inside one
+// BuildViewByScan call, which drains it before returning.
 
 #ifndef VMSV_CORE_VIRTUAL_VIEW_H_
 #define VMSV_CORE_VIRTUAL_VIEW_H_
@@ -66,11 +69,12 @@ struct ViewCreationOptions {
   /// Ship mapping calls to a BackgroundMapper's worker thread; they are
   /// queued after the scan pass (see lazy_materialize).
   bool background_mapping = false;
-  /// Collect the page list only; defer all mmap work to the first use of
-  /// the view (EnsureMaterialized). The scan's ascending page list is
-  /// installed in one step (VirtualView::InstallPages), and candidates that
-  /// end up discarded never pay for rewiring at all. Eager builds replay the
-  /// same list through AppendPage/AppendPageRun after the scan.
+  /// Collect the page list only; defer all mmap work to EnsureMaterialized
+  /// (the engine calls it once the view's hits reach its threshold). The
+  /// scan's ascending page list is installed in one step
+  /// (VirtualView::InstallPages), and candidates that end up discarded
+  /// never pay for rewiring at all. Eager builds replay the same list
+  /// through AppendPage/AppendPageRun after the scan.
   bool lazy_materialize = false;
 };
 
@@ -184,9 +188,11 @@ class BackgroundMapper {
 };
 
 /// A partial view is born as a page LIST; the contiguous arena mapping is
-/// materialized either eagerly at creation (BuildViewByScan) or lazily on
-/// first scan (the adaptive path). While unmaterialized, membership updates
-/// are list edits and cost no syscalls.
+/// materialized either eagerly at creation (BuildViewByScan) or lazily by
+/// EnsureMaterialized (the adaptive path, once the view's hits reach the
+/// engine's threshold). While unmaterialized, scans read the member page
+/// runs in place over the column's base mapping, and membership updates are
+/// list edits that cost no syscalls.
 ///
 /// Membership is a bitmap with one bit per column page: ContainsPage, the
 /// duplicate checks and the admission counts (CountPagesNotIn) are bit
@@ -283,6 +289,20 @@ class VirtualView {
   /// column.
   uint64_t CountPagesNotIn(const VirtualView& other, uint64_t limit) const;
 
+  /// ORs the membership bitmap into `bits` (one bit per column page, at
+  /// least as many words as the view's column needs) — the union a
+  /// multi-view cover reads over the base mapping.
+  void OrMembersInto(std::vector<uint64_t>* bits) const;
+
+  /// Counts `hits` queries this view answers while it holds no arena and
+  /// returns the total since the view was created or last released its
+  /// arena — the engine maps the view once this reaches its threshold. One
+  /// atomic add, so among racing readers exactly one sees the threshold
+  /// crossed.
+  uint64_t CountUnmappedHits(uint64_t hits) {
+    return unmapped_hits_.fetch_add(hits, std::memory_order_relaxed) + hits;
+  }
+
   /// True once the arena mapping exists. arena() is only valid then. The
   /// acquire load pairs with EnsureMaterialized's release publish, so a
   /// reader that sees true also sees every mapping the materialization made.
@@ -313,7 +333,7 @@ class VirtualView {
 
   /// Cold-tier flag (core/view_lifecycle.h): a demoted view keeps its page
   /// list (and its membership maintenance) but holds no arena — its
-  /// mapping budget is released until a routed query re-materializes it.
+  /// mapping budget is released until routed hits re-materialize it.
   /// Atomic because the lock-free reader path promotes (cold -> hot) right
   /// after a successful lazy materialization while the maintenance path
   /// reads tiers for scoring.
@@ -367,8 +387,9 @@ class VirtualView {
 
   /// Returns the view to the unmaterialized state, handing back the arena
   /// for epoch retirement (null when already unmaterialized) — the
-  /// demotion path: membership stays, the mapping budget is released, and
-  /// the next EnsureMaterialized rebuilds the arena from the page list.
+  /// demotion path: membership stays, the mapping budget is released, the
+  /// unmapped-hit count restarts at 0, and the next EnsureMaterialized
+  /// rebuilds the arena from the page list.
   /// Hole slots densify away (pure list edits, slot order preserved) to
   /// restore the unmaterialized hole-free invariant.
   /// Not safe to run concurrently with scans or a live BackgroundMapper
@@ -404,9 +425,11 @@ class VirtualView {
                  ViewCompactionStats* stats = nullptr,
                  std::unique_ptr<VirtualArena>* retired_arena = nullptr);
 
-  /// Scans the view filtered by q, sharded across the scan thread pool:
-  /// dense views scan as one contiguous range; fragmented views scan their
-  /// live runs (slower — see Compact). The view must be materialized.
+  /// Scans the view filtered by q, sharded across the scan thread pool.
+  /// With an arena, dense views scan as one contiguous range and fragmented
+  /// views scan their live runs (slower — see Compact); without one, the
+  /// member page runs are read in place over the column's base mapping.
+  /// Either way the same pages are read, so the result is the same.
   /// `scan_options` overrides thread count / serial cutoff (defaults follow
   /// VMSV_THREADS / VMSV_SERIAL_CUTOFF); results are bit-identical for any
   /// setting.
@@ -417,16 +440,18 @@ class VirtualView {
   /// batch_executor.h): each page is read at most once, and only for the
   /// queries whose range meets its zone in `column_zones` — the zone table
   /// of the column the view was built over (PhysicalColumn::zones()), read
-  /// through the view's slot table. Result i is bit-identical to
-  /// Scan(queries[i]). The view must be materialized.
+  /// through the view's slot table, or directly for the member page runs
+  /// over the base mapping when the view has no arena. Result i is
+  /// bit-identical to Scan(queries[i]).
   std::vector<PageScanResult> ScanMany(
       const std::vector<RangeQuery>& queries, const PageZone* column_zones,
       const ParallelScanOptions& scan_options = {}) const;
 
   /// ScanMany restricted to pages passing `include(physical_page)` — the
   /// multi-view dedup hook: membership is decided serially in slot order
-  /// (the predicate may be stateful, e.g. an insert-into-seen-set), then
-  /// the selected slots are shared-scanned once for ALL queries.
+  /// (the predicate may be stateful, e.g. a bitmap test-and-set), then the
+  /// selected slots are shared-scanned once for ALL queries. The view must
+  /// be materialized.
   template <typename Pred>
   std::vector<PageScanResult> ScanManyIf(const std::vector<RangeQuery>& queries,
                                          const PageZone* column_zones,
@@ -441,9 +466,10 @@ class VirtualView {
   }
 
  private:
-  VirtualView(std::shared_ptr<PhysicalMemoryFile> file, uint64_t arena_slots,
-              Value lo, Value hi)
+  VirtualView(std::shared_ptr<PhysicalMemoryFile> file, const Value* base,
+              uint64_t arena_slots, Value lo, Value hi)
       : file_(std::move(file)),
+        base_(base),
         arena_slots_(arena_slots),
         lo_(lo),
         hi_(hi),
@@ -483,9 +509,16 @@ class VirtualView {
   /// invalidation — they build identical lists and either store wins.
   std::shared_ptr<const std::vector<PageRun>> SlotRunsCached() const;
 
-  /// Drops the run cache; every membership-changing path calls this.
+  /// The member page runs (column page ids, ascending) that a view without
+  /// an arena reads over the base mapping, taken from the membership bitmap
+  /// and cached like SlotRunsCached.
+  std::shared_ptr<const std::vector<PageRun>> MemberRunsCached() const;
+
+  /// Drops both run caches; every membership-changing path calls this.
   void InvalidateRunCache() {
     std::atomic_store(&runs_cache_,
+                      std::shared_ptr<const std::vector<PageRun>>());
+    std::atomic_store(&member_runs_cache_,
                       std::shared_ptr<const std::vector<PageRun>>());
   }
 
@@ -496,6 +529,9 @@ class VirtualView {
   }
 
   std::shared_ptr<PhysicalMemoryFile> file_;
+  /// The column's identity mapping (page p at offset p pages), which scans
+  /// read while the view has no arena. The column outlives its views.
+  const Value* base_;
   uint64_t arena_slots_;                    // reservation size (column pages)
   std::unique_ptr<VirtualArena> arena_;     // null until materialized
   /// Readers' view of arena_: published with release AFTER every mapping of
@@ -527,13 +563,20 @@ class VirtualView {
   /// Maximal runs of the page SET in sorted order (order-independent, so
   /// exact under every mutation path).
   uint64_t num_set_runs_ = 0;
-  /// Cached LiveSlotRuns; null = invalidated. Accessed with the atomic
-  /// shared_ptr free functions.
+  /// Cached LiveSlotRuns and member page runs; null = invalidated. Accessed
+  /// with the atomic shared_ptr free functions.
   mutable std::shared_ptr<const std::vector<PageRun>> runs_cache_;
+  mutable std::shared_ptr<const std::vector<PageRun>> member_runs_cache_;
   ViewUsageStats usage_;
+  /// Hits answered without an arena since the view last held none.
+  std::atomic<uint64_t> unmapped_hits_{0};
   uint64_t durable_id_ = 0;                 // 0 until a durable pool adopts it
   std::atomic<bool> demoted_{false};        // cold tier (see demoted())
 };
+
+/// The maximal runs of set bits in `bits` (bit p % 64 of word p / 64 is
+/// page p), ascending — a membership bitmap as the page runs a scan reads.
+std::vector<PageRun> PageRunsOfBitmap(const std::vector<uint64_t>& bits);
 
 /// Builds the view for [lo, hi] by scanning the column (the paper's
 /// creation path: the scan that answers the triggering query also emits the

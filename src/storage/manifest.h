@@ -88,8 +88,8 @@ struct ManifestView {
   Value hi = 0;
   /// Pages the creating scan read — feeds eviction scoring after reopen.
   uint64_t creation_scanned_pages = 0;
-  /// True when the view lives in the cold tier: it holds no arena and
-  /// materializes on its next routed query.
+  /// True when the view lives in the cold tier: it holds no arena until
+  /// its routed hits reach the engine's materialization threshold.
   bool demoted = false;
 };
 

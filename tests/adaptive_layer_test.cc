@@ -53,6 +53,11 @@ TEST(AdaptiveColumnTest, CreateValidatesArguments) {
   EXPECT_FALSE(
       Db::Create(MakeTestColumn(DataDistribution::kSine), DbOptions{config})
           .ok());
+  config = AdaptiveConfig{};
+  config.materialize_after_hits = 0;
+  EXPECT_FALSE(
+      Db::Create(MakeTestColumn(DataDistribution::kSine), DbOptions{config})
+          .ok());
 }
 
 TEST(AdaptiveColumnTest, RejectsInvertedQuery) {
@@ -566,6 +571,143 @@ TEST(AdaptiveColumnTest, BackgroundMappingCreationMatchesBaseline) {
 }
 
 // ---------------------------------------------------------------------------
+// Views without an arena answer over the base mapping: the same pages are
+// read, so every answer and every stat equals a pool that maps each view at
+// its first hit, and the full scan.
+
+void ExpectSameAnswer(const QueryExecution& got, const QueryExecution& want) {
+  EXPECT_EQ(got.match_count, want.match_count);
+  EXPECT_EQ(got.sum, want.sum);
+}
+
+void ExpectSameExecution(const QueryExecution& over_base,
+                         const QueryExecution& arena) {
+  ExpectSameAnswer(over_base, arena);
+  EXPECT_EQ(over_base.stats.decision, arena.stats.decision);
+  EXPECT_EQ(over_base.stats.scanned_pages, arena.stats.scanned_pages);
+  EXPECT_EQ(over_base.stats.considered_views, arena.stats.considered_views);
+  EXPECT_EQ(over_base.stats.views_after, arena.stats.views_after);
+}
+
+TEST(OverBaseTest, AnswersEqualArenaAndFullScan) {
+  // Overlapping view ranges, so multi-view covers share pages; the queries
+  // hit inside one view, span two or three, or miss and adapt.
+  const std::vector<RangeQuery> ranges = {{10'000'000, 30'000'000},
+                                          {25'000'000, 45'000'000},
+                                          {40'000'000, 60'000'000}};
+  const std::vector<RangeQuery> queries = {
+      {12'000'000, 28'000'000}, {20'000'000, 50'000'000},
+      {26'000'000, 44'000'000}, {11'000'000, 59'000'000},
+      {41'000'000, 59'000'000}, {5'000'000, 15'000'000},
+      {20'000'000, 50'000'000}, {12'000'000, 28'000'000}};
+  const ScanKernel restore = ActiveScanKernel();
+  for (const ScanKernel kernel :
+       {ScanKernel::kScalar, ScanKernel::kAvx2, ScanKernel::kAvx512}) {
+    if (!ScanKernelAvailable(kernel)) continue;
+    ASSERT_TRUE(SetActiveScanKernel(kernel).ok());
+    for (const DataDistribution kind :
+         {DataDistribution::kSine, DataDistribution::kLinear,
+          DataDistribution::kSparse, DataDistribution::kUniform}) {
+      for (const QueryMode mode : {QueryMode::kSingleView, QueryMode::kMultiView}) {
+        SCOPED_TRACE(std::string(ScanKernelName(kernel)) + " " +
+                     DistributionName(kind) +
+                     (mode == QueryMode::kMultiView ? " multi" : " single"));
+        AdaptiveConfig over_base_config;
+        over_base_config.mode = mode;
+        over_base_config.max_views = 16;
+        AdaptiveConfig arena_config = over_base_config;
+        arena_config.materialize_after_hits = 1;
+        auto over_base = MakeAdaptive(kind, over_base_config);
+        auto arena = MakeAdaptive(kind, arena_config);
+        for (const RangeQuery& r : ranges) {
+          ASSERT_TRUE(over_base->Execute(r).ok());
+          ASSERT_TRUE(arena->Execute(r).ok());
+        }
+        for (const RangeQuery& q : queries) {
+          auto b = over_base->Execute(q);
+          auto a = arena->Execute(q);
+          auto oracle = over_base->ExecuteFullScan(q);
+          ASSERT_TRUE(b.ok() && a.ok() && oracle.ok());
+          ExpectSameExecution(*b, *a);
+          ExpectSameAnswer(*b, *oracle);
+        }
+        auto b = over_base->ExecuteBatch(queries);
+        auto a = arena->ExecuteBatch(queries);
+        ASSERT_TRUE(b.ok() && a.ok());
+        EXPECT_EQ(b->shared_scanned_pages, a->shared_scanned_pages);
+        EXPECT_EQ(b->view_answered, a->view_answered);
+        EXPECT_GT(b->view_answered, 0u);
+        for (size_t i = 0; i < queries.size(); ++i) {
+          ExpectSameExecution(b->queries[i], a->queries[i]);
+          auto oracle = over_base->ExecuteFullScan(queries[i]);
+          ASSERT_TRUE(oracle.ok());
+          ExpectSameAnswer(b->queries[i], *oracle);
+        }
+        const CumulativeStats mb = over_base->shard(0)->metrics();
+        const CumulativeStats ma = arena->shard(0)->metrics();
+        EXPECT_EQ(mb.scanned_pages, ma.scanned_pages);
+        EXPECT_EQ(mb.views_created, ma.views_created);
+        EXPECT_EQ(mb.views_discarded, ma.views_discarded);
+        EXPECT_EQ(mb.views_replaced, ma.views_replaced);
+        // Far below the default threshold, no view of `over_base` mapped.
+        bool arena_mapped = false;
+        for (const auto& view : over_base->shard(0)->view_index().views()) {
+          EXPECT_FALSE(view->is_materialized());
+        }
+        for (const auto& view : arena->shard(0)->view_index().views()) {
+          arena_mapped = arena_mapped || view->is_materialized();
+        }
+        EXPECT_TRUE(arena_mapped);
+      }
+    }
+  }
+  ASSERT_TRUE(SetActiveScanKernel(restore).ok());
+}
+
+TEST(OverBaseTest, FlushMovesPagesOfAnUnmappedView) {
+  // A hit caches the view's member runs; updates then move pages into and
+  // out of its range, and the hits after the flush must read the new ones.
+  auto adaptive = MakeAdaptive(DataDistribution::kSine, {});
+  const RangeQuery range{20'000'000, 30'000'000};
+  const RangeQuery inside{21'000'000, 29'000'000};
+  ASSERT_TRUE(adaptive->Execute(range).ok());
+  auto hit = adaptive->Execute(inside);
+  ASSERT_TRUE(hit.ok());
+  ASSERT_EQ(hit->stats.decision, CandidateDecision::kAnsweredFromView);
+  const VirtualView* view =
+      adaptive->shard(0)->view_index().views().front().get();
+  ASSERT_FALSE(view->is_materialized());
+
+  // Out: every row of the view's first page leaves the range. In: one row
+  // of the first page outside the view lands inside the query.
+  const std::vector<uint64_t> before = view->physical_pages();
+  ASSERT_FALSE(before.empty());
+  const uint64_t out_page = before.front();
+  for (uint64_t row = out_page * kValuesPerPage;
+       row < (out_page + 1) * kValuesPerPage; ++row) {
+    ASSERT_TRUE(adaptive->Update(row, kMaxValue).ok());
+  }
+  uint64_t in_page = 0;
+  while (view->ContainsPage(in_page)) ++in_page;
+  ASSERT_TRUE(adaptive->Update(in_page * kValuesPerPage, 25'000'000).ok());
+  auto flushed = adaptive->FlushUpdates();
+  ASSERT_TRUE(flushed.ok());
+  EXPECT_GT(flushed->pages_added, 0u);
+  EXPECT_GT(flushed->pages_removed, 0u);
+  EXPECT_FALSE(view->ContainsPage(out_page));
+  EXPECT_TRUE(view->ContainsPage(in_page));
+
+  for (const RangeQuery& q : {inside, range, RangeQuery{25'000'000, 25'000'000}}) {
+    auto exec = adaptive->Execute(q);
+    auto oracle = adaptive->ExecuteFullScan(q);
+    ASSERT_TRUE(exec.ok() && oracle.ok());
+    EXPECT_EQ(exec->stats.decision, CandidateDecision::kAnsweredFromView);
+    ExpectSameAnswer(*exec, *oracle);
+  }
+  EXPECT_FALSE(view->is_materialized());
+}
+
+// ---------------------------------------------------------------------------
 // One query path: Execute and a batch of one run the same route-and-answer
 // step, so they must agree on the answer, on every ExecStats field, and on
 // the counters the step moves.
@@ -608,10 +750,17 @@ TEST(SinglePathTest, ExecuteAndBatchOfOneAgree) {
   const RangeQuery high{20'000'001, 30'000'000};
   const RangeQuery inside_low{12'000'000, 18'000'000};
   const RangeQuery spanning{15'000'000, 25'000'000};
+  // At threshold 1 the compared query maps its views (and promotes a
+  // demoted one); at the default the same hits read over the base mapping.
   AdaptiveConfig single_view;
-  AdaptiveConfig multi_view;
+  single_view.materialize_after_hits = 1;
+  AdaptiveConfig multi_view = single_view;
   multi_view.mode = QueryMode::kMultiView;
   multi_view.max_views = 8;
+  AdaptiveConfig single_over_base;
+  AdaptiveConfig multi_over_base = multi_view;
+  multi_over_base.materialize_after_hits =
+      single_over_base.materialize_after_hits;
 
   std::vector<PathCase> cases = {
       {"single_view_hit", single_view, {low}, inside_low,
@@ -624,6 +773,10 @@ TEST(SinglePathTest, ExecuteAndBatchOfOneAgree) {
        CandidateDecision::kAnsweredFromView, 1},
       {"materialization_failure", multi_view, {low, high}, spanning,
        CandidateDecision::kBaseFallback, 2},
+      {"single_view_hit_over_base", single_over_base, {low}, inside_low,
+       CandidateDecision::kAnsweredFromView, 1},
+      {"two_view_cover_over_base", multi_over_base, {low, high}, spanning,
+       CandidateDecision::kAnsweredFromView, 2},
   };
   cases[3].demote = true;
   cases[4].fail_materialization = true;

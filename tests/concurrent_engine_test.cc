@@ -22,6 +22,7 @@
 #include "exec/batch_executor.h"
 #include "exec/parallel_scanner.h"
 #include "exec/scan_kernels.h"
+#include "rewiring/vm_io.h"
 #include "util/epoch.h"
 #include "util/random.h"
 #include "workload/distribution.h"
@@ -385,9 +386,12 @@ TEST(ConcurrentEngineTest, ConcurrentReadersMatchSerialOracle) {
 
 TEST(ConcurrentEngineTest, ConcurrentLazyMaterializationOfDistinctViews) {
   // Many reader threads racing the first (lazy) materialization of eight
-  // different views: every scan must see a fully built arena.
+  // different views: every scan must see a fully built arena. Threshold 1
+  // maps each view at its first hit.
+  AdaptiveConfig config;
+  config.materialize_after_hits = 1;
   auto adaptive_r =
-      Db::Create(MakeTestColumn(DataDistribution::kSine), DbOptions{});
+      Db::Create(MakeTestColumn(DataDistribution::kSine), DbOptions{config});
   ASSERT_TRUE(adaptive_r.ok());
   auto& adaptive = *adaptive_r;
 
@@ -426,8 +430,71 @@ TEST(ConcurrentEngineTest, ConcurrentLazyMaterializationOfDistinctViews) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-TEST(ConcurrentEngineTest, ReadersRaceUpdaterAndLifecycleMaintenance) {
+TEST(ConcurrentEngineTest, RacingReadersMapAViewOnceAtTheThresholdHit) {
+  // Four readers race across the threshold hit of one view. Every answer
+  // is exact, and the view maps exactly once: one reservation plus one mmap
+  // per file run, however the readers interleave.
+  constexpr uint64_t kThreshold = 16;
+  FaultInjectingVmIo io;
   AdaptiveConfig config;
+  config.materialize_after_hits = kThreshold;
+  config.vm_io = &io;
+  auto adaptive_r =
+      Db::Create(MakeTestColumn(DataDistribution::kSine), DbOptions{config});
+  ASSERT_TRUE(adaptive_r.ok());
+  auto& adaptive = *adaptive_r;
+  const RangeQuery range{20'000'000, 40'000'000};
+  const RangeQuery inside{22'000'000, 38'000'000};
+  auto oracle = adaptive->ExecuteFullScan(inside);
+  ASSERT_TRUE(oracle.ok());
+  ASSERT_TRUE(adaptive->Execute(range).ok());  // the miss: a lazy candidate
+  const VirtualView* view =
+      adaptive->shard(0)->view_index().views().front().get();
+
+  // Hits 1 to 14 read over base and map nothing.
+  io.Arm(VmFaultPlan{});
+  for (uint64_t hit = 1; hit < kThreshold - 1; ++hit) {
+    auto exec = adaptive->Execute(inside);
+    ASSERT_TRUE(exec.ok());
+    EXPECT_EQ(exec->stats.decision, CandidateDecision::kAnsweredFromView);
+  }
+  ASSERT_FALSE(view->is_materialized());
+  ASSERT_EQ(io.op_count(), 0u);
+
+  // The readers' first two hits include the threshold hit, the 16th.
+  constexpr int kReaders = 4;
+  std::atomic<int> ready{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&] {
+      ++ready;
+      while (ready.load() < kReaders) std::this_thread::yield();
+      for (int i = 0; i < 8; ++i) {
+        auto exec = adaptive->Execute(inside);
+        if (!exec.ok() || exec->match_count != oracle->match_count ||
+            exec->sum != oracle->sum ||
+            exec->stats.decision != CandidateDecision::kAnsweredFromView) {
+          ++failures;
+        }
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_TRUE(view->is_materialized());
+  const FaultInjectingVmIo::Stats stats = io.stats();
+  EXPECT_EQ(stats.mmaps, 1 + view->CountFileRuns());
+  EXPECT_EQ(stats.munmaps, 0u);
+}
+
+/// Readers race an updater whose flushes move whole pages in and out of
+/// the views. At threshold 1 the views hold arenas, so the flushes punch
+/// holes and the lifecycle compacts them; above it the views read over
+/// base, and each flush edits the membership the readers' runs come from.
+void RaceReadersUpdaterAndMaintenance(uint64_t materialize_after_hits) {
+  AdaptiveConfig config;
+  config.materialize_after_hits = materialize_after_hits;
   config.max_views = 4;
   config.lifecycle.compaction_min_runs = 2;
   config.lifecycle.compaction_run_ratio = 0.05;
@@ -562,6 +629,14 @@ TEST(ConcurrentEngineTest, ReadersRaceUpdaterAndLifecycleMaintenance) {
   }
   adaptive->shard(0)->epoch_manager().TryReclaim();
   EXPECT_EQ(adaptive->shard(0)->epoch_manager().limbo_size(), 0u);
+}
+
+TEST(ConcurrentEngineTest, ReadersRaceUpdaterAndLifecycleMaintenance) {
+  for (const uint64_t threshold :
+       {uint64_t{1}, AdaptiveConfig{}.materialize_after_hits}) {
+    SCOPED_TRACE("materialize_after_hits=" + std::to_string(threshold));
+    RaceReadersUpdaterAndMaintenance(threshold);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -73,9 +73,12 @@ TEST(ParseUint64Test, Boundaries) {
 
 TEST(MaxMapCountTest, ReadReturnsPlausibleValue) {
   // In any Linux environment the sysctl exists and is at least the historic
-  // default of 65530; the raise attempt must never lower it.
+  // default of 65530. The raise writes a host-wide setting, so it runs only
+  // on request (VMSV_RAISE_MAP_COUNT, as in the benches), and it must never
+  // lower the value.
   const uint64_t before = ReadMaxMapCount(0);
   ASSERT_GE(before, 1024u);
+  if (GetEnvUint64("VMSV_RAISE_MAP_COUNT", 0) == 0) return;
   const uint64_t after = TryRaiseMaxMapCount((uint64_t{1} << 32) - 1);
   EXPECT_GE(after, before);
 }

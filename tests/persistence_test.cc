@@ -18,6 +18,7 @@
 
 #include "vmsv.h"
 #include "exec/scan_kernels.h"
+#include "rewiring/vm_io.h"
 #include "scoped_temp_dir.h"
 #include "storage/journal.h"
 #include "storage/manifest.h"
@@ -437,6 +438,47 @@ TEST(DurableColumnTest, RestartRoundTripIsBitIdentical) {
   // And the adaptive answers agree with fresh full scans over the
   // recovered data.
   EXPECT_EQ(FullScanAll(reopened.get(), queries), after);
+}
+
+TEST(DurableColumnTest, RestoredViewsAnswerOverBase) {
+  // Open restores views without arenas. Below materialize_after_hits they
+  // answer from their page runs over the base mapping, so a mapping layer
+  // that fails every call is never even called.
+  ScratchDir scratch("durable_over_base");
+  const auto queries = TestQueries(12, 11);
+  {
+    AdaptiveConfig config;
+    config.max_views = 32;
+    auto adaptive = MakeDurable(scratch.path(), config);
+    ExecuteAll(adaptive.get(), queries);
+    ASSERT_TRUE(adaptive->Checkpoint().ok());
+  }
+  FaultInjectingVmIo io;
+  AdaptiveConfig config;
+  config.max_views = 32;
+  config.vm_io = &io;
+  auto reopened_r = OpenColumn(scratch.path(), config);
+  ASSERT_TRUE(reopened_r.ok()) << reopened_r.status().ToString();
+  auto reopened = std::move(reopened_r).ValueOrDie();
+  ASSERT_GT(reopened->view_index().num_partial_views(), 0u);
+  VmFaultPlan plan;
+  plan.op_index = 1;
+  plan.sticky = true;
+  io.Arm(plan);
+  for (const RangeQuery& q : queries) {
+    auto exec = reopened->Execute(q);
+    auto oracle = reopened->ExecuteFullScan(q);
+    ASSERT_TRUE(exec.ok() && oracle.ok());
+    EXPECT_EQ(exec->stats.decision, CandidateDecision::kAnsweredFromView);
+    EXPECT_EQ(exec->match_count, oracle->match_count);
+    EXPECT_EQ(exec->sum, oracle->sum);
+  }
+  EXPECT_EQ(io.op_count(), 0u);
+  for (const auto& view : reopened->view_index().views()) {
+    EXPECT_FALSE(view->is_materialized());
+  }
+  EXPECT_EQ(reopened->Health().map_failures, 0u);
+  EXPECT_EQ(reopened->Health().base_fallbacks, 0u);
 }
 
 // Kill-and-reopen with UNFLUSHED journaled updates: replay must restore the

@@ -303,7 +303,10 @@ TEST(ManifestTierTest, ReadsVersion2ManifestAsAllHot) {
 
 TEST(TieringTest, DemoteKeepsViewRoutableAndPromotesOnHit) {
   ScratchDir scratch("tiering");
-  auto adaptive = MakeDurable(scratch.path(), TieringConfig());
+  // Threshold 1: a routed hit re-maps a demoted view at once.
+  AdaptiveConfig config = TieringConfig();
+  config.materialize_after_hits = 1;
+  auto adaptive = MakeDurable(scratch.path(), config);
   const auto queries = TestQueries(4, 97);
   std::vector<QueryResult> expected;
   for (const RangeQuery& q : queries) expected.push_back(Oracle(adaptive.get(), q));
@@ -327,6 +330,33 @@ TEST(TieringTest, DemoteKeepsViewRoutableAndPromotesOnHit) {
   EXPECT_EQ(adaptive->view_index().num_partial_views(), pool);
 }
 
+TEST(TieringTest, DemotedViewMapsAgainOnlyAtTheThreshold) {
+  // A view that loses its arena starts counting again: it answers over
+  // base until its hits since the demotion reach the threshold, and the
+  // hit that gets there re-maps and promotes it.
+  ScratchDir scratch("tiering_threshold");
+  AdaptiveConfig config = TieringConfig();
+  config.materialize_after_hits = 3;
+  auto adaptive = MakeDurable(scratch.path(), config);
+  const RangeQuery q{20'000'000, 30'000'000};
+  const QueryResult expected = Oracle(adaptive.get(), q);
+  Adaptive(adaptive.get(), q);  // the miss: a lazy candidate
+  const VirtualView* view = adaptive->view_index().views().front().get();
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round == 0 ? "created" : "demoted");
+    for (int hit = 1; hit <= 3; ++hit) {
+      EXPECT_FALSE(view->is_materialized()) << "before hit " << hit;
+      EXPECT_EQ(Adaptive(adaptive.get(), q), expected);
+    }
+    EXPECT_TRUE(view->is_materialized());
+    EXPECT_FALSE(view->demoted());
+    if (round == 0) {
+      ASSERT_EQ(adaptive->DemoteColdestViews(1), 1u);
+    }
+  }
+  EXPECT_EQ(adaptive->Health().views_promoted, 1u);
+}
+
 TEST(TieringTest, DemoteReopenPromoteBitIdenticalToNeverDemoted) {
   // The acceptance contract: a column that demoted its views, checkpointed,
   // restarted, and promoted them back answers every query bit-identically
@@ -334,17 +364,20 @@ TEST(TieringTest, DemoteReopenPromoteBitIdenticalToNeverDemoted) {
   ScratchDir tiered_dir("tiering_a");
   ScratchDir control_dir("tiering_b");
   const auto queries = TestQueries(6, 131);
+  // Threshold 1: the reopened pool's routed hits re-map and promote.
+  AdaptiveConfig tiered_config = TieringConfig();
+  tiered_config.materialize_after_hits = 1;
 
   std::vector<QueryResult> tiered;
   {
-    auto adaptive = MakeDurable(tiered_dir.path(), TieringConfig());
+    auto adaptive = MakeDurable(tiered_dir.path(), tiered_config);
     for (const RangeQuery& q : queries) Adaptive(adaptive.get(), q);
     ASSERT_GT(adaptive->DemoteColdestViews(
                   adaptive->view_index().num_partial_views()), 0u);
     ASSERT_TRUE(adaptive->Checkpoint().ok());
   }
   {
-    auto reopen_r = OpenColumn(tiered_dir.path(), TieringConfig());
+    auto reopen_r = OpenColumn(tiered_dir.path(), tiered_config);
     ASSERT_TRUE(reopen_r.ok()) << reopen_r.status().ToString();
     auto adaptive = std::move(reopen_r).ValueOrDie();
     EXPECT_GT(adaptive->Health().cold_view_reloads, 0u);
@@ -626,6 +659,7 @@ TEST(TieringTest, PressureReliefPoolSurvivesKill) {
     ScratchDir scratch(demotion ? "tiering_relief_on" : "tiering_relief_off");
     FaultInjectingVmIo vm_io;
     AdaptiveConfig config = TieringConfig();
+    config.materialize_after_hits = 1;  // each routed hit maps
     config.max_cold_views = 1;
     config.lifecycle.enable_demotion = demotion;
     config.vm_io = &vm_io;

@@ -370,6 +370,7 @@ TEST(AdaptiveEvictionTest, EvictionChurnStaysCorrect) {
 
 TEST(AdaptiveCompactionTest, UpdateChurnTriggersCompaction) {
   AdaptiveConfig config;
+  config.materialize_after_hits = 1;
   config.lifecycle.compaction_min_runs = 4;
   config.lifecycle.compaction_run_ratio = 0.2;
   auto narrow_r = Db::Create(
@@ -583,7 +584,9 @@ TEST(ViewMembershipTest, RandomMutationsMatchSetModel) {
 // The lazy candidate path installs the pass's page list in one step; the
 // eager path replays it through the append paths. Once materialized, the
 // two views must be indistinguishable for every kernel, thread count,
-// distribution and range width.
+// distribution and range width. Before it is materialized, the lazy view
+// reads its member runs over the base mapping, and must answer exactly as
+// the arenas do and as a full scan does.
 TEST(ViewBuildTest, LazyInstallEqualsEagerBuild) {
   constexpr uint64_t kPages = 256;
   // The last page is half full; its zeroed tail counts as the page holds it.
@@ -610,8 +613,8 @@ TEST(ViewBuildTest, LazyInstallEqualsEagerBuild) {
 
   const ScanKernel restore = ActiveScanKernel();
   for (const DataDistribution kind :
-       {DataDistribution::kSine, DataDistribution::kUniform,
-        DataDistribution::kSparse}) {
+       {DataDistribution::kSine, DataDistribution::kLinear,
+        DataDistribution::kUniform, DataDistribution::kSparse}) {
     DistributionSpec spec;
     spec.kind = kind;
     spec.max_value = kMaxValue;
@@ -624,7 +627,7 @@ TEST(ViewBuildTest, LazyInstallEqualsEagerBuild) {
          {ScanKernel::kScalar, ScanKernel::kAvx2, ScanKernel::kAvx512}) {
       if (!ScanKernelAvailable(kernel)) continue;
       ASSERT_TRUE(SetActiveScanKernel(kernel).ok());
-      for (const unsigned threads : {1u, 2u, 5u}) {
+      for (const unsigned threads : {1u, 2u, 4u, 5u}) {
         ParallelScanOptions options;
         options.threads = threads;
         options.serial_cutoff = 0;  // force sharding even at test scale
@@ -639,7 +642,36 @@ TEST(ViewBuildTest, LazyInstallEqualsEagerBuild) {
           ASSERT_TRUE(lazy_r.ok()) << lazy_r.status().ToString();
           const auto lazy_view = std::move(lazy_r).ValueOrDie();
           ASSERT_FALSE(lazy_view->is_materialized());
+          std::vector<PageScanResult> over_base;
+          for (const RangeQuery& q : ranges) {
+            over_base.push_back(lazy_view->Scan(q, options));
+          }
+          const std::vector<PageScanResult> over_base_many =
+              lazy_view->ScanMany(ranges, column->zones(), options);
           ASSERT_TRUE(lazy_view->EnsureMaterialized().ok());
+          const std::vector<PageScanResult> arena_many =
+              lazy_view->ScanMany(ranges, column->zones(), options);
+          const ParallelScanner full_scan(options);
+          for (size_t qi = 0; qi < ranges.size(); ++qi) {
+            // A view holds every page with a value in its range, so for a
+            // query inside the range it answers as the whole column does.
+            const RangeQuery& q = ranges[qi];
+            const PageScanResult arena = lazy_view->Scan(q, options);
+            EXPECT_EQ(over_base[qi].match_count, arena.match_count);
+            EXPECT_EQ(over_base[qi].sum, arena.sum);
+            EXPECT_EQ(over_base_many[qi].match_count, arena_many[qi].match_count);
+            EXPECT_EQ(over_base_many[qi].sum, arena_many[qi].sum);
+            EXPECT_EQ(over_base_many[qi].match_count, arena.match_count);
+            EXPECT_EQ(over_base_many[qi].sum, arena.sum);
+            if (range.lo <= q.lo && q.hi <= range.hi) {
+              const PageScanResult whole = full_scan.ScanPages(
+                  reinterpret_cast<const Value*>(
+                      column->base_arena().data()),
+                  column->num_pages(), q);
+              EXPECT_EQ(over_base[qi].match_count, whole.match_count);
+              EXPECT_EQ(over_base[qi].sum, whole.sum);
+            }
+          }
           for (const ViewCreationOptions& eager : eager_variants) {
             auto eager_r = BuildViewByScan(*column, range.lo, range.hi, eager,
                                            &mapper, options);

@@ -82,10 +82,14 @@ struct Scenario {
   /// the fault surface — a failed promote must fall back to the base scan
   /// bit-identically and leave the view demoted, never half-mapped.
   bool tiering = false;
+  /// 1: every routed hit of a view without an arena maps it, so each
+  /// round's materializations are inside the fault surface.
+  uint64_t materialize_after_hits = 1;
 };
 
 AdaptiveConfig MakeConfig(const Scenario& s, VmIo* io) {
   AdaptiveConfig config;
+  config.materialize_after_hits = s.materialize_after_hits;
   config.mode = s.mode;
   config.max_views = s.max_views;
   config.cost_based_routing = s.cost_based;
@@ -1095,6 +1099,85 @@ TEST(VmFaultDegradationTest, BatchOnlyClientRelievesMappingPressure) {
     EXPECT_EQ(batch->queries.front().match_count, oracle->match_count);
     EXPECT_EQ(batch->queries.front().sum, oracle->sum);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The materialization threshold: below it a view reads over the base
+// mapping and makes no mapping call at all; the hit that reaches it maps,
+// and a failure there degrades exactly like any other.
+
+TEST(VmFaultThresholdTest, BelowThresholdNoMappingCallIsMade) {
+  FaultInjectingVmIo io;
+  Scenario scenario{QueryMode::kMultiView, 8, true};
+  scenario.materialize_after_hits = AdaptiveConfig{}.materialize_after_hits;
+  auto column = MakeFaultableColumn(scenario, &io);
+  ASSERT_TRUE(column.ok()) << column.status().ToString();
+  VmFaultPlan plan;
+  plan.op_index = 1;
+  plan.sticky = true;
+  io.Arm(plan);
+  // Misses build lazy candidates; each repeat and the wide queries are hits
+  // over base, single views and multi-view covers alike.
+  std::string detail;
+  for (int pass = 0; pass < 3; ++pass) {
+    for (const RangeQuery& q : ScriptQueries(0)) {
+      ASSERT_TRUE(CheckAgainstOracle(column->get(), q, "pass", &detail))
+          << detail;
+    }
+  }
+  auto batch = (*column)->ExecuteBatch(ScriptQueries(0));
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_GT(batch->view_answered, 0u);
+  EXPECT_EQ(io.op_count(), 0u);
+  const ColumnHealth health = (*column)->Health();
+  EXPECT_EQ(health.map_failures, 0u);
+  EXPECT_EQ(health.base_fallbacks, 0u);
+  EXPECT_FALSE(health.mapping_pressure);
+}
+
+TEST(VmFaultThresholdTest, MapFailureAtThresholdFallsBackExactly) {
+  FaultInjectingVmIo io;
+  Scenario scenario{QueryMode::kSingleView, 4, false};
+  scenario.materialize_after_hits = 3;
+  auto column = MakeFaultableColumn(scenario, &io);
+  ASSERT_TRUE(column.ok()) << column.status().ToString();
+  const RangeQuery q{20'000'000, 30'000'000};
+  auto oracle = (*column)->ExecuteFullScan(q);
+  ASSERT_TRUE(oracle.ok());
+  ASSERT_TRUE((*column)->Execute(q).ok());  // the miss: a lazy candidate
+
+  VmFaultPlan plan;
+  plan.op_index = 1;
+  plan.sticky = true;
+  plan.target = VmOp::kMmap;
+  plan.fail_errno = ENOMEM;
+  io.Arm(plan);
+  for (int hit = 1; hit <= 3; ++hit) {
+    SCOPED_TRACE("hit " + std::to_string(hit));
+    auto exec = (*column)->Execute(q);
+    ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+    EXPECT_EQ(exec->match_count, oracle->match_count);
+    EXPECT_EQ(exec->sum, oracle->sum);
+    // Hits 1 and 2 read over base; the third tries to map and falls back.
+    EXPECT_EQ(exec->stats.decision, hit < 3
+                                        ? CandidateDecision::kAnsweredFromView
+                                        : CandidateDecision::kBaseFallback);
+    EXPECT_EQ(io.op_count() > 0, hit == 3);
+  }
+  const ColumnHealth health = (*column)->Health();
+  EXPECT_TRUE(health.mapping_pressure);
+  EXPECT_EQ(health.map_failures, 1u);
+  EXPECT_EQ(health.base_fallbacks, 1u);
+  EXPECT_FALSE((*column)->view_index().views().front()->is_materialized());
+
+  io.Arm(VmFaultPlan{});  // the fault lifts: the next hit maps
+  auto healed = (*column)->Execute(q);
+  ASSERT_TRUE(healed.ok()) << healed.status().ToString();
+  EXPECT_EQ(healed->stats.decision, CandidateDecision::kAnsweredFromView);
+  EXPECT_EQ(healed->match_count, oracle->match_count);
+  EXPECT_EQ(healed->sum, oracle->sum);
+  EXPECT_TRUE((*column)->view_index().views().front()->is_materialized());
+  EXPECT_FALSE((*column)->Health().mapping_pressure);
 }
 
 // ---------------------------------------------------------------------------

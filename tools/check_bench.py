@@ -12,6 +12,7 @@ fails the build on drift. The `bench` field selects the schema:
   micro_persistence  restart recovery + fsync sweep        (BENCH_persistence.json)
   micro_tiering      cold-view demote/promote ablation     (BENCH_tiering.json)
   micro_shard        shard-per-core scale-out              (BENCH_shard.json)
+  micro_view_life    map/hit/unmap cost per view, payback  (BENCH_view_life.json)
 
 Regression gate (--baseline): compares each produced file against the
 committed baseline of the same bench. The gate is deliberately GENEROUS —
@@ -884,6 +885,108 @@ def check_micro_shard(doc, path):
             f"bit-identical; {floor}")
 
 
+# ---------------------------------------------------------------------------
+# micro_view_life (BENCH_view_life.json)
+
+VIEW_LIFE_TOP_LEVEL_FIELDS = {
+    "pages": int,
+    "values_per_page": int,
+    "reps": int,
+    "seed": int,
+    "hardware_concurrency": int,
+    "default_kernel": str,
+    "threads": int,
+    "view_life": dict,
+}
+
+VIEW_LIFE_FIELDS = {
+    "selectivity": float,
+    "views_per_series": int,
+    "materialize_after_hits_default": int,
+    "series": list,
+}
+
+# Per-view and per-series timings, in ms.
+VIEW_LIFE_PARTS = ("map_ms", "first_hit_ms", "warm_arena_ms", "warm_base_ms",
+                   "unmap_ms")
+
+VIEW_LIFE_SERIES_FIELDS = {
+    "distribution": str,
+    "threads": int,
+    "answers_match": bool,
+    "views": list,
+    **{f"median_{part}": float for part in VIEW_LIFE_PARTS},
+}
+
+VIEW_LIFE_VIEW_FIELDS = {
+    "pages": int,
+    "file_runs": int,
+    **{part: float for part in VIEW_LIFE_PARTS},
+}
+
+KNOWN_VIEW_LIFE_DISTRIBUTIONS = {"sine", "linear", "sparse", "uniform"}
+KNOWN_VIEW_LIFE_THREADS = {1, 4}
+
+
+def check_micro_view_life(doc, path):
+    expect_fields(doc, VIEW_LIFE_TOP_LEVEL_FIELDS, path)
+    if doc["pages"] <= 0 or doc["reps"] <= 0:
+        fail(f"{path}: pages/reps must be positive")
+    if doc["default_kernel"] not in KNOWN_KERNELS:
+        fail(f"{path}: unknown default_kernel '{doc['default_kernel']}'")
+    life = doc["view_life"]
+    where = f"{path}: view_life"
+    expect_fields(life, VIEW_LIFE_FIELDS, where)
+    if not 0 < life["selectivity"] <= 1 or life["views_per_series"] <= 0:
+        fail(f"{where}: selectivity and views_per_series out of range")
+    if life["materialize_after_hits_default"] < 1:
+        fail(f"{where}: materialize_after_hits_default must be >= 1")
+    seen = set()
+    for i, s in enumerate(life["series"]):
+        swhere = f"{where}: series[{i}]"
+        if not isinstance(s, dict):
+            fail(f"{swhere}: not an object")
+        expect_fields(s, VIEW_LIFE_SERIES_FIELDS, swhere)
+        key = (s["distribution"], s["threads"])
+        if s["distribution"] not in KNOWN_VIEW_LIFE_DISTRIBUTIONS:
+            fail(f"{swhere}: unknown distribution '{s['distribution']}'")
+        if key in seen:
+            fail(f"{swhere}: duplicate series {key}")
+        seen.add(key)
+        # The harness aborts on a wrong answer; a false here is a forged or
+        # truncated file.
+        if not s["answers_match"]:
+            fail(f"{swhere}: answers differ from the full scan")
+        payback = expect_nullable_number(s, "median_payback_hits", swhere)
+        if payback is not None and payback < 1:
+            fail(f"{swhere}: median_payback_hits must be >= 1 or null")
+        if len(s["views"]) != life["views_per_series"]:
+            fail(f"{swhere}: {len(s['views'])} views, want "
+                 f"{life['views_per_series']}")
+        for vi, v in enumerate(s["views"]):
+            vwhere = f"{swhere}: views[{vi}]"
+            if not isinstance(v, dict):
+                fail(f"{vwhere}: not an object")
+            expect_fields(v, VIEW_LIFE_VIEW_FIELDS, vwhere)
+            if any(v[part] < 0 for part in VIEW_LIFE_PARTS):
+                fail(f"{vwhere}: negative timing")
+            if v["file_runs"] > v["pages"]:
+                fail(f"{vwhere}: more file runs than pages")
+            hits = expect_nullable_number(v, "payback_hits", vwhere)
+            if hits is not None and hits < 1:
+                fail(f"{vwhere}: payback_hits must be >= 1 or null")
+    want = {(d, t) for d in KNOWN_VIEW_LIFE_DISTRIBUTIONS
+            for t in KNOWN_VIEW_LIFE_THREADS}
+    if seen != want:
+        fail(f"{where}: need series {sorted(want)}, got {sorted(seen)}")
+    sine = next(s for s in life["series"]
+                if s["distribution"] == "sine" and s["threads"] == 4)
+    return (f"{len(seen)} series x {life['views_per_series']} views, answers "
+            f"match; sine x4 warm hit {sine['median_warm_arena_ms']:.3f} ms "
+            f"arena vs {sine['median_warm_base_ms']:.3f} ms base, map "
+            f"{sine['median_map_ms']:.3f} ms")
+
+
 CHECKERS = {
     "micro_scan": check_micro_scan,
     "micro_lifecycle": check_micro_lifecycle,
@@ -891,6 +994,7 @@ CHECKERS = {
     "micro_persistence": check_micro_persistence,
     "micro_tiering": check_micro_tiering,
     "micro_shard": check_micro_shard,
+    "micro_view_life": check_micro_view_life,
 }
 
 
@@ -985,6 +1089,15 @@ def shard_metrics(doc):
     return out
 
 
+def view_life_metrics(doc):
+    out = {}
+    for s in doc["view_life"]["series"]:
+        for part in VIEW_LIFE_PARTS:
+            out[f"view_life/{s['distribution']}_x{s['threads']}/{part}"] = \
+                s[f"median_{part}"]
+    return out
+
+
 METRIC_EXTRACTORS = {
     "micro_scan": scan_metrics,
     "micro_lifecycle": lifecycle_metrics,
@@ -992,6 +1105,7 @@ METRIC_EXTRACTORS = {
     "micro_persistence": persistence_metrics,
     "micro_tiering": tiering_metrics,
     "micro_shard": shard_metrics,
+    "micro_view_life": view_life_metrics,
 }
 
 
