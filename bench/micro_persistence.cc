@@ -31,15 +31,28 @@
 // boundary trigger guarantees ceil(N/batch)), so check_bench.py gates on
 // them instead of machine-dependent wall time.
 //
+// Part D, pool edits: a fresh durable column under kSync adapts to random
+// 1% ranges, and each miss whose candidate is inserted is one durable pool
+// edit. Only the edit's manifest I/O is timed (every StorageIo call whose
+// description names the manifest), edit by edit; the median and IQR are
+// reported.
+//
+// Disk writes are what Parts B-D time, so the JSON names the filesystem
+// under VMSV_PERSIST_DIR (`persist_fs`, from its statfs magic), and the
+// baseline gate only compares runs on the same one.
+//
 // Plain executable — no google-benchmark dependency, so it always builds
 // and the smoke tier can emit BENCH_persistence.json on every ctest run.
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
+
+#include <sys/vfs.h>
 
 #include "bench_common.h"
 #include "vmsv.h"
@@ -64,6 +77,10 @@ constexpr uint64_t kWorkloadSeed = 11;
 constexpr uint64_t kMaxDistinctRanges = 32;
 constexpr uint64_t kUpdatesPerFlush = 128;
 constexpr uint64_t kGroupCommitUpdates = 256;
+/// Pool edits Part D times, and the random 1% ranges it may try for them.
+constexpr uint64_t kPoolEdits = 64;
+constexpr uint64_t kPoolEditQueries = 8 * kPoolEdits;
+constexpr double kPoolEditSelectivity = 0.01;
 
 struct RestartReport {
   uint64_t views_persisted = 0;
@@ -102,6 +119,77 @@ struct GroupCommitResult {
 struct GroupCommitReport {
   uint64_t updates_per_rep = kGroupCommitUpdates;
   std::vector<GroupCommitResult> modes;
+};
+
+struct PoolEditReport {
+  uint64_t edits = 0;
+  std::vector<double> edit_us;
+  double median_us = 0;
+  double iqr_us = 0;
+};
+
+/// The filesystem under `dir`, named from its statfs magic.
+std::string FilesystemName(const std::string& dir) {
+  struct statfs st;
+  if (::statfs(dir.c_str(), &st) != 0) return "unknown";
+  switch (static_cast<unsigned long>(st.f_type)) {
+    case 0x01021994: return "tmpfs";
+    case 0xEF53: return "ext4";
+    case 0x794C7630: return "overlayfs";
+  }
+  char hex[24];
+  std::snprintf(hex, sizeof(hex), "0x%lx", static_cast<unsigned long>(st.f_type));
+  return hex;
+}
+
+/// Real I/O that times the manifest's share: every call whose description
+/// names the manifest adds its wall time to a running total.
+class ManifestTimingIo : public StorageIo {
+ public:
+  /// The manifest time since the last call, in microseconds.
+  double TakeMicros() {
+    const double us = ns_ / 1e3;
+    ns_ = 0;
+    return us;
+  }
+
+  Status Write(int fd, const void* data, size_t len,
+               const char* what) override {
+    return Timed(what, [&] { return real_->Write(fd, data, len, what); });
+  }
+  Status Pwrite(int fd, const void* data, size_t len, uint64_t offset,
+                const char* what) override {
+    return Timed(what,
+                 [&] { return real_->Pwrite(fd, data, len, offset, what); });
+  }
+  Status Fsync(int fd, const char* what) override {
+    return Timed(what, [&] { return real_->Fsync(fd, what); });
+  }
+  Status FsyncDir(const std::string& dir) override {
+    return real_->FsyncDir(dir);
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    return real_->Rename(from, to);
+  }
+  Status Truncate(int fd, uint64_t len, const char* what) override {
+    return Timed(what, [&] { return real_->Truncate(fd, len, what); });
+  }
+  Status SyncFileRange(int fd, const char* what) override {
+    return real_->SyncFileRange(fd, what);
+  }
+
+ private:
+  template <typename Op>
+  Status Timed(const char* what, Op op) {
+    if (std::strstr(what, "manifest") == nullptr) return op();
+    Stopwatch timer;
+    Status st = op();
+    ns_ += timer.ElapsedNanos();
+    return st;
+  }
+
+  StorageIo* const real_ = RealStorageIo();
+  double ns_ = 0;
 };
 
 struct QueryResult {
@@ -348,8 +436,53 @@ GroupCommitReport RunGroupCommitExperiment(const bench::BenchEnv& env,
   return report;
 }
 
-void PrintReports(const bench::BenchEnv& env, const RestartReport& restart,
-                  const FsyncReport& fsync, const GroupCommitReport& gc) {
+PoolEditReport RunPoolEditExperiment(const bench::BenchEnv& env,
+                                     const std::string& dir) {
+  std::filesystem::remove_all(dir);
+  ManifestTimingIo io;
+  AdaptiveConfig config = BenchConfig();
+  config.max_views = kPoolEdits;
+  config.storage.data_flush = FlushPolicy::kSync;
+  config.storage.io = &io;
+  auto adaptive_r = Db::CreateDurable(dir, env.pages * kValuesPerPage,
+                                      DbOptions{config});
+  VMSV_BENCH_CHECK_OK(adaptive_r.status());
+  auto adaptive = std::move(adaptive_r).ValueOrDie();
+  DistributionSpec spec;
+  spec.kind = DataDistribution::kSine;
+  spec.max_value = kMaxValue;
+  spec.seed = 42;
+  FillColumn(spec, adaptive->shard(0)->mutable_column());
+
+  QueryWorkloadSpec wspec;
+  wspec.domain_hi = kMaxValue;
+  wspec.seed = kWorkloadSeed;
+  wspec.num_queries = kPoolEditQueries;
+  PoolEditReport report;
+  SampleStats edits;
+  for (const RangeQuery& q :
+       MakeFixedSelectivityWorkload(wspec, kPoolEditSelectivity)) {
+    if (report.edit_us.size() == kPoolEdits) break;
+    io.TakeMicros();
+    auto exec = adaptive->Execute(q);
+    VMSV_BENCH_CHECK_OK(exec.status());
+    const double us = io.TakeMicros();
+    if (exec->stats.decision != CandidateDecision::kInserted) continue;
+    edits.Add(us);
+    report.edit_us.push_back(us);
+  }
+  report.edits = report.edit_us.size();
+  report.median_us = edits.Median();
+  report.iqr_us = edits.Percentile(75) - edits.Percentile(25);
+  adaptive.reset();
+  std::filesystem::remove_all(dir);
+  return report;
+}
+
+void PrintReports(const bench::BenchEnv& env, const std::string& persist_fs,
+                  const RestartReport& restart, const FsyncReport& fsync,
+                  const GroupCommitReport& gc, const PoolEditReport& pool) {
+  std::fprintf(stdout, "# durable directory on %s\n", persist_fs.c_str());
   std::fprintf(stdout, "\n## restart modes (%llu-query sequence, %llu views)\n",
                static_cast<unsigned long long>(env.queries),
                static_cast<unsigned long long>(restart.views_persisted));
@@ -396,11 +529,18 @@ void PrintReports(const bench::BenchEnv& env, const RestartReport& restart,
         env));
   }
   gtable.PrintCsv();
+
+  std::fprintf(stdout,
+               "\n## pool edits (1%% view inserts under sync, %llu edits)\n"
+               "# manifest I/O per edit: median %.3f us, IQR %.3f us\n",
+               static_cast<unsigned long long>(pool.edits), pool.median_us,
+               pool.iqr_us);
 }
 
 int WriteJson(const std::string& path, const bench::BenchEnv& env,
-              const RestartReport& restart, const FsyncReport& fsync,
-              const GroupCommitReport& gc) {
+              const std::string& persist_fs, const RestartReport& restart,
+              const FsyncReport& fsync, const GroupCommitReport& gc,
+              const PoolEditReport& pool) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "[bench] cannot write %s\n", path.c_str());
@@ -414,6 +554,7 @@ int WriteJson(const std::string& path, const bench::BenchEnv& env,
     w.Field("workload_seed", kWorkloadSeed);
     w.Field("selectivity", kSelectivity, 2);
     w.Field("distribution", "sine");
+    w.Field("persist_fs", persist_fs.c_str());
     w.Key("restart");
     w.BeginObject();
     w.Field("views_persisted", restart.views_persisted);
@@ -459,6 +600,14 @@ int WriteJson(const std::string& path, const bench::BenchEnv& env,
     }
     w.EndArray();
     w.EndObject();
+    w.Key("pool_edit");
+    w.BeginObject();
+    w.Field("selectivity", kPoolEditSelectivity, 2);
+    w.Field("edits", pool.edits);
+    w.Field("median_us", pool.median_us);
+    w.Field("iqr_us", pool.iqr_us);
+    w.FieldArray("edit_us", pool.edit_us);
+    w.EndObject();
     w.EndObject();
     std::fputc('\n', out);
   }
@@ -476,12 +625,15 @@ int Main() {
 
   const auto queries = MakeQueries(env);
   const auto reference = SetUpDurableColumn(env, dir, queries);
+  const std::string persist_fs = FilesystemName(dir);
   const RestartReport restart =
       RunRestartExperiment(env, dir, queries, reference);
   const FsyncReport fsync = RunFsyncExperiment(env, dir);
   const GroupCommitReport gc = RunGroupCommitExperiment(env, dir);
-  PrintReports(env, restart, fsync, gc);
-  const int rc = WriteJson(json_path, env, restart, fsync, gc);
+  const PoolEditReport pool = RunPoolEditExperiment(env, dir + "_pool_edit");
+  PrintReports(env, persist_fs, restart, fsync, gc, pool);
+  const int rc =
+      WriteJson(json_path, env, persist_fs, restart, fsync, gc, pool);
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);  // scratch state; the JSON is the output
   return rc;

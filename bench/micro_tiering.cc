@@ -108,7 +108,7 @@ PolicyRun RunPolicy(const bench::BenchEnv& env, const std::string& dir,
 
   SampleStats times;
   for (uint64_t rep = 0; rep < env.reps; ++rep) {
-    // Fresh column per rep: the durable state (manifest and delta log) is the
+    // Fresh column per rep: the durable state (manifest pool slots) is the
     // mechanism under test, so no rep may inherit another's pool.
     std::error_code ec;
     std::filesystem::remove_all(dir, ec);

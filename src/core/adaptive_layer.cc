@@ -40,19 +40,6 @@ bool RangesTouch(Value lo_a, Value hi_a, Value lo_b, Value hi_b) {
          (hi_b == ~Value{0} || lo_a <= hi_b + 1);
 }
 
-/// The one view → manifest record conversion, behind both the snapshot and
-/// the upsert delta: the range, cost and tier, never the pages.
-ManifestView ToManifestView(const VirtualView& view) {
-  ManifestView mview;
-  mview.id = view.durable_id();
-  mview.lo = view.lo();
-  mview.hi = view.hi();
-  mview.creation_scanned_pages =
-      view.usage().creation_scanned_pages.load(std::memory_order_relaxed);
-  mview.demoted = view.demoted();
-  return mview;
-}
-
 /// Replaces the zone of each page in `pages` with its exact [min, max] over
 /// the whole page, zero tail included, computed by the dispatched kernel.
 /// Readers excluded.
@@ -278,15 +265,14 @@ StatusOr<std::unique_ptr<AdaptiveColumn>> AdaptiveColumn::OpenDurable(
     // Hit history does not survive a restart; the recorded creation cost
     // does, so eviction scoring stays calibrated from the first query.
     view->SetCreationInfo(/*query_seq=*/0, mview.creation_scanned_pages);
-    view->set_durable_id(mview.id);
     if (as_cold) {
       view->set_demoted(true);
       ++cold_restored;
       adaptive->health_.cold_view_reloads.fetch_add(1,
                                                     std::memory_order_relaxed);
     } else {
-      // A demoted entry reopened hot: the on-disk tier state is now stale.
-      if (mview.demoted) adaptive->MarkStale();
+      // A demoted entry reopened hot: the slots' tier state is now behind.
+      if (mview.demoted) adaptive->MarkDirty();
       ++hot_restored;
     }
     ranges.push_back(view->value_range());
@@ -331,39 +317,33 @@ Status AdaptiveColumn::Checkpoint() {
   std::lock_guard<std::mutex> maintenance(maintenance_mu_);
   if (!pending_.empty()) {
     // The flush path runs the whole checkpoint sequence itself.
-    auto flushed = FlushUpdatesLocked(/*compact_after=*/true,
-                                      DurableState::CheckpointKind::kCompact);
+    auto flushed = FlushUpdatesLocked(/*compact_after=*/true);
     return flushed.ok() ? OkStatus() : flushed.status();
   }
-  return CheckpointLocked(DurableState::CheckpointKind::kCompact);
+  return CheckpointLocked();
 }
 
-Status AdaptiveColumn::CheckpointLocked(DurableState::CheckpointKind kind) {
-  DurableState::Pool pool;
-  pool.views = view_index_.views().size();
-  pool.records = [this] {
-    std::vector<ManifestView> views;
-    views.reserve(view_index_.views().size());
-    for (const auto& view : view_index_.views()) {
-      views.push_back(ToManifestView(*view));
-    }
-    return views;
-  };
-  return durable_->Checkpoint(kind, pool);
-}
-
-void AdaptiveColumn::PersistPoolEditLocked(PoolEditLog edit) {
-  if (durable_ == nullptr || edit.entries.empty()) return;
-  std::vector<ManifestDelta> records;
-  records.reserve(edit.entries.size());
-  for (PoolEditLog::Entry& entry : edit.entries) {
-    if (entry.upserted != nullptr) {
-      entry.upserted->set_durable_id(durable_->NewViewId());
-      entry.delta.view = ToManifestView(*entry.upserted);
-    }
-    records.push_back(std::move(entry.delta));
+std::vector<ManifestView> AdaptiveColumn::ManifestViewsLocked() const {
+  std::vector<ManifestView> views;
+  views.reserve(view_index_.views().size());
+  for (const auto& view : view_index_.views()) {
+    // The range, cost and tier, never the pages.
+    views.push_back(ManifestView{
+        view->lo(), view->hi(),
+        view->usage().creation_scanned_pages.load(std::memory_order_relaxed),
+        view->demoted()});
   }
-  durable_->AppendDeltas(std::move(records));
+  return views;
+}
+
+Status AdaptiveColumn::CheckpointLocked() {
+  return durable_->Checkpoint([this] { return ManifestViewsLocked(); });
+}
+
+void AdaptiveColumn::PersistPoolLocked() {
+  if (durable_ != nullptr) {
+    durable_->PersistPool([this] { return ManifestViewsLocked(); });
+  }
 }
 
 CumulativeStats AdaptiveColumn::metrics() const {
@@ -510,11 +490,11 @@ StatusOr<std::vector<size_t>> AdaptiveColumn::AnswerFromViews(
         // A demoted view that just re-materialized is hot again: the routed
         // query IS the promotion signal. The CAS elects one winner among
         // concurrent readers; the tier flip happens outside any maintenance
-        // lock, so the stale flag asks the next flush/checkpoint to persist
+        // lock, so the dirty bit asks the next flush/checkpoint to persist
         // it.
         if (view->PromoteIfDemoted()) {
           health_.views_promoted.fetch_add(1, std::memory_order_relaxed);
-          MarkStale();
+          MarkDirty();
         }
       }
       all_arenas = all_arenas && view->is_materialized();
@@ -702,7 +682,7 @@ StatusOr<QueryExecution> AdaptiveColumn::FullScanAndAdapt(const RangeQuery& q) {
       exec.stats.decision = CandidateDecision::kBudgetExhausted;
     }
   } else {
-    PoolEditLog edit;
+    bool edited = false;
     {
       // The pool edit is the only part that needs to fence readers out of
       // ROUTING; their scans keep running (displaced views go to the limbo
@@ -710,29 +690,24 @@ StatusOr<QueryExecution> AdaptiveColumn::FullScanAndAdapt(const RangeQuery& q) {
       std::unique_lock<std::shared_mutex> xlock(views_mu_);
       switch (admission.outcome) {
         case CandidateDecision::kInserted:
-          edit.Upsert(candidate.get());
           view_index_.Insert(std::move(candidate));
           metrics_.views_created.fetch_add(1, std::memory_order_relaxed);
+          edited = true;
           break;
         case CandidateDecision::kReplacedExisting:
-          if (ReplaceInPoolLocked(admission.target, std::move(candidate),
-                                  &edit)) {
+          edited = ReplaceInPoolLocked(admission.target, std::move(candidate));
+          if (edited) {
             metrics_.views_replaced.fetch_add(1, std::memory_order_relaxed);
           } else {
             exec.stats.decision = CandidateDecision::kBudgetExhausted;
           }
           break;
         case CandidateDecision::kDiscardedSubset:
-          // An absorbing view may widen its range; a set-range record
-          // persists the widening, and a discard that widens nothing edits
-          // nothing.
-          if (admission.target != nullptr &&
-              admission.target->ExtendRange(candidate->lo(), candidate->hi())) {
-            ManifestView& range = edit.Record(ManifestDeltaOp::kSetViewRange,
-                                              admission.target->durable_id());
-            range.lo = admission.target->lo();
-            range.hi = admission.target->hi();
-          }
+          // An absorbing view may widen its range, which edits the pool; a
+          // discard that widens nothing edits nothing.
+          edited = admission.target != nullptr &&
+                   admission.target->ExtendRange(candidate->lo(),
+                                                 candidate->hi());
           metrics_.views_discarded.fetch_add(1, std::memory_order_relaxed);
           break;
         default:
@@ -741,9 +716,9 @@ StatusOr<QueryExecution> AdaptiveColumn::FullScanAndAdapt(const RangeQuery& q) {
       }
     }
     epoch_.TryReclaim();
-    // The pool changed: append the incremental manifest deltas now so a
-    // kill right after this query reopens with the new view.
-    PersistPoolEditLocked(std::move(edit));
+    // The pool changed: write it now so a kill right after this query
+    // reopens with the new view.
+    if (edited) PersistPoolLocked();
   }
   // Safe without views_mu_: pool structure is frozen under maintenance_mu_,
   // which we hold.
@@ -852,21 +827,15 @@ AdaptiveColumn::Admission AdaptiveColumn::AdmitAtBudget(
 }
 
 bool AdaptiveColumn::ReplaceInPoolLocked(
-    VirtualView* victim, std::unique_ptr<VirtualView> candidate,
-    PoolEditLog* edit) {
-  // Capture before the move: on a Replace failure `candidate` is gone and
-  // `edit` must not reference it. (Every caller found the victim in this
-  // very pool, so a miss would be a logic error — but degrading to a
-  // dropped candidate beats aborting the process.)
-  VirtualView* cand_ptr = candidate.get();
-  const uint64_t removed_id = victim->durable_id();
+    VirtualView* victim, std::unique_ptr<VirtualView> candidate) {
+  // Every caller found the victim in this very pool, so a miss would be a
+  // logic error — but degrading to a dropped candidate beats aborting the
+  // process.
   auto displaced = view_index_.Replace(victim, std::move(candidate));
   if (!displaced.ok()) {
     metrics_.candidates_dropped.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  edit->Record(ManifestDeltaOp::kRemoveView, removed_id);
-  edit->Upsert(cand_ptr);
   // Concurrent scans may still be inside the displaced view: park it on the
   // epoch limbo list; reclamation happens once they all exited.
   epoch_.RetireObject(std::move(displaced).ValueOrDie());
@@ -876,26 +845,24 @@ bool AdaptiveColumn::ReplaceInPoolLocked(
 // ---------------------------------------------------------------------------
 // Tiering: the one demotion routine
 //
-// A demotion is one views_mu_ exclusive section and then the deltas; it
-// does no file I/O of its own, because the manifest already holds the
-// victims' membership (ARCHITECTURE.md "Tiering model"):
+// A demotion is one views_mu_ exclusive section and then one pool write
+// (ARCHITECTURE.md "Tiering model"):
 //   - readers quiesced, the pool edit: arenas released, tier flags flipped
 //     and the cold-budget trim applied — or, without the cold tier, the
 //     victims destroyed. Purely in-memory.
-//   - maintenance_mu_ only: the set-tier, removal and upsert deltas, in the
-//     order the section applied them, make the edit durable. A kill before
-//     them reopens a view HOT from the still-valid manifest entry, never
-//     torn.
-// A routed query may promote a view between the two; the delta then
+//   - maintenance_mu_ only: the whole pool goes into a manifest slot. A
+//     kill before it reopens the previous pool, whose views hold exactly
+//     the pages their ranges define, never torn.
+// A routed query may promote a view between the two; the slot then
 // records a tier the reader already reversed — benign, since the promotion
-// marked the manifest stale and the next checkpoint persists the hot
-// state. Tier is advisory; membership is what correctness needs.
+// set the dirty bit and the next checkpoint persists the hot state. Tier
+// is advisory; membership is what correctness needs.
 
 size_t AdaptiveColumn::DemoteLocked(const std::vector<VirtualView*>& victims,
                                     std::unique_ptr<VirtualView> candidate) {
   if (victims.empty()) return 0;
   const bool demote = DemotionAvailable();
-  PoolEditLog edit;
+  bool edited = false;
   size_t shed = 0;
   {
     // ReleaseArena mutates a view's slot table in place, so in-flight scans
@@ -910,32 +877,25 @@ size_t AdaptiveColumn::DemoteLocked(const std::vector<VirtualView*>& victims,
         victim->set_demoted(true);
         lifecycle_.RecordDemotion();
         health_.views_demoted.fetch_add(1, std::memory_order_relaxed);
-        // Logged before the trim: a just-demoted victim may be exactly the
-        // cold view the trim destroys.
-        edit.Record(ManifestDeltaOp::kSetViewTier, victim->durable_id())
-            .demoted = true;
       } else if (candidate != nullptr) {
         // Destroy-evict: the candidate takes the victim's slot.
-        if (!ReplaceInPoolLocked(victim, std::move(candidate), &edit)) {
-          continue;
-        }
+        if (!ReplaceInPoolLocked(victim, std::move(candidate))) continue;
         metrics_.views_evicted.fetch_add(1, std::memory_order_relaxed);
         lifecycle_.RecordEviction();
       } else {
-        const uint64_t removed_id = victim->durable_id();
         auto removed = view_index_.Remove(victim);
         if (!removed.ok()) continue;
         epoch_.RetireObject(std::move(removed).ValueOrDie());
         health_.emergency_evictions.fetch_add(1, std::memory_order_relaxed);
         lifecycle_.RecordEviction();
-        edit.Record(ManifestDeltaOp::kRemoveView, removed_id);
       }
+      edited = true;
       ++shed;
     }
     if (candidate != nullptr) {
       // Admitted beside its demoted victim.
-      edit.Upsert(candidate.get());
       view_index_.Insert(std::move(candidate));
+      edited = true;
     }
     // Demotions may overflow the cold tier: destroy its lowest-scoring
     // views until it fits its budget (the destroy-evict last resort).
@@ -949,19 +909,17 @@ size_t AdaptiveColumn::DemoteLocked(const std::vector<VirtualView*>& victims,
           view_index_.views(), now, column_->num_pages(),
           [](const VirtualView& view) { return view.demoted(); });
       if (victim == nullptr) break;
-      const uint64_t removed_id = victim->durable_id();
       auto removed = view_index_.Remove(victim);
       if (!removed.ok()) break;
       epoch_.RetireObject(std::move(removed).ValueOrDie());
       metrics_.views_evicted.fetch_add(1, std::memory_order_relaxed);
       lifecycle_.RecordEviction();
-      edit.Record(ManifestDeltaOp::kRemoveView, removed_id);
       --cold_views;
     }
   }
   // Reclamation unmaps whole arenas — run it after readers are unblocked.
   epoch_.TryReclaim();
-  PersistPoolEditLocked(std::move(edit));
+  if (edited) PersistPoolLocked();
   return shed;
 }
 
@@ -1088,7 +1046,7 @@ StatusOr<UpdateApplyStats> AdaptiveColumn::FlushUpdates() {
 }
 
 StatusOr<UpdateApplyStats> AdaptiveColumn::FlushUpdatesLocked(
-    bool compact_after, DurableState::CheckpointKind kind) {
+    bool compact_after) {
   // Durable commit point: every journaled record of this batch is on
   // stable storage before alignment consumes the batch. (Records already
   // committed by the per-update ack or a group-commit leader make this a
@@ -1106,7 +1064,6 @@ StatusOr<UpdateApplyStats> AdaptiveColumn::FlushUpdatesLocked(
   auto stats = AlignPartialViews(*column_, view_index_.MutableViews(),
                                  pending_, MappingSource::kUserSpaceTable);
   bool reclaim_after = false;
-  PoolEditLog edit;
   if (!stats.ok()) {
     const StatusCode code = stats.status().code();
     if (code != StatusCode::kIoError &&
@@ -1125,7 +1082,7 @@ StatusOr<UpdateApplyStats> AdaptiveColumn::FlushUpdatesLocked(
       auto removed = view_index_.Remove(view);
       if (removed.ok()) epoch_.RetireObject(std::move(removed).ValueOrDie());
     }
-    MarkStale();
+    MarkDirty();
     reclaim_after = true;
     stats = UpdateApplyStats{};
   }
@@ -1142,7 +1099,8 @@ StatusOr<UpdateApplyStats> AdaptiveColumn::FlushUpdatesLocked(
     // compaction is safe; superseded arenas still go through the limbo
     // list for uniform lifetime handling. A compaction only reorders the
     // view's slots, and the manifest records no pages, so only an
-    // abandoned view needs a record — the one record a flush appends.
+    // abandoned view edits the pool: it marks the pool dirty, and the
+    // checkpoint below writes it.
     for (VirtualView* view : view_index_.MutableViews()) {
       if (!lifecycle_.ShouldCompact(*view)) continue;
       std::unique_ptr<VirtualArena> retired;
@@ -1154,11 +1112,10 @@ StatusOr<UpdateApplyStats> AdaptiveColumn::FlushUpdatesLocked(
         // re-adapts.
         health_.abandoned_compactions.fetch_add(1, std::memory_order_relaxed);
         NoteMapFailure();
-        const uint64_t removed_id = view->durable_id();
         auto removed = view_index_.Remove(view);
         if (removed.ok()) {
           epoch_.RetireObject(std::move(removed).ValueOrDie());
-          edit.Record(ManifestDeltaOp::kRemoveView, removed_id);
+          MarkDirty();
         }
       }
       reclaim_after = true;
@@ -1168,15 +1125,12 @@ StatusOr<UpdateApplyStats> AdaptiveColumn::FlushUpdatesLocked(
   // not inside the exclusive section.
   xlock.unlock();
   if (reclaim_after) epoch_.TryReclaim();
-  // The flush's records go down before the checkpoint sequence (data
-  // writeback per policy, a snapshot only when the state is stale or the
-  // policy of `kind` asks for one, then the journal reset): the journal
-  // forgets the batch only once base plus deltas describe the aligned
-  // pool. Runs outside views_mu_ — maintenance_mu_ alone keeps the pool
-  // stable — so readers are not blocked on fsync.
-  PersistPoolEditLocked(std::move(edit));
-  if (durable_ != nullptr && (had_updates || durable_->stale())) {
-    VMSV_RETURN_IF_ERROR(CheckpointLocked(kind));
+  // Then the checkpoint sequence (data writeback per policy, the journal
+  // reset, the pool when it is dirty). Runs outside views_mu_ —
+  // maintenance_mu_ alone keeps the pool stable — so readers are not
+  // blocked on fsync.
+  if (durable_ != nullptr && (had_updates || durable_->dirty())) {
+    VMSV_RETURN_IF_ERROR(CheckpointLocked());
   }
   return stats;
 }

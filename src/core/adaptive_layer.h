@@ -32,9 +32,9 @@
 // once max_views is reached" cliff. Admission decides under the maintenance
 // lock alone, then applies in one short exclusive section; evictions,
 // pressure relief and explicit demotion share one demotion routine. Durable
-// I/O is not this layer's job: each pool edit goes to a DurableState
-// (storage/durable_state.h) as manifest delta records, in the order the
-// pool changed.
+// I/O is not this layer's job: each pool edit hands the whole pool to a
+// DurableState (storage/durable_state.h), which writes it into the older
+// of two manifest slots.
 //
 // CONCURRENCY MODEL (full walkthrough in ARCHITECTURE.md):
 //
@@ -160,8 +160,8 @@ struct AdaptiveConfig {
   /// policy applied at the max_views budget (core/view_lifecycle.h).
   LifecycleConfig lifecycle;
   /// Durability: with a persist_dir the column lives in a real file, every
-  /// Update is journaled, and the views persist as ranges in a manifest
-  /// snapshot plus a log of pool edits, so Open() restores the whole engine
+  /// Update is journaled, and the views persist as ranges in two
+  /// alternating manifest pool slots, so Open() restores the whole engine
   /// state after a restart (storage/storage_config.h; ARCHITECTURE.md
   /// "Durability model").
   StorageConfig storage;
@@ -357,7 +357,8 @@ class AdaptiveColumn {
   /// \internal Use vmsv::Db::Open.
   /// Reopens the durable column in `dir`: rebuilds the column over
   /// column.dat, replays the journal (replayed updates become pending for
-  /// the next flush), and restores every manifest view as an
+  /// the next flush), and restores every view of the newest valid manifest
+  /// slot (none valid: an empty pool, marked dirty) as an
   /// UNMATERIALIZED page list (it answers over the base mapping until its
   /// hits reach materialize_after_hits) holding
   /// exactly the pages with a value in its range, derived from the data in
@@ -370,15 +371,15 @@ class AdaptiveColumn {
   /// journal fd carries an exclusive flock for the column's lifetime, so a
   /// second Open of a live column fails instead of corrupting it.
   /// Error contract: NotFound when `dir` has no manifest; IoError on a
-  /// corrupt manifest/journal header; FailedPrecondition when the column
-  /// is already open elsewhere.
+  /// corrupt or older-layout manifest header or a corrupt journal header;
+  /// FailedPrecondition when the column is already open elsewhere.
   static StatusOr<std::unique_ptr<AdaptiveColumn>> Open(const std::string& dir,
                                                         AdaptiveConfig config);
 
   /// Durable only (no-op OK otherwise): flush pending updates, push data
-  /// per the flush policy, compact the manifest (a fresh snapshot when the
-  /// state is stale or the delta log holds any record), and reset the
-  /// journal. There is deliberately NO destructor checkpoint:
+  /// per the flush policy, reset the journal, and write the pool into a
+  /// manifest slot when it is dirty (every pool edit already wrote its
+  /// own). There is deliberately NO destructor checkpoint:
   /// a process that exits without one is exactly the crash case recovery
   /// is tested against.
   Status Checkpoint();
@@ -474,7 +475,7 @@ class AdaptiveColumn {
   ColumnHealth Health() const;
 
   /// Demotes up to `count` of the lowest-scoring hot views to the cold
-  /// tier (arena release + set-tier delta), returning how many were
+  /// tier (arena release + one pool write), returning how many were
   /// demoted. The deterministic maintenance hook behind the tiering
   /// tests and bench; admission's eviction and pressure relief run the
   /// same demotion routine. No-op (0) when demotion is disabled or the
@@ -552,47 +553,26 @@ class AdaptiveColumn {
                                       : config_.max_views;
   }
 
-  /// One pool edit's manifest delta records, in the order the pool changed.
-  /// An upsert names its view: the view's durable id and record are taken
-  /// when the edit persists, outside views_mu_. Every other record is
-  /// complete when logged.
-  struct PoolEditLog {
-    struct Entry {
-      ManifestDelta delta;
-      VirtualView* upserted = nullptr;
-    };
-    std::vector<Entry> entries;
+  /// Durable only: writes the whole pool into a manifest slot — the
+  /// persistence step of every pool edit. Caller holds maintenance_mu_ (so
+  /// the pool stays stable) and NOT views_mu_ — readers keep routing
+  /// through the write.
+  void PersistPoolLocked();
 
-    void Upsert(VirtualView* view) {
-      Entry& entry = entries.emplace_back();
-      entry.delta.op = ManifestDeltaOp::kUpsertView;
-      entry.upserted = view;
-    }
-    /// Logs an `op` record on the view `id`; the caller fills in the fields
-    /// the op carries.
-    ManifestView& Record(ManifestDeltaOp op, uint64_t id) {
-      Entry& entry = entries.emplace_back();
-      entry.delta.op = op;
-      entry.delta.view.id = id;
-      return entry.delta.view;
-    }
-  };
-
-  /// Durable only: gives every upserted view a durable id and appends the
-  /// edit's deltas. Caller holds maintenance_mu_ (so the views stay valid)
-  /// and NOT views_mu_ — readers keep routing through the append/fsync.
-  void PersistPoolEditLocked(PoolEditLog edit);
-
-  /// Marks the durable manifest stale — for an edit the delta log cannot
-  /// carry (no-op in memory).
-  void MarkStale() {
-    if (durable_ != nullptr) durable_->MarkStale();
+  /// Sets the durable pool's dirty bit — for a change no slot write
+  /// carried yet (no-op in memory).
+  void MarkDirty() {
+    if (durable_ != nullptr) durable_->MarkDirty();
   }
 
-  /// Durable only: the checkpoint sequence over the current pool, with
-  /// `kind`'s snapshot policy. Caller holds maintenance_mu_ (pool mutators
-  /// all do, so the snapshot is consistent without views_mu_).
-  Status CheckpointLocked(DurableState::CheckpointKind kind);
+  /// The pool as manifest records: each view's range, cost and tier.
+  /// Caller holds maintenance_mu_.
+  std::vector<ManifestView> ManifestViewsLocked() const;
+
+  /// Durable only: the checkpoint sequence over the current pool. Caller
+  /// holds maintenance_mu_ (pool mutators all do, so the pool read is
+  /// consistent without views_mu_).
+  Status CheckpointLocked();
 
   /// The one demotion routine behind admission's eviction, pressure relief
   /// and DemoteColdestViews (see "Tiering" in adaptive_layer.cc). When
@@ -611,12 +591,10 @@ class AdaptiveColumn {
   /// Flush + (optionally) the post-flush compaction sweep. Caller holds
   /// maintenance_mu_; takes views_mu_ exclusive + epoch quiescence inside.
   /// Durable mode: syncs the journal first (the batch's commit point), then
-  /// after alignment appends the remove record of any view an abandoned
-  /// compaction dropped and runs the checkpoint sequence, with `kind`'s
-  /// snapshot policy, when the batch held updates or the manifest is stale.
-  StatusOr<UpdateApplyStats> FlushUpdatesLocked(
-      bool compact_after, DurableState::CheckpointKind kind =
-                              DurableState::CheckpointKind::kFlush);
+  /// after alignment runs the checkpoint sequence when the batch held
+  /// updates or the pool is dirty (a failed alignment or an abandoned
+  /// compaction dropped views).
+  StatusOr<UpdateApplyStats> FlushUpdatesLocked(bool compact_after);
 
   /// An admission outcome and the view it acts on.
   struct Admission {
@@ -638,14 +616,13 @@ class AdaptiveColumn {
   /// candidate outscores it, else drop the candidate).
   Admission AdmitAtBudget(const VirtualView& candidate) const;
 
-  /// Swaps `candidate` into `victim`'s pool slot, logs the swap in `edit`,
-  /// and parks the displaced view on the epoch limbo list (concurrent scans
-  /// may still be inside it). Caller holds maintenance_mu_ AND views_mu_
+  /// Swaps `candidate` into `victim`'s pool slot and parks the displaced
+  /// view on the epoch limbo list (concurrent scans may still be inside
+  /// it). Caller holds maintenance_mu_ AND views_mu_
   /// exclusive and bumps its own outcome counter. Returns false — candidate
   /// destroyed and counted as dropped — when `victim` is not in the pool.
   bool ReplaceInPoolLocked(VirtualView* victim,
-                           std::unique_ptr<VirtualView> candidate,
-                           PoolEditLog* edit);
+                           std::unique_ptr<VirtualView> candidate);
 
   /// Internal counters behind metrics().
   struct AtomicStats {

@@ -107,7 +107,7 @@ class Table {
   virtual StatusOr<UpdateApplyStats> FlushUpdates() = 0;
 
   /// Durable tables: checkpoint every shard (flush, data writeback per
-  /// policy, manifest snapshot, journal reset). No-op in memory.
+  /// policy, journal reset, the pool when it is dirty). No-op in memory.
   virtual Status Checkpoint() = 0;
 
   /// Aggregated + per-shard health snapshot (see TableHealth).

@@ -575,9 +575,7 @@ DurabilityStats ShardedTable::Durability() const {
     total.manifest_writes += d.manifest_writes;
     total.manifest_write_failures += d.manifest_write_failures;
     total.manifest_delta_appends += d.manifest_delta_appends;
-    total.manifest_deltas_replayed += d.manifest_deltas_replayed;
-    total.manifest_delta_tail_truncated |= d.manifest_delta_tail_truncated;
-    total.manifest_stale |= d.manifest_stale;
+    total.manifest_dirty |= d.manifest_dirty;
     total.views_restored += d.views_restored;
     total.open_recover_ms += d.open_recover_ms;
     total.journal_appended_lsn += d.journal_appended_lsn;

@@ -325,12 +325,6 @@ class VirtualView {
     usage_.creation_scanned_pages = scanned_pages;
   }
 
-  /// Durable identity for the incremental manifest (0 = never persisted —
-  /// the anonymous backends leave it unset). Assigned by the engine when a
-  /// view first enters a durable pool; stable across restarts.
-  uint64_t durable_id() const { return durable_id_; }
-  void set_durable_id(uint64_t id) { durable_id_ = id; }
-
   /// Cold-tier flag (core/view_lifecycle.h): a demoted view keeps its page
   /// list (and its membership maintenance) but holds no arena — its
   /// mapping budget is released until routed hits re-materialize it.
@@ -570,7 +564,6 @@ class VirtualView {
   ViewUsageStats usage_;
   /// Hits answered without an arena since the view last held none.
   std::atomic<uint64_t> unmapped_hits_{0};
-  uint64_t durable_id_ = 0;                 // 0 until a durable pool adopts it
   std::atomic<bool> demoted_{false};        // cold tier (see demoted())
 };
 

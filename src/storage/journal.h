@@ -1,11 +1,11 @@
-// WriteAheadJournal — the durable log of row updates between manifest
-// checkpoints (ARCHITECTURE.md "Durability model").
+// WriteAheadJournal — the durable log of row updates between checkpoints
+// (ARCHITECTURE.md "Durability model").
 //
 // The journal answers one question after a restart: which updates did the
-// column accept that the last MANIFEST snapshot does not reflect? Every
+// column accept that column.dat may not hold yet? Every
 // AdaptiveColumn::Update appends one fixed-size record; FlushUpdates makes
-// the batch durable (fdatasync), realigns the views, snapshots the manifest,
-// and only then resets the journal. Replay is IDEMPOTENT by construction:
+// the batch durable (fdatasync), realigns the views, writes the data back
+// per the flush policy, and only then resets the journal. Replay is IDEMPOTENT by construction:
 // records carry absolute new values (re-applying a record writes the same
 // bytes) and the recorded old_value — not the current cell content — feeds
 // net-effect filtering, so a second replay drives the same view realignment.
@@ -89,8 +89,8 @@ class WriteAheadJournal {
   /// unknown — exactly a crash's contract).
   Status CommitThrough(uint64_t lsn);
 
-  /// Truncates back to the bare header (the checkpoint "commit": the
-  /// manifest now reflects everything the journal held) and syncs. LSNs
+  /// Truncates back to the bare header (the checkpoint "commit": the data
+  /// now reflects everything the journal held) and syncs. LSNs
   /// keep counting — a Reset marks everything appended so far durable.
   Status Reset();
 

@@ -12,21 +12,20 @@
 //                   policy);
 //   journal.wal     a write-ahead journal of row updates, appended on every
 //                   AdaptiveColumn::Update and replayed on Open;
-//   MANIFEST        an atomically-replaced base snapshot of the column
-//                   geometry and every partial view's value range, creation
-//                   cost and tier;
-//   MANIFEST.delta  the append-only log of every pool edit since that
-//                   snapshot — adaptation decisions append records; the
-//                   snapshot is rewritten only when an edit cannot be
-//                   logged, when the log outgrows twice the snapshot, or
-//                   when an explicit checkpoint compacts it.
+//   MANIFEST        the column geometry, written and fsynced once by
+//                   create;
+//   MANIFEST.0/.1   two alternating pool slots: every pool edit writes the
+//                   whole pool (each view's value range, creation cost and
+//                   tier) into the slot that does not hold the newest
+//                   valid one, and Open restores the newer valid slot.
 //
 // No other file is kept: page membership, hot or demoted, is derived from
 // each view's range and the data when the column opens.
 //
 // Crash-safety contract: process kill (SIGKILL mid-anything) is always
 // recoverable — the page cache survives the process, the journal covers
-// unflushed updates, and manifest replacement is atomic. Power-loss safety
+// unflushed updates, and a pool write never touches the newest valid slot,
+// so a torn one costs at most the last pool edit. Power-loss safety
 // additionally requires FlushPolicy::kSync (fdatasync on flush) and
 // group_commit_batch = 1 for updates between flushes.
 
@@ -86,7 +85,7 @@ struct StorageConfig {
   /// commit point.
   uint64_t group_commit_batch = 0;
   /// File-operation layer for every durable artifact (journal, manifest,
-  /// delta log, data writeback). Null means real I/O; tests inject a
+  /// data writeback). Null means real I/O; tests inject a
   /// FaultInjectingIo here. Not owned; must outlive the column.
   StorageIo* io = nullptr;
 };

@@ -37,8 +37,9 @@ struct RunnerOptions {
   /// round-robins the sequence across N threads running concurrently.
   uint64_t num_clients = 1;
   /// Durable persist mode: checkpoint the column (flush + data writeback +
-  /// manifest snapshot + journal reset) every N queries, so a kill at any
-  /// point of the sequence loses at most N queries' worth of adaptation.
+  /// journal reset + the pool when it is dirty) every N queries. Pool
+  /// edits persist on their own; this bounds the journal a kill leaves to
+  /// replay.
   /// 0 disables; no-op on in-memory columns; serial (num_clients == 1) only
   /// — the closed loop would interleave checkpoints with in-flight clients
   /// nondeterministically.

@@ -1,14 +1,16 @@
-// Crash-injection matrix (ISSUE 6 tentpole): enumerate every
-// (operation-index, fault-kind) point of a scripted durable workload under
-// FaultInjectingIo, "kill" the column at the fault, reopen with real I/O,
-// and check the three recovery invariants:
+// Crash-injection matrix: enumerate every (operation-index, fault-kind)
+// point of a scripted durable workload under FaultInjectingIo, "kill" the
+// column at the fault, reopen with real I/O, and check the three recovery
+// invariants:
 //
 //   1. prefix consistency — the recovered column equals the genesis data
 //      plus updates 1..K for some K, with K >= every acknowledged update
 //      (no acknowledged-then-lost update, no gap, no reordering);
-//   2. aligned pool and scan bit-identity — right after the reopen every
-//      restored view holds exactly the pages with a value in its range,
-//      and adaptive Execute returns exactly what a full scan returns;
+//   2. recovered pool and scan bit-identity — right after the reopen the
+//      pool equals one of the last two pools the run wrote to a manifest
+//      slot, every restored view holds exactly the pages with a value in
+//      its range, and adaptive Execute returns exactly what a full scan
+//      returns;
 //   3. idempotent replay — a second reopen reproduces the same state.
 //
 // Scenario axes: every FlushPolicy under process-kill semantics (the page
@@ -22,15 +24,14 @@
 // (tools/fault_matrix.py crash drives that mode in CI).
 
 #include <algorithm>
-#include <array>
 #include <cerrno>
 #include <climits>
 #include <cstdint>
-#include <cstring>
 #include <fcntl.h>
 #include <filesystem>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <sys/stat.h>
 #include <unistd.h>
 #include <vector>
@@ -80,10 +81,9 @@ struct Scenario {
   /// true: power loss — column.dat rolls back to its last successful fsync.
   bool power_loss;
   /// Interleave DemoteColdestViews into the script and move a page into a
-  /// view while it is demoted, so set-tier records and snapshots holding
-  /// demoted entries enter the fault surface. Recovery must come back
-  /// hot-or-demoted with the moved page derived — never torn — at every
-  /// fault point.
+  /// view while it is demoted, so slot writes holding demoted entries enter
+  /// the fault surface. Recovery must come back hot-or-demoted with the
+  /// moved page derived — never torn — at every fault point.
   bool demote = false;
   /// errno carried by kFailOp points (0 = legacy untyped IoError); lets the
   /// demotion scenarios model disk-full vs media-error on the journal and
@@ -123,6 +123,9 @@ struct ScriptOutcome {
   uint64_t acked = 0;
   /// Demotion scenarios: update 13 moved a page into a demoted view.
   bool demoted_addition = false;
+  /// The query whose discard widened a view's range, if the script found
+  /// one.
+  std::optional<RangeQuery> widened;
 };
 
 /// Owns the facade table while exposing the engine for white-box use.
@@ -282,10 +285,9 @@ ScriptOutcome RunScript(const std::string& dir, const Scenario& s,
     return out;
   }
   for (int q = 4; q < 8; ++q) (void)col->Execute(queries[q]);
-  // A discard that widens a view's range: the set-range record.
-  if (const std::optional<RangeQuery> wider = WideningQuery(*col)) {
-    (void)col->Execute(*wider);
-  }
+  // A discard that widens a view's range: a pool edit that adds no view.
+  out.widened = WideningQuery(*col);
+  if (out.widened.has_value()) (void)col->Execute(*out.widened);
   // Updates 25-30: up to five move a page out of a hot view, update 30
   // moves another page into one, and one flush aligns both: recovery must
   // derive the removal and the addition.
@@ -310,8 +312,8 @@ ScriptOutcome RunScript(const std::string& dir, const Scenario& s,
   for (uint64_t j = 31; j <= kTotalUpdates; ++j) {
     if (!issue_default(j)) return out;
   }
-  // Tail demote: only the set-tier delta lands before the kill — recovery
-  // must honor it or reopen the view hot, never tear.
+  // Tail demote: only the demotion's slot write lands before the kill —
+  // recovery must honor it or reopen the view hot, never tear.
   if (s.demote) (void)col->DemoteColdestViews(1);
   return out;  // destructor = SIGKILL: no flush, just closed fds
 }
@@ -333,6 +335,32 @@ void CopyDir(const std::string& from, const std::string& to) {
                    << ec.message();
 }
 
+/// A pool as compared across a crash: each view's (lo, hi, creation cost,
+/// tier), sorted.
+using PoolKey = std::vector<std::tuple<Value, Value, uint64_t, bool>>;
+
+PoolKey KeyOf(const std::vector<ManifestView>& views) {
+  PoolKey key;
+  for (const ManifestView& view : views) {
+    key.emplace_back(view.lo, view.hi, view.creation_scanned_pages,
+                     view.demoted);
+  }
+  std::sort(key.begin(), key.end());
+  return key;
+}
+
+PoolKey KeyOf(const AdaptiveColumn& col) {
+  PoolKey key;
+  for (const auto& view : col.view_index().views()) {
+    key.emplace_back(
+        view->lo(), view->hi(),
+        view->usage().creation_scanned_pages.load(std::memory_order_relaxed),
+        view->demoted());
+  }
+  std::sort(key.begin(), key.end());
+  return key;
+}
+
 struct RecoveredState {
   std::vector<Value> values;
   std::vector<std::pair<uint64_t, Value>> scans;  // (match_count, sum)
@@ -340,17 +368,27 @@ struct RecoveredState {
 };
 
 /// Reopens `dir` with real I/O and captures everything the invariants
-/// compare; before any query runs, every restored view must hold exactly
-/// the pages with a value in its range (invariant 2). `adapt` additionally
-/// routes every query through Execute and checks it against the full scan.
+/// compare; before any query runs, the pool must equal one of `written`
+/// (when given) and every restored view must hold exactly the pages with a
+/// value in its range (invariant 2). `adapt` additionally routes every
+/// query through Execute and checks it against the full scan.
 bool CaptureState(const std::string& dir, const Scenario& s, bool adapt,
-                  RecoveredState* state, std::string* error) {
+                  const std::vector<PoolKey>* written, RecoveredState* state,
+                  std::string* error) {
   auto open_r = OpenColumn(dir, MakeConfig(s, nullptr));
   if (!open_r.ok()) {
     *error = "reopen failed: " + open_r.status().ToString();
     return false;
   }
   auto col = std::move(open_r).ValueOrDie();
+  if (written != nullptr &&
+      std::find(written->begin(), written->end(), KeyOf(*col)) ==
+          written->end()) {
+    *error = "recovered pool of " +
+             std::to_string(col->view_index().num_partial_views()) +
+             " views is neither of the last two pools written";
+    return false;
+  }
   for (const auto& view : col->view_index().views()) {
     std::vector<uint64_t> pages = view->physical_pages();
     std::sort(pages.begin(), pages.end());
@@ -424,26 +462,30 @@ bool CheckPrefix(const std::vector<Value>& base,
   return false;
 }
 
-/// Counts the manifest delta records a run appends, by op, on top of the
-/// fault-free FaultInjectingIo: every delta record is one write.
-class DeltaOpCountingIo : public FaultInjectingIo {
+/// Records, on top of FaultInjectingIo, every pool a run writes to a
+/// manifest slot while the I/O stream is alive: the armed write itself
+/// counts (it may land in part), the writes after a crash-stop do not.
+class SlotRecordingIo : public FaultInjectingIo {
  public:
-  Status Write(int fd, const void* data, size_t len,
-               const char* what) override {
-    uint32_t op = 0;
-    if (std::string(what) == "write(manifest delta)" && len >= sizeof(op)) {
-      std::memcpy(&op, data, sizeof(op));
-      if (op < ops_.size()) ++ops_[op];
+  using FaultInjectingIo::FaultInjectingIo;
+
+  Status Pwrite(int fd, const void* data, size_t len, uint64_t offset,
+                const char* what) override {
+    if (std::string(what) == "pwrite(manifest slot)" && !crashed()) {
+      const std::optional<ManifestPool> pool = DecodeManifestPool(
+          std::string(static_cast<const char*>(data), len));
+      EXPECT_TRUE(pool.has_value()) << "a slot write that does not decode";
+      if (pool.has_value()) pools_.push_back(pool->views);
     }
-    return FaultInjectingIo::Write(fd, data, len, what);
+    return FaultInjectingIo::Pwrite(fd, data, len, offset, what);
   }
 
-  uint64_t appended(ManifestDeltaOp op) const {
-    return ops_[static_cast<uint32_t>(op)];
+  const std::vector<std::vector<ManifestView>>& pools() const {
+    return pools_;
   }
 
  private:
-  std::array<uint64_t, 8> ops_{};
+  std::vector<std::vector<ManifestView>> pools_;
 };
 
 class CrashMatrix {
@@ -506,13 +548,15 @@ class CrashMatrix {
     for (uint64_t row = 0; row < NumRows(); ++row) {
       base_[row] = col->column().Get(row);
     }
+    genesis_pool_ = KeyOf(*col);
   }
 
   /// The fault-free scripted run, counted: T ops define the fault surface.
-  /// It must reach the set-range op, so the surface covers it.
+  /// It must write a slot holding the range a discard widened, so the
+  /// surface covers that edit.
   uint64_t CountOps() {
     CopyDir(genesis_, work_);
-    DeltaOpCountingIo io;
+    SlotRecordingIo io;
     const ScriptOutcome out = RunScript(work_, scenario_, &io);
     EXPECT_EQ(out.issued, kTotalUpdates)
         << scenario_.name << ": fault-free script must complete";
@@ -521,8 +565,16 @@ class CrashMatrix {
       EXPECT_TRUE(out.demoted_addition)
           << scenario_.name << ": no demoted view to move a page into";
     }
-    EXPECT_GT(io.appended(ManifestDeltaOp::kSetViewRange), 0u)
-        << scenario_.name << ": the script appended no set-range record";
+    bool wrote_widened = false;
+    for (const std::vector<ManifestView>& pool : io.pools()) {
+      for (const ManifestView& view : pool) {
+        wrote_widened = wrote_widened ||
+                        (out.widened.has_value() && view.lo == out.widened->lo &&
+                         view.hi == out.widened->hi);
+      }
+    }
+    EXPECT_TRUE(wrote_widened)
+        << scenario_.name << ": no slot write holds a widened range";
     return io.op_count();
   }
 
@@ -533,7 +585,7 @@ class CrashMatrix {
     std::error_code ec;
     fs::remove(snapshot, ec);
 
-    FaultInjectingIo io(FaultPlan{kind, op, seed, scenario_.fail_errno});
+    SlotRecordingIo io(FaultPlan{kind, op, seed, scenario_.fail_errno});
     if (scenario_.power_loss) {
       io.set_sync_listener([&](int fd) {
         // Snapshot column.dat at each successful data fsync: exactly the
@@ -560,15 +612,23 @@ class CrashMatrix {
       fs::remove(snapshot, ec);
     }
 
+    // The genesis pool counts as written before the run's own writes.
+    std::vector<PoolKey> written{genesis_pool_};
+    for (const std::vector<ManifestView>& pool : io.pools()) {
+      written.push_back(KeyOf(pool));
+    }
+    written.erase(written.begin(), written.end() - std::min<size_t>(2, written.size()));
     std::string error;
     RecoveredState first;
-    if (!CaptureState(work_, scenario_, /*adapt=*/true, &first, &error) ||
+    if (!CaptureState(work_, scenario_, /*adapt=*/true, &written, &first,
+                      &error) ||
         !CheckPrefix(base_, first.values, out.plan, out.acked, &error)) {
       Fail(kind, op, seed, error);
       return false;
     }
     RecoveredState second;
-    if (!CaptureState(work_, scenario_, /*adapt=*/false, &second, &error)) {
+    if (!CaptureState(work_, scenario_, /*adapt=*/false, nullptr, &second,
+                      &error)) {
       Fail(kind, op, seed, "second reopen: " + error);
       return false;
     }
@@ -593,6 +653,7 @@ class CrashMatrix {
   std::string genesis_;
   std::string work_;
   std::vector<Value> base_;
+  PoolKey genesis_pool_;
 };
 
 TEST(CrashMatrixTest, KillNone) {
@@ -622,8 +683,7 @@ TEST(CrashMatrixTest, PowerSyncGroupCommit) {
 // Demotion scenarios (named spill_* since demotion wrote per-view files;
 // tools/fault_matrix.py and the CI artifacts keep the names): the script
 // demotes views at three points and moves a page into a demoted view, so
-// every set-tier record and the snapshots writing demoted entries are
-// fault points. A kill mid-demotion must reopen hot-or-demoted, never
+// every slot write holding demoted entries is a fault point. A kill mid-demotion must reopen hot-or-demoted, never
 // torn, with the moved page derived, and the adaptive scans must stay
 // bit-identical.
 

@@ -1,7 +1,8 @@
-// Durable-backend test suite: journal round-trip + idempotent replay,
-// manifest atomicity, file-backed memory files, and the acceptance contract
-// — a restart round-trip whose post-reopen scans are bit-identical to the
-// pre-restart execution (ISSUE 5 / ARCHITECTURE.md "Durability model").
+// Durable-backend test suite: journal round-trip + idempotent replay, the
+// manifest header and its two pool slots (hostile, torn and older-layout
+// input included), file-backed memory files, and the acceptance contract —
+// a restart round-trip whose post-reopen scans are bit-identical to the
+// pre-restart execution (ARCHITECTURE.md "Durability model").
 
 #include <algorithm>
 #include <cstdio>
@@ -9,6 +10,7 @@
 #include <fstream>
 #include <unistd.h>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -226,11 +228,11 @@ TEST(JournalTest, ResetForgetsAndRejectsForeignFiles) {
 }
 
 // ---------------------------------------------------------------------------
-// CRC-32 (journal, manifest and delta log all frame with it)
+// CRC-32 (the journal, the manifest header and its slots all frame with it)
 
 /// The bitwise reflected CRC-32 the table-driven one must equal bit for
-/// bit: every journal, manifest and delta log written before the table
-/// version still has to verify. Returns the register before the final
+/// bit: every journal written before the table version still has to
+/// verify. Returns the register before the final
 /// inversion so a caller can extend it byte by byte.
 uint32_t BitwiseCrcStep(uint32_t crc, unsigned char byte) {
   crc ^= byte;
@@ -265,65 +267,140 @@ TEST(Crc32Test, EqualsBitwiseReferenceAtEveryLengthAndOffset) {
 }
 
 // ---------------------------------------------------------------------------
-// Manifest
+// Manifest: the geometry header and the pool slots
 
-TEST(ManifestTest, RoundTrip) {
-  ScratchDir scratch("manifest");
-  ViewManifest manifest;
-  manifest.num_rows = 12345;
-  manifest.num_pages = 25;
-  manifest.pool_generation = 7;
-  manifest.epoch = 3;
-  manifest.next_view_id = 9;
-  manifest.views.push_back(ManifestView{7, 100, 200, 25, /*demoted=*/false});
-  manifest.views.push_back(ManifestView{8, 0, 50, 10, /*demoted=*/true});
-  ASSERT_TRUE(WriteManifest(scratch.path(), manifest, /*sync=*/true).ok());
-  // Ranges only: the fixed part plus 48 bytes per view.
-  EXPECT_EQ(fs::file_size(ManifestPath(scratch.path())), 68u + 2 * 48u);
-  EXPECT_EQ(ManifestSnapshotBytes(2), 68u + 2 * 48u);
+/// Flips one byte of `path` at `offset`.
+void FlipByte(const std::string& path, std::streamoff offset) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekg(offset);
+  char byte = 0;
+  f.read(&byte, 1);
+  byte ^= 0x5A;
+  f.seekp(offset);
+  f.write(&byte, 1);
+  ASSERT_TRUE(f.good()) << path;
+}
 
-  auto read_r = ReadManifest(scratch.path());
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(out.good()) << path;
+}
+
+/// The newest valid pool in `dir`'s slots (nullopt when neither is valid).
+std::optional<ManifestPool> NewestPool(const std::string& dir) {
+  auto opened = ManifestSlots::Open(dir, /*create=*/false);
+  EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+  return opened.ok() ? opened->pool : std::nullopt;
+}
+
+TEST(ManifestTest, HeaderRoundTripAndCorruptionIsDetected) {
+  ScratchDir scratch("manifest_header");
+  EXPECT_EQ(ReadManifestHeader(scratch.path()).status().code(),
+            StatusCode::kNotFound);
+  ASSERT_TRUE(
+      WriteManifestHeader(scratch.path(), ManifestHeader{12345, 25}).ok());
+  EXPECT_EQ(fs::file_size(ManifestPath(scratch.path())), 36u);
+  auto read_r = ReadManifestHeader(scratch.path());
   ASSERT_TRUE(read_r.ok()) << read_r.status().ToString();
   EXPECT_EQ(read_r->num_rows, 12345u);
   EXPECT_EQ(read_r->num_pages, 25u);
-  EXPECT_EQ(read_r->pool_generation, 7u);
-  EXPECT_EQ(read_r->epoch, 3u);
-  EXPECT_EQ(read_r->next_view_id, 9u);
-  ASSERT_EQ(read_r->views.size(), 2u);
-  EXPECT_EQ(read_r->views[0].id, 7u);
-  EXPECT_EQ(read_r->views[1].id, 8u);
-  EXPECT_EQ(read_r->views[0].lo, 100u);
-  EXPECT_EQ(read_r->views[0].hi, 200u);
-  EXPECT_EQ(read_r->views[0].creation_scanned_pages, 25u);
-  EXPECT_FALSE(read_r->views[0].demoted);
-  EXPECT_TRUE(read_r->views[1].demoted);
+  FlipByte(ManifestPath(scratch.path()), 20);  // inside num_rows
+  EXPECT_EQ(ReadManifestHeader(scratch.path()).status().code(),
+            StatusCode::kIoError);
 }
 
-TEST(ManifestTest, ReplaceIsAtomicAndCorruptionIsDetected) {
-  ScratchDir scratch("manifest_atomic");
-  EXPECT_EQ(ReadManifest(scratch.path()).status().code(), StatusCode::kNotFound);
-
-  ViewManifest manifest;
-  manifest.num_rows = 10;
-  manifest.num_pages = 1;
-  ASSERT_TRUE(WriteManifest(scratch.path(), manifest, true).ok());
-  manifest.views.push_back(ManifestView{1, 1, 2, 1, /*demoted=*/false});
-  ASSERT_TRUE(WriteManifest(scratch.path(), manifest, true).ok());
-  // The tmp file never lingers after a successful replace.
-  EXPECT_FALSE(fs::exists(ManifestPath(scratch.path()) + ".tmp"));
-  auto read_r = ReadManifest(scratch.path());
-  ASSERT_TRUE(read_r.ok());
-  EXPECT_EQ(read_r->views.size(), 1u);
-
-  // Flip one byte: the checksum must catch it.
+TEST(ManifestTest, SlotsAlternateAndBadSlotsAreSkipped) {
+  ScratchDir scratch("manifest_slots");
+  const std::string dir = scratch.path();
+  const std::vector<ManifestView> first{{100, 200, 25, /*demoted=*/false},
+                                        {0, 50, 10, /*demoted=*/true}};
+  const std::vector<ManifestView> second{{100, 300, 25, /*demoted=*/false}};
   {
-    std::fstream f(ManifestPath(scratch.path()),
-                   std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(20);
-    const char x = 0x5A;
-    f.write(&x, 1);
+    auto opened = ManifestSlots::Open(dir, /*create=*/true);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    EXPECT_FALSE(opened->pool.has_value());
+    ASSERT_TRUE(opened->slots->Write(first, /*sync=*/true).ok());
+    ASSERT_TRUE(opened->slots->Write(second, /*sync=*/true).ok());
   }
-  EXPECT_EQ(ReadManifest(scratch.path()).status().code(), StatusCode::kIoError);
+  // Slot 0 holds the first pool, slot 1 the second; a record is 24 bytes
+  // of head, 32 per view and a 4-byte crc.
+  EXPECT_EQ(ManifestSlotBytes(2), 24u + 2 * 32u + 4u);
+  EXPECT_EQ(fs::file_size(ManifestSlotPath(dir, 0)), ManifestSlotBytes(2));
+  EXPECT_EQ(fs::file_size(ManifestSlotPath(dir, 1)), ManifestSlotBytes(1));
+  std::optional<ManifestPool> pool = NewestPool(dir);
+  ASSERT_TRUE(pool.has_value());
+  EXPECT_EQ(pool->seq, 2u);
+  ASSERT_EQ(pool->views.size(), 1u);
+  EXPECT_EQ(pool->views[0].hi, 300u);
+  EXPECT_EQ(pool->views[0].creation_scanned_pages, 25u);
+
+  // The next write goes into the older slot, over a longer record whose
+  // tail stays behind the new crc and is ignored.
+  {
+    auto opened = ManifestSlots::Open(dir, /*create=*/false);
+    ASSERT_TRUE(opened.ok());
+    ASSERT_TRUE(opened->slots->Write(second, /*sync=*/false).ok());
+  }
+  EXPECT_EQ(fs::file_size(ManifestSlotPath(dir, 0)), ManifestSlotBytes(2));
+  pool = NewestPool(dir);
+  ASSERT_TRUE(pool.has_value());
+  EXPECT_EQ(pool->seq, 3u);
+  EXPECT_EQ(pool->views.size(), 1u);
+
+  // A bad crc in the newer slot: the older one is restored.
+  FlipByte(ManifestSlotPath(dir, 0), 30);
+  pool = NewestPool(dir);
+  ASSERT_TRUE(pool.has_value());
+  EXPECT_EQ(pool->seq, 2u);
+
+  // A record decodes with its flags; a bad crc, length or magic does not.
+  const std::string good = EncodeManifestPool(7, first);
+  ASSERT_EQ(good.size(), ManifestSlotBytes(2));
+  const std::optional<ManifestPool> decoded = DecodeManifestPool(good);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->seq, 7u);
+  ASSERT_EQ(decoded->views.size(), 2u);
+  EXPECT_FALSE(decoded->views[0].demoted);
+  EXPECT_TRUE(decoded->views[1].demoted);
+  EXPECT_EQ(decoded->views[1].hi, 50u);
+  std::string bad_crc = good;
+  bad_crc[40] ^= 0x5A;
+  EXPECT_FALSE(DecodeManifestPool(bad_crc).has_value());
+  EXPECT_FALSE(DecodeManifestPool(good.substr(0, good.size() - 1)).has_value());
+  EXPECT_FALSE(DecodeManifestPool(good.substr(0, 20)).has_value());
+  std::string bad_magic = good;
+  bad_magic[0] = 'X';
+  EXPECT_FALSE(DecodeManifestPool(bad_magic).has_value());
+}
+
+TEST(ManifestTest, HostileCountsFailInsteadOfAllocating) {
+  // A crafted slot with a valid CRC but an absurd view count must be
+  // skipped — never bad_alloc/abort. (The CRC guards corruption, not
+  // malice, so the bound has to stand on its own.)
+  std::string buf("VMSVPOOL", 8);
+  auto put64 = [&buf](uint64_t v) {
+    buf.append(reinterpret_cast<const char*>(&v), 8);
+  };
+  put64(9);                  // sequence
+  put64(uint64_t{1} << 59);  // view count: overflows naive size math
+  for (int field = 0; field < 4; ++field) put64(1);  // one view's worth
+  const uint32_t crc = Crc32(buf.data(), buf.size());
+  buf.append(reinterpret_cast<const char*>(&crc), 4);
+  EXPECT_FALSE(DecodeManifestPool(buf).has_value());
+
+  // On disk, as the newer slot beside a valid one: the valid one wins.
+  ScratchDir scratch("manifest_hostile");
+  {
+    auto opened = ManifestSlots::Open(scratch.path(), /*create=*/true);
+    ASSERT_TRUE(opened.ok());
+    ASSERT_TRUE(opened->slots->Write({{1, 2, 3, false}}, /*sync=*/false).ok());
+  }
+  WriteFile(ManifestSlotPath(scratch.path(), 1), buf);
+  const std::optional<ManifestPool> pool = NewestPool(scratch.path());
+  ASSERT_TRUE(pool.has_value());
+  EXPECT_EQ(pool->seq, 1u);
+  EXPECT_EQ(pool->views.size(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -614,13 +691,11 @@ TEST(DurableColumnTest, RunnerCheckpointEveryPersistsMidSequence) {
   options.checkpoint_every = 4;
   auto report_r = RunWorkload(adaptive.table.get(), TestQueries(12, 9), options);
   ASSERT_TRUE(report_r.ok()) << report_r.status().ToString();
-  // Initial manifest + at least one mid-sequence refresh.
-  EXPECT_GT(adaptive->durability_stats().manifest_writes, 1u);
-  // The on-disk manifest reflects the live pool.
-  auto manifest_r = ReadManifest(scratch.path());
-  ASSERT_TRUE(manifest_r.ok());
-  EXPECT_EQ(manifest_r->views.size(),
-            adaptive->view_index().num_partial_views());
+  EXPECT_GT(adaptive->durability_stats().manifest_writes, 0u);
+  // The newest slot holds the live pool.
+  const std::optional<ManifestPool> pool = NewestPool(scratch.path());
+  ASSERT_TRUE(pool.has_value());
+  EXPECT_EQ(pool->views.size(), adaptive->view_index().num_partial_views());
 }
 
 TEST(DurableColumnTest, CreateDurableLocksBeforeTouchingColumnData) {
@@ -639,7 +714,7 @@ TEST(DurableColumnTest, CreateDurableLocksBeforeTouchingColumnData) {
             StatusCode::kFailedPrecondition);
   // The loser must not have zeroed (or unsized) the winner's live data.
   EXPECT_EQ(FullScanAll(adaptive.get(), queries), oracle);
-  ASSERT_TRUE(adaptive->Checkpoint().ok());  // restore the manifest
+  EXPECT_TRUE(adaptive->Checkpoint().ok());  // the winner still checkpoints
 }
 
 TEST(DurableColumnTest, CreateDurableDropsLeftoverJournalRecords) {
@@ -743,392 +818,6 @@ TEST(DurableColumnTest, OpenClampsRestoredViewsToMaxViews) {
   EXPECT_LE(reopened->view_index().num_partial_views(), 4u);
 }
 
-TEST(ManifestTest, HostileCountsFailInsteadOfAllocating) {
-  // A crafted manifest with a valid CRC but an absurd page_count must come
-  // back as IoError — never bad_alloc/abort. (The CRC guards corruption,
-  // not malice, so the bounds checks have to stand on their own.)
-  ScratchDir scratch("manifest_hostile");
-  std::string buf;
-  buf.append("VMSVMAN1", 8);
-  auto put32 = [&buf](uint32_t v) {
-    buf.append(reinterpret_cast<const char*>(&v), 4);
-  };
-  auto put64 = [&buf](uint64_t v) {
-    buf.append(reinterpret_cast<const char*>(&v), 8);
-  };
-  put32(2);  // version
-  put32(0);  // reserved
-  put64(1);  // num_rows
-  put64(1);  // num_pages
-  put64(0);  // pool_generation
-  put64(0);  // epoch
-  put64(2);  // next_view_id
-  put64(1);  // view_count
-  put64(1);  // id
-  put64(0);  // lo
-  put64(0);  // hi
-  put64(0);  // creation_scanned_pages
-  put64(uint64_t{1} << 61);  // page_count: overflows naive size math
-  put32(Crc32(buf.data(), buf.size()));
-  {
-    std::ofstream f(ManifestPath(scratch.path()), std::ios::binary);
-    f.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-  }
-  EXPECT_EQ(ReadManifest(scratch.path()).status().code(), StatusCode::kIoError);
-}
-
-// ---------------------------------------------------------------------------
-// Incremental manifest: the delta log
-
-ManifestDelta UpsertDelta(uint64_t epoch, uint64_t id, Value lo, Value hi) {
-  ManifestDelta delta;
-  delta.op = ManifestDeltaOp::kUpsertView;
-  delta.epoch = epoch;
-  delta.view = ManifestView{id, lo, hi, /*creation_scanned_pages=*/hi - lo,
-                            /*demoted=*/false};
-  return delta;
-}
-
-ManifestDelta RemoveDelta(uint64_t epoch, uint64_t id) {
-  ManifestDelta delta;
-  delta.op = ManifestDeltaOp::kRemoveView;
-  delta.epoch = epoch;
-  delta.view.id = id;
-  return delta;
-}
-
-TEST(ManifestDeltaLogTest, AppendReplayRoundTrip) {
-  ScratchDir scratch("mdl");
-  {
-    auto open_r = ManifestDeltaLog::Open(scratch.path());
-    ASSERT_TRUE(open_r.ok()) << open_r.status().ToString();
-    ASSERT_TRUE(open_r->replayed.empty());
-    auto log = std::move(open_r.ValueOrDie().log);
-    ASSERT_TRUE(log->Append(UpsertDelta(1, 5, 10, 20)).ok());
-    ASSERT_TRUE(log->Append(RemoveDelta(1, 4)).ok());
-    ASSERT_TRUE(log->Append(UpsertDelta(2, 6, 30, 40)).ok());
-    EXPECT_EQ(log->record_count(), 3u);
-  }
-  auto reopen_r = ManifestDeltaLog::Open(scratch.path());
-  ASSERT_TRUE(reopen_r.ok()) << reopen_r.status().ToString();
-  EXPECT_FALSE(reopen_r->tail_truncated);
-  ASSERT_EQ(reopen_r->replayed.size(), 3u);
-  EXPECT_EQ(reopen_r->replayed[0].op, ManifestDeltaOp::kUpsertView);
-  EXPECT_EQ(reopen_r->replayed[0].epoch, 1u);
-  EXPECT_EQ(reopen_r->replayed[0].view.id, 5u);
-  EXPECT_EQ(reopen_r->replayed[0].view.lo, 10u);
-  EXPECT_EQ(reopen_r->replayed[0].view.hi, 20u);
-  EXPECT_EQ(reopen_r->replayed[0].view.creation_scanned_pages, 10u);
-  EXPECT_EQ(reopen_r->replayed[1].op, ManifestDeltaOp::kRemoveView);
-  EXPECT_EQ(reopen_r->replayed[1].view.id, 4u);
-  EXPECT_EQ(reopen_r->replayed[2].epoch, 2u);
-  EXPECT_EQ(reopen_r->replayed[2].view.hi, 40u);
-}
-
-TEST(ManifestDeltaLogTest, TornTailIsTruncatedOnce) {
-  ScratchDir scratch("mdl_torn");
-  {
-    auto open_r = ManifestDeltaLog::Open(scratch.path());
-    ASSERT_TRUE(open_r.ok());
-    auto log = std::move(open_r.ValueOrDie().log);
-    ASSERT_TRUE(log->Append(UpsertDelta(1, 1, 0, 9)).ok());
-    ASSERT_TRUE(log->Append(UpsertDelta(1, 2, 10, 19)).ok());
-  }
-  {
-    // Crash mid-append: a partial record's bytes at the tail.
-    std::ofstream f(ManifestDeltaPath(scratch.path()),
-                    std::ios::binary | std::ios::app);
-    f.write("torn-delta-garbage", 18);
-  }
-  auto open_r = ManifestDeltaLog::Open(scratch.path());
-  ASSERT_TRUE(open_r.ok()) << open_r.status().ToString();
-  EXPECT_TRUE(open_r->tail_truncated);
-  ASSERT_EQ(open_r->replayed.size(), 2u);
-  {
-    // The torn tail is gone: appends after recovery replay cleanly.
-    auto log = std::move(open_r.ValueOrDie().log);
-    ASSERT_TRUE(log->Append(RemoveDelta(1, 1)).ok());
-  }
-  auto again_r = ManifestDeltaLog::Open(scratch.path());
-  ASSERT_TRUE(again_r.ok());
-  EXPECT_FALSE(again_r->tail_truncated);
-  ASSERT_EQ(again_r->replayed.size(), 3u);
-  EXPECT_EQ(again_r->replayed[2].op, ManifestDeltaOp::kRemoveView);
-}
-
-TEST(ManifestDeltaLogTest, MidRecordCorruptionEndsReplayThere) {
-  ScratchDir scratch("mdl_corrupt");
-  {
-    auto open_r = ManifestDeltaLog::Open(scratch.path());
-    ASSERT_TRUE(open_r.ok());
-    auto log = std::move(open_r.ValueOrDie().log);
-    ASSERT_TRUE(log->Append(UpsertDelta(1, 1, 0, 9)).ok());
-    ASSERT_TRUE(log->Append(UpsertDelta(1, 2, 10, 19)).ok());
-  }
-  {
-    // Flip a byte INSIDE the first record's payload (past the 8-byte file
-    // header): its crc fails, so replay must end before record 1 — the
-    // still-intact second record is unreachable by the framing contract and
-    // gets truncated away with the corrupt one.
-    std::fstream f(ManifestDeltaPath(scratch.path()),
-                   std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(8 + 20);
-    const char x = 0x5A;
-    f.write(&x, 1);
-  }
-  auto open_r = ManifestDeltaLog::Open(scratch.path());
-  ASSERT_TRUE(open_r.ok()) << open_r.status().ToString();
-  EXPECT_TRUE(open_r->tail_truncated);
-  EXPECT_TRUE(open_r->replayed.empty());
-  EXPECT_EQ(open_r->log->record_count(), 0u);
-}
-
-/// Real I/O, except that while `tear` is set a delta write lands only its
-/// first half and fails, and the rewind after it fails too.
-class TearingDeltaIo : public StorageIo {
- public:
-  bool tear = false;
-
-  Status Write(int fd, const void* data, size_t len,
-               const char* what) override {
-    if (tear) {
-      (void)RealStorageIo()->Write(fd, data, len / 2, what);
-      return IoError("injected torn delta write");
-    }
-    return RealStorageIo()->Write(fd, data, len, what);
-  }
-  Status Pwrite(int fd, const void* data, size_t len, uint64_t offset,
-                const char* what) override {
-    return RealStorageIo()->Pwrite(fd, data, len, offset, what);
-  }
-  Status Fsync(int fd, const char* what) override {
-    return RealStorageIo()->Fsync(fd, what);
-  }
-  Status FsyncDir(const std::string& dir) override {
-    return RealStorageIo()->FsyncDir(dir);
-  }
-  Status Rename(const std::string& from, const std::string& to) override {
-    return RealStorageIo()->Rename(from, to);
-  }
-  Status Truncate(int fd, uint64_t len, const char* what) override {
-    if (tear && std::string(what).find("rewind") != std::string::npos) {
-      return IoError("injected rewind failure");
-    }
-    return RealStorageIo()->Truncate(fd, len, what);
-  }
-  Status SyncFileRange(int fd, const char* what) override {
-    return RealStorageIo()->SyncFileRange(fd, what);
-  }
-};
-
-TEST(ManifestDeltaLogTest, UnrewoundTornTailRefusesAppendsUntilReset) {
-  // Records appended behind torn bytes would be unreachable on replay, so
-  // the log refuses them until a Reset truncates the tear away.
-  ScratchDir scratch("mdl_unrewound");
-  TearingDeltaIo io;
-  auto open_r = ManifestDeltaLog::Open(scratch.path(), &io);
-  ASSERT_TRUE(open_r.ok());
-  auto log = std::move(open_r.ValueOrDie().log);
-  ASSERT_TRUE(log->Append(UpsertDelta(1, 1, 0, 9)).ok());
-  io.tear = true;
-  EXPECT_FALSE(log->Append(UpsertDelta(1, 2, 10, 19)).ok());
-  io.tear = false;
-  EXPECT_FALSE(log->empty());
-  EXPECT_FALSE(log->Append(RemoveDelta(1, 1)).ok())
-      << "an append behind the torn tail would be lost on replay";
-  ASSERT_TRUE(log->Reset().ok());
-  EXPECT_TRUE(log->empty());
-  ASSERT_TRUE(log->Append(UpsertDelta(2, 3, 20, 29)).ok());
-  log.reset();
-  auto reopen_r = ManifestDeltaLog::Open(scratch.path());
-  ASSERT_TRUE(reopen_r.ok());
-  EXPECT_FALSE(reopen_r->tail_truncated);
-  ASSERT_EQ(reopen_r->replayed.size(), 1u);
-  EXPECT_EQ(reopen_r->replayed[0].view.id, 3u);
-}
-
-TEST(ManifestDeltaLogTest, ResetCompactsToBareHeader) {
-  ScratchDir scratch("mdl_reset");
-  {
-    auto open_r = ManifestDeltaLog::Open(scratch.path());
-    ASSERT_TRUE(open_r.ok());
-    auto log = std::move(open_r.ValueOrDie().log);
-    ASSERT_TRUE(log->Append(UpsertDelta(1, 1, 0, 9)).ok());
-    ASSERT_TRUE(log->Reset().ok());
-    EXPECT_EQ(log->record_count(), 0u);
-    ASSERT_TRUE(log->Append(UpsertDelta(2, 2, 5, 6)).ok());
-  }
-  auto open_r = ManifestDeltaLog::Open(scratch.path());
-  ASSERT_TRUE(open_r.ok());
-  ASSERT_EQ(open_r->replayed.size(), 1u);  // only the post-reset record
-  EXPECT_EQ(open_r->replayed[0].view.id, 2u);
-}
-
-TEST(ManifestDeltaLogTest, ApplyFiltersByEpochAndRaisesIdWatermark) {
-  ViewManifest base;
-  base.epoch = 5;
-  base.next_view_id = 3;
-  base.views.push_back(ManifestView{1, 0, 9, 1, /*demoted=*/false});
-  base.views.push_back(ManifestView{2, 10, 19, 1, /*demoted=*/false});
-  const std::vector<ManifestDelta> deltas = {
-      UpsertDelta(4, 7, 90, 99),    // stale epoch: skipped
-      UpsertDelta(5, 2, 10, 25), // replaces view 2 in place
-      RemoveDelta(5, 1),                 // removes view 1
-      UpsertDelta(5, 9, 40, 49),    // appends a new view
-      RemoveDelta(6, 9),                 // FUTURE epoch: skipped too
-  };
-  uint64_t skipped = 0;
-  const uint64_t applied = ApplyManifestDeltas(&base, deltas, &skipped);
-  EXPECT_EQ(applied, 3u);
-  EXPECT_EQ(skipped, 2u);
-  ASSERT_EQ(base.views.size(), 2u);
-  EXPECT_EQ(base.views[0].id, 2u);
-  EXPECT_EQ(base.views[0].hi, 25u);  // the upsert replaced, not duplicated
-  EXPECT_EQ(base.views[1].id, 9u);
-  // The watermark rose above EVERY id seen, applied or skipped: an id
-  // handed out before a crash is never reissued.
-  EXPECT_EQ(base.next_view_id, 10u);
-}
-
-ManifestDelta EditDelta(ManifestDeltaOp op, uint64_t epoch, uint64_t id) {
-  ManifestDelta delta;
-  delta.op = op;
-  delta.epoch = epoch;
-  delta.view.id = id;
-  return delta;
-}
-
-ManifestDelta RangeDelta(uint64_t epoch, uint64_t id, Value lo, Value hi) {
-  ManifestDelta delta = EditDelta(ManifestDeltaOp::kSetViewRange, epoch, id);
-  delta.view.lo = lo;
-  delta.view.hi = hi;
-  return delta;
-}
-
-/// Writes `deltas` to a fresh log in `dir` and returns what Open replays.
-std::vector<ManifestDelta> RoundTripLog(const std::string& dir,
-                                        const std::vector<ManifestDelta>& deltas) {
-  {
-    auto open_r = ManifestDeltaLog::Open(dir);
-    EXPECT_TRUE(open_r.ok()) << open_r.status().ToString();
-    auto log = std::move(open_r.ValueOrDie().log);
-    for (const ManifestDelta& delta : deltas) {
-      EXPECT_TRUE(log->Append(delta).ok());
-    }
-    EXPECT_TRUE(log->Sync().ok());
-  }
-  auto open_r = ManifestDeltaLog::Open(dir);
-  EXPECT_TRUE(open_r.ok()) << open_r.status().ToString();
-  EXPECT_FALSE(open_r->tail_truncated);
-  return std::move(open_r.ValueOrDie().replayed);
-}
-
-TEST(ManifestDeltaLogTest, InPlaceEditsReplayByIdAndIgnoreUnknownIds) {
-  ScratchDir scratch("mdl_edits");
-  ViewManifest base;
-  base.epoch = 5;
-  base.next_view_id = 3;
-  base.views.push_back(ManifestView{1, 0, 9, 3, /*demoted=*/false});
-  base.views.push_back(ManifestView{2, 10, 19, 2, /*demoted=*/false});
-  const std::vector<ManifestDelta> replayed = RoundTripLog(
-      scratch.path(),
-      {
-          RangeDelta(5, 1, 0, 12),
-          RangeDelta(5, 9, 1, 2),    // unknown id
-          RangeDelta(4, 2, 10, 99),  // old epoch
-      });
-  ASSERT_EQ(replayed.size(), 3u);
-  EXPECT_EQ(replayed[0].op, ManifestDeltaOp::kSetViewRange);
-  EXPECT_EQ(replayed[0].view.hi, 12u);
-  uint64_t skipped = 0;
-  EXPECT_EQ(ApplyManifestDeltas(&base, replayed, &skipped), 2u);
-  EXPECT_EQ(skipped, 1u);
-  ASSERT_EQ(base.views.size(), 2u);
-  EXPECT_EQ(base.views[0].lo, 0u);
-  EXPECT_EQ(base.views[0].hi, 12u);
-  EXPECT_EQ(base.views[0].creation_scanned_pages, 3u);
-  EXPECT_EQ(base.views[1].hi, 19u);
-  EXPECT_EQ(base.next_view_id, 10u);  // the unknown id still raised it
-}
-
-TEST(ManifestDeltaLogTest, LogOfOpsOneToThreeReplaysUnchanged) {
-  // A log written before ops 4-6 existed holds only upserts, removes and
-  // tier flips; it must replay to exactly the pool it always did.
-  ScratchDir scratch("mdl_v1_ops");
-  ManifestDelta demote = EditDelta(ManifestDeltaOp::kSetViewTier, 2, 1);
-  demote.view.demoted = true;
-  const std::vector<ManifestDelta> written = {
-      UpsertDelta(2, 1, 0, 9),
-      UpsertDelta(2, 2, 10, 19),
-      demote,
-      RemoveDelta(2, 2),
-      UpsertDelta(2, 3, 20, 29),
-      UpsertDelta(2, 3, 20, 35),
-  };
-  const std::vector<ManifestDelta> replayed =
-      RoundTripLog(scratch.path(), written);
-  ASSERT_EQ(replayed.size(), written.size());
-  for (size_t i = 0; i < written.size(); ++i) {
-    EXPECT_EQ(replayed[i].op, written[i].op) << "record " << i;
-    EXPECT_EQ(replayed[i].view.id, written[i].view.id) << "record " << i;
-    EXPECT_EQ(replayed[i].view.hi, written[i].view.hi) << "record " << i;
-    EXPECT_EQ(replayed[i].view.demoted, written[i].view.demoted)
-        << "record " << i;
-  }
-  ViewManifest base;
-  base.epoch = 2;
-  EXPECT_EQ(ApplyManifestDeltas(&base, replayed), written.size());
-  ASSERT_EQ(base.views.size(), 2u);
-  EXPECT_EQ(base.views[0].id, 1u);
-  EXPECT_TRUE(base.views[0].demoted);
-  EXPECT_EQ(base.views[0].hi, 9u);
-  EXPECT_EQ(base.views[1].id, 3u);
-  EXPECT_EQ(base.views[1].hi, 35u);
-  EXPECT_EQ(base.next_view_id, 4u);
-}
-
-TEST(ManifestDeltaLogTest, UnknownOpEndsReplayAsTornTail) {
-  ScratchDir scratch("mdl_unknown_op");
-  {
-    auto open_r = ManifestDeltaLog::Open(scratch.path());
-    ASSERT_TRUE(open_r.ok());
-    auto log = std::move(open_r.ValueOrDie().log);
-    ASSERT_TRUE(log->Append(UpsertDelta(1, 1, 0, 9)).ok());
-  }
-  {
-    // A well-framed record (valid crc and magic) with op 7, which no
-    // version writes.
-    std::string record;
-    const auto put32 = [&record](uint32_t v) {
-      record.append(reinterpret_cast<const char*>(&v), 4);
-    };
-    const auto put64 = [&record](uint64_t v) {
-      record.append(reinterpret_cast<const char*>(&v), 8);
-    };
-    put32(7);  // op
-    put32(0);  // reserved
-    put64(1);  // epoch
-    put64(1);  // id
-    for (int field = 0; field < 5; ++field) put64(0);  // lo..page_count
-    put32(Crc32(record.data(), record.size()));
-    put32(0x4C44u);
-    std::ofstream f(ManifestDeltaPath(scratch.path()),
-                    std::ios::binary | std::ios::app);
-    f.write(record.data(), static_cast<std::streamsize>(record.size()));
-  }
-  {
-    auto open_r = ManifestDeltaLog::Open(scratch.path());
-    ASSERT_TRUE(open_r.ok()) << open_r.status().ToString();
-    EXPECT_TRUE(open_r->tail_truncated);
-    ASSERT_EQ(open_r->replayed.size(), 1u);
-    EXPECT_EQ(open_r->replayed[0].op, ManifestDeltaOp::kUpsertView);
-  }
-  auto again_r = ManifestDeltaLog::Open(scratch.path());
-  ASSERT_TRUE(again_r.ok());
-  EXPECT_FALSE(again_r->tail_truncated);  // truncated once, for good
-  EXPECT_EQ(again_r->replayed.size(), 1u);
-}
-
 // ---------------------------------------------------------------------------
 // Group commit + fsync accounting (via the fault-injection I/O layer used
 // as a pure syscall counter — no faults armed)
@@ -1218,34 +907,35 @@ TEST(GroupCommitTest, AcknowledgedBatchesSurviveAKill) {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental manifest end to end
+// Pool slots end to end
 
-TEST(DurableColumnTest, AdaptationAppendsDeltasInsteadOfSnapshots) {
-  ScratchDir scratch("durable_deltas");
+TEST(DurableColumnTest, EveryPoolEditWritesOneSlot) {
+  ScratchDir scratch("durable_slots");
   AdaptiveConfig config;
   config.max_views = 32;
   auto adaptive = MakeDurable(scratch.path(), config);
-  const auto queries = TestQueries(10, 13);
-  ExecuteAll(adaptive.get(), queries);
+  // Create writes the geometry header and leaves both slots empty.
+  EXPECT_EQ(adaptive->durability_stats().manifest_writes, 0u);
+  EXPECT_FALSE(NewestPool(scratch.path()).has_value());
+  ExecuteAll(adaptive.get(), TestQueries(10, 13));
   const DurabilityStats stats = adaptive->durability_stats();
-  // Adaptation persisted through the delta log: the only BASE snapshot is
-  // CreateDurable's initial one.
-  EXPECT_EQ(stats.manifest_writes, 1u);
-  EXPECT_GT(stats.manifest_delta_appends, 0u);
+  EXPECT_GT(stats.manifest_writes, 0u);
+  EXPECT_EQ(stats.manifest_delta_appends, stats.manifest_writes)
+      << "every slot write came from a pool edit";
   EXPECT_EQ(stats.manifest_write_failures, 0u);
-  // Checkpoint compacts: fresh base (epoch bump), delta log emptied. The
-  // base holds ranges only, 48 bytes per view.
+  EXPECT_FALSE(stats.manifest_dirty);
+  // The newest slot holds the whole live pool, at the last sequence.
+  std::optional<ManifestPool> pool = NewestPool(scratch.path());
+  ASSERT_TRUE(pool.has_value());
+  EXPECT_EQ(pool->seq, stats.manifest_writes);
+  EXPECT_EQ(pool->views.size(), adaptive->view_index().num_partial_views());
+  // A checkpoint of a clean pool writes no slot.
   ASSERT_TRUE(adaptive->Checkpoint().ok());
-  EXPECT_EQ(adaptive->durability_stats().manifest_writes, 2u);
-  EXPECT_EQ(fs::file_size(ManifestPath(scratch.path())),
-            68 + 48 * adaptive->view_index().num_partial_views());
-  auto reopened_r = ManifestDeltaLog::Open(scratch.path());
-  ASSERT_TRUE(reopened_r.ok());
-  EXPECT_TRUE(reopened_r->replayed.empty());
+  EXPECT_EQ(adaptive->durability_stats().manifest_writes, stats.manifest_writes);
 }
 
-TEST(DurableColumnTest, KillBeforeCheckpointRestoresViewsFromDeltas) {
-  ScratchDir scratch("durable_deltarec");
+TEST(DurableColumnTest, KillBeforeCheckpointRestoresViewsFromSlots) {
+  ScratchDir scratch("durable_slotrec");
   const auto queries = TestQueries(10, 19);
   AdaptiveConfig config;
   config.max_views = 32;
@@ -1256,34 +946,33 @@ TEST(DurableColumnTest, KillBeforeCheckpointRestoresViewsFromDeltas) {
     before = ExecuteAll(adaptive.get(), queries);
     views_before = adaptive->view_index().num_partial_views();
     ASSERT_GT(views_before, 0u);
-  }  // kill WITHOUT checkpoint: the base snapshot still shows an empty pool
+  }  // kill WITHOUT checkpoint: the slots alone hold the pool
   auto reopened_r = OpenColumn(scratch.path(), config);
   ASSERT_TRUE(reopened_r.ok()) << reopened_r.status().ToString();
   auto reopened = std::move(reopened_r).ValueOrDie();
-  const DurabilityStats stats = reopened->durability_stats();
-  EXPECT_GT(stats.manifest_deltas_replayed, 0u);
-  EXPECT_EQ(stats.views_restored, views_before)
-      << "every adapted view must come back from base + deltas alone";
+  EXPECT_EQ(reopened->durability_stats().views_restored, views_before)
+      << "every adapted view must come back from the newest slot";
+  EXPECT_FALSE(reopened->durability_stats().manifest_dirty);
   const std::vector<QueryResult> after = ExecuteAll(reopened.get(), queries);
   EXPECT_EQ(after, before);
   EXPECT_EQ(reopened->metrics().views_created, 0u)
-      << "covered queries should hit delta-restored views, not rebuild them";
+      << "covered queries should hit restored views, not rebuild them";
 }
 
-/// The pool as recovery must reproduce it: (id, lo, hi, sorted pages,
-/// demoted) per view, sorted. Slot order is left out on purpose: recovery
-/// installs derived pages in page order, and the order only shapes the
-/// first materialization's mmap runs.
+/// The pool as recovery must reproduce it: (lo, hi, sorted pages, demoted)
+/// per view, sorted. Slot order is left out on purpose: recovery installs
+/// derived pages in page order, and the order only shapes the first
+/// materialization's mmap runs.
 using PoolState =
-    std::vector<std::tuple<uint64_t, Value, Value, std::vector<uint64_t>, bool>>;
+    std::vector<std::tuple<Value, Value, std::vector<uint64_t>, bool>>;
 
 PoolState StateOf(const AdaptiveColumn& adaptive) {
   PoolState state;
   for (const auto& view : adaptive.view_index().views()) {
     std::vector<uint64_t> pages = view->physical_pages();
     std::sort(pages.begin(), pages.end());
-    state.emplace_back(view->durable_id(), view->lo(), view->hi(),
-                       std::move(pages), view->demoted());
+    state.emplace_back(view->lo(), view->hi(), std::move(pages),
+                       view->demoted());
   }
   std::sort(state.begin(), state.end());
   return state;
@@ -1367,13 +1056,13 @@ bool FindNonWideningDiscard(const AdaptiveColumn& adaptive, RangeQuery* q) {
   return false;
 }
 
-// Base snapshot plus delta log recover every pool edit adaptation makes —
-// a widened range, and a discard that edits nothing — with no snapshot
-// after the adaptation's checkpoint. A flush that adds and removes pages
-// appends nothing: recovery derives the moved pages from the data. (The
-// discards run before the updates: a query flushes pending updates first.)
-TEST(DurableColumnTest, FlushAppendsNoPageDeltasAndRecoveryNeedsNoSnapshot) {
-  ScratchDir scratch("durable_pagedeltas");
+// The slots recover every pool edit adaptation makes — a widened range, and
+// a discard that edits nothing — with no write after the adaptation's
+// checkpoint but the widening's. A flush that adds and removes pages writes
+// nothing: recovery derives the moved pages from the data. (The discards
+// run before the updates: a query flushes pending updates first.)
+TEST(DurableColumnTest, FlushWritesNoSlotAndRecoveryDerivesPages) {
+  ScratchDir scratch("durable_pagemoves");
   AdaptiveConfig config;
   config.max_views = 32;
   PoolState before;
@@ -1382,12 +1071,11 @@ TEST(DurableColumnTest, FlushAppendsNoPageDeltasAndRecoveryNeedsNoSnapshot) {
     ExecuteAll(adaptive.get(), TestQueries(10, 13));  // adapt
     ASSERT_TRUE(adaptive->Checkpoint().ok());
     ASSERT_GE(adaptive->view_index().num_partial_views(), 2u);
-    const uint64_t writes = adaptive->durability_stats().manifest_writes;
 
-    // A discard that widens a range appends one set-range record.
+    // A discard that widens a range writes the pool once.
     RangeQuery widen;
     ASSERT_TRUE(FindWideningDiscard(*adaptive, &widen));
-    uint64_t appends = adaptive->durability_stats().manifest_delta_appends;
+    uint64_t writes = adaptive->durability_stats().manifest_writes;
     auto exec = adaptive->Execute(widen);
     ASSERT_TRUE(exec.ok()) << exec.status().ToString();
     EXPECT_EQ(exec->stats.decision, CandidateDecision::kDiscardedSubset);
@@ -1395,24 +1083,23 @@ TEST(DurableColumnTest, FlushAppendsNoPageDeltasAndRecoveryNeedsNoSnapshot) {
         adaptive->view_index().FindSmallestCovering(widen);
     ASSERT_NE(widened, nullptr) << "the discard widened no range";
     EXPECT_EQ(widened->hi(), widen.hi);
-    EXPECT_EQ(adaptive->durability_stats().manifest_delta_appends, appends + 1);
-    EXPECT_FALSE(adaptive->durability_stats().manifest_stale);
+    EXPECT_EQ(adaptive->durability_stats().manifest_writes, writes + 1);
+    EXPECT_FALSE(adaptive->durability_stats().manifest_dirty);
 
-    // A discard that widens nothing appends nothing and stays clean.
+    // A discard that widens nothing writes nothing and stays clean.
     RangeQuery plain;
     ASSERT_TRUE(FindNonWideningDiscard(*adaptive, &plain));
     const PoolState shape = StateOf(*adaptive);
-    appends = adaptive->durability_stats().manifest_delta_appends;
+    writes = adaptive->durability_stats().manifest_writes;
     exec = adaptive->Execute(plain);
     ASSERT_TRUE(exec.ok()) << exec.status().ToString();
     EXPECT_EQ(exec->stats.decision, CandidateDecision::kDiscardedSubset);
     EXPECT_EQ(StateOf(*adaptive), shape);
-    EXPECT_EQ(adaptive->durability_stats().manifest_delta_appends, appends);
-    EXPECT_FALSE(adaptive->durability_stats().manifest_stale);
+    EXPECT_EQ(adaptive->durability_stats().manifest_writes, writes);
+    EXPECT_FALSE(adaptive->durability_stats().manifest_dirty);
 
-    // One update adds a page to hot view A; others remove page q from a
-    // second view B by moving every value of q in B's range out of the
-    // domain.
+    // One update adds a page to view A; others remove page q from a second
+    // view B by moving every value of q in B's range out of the domain.
     const PhysicalColumn& column = adaptive->column();
     const VirtualView* a = nullptr;
     uint64_t added = 0;
@@ -1454,34 +1141,30 @@ TEST(DurableColumnTest, FlushAppendsNoPageDeltasAndRecoveryNeedsNoSnapshot) {
       ASSERT_TRUE(adaptive->Update(row, kMaxValue + 1).ok());
     }
 
-    // The flush moves both pages, appends nothing and writes no snapshot.
-    appends = adaptive->durability_stats().manifest_delta_appends;
+    // The flush moves both pages and writes no slot.
     auto flushed = adaptive->FlushUpdates();
     ASSERT_TRUE(flushed.ok()) << flushed.status().ToString();
     EXPECT_TRUE(a->ContainsPage(added));
     EXPECT_FALSE(b->ContainsPage(removed));
     const DurabilityStats stats = adaptive->durability_stats();
     EXPECT_EQ(stats.manifest_writes, writes);
-    EXPECT_EQ(stats.manifest_delta_appends, appends);
-    EXPECT_FALSE(stats.manifest_stale);
+    EXPECT_FALSE(stats.manifest_dirty);
     EXPECT_EQ(stats.manifest_write_failures, 0u);
     before = StateOf(*adaptive);
-  }  // kill WITHOUT a checkpoint: base snapshot + deltas only
+  }  // kill WITHOUT a checkpoint: the slots only
 
   auto reopened_r = OpenColumn(scratch.path(), config);
   ASSERT_TRUE(reopened_r.ok()) << reopened_r.status().ToString();
   auto reopened = std::move(reopened_r).ValueOrDie();
   EXPECT_EQ(reopened->durability_stats().journal_replayed, 0u)
-      << "the flush reset the journal; base and deltas alone must recover";
-  // The set-range record is the one delta since the checkpoint.
-  EXPECT_EQ(reopened->durability_stats().manifest_deltas_replayed, 1u);
+      << "the flush reset the journal; the slots alone must recover";
   EXPECT_EQ(StateOf(*reopened), before);
   for (const auto& view : reopened->view_index().views()) {
     EXPECT_EQ(view->physical_pages(),
               PagesHolding(reopened->column(), view->value_range()))
-        << "view " << view->durable_id();
+        << "view [" << view->lo() << ", " << view->hi() << "]";
   }
-  EXPECT_FALSE(reopened->durability_stats().manifest_stale);
+  EXPECT_FALSE(reopened->durability_stats().manifest_dirty);
   // Queries strictly inside each restored view agree with full scans.
   std::vector<RangeQuery> inner;
   for (const auto& view : reopened->view_index().views()) {
@@ -1490,72 +1173,123 @@ TEST(DurableColumnTest, FlushAppendsNoPageDeltasAndRecoveryNeedsNoSnapshot) {
   }
   EXPECT_EQ(ExecuteAll(reopened.get(), inner), FullScanAll(reopened.get(), inner));
   EXPECT_EQ(reopened->metrics().views_created, 0u);
-
-  // An explicit checkpoint compacts the log into a fresh base.
-  const uint64_t writes = reopened->durability_stats().manifest_writes;
-  ASSERT_TRUE(reopened->Checkpoint().ok());
-  EXPECT_EQ(reopened->durability_stats().manifest_writes, writes + 1);
-  {
-    auto log_r = ManifestDeltaLog::Open(scratch.path());
-    ASSERT_TRUE(log_r.ok());
-    EXPECT_TRUE(log_r->replayed.empty());
-  }
   reopened.reset();
   auto again_r = OpenColumn(scratch.path(), config);
   ASSERT_TRUE(again_r.ok()) << again_r.status().ToString();
   EXPECT_EQ(StateOf(*again_r->get()), before);
 }
 
-// Churn: every round widens a view's range by one value through a
-// discard, appending one set-range record, then flushes an update that
-// moves a page into or out of a view, which appends nothing. The log grows
-// by a record per round until it holds more than twice the bytes of a
-// snapshot of the pool; that round's flush snapshots and the log starts
-// over.
-TEST(DurableColumnTest, FlushSnapshotsOnceTheLogOutgrowsTwiceThePool) {
-  ScratchDir scratch("durable_churn");
+// A torn newer slot (a crash mid-write) reopens the pool of the write
+// before it, with every view's pages derived.
+TEST(DurableColumnTest, TornNewerSlotReopensOlderPool) {
+  ScratchDir scratch("durable_torn_slot");
   AdaptiveConfig config;
   config.max_views = 32;
-  PoolState before;
+  const auto queries = TestQueries(10, 19);
+  std::vector<std::vector<std::pair<Value, Value>>> pools;  // per write
   {
     auto adaptive = MakeDurable(scratch.path(), config);
-    ExecuteAll(adaptive.get(), TestQueries(4, 13));
-    ASSERT_TRUE(adaptive->Checkpoint().ok());
-    const PhysicalColumn& column = adaptive->column();
-    const VirtualView* view = adaptive->view_index().views().front().get();
-    uint64_t page = 0;
-    while (page < column.num_pages() && view->ContainsPage(page)) ++page;
-    ASSERT_LT(page, column.num_pages());
-    const uint64_t row = page * kValuesPerPage;
-    const Value original = column.Get(row);
-    const Value inside = (view->lo() + view->hi()) / 2;
-    const uint64_t writes = adaptive->durability_stats().manifest_writes;
-    constexpr uint64_t kRecord = 72;  // head 64 + tail 8
-    for (int round = 0; round < 64; ++round) {
-      RangeQuery widen;
-      ASSERT_TRUE(FindWideningDiscard(*adaptive, &widen)) << "round " << round;
-      auto exec = adaptive->Execute(widen);
-      ASSERT_TRUE(exec.ok()) << exec.status().ToString();
-      ASSERT_EQ(exec->stats.decision, CandidateDecision::kDiscardedSubset);
-      ASSERT_TRUE(adaptive->Update(row, round % 2 == 0 ? inside : original).ok());
-      ASSERT_TRUE(adaptive->FlushUpdates().ok());
-      ASSERT_EQ(view->ContainsPage(page), round % 2 == 0);
-      const uint64_t live =
-          ManifestSnapshotBytes(adaptive->view_index().views().size());
-      const uint64_t log =
-          fs::file_size(ManifestDeltaPath(scratch.path())) - 8;  // header
-      EXPECT_EQ(log % kRecord, 0u) << "round " << round;
-      EXPECT_LE(log, 2 * live + kRecord) << "round " << round;
+    for (const RangeQuery& q : queries) {
+      const uint64_t writes = adaptive->durability_stats().manifest_writes;
+      ExecuteAll(adaptive.get(), {q});
+      if (adaptive->durability_stats().manifest_writes == writes) continue;
+      std::vector<std::pair<Value, Value>> ranges;
+      for (const auto& view : adaptive->view_index().views()) {
+        ranges.emplace_back(view->lo(), view->hi());
+      }
+      std::sort(ranges.begin(), ranges.end());
+      pools.push_back(std::move(ranges));
     }
-    const DurabilityStats stats = adaptive->durability_stats();
-    EXPECT_GE(stats.manifest_writes, writes + 2) << "the 2x rule never fired";
-    EXPECT_EQ(stats.manifest_write_failures, 0u);
-    before = StateOf(*adaptive);
-  }
+    ASSERT_GE(pools.size(), 2u);
+    ASSERT_EQ(adaptive->durability_stats().manifest_writes, pools.size());
+  }  // kill
+  // Slots alternate from slot 0, so write n landed in slot (n - 1) % 2.
+  FlipByte(ManifestSlotPath(scratch.path(), (pools.size() - 1) % 2), 40);
   auto reopened_r = OpenColumn(scratch.path(), config);
   ASSERT_TRUE(reopened_r.ok()) << reopened_r.status().ToString();
-  EXPECT_EQ(StateOf(*reopened_r->get()), before);
-  EXPECT_FALSE(reopened_r->get()->durability_stats().manifest_stale);
+  auto reopened = std::move(reopened_r).ValueOrDie();
+  std::vector<std::pair<Value, Value>> ranges;
+  for (const auto& view : reopened->view_index().views()) {
+    ranges.emplace_back(view->lo(), view->hi());
+    EXPECT_EQ(view->physical_pages(),
+              PagesHolding(reopened->column(), view->value_range()));
+  }
+  std::sort(ranges.begin(), ranges.end());
+  EXPECT_EQ(ranges, pools[pools.size() - 2]);
+  EXPECT_EQ(ExecuteAll(reopened.get(), queries),
+            FullScanAll(reopened.get(), queries));
+}
+
+// With both slots torn the pool is lost, never the column: an empty pool
+// reopens marked dirty, queries re-adapt, and every answer equals a full
+// scan.
+TEST(DurableColumnTest, TwoTornSlotsReopenEmptyDirtyPool) {
+  ScratchDir scratch("durable_torn_slots");
+  AdaptiveConfig config;
+  config.max_views = 32;
+  const auto queries = TestQueries(10, 19);
+  {
+    auto adaptive = MakeDurable(scratch.path(), config);
+    ExecuteAll(adaptive.get(), queries);
+    ASSERT_GE(adaptive->durability_stats().manifest_writes, 2u);
+  }  // kill
+  FlipByte(ManifestSlotPath(scratch.path(), 0), 40);
+  FlipByte(ManifestSlotPath(scratch.path(), 1), 40);
+  auto reopened_r = OpenColumn(scratch.path(), config);
+  ASSERT_TRUE(reopened_r.ok()) << reopened_r.status().ToString();
+  auto reopened = std::move(reopened_r).ValueOrDie();
+  EXPECT_EQ(reopened->view_index().num_partial_views(), 0u);
+  EXPECT_TRUE(reopened->durability_stats().manifest_dirty);
+  // The first checkpoint writes the (empty) pool and clears the bit.
+  ASSERT_TRUE(reopened->Checkpoint().ok());
+  EXPECT_FALSE(reopened->durability_stats().manifest_dirty);
+  EXPECT_EQ(reopened->durability_stats().manifest_writes, 1u);
+  EXPECT_EQ(ExecuteAll(reopened.get(), queries),
+            FullScanAll(reopened.get(), queries));
+  EXPECT_GT(reopened->view_index().num_partial_views(), 0u);
+}
+
+TEST(DurableColumnTest, HeaderGeometryMismatchIsIoError) {
+  ScratchDir scratch("durable_geometry");
+  {
+    auto adaptive = MakeDurable(scratch.path());
+    ASSERT_TRUE(adaptive->Checkpoint().ok());
+  }
+  const uint64_t rows = TestPages() * kValuesPerPage;
+  ASSERT_TRUE(WriteManifestHeader(scratch.path(),
+                                  ManifestHeader{rows + kValuesPerPage,
+                                                 TestPages() + 1})
+                  .ok());
+  EXPECT_EQ(OpenColumn(scratch.path(), {}).status().code(),
+            StatusCode::kIoError);
+}
+
+// A directory in the layout before the slots — a v3 MANIFEST snapshot and
+// a MANIFEST.delta log beside it — is refused, naming its version.
+TEST(DurableColumnTest, OlderLayoutIsRefusedNamingItsVersion) {
+  ScratchDir scratch("durable_v3");
+  std::string base("VMSVMAN1", 8);
+  auto put32 = [&base](uint32_t v) {
+    base.append(reinterpret_cast<const char*>(&v), 4);
+  };
+  auto put64 = [&base](uint64_t v) {
+    base.append(reinterpret_cast<const char*>(&v), 8);
+  };
+  put32(3);  // version
+  put32(0);  // reserved
+  put64(TestPages() * kValuesPerPage);  // num_rows
+  put64(TestPages());                   // num_pages
+  put64(0);                             // pool_generation
+  put64(1);                             // epoch
+  put64(1);                             // next_view_id
+  put64(0);                             // view count
+  put32(Crc32(base.data(), base.size()));
+  WriteFile(ManifestPath(scratch.path()), base);
+  WriteFile(scratch.path() + "/MANIFEST.delta", "VMSVMDL1");
+  const Status opened = OpenColumn(scratch.path(), {}).status();
+  EXPECT_EQ(opened.code(), StatusCode::kIoError);
+  EXPECT_NE(opened.message().find("version 3"), std::string::npos)
+      << opened.ToString();
 }
 
 TEST(DurableColumnTest, InMemoryColumnsReportNoDurability) {

@@ -1,19 +1,16 @@
 // Tiered cold-view lifecycle suite (ARCHITECTURE.md "Tiering model"): the
-// set-tier manifest delta on demoted entries, the demote → reopen →
-// promote acceptance round-trip (bit-identical to a never-demoted column),
-// demoted membership surviving a flush or a checkpoint and a kill, a
-// directory whose manifest still records page lists reopening exactly,
-// seeded randomized interleavings of update/flush/demote/checkpoint/reopen
+// demoted flag in a manifest pool slot, the demote → reopen → promote
+// acceptance round-trip (bit-identical to a never-demoted column), demoted
+// membership surviving a flush or a checkpoint and a kill, seeded
+// randomized interleavings of update/flush/demote/checkpoint/reopen
 // against the full-scan serial oracle, pressure relief's pool edits
 // surviving a kill, and the demote-while-scan race (the CI TSAN job runs
 // this binary).
 
 #include <algorithm>
 #include <atomic>
-#include <filesystem>
-#include <fstream>
-#include <map>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
@@ -25,9 +22,7 @@
 
 #include "vmsv.h"
 #include "scoped_temp_dir.h"
-#include "exec/scan_kernels.h"
 #include "rewiring/vm_io.h"
-#include "storage/journal.h"  // Crc32
 #include "storage/manifest.h"
 #include "util/env.h"
 #include "workload/distribution.h"
@@ -36,8 +31,6 @@
 
 namespace vmsv {
 namespace {
-
-namespace fs = std::filesystem;
 
 constexpr Value kMaxValue = 100'000'000;
 
@@ -157,145 +150,18 @@ const VirtualView* FindDemotedViewWithAbsentPage(const AdaptiveColumn& adaptive,
   return nullptr;
 }
 
-/// Every view's sorted page set, by durable id.
-std::map<uint64_t, std::vector<uint64_t>> Members(
-    const AdaptiveColumn& adaptive) {
-  std::map<uint64_t, std::vector<uint64_t>> members;
-  for (const auto& view : adaptive.view_index().views()) {
-    std::vector<uint64_t> pages = view->physical_pages();
-    std::sort(pages.begin(), pages.end());
-    members[view->durable_id()] = std::move(pages);
-  }
-  return members;
-}
-
-/// The file names in `dir`, sorted.
-std::vector<std::string> DirListing(const std::string& dir) {
-  std::vector<std::string> names;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    names.push_back(entry.path().filename().string());
-  }
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
-/// Pages of the column holding any value in q.
-std::vector<uint64_t> PagesHolding(const PhysicalColumn& column,
-                                   const RangeQuery& q) {
-  std::vector<uint64_t> pages;
-  for (uint64_t page = 0; page < column.num_pages(); ++page) {
-    if (PageContainsAny(column.PageData(page), kValuesPerPage, q)) {
-      pages.push_back(page);
-    }
-  }
-  return pages;
-}
-
-/// Little-endian writer for hand-built manifest files.
-struct Bytes {
-  std::string buf;
-  void U32(uint32_t v) { buf.append(reinterpret_cast<const char*>(&v), 4); }
-  void U64(uint64_t v) { buf.append(reinterpret_cast<const char*>(&v), 8); }
-  void Pages(const std::vector<uint64_t>& pages) {
-    U64(pages.size());
-    for (const uint64_t page : pages) U64(page);
-  }
-};
-
-void WriteFile(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  ASSERT_TRUE(out.good()) << path;
-}
-
 // ---------------------------------------------------------------------------
-// Manifest: deltas on demoted entries
+// Manifest: the demoted flag in a pool slot
 
-TEST(ManifestTierTest, SetTierDeltaFlipsFlagInPlace) {
-  ViewManifest manifest;
-  manifest.epoch = 2;
-  manifest.views.push_back(ManifestView{7, 100, 200, 25, /*demoted=*/false});
-
-  ManifestDelta demote;
-  demote.op = ManifestDeltaOp::kSetViewTier;
-  demote.epoch = 2;
-  demote.view.id = 7;
-  demote.view.demoted = true;
-
-  EXPECT_EQ(ApplyManifestDeltas(&manifest, {demote}), 1u);
-  ASSERT_EQ(manifest.views.size(), 1u);
-  EXPECT_TRUE(manifest.views[0].demoted);
-  EXPECT_EQ(manifest.views[0].hi, 200u);
-
-  // Unknown id: no-op (the view may have been trimmed meanwhile).
-  ManifestDelta stray = demote;
-  stray.view.id = 99;
-  EXPECT_EQ(ApplyManifestDeltas(&manifest, {stray}), 1u);
-  EXPECT_EQ(manifest.views.size(), 1u);
-}
-
-TEST(ManifestTierTest, DemotedFlagSurvivesBaseSnapshotRoundTrip) {
-  ScratchDir scratch("manifest_tier");
-  ViewManifest manifest;
-  manifest.num_rows = 1000;
-  manifest.num_pages = 10;
-  manifest.epoch = 1;
-  manifest.next_view_id = 3;
-  manifest.views.push_back(ManifestView{1, 0, 50, 10, /*demoted=*/true});
-  manifest.views.push_back(ManifestView{2, 60, 90, 4, /*demoted=*/false});
-  ASSERT_TRUE(WriteManifest(scratch.path(), manifest, /*sync=*/true).ok());
-  auto read_r = ReadManifest(scratch.path());
-  ASSERT_TRUE(read_r.ok()) << read_r.status().ToString();
-  ASSERT_EQ(read_r->views.size(), 2u);
-  EXPECT_TRUE(read_r->views[0].demoted);
-  EXPECT_FALSE(read_r->views[1].demoted);
-}
-
-TEST(ManifestTierTest, ReadsVersion2ManifestAsAllHot) {
-  // A store written before the tier flag existed (version 2: no per-view
-  // flags word) must open with every view hot — not fail with a version
-  // error. Hand-serialized v2 bytes, since the writer only emits v3 now.
-  ScratchDir scratch("manifest_v2");
-  std::string buf;
-  buf.append("VMSVMAN1", 8);
-  auto put_u32 = [&buf](uint32_t v) {
-    buf.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  auto put_u64 = [&buf](uint64_t v) {
-    buf.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  put_u32(2);     // version
-  put_u32(0);     // reserved
-  put_u64(1000);  // num_rows
-  put_u64(10);    // num_pages
-  put_u64(0);     // pool_generation
-  put_u64(1);     // epoch
-  put_u64(3);     // next_view_id
-  put_u64(2);     // view count
-  // v2 view record: id, lo, hi, creation_scanned_pages, page_count, pages —
-  // no flags word.
-  put_u64(1); put_u64(0); put_u64(50); put_u64(10); put_u64(2);
-  put_u64(3); put_u64(4);
-  put_u64(2); put_u64(60); put_u64(90); put_u64(4); put_u64(0);
-  put_u32(Crc32(buf.data(), buf.size()));
-  {
-    std::ofstream out(ManifestPath(scratch.path()),
-                      std::ios::binary | std::ios::trunc);
-    out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-    ASSERT_TRUE(out.good());
-  }
-  auto read_r = ReadManifest(scratch.path());
-  ASSERT_TRUE(read_r.ok()) << read_r.status().ToString();
-  EXPECT_EQ(read_r->next_view_id, 3u);
-  ASSERT_EQ(read_r->views.size(), 2u);
-  EXPECT_FALSE(read_r->views[0].demoted);
-  EXPECT_EQ(read_r->views[0].lo, 0u);
-  EXPECT_EQ(read_r->views[0].hi, 50u);
-  EXPECT_EQ(read_r->views[0].creation_scanned_pages, 10u);
-  EXPECT_FALSE(read_r->views[1].demoted);
-  EXPECT_EQ(read_r->views[1].id, 2u);
-  EXPECT_EQ(read_r->views[1].lo, 60u);
-  EXPECT_EQ(read_r->views[1].hi, 90u);
+TEST(ManifestTierTest, DemotedFlagSurvivesSlotRoundTrip) {
+  const std::optional<ManifestPool> pool = DecodeManifestPool(
+      EncodeManifestPool(3, {{0, 50, 10, /*demoted=*/true},
+                             {60, 90, 4, /*demoted=*/false}}));
+  ASSERT_TRUE(pool.has_value());
+  ASSERT_EQ(pool->views.size(), 2u);
+  EXPECT_TRUE(pool->views[0].demoted);
+  EXPECT_FALSE(pool->views[1].demoted);
+  EXPECT_EQ(pool->views[1].lo, 60u);
 }
 
 // ---------------------------------------------------------------------------
@@ -407,15 +273,15 @@ TEST(TieringTest, DemoteReopenPromoteBitIdenticalToNeverDemoted) {
 }
 
 TEST(TieringTest, TierStateSurvivesKillWithoutCheckpoint) {
-  // The set-tier delta alone (no base snapshot after the demote) must
-  // reopen the view demoted, with the pages its manifest entry holds.
+  // The demotion's own slot write (no checkpoint after the demote) must
+  // reopen the view demoted, with the pages its range defines.
   ScratchDir scratch("tiering_kill");
   const auto queries = TestQueries(4, 53);
   size_t demoted = 0;
   {
     auto adaptive = MakeDurable(scratch.path(), TieringConfig());
     for (const RangeQuery& q : queries) Adaptive(adaptive.get(), q);
-    ASSERT_TRUE(adaptive->Checkpoint().ok());  // base snapshot: all hot
+    ASSERT_TRUE(adaptive->Checkpoint().ok());
     demoted = adaptive->DemoteColdestViews(2);
     ASSERT_GT(demoted, 0u);
     // No checkpoint: the object drops here, simulating a kill (there is
@@ -452,11 +318,11 @@ TEST(TieringTest, ColdBudgetTrimsLowestScoringColdView) {
 }
 
 TEST(TieringTest, DemotedMembershipChangeSurvivesKillAfterFlush) {
-  // A flush that moves a page into a demoted view appends nothing and
-  // writes no snapshot, exactly as for a hot view; a kill right after it
-  // reopens the new membership, derived from the data. The second round
-  // checkpoints instead of flushing: the snapshot writes ranges only, and a
-  // kill after it reopens the same membership.
+  // A flush that moves a page into a demoted view writes no slot, exactly
+  // as for a hot view; a kill right after it reopens the new membership,
+  // derived from the data. The second round checkpoints instead of
+  // flushing: the pool is clean, so it writes no slot either, and a kill
+  // after it reopens the same membership.
   for (const bool checkpoint : {false, true}) {
     SCOPED_TRACE(checkpoint ? "checkpoint" : "flush");
     ScratchDir scratch(checkpoint ? "tiering_cold_checkpoint"
@@ -487,13 +353,8 @@ TEST(TieringTest, DemotedMembershipChangeSurvivesKillAfterFlush) {
       ASSERT_TRUE(view->demoted());
       ASSERT_TRUE(view->ContainsPage(absent_page));
       const DurabilityStats after = adaptive->durability_stats();
-      if (checkpoint) {
-        EXPECT_EQ(after.manifest_writes, before.manifest_writes + 1);
-      } else {
-        EXPECT_EQ(after.manifest_writes, before.manifest_writes);
-        EXPECT_EQ(after.manifest_delta_appends, before.manifest_delta_appends);
-      }
-      EXPECT_FALSE(after.manifest_stale);
+      EXPECT_EQ(after.manifest_writes, before.manifest_writes);
+      EXPECT_FALSE(after.manifest_dirty);
       shape = PoolShape(*adaptive);
     }  // kill: nothing runs after the flush or checkpoint
     auto reopen_r = OpenColumn(scratch.path(), TieringConfig());
@@ -511,132 +372,6 @@ TEST(TieringTest, DemotedMembershipChangeSurvivesKillAfterFlush) {
   }
 }
 
-TEST(TieringTest, DirectoryWithPageListsReopensExactly) {
-  // Directories written while the manifest recorded membership hold a v3
-  // MANIFEST whose entries carry page lists and a delta log that may hold
-  // add-pages (op 5) and remove-pages (op 6) records. Such a directory must
-  // open with every view's pages derived from its range and the data —
-  // wrong lists and page records change nothing — and replay must move
-  // past the page records to the set-range record behind them.
-  ScratchDir scratch("tiering_layout");
-  std::map<uint64_t, std::vector<uint64_t>> members;
-  {
-    auto adaptive = MakeDurable(scratch.path(), TieringConfig());
-    for (const RangeQuery& q : TestQueries(6, 131)) Adaptive(adaptive.get(), q);
-    ASSERT_GT(adaptive->DemoteColdestViews(2), 0u);
-    ASSERT_TRUE(adaptive->Checkpoint().ok());
-    members = Members(*adaptive);
-  }  // kill
-  EXPECT_EQ(DirListing(scratch.path()),
-            (std::vector<std::string>{"MANIFEST", "MANIFEST.delta",
-                                      "column.dat", "journal.wal"}));
-  auto manifest_r = ReadManifest(scratch.path());
-  ASSERT_TRUE(manifest_r.ok()) << manifest_r.status().ToString();
-  const ViewManifest& manifest = *manifest_r;
-  const std::vector<ManifestView>& views = manifest.views;
-  ASSERT_GE(views.size(), 3u);
-  /// The pages of view `i` does NOT hold.
-  const auto absent = [&](size_t i) {
-    std::vector<uint64_t> pages;
-    const std::vector<uint64_t>& held = members[views[i].id];
-    for (uint64_t page = 0; page < TestPages(); ++page) {
-      if (!std::binary_search(held.begin(), held.end(), page)) {
-        pages.push_back(page);
-      }
-    }
-    return pages;
-  };
-
-  // MANIFEST: every entry lists its pages, except view 0, which lists
-  // exactly the pages it does not hold.
-  Bytes base;
-  base.buf.append("VMSVMAN1", 8);
-  base.U32(3);  // version
-  base.U32(0);  // reserved
-  base.U64(manifest.num_rows);
-  base.U64(manifest.num_pages);
-  base.U64(manifest.pool_generation);
-  base.U64(manifest.epoch);
-  base.U64(manifest.next_view_id);
-  base.U64(views.size());
-  for (size_t i = 0; i < views.size(); ++i) {
-    base.U64(views[i].id);
-    base.U64(views[i].lo);
-    base.U64(views[i].hi);
-    base.U64(views[i].creation_scanned_pages);
-    base.U64(views[i].demoted ? 1 : 0);
-    base.Pages(i == 0 ? absent(0) : members[views[i].id]);
-  }
-  base.U32(Crc32(base.buf.data(), base.buf.size()));
-  WriteFile(ManifestPath(scratch.path()), base.buf);
-
-  // MANIFEST.delta: op 5 adds to view 1 every page it does not hold, op 6
-  // removes every page of view 2, then a set-range widens the last view.
-  const ManifestView& widened = views.back();
-  const Value wider_hi = std::min<Value>(widened.hi + kMaxValue / 20, kMaxValue);
-  ASSERT_GT(wider_hi, widened.hi);
-  Bytes log;
-  log.buf.append("VMSVMDL1", 8);
-  const auto record = [&](uint32_t op, const ManifestView& view, Value hi,
-                          const std::vector<uint64_t>& pages) {
-    const size_t start = log.buf.size();
-    log.U32(op);
-    log.U32(0);  // reserved
-    log.U64(manifest.epoch);
-    log.U64(view.id);
-    log.U64(op == 4 ? view.lo : 0);
-    log.U64(op == 4 ? hi : 0);
-    log.U64(0);  // creation_scanned_pages
-    log.U64(0);  // flags
-    log.Pages(pages);
-    log.U32(Crc32(log.buf.data() + start, log.buf.size() - start));
-    log.U32(0x4C44u);
-  };
-  record(5, views[1], 0, absent(1));
-  record(6, views[2], 0, members[views[2].id]);
-  record(4, widened, wider_hi, {});
-  WriteFile(ManifestDeltaPath(scratch.path()), log.buf);
-
-  {
-    auto reopen_r = OpenColumn(scratch.path(), TieringConfig());
-    ASSERT_TRUE(reopen_r.ok()) << reopen_r.status().ToString();
-    auto adaptive = std::move(reopen_r).ValueOrDie();
-    const DurabilityStats stats = adaptive->durability_stats();
-    EXPECT_FALSE(stats.manifest_delta_tail_truncated);
-    EXPECT_EQ(stats.manifest_deltas_replayed, 3u);
-    EXPECT_FALSE(stats.manifest_stale);
-    ASSERT_EQ(adaptive->view_index().num_partial_views(), views.size());
-    for (const auto& view : adaptive->view_index().views()) {
-      EXPECT_EQ(view->physical_pages(),
-                PagesHolding(adaptive->column(), view->value_range()))
-          << "view " << view->durable_id();
-      if (view->durable_id() == widened.id) {
-        EXPECT_EQ(view->hi(), wider_hi) << "replay stopped before set-range";
-      } else {
-        EXPECT_EQ(Members(*adaptive)[view->durable_id()],
-                  members[view->durable_id()]);
-      }
-    }
-    // The next snapshot records ranges only.
-    ASSERT_TRUE(adaptive->Checkpoint().ok());
-    EXPECT_EQ(fs::file_size(ManifestPath(scratch.path())),
-              68 + 48 * views.size());
-    members = Members(*adaptive);
-    // Queries strictly inside each view route to a view and answer exactly.
-    for (const auto& view : adaptive->view_index().views()) {
-      if (view->hi() - view->lo() < 2) continue;
-      const RangeQuery inside{view->lo() + 1, view->hi() - 1};
-      EXPECT_EQ(Adaptive(adaptive.get(), inside),
-                Oracle(adaptive.get(), inside));
-    }
-  }
-  auto reopen_r = OpenColumn(scratch.path(), TieringConfig());
-  ASSERT_TRUE(reopen_r.ok()) << reopen_r.status().ToString();
-  auto adaptive = std::move(reopen_r).ValueOrDie();
-  EXPECT_EQ(Members(*adaptive), members);
-  EXPECT_FALSE(adaptive->durability_stats().manifest_stale);
-}
-
 TEST(TieringTest, DemotionDisabledIsNoOp) {
   ScratchDir scratch("tiering_off");
   AdaptiveConfig config = TieringConfig();
@@ -651,7 +386,7 @@ TEST(TieringTest, DemotionDisabledIsNoOp) {
 TEST(TieringTest, PressureReliefPoolSurvivesKill) {
   // Pressure relief runs outside any flush, so the pool edits it makes —
   // demotions, the cold-tier trim they trigger, and destroy-evictions when
-  // demotion is off — must reach the delta log: a kill before the next
+  // demotion is off — must reach a slot: a kill before the next
   // checkpoint must reopen exactly the pool the engine had, not resurrect
   // views relief destroyed.
   for (const bool demotion : {true, false}) {
@@ -672,7 +407,7 @@ TEST(TieringTest, PressureReliefPoolSurvivesKill) {
     {
       auto adaptive = MakeDurable(scratch.path(), config);
       // The first three ranges become materialized views (creation, then a
-      // routed hit), and the checkpoint snapshots them.
+      // routed hit), each written to a slot as it is created.
       for (size_t i = 0; i < 3; ++i) {
         Adaptive(adaptive.get(), queries[i]);
         Adaptive(adaptive.get(), queries[i]);

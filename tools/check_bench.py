@@ -18,6 +18,8 @@ Regression gate (--baseline): compares each produced file against the
 committed baseline of the same bench. The gate is deliberately GENEROUS —
 CI machines differ wildly from the baseline box — so it fails only on
   - schema drift (either file failing its schema check, or bench mismatch),
+  - a durable bench run on another filesystem than its baseline
+    (`persist_fs`: its disk writes would time the disk, not the code),
   - a wall-time metric regressing by more than --max-regression (default
     5x) after per-page normalization (pages differ between CI and baseline
     runs).
@@ -490,9 +492,13 @@ PERSISTENCE_TOP_LEVEL_FIELDS = {
     "hardware_concurrency": int,
     "default_kernel": str,
     "threads": int,
+    # The filesystem under VMSV_PERSIST_DIR, from its statfs magic: tmpfs,
+    # ext4, overlayfs, else the magic in hex.
+    "persist_fs": str,
     "restart": dict,
     "fsync": dict,
     "group_commit": dict,
+    "pool_edit": dict,
 }
 
 RESTART_FIELDS = {
@@ -526,6 +532,15 @@ GROUP_COMMIT_MODE_FIELDS = {
     "per_update_us": float,
 }
 
+# Part D: the manifest I/O of each durable 1%-view insert, in microseconds.
+POOL_EDIT_FIELDS = {
+    "selectivity": float,
+    "edits": int,
+    "median_us": float,
+    "iqr_us": float,
+    "edit_us": list,
+}
+
 # mode name -> expected batch size (0 = fdatasync on every update).
 KNOWN_GROUP_COMMIT_MODES = {
     "sync_every_update": 0,
@@ -538,6 +553,8 @@ def check_micro_persistence(doc, path):
     expect_fields(doc, PERSISTENCE_TOP_LEVEL_FIELDS, path)
     if doc["pages"] <= 0 or doc["reps"] <= 0 or doc["queries"] <= 0:
         fail(f"{path}: pages/reps/queries must be positive")
+    if not doc["persist_fs"]:
+        fail(f"{path}: persist_fs is empty")
     if doc["default_kernel"] not in KNOWN_KERNELS:
         fail(f"{path}: unknown default_kernel '{doc['default_kernel']}'")
     if not 0 < doc["selectivity"] <= 1:
@@ -632,12 +649,27 @@ def check_micro_persistence(doc, path):
              f"({modes['group_commit_8']['fsyncs_per_rep']} vs "
              f"{modes['sync_every_update']['fsyncs_per_rep']})")
 
+    pool = doc["pool_edit"]
+    where = f"{path}: pool_edit"
+    expect_fields(pool, POOL_EDIT_FIELDS, where)
+    if pool["edits"] <= 0 or len(pool["edit_us"]) != pool["edits"]:
+        fail(f"{where}: edits must be positive and match edit_us")
+    if any(not isinstance(us, (int, float)) or isinstance(us, bool) or us <= 0
+           for us in pool["edit_us"]):
+        fail(f"{where}: edit_us entries must be positive numbers")
+    if pool["median_us"] <= 0 or pool["iqr_us"] < 0:
+        fail(f"{where}: median_us must be positive, iqr_us non-negative")
+    ordered = sorted(pool["edit_us"])
+    if not ordered[0] <= pool["median_us"] <= ordered[-1]:
+        fail(f"{where}: median_us outside the range of edit_us")
+
     return (f"{restart['views_persisted']} views persisted, cold open "
             f"{restart['cold_vs_rebuild_speedup']:.2f}x faster than rebuild, "
             f"sync flush {policies['sync']['flush_median_ms']:.2f} ms, "
             f"group commit x8 cuts fsyncs "
             f"{modes['sync_every_update']['fsyncs_per_rep']} -> "
-            f"{modes['group_commit_8']['fsyncs_per_rep']}")
+            f"{modes['group_commit_8']['fsyncs_per_rep']}, "
+            f"pool edit {pool['median_us']:.1f} us on {doc['persist_fs']}")
 
 
 # ---------------------------------------------------------------------------
@@ -1029,7 +1061,7 @@ def check_file(path):
 # per-flush fsync sweep: journal records + manifest, not data pages) are
 # listed in FLAT_METRIC_PREFIXES and compared raw.
 
-FLAT_METRIC_PREFIXES = ("fsync/", "group_commit/")
+FLAT_METRIC_PREFIXES = ("fsync/", "group_commit/", "pool_edit/")
 
 
 def scan_metrics(doc):
@@ -1069,6 +1101,7 @@ def persistence_metrics(doc):
         out[f"fsync/{p['policy']}"] = p["flush_median_ms"]
     for m in doc["group_commit"]["modes"]:
         out[f"group_commit/{m['mode']}"] = m["wall_median_ms"]
+    out["pool_edit/median"] = doc["pool_edit"]["median_us"] / 1000.0
     return out
 
 
@@ -1114,6 +1147,10 @@ def gate_against_baseline(baseline_doc, baseline_path, doc, path,
     if doc["bench"] != baseline_doc["bench"]:
         fail(f"{path}: bench '{doc['bench']}' does not match baseline "
              f"'{baseline_doc['bench']}' ({baseline_path})")
+    if doc.get("persist_fs") != baseline_doc.get("persist_fs"):
+        fail(f"{path}: ran on {doc.get('persist_fs')}, but {baseline_path} "
+             f"on {baseline_doc.get('persist_fs')} — its disk writes would "
+             f"time the filesystem, not the code")
     extractor = METRIC_EXTRACTORS[doc["bench"]]
     produced = extractor(doc)
     baseline = extractor(baseline_doc)
