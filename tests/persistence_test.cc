@@ -683,19 +683,36 @@ TEST(DurableColumnTest, JournalSyncEveryUpdateRoundTrips) {
 }
 
 TEST(DurableColumnTest, RunnerCheckpointEveryPersistsMidSequence) {
-  ScratchDir scratch("durable_runner");
-  auto adaptive = MakeDurable(scratch.path());
-  RunnerOptions options;
-  options.run_baseline = false;
-  options.verify_results = true;
-  options.checkpoint_every = 4;
-  auto report_r = RunWorkload(adaptive.table.get(), TestQueries(12, 9), options);
-  ASSERT_TRUE(report_r.ok()) << report_r.status().ToString();
-  EXPECT_GT(adaptive->durability_stats().manifest_writes, 0u);
-  // The newest slot holds the live pool.
-  const std::optional<ManifestPool> pool = NewestPool(scratch.path());
-  ASSERT_TRUE(pool.has_value());
-  EXPECT_EQ(pool->views.size(), adaptive->view_index().num_partial_views());
+  // Under kAsync a checkpoint starts the column data's writeback with one
+  // sync_file_range, and nothing else issues one (the workload makes no
+  // updates, so no flush runs): the count is the runner's checkpoints.
+  const auto queries = TestQueries(12, 9);
+  for (const uint64_t every : {uint64_t{0}, uint64_t{4}}) {
+    SCOPED_TRACE("checkpoint_every=" + std::to_string(every));
+    ScratchDir scratch("durable_runner");
+    FaultInjectingIo io;  // no fault plan: counts real I/O
+    AdaptiveConfig config;
+    config.storage.data_flush = FlushPolicy::kAsync;
+    config.storage.io = &io;
+    auto adaptive = MakeDurable(scratch.path(), config);
+    const uint64_t before = io.stats().sync_file_ranges;
+    RunnerOptions options;
+    options.run_baseline = false;
+    options.verify_results = true;
+    options.checkpoint_every = every;
+    auto report_r = RunWorkload(adaptive.table.get(), queries, options);
+    ASSERT_TRUE(report_r.ok()) << report_r.status().ToString();
+    EXPECT_EQ(io.stats().sync_file_ranges - before,
+              every == 0 ? 0u : queries.size() / every);
+    // The pool stayed clean, so the checkpoints wrote no slot: every slot
+    // write is a pool edit's, and the newest slot holds the live pool.
+    const DurabilityStats stats = adaptive->durability_stats();
+    EXPECT_GT(stats.manifest_writes, 0u);
+    EXPECT_EQ(stats.manifest_delta_appends, stats.manifest_writes);
+    const std::optional<ManifestPool> pool = NewestPool(scratch.path());
+    ASSERT_TRUE(pool.has_value());
+    EXPECT_EQ(pool->views.size(), adaptive->view_index().num_partial_views());
+  }
 }
 
 TEST(DurableColumnTest, CreateDurableLocksBeforeTouchingColumnData) {

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <filesystem>
 #include <memory>
 #include <optional>
 #include <random>
@@ -24,6 +25,7 @@
 #include "scoped_temp_dir.h"
 #include "rewiring/vm_io.h"
 #include "storage/manifest.h"
+#include "storage/storage_io.h"
 #include "util/env.h"
 #include "workload/distribution.h"
 #include "workload/query_generator.h"
@@ -130,6 +132,16 @@ std::vector<std::tuple<Value, Value, bool>> PoolShape(
   }
   std::sort(shape.begin(), shape.end());
   return shape;
+}
+
+/// The names in `dir`, sorted.
+std::vector<std::string> DirListing(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
 }
 
 /// First demoted view missing at least one column page (so an update can
@@ -322,7 +334,9 @@ TEST(TieringTest, DemotedMembershipChangeSurvivesKillAfterFlush) {
   // as for a hot view; a kill right after it reopens the new membership,
   // derived from the data. The second round checkpoints instead of
   // flushing: the pool is clean, so it writes no slot either, and a kill
-  // after it reopens the same membership.
+  // after it reopens the same membership. Either way no write after create
+  // renames a file or fsyncs the directory, and the directory holds
+  // exactly the column's durable files.
   for (const bool checkpoint : {false, true}) {
     SCOPED_TRACE(checkpoint ? "checkpoint" : "flush");
     ScratchDir scratch(checkpoint ? "tiering_cold_checkpoint"
@@ -331,8 +345,13 @@ TEST(TieringTest, DemotedMembershipChangeSurvivesKillAfterFlush) {
     RangeQuery probe{0, 0};
     uint64_t absent_page = 0;
     std::vector<std::tuple<Value, Value, bool>> shape;
+    FaultInjectingIo io;  // no fault plan: counts real I/O
+    FaultInjectingIo::Stats created;
     {
-      auto adaptive = MakeDurable(scratch.path(), TieringConfig());
+      AdaptiveConfig config = TieringConfig();
+      config.storage.io = &io;
+      auto adaptive = MakeDurable(scratch.path(), config);
+      created = io.stats();
       for (const RangeQuery& q : queries) Adaptive(adaptive.get(), q);
       ASSERT_TRUE(adaptive->Checkpoint().ok());
       ASSERT_GT(adaptive->DemoteColdestViews(
@@ -357,6 +376,11 @@ TEST(TieringTest, DemotedMembershipChangeSurvivesKillAfterFlush) {
       EXPECT_FALSE(after.manifest_dirty);
       shape = PoolShape(*adaptive);
     }  // kill: nothing runs after the flush or checkpoint
+    EXPECT_EQ(io.stats().renames, created.renames);
+    EXPECT_EQ(io.stats().dir_fsyncs, created.dir_fsyncs);
+    EXPECT_EQ(DirListing(scratch.path()),
+              (std::vector<std::string>{"MANIFEST", "MANIFEST.0", "MANIFEST.1",
+                                        "column.dat", "journal.wal"}));
     auto reopen_r = OpenColumn(scratch.path(), TieringConfig());
     ASSERT_TRUE(reopen_r.ok()) << reopen_r.status().ToString();
     auto adaptive = std::move(reopen_r).ValueOrDie();

@@ -1061,7 +1061,7 @@ def check_file(path):
 # per-flush fsync sweep: journal records + manifest, not data pages) are
 # listed in FLAT_METRIC_PREFIXES and compared raw.
 
-FLAT_METRIC_PREFIXES = ("fsync/", "group_commit/", "pool_edit/")
+FLAT_METRIC_PREFIXES = ("fsync/", "group_commit/")
 
 
 def scan_metrics(doc):
@@ -1101,7 +1101,8 @@ def persistence_metrics(doc):
         out[f"fsync/{p['policy']}"] = p["flush_median_ms"]
     for m in doc["group_commit"]["modes"]:
         out[f"group_commit/{m['mode']}"] = m["wall_median_ms"]
-    out["pool_edit/median"] = doc["pool_edit"]["median_us"] / 1000.0
+    # pool_edit is reported and schema-checked, not gated: its noise on
+    # other runners is unmeasured.
     return out
 
 
