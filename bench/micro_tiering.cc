@@ -1,26 +1,21 @@
-// micro_tiering — hit-rate-vs-memory-budget curves for the cold-view tier
-// (ISSUE 8 satellite), the fifth member of the BENCH_*.json family (schema
-// guarded by tools/check_bench.py, wired into ctest and CI like
-// BENCH_lifecycle.json).
+// micro_tiering — arena release and re-materialization, in memory and
+// durable, a member of the BENCH_*.json family (schema guarded by
+// tools/check_bench.py, wired into ctest and CI like BENCH_lifecycle.json).
 //
 // The workload is the Figure-5 phase-shift sequence (sine distribution,
 // fixed 10% selectivity, workload seed 11, 4 drifting phases) played TWICE:
-// the second epoch revisits the slices the drift abandoned — the recurring
-// shape (daily report cycles) where tiering pays. Under a hot-view budget
-// tighter than the working set, each budget point runs once per policy:
-//   - destroy_evict:   enable_demotion=false — a cold view is destroyed at
-//                      eviction; revisiting its slice pays a full scan and
-//                      a fresh adaptation (the pre-tiering behavior);
-//   - demote_promote:  the lifecycle releases the victim's arena, keeps its
-//                      page list and records the tier flip in the manifest;
-//                      the revisit routes into the demoted view,
-//                      re-materializes it, and promotes it back hot.
-// Reported per (budget, policy): view hit rate (fraction of queries
-// answered from a view), accumulated adaptive time (median over reps),
-// pages scanned, and the demote/promote/evict counters. The headline
-// metric, constrained_budget_hit_gain, is the demote-minus-destroy hit-rate
-// difference at the tightest budget — the quantity the CI gate keeps from
-// regressing to zero.
+// the second epoch revisits the slices the drift abandoned. At the epoch
+// boundary ReleaseColdestArenas(max_views) releases every arena the pool
+// holds, so the second epoch's hits map their views again from the page
+// lists. Each view budget runs once per pool kind:
+//   - in_memory: the column lives in anonymous memory;
+//   - durable:   the column persists under VMSV_PERSIST_DIR.
+// A view is in one of two states, with an arena or without one, whatever
+// the pool kind, so tools/check_bench.py requires the two runs to agree
+// exactly in hit rate and in every counter.
+// Reported per (budget, pool): view hit rate (fraction of queries answered
+// from a view), accumulated adaptive time (median over reps), pages
+// scanned, and the view and arena counters.
 //
 // Plain executable — no google-benchmark dependency, so it always builds
 // and the smoke tier can emit BENCH_tiering.json on every ctest run.
@@ -49,13 +44,10 @@ constexpr double kSelectivity = 0.10;
 constexpr uint64_t kPhases = 4;
 constexpr uint64_t kEpochs = 2;  // replay so the drift's slices recur
 constexpr uint64_t kWorkloadSeed = 11;
-constexpr uint64_t kBudgets[] = {2, 4, 8};  // hot-view budgets, tight first
-/// Cold capacity per hot slot: roomy enough that the experiment measures
-/// the demote/promote mechanism, not cold-tier thrashing.
-constexpr uint64_t kColdMultiplier = 4;
+constexpr uint64_t kBudgets[] = {2, 4, 8};  // view budgets, tight first
 
-struct PolicyRun {
-  const char* policy = "";
+struct PoolRun {
+  const char* pool = "";
   double hit_rate = 0;
   double accumulated_ms = 0;  // median over reps
   std::vector<double> rep_ms;
@@ -63,95 +55,98 @@ struct PolicyRun {
   double pages_saved_ratio = 0;
   uint64_t views_created = 0;
   uint64_t views_evicted = 0;
-  uint64_t views_demoted = 0;
-  uint64_t views_promoted = 0;
+  uint64_t views_demoted = 0;   // arenas released, view kept
+  uint64_t views_promoted = 0;  // arenas mapped at the threshold hit
   uint64_t candidates_dropped = 0;
 };
 
 struct BudgetPoint {
   uint64_t max_views = 0;
-  std::vector<PolicyRun> policies;  // [demote_promote, destroy_evict]
-  double hit_gain = 0;              // demote hit_rate - destroy hit_rate
+  std::vector<PoolRun> pools;  // [in_memory, durable]
 };
 
 struct TieringReport {
   uint64_t queries = 0;
   std::vector<BudgetPoint> budgets;
-  /// hit_gain at the tightest budget — the headline curve separation.
-  double constrained_budget_hit_gain = 0;
 };
 
-std::vector<RangeQuery> MakeRecurringWorkload(const bench::BenchEnv& env) {
-  QueryWorkloadSpec wspec;
-  wspec.num_queries = env.queries;
-  wspec.domain_hi = kMaxValue;
-  wspec.seed = kWorkloadSeed;
-  const auto epoch = MakePhaseShiftWorkload(wspec, kSelectivity, kPhases);
-  std::vector<RangeQuery> queries;
-  queries.reserve(epoch.size() * kEpochs);
-  for (uint64_t e = 0; e < kEpochs; ++e) {
-    queries.insert(queries.end(), epoch.begin(), epoch.end());
-  }
-  return queries;
-}
-
-PolicyRun RunPolicy(const bench::BenchEnv& env, const std::string& dir,
-                    uint64_t budget, bool demote,
-                    const std::vector<RangeQuery>& queries) {
-  PolicyRun run;
-  run.policy = demote ? "demote_promote" : "destroy_evict";
-
+DistributionSpec SineSpec() {
   DistributionSpec spec;
   spec.kind = DataDistribution::kSine;
   spec.max_value = kMaxValue;
   spec.seed = 42;
+  return spec;
+}
 
+std::unique_ptr<Table> MakeTable(const bench::BenchEnv& env,
+                                 const std::string& dir, bool durable,
+                                 const AdaptiveConfig& config) {
+  const uint64_t rows = env.pages * kValuesPerPage;
+  if (!durable) {
+    auto column_r = MakeColumn(SineSpec(), rows);
+    VMSV_BENCH_CHECK_OK(column_r.status());
+    auto table_r =
+        Db::Create(std::move(column_r).ValueOrDie(), DbOptions{config});
+    VMSV_BENCH_CHECK_OK(table_r.status());
+    return std::move(table_r).ValueOrDie();
+  }
+  // Fresh directory per rep: no rep may inherit another's pool.
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  auto table_r = Db::CreateDurable(dir, rows, DbOptions{config});
+  VMSV_BENCH_CHECK_OK(table_r.status());
+  auto table = std::move(table_r).ValueOrDie();
+  FillColumn(SineSpec(), table->shard(0)->mutable_column());
+  return table;
+}
+
+PoolRun RunPool(const bench::BenchEnv& env, const std::string& dir,
+                uint64_t budget, bool durable,
+                const std::vector<RangeQuery>& epoch) {
+  PoolRun run;
+  run.pool = durable ? "durable" : "in_memory";
   SampleStats times;
   for (uint64_t rep = 0; rep < env.reps; ++rep) {
-    // Fresh column per rep: the durable state (manifest pool slots) is the
-    // mechanism under test, so no rep may inherit another's pool.
-    std::error_code ec;
-    std::filesystem::remove_all(dir, ec);
     AdaptiveConfig config;
     config.mode = QueryMode::kMultiView;
     config.max_views = budget;
-    config.max_cold_views = budget * kColdMultiplier;
     config.lifecycle.eviction_policy = EvictionPolicy::kCostAware;
-    config.lifecycle.enable_demotion = demote;
-    // A revisit re-materializes and promotes at its first hit.
+    // Every hit of a view without an arena maps it, so the second epoch's
+    // first hit on a released view re-maps it.
     config.materialize_after_hits = 1;
-    auto adaptive_r = Db::CreateDurable(
-        dir, env.pages * kValuesPerPage, DbOptions{config});
-    VMSV_BENCH_CHECK_OK(adaptive_r.status());
-    auto adaptive = std::move(adaptive_r).ValueOrDie();
-    FillColumn(spec, adaptive->shard(0)->mutable_column());
+    auto table = MakeTable(env, dir, durable, config);
 
     RunnerOptions options;
     options.run_baseline = false;
     options.verify_results = false;
-    auto report_r = RunWorkload(adaptive.get(), queries, options);
-    VMSV_BENCH_CHECK_OK(report_r.status());
-    const WorkloadReport& report = *report_r;
-
-    times.Add(report.adaptive_total_ms);
-    run.rep_ms.push_back(report.adaptive_total_ms);
-    if (rep == 0) {
-      uint64_t hits = 0;
-      for (const QueryTrace& trace : report.traces) {
+    double total_ms = 0;
+    uint64_t hits = 0;
+    uint64_t traced = 0;
+    for (uint64_t e = 0; e < kEpochs; ++e) {
+      if (e > 0) table->shard(0)->ReleaseColdestArenas(budget);
+      auto report_r = RunWorkload(table.get(), epoch, options);
+      VMSV_BENCH_CHECK_OK(report_r.status());
+      total_ms += report_r->adaptive_total_ms;
+      for (const QueryTrace& trace : report_r->traces) {
         if (trace.decision == CandidateDecision::kAnsweredFromView) ++hits;
       }
-      run.hit_rate = report.traces.empty()
-                         ? 0.0
-                         : static_cast<double>(hits) /
-                               static_cast<double>(report.traces.size());
-      const CumulativeStats m = adaptive->Metrics();
+      traced += report_r->traces.size();
+    }
+    times.Add(total_ms);
+    run.rep_ms.push_back(total_ms);
+    if (rep == 0) {
+      run.hit_rate = traced == 0 ? 0.0
+                                 : static_cast<double>(hits) /
+                                       static_cast<double>(traced);
+      const CumulativeStats m = table->Metrics();
       run.scanned_pages = m.scanned_pages;
       run.pages_saved_ratio = m.PagesSavedRatio();
       run.views_created = m.views_created;
       run.views_evicted = m.views_evicted;
       run.candidates_dropped = m.candidates_dropped;
-      run.views_demoted = report.views_demoted;
-      run.views_promoted = report.views_promoted;
+      const ColumnHealth health = table->Health().total;
+      run.views_demoted = health.views_demoted;
+      run.views_promoted = health.views_promoted;
     }
   }
   run.accumulated_ms = times.Median();
@@ -160,36 +155,37 @@ PolicyRun RunPolicy(const bench::BenchEnv& env, const std::string& dir,
 
 TieringReport RunTieringExperiment(const bench::BenchEnv& env,
                                    const std::string& dir) {
-  const auto queries = MakeRecurringWorkload(env);
+  QueryWorkloadSpec wspec;
+  wspec.num_queries = env.queries;
+  wspec.domain_hi = kMaxValue;
+  wspec.seed = kWorkloadSeed;
+  const auto epoch = MakePhaseShiftWorkload(wspec, kSelectivity, kPhases);
   TieringReport report;
-  report.queries = queries.size();
+  report.queries = epoch.size() * kEpochs;
   for (const uint64_t budget : kBudgets) {
     BudgetPoint point;
     point.max_views = budget;
-    point.policies.push_back(
-        RunPolicy(env, dir, budget, /*demote=*/true, queries));
-    point.policies.push_back(
-        RunPolicy(env, dir, budget, /*demote=*/false, queries));
-    point.hit_gain = point.policies[0].hit_rate - point.policies[1].hit_rate;
+    for (const bool durable : {false, true}) {
+      point.pools.push_back(RunPool(env, dir, budget, durable, epoch));
+    }
     report.budgets.push_back(std::move(point));
   }
-  report.constrained_budget_hit_gain = report.budgets.front().hit_gain;
   return report;
 }
 
 void PrintReport(const bench::BenchEnv& env, const TieringReport& report) {
   std::fprintf(stdout,
-               "\n## tiering: phase-shift x%llu epochs, sel=%.0f%%, "
-               "hit rate vs hot-view budget\n",
+               "\n## tiering: phase-shift x%llu epochs, sel=%.0f%%, arenas "
+               "released between epochs\n",
                static_cast<unsigned long long>(kEpochs),
                kSelectivity * 100.0);
   TablePrinter table(bench::WithScanConfigHeaders(
-      {"max_views", "policy", "hit_rate", "accumulated_ms", "scanned_pages",
+      {"max_views", "pool", "hit_rate", "accumulated_ms", "scanned_pages",
        "views_evicted", "views_demoted", "views_promoted"}));
   for (const BudgetPoint& point : report.budgets) {
-    for (const PolicyRun& p : point.policies) {
+    for (const PoolRun& p : point.pools) {
       table.AddRow(bench::WithScanConfigCells(
-          {TablePrinter::Fmt(point.max_views), p.policy,
+          {TablePrinter::Fmt(point.max_views), p.pool,
            TablePrinter::Fmt(p.hit_rate, 3),
            TablePrinter::Fmt(p.accumulated_ms, 2),
            TablePrinter::Fmt(p.scanned_pages),
@@ -200,11 +196,6 @@ void PrintReport(const bench::BenchEnv& env, const TieringReport& report) {
     }
   }
   table.PrintCsv();
-  for (const BudgetPoint& point : report.budgets) {
-    std::fprintf(stdout, "# tiering budget=%llu: hit gain %+.3f\n",
-                 static_cast<unsigned long long>(point.max_views),
-                 point.hit_gain);
-  }
 }
 
 int WriteJson(const std::string& path, const bench::BenchEnv& env,
@@ -226,19 +217,16 @@ int WriteJson(const std::string& path, const bench::BenchEnv& env,
     w.Field("distribution", "sine");
     w.Field("workload_seed", kWorkloadSeed);
     w.Field("queries", report.queries);
-    w.Field("constrained_budget_hit_gain",
-            report.constrained_budget_hit_gain, 4);
     w.Key("budgets");
     w.BeginArray();
     for (const BudgetPoint& point : report.budgets) {
       w.BeginObject();
       w.Field("max_views", point.max_views);
-      w.Field("hit_gain", point.hit_gain, 4);
-      w.Key("policies");
+      w.Key("pools");
       w.BeginArray();
-      for (const PolicyRun& p : point.policies) {
+      for (const PoolRun& p : point.pools) {
         w.BeginObject();
-        w.Field("policy", p.policy);
+        w.Field("pool", p.pool);
         w.Field("hit_rate", p.hit_rate, 4);
         w.Field("accumulated_ms", p.accumulated_ms);
         w.Field("scanned_pages", p.scanned_pages);
@@ -266,7 +254,8 @@ int WriteJson(const std::string& path, const bench::BenchEnv& env,
 
 int Main() {
   const bench::BenchEnv env = bench::LoadBenchEnv(
-      "micro_tiering: cold-view demote/promote vs destroy-evict", 4096);
+      "micro_tiering: arena release and re-mapping, in memory vs durable",
+      4096);
   const std::string json_path = bench::BenchJsonPath("BENCH_tiering.json");
   const std::string dir =
       GetEnvString("VMSV_PERSIST_DIR", "vmsv_tiering_bench");

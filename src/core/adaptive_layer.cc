@@ -19,14 +19,15 @@ namespace vmsv {
 namespace {
 
 /// Candidates are built with coalesced runs and lazily (§2.3): the creating
-/// scan records the page list only, and the view rewires on the first query
-/// it answers, so discarded candidates never pay for mmap work.
+/// scan records the page list only, and the view maps its arena at its
+/// materialize_after_hits-th hit, so discarded candidates never pay for
+/// mmap work.
 constexpr ViewCreationOptions kCandidateCreation{/*coalesce_runs=*/true,
                                                  /*background_mapping=*/false,
                                                  /*lazy_materialize=*/true};
 
 /// Mapping-budget pressure relief: after a materialization failure the next
-/// maintenance pass evicts cold materialized views and re-probes the mapping
+/// maintenance pass releases cold views' arenas and re-probes the mapping
 /// layer, up to this many attempts with linear backoff between them, before
 /// giving up until the next failure signal.
 constexpr uint32_t kPressureReliefAttempts = 3;
@@ -237,27 +238,17 @@ StatusOr<std::unique_ptr<AdaptiveColumn>> AdaptiveColumn::OpenDurable(
   auto adaptive = std::move(adaptive_r).ValueOrDie();
   adaptive->durable_ = std::move(opened.state);
 
-  // Rebuild views as empty, unmaterialized views over their persisted
-  // ranges; the pass below derives their pages, and the first scan pays
-  // the rewiring lazily. The restore respects THIS configuration's budget:
-  // a column checkpointed under a larger max_views must not pin the pool
-  // over the reopening process's limit (nothing below ever shrinks the
-  // pool, so an over-budget restore would persist for the process
-  // lifetime). Views beyond the budget are simply not restored — their
-  // ranges re-adapt on demand like any cold range.
+  // Rebuild views as empty views without arenas over their persisted
+  // ranges; the pass below derives their pages, and each view maps at its
+  // materialize_after_hits-th hit. The restore respects THIS
+  // configuration's budget: a column checkpointed under a larger max_views
+  // must not pin the pool over the reopening process's limit. The first
+  // max_views views in slot order are restored; the ranges of the rest
+  // re-adapt on demand like any other range.
   std::vector<std::unique_ptr<VirtualView>> restored;
   std::vector<RangeQuery> ranges;
-  size_t hot_restored = 0;
-  size_t cold_restored = 0;
   for (const ManifestView& mview : opened.views) {
-    // With demotion disabled in THIS configuration a demoted view reopens
-    // hot: it holds no mapping yet either way, and the pool must not carry
-    // tier state the policy layer would never clear.
-    const bool as_cold = mview.demoted && config.lifecycle.enable_demotion;
-    if (as_cold ? cold_restored >= adaptive->ColdBudget()
-                : hot_restored >= config.max_views) {
-      continue;  // over THIS configuration's budget; re-adapts on demand
-    }
+    if (restored.size() >= config.max_views) break;
     auto view_r =
         VirtualView::CreateEmpty(adaptive->column(), mview.lo, mview.hi);
     if (!view_r.ok()) return view_r.status();
@@ -265,16 +256,6 @@ StatusOr<std::unique_ptr<AdaptiveColumn>> AdaptiveColumn::OpenDurable(
     // Hit history does not survive a restart; the recorded creation cost
     // does, so eviction scoring stays calibrated from the first query.
     view->SetCreationInfo(/*query_seq=*/0, mview.creation_scanned_pages);
-    if (as_cold) {
-      view->set_demoted(true);
-      ++cold_restored;
-      adaptive->health_.cold_view_reloads.fetch_add(1,
-                                                    std::memory_order_relaxed);
-    } else {
-      // A demoted entry reopened hot: the slots' tier state is now behind.
-      if (mview.demoted) adaptive->MarkDirty();
-      ++hot_restored;
-    }
     ranges.push_back(view->value_range());
     restored.push_back(std::move(view));
   }
@@ -299,8 +280,7 @@ StatusOr<std::unique_ptr<AdaptiveColumn>> AdaptiveColumn::OpenDurable(
       adaptive->view_index_.Insert(std::move(restored[i]));
     }
   }
-  adaptive->durable_->NoteRestored(hot_restored + cold_restored,
-                                   opened.views.size(),
+  adaptive->durable_->NoteRestored(restored.size(), opened.views.size(),
                                    derive_timer.ElapsedMillis());
 
   // The replayed records stay pending: the first flush consumes them (its
@@ -327,11 +307,10 @@ std::vector<ManifestView> AdaptiveColumn::ManifestViewsLocked() const {
   std::vector<ManifestView> views;
   views.reserve(view_index_.views().size());
   for (const auto& view : view_index_.views()) {
-    // The range, cost and tier, never the pages.
+    // The range and cost, never the pages.
     views.push_back(ManifestView{
         view->lo(), view->hi(),
-        view->usage().creation_scanned_pages.load(std::memory_order_relaxed),
-        view->demoted()});
+        view->usage().creation_scanned_pages.load(std::memory_order_relaxed)});
   }
   return views;
 }
@@ -487,15 +466,7 @@ StatusOr<std::vector<size_t>> AdaptiveColumn::AnswerFromViews(
           mapped = false;
           break;
         }
-        // A demoted view that just re-materialized is hot again: the routed
-        // query IS the promotion signal. The CAS elects one winner among
-        // concurrent readers; the tier flip happens outside any maintenance
-        // lock, so the dirty bit asks the next flush/checkpoint to persist
-        // it.
-        if (view->PromoteIfDemoted()) {
-          health_.views_promoted.fetch_add(1, std::memory_order_relaxed);
-          MarkDirty();
-        }
+        health_.views_promoted.fetch_add(1, std::memory_order_relaxed);
       }
       all_arenas = all_arenas && view->is_materialized();
       for (size_t m = 0; m < members.size(); ++m) view->RecordHit(seq);
@@ -675,51 +646,47 @@ StatusOr<QueryExecution> AdaptiveColumn::FullScanAndAdapt(const RangeQuery& q) {
   // Decide with readers routing, then apply.
   const Admission admission = DecideCandidate(*candidate);
   exec.stats.decision = admission.outcome;
-  if (admission.outcome == CandidateDecision::kEvictedExisting) {
-    // The demotion routine demotes the victim when the cold tier is
-    // available and destroy-evicts it otherwise.
-    if (DemoteLocked({admission.target}, std::move(candidate)) == 0) {
-      exec.stats.decision = CandidateDecision::kBudgetExhausted;
+  bool edited = false;
+  {
+    // The pool edit is the only part that needs to fence readers out of
+    // ROUTING; their scans keep running (displaced views go to the limbo
+    // list, not the destructor).
+    std::unique_lock<std::shared_mutex> xlock(views_mu_);
+    switch (admission.outcome) {
+      case CandidateDecision::kInserted:
+        view_index_.Insert(std::move(candidate));
+        metrics_.views_created.fetch_add(1, std::memory_order_relaxed);
+        edited = true;
+        break;
+      case CandidateDecision::kReplacedExisting:
+      case CandidateDecision::kEvictedExisting:
+        edited = ReplaceInPoolLocked(admission.target, std::move(candidate));
+        if (!edited) {
+          exec.stats.decision = CandidateDecision::kBudgetExhausted;
+        } else if (admission.outcome == CandidateDecision::kReplacedExisting) {
+          metrics_.views_replaced.fetch_add(1, std::memory_order_relaxed);
+        } else {
+          metrics_.views_evicted.fetch_add(1, std::memory_order_relaxed);
+          lifecycle_.RecordEviction();
+        }
+        break;
+      case CandidateDecision::kDiscardedSubset:
+        // An absorbing view may widen its range, which edits the pool; a
+        // discard that widens nothing edits nothing.
+        edited = admission.target != nullptr &&
+                 admission.target->ExtendRange(candidate->lo(),
+                                               candidate->hi());
+        metrics_.views_discarded.fetch_add(1, std::memory_order_relaxed);
+        break;
+      default:
+        metrics_.candidates_dropped.fetch_add(1, std::memory_order_relaxed);
+        break;
     }
-  } else {
-    bool edited = false;
-    {
-      // The pool edit is the only part that needs to fence readers out of
-      // ROUTING; their scans keep running (displaced views go to the limbo
-      // list, not the destructor).
-      std::unique_lock<std::shared_mutex> xlock(views_mu_);
-      switch (admission.outcome) {
-        case CandidateDecision::kInserted:
-          view_index_.Insert(std::move(candidate));
-          metrics_.views_created.fetch_add(1, std::memory_order_relaxed);
-          edited = true;
-          break;
-        case CandidateDecision::kReplacedExisting:
-          edited = ReplaceInPoolLocked(admission.target, std::move(candidate));
-          if (edited) {
-            metrics_.views_replaced.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            exec.stats.decision = CandidateDecision::kBudgetExhausted;
-          }
-          break;
-        case CandidateDecision::kDiscardedSubset:
-          // An absorbing view may widen its range, which edits the pool; a
-          // discard that widens nothing edits nothing.
-          edited = admission.target != nullptr &&
-                   admission.target->ExtendRange(candidate->lo(),
-                                                 candidate->hi());
-          metrics_.views_discarded.fetch_add(1, std::memory_order_relaxed);
-          break;
-        default:
-          metrics_.candidates_dropped.fetch_add(1, std::memory_order_relaxed);
-          break;
-      }
-    }
-    epoch_.TryReclaim();
-    // The pool changed: write it now so a kill right after this query
-    // reopens with the new view.
-    if (edited) PersistPoolLocked();
   }
+  epoch_.TryReclaim();
+  // The pool changed: write it now so a kill right after this query
+  // reopens with the new view.
+  if (edited) PersistPoolLocked();
   // Safe without views_mu_: pool structure is frozen under maintenance_mu_,
   // which we hold.
   exec.stats.views_after = view_index_.num_partial_views();
@@ -792,28 +759,19 @@ AdaptiveColumn::Admission AdaptiveColumn::DecideCandidate(
 
 AdaptiveColumn::Admission AdaptiveColumn::AdmitAtBudget(
     const VirtualView& candidate) const {
-  // max_views bounds the HOT tier: demoted views gave up their arenas (and
-  // with them the mapping budget max_views exists to protect) and are
-  // bounded separately by ColdBudget().
-  size_t hot_views = 0;
-  for (const auto& view : view_index_.views()) {
-    if (!view->demoted()) ++hot_views;
+  if (view_index_.num_partial_views() < config_.max_views) {
+    return {CandidateDecision::kInserted};
   }
-  if (hot_views < config_.max_views) return {CandidateDecision::kInserted};
   // Budget pressure. The historical policy ("drop-newest") discarded every
   // candidate here, freezing the pool on whatever ranges arrived first; the
   // cost-aware policy instead displaces the coldest view when the fresh
-  // candidate outscores it, so the pool tracks the working set. The
-  // demotion routine then DEMOTES the displaced view when the cold tier is
-  // available (arena released, page list kept, still routable, so a
-  // returning working set promotes it for the price of re-mapping instead
-  // of a full creation scan), and destroys it otherwise.
+  // candidate outscores it, so the pool tracks the working set.
   if (config_.lifecycle.eviction_policy == EvictionPolicy::kCostAware) {
     const uint64_t now = metrics_.queries.load(std::memory_order_relaxed);
     const uint64_t column_pages = column_->num_pages();
     VirtualView* victim = lifecycle_.PickEvictionVictim(
         view_index_.views(), now, column_pages,
-        [](const VirtualView& view) { return !view.demoted(); });
+        [](const VirtualView&) { return true; });
     const double margin = config_.lifecycle.eviction_margin > 0
                               ? config_.lifecycle.eviction_margin
                               : 1.0;
@@ -843,106 +801,50 @@ bool AdaptiveColumn::ReplaceInPoolLocked(
 }
 
 // ---------------------------------------------------------------------------
-// Tiering: the one demotion routine
-//
-// A demotion is one views_mu_ exclusive section and then one pool write
-// (ARCHITECTURE.md "Tiering model"):
-//   - readers quiesced, the pool edit: arenas released, tier flags flipped
-//     and the cold-budget trim applied — or, without the cold tier, the
-//     victims destroyed. Purely in-memory.
-//   - maintenance_mu_ only: the whole pool goes into a manifest slot. A
-//     kill before it reopens the previous pool, whose views hold exactly
-//     the pages their ranges define, never torn.
-// A routed query may promote a view between the two; the slot then
-// records a tier the reader already reversed — benign, since the promotion
-// set the dirty bit and the next checkpoint persists the hot state. Tier
-// is advisory; membership is what correctness needs.
+// Arena release (ARCHITECTURE.md "Arena release")
 
-size_t AdaptiveColumn::DemoteLocked(const std::vector<VirtualView*>& victims,
-                                    std::unique_ptr<VirtualView> candidate) {
+size_t AdaptiveColumn::ReleaseArenasLocked(
+    const std::vector<VirtualView*>& victims) {
   if (victims.empty()) return 0;
-  const bool demote = DemotionAvailable();
-  bool edited = false;
-  size_t shed = 0;
+  size_t released = 0;
   {
     // ReleaseArena mutates a view's slot table in place, so in-flight scans
     // must drain first. The victims cannot have left the pool: every
     // mutator holds maintenance_mu_.
     std::unique_lock<std::shared_mutex> xlock(views_mu_);
-    if (demote) epoch_.WaitQuiescent();
+    epoch_.WaitQuiescent();
     for (VirtualView* victim : victims) {
-      if (demote) {
-        std::unique_ptr<VirtualArena> retired = victim->ReleaseArena();
-        if (retired != nullptr) epoch_.RetireObject(std::move(retired));
-        victim->set_demoted(true);
-        lifecycle_.RecordDemotion();
-        health_.views_demoted.fetch_add(1, std::memory_order_relaxed);
-      } else if (candidate != nullptr) {
-        // Destroy-evict: the candidate takes the victim's slot.
-        if (!ReplaceInPoolLocked(victim, std::move(candidate))) continue;
-        metrics_.views_evicted.fetch_add(1, std::memory_order_relaxed);
-        lifecycle_.RecordEviction();
-      } else {
-        auto removed = view_index_.Remove(victim);
-        if (!removed.ok()) continue;
-        epoch_.RetireObject(std::move(removed).ValueOrDie());
-        health_.emergency_evictions.fetch_add(1, std::memory_order_relaxed);
-        lifecycle_.RecordEviction();
-      }
-      edited = true;
-      ++shed;
-    }
-    if (candidate != nullptr) {
-      // Admitted beside its demoted victim.
-      view_index_.Insert(std::move(candidate));
-      edited = true;
-    }
-    // Demotions may overflow the cold tier: destroy its lowest-scoring
-    // views until it fits its budget (the destroy-evict last resort).
-    size_t cold_views = 0;
-    for (const auto& view : view_index_.views()) {
-      if (view->demoted()) ++cold_views;
-    }
-    const uint64_t now = metrics_.queries.load(std::memory_order_relaxed);
-    while (demote && cold_views > ColdBudget()) {
-      VirtualView* victim = lifecycle_.PickEvictionVictim(
-          view_index_.views(), now, column_->num_pages(),
-          [](const VirtualView& view) { return view.demoted(); });
-      if (victim == nullptr) break;
-      auto removed = view_index_.Remove(victim);
-      if (!removed.ok()) break;
-      epoch_.RetireObject(std::move(removed).ValueOrDie());
-      metrics_.views_evicted.fetch_add(1, std::memory_order_relaxed);
-      lifecycle_.RecordEviction();
-      --cold_views;
+      std::unique_ptr<VirtualArena> retired = victim->ReleaseArena();
+      if (retired == nullptr) continue;
+      epoch_.RetireObject(std::move(retired));
+      health_.views_demoted.fetch_add(1, std::memory_order_relaxed);
+      ++released;
     }
   }
   // Reclamation unmaps whole arenas — run it after readers are unblocked.
   epoch_.TryReclaim();
-  if (edited) PersistPoolLocked();
-  return shed;
+  return released;
 }
 
-size_t AdaptiveColumn::DemoteColdestViews(size_t count) {
-  if (count == 0 || !DemotionAvailable()) return 0;
+size_t AdaptiveColumn::ReleaseColdestArenas(size_t count) {
   std::lock_guard<std::mutex> maintenance(maintenance_mu_);
   // Walking the pool needs no views_mu_ — its structure is frozen under
-  // maintenance_mu_ (every mutator holds it). The tier flags only flip in
-  // the routine's exclusive section, so the pick excludes the victims
-  // already chosen.
+  // maintenance_mu_ (every mutator holds it), and only this lock's holders
+  // release an arena.
   const uint64_t now = metrics_.queries.load(std::memory_order_relaxed);
   std::vector<VirtualView*> victims;
   while (victims.size() < count) {
     VirtualView* victim = lifecycle_.PickEvictionVictim(
         view_index_.views(), now, column_->num_pages(),
         [&victims](const VirtualView& view) {
-          return !view.demoted() && std::find(victims.begin(), victims.end(),
-                                              &view) == victims.end();
+          return view.is_materialized() &&
+                 std::find(victims.begin(), victims.end(), &view) ==
+                     victims.end();
         });
     if (victim == nullptr) break;
     victims.push_back(victim);
   }
-  return DemoteLocked(victims, nullptr);
+  return ReleaseArenasLocked(victims);
 }
 
 // ---------------------------------------------------------------------------
@@ -1145,8 +1047,6 @@ ColumnHealth AdaptiveColumn::Health() const {
   h.mapping_pressure = pressure_pending_.load(std::memory_order_relaxed);
   h.map_failures = health_.map_failures.load(std::memory_order_relaxed);
   h.base_fallbacks = health_.base_fallbacks.load(std::memory_order_relaxed);
-  h.emergency_evictions =
-      health_.emergency_evictions.load(std::memory_order_relaxed);
   h.failed_adaptations =
       health_.failed_adaptations.load(std::memory_order_relaxed);
   h.abandoned_compactions =
@@ -1157,8 +1057,6 @@ ColumnHealth AdaptiveColumn::Health() const {
   h.read_only_exits = health_.read_only_exits.load(std::memory_order_relaxed);
   h.views_demoted = health_.views_demoted.load(std::memory_order_relaxed);
   h.views_promoted = health_.views_promoted.load(std::memory_order_relaxed);
-  h.cold_view_reloads =
-      health_.cold_view_reloads.load(std::memory_order_relaxed);
   return h;
 }
 
@@ -1171,9 +1069,10 @@ void AdaptiveColumn::NoteMapFailure() {
 
 void AdaptiveColumn::RelievePressureLocked() {
   // Mapping syscalls have been failing (ENOMEM/EAGAIN or a VMA budget).
-  // Probe whether a fresh single-slot arena maps; while it does not, evict
-  // the coldest materialized view, reclaim, and retry with linear backoff
-  // up to kPressureReliefAttempts. Giving up re-arms the pressure
+  // Probe whether a fresh single-slot arena maps; while it does not,
+  // release the coldest materialized view's arena, reclaim, and retry with
+  // linear backoff up to kPressureReliefAttempts. The view stays in the
+  // pool and answers over the base mapping. Giving up re-arms the pressure
   // flag so the next maintenance pass tries again.
   if (column_->num_pages() == 0) return;
   for (uint32_t attempt = 0; attempt < kPressureReliefAttempts; ++attempt) {
@@ -1191,16 +1090,7 @@ void AdaptiveColumn::RelievePressureLocked() {
         column_->num_pages(),
         [](const VirtualView& view) { return view.is_materialized(); });
     if (victim == nullptr) break;  // nothing left to shed
-    // Shedding a mapping does not require destroying the view: the
-    // demotion routine demotes it when the cold tier is available (arena
-    // released, page list and slot kept), so the working set survives the
-    // pressure episode. Destroy-evict remains the fallback — demotion off
-    // or an in-memory column — and logs its removal like any other pool
-    // edit. Either way the arena's reclamation is what actually returns
-    // the victim's mappings to the kernel.
-    if (DemoteLocked({victim}, nullptr) == 0) {
-      break;  // pool lost track of the victim
-    }
+    if (ReleaseArenasLocked({victim}) == 0) break;
     std::this_thread::sleep_for(kPressureReliefBackoff * (attempt + 1));
   }
   // Could not confirm recovery: leave the flag set for the next pass.

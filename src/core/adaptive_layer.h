@@ -19,7 +19,7 @@
 // flush), then every query routed under one shared index-lock hold, one
 // epoch guard, and one shared scan per distinct cover. A view answers over
 // the base mapping until its hits reach materialize_after_hits; the hit
-// that gets there maps (and, if demoted, promotes) it.
+// that gets there maps it.
 // They differ only in what happens to the queries no view answered: a
 // batch answers them with one shared base-column pass, while Execute
 // answers a degraded query from the base column and adapts on a genuine
@@ -30,8 +30,9 @@
 // re-densified after update flushes, and under budget pressure the
 // cost-aware eviction policy replaces the historical "drop every candidate
 // once max_views is reached" cliff. Admission decides under the maintenance
-// lock alone, then applies in one short exclusive section; evictions,
-// pressure relief and explicit demotion share one demotion routine. Durable
+// lock alone, then applies in one short exclusive section. A view is in one
+// of two states, with an arena or without one; pressure relief and
+// ReleaseColdestArenas move views to the second and keep them. Durable
 // I/O is not this layer's job: each pool edit hands the whole pool to a
 // DurableState (storage/durable_state.h), which writes it into the older
 // of two manifest slots.
@@ -129,10 +130,7 @@ const char* CandidateDecisionName(CandidateDecision decision);
 
 struct AdaptiveConfig {
   QueryMode mode = QueryMode::kSingleView;
-  /// Upper bound on the HOT views of the pool: views that hold an arena or
-  /// may earn one (a view below materialize_after_hits holds none yet).
-  /// With the cold tier enabled, demoted views are bounded by
-  /// max_cold_views instead.
+  /// Upper bound on the views of the pool, with an arena or without one.
   size_t max_views = 100;
   /// A view without an arena answers its hits by reading its member page
   /// runs over the base column's mapping; the hit that brings its count of
@@ -142,11 +140,6 @@ struct AdaptiveConfig {
   /// (bench/micro_view_life.cc, EXPERIMENTS.md "When a view earns its
   /// arena"). Must be >= 1.
   uint64_t materialize_after_hits = 256;
-  /// Upper bound on demoted (cold-tier) views a durable pool may hold
-  /// beyond the hot budget. 0 means "same as max_views". When the cold
-  /// tier overflows, the lowest-scoring cold view is destroyed — the
-  /// destroy-evict last resort (core/view_lifecycle.h).
-  size_t max_cold_views = 0;
   /// Multi-view only: pick covers by scanned-page cost and fall back to a
   /// full scan when the cover is costlier (the paper's stated future work).
   bool cost_based_routing = false;
@@ -310,8 +303,6 @@ struct ColumnHealth {
   /// Queries answered from the base column because a view failed to
   /// materialize (each one was still answered exactly).
   uint64_t base_fallbacks = 0;
-  /// Views evicted by pressure relief to shed mappings.
-  uint64_t emergency_evictions = 0;
   /// Full-scan-and-adapt passes that dropped their candidate on a mapping
   /// failure.
   uint64_t failed_adaptations = 0;
@@ -323,12 +314,10 @@ struct ColumnHealth {
   /// Transitions into / out of read-only degraded mode.
   uint64_t read_only_entries = 0;
   uint64_t read_only_exits = 0;
-  /// Tiering counters (ARCHITECTURE.md "Tiering model"): hot views demoted
-  /// to the cold tier, cold views promoted back by a routed query, and
-  /// manifest entries Open restored as demoted views.
+  /// Arena counters (ARCHITECTURE.md "Arena release"): arenas released
+  /// with their view kept, and arenas mapped at the threshold hit.
   uint64_t views_demoted = 0;
   uint64_t views_promoted = 0;
-  uint64_t cold_view_reloads = 0;
 };
 
 /// \internal
@@ -358,18 +347,18 @@ class AdaptiveColumn {
   /// Reopens the durable column in `dir`: rebuilds the column over
   /// column.dat, replays the journal (replayed updates become pending for
   /// the next flush), and restores every view of the newest valid manifest
-  /// slot (none valid: an empty pool, marked dirty) as an
-  /// UNMATERIALIZED page list (it answers over the base mapping until its
-  /// hits reach materialize_after_hits) holding
-  /// exactly the pages with a value in its range, derived from the data in
-  /// the pass that computes page zones. Scans after Open are bit-identical
-  /// to pre-restart scans. Replay is idempotent: killing the
-  /// process after Open and reopening replays the same journal to the same
-  /// state (the journal only resets at the next flush/checkpoint). At most
-  /// config.max_views views are restored — a column checkpointed under a
-  /// larger budget reopens clamped, the rest re-adapt on demand. The
-  /// journal fd carries an exclusive flock for the column's lifetime, so a
-  /// second Open of a live column fails instead of corrupting it.
+  /// slot (none valid: an empty pool, marked dirty) as a view without an
+  /// arena (it answers over the base mapping until its hits reach
+  /// materialize_after_hits) holding exactly the pages with a value in its
+  /// range, derived from the data in the pass that computes page zones.
+  /// Scans after Open are bit-identical to pre-restart scans. Replay is
+  /// idempotent: killing the process after Open and reopening replays the
+  /// same journal to the same state (the journal only resets at the next
+  /// flush/checkpoint). At most config.max_views views are restored, in
+  /// slot order — a column checkpointed under a larger budget reopens
+  /// clamped, the rest re-adapt on demand. The journal fd carries an
+  /// exclusive flock for the column's lifetime, so a second Open of a live
+  /// column fails instead of corrupting it.
   /// Error contract: NotFound when `dir` has no manifest; IoError on a
   /// corrupt or older-layout manifest header or a corrupt journal header;
   /// FailedPrecondition when the column is already open elsewhere.
@@ -474,13 +463,11 @@ class AdaptiveColumn {
   /// Thread-safe (relaxed-atomic snapshot).
   ColumnHealth Health() const;
 
-  /// Demotes up to `count` of the lowest-scoring hot views to the cold
-  /// tier (arena release + one pool write), returning how many were
-  /// demoted. The deterministic maintenance hook behind the tiering
-  /// tests and bench; admission's eviction and pressure relief run the
-  /// same demotion routine. No-op (0) when demotion is disabled or the
-  /// column is not durable. Thread-safe (serializes with maintenance).
-  size_t DemoteColdestViews(size_t count);
+  /// Releases the arenas of up to `count` of the lowest-scoring views that
+  /// hold one, keeping the views, and returns how many it released. The
+  /// deterministic hook behind the tiering tests and bench; pressure relief
+  /// runs the same routine. Thread-safe (serializes with maintenance).
+  size_t ReleaseColdestArenas(size_t count);
 
  private:
   AdaptiveColumn(std::unique_ptr<PhysicalColumn> column,
@@ -502,8 +489,8 @@ class AdaptiveColumn {
   /// `*guard` before releasing it, and answers each distinct cover with one
   /// shared scan, lock-free: over the members' arenas when all have one,
   /// else over the union of their pages in the base mapping. A member whose
-  /// unmapped hits reach materialize_after_hits is mapped (and promoted)
-  /// first. Resets and fills `out`
+  /// unmapped hits reach materialize_after_hits is mapped first. Resets and
+  /// fills `out`
   /// (answers, stats, view-side page accounting; no workload counters) and
   /// returns the queries no view answered, in batch order. A cover that
   /// failed to materialize leaves its queries labeled kBaseFallback; the
@@ -524,34 +511,19 @@ class AdaptiveColumn {
 
   /// The adaptation half of Listing 1: full scan + candidate, then
   /// admission decides (DecideCandidate) and the outcome is applied in one
-  /// views_mu_ exclusive section — by the demotion routine for an eviction.
-  /// Caller holds maintenance_mu_ and no epoch guard.
+  /// views_mu_ exclusive section. Caller holds maintenance_mu_ and no epoch
+  /// guard.
   StatusOr<QueryExecution> FullScanAndAdapt(const RangeQuery& q);
 
   /// Records a mapping-layer failure: health counters + the pressure flag
   /// the next maintenance pass relieves.
   void NoteMapFailure();
 
-  /// Mapping-budget pressure relief: demote (or, when demotion is
-  /// unavailable, evict) the coldest materialized views — bounded attempts,
-  /// linear backoff — until a probe mapping succeeds or the attempts run
-  /// out. Caller holds maintenance_mu_.
+  /// Mapping-budget pressure relief: release the arena of the coldest
+  /// materialized view — bounded attempts, linear backoff — until a probe
+  /// mapping succeeds or the attempts run out. Caller holds
+  /// maintenance_mu_.
   void RelievePressureLocked();
-
-  /// True when the cold tier is available at all: demotion enabled and the
-  /// column durable. The tier is a durable-pool policy: an in-memory pool
-  /// keeps destroy-evict, the eviction BENCH_lifecycle's scenarios measure,
-  /// and demoting there would be a policy change of its own.
-  bool DemotionAvailable() const {
-    return config_.lifecycle.enable_demotion && durable_ != nullptr;
-  }
-
-  /// The effective cold-tier capacity (max_cold_views, defaulting to
-  /// max_views when 0).
-  size_t ColdBudget() const {
-    return config_.max_cold_views > 0 ? config_.max_cold_views
-                                      : config_.max_views;
-  }
 
   /// Durable only: writes the whole pool into a manifest slot — the
   /// persistence step of every pool edit. Caller holds maintenance_mu_ (so
@@ -565,8 +537,8 @@ class AdaptiveColumn {
     if (durable_ != nullptr) durable_->MarkDirty();
   }
 
-  /// The pool as manifest records: each view's range, cost and tier.
-  /// Caller holds maintenance_mu_.
+  /// The pool as manifest records: each view's range and cost. Caller holds
+  /// maintenance_mu_.
   std::vector<ManifestView> ManifestViewsLocked() const;
 
   /// Durable only: the checkpoint sequence over the current pool. Caller
@@ -574,14 +546,11 @@ class AdaptiveColumn {
   /// consistent without views_mu_).
   Status CheckpointLocked();
 
-  /// The one demotion routine behind admission's eviction, pressure relief
-  /// and DemoteColdestViews (see "Tiering" in adaptive_layer.cc). When
-  /// DemotionAvailable() the victims turn cold and `candidate` joins beside
-  /// them; otherwise they are destroyed and `candidate` takes a destroyed
-  /// victim's slot. Returns how many victims left the hot tier. Caller
-  /// holds maintenance_mu_ and NOT views_mu_.
-  size_t DemoteLocked(const std::vector<VirtualView*>& victims,
-                      std::unique_ptr<VirtualView> candidate);
+  /// Releases the victims' arenas, keeping the views: views_mu_ exclusive,
+  /// epoch quiescence, then reclamation once readers run again. Writes no
+  /// manifest slot — ranges and membership do not change. Returns how many
+  /// arenas it released. Caller holds maintenance_mu_ and NOT views_mu_.
+  size_t ReleaseArenasLocked(const std::vector<VirtualView*>& victims);
 
   /// Routes q per config().mode against the pool: fills `cover` with the
   /// views that answer q (one in kSingleView mode), or leaves it empty when
@@ -611,9 +580,9 @@ class AdaptiveColumn {
   /// the page-subset checks — and readers keep routing through them.
   Admission DecideCandidate(const VirtualView& candidate) const;
 
-  /// The budget step: insert when the hot tier has room; otherwise the
-  /// configured eviction policy (evict the coldest hot view when the
-  /// candidate outscores it, else drop the candidate).
+  /// The budget step: insert when the pool has room; otherwise the
+  /// configured eviction policy (evict the coldest view when the candidate
+  /// outscores it, else drop the candidate).
   Admission AdmitAtBudget(const VirtualView& candidate) const;
 
   /// Swaps `candidate` into `victim`'s pool slot and parks the displaced
@@ -641,7 +610,6 @@ class AdaptiveColumn {
     std::atomic<bool> degraded_read_only{false};
     std::atomic<uint64_t> map_failures{0};
     std::atomic<uint64_t> base_fallbacks{0};
-    std::atomic<uint64_t> emergency_evictions{0};
     std::atomic<uint64_t> failed_adaptations{0};
     std::atomic<uint64_t> abandoned_compactions{0};
     std::atomic<uint64_t> journal_stalls{0};
@@ -649,7 +617,6 @@ class AdaptiveColumn {
     std::atomic<uint64_t> read_only_exits{0};
     std::atomic<uint64_t> views_demoted{0};
     std::atomic<uint64_t> views_promoted{0};
-    std::atomic<uint64_t> cold_view_reloads{0};
   };
 
   /// Bumps the workload counters for `count` answered queries (relaxed).

@@ -535,7 +535,6 @@ TableHealth ShardedTable::Health() const {
     health.total.mapping_pressure |= h.mapping_pressure;
     health.total.map_failures += h.map_failures;
     health.total.base_fallbacks += h.base_fallbacks;
-    health.total.emergency_evictions += h.emergency_evictions;
     health.total.failed_adaptations += h.failed_adaptations;
     health.total.abandoned_compactions += h.abandoned_compactions;
     health.total.journal_stalls += h.journal_stalls;
@@ -543,7 +542,6 @@ TableHealth ShardedTable::Health() const {
     health.total.read_only_exits += h.read_only_exits;
     health.total.views_demoted += h.views_demoted;
     health.total.views_promoted += h.views_promoted;
-    health.total.cold_view_reloads += h.cold_view_reloads;
     health.shards.push_back(h);
   }
   return health;

@@ -4,9 +4,9 @@
 // A logical column of P pages is partitioned across N AdaptiveColumn
 // shards, each a complete engine of its own: its own maintenance mutex,
 // view pool, lifecycle manager, journal, and (when durable) persist
-// subdirectory — so adaptation, flushes, and demotion on one shard never
-// serialize the others. A query's per-shard work fans out as one job on
-// the engine's only executor, the global ThreadPool (exec/thread_pool.h);
+// subdirectory — so adaptation, flushes, and arena release on one shard
+// never serialize the others. A query's per-shard work fans out as one job
+// on the engine's only executor, the global ThreadPool (exec/thread_pool.h);
 // each shard's own scans then run as jobs nested inside that one.
 //
 // PARTITIONING is by PAGE, not row: shard i owns either a balanced

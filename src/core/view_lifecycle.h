@@ -67,16 +67,6 @@ struct LifecycleConfig {
   ViewCompactionOptions compaction;
   /// Budget-pressure policy. kCostAware is the default: hot views survive.
   EvictionPolicy eviction_policy = EvictionPolicy::kCostAware;
-  /// Cold-tier master switch (durable pools only — an in-memory column
-  /// keeps destroy-evict; see AdaptiveColumn::DemotionAvailable). When on,
-  /// a cost-aware eviction DEMOTES the victim — releases its arena, keeps
-  /// its page list and its slot, and records the tier flip in the
-  /// manifest — instead of destroying it; later routed queries read it
-  /// over the base mapping and, at the materialization threshold, promote
-  /// it back for the price of re-materialization instead of a full
-  /// creation scan. Off restores the pure destroy-evict policy (the bench ablation
-  /// baseline).
-  bool enable_demotion = true;
   /// Hit-recency decay: a view's recency weight halves every this many
   /// queries since it last answered one. Smaller = more aggressive chasing
   /// of the current working set.
@@ -108,11 +98,6 @@ struct LifecycleStats {
   /// trigger site.
   uint64_t failed_compactions = 0;
   uint64_t evictions = 0;
-  /// Hot views demoted to the cold tier instead of destroyed (demote path;
-  /// counted on the serialized maintenance path like every field here —
-  /// promotions happen on the lock-free reader path and are counted in
-  /// ColumnHealth::views_promoted instead).
-  uint64_t demotions = 0;
 };
 
 class ViewLifecycleManager {
@@ -155,10 +140,9 @@ class ViewLifecycleManager {
                uint64_t column_pages) const;
 
   /// The pool member with the lowest Score among views for which
-  /// `eligible(view)` holds, or nullptr when none does. Callers pick the
-  /// tier this way: demotion targets the coldest HOT view (cold ones
-  /// already gave up their arenas), cold-capacity overflow destroys the
-  /// coldest COLD view, pressure relief sheds the coldest MATERIALIZED one.
+  /// `eligible(view)` holds, or nullptr when none does. Admission's
+  /// eviction takes any view; arena release takes the coldest MATERIALIZED
+  /// one.
   VirtualView* PickEvictionVictim(
       const std::vector<std::unique_ptr<VirtualView>>& pool, uint64_t now,
       uint64_t column_pages,
@@ -166,9 +150,6 @@ class ViewLifecycleManager {
 
   /// Bookkeeping hook for the adaptive layer when it evicts the victim.
   void RecordEviction() { ++stats_.evictions; }
-
-  /// Bookkeeping hook when a hot view is demoted to the cold tier.
-  void RecordDemotion() { ++stats_.demotions; }
 
  private:
   LifecycleConfig config_;

@@ -343,7 +343,7 @@ std::unique_ptr<VirtualArena> VirtualView::ReleaseArena() {
   arena_ptr_.store(nullptr, std::memory_order_release);
   std::unique_ptr<VirtualArena> retired = std::move(arena_);
   if (!holes_.empty()) {
-    // Densify in slot order (not swap-remove): demotion must be
+    // Densify in slot order (not swap-remove): arena release must be
     // deterministic, so the slot order the next materialization maps — and
     // with it every later scan — matches across runs.
     std::vector<uint64_t> dense;

@@ -325,25 +325,6 @@ class VirtualView {
     usage_.creation_scanned_pages = scanned_pages;
   }
 
-  /// Cold-tier flag (core/view_lifecycle.h): a demoted view keeps its page
-  /// list (and its membership maintenance) but holds no arena — its
-  /// mapping budget is released until routed hits re-materialize it.
-  /// Atomic because the lock-free reader path promotes (cold -> hot) right
-  /// after a successful lazy materialization while the maintenance path
-  /// reads tiers for scoring.
-  bool demoted() const { return demoted_.load(std::memory_order_acquire); }
-  void set_demoted(bool demoted) {
-    demoted_.store(demoted, std::memory_order_release);
-  }
-  /// Atomically flips cold -> hot; true only for the winning caller (many
-  /// readers can race the first scan of a demoted view — exactly one
-  /// counts the promotion).
-  bool PromoteIfDemoted() {
-    bool expected = true;
-    return demoted_.compare_exchange_strong(expected, false,
-                                            std::memory_order_acq_rel);
-  }
-
   /// Creates the arena and rewires the current page list into it (runs of
   /// consecutive page ids coalesce into single mmap calls). No-op when
   /// already materialized. Safe to race from several reader threads: a
@@ -380,8 +361,8 @@ class VirtualView {
   Status InstallPages(std::vector<uint64_t> pages);
 
   /// Returns the view to the unmaterialized state, handing back the arena
-  /// for epoch retirement (null when already unmaterialized) — the
-  /// demotion path: membership stays, the mapping budget is released, the
+  /// for epoch retirement (null when already unmaterialized) — arena
+  /// release: membership stays, the mapping budget is released, the
   /// unmapped-hit count restarts at 0, and the next EnsureMaterialized
   /// rebuilds the arena from the page list.
   /// Hole slots densify away (pure list edits, slot order preserved) to
@@ -564,7 +545,6 @@ class VirtualView {
   ViewUsageStats usage_;
   /// Hits answered without an arena since the view last held none.
   std::atomic<uint64_t> unmapped_hits_{0};
-  std::atomic<bool> demoted_{false};        // cold tier (see demoted())
 };
 
 /// The maximal runs of set bits in `bits` (bit p % 64 of word p / 64 is

@@ -7,19 +7,18 @@
 // the whole pool; this class only makes it durable, and includes nothing
 // from src/core/.
 //
-// The pool is every view, hot or demoted, as its range, creation cost and
-// tier; membership is derived by the engine on open, so it is never
-// written. Each pool edit writes the whole pool into the older of the two
-// manifest slots (storage/manifest.h). An update flush moves pages between
-// views without changing any range, so it writes nothing of its own. One
-// dirty bit says "the slots miss a change to the pool": a reader's
-// promotion, views a flush dropped (a failed alignment, an abandoned
-// compaction), a lossy restore, a failed slot write, or no valid slot on
-// open. The next flush or checkpoint that finds it set writes the pool.
+// The pool is every view as its range and creation cost; membership is
+// derived by the engine on open, so it is never written. Each pool edit
+// writes the whole pool into the older of the two manifest slots
+// (storage/manifest.h). An update flush moves pages between views without
+// changing any range, so it writes nothing of its own. One dirty bit says
+// "the slots miss a change to the pool": views a flush dropped (a failed
+// alignment, an abandoned compaction), a lossy restore, a failed slot
+// write, or no valid slot on open. The next flush or checkpoint that finds
+// it set writes the pool.
 //
 // Thread-safety: driven from the engine's serialized maintenance path,
-// except CommitThrough (any thread), MarkDirty (also from readers that
-// promote a view) and stats().
+// except CommitThrough (any thread) and stats().
 
 #ifndef VMSV_STORAGE_DURABLE_STATE_H_
 #define VMSV_STORAGE_DURABLE_STATE_H_
@@ -81,7 +80,7 @@ struct DurabilityStats {
 class DurableState {
  public:
   /// Produces the pool's records; called only once the dirty bit is
-  /// cleared, so a promotion racing the write marks it again.
+  /// cleared.
   using PoolRecords = std::function<std::vector<ManifestView>()>;
 
   /// What Open hands the engine to rebuild from.

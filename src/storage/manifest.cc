@@ -26,9 +26,6 @@ constexpr char kSlotMagic[8] = {'V', 'M', 'S', 'V', 'P', 'O', 'O', 'L'};
 constexpr size_t kSlotHeadSize = sizeof(kSlotMagic) + 2 * sizeof(uint64_t);
 constexpr size_t kSlotViewSize = 4 * sizeof(uint64_t);
 
-/// ManifestView::demoted <-> the flags word (bit 0).
-constexpr uint64_t kViewFlagDemoted = 1;
-
 void PutU32(std::string* out, uint32_t v) {
   out->append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
@@ -146,7 +143,7 @@ std::string EncodeManifestPool(uint64_t seq,
     PutU64(&buf, view.lo);
     PutU64(&buf, view.hi);
     PutU64(&buf, view.creation_scanned_pages);
-    PutU64(&buf, view.demoted ? kViewFlagDemoted : 0);
+    PutU64(&buf, 0);  // flags
   }
   PutU32(&buf, Crc32(buf.data(), buf.size()));
   return buf;
@@ -176,7 +173,6 @@ std::optional<ManifestPool> DecodeManifestPool(const std::string& bytes) {
     view.lo = GetU64(p);
     view.hi = GetU64(p + 8);
     view.creation_scanned_pages = GetU64(p + 16);
-    view.demoted = (GetU64(p + 24) & kViewFlagDemoted) != 0;
     pool.views.push_back(view);
   }
   return pool;

@@ -3,7 +3,7 @@
 // than owned; the durable backend takes that to its conclusion). A view's
 // membership is a function of its value range and the column's data:
 // exactly the pages holding a value in [lo, hi]. So the manifest records
-// each view as its range alone — lo, hi, creation cost and tier — and the
+// each view as its range alone — lo, hi and creation cost — and the
 // engine's Open derives every view's pages in the pass that computes the
 // column's page zones. An older pool is therefore still a correct pool: the
 // manifest can be behind, never wrong.
@@ -19,7 +19,8 @@
 //   MANIFEST.0   two alternating pool slots, each holding one whole pool:
 //   MANIFEST.1     u8[8] magic "VMSVPOOL" | u64 sequence | u64 view_count |
 //                  per view: u64 lo | u64 hi | u64 creation_scanned_pages |
-//                            u64 flags (bit 0 = demoted) |
+//                            u64 flags (written 0, ignored on read; older
+//                            writers set bit 0 on a demoted view) |
 //                  u32 crc32 of the above
 //                Bytes past the crc are left over from a larger pool and
 //                are ignored.
@@ -54,9 +55,6 @@ struct ManifestView {
   Value hi = 0;
   /// Pages the creating scan read — feeds eviction scoring after reopen.
   uint64_t creation_scanned_pages = 0;
-  /// True when the view lives in the cold tier: it holds no arena until
-  /// its routed hits reach the engine's materialization threshold.
-  bool demoted = false;
 };
 
 /// The column geometry MANIFEST records.

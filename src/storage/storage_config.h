@@ -15,12 +15,12 @@
 //   MANIFEST        the column geometry, written and fsynced once by
 //                   create;
 //   MANIFEST.0/.1   two alternating pool slots: every pool edit writes the
-//                   whole pool (each view's value range, creation cost and
-//                   tier) into the slot that does not hold the newest
-//                   valid one, and Open restores the newer valid slot.
+//                   whole pool (each view's value range and creation cost)
+//                   into the slot that does not hold the newest valid one,
+//                   and Open restores the newer valid slot.
 //
-// No other file is kept: page membership, hot or demoted, is derived from
-// each view's range and the data when the column opens.
+// No other file is kept: page membership is derived from each view's range
+// and the data when the column opens.
 //
 // Crash-safety contract: process kill (SIGKILL mid-anything) is always
 // recoverable — the page cache survives the process, the journal covers

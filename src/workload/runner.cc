@@ -123,9 +123,6 @@ StatusOr<WorkloadReport> RunWorkload(Table* table,
   const TableHealth table_health = table->Health();
   report.health = table_health.total;
   report.shard_health = table_health.shards;
-  report.views_demoted = report.health.views_demoted;
-  report.views_promoted = report.health.views_promoted;
-  report.cold_view_reloads = report.health.cold_view_reloads;
   return report;
 }
 

@@ -79,13 +79,6 @@ struct WorkloadReport {
   /// tables): a degraded_read_only shard stays visible here even when the
   /// rest of the table is healthy.
   std::vector<ColumnHealth> shard_health;
-  /// Tiering activity over the run (mirrors of the `health` counters, so
-  /// benches and tests read the demote/promote/reload totals directly):
-  /// hot views demoted, cold views promoted back by a routed query, and
-  /// manifest entries Open restored as demoted views.
-  uint64_t views_demoted = 0;
-  uint64_t views_promoted = 0;
-  uint64_t cold_view_reloads = 0;
 };
 
 StatusOr<WorkloadReport> RunWorkload(Table* table,

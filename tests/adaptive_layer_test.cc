@@ -9,7 +9,6 @@
 
 #include "exec/scan_kernels.h"
 #include "rewiring/vm_io.h"
-#include "scoped_temp_dir.h"
 #include "util/random.h"
 #include "workload/distribution.h"
 #include "workload/query_generator.h"
@@ -721,28 +720,17 @@ struct PathCase {
   RangeQuery query;
   CandidateDecision decision;
   uint64_t considered_views;
-  /// Durable table whose views are all demoted before the compared query,
-  /// which must then promote its view.
-  bool demote = false;
+  /// Every view releases its arena before the compared query, which must
+  /// then map its view again.
+  bool release = false;
   /// One injected mmap failure on the compared query's materialization.
   bool fail_materialization = false;
 };
 
-std::unique_ptr<Table> MakePathTable(const PathCase& c, VmIo* io,
-                                     const std::string& dir) {
+std::unique_ptr<Table> MakePathTable(const PathCase& c, VmIo* io) {
   AdaptiveConfig config = c.config;
   config.vm_io = io;
-  if (!c.demote) return MakeAdaptive(DataDistribution::kSine, config);
-  auto table_r =
-      Db::CreateDurable(dir, kTestPages * kValuesPerPage, DbOptions{config});
-  EXPECT_TRUE(table_r.ok()) << table_r.status().ToString();
-  auto table = std::move(table_r).ValueOrDie();
-  DistributionSpec spec;
-  spec.kind = DataDistribution::kSine;
-  spec.max_value = kMaxValue;
-  spec.seed = 42;
-  FillColumn(spec, table->shard(0)->mutable_column());
-  return table;
+  return MakeAdaptive(DataDistribution::kSine, config);
 }
 
 TEST(SinglePathTest, ExecuteAndBatchOfOneAgree) {
@@ -750,8 +738,8 @@ TEST(SinglePathTest, ExecuteAndBatchOfOneAgree) {
   const RangeQuery high{20'000'001, 30'000'000};
   const RangeQuery inside_low{12'000'000, 18'000'000};
   const RangeQuery spanning{15'000'000, 25'000'000};
-  // At threshold 1 the compared query maps its views (and promotes a
-  // demoted one); at the default the same hits read over the base mapping.
+  // At threshold 1 the compared query maps its views (again, after a
+  // release); at the default the same hits read over the base mapping.
   AdaptiveConfig single_view;
   single_view.materialize_after_hits = 1;
   AdaptiveConfig multi_view = single_view;
@@ -769,7 +757,7 @@ TEST(SinglePathTest, ExecuteAndBatchOfOneAgree) {
        CandidateDecision::kAnsweredFromView, 1},
       {"two_view_cover", multi_view, {low, high}, spanning,
        CandidateDecision::kAnsweredFromView, 2},
-      {"promotion", single_view, {low, low}, inside_low,
+      {"remap_after_release", single_view, {low, low}, inside_low,
        CandidateDecision::kAnsweredFromView, 1},
       {"materialization_failure", multi_view, {low, high}, spanning,
        CandidateDecision::kBaseFallback, 2},
@@ -778,27 +766,27 @@ TEST(SinglePathTest, ExecuteAndBatchOfOneAgree) {
       {"two_view_cover_over_base", multi_over_base, {low, high}, spanning,
        CandidateDecision::kAnsweredFromView, 2},
   };
-  cases[3].demote = true;
+  cases[3].release = true;
   cases[4].fail_materialization = true;
 
   for (const PathCase& c : cases) {
     SCOPED_TRACE(c.name);
-    ScopedTempDir execute_dir("single_path");
-    ScopedTempDir batch_dir("single_path");
     FaultInjectingVmIo execute_io;
     FaultInjectingVmIo batch_io;
-    auto via_execute = MakePathTable(c, &execute_io, execute_dir.path());
-    auto via_batch = MakePathTable(c, &batch_io, batch_dir.path());
+    auto via_execute = MakePathTable(c, &execute_io);
+    auto via_batch = MakePathTable(c, &batch_io);
     ASSERT_NE(via_execute, nullptr);
     ASSERT_NE(via_batch, nullptr);
     for (const RangeQuery& q : c.warmup) {
       ASSERT_TRUE(via_execute->Execute(q).ok());
       ASSERT_TRUE(via_batch->Execute(q).ok());
     }
-    if (c.demote) {
-      ASSERT_GT(via_execute->shard(0)->DemoteColdestViews(8), 0u);
-      ASSERT_GT(via_batch->shard(0)->DemoteColdestViews(8), 0u);
+    if (c.release) {
+      ASSERT_EQ(via_execute->shard(0)->ReleaseColdestArenas(8), 1u);
+      ASSERT_EQ(via_batch->shard(0)->ReleaseColdestArenas(8), 1u);
     }
+    const uint64_t mapped_before =
+        via_execute->shard(0)->Health().views_promoted;
     if (c.fail_materialization) {
       VmFaultPlan plan;
       plan.op_index = 1;
@@ -834,8 +822,9 @@ TEST(SinglePathTest, ExecuteAndBatchOfOneAgree) {
     EXPECT_EQ(h_batch.map_failures, h_single.map_failures);
     EXPECT_EQ(h_batch.base_fallbacks, h_single.base_fallbacks);
     EXPECT_EQ(h_batch.views_promoted, h_single.views_promoted);
-    if (c.demote) {
-      EXPECT_EQ(h_single.views_promoted, 1u);
+    EXPECT_EQ(h_batch.views_demoted, h_single.views_demoted);
+    if (c.release) {
+      EXPECT_EQ(h_single.views_promoted, mapped_before + 1);
     }
 
     auto oracle = via_execute->ExecuteFullScan(c.query);

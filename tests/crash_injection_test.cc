@@ -80,14 +80,15 @@ struct Scenario {
   /// false: process kill — files survive as written (page cache lives).
   /// true: power loss — column.dat rolls back to its last successful fsync.
   bool power_loss;
-  /// Interleave DemoteColdestViews into the script and move a page into a
-  /// view while it is demoted, so slot writes holding demoted entries enter
-  /// the fault surface. Recovery must come back hot-or-demoted with the
-  /// moved page derived — never torn — at every fault point.
-  bool demote = false;
+  /// Map views at their first hit, interleave ReleaseColdestArenas into
+  /// the script and move a page into a view while its arena is released.
+  /// A release writes no slot, so recovery must come back with a pool the
+  /// run wrote and the moved page derived — never torn — at every fault
+  /// point.
+  bool release = false;
   /// errno carried by kFailOp points (0 = legacy untyped IoError); lets the
-  /// demotion scenarios model disk-full vs media-error on the journal and
-  /// manifest writes of the demote-heavy script.
+  /// release scenarios model disk-full vs media-error on the journal and
+  /// manifest writes of their script.
   int fail_errno = 0;
 };
 
@@ -97,6 +98,7 @@ AdaptiveConfig MakeConfig(const Scenario& s, StorageIo* io) {
   config.storage.data_flush = s.flush;
   config.storage.group_commit_batch = s.group_commit_batch;
   config.storage.io = io;
+  if (s.release) config.materialize_after_hits = 1;
   return config;
 }
 
@@ -121,8 +123,9 @@ struct ScriptOutcome {
   /// updates whose journal LSN the durable watermark reached, or that a
   /// successful kSync flush/checkpoint covered.
   uint64_t acked = 0;
-  /// Demotion scenarios: update 13 moved a page into a demoted view.
-  bool demoted_addition = false;
+  /// Release scenarios: update 13 moved a page into a view whose arena was
+  /// released.
+  bool released_addition = false;
   /// The query whose discard widened a view's range, if the script found
   /// one.
   std::optional<RangeQuery> widened;
@@ -154,14 +157,17 @@ std::vector<uint64_t> PagesHolding(const PhysicalColumn& column,
   return pages;
 }
 
-/// An update that moves a page into a hot view — or, with `demoted`, into a
-/// demoted one: a value inside the view's range, written to the last row of
-/// a page the view does not hold.
-std::optional<PlannedUpdate> PageAddition(const AdaptiveColumn& col,
-                                          uint64_t skip_page,
-                                          bool demoted = false) {
+/// An update that moves a page into a view — one of `among`, when given: a
+/// value inside the view's range, written to the last row of a page the
+/// view does not hold.
+std::optional<PlannedUpdate> PageAddition(
+    const AdaptiveColumn& col, uint64_t skip_page,
+    const std::vector<const VirtualView*>* among = nullptr) {
   for (const auto& view : col.view_index().views()) {
-    if (view->demoted() != demoted) continue;
+    if (among != nullptr &&
+        std::find(among->begin(), among->end(), view.get()) == among->end()) {
+      continue;
+    }
     for (uint64_t page = 0; page < col.column().num_pages(); ++page) {
       if (page == skip_page || view->ContainsPage(page)) continue;
       return PlannedUpdate{page * kValuesPerPage + kValuesPerPage - 1,
@@ -171,15 +177,14 @@ std::optional<PlannedUpdate> PageAddition(const AdaptiveColumn& col,
   return std::nullopt;
 }
 
-/// The rows whose update moves a page out of a hot view: every row of the
-/// page with a value in the view's range, for the page with fewest such
-/// rows — if it has at most `max_rows`. `*page` receives the page.
+/// The rows whose update moves a page out of a view: every row of the page
+/// with a value in the view's range, for the page with fewest such rows —
+/// if it has at most `max_rows`. `*page` receives the page.
 std::vector<uint64_t> PageRemoval(const AdaptiveColumn& col, size_t max_rows,
                                   uint64_t* page) {
   std::vector<uint64_t> best;
   bool found = false;
   for (const auto& view : col.view_index().views()) {
-    if (view->demoted()) continue;
     view->ForEachPage([&](uint64_t member) {
       std::vector<uint64_t> rows;
       const Value* data = col.column().PageData(member);
@@ -259,28 +264,38 @@ ScriptOutcome RunScript(const std::string& dir, const Scenario& s,
   for (int q = 0; q < 4; ++q) (void)col->Execute(queries[q]);  // adapt
   if (!col->FlushUpdates().ok()) return out;
   all_durable();
-  // Demotion scenarios: demote here so the later queries promote some
-  // views back, and aim update 13 at a view that stays demoted until query
-  // 4's flush-first moves the page into it, before any routing: recovery
-  // must derive that page for a demoted entry.
-  std::optional<PlannedUpdate> demoted_add;
-  if (s.demote) {
-    (void)col->DemoteColdestViews(2);
-    demoted_add = PageAddition(*col, /*skip_page=*/~uint64_t{0},
-                               /*demoted=*/true);
-    out.demoted_addition = demoted_add.has_value();
+  // Release scenarios: a second pass of the queries maps their views,
+  // two of them release their arenas here so the later queries map them
+  // again, and update 13 aims at a released view: query 4's flush-first
+  // moves the page into it before any routing, and recovery must derive
+  // that page.
+  std::optional<PlannedUpdate> released_add;
+  if (s.release) {
+    for (int q = 0; q < 4; ++q) (void)col->Execute(queries[q]);  // map
+    std::vector<const VirtualView*> released;
+    for (const auto& view : col->view_index().views()) {
+      if (view->is_materialized()) released.push_back(view.get());
+    }
+    (void)col->ReleaseColdestArenas(2);
+    released.erase(std::remove_if(released.begin(), released.end(),
+                                  [](const VirtualView* view) {
+                                    return view->is_materialized();
+                                  }),
+                   released.end());
+    released_add = PageAddition(*col, /*skip_page=*/~uint64_t{0}, &released);
+    out.released_addition = released_add.has_value();
   }
   for (uint64_t j = 13; j <= 23; ++j) {
-    if (!issue(j == 13 && demoted_add
-                   ? *demoted_add
+    if (!issue(j == 13 && released_add
+                   ? *released_add
                    : PlannedUpdate{UpdateRow(j), UpdateValue(j)})) {
       return out;
     }
   }
-  // Update 24 moves another page into a hot view; query 4's flush-first
-  // aligns it, and recovery must derive it.
+  // Update 24 moves another page into a view; query 4's flush-first aligns
+  // it, and recovery must derive it.
   const std::optional<PlannedUpdate> add = PageAddition(
-      *col, demoted_add ? demoted_add->row / kValuesPerPage : ~uint64_t{0});
+      *col, released_add ? released_add->row / kValuesPerPage : ~uint64_t{0});
   if (!issue(add.value_or(PlannedUpdate{UpdateRow(24), UpdateValue(24)}))) {
     return out;
   }
@@ -288,7 +303,7 @@ ScriptOutcome RunScript(const std::string& dir, const Scenario& s,
   // A discard that widens a view's range: a pool edit that adds no view.
   out.widened = WideningQuery(*col);
   if (out.widened.has_value()) (void)col->Execute(*out.widened);
-  // Updates 25-30: up to five move a page out of a hot view, update 30
+  // Updates 25-30: up to five move a page out of a view, update 30
   // moves another page into one, and one flush aligns both: recovery must
   // derive the removal and the addition.
   uint64_t emptied = ~uint64_t{0};
@@ -306,15 +321,15 @@ ScriptOutcome RunScript(const std::string& dir, const Scenario& s,
   }
   if (!col->FlushUpdates().ok()) return out;
   all_durable();
-  if (s.demote) (void)col->DemoteColdestViews(2);
+  if (s.release) (void)col->ReleaseColdestArenas(2);
   if (!col->Checkpoint().ok()) return out;
   all_durable();
   for (uint64_t j = 31; j <= kTotalUpdates; ++j) {
     if (!issue_default(j)) return out;
   }
-  // Tail demote: only the demotion's slot write lands before the kill —
-  // recovery must honor it or reopen the view hot, never tear.
-  if (s.demote) (void)col->DemoteColdestViews(1);
+  // Tail release: it writes no slot, so the kill reopens the pool the
+  // checkpoint left.
+  if (s.release) (void)col->ReleaseColdestArenas(1);
   return out;  // destructor = SIGKILL: no flush, just closed fds
 }
 
@@ -335,15 +350,14 @@ void CopyDir(const std::string& from, const std::string& to) {
                    << ec.message();
 }
 
-/// A pool as compared across a crash: each view's (lo, hi, creation cost,
-/// tier), sorted.
-using PoolKey = std::vector<std::tuple<Value, Value, uint64_t, bool>>;
+/// A pool as compared across a crash: each view's (lo, hi, creation
+/// cost), sorted.
+using PoolKey = std::vector<std::tuple<Value, Value, uint64_t>>;
 
 PoolKey KeyOf(const std::vector<ManifestView>& views) {
   PoolKey key;
   for (const ManifestView& view : views) {
-    key.emplace_back(view.lo, view.hi, view.creation_scanned_pages,
-                     view.demoted);
+    key.emplace_back(view.lo, view.hi, view.creation_scanned_pages);
   }
   std::sort(key.begin(), key.end());
   return key;
@@ -354,8 +368,7 @@ PoolKey KeyOf(const AdaptiveColumn& col) {
   for (const auto& view : col.view_index().views()) {
     key.emplace_back(
         view->lo(), view->hi(),
-        view->usage().creation_scanned_pages.load(std::memory_order_relaxed),
-        view->demoted());
+        view->usage().creation_scanned_pages.load(std::memory_order_relaxed));
   }
   std::sort(key.begin(), key.end());
   return key;
@@ -561,9 +574,9 @@ class CrashMatrix {
     EXPECT_EQ(out.issued, kTotalUpdates)
         << scenario_.name << ": fault-free script must complete";
     EXPECT_EQ(out.acked, kTotalUpdates);
-    if (scenario_.demote) {
-      EXPECT_TRUE(out.demoted_addition)
-          << scenario_.name << ": no demoted view to move a page into";
+    if (scenario_.release) {
+      EXPECT_TRUE(out.released_addition)
+          << scenario_.name << ": no released view to move a page into";
     }
     bool wrote_widened = false;
     for (const std::vector<ManifestView>& pool : io.pools()) {
@@ -680,28 +693,28 @@ TEST(CrashMatrixTest, PowerSyncGroupCommit) {
   CrashMatrix({"power_sync_group8", FlushPolicy::kSync, 8, true}).Run();
 }
 
-// Demotion scenarios (named spill_* since demotion wrote per-view files;
-// tools/fault_matrix.py and the CI artifacts keep the names): the script
-// demotes views at three points and moves a page into a demoted view, so
-// every slot write holding demoted entries is a fault point. A kill mid-demotion must reopen hot-or-demoted, never
-// torn, with the moved page derived, and the adaptive scans must stay
-// bit-identical.
+// Release scenarios (named spill_* since their views once spilled to
+// per-view files; tools/fault_matrix.py and the CI artifacts keep the
+// names): the script maps views, releases arenas at three points and moves
+// a page into a view whose arena is released. A kill at any point must
+// reopen a pool the run wrote, with the moved page derived, and the
+// adaptive scans must stay bit-identical.
 
 TEST(CrashMatrixTest, SpillKillSync) {
   CrashMatrix({"spill_kill_sync", FlushPolicy::kSync, 0, false,
-               /*demote=*/true})
+               /*release=*/true})
       .Run();
 }
 
 TEST(CrashMatrixTest, SpillDiskFull) {
   CrashMatrix({"spill_disk_full", FlushPolicy::kSync, 0, false,
-               /*demote=*/true, /*fail_errno=*/ENOSPC})
+               /*release=*/true, /*fail_errno=*/ENOSPC})
       .Run();
 }
 
 TEST(CrashMatrixTest, SpillMediaError) {
   CrashMatrix({"spill_media_error", FlushPolicy::kSync, 0, false,
-               /*demote=*/true, /*fail_errno=*/EIO})
+               /*release=*/true, /*fail_errno=*/EIO})
       .Run();
 }
 

@@ -313,9 +313,8 @@ TEST(ManifestTest, HeaderRoundTripAndCorruptionIsDetected) {
 TEST(ManifestTest, SlotsAlternateAndBadSlotsAreSkipped) {
   ScratchDir scratch("manifest_slots");
   const std::string dir = scratch.path();
-  const std::vector<ManifestView> first{{100, 200, 25, /*demoted=*/false},
-                                        {0, 50, 10, /*demoted=*/true}};
-  const std::vector<ManifestView> second{{100, 300, 25, /*demoted=*/false}};
+  const std::vector<ManifestView> first{{100, 200, 25}, {0, 50, 10}};
+  const std::vector<ManifestView> second{{100, 300, 25}};
   {
     auto opened = ManifestSlots::Open(dir, /*create=*/true);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
@@ -354,16 +353,16 @@ TEST(ManifestTest, SlotsAlternateAndBadSlotsAreSkipped) {
   ASSERT_TRUE(pool.has_value());
   EXPECT_EQ(pool->seq, 2u);
 
-  // A record decodes with its flags; a bad crc, length or magic does not.
+  // A record decodes; a bad crc, length or magic does not.
   const std::string good = EncodeManifestPool(7, first);
   ASSERT_EQ(good.size(), ManifestSlotBytes(2));
   const std::optional<ManifestPool> decoded = DecodeManifestPool(good);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->seq, 7u);
   ASSERT_EQ(decoded->views.size(), 2u);
-  EXPECT_FALSE(decoded->views[0].demoted);
-  EXPECT_TRUE(decoded->views[1].demoted);
+  EXPECT_EQ(decoded->views[0].lo, 100u);
   EXPECT_EQ(decoded->views[1].hi, 50u);
+  EXPECT_EQ(decoded->views[1].creation_scanned_pages, 10u);
   std::string bad_crc = good;
   bad_crc[40] ^= 0x5A;
   EXPECT_FALSE(DecodeManifestPool(bad_crc).has_value());
@@ -394,7 +393,7 @@ TEST(ManifestTest, HostileCountsFailInsteadOfAllocating) {
   {
     auto opened = ManifestSlots::Open(scratch.path(), /*create=*/true);
     ASSERT_TRUE(opened.ok());
-    ASSERT_TRUE(opened->slots->Write({{1, 2, 3, false}}, /*sync=*/false).ok());
+    ASSERT_TRUE(opened->slots->Write({{1, 2, 3}}, /*sync=*/false).ok());
   }
   WriteFile(ManifestSlotPath(scratch.path(), 1), buf);
   const std::optional<ManifestPool> pool = NewestPool(scratch.path());
@@ -976,20 +975,18 @@ TEST(DurableColumnTest, KillBeforeCheckpointRestoresViewsFromSlots) {
       << "covered queries should hit restored views, not rebuild them";
 }
 
-/// The pool as recovery must reproduce it: (lo, hi, sorted pages, demoted)
-/// per view, sorted. Slot order is left out on purpose: recovery installs
-/// derived pages in page order, and the order only shapes the first
+/// The pool as recovery must reproduce it: (lo, hi, sorted pages) per view,
+/// sorted. Slot order is left out on purpose: recovery installs derived
+/// pages in page order, and the order only shapes the first
 /// materialization's mmap runs.
-using PoolState =
-    std::vector<std::tuple<Value, Value, std::vector<uint64_t>, bool>>;
+using PoolState = std::vector<std::tuple<Value, Value, std::vector<uint64_t>>>;
 
 PoolState StateOf(const AdaptiveColumn& adaptive) {
   PoolState state;
   for (const auto& view : adaptive.view_index().views()) {
     std::vector<uint64_t> pages = view->physical_pages();
     std::sort(pages.begin(), pages.end());
-    state.emplace_back(view->lo(), view->hi(), std::move(pages),
-                       view->demoted());
+    state.emplace_back(view->lo(), view->hi(), std::move(pages));
   }
   std::sort(state.begin(), state.end());
   return state;

@@ -24,7 +24,7 @@
 // Alongside the matrix: the PartialViewIndex foreign-view error contract
 // (the historical VMSV_CHECK aborts), creation-time memfd/ftruncate
 // faults, the vm.max_map_count-style mapping budget with pressure-driven
-// eviction, mremap-failure fallback mid-compaction, the durable-ENOSPC
+// arena release, mremap-failure fallback mid-compaction, the durable-ENOSPC
 // read-only round trip, and the workload runner's health surface.
 
 #include <algorithm>
@@ -77,10 +77,11 @@ struct Scenario {
   QueryMode mode;
   size_t max_views;
   bool cost_based;
-  /// Durable column with demote steps in the script: the routed pass then
-  /// PROMOTES demoted views, so their re-materialization mmaps are inside
-  /// the fault surface — a failed promote must fall back to the base scan
-  /// bit-identically and leave the view demoted, never half-mapped.
+  /// Durable column with arena-release steps in the script: the routed
+  /// pass then maps the released views again, so those mmaps are inside
+  /// the fault surface — a failed map must fall back to the base scan
+  /// bit-identically and leave the view without an arena, never
+  /// half-mapped.
   bool tiering = false;
   /// 1: every routed hit of a view without an arena maps it, so each
   /// round's materializations are inside the fault surface.
@@ -117,8 +118,8 @@ struct OwnedColumn {
 StatusOr<OwnedColumn> MakeFaultableColumn(
     const Scenario& s, FaultInjectingVmIo* io, const std::string& dir = "") {
   if (s.tiering) {
-    // Durable variant (demotion needs a persist dir); storage I/O is real,
-    // only the mapping layer is faultable. The dir is recycled per point.
+    // Durable variant; storage I/O is real, only the mapping layer is
+    // faultable. The dir is recycled per point.
     std::error_code ec;
     std::filesystem::remove_all(dir, ec);
     auto table_r =
@@ -197,7 +198,7 @@ bool CheckAgainstOracle(AdaptiveColumn* column, const RangeQuery& q,
 /// and flushes must never error (VM faults degrade — they do not surface
 /// on these paths).
 bool RunScript(AdaptiveColumn* column, uint64_t rounds,
-               std::string* detail, bool demote = false) {
+               std::string* detail, bool release = false) {
   std::vector<RangeQuery> queries;
   for (uint64_t r = 0; r < rounds; ++r) {
     queries = ScriptQueries(r);
@@ -214,10 +215,10 @@ bool RunScript(AdaptiveColumn* column, uint64_t rounds,
         return false;
       }
     }
-    // Tiering scenarios: push the freshly materialized views cold, so the
-    // routed pass below has to PROMOTE them — re-materialization mmaps
-    // under fire, with the base-scan fallback as the exactness backstop.
-    if (demote) (void)column->DemoteColdestViews(2);
+    // Tiering scenarios: release the freshly materialized views' arenas,
+    // so the routed pass below has to map them again — mmaps under fire,
+    // with the base-scan fallback as the exactness backstop.
+    if (release) (void)column->ReleaseColdestArenas(2);
     for (uint64_t j = 1; j <= 12; ++j) {
       const uint64_t u = r * 12 + j;
       const Status updated = column->Update(UpdateRow(u), UpdateValue(u));
@@ -499,9 +500,9 @@ TEST(VmFaultMatrixTest, tight_budget) {
 }
 
 TEST(VmFaultMatrixTest, tiering) {
-  // Durable scenario: the script demotes views, the routed pass promotes
-  // them — every promote re-materialization mmap is a fault point, and the
-  // exactness invariant proves the base-scan fallback covers each one.
+  // Durable scenario: the script releases arenas, the routed pass maps the
+  // views again — every such mmap is a fault point, and the exactness
+  // invariant proves the base-scan fallback covers each one.
   ScopedTempDir scratch("vm_fault_tiering");
   VmFaultMatrix("tiering",
                 {QueryMode::kSingleView, 4, false, /*tiering=*/true},
@@ -1058,10 +1059,72 @@ TEST(VmFaultDegradationTest, MappingBudgetDegradesExactly) {
   EXPECT_GT(io.stats().budget_rejections, 0u);
   const ColumnHealth health = (*column)->Health();
   EXPECT_GT(health.map_failures, 0u);
-  EXPECT_GT(health.base_fallbacks + health.emergency_evictions, 0u);
+  EXPECT_GT(health.base_fallbacks + health.views_demoted, 0u);
 
   // Lifting the budget recovers fully.
   ASSERT_TRUE(CheckRecovery(column->get(), &io, &detail)) << detail;
+}
+
+// Pressure relief releases arenas and keeps the views: an in-memory pool
+// keeps every member through the episode, and a released view maps again
+// at its threshold hit once the budget lifts.
+TEST(VmFaultDegradationTest, PressureReliefKeepsInMemoryViews) {
+  FaultInjectingVmIo io;
+  const Scenario scenario{QueryMode::kSingleView, 16, false};
+  auto column = MakeFaultableColumn(scenario, &io);
+  ASSERT_TRUE(column.ok()) << column.status().ToString();
+  // Four views over the sine column's 50M-92M span; the first three are
+  // mapped by their first hit (threshold 1), the fourth holds no arena.
+  const std::vector<RangeQuery> queries = {{50'000'000, 54'000'000},
+                                           {62'000'000, 66'000'000},
+                                           {74'000'000, 78'000'000},
+                                           {86'000'000, 90'000'000}};
+  std::string detail;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    for (int run = 0; run < (i < 3 ? 2 : 1); ++run) {
+      ASSERT_TRUE(CheckAgainstOracle(column->get(), queries[i], "build",
+                                     &detail))
+          << detail;
+    }
+  }
+  ASSERT_EQ((*column)->view_index().num_partial_views(), 4u);
+  std::vector<const VirtualView*> mapped;
+  for (const auto& view : (*column)->view_index().views()) {
+    if (view->is_materialized()) mapped.push_back(view.get());
+  }
+  ASSERT_EQ(mapped.size(), 3u);
+
+  // A sticky budget at today's mapping count: the fourth view's hits
+  // cannot map, and the next query's relief must release arenas to map
+  // its probe.
+  VmFaultPlan plan;
+  plan.max_vmas = io.vma_count();
+  io.Arm(plan);
+  for (int hit = 0; hit < 3; ++hit) {
+    ASSERT_TRUE(CheckAgainstOracle(column->get(), queries[3], "pressure",
+                                   &detail))
+        << detail;
+  }
+  const ColumnHealth health = (*column)->Health();
+  EXPECT_GT(io.stats().budget_rejections, 0u);
+  EXPECT_GT(health.views_demoted, 0u);
+  // Checked before `mapped` is read: a destroyed view would dangle.
+  ASSERT_EQ((*column)->view_index().num_partial_views(), 4u);
+  std::vector<RangeQuery> released;
+  for (const VirtualView* view : mapped) {
+    if (!view->is_materialized()) released.push_back(view->value_range());
+  }
+  ASSERT_FALSE(released.empty());
+
+  ASSERT_TRUE(CheckRecovery(column->get(), &io, &detail)) << detail;
+  for (const RangeQuery& range : released) {
+    ASSERT_TRUE(CheckAgainstOracle(column->get(), range, "remap", &detail))
+        << detail;
+    const VirtualView* view =
+        (*column)->view_index().FindSmallestCovering(range);
+    ASSERT_NE(view, nullptr);
+    EXPECT_TRUE(view->is_materialized());
+  }
 }
 
 // A client that only ever batches still gets the maintenance pass that

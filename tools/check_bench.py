@@ -10,7 +10,7 @@ fails the build on drift. The `bench` field selects the schema:
   micro_lifecycle    view compaction + eviction ablation   (BENCH_lifecycle.json)
   micro_concurrent   client scaling + shared-scan batching (BENCH_concurrent.json)
   micro_persistence  restart recovery + fsync sweep        (BENCH_persistence.json)
-  micro_tiering      cold-view demote/promote ablation     (BENCH_tiering.json)
+  micro_tiering      arena release, in memory vs durable   (BENCH_tiering.json)
   micro_shard        shard-per-core scale-out              (BENCH_shard.json)
   micro_view_life    map/hit/unmap cost per view, payback  (BENCH_view_life.json)
 
@@ -693,18 +693,16 @@ TIERING_FIELDS = {
     "distribution": str,
     "workload_seed": int,
     "queries": int,
-    "constrained_budget_hit_gain": float,
     "budgets": list,
 }
 
 TIERING_BUDGET_FIELDS = {
     "max_views": int,
-    "hit_gain": float,
-    "policies": list,
+    "pools": list,
 }
 
-TIERING_POLICY_FIELDS = {
-    "policy": str,
+TIERING_POOL_FIELDS = {
+    "pool": str,
     "hit_rate": float,
     "accumulated_ms": float,
     "scanned_pages": int,
@@ -717,7 +715,13 @@ TIERING_POLICY_FIELDS = {
     "rep_ms": list,
 }
 
-KNOWN_TIERING_POLICIES = {"demote_promote", "destroy_evict"}
+KNOWN_TIERING_POOLS = {"in_memory", "durable"}
+
+# What the two pool kinds must agree on exactly: a view has an arena or
+# not, whatever the pool kind, so only the timings may differ.
+TIERING_AGREEING_FIELDS = ("hit_rate", "scanned_pages", "pages_saved_ratio",
+                           "views_created", "views_evicted", "views_demoted",
+                           "views_promoted", "candidates_dropped")
 
 
 def check_micro_tiering(doc, path):
@@ -741,7 +745,6 @@ def check_micro_tiering(doc, path):
         fail(f"{where}: no budget points")
 
     budgets_seen = set()
-    first_gain = None
     for bi, point in enumerate(tiering["budgets"]):
         bwhere = f"{where}: budgets[{bi}]"
         if not isinstance(point, dict):
@@ -752,16 +755,16 @@ def check_micro_tiering(doc, path):
         if point["max_views"] in budgets_seen:
             fail(f"{bwhere}: duplicate budget {point['max_views']}")
         budgets_seen.add(point["max_views"])
-        policies = {}
-        for i, p in enumerate(point["policies"]):
-            pwhere = f"{bwhere}: policies[{i}]"
+        pools = {}
+        for i, p in enumerate(point["pools"]):
+            pwhere = f"{bwhere}: pools[{i}]"
             if not isinstance(p, dict):
                 fail(f"{pwhere}: not an object")
-            expect_fields(p, TIERING_POLICY_FIELDS, pwhere)
-            if p["policy"] not in KNOWN_TIERING_POLICIES:
-                fail(f"{pwhere}: unknown policy '{p['policy']}'")
-            if p["policy"] in policies:
-                fail(f"{pwhere}: duplicate policy '{p['policy']}'")
+            expect_fields(p, TIERING_POOL_FIELDS, pwhere)
+            if p["pool"] not in KNOWN_TIERING_POOLS:
+                fail(f"{pwhere}: unknown pool '{p['pool']}'")
+            if p["pool"] in pools:
+                fail(f"{pwhere}: duplicate pool '{p['pool']}'")
             if not 0.0 <= p["hit_rate"] <= 1.0:
                 fail(f"{pwhere}: hit_rate out of [0, 1]")
             if p["accumulated_ms"] <= 0:
@@ -769,43 +772,21 @@ def check_micro_tiering(doc, path):
             if not -1.0 <= p["pages_saved_ratio"] <= 1.0:
                 fail(f"{pwhere}: pages_saved_ratio out of range")
             check_rep_array(p, "rep_ms", doc["reps"], pwhere)
-            policies[p["policy"]] = p
-        if set(policies) != KNOWN_TIERING_POLICIES:
-            fail(f"{bwhere}: need exactly policies "
-                 f"{sorted(KNOWN_TIERING_POLICIES)}, got {sorted(policies)}")
-        destroy = policies["destroy_evict"]
-        demote = policies["demote_promote"]
-        # Tier counters are structural: the ablated policy must never tier,
-        # and a promote implies a prior demote (per-view, promotes can only
-        # consume demotes).
-        if destroy["views_demoted"] != 0 or destroy["views_promoted"] != 0:
-            fail(f"{bwhere}: destroy_evict run recorded tier activity")
-        if demote["views_promoted"] > demote["views_demoted"]:
-            fail(f"{bwhere}: more promotes than demotes")
-        derived = demote["hit_rate"] - destroy["hit_rate"]
-        if not math.isclose(derived, point["hit_gain"], abs_tol=2e-4):
-            fail(f"{bwhere}: hit_gain {point['hit_gain']} inconsistent "
-                 f"(expected ~{derived:.4f})")
-        if first_gain is None:
-            first_gain = point["hit_gain"]
+            pools[p["pool"]] = p
+        if set(pools) != KNOWN_TIERING_POOLS:
+            fail(f"{bwhere}: need exactly pools "
+                 f"{sorted(KNOWN_TIERING_POOLS)}, got {sorted(pools)}")
+        for field in TIERING_AGREEING_FIELDS:
+            if pools["in_memory"][field] != pools["durable"][field]:
+                fail(f"{bwhere}: in_memory and durable disagree on {field} "
+                     f"({pools['in_memory'][field]} vs "
+                     f"{pools['durable'][field]})")
 
-    if not math.isclose(tiering["constrained_budget_hit_gain"], first_gain,
-                        abs_tol=2e-4):
-        fail(f"{where}: constrained_budget_hit_gain "
-             f"{tiering['constrained_budget_hit_gain']} is not the first "
-             f"(tightest) budget's hit_gain {first_gain}")
-    # The acceptance floor: keeping cold views must never LOSE hits at the
-    # constrained budget. Non-strict, so the toy smoke scale (too few
-    # queries for the tier to matter) passes; the committed full-scale
-    # baseline shows the strict gain.
-    if tiering["constrained_budget_hit_gain"] < 0:
-        fail(f"{where}: demote/promote loses hit rate at the constrained "
-             f"budget ({tiering['constrained_budget_hit_gain']:+.4f})")
-
-    tight = tiering["budgets"][0]
-    return (f"{len(tiering['budgets'])} budget points, constrained budget "
-            f"max_views={tight['max_views']} hit gain "
-            f"{tiering['constrained_budget_hit_gain']:+.4f}")
+    tight = tiering["budgets"][0]["pools"][0]
+    return (f"{len(tiering['budgets'])} budget points, in_memory == durable "
+            f"at each; tightest budget hit rate {tight['hit_rate']:.4f}, "
+            f"{tight['views_demoted']} arenas released, "
+            f"{tight['views_promoted']} mapped")
 
 
 # ---------------------------------------------------------------------------
@@ -1109,8 +1090,8 @@ def persistence_metrics(doc):
 def tiering_metrics(doc):
     out = {}
     for point in doc["tiering"]["budgets"]:
-        for p in point["policies"]:
-            out[f"tiering/b{point['max_views']}_{p['policy']}"] = \
+        for p in point["pools"]:
+            out[f"tiering/b{point['max_views']}_{p['pool']}"] = \
                 p["accumulated_ms"]
     return out
 
