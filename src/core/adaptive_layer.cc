@@ -41,19 +41,6 @@ bool RangesTouch(Value lo_a, Value hi_a, Value lo_b, Value hi_b) {
          (hi_b == ~Value{0} || lo_a <= hi_b + 1);
 }
 
-/// Replaces the zone of each page in `pages` with its exact [min, max] over
-/// the whole page, zero tail included, computed by the dispatched kernel.
-/// Readers excluded.
-void DeriveZones(PhysicalColumn* column, const std::vector<uint64_t>& pages) {
-  ParallelScanner().ForShards(
-      pages.size(), [&](unsigned, uint64_t begin, uint64_t end) {
-        for (uint64_t i = begin; i < end; ++i) {
-          column->SetZone(pages[i], ComputePageZone(column->PageData(pages[i]),
-                                                    kValuesPerPage));
-        }
-      });
-}
-
 /// Sets every page's zone to its exact [min, max] and returns, for each of
 /// `ranges`, the ascending pages holding a value in it — one pass over the
 /// column, sharded across the pool. A range that contains a page's zone
@@ -293,14 +280,31 @@ StatusOr<std::unique_ptr<AdaptiveColumn>> AdaptiveColumn::OpenDurable(
 }
 
 Status AdaptiveColumn::Checkpoint() {
-  if (durable_ == nullptr) return OkStatus();
   std::lock_guard<std::mutex> maintenance(maintenance_mu_);
-  if (!pending_.empty()) {
-    // The flush path runs the whole checkpoint sequence itself.
+  if (durable_ != nullptr && !pending_.empty()) {
+    // The flush path tightens the zones and runs the whole checkpoint
+    // sequence itself.
     auto flushed = FlushUpdatesLocked(/*compact_after=*/true);
     return flushed.ok() ? OkStatus() : flushed.status();
   }
-  return CheckpointLocked();
+  TightenZonesLocked();
+  return durable_ != nullptr ? CheckpointLocked() : OkStatus();
+}
+
+void AdaptiveColumn::TightenZonesLocked() {
+  const std::vector<uint64_t> loose = column_->LoosePages();
+  if (loose.empty()) return;
+  // Readers read the zones lock-free: fence them off, as for a data write.
+  std::unique_lock<std::shared_mutex> xlock(views_mu_);
+  epoch_.WaitQuiescent();
+  PhysicalColumn* column = column_.get();
+  ParallelScanner().ForShards(
+      loose.size(), [&](unsigned, uint64_t begin, uint64_t end) {
+        for (uint64_t i = begin; i < end; ++i) {
+          column->SetZone(loose[i], ComputePageZone(column->PageData(loose[i]),
+                                                    kValuesPerPage));
+        }
+      });
 }
 
 std::vector<ManifestView> AdaptiveColumn::ManifestViewsLocked() const {
@@ -957,12 +961,13 @@ StatusOr<UpdateApplyStats> AdaptiveColumn::FlushUpdatesLocked(
   if (durable_ != nullptr && !pending_.empty()) {
     VMSV_RETURN_IF_ERROR(durable_->SyncJournal());
   }
+  // Each Set of the batch widened its page's zone and marked it loose.
+  // Tightening fences the readers off in its own section; while updates
+  // are pending no reader routes, so the fence below finds nobody new.
+  TightenZonesLocked();
   std::unique_lock<std::shared_mutex> xlock(views_mu_);
   // Alignment unmaps/remaps view slots in place; fence all readers off.
   epoch_.WaitQuiescent();
-  // Each Set of the batch only widened its page's zone; the exact zones
-  // narrow them again while the readers of the table are fenced off too.
-  DeriveZones(column_.get(), pending_.TouchedPages());
   auto stats = AlignPartialViews(*column_, view_index_.MutableViews(),
                                  pending_, MappingSource::kUserSpaceTable);
   bool reclaim_after = false;

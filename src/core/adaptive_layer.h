@@ -365,10 +365,12 @@ class AdaptiveColumn {
   static StatusOr<std::unique_ptr<AdaptiveColumn>> Open(const std::string& dir,
                                                         AdaptiveConfig config);
 
-  /// Durable only (no-op OK otherwise): flush pending updates, push data
-  /// per the flush policy, reset the journal, and write the pool into a
-  /// manifest slot when it is dirty (every pool edit already wrote its
-  /// own). There is deliberately NO destructor checkpoint:
+  /// Re-derives the exact zone of every page a write loosened (through
+  /// Update or mutable_column()), in memory too. Durable only: also flush
+  /// pending updates, push data per the flush policy, reset the journal,
+  /// and write the pool into a manifest slot when it is dirty (every pool
+  /// edit already wrote its own). An in-memory Checkpoint flushes nothing.
+  /// There is deliberately NO destructor checkpoint:
   /// a process that exits without one is exactly the crash case recovery
   /// is tested against.
   Status Checkpoint();
@@ -545,6 +547,12 @@ class AdaptiveColumn {
   /// holds maintenance_mu_ (pool mutators all do, so the pool read is
   /// consistent without views_mu_).
   Status CheckpointLocked();
+
+  /// Re-derives the zone of every loose page (PhysicalColumn::LoosePages)
+  /// with the dispatched kernel. When some page is loose, takes views_mu_
+  /// exclusive and waits for quiescence. Caller holds maintenance_mu_ (every
+  /// engine writer does) and NOT views_mu_.
+  void TightenZonesLocked();
 
   /// Releases the victims' arenas, keeping the views: views_mu_ exclusive,
   /// epoch quiescence, then reclamation once readers run again. Writes no

@@ -106,8 +106,11 @@ class Table {
   /// Aligns all views with the logged updates, every shard.
   virtual StatusOr<UpdateApplyStats> FlushUpdates() = 0;
 
-  /// Durable tables: checkpoint every shard (flush, data writeback per
-  /// policy, journal reset, the pool when it is dirty). No-op in memory.
+  /// Every table: re-derive the exact page zones that writes loosened
+  /// since the last flush or Checkpoint, every shard. Durable tables also
+  /// checkpoint every shard (flush, data writeback per policy, journal
+  /// reset, the pool when it is dirty); in memory nothing is flushed.
+  /// Shard routing zones stay as wide as before.
   virtual Status Checkpoint() = 0;
 
   /// Aggregated + per-shard health snapshot (see TableHealth).

@@ -19,6 +19,7 @@ StatusOr<std::unique_ptr<PhysicalColumn>> PhysicalColumn::Create(
   if (!column.ok()) return column;
   // The file is zeroed, so every page's exact zone is {0, 0}.
   (*column)->zones_.assign(pages, PageZone{0, 0});
+  (*column)->loose_.assign(pages, 0);
   return column;
 }
 
@@ -47,6 +48,14 @@ StatusOr<std::unique_ptr<PhysicalColumn>> PhysicalColumn::Attach(
   }
   return std::unique_ptr<PhysicalColumn>(
       new PhysicalColumn(std::move(file), std::move(arena), num_rows));
+}
+
+std::vector<uint64_t> PhysicalColumn::LoosePages() const {
+  std::vector<uint64_t> pages;
+  for (uint64_t page = 0; page < loose_.size(); ++page) {
+    if (loose_[page] != 0) pages.push_back(page);
+  }
+  return pages;
 }
 
 }  // namespace vmsv

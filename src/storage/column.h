@@ -9,16 +9,19 @@
 // view, candidate and base scans read a page only when its zone meets the
 // query: a page whose zone misses a query holds no value of it. The
 // invariant: whenever a reader can scan page p, zones()[p] bounds every
-// value a whole-page scan of p reads, zero tail included. Its writers:
+// value a whole-page scan of p reads, zero tail included. A page is loose
+// when its zone may be wider than the page's own [min, max]. Its writers:
 //   - Create: every zone {0, 0} — the file is zeroed;
-//   - Attach: every zone the full domain, valid for any content, until the
-//     owner derives exact zones (SetZone);
+//   - Attach: every zone the full domain, valid for any content, and every
+//     page loose until the owner derives exact zones (SetZone);
 //   - Load: exact zones, kept page by page while the rows are written;
-//   - Set: widens the row's page zone — conservative, never narrower;
+//   - Set: widens the row's page zone — conservative, never narrower — and
+//     marks the page loose;
 //   - SetZone: an exact zone the caller computed from the page (the engine
 //     uses the dispatched zone kernel; storage stays below exec).
+// The engine re-derives the loose pages at each flush and Checkpoint.
 // Every writer runs with readers excluded, exactly like a data write;
-// readers read the table lock-free, like the data.
+// readers read the table lock-free, like the data, and never the flags.
 
 #ifndef VMSV_STORAGE_COLUMN_H_
 #define VMSV_STORAGE_COLUMN_H_
@@ -57,13 +60,16 @@ class PhysicalColumn {
 
   Value Get(uint64_t row) const { return values_[row]; }
 
-  /// Writes `value` at `row`, returning the previous value, and widens the
-  /// page's zone to include it. Visible to all virtual views sharing pages
-  /// with the base immediately.
+  /// Writes `value` at `row`, returning the previous value, widens the
+  /// page's zone to include it and marks the page loose: the old value may
+  /// have been the page's min or max. Visible to all virtual views sharing
+  /// pages with the base immediately.
   Value Set(uint64_t row, Value value) {
-    PageZone& zone = zones_[PageOfRow(row)];
+    const uint64_t page = PageOfRow(row);
+    PageZone& zone = zones_[page];
     if (value < zone.min) zone.min = value;
     if (value > zone.max) zone.max = value;
+    loose_[page] = 1;
     Value* slot = values_ + row;
     const Value old = *slot;
     *slot = value;
@@ -92,7 +98,7 @@ class PhysicalColumn {
       }
       // Scans read whole pages, so the tail counts as the page holds it.
       for (uint64_t i = rows; i < kValuesPerPage; ++i) widen(data[i]);
-      zones_[page] = zone;
+      SetZone(page, zone);
     }
   }
 
@@ -100,8 +106,15 @@ class PhysicalColumn {
   const PageZone* zones() const { return zones_.data(); }
 
   /// Installs an exact zone for `page`, computed by the caller from the
-  /// page's content. Readers excluded.
-  void SetZone(uint64_t page, const PageZone& zone) { zones_[page] = zone; }
+  /// page's content, and clears its loose flag. Readers excluded; distinct
+  /// pages may be installed from concurrent threads.
+  void SetZone(uint64_t page, const PageZone& zone) {
+    zones_[page] = zone;
+    loose_[page] = 0;
+  }
+
+  /// The loose pages, ascending (see the header comment).
+  std::vector<uint64_t> LoosePages() const;
 
   /// Page holding `row`.
   static uint64_t PageOfRow(uint64_t row) { return row / kValuesPerPage; }
@@ -117,13 +130,17 @@ class PhysicalColumn {
                  std::unique_ptr<VirtualArena> arena, uint64_t num_rows)
       : file_(std::move(file)), arena_(std::move(arena)), num_rows_(num_rows),
         values_(reinterpret_cast<Value*>(arena_->data())),
-        zones_(file_->num_pages(), PageZone{0, ~Value{0}}) {}
+        zones_(file_->num_pages(), PageZone{0, ~Value{0}}),
+        loose_(file_->num_pages(), 1) {}
 
   std::shared_ptr<PhysicalMemoryFile> file_;
   std::unique_ptr<VirtualArena> arena_;
   uint64_t num_rows_;
   Value* values_;
   std::vector<PageZone> zones_;  // one per page; see the header comment
+  /// One flag per page, a byte so that SetZone on distinct pages never
+  /// shares a memory location with another thread's.
+  std::vector<uint8_t> loose_;
 };
 
 }  // namespace vmsv

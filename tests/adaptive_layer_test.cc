@@ -428,6 +428,52 @@ uint64_t SkippedRoutedPages(const AdaptiveColumn& engine, const RangeQuery& q) {
   return skipped;
 }
 
+TEST(ZoneTableTest, EveryWriterLeavesTheLooseFlagsItPromises) {
+  // The last page holds a zero tail.
+  constexpr uint64_t kPages = 130;
+  const uint64_t rows = kPages * kValuesPerPage - 100;
+  auto created = PhysicalColumn::Create(rows);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  PhysicalColumn& column = **created;
+  const auto expect_all_exact = [](const PhysicalColumn& c, const char* when) {
+    SCOPED_TRACE(when);
+    EXPECT_TRUE(c.LoosePages().empty());
+    for (uint64_t page = 0; page < c.num_pages(); ++page) {
+      EXPECT_EQ(c.zones()[page].min, ExactZone(c, page).min) << page;
+      EXPECT_EQ(c.zones()[page].max, ExactZone(c, page).max) << page;
+    }
+  };
+  expect_all_exact(column, "created");
+
+  // Set marks exactly its own page loose, the tail page included.
+  column.Set(3 * kValuesPerPage + 1, 7);
+  column.Set(rows - 1, 9);
+  EXPECT_EQ(column.LoosePages(), (std::vector<uint64_t>{3, kPages - 1}));
+  EXPECT_EQ(column.zones()[kPages - 1].max, 9u);
+
+  // SetZone leaves its page exact.
+  column.SetZone(3, ExactZone(column, 3));
+  EXPECT_EQ(column.LoosePages(), (std::vector<uint64_t>{kPages - 1}));
+
+  // Load leaves every page exact, the zero tail counted as the page holds
+  // it.
+  column.Load([](uint64_t row) { return row * 7 + 1; });
+  expect_all_exact(column, "loaded");
+  EXPECT_EQ(column.zones()[kPages - 1].min, 0u) << "the loader dropped the tail";
+
+  // Attach marks every page of the column loose until its owner derives
+  // the zones.
+  auto attached = PhysicalColumn::Attach(column.file(), rows);
+  ASSERT_TRUE(attached.ok()) << attached.status().ToString();
+  std::vector<uint64_t> every_page(kPages);
+  for (uint64_t page = 0; page < kPages; ++page) every_page[page] = page;
+  EXPECT_EQ((*attached)->LoosePages(), every_page);
+  for (uint64_t page = 0; page < kPages; ++page) {
+    (*attached)->SetZone(page, ExactZone(**attached, page));
+  }
+  expect_all_exact(**attached, "attached, then derived");
+}
+
 TEST(ZoneTableTest, AnswersStayExactAcrossEveryWriter) {
   // The last page is partial: its zero tail belongs to the page's zone.
   DistributionSpec spec;
@@ -509,7 +555,7 @@ TEST(ZoneTableTest, AnswersStayExactAcrossEveryWriter) {
       roomy.push_back(page);
     }
   });
-  ASSERT_GE(roomy.size(), 3u);
+  ASSERT_GE(roomy.size(), 4u);
 
   // (1) Update writes a value below its page's zone: Set widens the zone
   // at once, and the flush before the next answer re-derives it.
@@ -538,14 +584,39 @@ TEST(ZoneTableTest, AnswersStayExactAcrossEveryWriter) {
   EXPECT_FALSE(column.zones()[p2].Intersects(above));
   EXPECT_TRUE(mid_view->ContainsPage(p2));
 
-  // (3) A write through mutable_column() once the table exists: nothing
-  // re-derives the zone, so only Set's widening keeps the answer exact.
+  // (3) A write through mutable_column() once the table exists: no flush
+  // follows it, so Set's widening keeps the answer exact until Checkpoint
+  // re-derives the zone.
   const uint64_t p3 = roomy[2];
   const Value v3 = ExactZone(column, p3).max + margin;
   engine->mutable_column()->Set(p3 * kValuesPerPage + 9, v3);
   EXPECT_GE(column.zones()[p3].max, v3) << "Set did not widen the zone";
+  EXPECT_EQ(column.LoosePages(), std::vector<uint64_t>{p3});
   inner.push_back({v3 - margin / 2, v3 + margin / 2});
   expect_exact("after a write through mutable_column()");
+  ASSERT_TRUE(table->Checkpoint().ok());
+  expect_zone_exact(p3);
+  EXPECT_TRUE(column.LoosePages().empty());
+
+  // (4) A write through mutable_column() removes a page's max: the zone
+  // stays wide until Checkpoint, and then a query between the new and the
+  // old max skips the page.
+  const uint64_t p4 = roomy[3];
+  const PageZone wide4 = ExactZone(column, p4);
+  uint64_t max_row4 = p4 * kValuesPerPage;
+  while (column.Get(max_row4) != wide4.max) ++max_row4;
+  engine->mutable_column()->Set(max_row4, wide4.min);
+  const Value new_max4 = ExactZone(column, p4).max;
+  ASSERT_LT(new_max4, wide4.max);
+  const RangeQuery above4{new_max4 + 1, wide4.max};
+  inner.push_back(above4);
+  expect_exact("after a write through mutable_column() that removes a max");
+  EXPECT_EQ(column.zones()[p4].max, wide4.max) << "narrowed before Checkpoint";
+  ASSERT_TRUE(table->Checkpoint().ok());
+  expect_zone_exact(p4);
+  EXPECT_FALSE(column.zones()[p4].Intersects(above4));
+  EXPECT_TRUE(mid_view->ContainsPage(p4));
+  expect_exact("after Checkpoint");
 }
 
 TEST(AdaptiveColumnTest, BackgroundMappingCreationMatchesBaseline) {

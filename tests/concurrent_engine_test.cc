@@ -639,6 +639,99 @@ TEST(ConcurrentEngineTest, ReadersRaceUpdaterAndLifecycleMaintenance) {
   }
 }
 
+TEST(ConcurrentEngineTest, ZoneTighteningRacesLockFreeZoneReaders) {
+  // Readers loop over ranges in the lower half of the domain while a writer
+  // moves values only within the upper half and calls Checkpoint between
+  // its Updates, so the readers' answers cannot change. The table sits on a
+  // column attached to a loaded file: every zone starts loose, with no
+  // update pending, so the writer's first Checkpoint re-derives every zone
+  // while the readers' view hits, candidate builds and base passes read
+  // them lock-free. Each Update loosens a zone again for the flush or the
+  // next Checkpoint.
+  auto attached = PhysicalColumn::Attach(
+      MakeTestColumn(DataDistribution::kSine)->file(),
+      kTestPages * kValuesPerPage);
+  ASSERT_TRUE(attached.ok()) << attached.status().ToString();
+  auto adaptive_r = Db::Create(std::move(attached).ValueOrDie(), DbOptions{});
+  ASSERT_TRUE(adaptive_r.ok());
+  auto& adaptive = *adaptive_r;
+  const PhysicalColumn& column = adaptive->shard(0)->column();
+  const Value half = kMaxValue / 2;
+
+  std::vector<RangeQuery> queries;
+  for (uint64_t i = 0; i < 6; ++i) {
+    const Value lo = i * (kMaxValue / 16);
+    queries.push_back(RangeQuery{lo, lo + kMaxValue / 10});
+    queries.push_back(RangeQuery{lo + kMaxValue / 40, lo + kMaxValue / 20});
+  }
+  std::vector<QueryExecution> oracle;
+  for (const RangeQuery& q : queries) {
+    ASSERT_LT(q.hi, half);
+    auto r = adaptive->ExecuteFullScan(q);
+    ASSERT_TRUE(r.ok());
+    oracle.push_back(*r);
+  }
+  std::vector<uint64_t> upper_rows;
+  for (uint64_t row = 0; row < column.num_rows(); row += 97) {
+    if (column.Get(row) >= half) upper_rows.push_back(row);
+  }
+  ASSERT_GE(upper_rows.size(), 16u);
+
+  constexpr int kReaders = 3;
+  std::atomic<int> answered{0};
+  std::atomic<bool> writer_done{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      for (size_t i = t; !writer_done.load() || i < 2 * queries.size(); ++i) {
+        const size_t qi = i % queries.size();
+        auto exec = adaptive->Execute(queries[qi]);
+        if (!exec.ok() || exec->match_count != oracle[qi].match_count ||
+            exec->sum != oracle[qi].sum) {
+          ++failures;
+          return;
+        }
+        ++answered;
+      }
+    });
+  }
+  std::thread writer([&] {
+    while (answered.load() < 2 * kReaders) std::this_thread::yield();
+    if (!adaptive->Checkpoint().ok()) ++failures;
+    Rng rng(31);
+    for (int u = 0; u < 400; ++u) {
+      const uint64_t row = upper_rows[rng.Below(upper_rows.size())];
+      if (!adaptive->Update(row, half + rng.Below(half)).ok() ||
+          !adaptive->Checkpoint().ok()) {
+        ++failures;
+      }
+    }
+    writer_done.store(true);
+  });
+  writer.join();
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  // A last write removes a page's max, and Checkpoint alone narrows its
+  // zone (an in-memory Checkpoint flushes nothing).
+  const uint64_t page = PhysicalColumn::PageOfRow(upper_rows.front());
+  const PageZone wide = ComputePageZone(column.PageData(page), kValuesPerPage);
+  ASSERT_GT(wide.max, half);
+  uint64_t max_row = page * kValuesPerPage;
+  while (column.Get(max_row) != wide.max) ++max_row;
+  ASSERT_TRUE(adaptive->Update(max_row, half).ok());
+  ASSERT_TRUE(adaptive->Checkpoint().ok());
+  EXPECT_TRUE(adaptive->shard(0)->HasPendingUpdates());
+  EXPECT_TRUE(column.LoosePages().empty());
+  for (uint64_t p = 0; p < column.num_pages(); ++p) {
+    const PageZone exact = ComputePageZone(column.PageData(p), kValuesPerPage);
+    EXPECT_EQ(column.zones()[p].min, exact.min) << p;
+    EXPECT_EQ(column.zones()[p].max, exact.max) << p;
+  }
+  EXPECT_LT(column.zones()[page].max, wide.max);
+}
+
 // ---------------------------------------------------------------------------
 // Batch vs individual execution
 

@@ -1312,8 +1312,70 @@ TEST(DurableColumnTest, InMemoryColumnsReportNoDurability) {
   auto adaptive_r = Db::Create(std::move(column_r).ValueOrDie(), {});
   ASSERT_TRUE(adaptive_r.ok());
   EXPECT_FALSE((*adaptive_r)->is_durable());
-  EXPECT_TRUE((*adaptive_r)->Checkpoint().ok());  // documented no-op
+  EXPECT_TRUE((*adaptive_r)->Checkpoint().ok());  // writes nothing durable
   EXPECT_EQ((*adaptive_r)->Durability().manifest_writes, 0u);
+}
+
+// A table loaded row by row through mutable_column() and then checkpointed,
+// as perfbench's serve_rw loads its durable table: Set leaves every zone of
+// the zeroed file at [0, page max], and Checkpoint must make them exact, or
+// every range's miss reads every page whose max reaches it.
+TEST(DurableColumnTest, CheckpointTightensZonesOfARowByRowLoad) {
+  ScratchDir scratch("durable_row_load");
+  constexpr uint64_t kPages = 1024;
+  const uint64_t rows = kPages * kValuesPerPage;
+  AdaptiveConfig config;
+  config.mode = QueryMode::kMultiView;
+  config.cost_based_routing = true;
+  auto table_r = Db::CreateDurable(scratch.path(), rows, DbOptions{config});
+  ASSERT_TRUE(table_r.ok()) << table_r.status().ToString();
+  OwnedColumn adaptive{std::move(table_r).ValueOrDie()};
+  const ValueGenerator value_of(SineSpec(), rows);
+  for (uint64_t row = 0; row < rows; ++row) {
+    adaptive->mutable_column()->Set(row, value_of(row));
+  }
+  ASSERT_TRUE(adaptive->Checkpoint().ok());
+
+  const auto expect_exact_zones = [](const PhysicalColumn& column) {
+    EXPECT_TRUE(column.LoosePages().empty());
+    for (uint64_t page = 0; page < column.num_pages(); ++page) {
+      const PageZone exact =
+          ComputePageZone(column.PageData(page), kValuesPerPage);
+      ASSERT_EQ(column.zones()[page].min, exact.min) << page;
+      ASSERT_EQ(column.zones()[page].max, exact.max) << page;
+    }
+  };
+  expect_exact_zones(adaptive->column());
+
+  // serve_rw's fixed ranges: 1% wide, one centred in each 1/32 of the
+  // domain.
+  std::vector<RangeQuery> ranges;
+  for (Value i = 0; i < 32; ++i) {
+    const Value centre = (2 * i + 1) * kMaxValue / 64;
+    ranges.push_back({centre - kMaxValue / 200, centre + kMaxValue / 200});
+  }
+  for (size_t r = 0; r < ranges.size(); ++r) {
+    const PhysicalColumn& column = adaptive->column();
+    uint64_t meeting = 0;
+    uint64_t meeting_exact = 0;
+    for (uint64_t page = 0; page < kPages; ++page) {
+      const PageZone exact =
+          ComputePageZone(column.PageData(page), kValuesPerPage);
+      meeting += column.zones()[page].Intersects(ranges[r]) ? 1 : 0;
+      meeting_exact += exact.Intersects(ranges[r]) ? 1 : 0;
+    }
+    EXPECT_EQ(meeting, meeting_exact) << "range " << r;
+    EXPECT_LT(meeting, kPages) << "range " << r;
+  }
+  EXPECT_EQ(ExecuteAll(adaptive.get(), ranges),
+            FullScanAll(adaptive.get(), ranges));
+
+  adaptive.reset();
+  auto reopened = OpenColumn(scratch.path(), config);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  expect_exact_zones((*reopened)->column());
+  EXPECT_EQ(ExecuteAll(reopened->get(), ranges),
+            FullScanAll(reopened->get(), ranges));
 }
 
 }  // namespace

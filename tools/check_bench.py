@@ -781,6 +781,12 @@ def check_micro_tiering(doc, path):
                 fail(f"{bwhere}: in_memory and durable disagree on {field} "
                      f"({pools['in_memory'][field]} vs "
                      f"{pools['durable'][field]})")
+    # The agreement above is about arena release; a run that released
+    # nothing shows none of it.
+    if not any(p["views_demoted"] > 0 for point in tiering["budgets"]
+               for p in point["pools"]):
+        fail(f"{where}: no budget released an arena (views_demoted 0 "
+             f"everywhere), so the pools' agreement shows nothing")
 
     tight = tiering["budgets"][0]["pools"][0]
     return (f"{len(tiering['budgets'])} budget points, in_memory == durable "
