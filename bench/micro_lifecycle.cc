@@ -2,15 +2,14 @@
 // of the BENCH_*.json perf-trajectory family (schema guarded by
 // tools/check_bench.py, wired into ctest and CI like BENCH_scan.json).
 //
-// Part A, compaction: a full-column view is fragmented by removing every
-// other page (single-page live runs separated by PROT_NONE holes — the
-// shape sustained update churn produces), scanned, then compacted with both
-// strategies and scanned again:
-//   - mremap:          page-table entries move with the runs; no refaults;
-//   - remap_fallback:  fresh mmaps per run; the first scan pays refaults.
-// Reported: fragmented vs compacted scan medians (scan_speedup), compaction
-// cost, first-scan-after cost, and the arena's kernel VMA count before and
-// after (the vm.max_map_count budget compaction returns).
+// Part A, churn: a full-column view with an arena loses every other page
+// in place — each removal a swap-remove, the tail page rewired into the
+// gap, so the arena stays dense — and is scanned. Its arena is then
+// released, mapped again from the membership bitmap (one mmap per page run,
+// ascending), and scanned again. Reported: the removal and remap costs, the
+// first scan after the remap, both scan medians, and the arena's kernel VMA
+// count after the churn and after the remap (the vm.max_map_count budget a
+// churned arena spends).
 //
 // Part B, eviction ablation: the Figure-5 multi-view workload (sine
 // distribution, fixed 10% selectivity, workload seed 11) under a view
@@ -41,6 +40,7 @@
 #include "vmsv.h"
 #include "core/view_lifecycle.h"
 #include "core/virtual_view.h"
+#include "exec/scan_kernels.h"
 #include "rewiring/maps_parser.h"
 #include "util/histogram.h"
 #include "util/macros.h"
@@ -64,48 +64,21 @@ uint64_t ArenaVmaCount(const VirtualView& view) {
 }
 
 // ---------------------------------------------------------------------------
-// Part A: compaction
+// Part A: churn
 
-struct StrategyResult {
-  const char* name;
-  double compact_ms = 0;
-  double first_scan_ms = 0;
-  double median_ms = 0;
-  std::vector<double> rep_ms;
-  ViewCompactionStats stats;
-  uint64_t vmas_before = 0;
-  uint64_t vmas_after = 0;
-  /// PMD-backed bytes of the compacted arena, from smaps (0 in the 4 KiB
-  /// fallback — compaction-driven promotion found nothing to collapse).
-  uint64_t huge_backed_bytes = 0;
-};
-
-struct CompactionReport {
+struct ChurnReport {
+  /// Member pages after the churn (every other column page).
   uint64_t view_pages = 0;
-  uint64_t runs_before = 0;
-  uint64_t holes_before = 0;
-  /// Live process-wide VMA count at the fragmentation peak (the quantity
-  /// vm.max_map_count bounds; 0 where /proc/self/maps is unavailable).
-  uint64_t vma_count = 0;
-  /// Huge flavor of the column file (the views inherit it).
-  const char* huge_backing = "none";
-  double fragmented_median_ms = 0;
-  std::vector<double> fragmented_rep_ms;
-  std::vector<StrategyResult> strategies;
-  double scan_speedup = 0;
+  double remove_ms = 0;
+  double churned_median_ms = 0;
+  std::vector<double> churned_rep_ms;
+  uint64_t churned_vmas = 0;
+  double remap_ms = 0;
+  double first_scan_ms = 0;
+  double remapped_median_ms = 0;
+  std::vector<double> remapped_rep_ms;
+  uint64_t remapped_vmas = 0;
 };
-
-std::unique_ptr<VirtualView> MakeFragmentedView(const PhysicalColumn& column) {
-  ViewCreationOptions options;
-  options.coalesce_runs = true;
-  auto view_r = BuildViewByScan(column, 0, kMaxValue, options);
-  VMSV_BENCH_CHECK_OK(view_r.status());
-  auto view = std::move(view_r).ValueOrDie();
-  for (uint64_t page = 1; page < column.num_pages(); page += 2) {
-    VMSV_BENCH_CHECK_OK(view->RemovePage(page));
-  }
-  return view;
-}
 
 double MedianScan(const VirtualView& view, const RangeQuery& q, uint64_t reps,
                   std::vector<double>* rep_ms, const PageScanResult& ref) {
@@ -119,12 +92,12 @@ double MedianScan(const VirtualView& view, const RangeQuery& q, uint64_t reps,
       std::abort();
     }
     times.Add(ms);
-    if (rep_ms != nullptr) rep_ms->push_back(ms);
+    rep_ms->push_back(ms);
   }
   return times.Median();
 }
 
-CompactionReport RunCompactionExperiment(const bench::BenchEnv& env) {
+ChurnReport RunChurnExperiment(const bench::BenchEnv& env) {
   DistributionSpec spec;
   spec.kind = DataDistribution::kUniform;
   spec.max_value = kMaxValue;
@@ -134,54 +107,45 @@ CompactionReport RunCompactionExperiment(const bench::BenchEnv& env) {
   auto column = std::move(column_r).ValueOrDie();
   const RangeQuery q{0, kMaxValue / 2};
 
-  CompactionReport report;
-  report.huge_backing = HugeBackingName(column->file()->huge_backing());
-  auto fragmented = MakeFragmentedView(*column);
-  report.view_pages = fragmented->num_pages();
-  report.runs_before = fragmented->num_slot_runs();
-  report.holes_before = fragmented->hole_slots();
+  ViewCreationOptions options;
+  options.coalesce_runs = true;
+  auto view_r = BuildViewByScan(*column, 0, kMaxValue, options);
+  VMSV_BENCH_CHECK_OK(view_r.status());
+  std::unique_ptr<VirtualView> view = std::move(view_r).ValueOrDie();
 
-  // Warm-up faults every live page in (and the same physical pages back all
-  // later views of this column, so the data itself stays hot throughout).
-  const PageScanResult ref = fragmented->Scan(q);
-  report.vma_count = CountProcessVmas();
-  report.fragmented_median_ms =
-      MedianScan(*fragmented, q, env.reps, &report.fragmented_rep_ms, ref);
-
-  struct StrategySpec {
-    const char* name;
-    bool use_mremap;
-  };
-  for (const StrategySpec& strategy :
-       {StrategySpec{"mremap", true}, StrategySpec{"remap_fallback", false}}) {
-    // Each strategy compacts its own freshly-fragmented (and freshly
-    // warmed) view, so refault effects are attributable.
-    auto view = MakeFragmentedView(*column);
-    const PageScanResult warm = view->Scan(q);
-    VMSV_CHECK(warm.match_count == ref.match_count && warm.sum == ref.sum);
-
-    StrategyResult result;
-    result.name = strategy.name;
-    result.vmas_before = ArenaVmaCount(*view);
-    ViewCompactionOptions options;
-    options.use_mremap = strategy.use_mremap;
-    Stopwatch compact_timer;
-    VMSV_BENCH_CHECK_OK(view->Compact(options, &result.stats));
-    result.compact_ms = compact_timer.ElapsedMillis();
-    result.vmas_after = ArenaVmaCount(*view);
-    if (auto smaps = ParseSelfSmaps(); smaps.ok()) {
-      result.huge_backed_bytes = ArenaHugeBackedBytes(*smaps, view->arena());
-    }
-
-    Stopwatch first_timer;
-    const PageScanResult first = view->Scan(q);
-    result.first_scan_ms = first_timer.ElapsedMillis();
-    VMSV_CHECK(first.match_count == ref.match_count && first.sum == ref.sum);
-    result.median_ms = MedianScan(*view, q, env.reps, &result.rep_ms, ref);
-    report.strategies.push_back(std::move(result));
+  ChurnReport report;
+  Stopwatch remove_timer;
+  for (uint64_t page = 1; page < column->num_pages(); page += 2) {
+    VMSV_BENCH_CHECK_OK(view->RemovePage(page));
   }
-  report.scan_speedup =
-      report.fragmented_median_ms / report.strategies.front().median_ms;
+  report.remove_ms = remove_timer.ElapsedMillis();
+  report.view_pages = view->num_pages();
+
+  // The oracle reads the remaining pages over the base mapping.
+  PageScanResult ref;
+  view->ForEachPage([&](uint64_t page) {
+    ref.Merge(ScanPage(column->PageData(page), kValuesPerPage, q));
+  });
+  // Warm-up: the churned arena's rewired slots fault in here.
+  const PageScanResult warm = view->Scan(q);
+  VMSV_CHECK(warm.match_count == ref.match_count && warm.sum == ref.sum);
+  report.churned_vmas = ArenaVmaCount(*view);
+  report.churned_median_ms =
+      MedianScan(*view, q, env.reps, &report.churned_rep_ms, ref);
+
+  // Release (the retired arena unmaps here, outside the timings) and map
+  // again from the bitmap.
+  view->ReleaseArena();
+  Stopwatch remap_timer;
+  VMSV_BENCH_CHECK_OK(view->EnsureMaterialized());
+  report.remap_ms = remap_timer.ElapsedMillis();
+  Stopwatch first_timer;
+  const PageScanResult first = view->Scan(q);
+  report.first_scan_ms = first_timer.ElapsedMillis();
+  VMSV_CHECK(first.match_count == ref.match_count && first.sum == ref.sum);
+  report.remapped_vmas = ArenaVmaCount(*view);
+  report.remapped_median_ms =
+      MedianScan(*view, q, env.reps, &report.remapped_rep_ms, ref);
   return report;
 }
 
@@ -273,40 +237,35 @@ EvictionReport RunEvictionExperiment(const bench::BenchEnv& env) {
 // ---------------------------------------------------------------------------
 // Reporting
 
-void PrintReports(const bench::BenchEnv& env, const CompactionReport& comp,
+void PrintReports(const bench::BenchEnv& env, const ChurnReport& churn,
                   const EvictionReport& evict) {
-  std::fprintf(stdout, "\n## compaction: fragmented vs compacted scans\n");
+  std::fprintf(stdout, "\n## churn: swap-removed vs remapped arena scans\n");
   TablePrinter table(bench::WithScanConfigHeaders(
-      {"layout", "strategy", "view_pages", "slot_runs", "holes", "vmas",
-       "compact_ms", "first_scan_ms", "median_scan_ms"}));
+      {"arena", "view_pages", "vmas", "build_ms", "first_scan_ms",
+       "median_scan_ms"}));
   table.AddRow(bench::WithScanConfigCells(
-      {"fragmented", "-", TablePrinter::Fmt(comp.view_pages),
-       TablePrinter::Fmt(comp.runs_before), TablePrinter::Fmt(comp.holes_before),
-       TablePrinter::Fmt(comp.strategies.empty()
-                             ? uint64_t{0}
-                             : comp.strategies.front().vmas_before),
-       "-", "-", TablePrinter::Fmt(comp.fragmented_median_ms, 3)},
+      {"churned", TablePrinter::Fmt(churn.view_pages),
+       TablePrinter::Fmt(churn.churned_vmas),
+       TablePrinter::Fmt(churn.remove_ms, 3), "-",
+       TablePrinter::Fmt(churn.churned_median_ms, 3)},
       env));
-  for (const StrategyResult& s : comp.strategies) {
-    table.AddRow(bench::WithScanConfigCells(
-        {"compacted", s.name, TablePrinter::Fmt(comp.view_pages),
-         TablePrinter::Fmt(s.stats.slot_runs_after),
-         TablePrinter::Fmt(uint64_t{0}), TablePrinter::Fmt(s.vmas_after),
-         TablePrinter::Fmt(s.compact_ms, 3),
-         TablePrinter::Fmt(s.first_scan_ms, 3),
-         TablePrinter::Fmt(s.median_ms, 3)},
-        env));
-  }
+  table.AddRow(bench::WithScanConfigCells(
+      {"remapped", TablePrinter::Fmt(churn.view_pages),
+       TablePrinter::Fmt(churn.remapped_vmas),
+       TablePrinter::Fmt(churn.remap_ms, 3),
+       TablePrinter::Fmt(churn.first_scan_ms, 3),
+       TablePrinter::Fmt(churn.remapped_median_ms, 3)},
+      env));
   table.PrintCsv();
   std::fprintf(stdout,
-               "# compaction: %llu runs -> 1, scan speedup %.2fx "
-               "(mremap moves=%llu, fallback moves=%llu)\n",
-               static_cast<unsigned long long>(comp.runs_before),
-               comp.scan_speedup,
-               static_cast<unsigned long long>(
-                   comp.strategies.front().stats.mremap_moves),
-               static_cast<unsigned long long>(
-                   comp.strategies.back().stats.remap_moves));
+               "# churn: %llu pages, remove %.1f ms, churned scan %.3f ms "
+               "(%llu VMAs); remap %.1f ms, remapped scan %.3f ms "
+               "(%llu VMAs)\n",
+               static_cast<unsigned long long>(churn.view_pages),
+               churn.remove_ms, churn.churned_median_ms,
+               static_cast<unsigned long long>(churn.churned_vmas),
+               churn.remap_ms, churn.remapped_median_ms,
+               static_cast<unsigned long long>(churn.remapped_vmas));
 
   std::fprintf(stdout, "\n## eviction: fig5 workload, max_views=%zu, sel=%.0f%%\n",
                kEvictionMaxViews, kEvictionSelectivity * 100.0);
@@ -334,7 +293,7 @@ void PrintReports(const bench::BenchEnv& env, const CompactionReport& comp,
 }
 
 int WriteJson(const std::string& path, const bench::BenchEnv& env,
-              const CompactionReport& comp, const EvictionReport& evict) {
+              const ChurnReport& churn, const EvictionReport& evict) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "[bench] cannot write %s\n", path.c_str());
@@ -344,38 +303,18 @@ int WriteJson(const std::string& path, const bench::BenchEnv& env,
     bench::JsonWriter w(out);
     w.BeginObject();
     bench::WriteBenchJsonCommon(&w, "micro_lifecycle", env, /*seed=*/42);
-    w.FieldBool("mremap_supported", VirtualArena::MremapSupported());
-    w.Key("compaction");
+    w.Key("churn");
     w.BeginObject();
-    w.Field("view_pages", comp.view_pages);
-    w.Field("runs_before", comp.runs_before);
-    w.Field("holes_before", comp.holes_before);
-    w.Field("vma_count", comp.vma_count);
-    w.Field("huge_backing", comp.huge_backing);
-    w.Field("fragmented_median_ms", comp.fragmented_median_ms);
-    w.FieldArray("fragmented_rep_ms", comp.fragmented_rep_ms);
-    w.Field("scan_speedup", comp.scan_speedup, 4);
-    w.Key("strategies");
-    w.BeginArray();
-    for (const StrategyResult& s : comp.strategies) {
-      w.BeginObject();
-      w.Field("strategy", s.name);
-      w.Field("compact_ms", s.compact_ms);
-      w.Field("first_scan_ms", s.first_scan_ms);
-      w.Field("median_ms", s.median_ms);
-      w.Field("mremap_moves", s.stats.mremap_moves);
-      w.Field("remap_moves", s.stats.remap_moves);
-      w.Field("runs_after", s.stats.slot_runs_after);
-      w.Field("file_runs_after", s.stats.file_runs_after);
-      w.Field("arena_vmas_before", s.vmas_before);
-      w.Field("arena_vmas_after", s.vmas_after);
-      w.Field("huge_units_promoted", s.stats.huge_units_promoted);
-      w.Field("huge_promote_failures", s.stats.huge_promote_failures);
-      w.Field("huge_backed_bytes", s.huge_backed_bytes);
-      w.FieldArray("rep_ms", s.rep_ms);
-      w.EndObject();
-    }
-    w.EndArray();
+    w.Field("view_pages", churn.view_pages);
+    w.Field("remove_ms", churn.remove_ms);
+    w.Field("churned_median_ms", churn.churned_median_ms);
+    w.FieldArray("churned_rep_ms", churn.churned_rep_ms);
+    w.Field("churned_vmas", churn.churned_vmas);
+    w.Field("remap_ms", churn.remap_ms);
+    w.Field("first_scan_ms", churn.first_scan_ms);
+    w.Field("remapped_median_ms", churn.remapped_median_ms);
+    w.FieldArray("remapped_rep_ms", churn.remapped_rep_ms);
+    w.Field("remapped_vmas", churn.remapped_vmas);
     w.EndObject();
     w.Key("eviction");
     w.BeginObject();
@@ -419,12 +358,12 @@ int WriteJson(const std::string& path, const bench::BenchEnv& env,
 
 int Main() {
   const bench::BenchEnv env = bench::LoadBenchEnv(
-      "micro_lifecycle: view compaction + eviction-policy ablation", 16384);
+      "micro_lifecycle: view churn + eviction-policy ablation", 16384);
   const std::string json_path = bench::BenchJsonPath("BENCH_lifecycle.json");
-  const CompactionReport comp = RunCompactionExperiment(env);
+  const ChurnReport churn = RunChurnExperiment(env);
   const EvictionReport evict = RunEvictionExperiment(env);
-  PrintReports(env, comp, evict);
-  return WriteJson(json_path, env, comp, evict);
+  PrintReports(env, churn, evict);
+  return WriteJson(json_path, env, churn, evict);
 }
 
 }  // namespace

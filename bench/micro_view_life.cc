@@ -124,7 +124,7 @@ ViewLife RunView(const PhysicalColumn& column, const RangeQuery& range,
 
   ViewLife life;
   life.pages = view->num_pages();
-  life.file_runs = view->CountFileRuns();
+  life.file_runs = view->num_page_runs();
   // Best of `reps` hits; each is checked.
   const auto best_hit = [&](const char* what) {
     double best = kNever;

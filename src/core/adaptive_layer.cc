@@ -192,7 +192,7 @@ StatusOr<std::unique_ptr<AdaptiveColumn>> AdaptiveColumn::Create(
   auto adaptive = std::unique_ptr<AdaptiveColumn>(
       new AdaptiveColumn(std::move(column), config));
   // Install the VmIo seam on the backing file: every arena built over it
-  // from here on (view materialization, compaction, pressure probes)
+  // from here on (view materialization, alignment, pressure probes)
   // resolves its syscall layer from the file. The base arena predates this
   // install, so base scans stay fault-free — the always-correct fallback.
   if (config.vm_io != nullptr) {
@@ -263,7 +263,7 @@ StatusOr<std::unique_ptr<AdaptiveColumn>> AdaptiveColumn::OpenDurable(
     std::vector<std::vector<uint64_t>> members =
         DeriveZonesAndMembers(column, ranges);
     for (size_t i = 0; i < restored.size(); ++i) {
-      VMSV_RETURN_IF_ERROR(restored[i]->InstallPages(std::move(members[i])));
+      VMSV_RETURN_IF_ERROR(restored[i]->InstallPages(members[i]));
       adaptive->view_index_.Insert(std::move(restored[i]));
     }
   }
@@ -284,7 +284,7 @@ Status AdaptiveColumn::Checkpoint() {
   if (durable_ != nullptr && !pending_.empty()) {
     // The flush path tightens the zones and runs the whole checkpoint
     // sequence itself.
-    auto flushed = FlushUpdatesLocked(/*compact_after=*/true);
+    auto flushed = FlushUpdatesLocked();
     return flushed.ok() ? OkStatus() : flushed.status();
   }
   TightenZonesLocked();
@@ -305,6 +305,16 @@ void AdaptiveColumn::TightenZonesLocked() {
                                                     kValuesPerPage));
         }
       });
+}
+
+PageZone AdaptiveColumn::ZoneFold() const {
+  std::shared_lock<std::shared_mutex> lock(views_mu_);
+  PageZone fold;
+  for (uint64_t page = 0; page < column_->num_pages(); ++page) {
+    fold.min = std::min(fold.min, column_->zones()[page].min);
+    fold.max = std::max(fold.max, column_->zones()[page].max);
+  }
+  return fold;
 }
 
 std::vector<ManifestView> AdaptiveColumn::ManifestViewsLocked() const {
@@ -410,7 +420,7 @@ StatusOr<std::vector<size_t>> AdaptiveColumn::AnswerFromViews(
         RelievePressureLocked();
       }
       if (pending_.empty()) return OkStatus();
-      auto flushed = FlushUpdatesLocked(/*compact_after=*/true);
+      auto flushed = FlushUpdatesLocked();
       return flushed.ok() ? OkStatus() : flushed.status();
     };
     if (maintenance_held ||
@@ -671,7 +681,6 @@ StatusOr<QueryExecution> AdaptiveColumn::FullScanAndAdapt(const RangeQuery& q) {
           metrics_.views_replaced.fetch_add(1, std::memory_order_relaxed);
         } else {
           metrics_.views_evicted.fetch_add(1, std::memory_order_relaxed);
-          lifecycle_.RecordEviction();
         }
         break;
       case CandidateDecision::kDiscardedSubset:
@@ -812,7 +821,7 @@ size_t AdaptiveColumn::ReleaseArenasLocked(
   if (victims.empty()) return 0;
   size_t released = 0;
   {
-    // ReleaseArena mutates a view's slot table in place, so in-flight scans
+    // ReleaseArena drops a view's slot list in place, so in-flight scans
     // must drain first. The victims cannot have left the pool: every
     // mutator holds maintenance_mu_.
     std::unique_lock<std::shared_mutex> xlock(views_mu_);
@@ -948,11 +957,10 @@ Status AdaptiveColumn::Update(uint64_t row, Value new_value) {
 
 StatusOr<UpdateApplyStats> AdaptiveColumn::FlushUpdates() {
   std::lock_guard<std::mutex> maintenance(maintenance_mu_);
-  return FlushUpdatesLocked(/*compact_after=*/false);
+  return FlushUpdatesLocked();
 }
 
-StatusOr<UpdateApplyStats> AdaptiveColumn::FlushUpdatesLocked(
-    bool compact_after) {
+StatusOr<UpdateApplyStats> AdaptiveColumn::FlushUpdatesLocked() {
   // Durable commit point: every journaled record of this batch is on
   // stable storage before alignment consumes the batch. (Records already
   // committed by the per-update ack or a group-commit leader make this a
@@ -978,10 +986,11 @@ StatusOr<UpdateApplyStats> AdaptiveColumn::FlushUpdatesLocked(
       return stats;
     }
     // Alignment died on a mapping syscall, leaving an unknown subset of the
-    // views partially realigned — scanning one could fault on an unmapped
-    // slot. The base column already holds every update (Update writes the
-    // cell before logging), so the views are pure optimization state: drop
-    // them all, consume the batch, and let queries full-scan and re-adapt.
+    // views partially realigned — one could miss a page that now holds a
+    // value in its range. The base column already holds every update
+    // (Update writes the cell before logging), so the views are pure
+    // optimization state: drop them all, consume the batch, and let queries
+    // full-scan and re-adapt.
     // This is the one failure that empties the pool wholesale — alignment
     // gives no per-view failure attribution.
     NoteMapFailure();
@@ -996,38 +1005,6 @@ StatusOr<UpdateApplyStats> AdaptiveColumn::FlushUpdatesLocked(
   const bool had_updates = !pending_.empty();
   pending_.clear();
   pending_count_.store(0, std::memory_order_release);
-  if (compact_after && stats->pages_removed + stats->pages_added > 0) {
-    // Removals punch holes and adds can scatter file runs; re-densify any
-    // view a lifecycle trigger trips so its scans return to the dense fast
-    // path. A failed compaction leaves the view's mappings in an
-    // unspecified state (Compact's error contract) — DROP it rather than
-    // keep a view the next scan could fault on; its range full-scans and
-    // re-adapts. We already waited for quiescence, so in-place mremap
-    // compaction is safe; superseded arenas still go through the limbo
-    // list for uniform lifetime handling. A compaction only reorders the
-    // view's slots, and the manifest records no pages, so only an
-    // abandoned view edits the pool: it marks the pool dirty, and the
-    // checkpoint below writes it.
-    for (VirtualView* view : view_index_.MutableViews()) {
-      if (!lifecycle_.ShouldCompact(*view)) continue;
-      std::unique_ptr<VirtualArena> retired;
-      if (lifecycle_.CompactView(view, &retired).ok()) {
-        if (retired != nullptr) epoch_.RetireObject(std::move(retired));
-      } else {
-        // Abandoning the view cleanly — rather than keeping a view the next
-        // scan could fault on — IS the recovery; the range full-scans and
-        // re-adapts.
-        health_.abandoned_compactions.fetch_add(1, std::memory_order_relaxed);
-        NoteMapFailure();
-        auto removed = view_index_.Remove(view);
-        if (removed.ok()) {
-          epoch_.RetireObject(std::move(removed).ValueOrDie());
-          MarkDirty();
-        }
-      }
-      reclaim_after = true;
-    }
-  }
   // Reclamation unmaps whole arenas — run it after readers are unblocked,
   // not inside the exclusive section.
   xlock.unlock();
@@ -1054,8 +1031,6 @@ ColumnHealth AdaptiveColumn::Health() const {
   h.base_fallbacks = health_.base_fallbacks.load(std::memory_order_relaxed);
   h.failed_adaptations =
       health_.failed_adaptations.load(std::memory_order_relaxed);
-  h.abandoned_compactions =
-      health_.abandoned_compactions.load(std::memory_order_relaxed);
   h.journal_stalls = health_.journal_stalls.load(std::memory_order_relaxed);
   h.read_only_entries =
       health_.read_only_entries.load(std::memory_order_relaxed);

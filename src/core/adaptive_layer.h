@@ -26,8 +26,7 @@
 // miss (full scan + candidate decision, Listing 1).
 //
 // The pool is managed across the views' whole lifetime by a
-// ViewLifecycleManager (core/view_lifecycle.h): fragmented views are
-// re-densified after update flushes, and under budget pressure the
+// ViewLifecycleManager (core/view_lifecycle.h): under budget pressure the
 // cost-aware eviction policy replaces the historical "drop every candidate
 // once max_views is reached" cliff. Admission decides under the maintenance
 // lock alone, then applies in one short exclusive section. A view is in one
@@ -53,12 +52,12 @@
 //      that displace a view or an arena hand it to the epoch limbo list
 //      instead of destroying it, so its mappings survive until every
 //      possible referencing reader has exited; writers that must mutate
-//      mappings IN PLACE (update application, hole punching, compaction)
+//      mappings IN PLACE (update application, swap-removes, arena release)
 //      first take the index lock exclusively — blocking new readers — and
 //      then wait for epoch quiescence, so no scan ever observes a torn
 //      value or a vanishing mapping.
 //   3. A single maintenance path (`maintenance_mu_`). Everything that
-//      mutates engine state — update application, flush + compaction, the
+//      mutates engine state — update application, flushes, the
 //      full-scan-and-adapt path that builds candidates — is serialized
 //      through one mutex, so all the adaptation logic stays effectively
 //      single-writer. Lock order is maintenance_mu_ -> views_mu_;
@@ -149,8 +148,8 @@ struct AdaptiveConfig {
   /// Replace an existing view whose page set exceeds the candidate's by at
   /// most this many pages (paper's r; evaluation uses 0).
   uint64_t replace_tolerance = 0;
-  /// Whole-lifetime view management: compaction triggers and the eviction
-  /// policy applied at the max_views budget (core/view_lifecycle.h).
+  /// The eviction policy applied at the max_views budget
+  /// (core/view_lifecycle.h).
   LifecycleConfig lifecycle;
   /// Durability: with a persist_dir the column lives in a real file, every
   /// Update is journaled, and the views persist as ranges in two
@@ -159,7 +158,7 @@ struct AdaptiveConfig {
   /// "Durability model").
   StorageConfig storage;
   /// Address-space operation layer for every arena the column builds (base
-  /// mapping, view materialization, compaction). Null means real syscalls;
+  /// mapping, view materialization, alignment). Null means real syscalls;
   /// tests inject a FaultInjectingVmIo here. Not owned; must outlive the
   /// column (ARCHITECTURE.md "Degradation model").
   VmIo* vm_io = nullptr;
@@ -276,8 +275,8 @@ class PartialViewIndex {
   StatusOr<std::unique_ptr<VirtualView>> Replace(
       VirtualView* victim, std::unique_ptr<VirtualView> replacement);
 
-  /// Detaches `view` and returns it — the eviction / failed-compaction
-  /// drop, destruction deferred to the caller. Error contract:
+  /// Detaches `view` and returns it — the failed-alignment drop,
+  /// destruction deferred to the caller. Error contract:
   /// FailedPrecondition when `view` is not in the pool (pool unchanged).
   StatusOr<std::unique_ptr<VirtualView>> Remove(VirtualView* view);
 
@@ -298,7 +297,7 @@ struct ColumnHealth {
   /// A mapping failure was seen and pressure relief has not yet confirmed
   /// the mapping layer healthy again.
   bool mapping_pressure = false;
-  /// Mapping-layer operations (materialize/adapt/compact) that failed.
+  /// Mapping-layer operations (materialize/adapt/align) that failed.
   uint64_t map_failures = 0;
   /// Queries answered from the base column because a view failed to
   /// materialize (each one was still answered exactly).
@@ -306,9 +305,6 @@ struct ColumnHealth {
   /// Full-scan-and-adapt passes that dropped their candidate on a mapping
   /// failure.
   uint64_t failed_adaptations = 0;
-  /// Compactions abandoned mid-flight (the view was dropped, pool kept
-  /// consistent).
-  uint64_t abandoned_compactions = 0;
   /// Durable appends rejected by the journal (any errno).
   uint64_t journal_stalls = 0;
   /// Transitions into / out of read-only degraded mode.
@@ -379,14 +375,12 @@ class AdaptiveColumn {
   /// scan + candidate materialization + insert/discard/replace/evict
   /// decision. Runs ExecuteBatch's route-and-answer step on a batch of
   /// one, due maintenance included: mapping-pressure relief, and the flush
-  /// of pending updates, after which views left fragmented (or
-  /// file-scattered) are compacted per config().lifecycle. Candidates are
-  /// built lazily: the creating scan records the page list only, and the
-  /// view reads its pages over the base mapping until its hits reach
-  /// materialize_after_hits, so discarded candidates and rarely hit views
-  /// never pay for mmap work. Thread-safe;
-  /// view-answered queries from different threads proceed in parallel,
-  /// maintenance (flush/adapt) serializes.
+  /// of pending updates. Candidates are built lazily: the creating scan
+  /// records the page list only, and the view reads its pages over the
+  /// base mapping until its hits reach materialize_after_hits, so
+  /// discarded candidates and rarely hit views never pay for mmap work.
+  /// Thread-safe; view-answered queries from different threads proceed in
+  /// parallel, maintenance (flush/adapt) serializes.
   /// Error contract: InvalidArgument when q.lo > q.hi; mapping-layer
   /// failures (e.g. vm.max_map_count exhaustion) surface as the underlying
   /// errno Status.
@@ -440,15 +434,16 @@ class AdaptiveColumn {
 
   const PhysicalColumn& column() const { return *column_; }
   PhysicalColumn* mutable_column() { return column_.get(); }
+  /// The fold of the column's page zones: a [min, max] bounding every
+  /// value a whole-page scan reads (min > max for a column without
+  /// pages). Folded under views_mu_ shared, which excludes Update's write.
+  PageZone ZoneFold() const;
   /// The live pool. Do not call while other threads are querying — pool
   /// membership is guarded by the engine's internal locks.
   const PartialViewIndex& view_index() const { return view_index_; }
   /// Snapshot of the workload counters (see CumulativeStats).
   CumulativeStats metrics() const;
   const AdaptiveConfig& config() const { return config_; }
-  /// Compaction/eviction counters accumulated by the lifecycle manager.
-  /// Maintenance-path data: read after the workload quiesces.
-  const LifecycleStats& lifecycle_stats() const { return lifecycle_.stats(); }
   /// True when this column persists under a directory.
   bool is_durable() const { return durable_ != nullptr; }
   /// Durability counters (default-constructed zeros for in-memory columns).
@@ -565,13 +560,12 @@ class AdaptiveColumn {
   /// the pool cannot. Caller holds views_mu_ (any mode).
   void RouteQuery(const RangeQuery& q, std::vector<VirtualView*>* cover) const;
 
-  /// Flush + (optionally) the post-flush compaction sweep. Caller holds
-  /// maintenance_mu_; takes views_mu_ exclusive + epoch quiescence inside.
-  /// Durable mode: syncs the journal first (the batch's commit point), then
-  /// after alignment runs the checkpoint sequence when the batch held
-  /// updates or the pool is dirty (a failed alignment or an abandoned
-  /// compaction dropped views).
-  StatusOr<UpdateApplyStats> FlushUpdatesLocked(bool compact_after);
+  /// The flush. Caller holds maintenance_mu_; takes views_mu_ exclusive +
+  /// epoch quiescence inside. Durable mode: syncs the journal first (the
+  /// batch's commit point), then after alignment runs the checkpoint
+  /// sequence when the batch held updates or the pool is dirty (a failed
+  /// alignment dropped views).
+  StatusOr<UpdateApplyStats> FlushUpdatesLocked();
 
   /// An admission outcome and the view it acts on.
   struct Admission {
@@ -619,7 +613,6 @@ class AdaptiveColumn {
     std::atomic<uint64_t> map_failures{0};
     std::atomic<uint64_t> base_fallbacks{0};
     std::atomic<uint64_t> failed_adaptations{0};
-    std::atomic<uint64_t> abandoned_compactions{0};
     std::atomic<uint64_t> journal_stalls{0};
     std::atomic<uint64_t> read_only_entries{0};
     std::atomic<uint64_t> read_only_exits{0};

@@ -110,7 +110,9 @@ class Table {
   /// since the last flush or Checkpoint, every shard. Durable tables also
   /// checkpoint every shard (flush, data writeback per policy, journal
   /// reset, the pool when it is dirty); in memory nothing is flushed.
-  /// Shard routing zones stay as wide as before.
+  /// Each shard's routing zone then widens to the fold of its page zones,
+  /// so a write through shard(i)->mutable_column() reaches routing here.
+  /// Routing zones never narrow.
   virtual Status Checkpoint() = 0;
 
   /// Aggregated + per-shard health snapshot (see TableHealth).

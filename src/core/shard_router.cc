@@ -239,17 +239,10 @@ StatusOr<PartitionSpec> ReadTableDescriptor(const std::string& dir) {
 
 void ShardedTable::RecomputeZone(uint32_t s) {
   Shard& shard = *shards_[s];
-  const PhysicalColumn& column = shard.column->column();
-  // The fold of the column's page zones: each bounds every value a scan of
-  // its whole page reads, zero tail included.
-  if (column.num_pages() == 0) {
+  const PageZone zone = shard.column->ZoneFold();
+  if (zone.min > zone.max) {  // no pages: the shard matches nothing
     shard.zone_set.store(false, std::memory_order_release);
     return;
-  }
-  PageZone zone;
-  for (uint64_t page = 0; page < column.num_pages(); ++page) {
-    zone.min = std::min(zone.min, column.zones()[page].min);
-    zone.max = std::max(zone.max, column.zones()[page].max);
   }
   shard.zone_lo.store(zone.min, std::memory_order_relaxed);
   shard.zone_hi.store(zone.max, std::memory_order_relaxed);
@@ -522,6 +515,14 @@ Status ShardedTable::Checkpoint() {
   for (auto& shard : shards_) {
     Status st = shard->column->Checkpoint();
     if (!st.ok()) return st;
+    // Writes through mutable_column() reach routing here: widen the zone
+    // by the fold of the page zones. Widening only, so a racing Update's
+    // own widen is never lost.
+    const PageZone zone = shard->column->ZoneFold();
+    if (zone.min <= zone.max) {
+      WidenZone(*shard, zone.min);
+      WidenZone(*shard, zone.max);
+    }
   }
   return OkStatus();
 }
@@ -536,7 +537,6 @@ TableHealth ShardedTable::Health() const {
     health.total.map_failures += h.map_failures;
     health.total.base_fallbacks += h.base_fallbacks;
     health.total.failed_adaptations += h.failed_adaptations;
-    health.total.abandoned_compactions += h.abandoned_compactions;
     health.total.journal_stalls += h.journal_stalls;
     health.total.read_only_entries += h.read_only_entries;
     health.total.read_only_exits += h.read_only_exits;

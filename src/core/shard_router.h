@@ -20,7 +20,9 @@
 //
 // QUERY FAN-OUT is pruned by per-shard VALUE ZONES: each shard keeps a
 // conservative [min, max] over every value in its pages, folded from the
-// column's page zones at create/open and only ever WIDENED by updates. A
+// column's page zones at create/open and only ever WIDENED — by updates,
+// and by Checkpoint to the fold of the page zones, which covers writes
+// made through a shard's mutable_column(). A
 // query visits just the shards whose zone intersects its predicate; skipped
 // shards provably contribute zero matches, so pruning never affects results.
 //
@@ -140,9 +142,9 @@ class ShardedTable : public Table {
 
   ShardedTable(PartitionSpec spec, bool durable) : spec_(spec), durable_(durable) {}
 
-  /// Re-derives shard `s`'s value zone as the fold of its column's page
-  /// zones (each covers its whole page, zero tail included, matching what
-  /// scans see).
+  /// Sets shard `s`'s value zone to the fold of its column's page zones
+  /// (AdaptiveColumn::ZoneFold; each covers its whole page, zero tail
+  /// included, matching what scans see). Create and open only.
   void RecomputeZone(uint32_t s);
 
   void WidenZone(Shard& shard, Value v);

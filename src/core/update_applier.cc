@@ -25,8 +25,8 @@ StatusOr<UpdateApplyStats> AlignPartialViews(
     if (!entries.ok()) return entries.status();
     bimaps.resize(views.size());
     for (size_t vi = 0; vi < views.size(); ++vi) {
-      // An unmaterialized view has no kernel mappings to recover; its page
-      // list lives only in user space and is consulted directly below.
+      // A view without an arena has no kernel mappings to recover; its
+      // bitmap lives only in user space and is consulted directly below.
       if (views[vi]->is_materialized()) {
         bimaps[vi] = BuildArenaBimap(*entries, views[vi]->arena());
       }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/macros.h"
-
 namespace vmsv {
 
 const char* EvictionPolicyName(EvictionPolicy policy) {
@@ -13,58 +11,6 @@ const char* EvictionPolicyName(EvictionPolicy policy) {
     case EvictionPolicy::kCostAware: return "cost_aware";
   }
   return "unknown";
-}
-
-bool ViewLifecycleManager::ShouldCompact(const VirtualView& view) const {
-  if (!view.is_materialized() || view.num_pages() == 0) return false;
-  // Hole-free views have no fragmentation to reclaim, but may still be
-  // file-scattered — the sort-only trigger's territory.
-  if (view.hole_slots() == 0) return ShouldSortCompact(view);
-  const uint64_t runs = view.num_slot_runs();
-  if (runs < config_.compaction_min_runs) return false;
-  return static_cast<double>(runs) >
-         config_.compaction_run_ratio * static_cast<double>(view.num_pages());
-}
-
-bool ViewLifecycleManager::ShouldSortCompact(const VirtualView& view) const {
-  if (config_.sort_compaction_file_run_ratio <= 0) return false;
-  if (!view.is_materialized() || view.hole_slots() > 0) return false;
-  const uint64_t file_runs = view.CountFileRuns();
-  if (file_runs < config_.compaction_min_runs) return false;
-  if (static_cast<double>(file_runs) <=
-      config_.sort_compaction_file_run_ratio *
-          static_cast<double>(view.num_pages())) {
-    return false;
-  }
-  // Sorting only helps when the page SET has consecutive pages sitting in
-  // non-adjacent slots; an inherently scattered set (no two consecutive
-  // member pages) keeps one VMA per page no matter the order.
-  // MinimalFileRuns is the incrementally-maintained run count of the sorted
-  // page set, so this whole trigger is O(1) per check (appends probe it on
-  // every qualifying page).
-  return view.MinimalFileRuns() < file_runs;
-}
-
-Status ViewLifecycleManager::CompactView(
-    VirtualView* view, std::unique_ptr<VirtualArena>* retired_arena) {
-  if (view == nullptr) return InvalidArgument("CompactView needs a view");
-  const bool sort_only = view->hole_slots() == 0;
-  ViewCompactionStats result;
-  const Status st = view->Compact(config_.compaction, &result, retired_arena);
-  if (!st.ok()) {
-    // The view's mapping state is unspecified now (Compact's error
-    // contract); the caller must discard or rebuild it.
-    ++stats_.failed_compactions;
-    return st;
-  }
-  ++stats_.compactions;
-  if (sort_only) ++stats_.sort_compactions;
-  stats_.compaction_mremap_moves += result.mremap_moves;
-  stats_.compaction_remap_moves += result.remap_moves;
-  stats_.holes_reclaimed += result.holes_reclaimed;
-  stats_.slot_runs_collapsed +=
-      result.slot_runs_before - result.slot_runs_after;
-  return OkStatus();
 }
 
 double ViewLifecycleManager::Score(const VirtualView& view, uint64_t now,

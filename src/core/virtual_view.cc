@@ -63,34 +63,6 @@ void BackgroundMapper::WorkerLoop() {
 // ---------------------------------------------------------------------------
 // VirtualView
 
-namespace {
-
-/// Walks the maximal live slot runs of a slot table (kHoleSlot breaks a
-/// run; `can_extend(slot, len)` may bound it further, e.g. by file
-/// contiguity) and calls emit(slot_start, len) per run — the one
-/// run-detection loop behind LiveSlotRuns and the compaction move list.
-template <typename CanExtend, typename Emit>
-void ForEachLiveRun(const std::vector<uint64_t>& pages, CanExtend can_extend,
-                    Emit emit) {
-  uint64_t slot = 0;
-  while (slot < pages.size()) {
-    if (pages[slot] == VirtualView::kHoleSlot) {
-      ++slot;
-      continue;
-    }
-    uint64_t len = 1;
-    while (slot + len < pages.size() &&
-           pages[slot + len] != VirtualView::kHoleSlot &&
-           can_extend(slot, len)) {
-      ++len;
-    }
-    emit(slot, len);
-    slot += len;
-  }
-}
-
-}  // namespace
-
 StatusOr<std::unique_ptr<VirtualView>> VirtualView::CreateEmpty(
     const PhysicalColumn& column, Value lo, Value hi) {
   if (lo > hi) return InvalidArgument("view range lo > hi");
@@ -126,47 +98,6 @@ std::vector<PageRun> PageRunsOfBitmap(const std::vector<uint64_t>& bits) {
   return runs;
 }
 
-void VirtualView::RecordPageAt(uint64_t slot, uint64_t page) {
-  if (slot >= pages_.size()) {
-    pages_.resize(slot + 1, kHoleSlot);
-  }
-  // Slot-run transitions: filling between two live neighbors merges their
-  // runs, filling next to one extends it, filling in isolation starts one.
-  const bool left_live = slot > 0 && pages_[slot - 1] != kHoleSlot;
-  const bool right_live =
-      slot + 1 < pages_.size() && pages_[slot + 1] != kHoleSlot;
-  if (left_live && right_live) {
-    --num_slot_runs_;
-  } else if (!left_live && !right_live) {
-    ++num_slot_runs_;
-  }
-  // File-run transitions (slot order): same merge/extend/start logic, but
-  // adjacency additionally requires consecutive file pages.
-  if (!file_runs_dirty_) {
-    const bool left_adj = left_live && pages_[slot - 1] + 1 == page;
-    const bool right_adj = right_live && page + 1 == pages_[slot + 1];
-    if (left_adj && right_adj) {
-      --num_file_runs_;
-    } else if (!left_adj && !right_adj) {
-      ++num_file_runs_;
-    }
-  }
-  // Set-run transitions (sorted page order): membership of page±1 decides.
-  const bool set_left = page > 0 && ContainsPage(page - 1);
-  const bool set_right = ContainsPage(page + 1);
-  if (set_left && set_right) {
-    --num_set_runs_;
-  } else if (!set_left && !set_right) {
-    ++num_set_runs_;
-  }
-  pages_[slot] = page;
-  SetMember(page);
-  if (page_to_slot_.has_value()) (*page_to_slot_)[page] = slot;
-  holes_.erase(slot);
-  ++num_live_;
-  InvalidateRunCache();
-}
-
 Status VirtualView::CheckPageRange(uint64_t first_page, uint64_t count) const {
   if (first_page >= arena_slots_ || count > arena_slots_ - first_page) {
     return InvalidArgument("page beyond the view's column");
@@ -177,9 +108,9 @@ Status VirtualView::CheckPageRange(uint64_t first_page, uint64_t count) const {
 std::unordered_map<uint64_t, uint64_t>& VirtualView::SlotIndex() {
   if (!page_to_slot_.has_value()) {
     auto& index = page_to_slot_.emplace();
-    index.reserve(num_live_);
-    for (uint64_t slot = 0; slot < pages_.size(); ++slot) {
-      if (pages_[slot] != kHoleSlot) index.emplace(pages_[slot], slot);
+    index.reserve(slot_pages_.size());
+    for (uint64_t slot = 0; slot < slot_pages_.size(); ++slot) {
+      index.emplace(slot_pages_[slot], slot);
     }
   }
   return *page_to_slot_;
@@ -210,47 +141,30 @@ Status VirtualView::EnsureMaterialized() {
   // per-view mutex makes exactly one of them build the arena.
   std::lock_guard<std::mutex> lock(materialize_mu_);
   if (is_materialized()) return OkStatus();
-  auto arena_r = VirtualArena::Create(file_, arena_slots_,
-                                      pages_.empty() ? 0 : pages_[0]);
+  const auto runs = MemberRunsCached();
+  auto arena_r = VirtualArena::Create(
+      file_, arena_slots_, runs->empty() ? 0 : runs->front().start_page);
   if (!arena_r.ok()) return arena_r.status();
   // Materialization is transactional: the arena is installed only once every
   // mapping succeeded. A mid-way mmap failure (e.g. vm.max_map_count
-  // exhausted) must leave the view consistently UNmaterialized — a
+  // exhausted) must leave the view consistently without an arena — a
   // half-mapped arena would make the next Scan fault instead of the caller
   // seeing this Status.
   std::unique_ptr<VirtualArena> arena = std::move(arena_r).ValueOrDie();
-  // Rewire the page list in coalesced runs of consecutive page ids. The
-  // list is dense here: holes only ever exist while materialized.
-  uint64_t slot = 0;
-  while (slot < pages_.size()) {
-    uint64_t run = 1;
-    while (slot + run < pages_.size() &&
-           pages_[slot + run] == pages_[slot] + run) {
-      ++run;
+  // The bitmap's runs in ascending page order, one mmap each: the arena is
+  // dense and file-ordered, with the fewest file mappings.
+  std::vector<uint64_t> slot_pages;
+  slot_pages.reserve(num_pages_);
+  for (const PageRun& run : *runs) {
+    VMSV_RETURN_IF_ERROR(
+        arena->MapRange(slot_pages.size(), run.start_page, run.num_pages));
+    for (uint64_t i = 0; i < run.num_pages; ++i) {
+      slot_pages.push_back(run.start_page + i);
     }
-    VMSV_RETURN_IF_ERROR(arena->MapRange(slot, pages_[slot], run));
-    slot += run;
   }
+  slot_pages_ = std::move(slot_pages);
   PublishArena(std::move(arena));
   return OkStatus();
-}
-
-Status VirtualView::AppendPage(uint64_t page, BackgroundMapper* mapper) {
-  VMSV_RETURN_IF_ERROR(CheckPageRange(page, 1));
-  if (ContainsPage(page)) return FailedPrecondition("page already in view");
-  // A single page re-densifies: fill the lowest hole if one exists (the
-  // mmap cost is the same either way, and the arena stays short).
-  if (arena_ != nullptr && !holes_.empty()) {
-    const uint64_t slot = *holes_.begin();
-    if (mapper != nullptr) {
-      mapper->Enqueue(arena_.get(), slot, page, 1);
-    } else {
-      VMSV_RETURN_IF_ERROR(arena_->MapRange(slot, page, 1));
-    }
-    RecordPageAt(slot, page);
-    return OkStatus();
-  }
-  return AppendPageRun(page, 1, mapper);
 }
 
 Status VirtualView::AppendPageRun(uint64_t first_page, uint64_t count,
@@ -261,79 +175,48 @@ Status VirtualView::AppendPageRun(uint64_t first_page, uint64_t count,
       return FailedPrecondition("page already in view");
     }
   }
-  const uint64_t slot_start = pages_.size();
-  if (slot_start + count > arena_slots_) {
-    // The tail reservation is exhausted (hole slots still count against it).
-    // Fall back to filling holes page-wise when they can absorb the run.
-    // Like the tail path below, ALL maps run before ANY membership is
-    // recorded: a mid-way mmap failure must not leave a half-applied run.
-    // (A failure can leave some hole slots physically mapped but still
-    // logically holes — benign: scans skip them by the slot-table sentinel,
-    // and a later fill or compaction reclaims the mapping.)
-    if (arena_ != nullptr && holes_.size() >= count) {
-      std::vector<uint64_t> targets;
-      targets.reserve(count);
-      for (auto it = holes_.begin(); targets.size() < count; ++it) {
-        targets.push_back(*it);
-      }
-      for (uint64_t i = 0; i < count; ++i) {
-        if (mapper != nullptr) {
-          mapper->Enqueue(arena_.get(), targets[i], first_page + i, 1);
-        } else {
-          VMSV_RETURN_IF_ERROR(arena_->MapRange(targets[i], first_page + i, 1));
-        }
-      }
-      for (uint64_t i = 0; i < count; ++i) {
-        RecordPageAt(targets[i], first_page + i);
-      }
-      return OkStatus();
-    }
-    return ResourceExhausted("view arena full");
-  }
-  // Map before recording membership: on mmap failure the view must not be
-  // left listing pages whose slots are unmapped (a later Scan would fault).
-  // Background-mapped errors surface at Drain, where creation fails as a
-  // whole and the view is dropped.
   if (arena_ != nullptr) {
+    // Map at the tail before recording membership: on mmap failure the
+    // view must not list pages whose slots are unmapped (a later Scan
+    // would fault). Background-mapped errors surface at Drain, where
+    // creation fails as a whole and the view is dropped.
+    const uint64_t tail = slot_pages_.size();
     if (mapper != nullptr) {
-      mapper->Enqueue(arena_.get(), slot_start, first_page, count);
+      mapper->Enqueue(arena_.get(), tail, first_page, count);
     } else {
-      VMSV_RETURN_IF_ERROR(arena_->MapRange(slot_start, first_page, count));
+      VMSV_RETURN_IF_ERROR(arena_->MapRange(tail, first_page, count));
+    }
+    for (uint64_t i = 0; i < count; ++i) {
+      slot_pages_.push_back(first_page + i);
+      if (page_to_slot_.has_value()) {
+        (*page_to_slot_)[first_page + i] = tail + i;
+      }
     }
   }
-  for (uint64_t i = 0; i < count; ++i) {
-    RecordPageAt(slot_start + i, first_page + i);
-  }
+  for (uint64_t i = 0; i < count; ++i) SetMember(first_page + i);
+  num_pages_ += count;
+  InvalidateRunCache();
   return OkStatus();
 }
 
-Status VirtualView::InstallPages(std::vector<uint64_t> pages) {
-  if (!pages_.empty() || arena_ != nullptr) {
-    return FailedPrecondition("InstallPages needs an empty unmaterialized view");
+Status VirtualView::InstallPages(const std::vector<uint64_t>& pages) {
+  if (num_pages_ > 0 || arena_ != nullptr) {
+    return FailedPrecondition(
+        "InstallPages needs an empty view without an arena");
   }
-  // Slot order is page order, so the file runs and the set runs are the
-  // same runs: one starts wherever a page does not follow its neighbour.
-  // An empty unmaterialized view has no members, so a rejected list leaves
-  // it untouched by zeroing the bits set so far.
-  uint64_t runs = 0;
-  for (uint64_t slot = 0; slot < pages.size(); ++slot) {
-    const uint64_t page = pages[slot];
-    if (page >= arena_slots_ || (slot > 0 && pages[slot - 1] >= page)) {
+  // An empty view has no members, so a rejected list leaves it untouched
+  // by zeroing the bits set so far.
+  for (size_t i = 0; i < pages.size(); ++i) {
+    const uint64_t page = pages[i];
+    if (page >= arena_slots_ || (i > 0 && pages[i - 1] >= page)) {
       std::fill(members_.begin(), members_.end(), 0);
       return InvalidArgument(page >= arena_slots_
                                  ? "installed page beyond the view's column"
                                  : "installed pages not strictly ascending");
     }
-    if (slot == 0 || pages[slot - 1] + 1 != page) ++runs;
     SetMember(page);
   }
-  pages_ = std::move(pages);
-  page_to_slot_.reset();
-  num_live_ = pages_.size();
-  num_slot_runs_ = pages_.empty() ? 0 : 1;
-  num_file_runs_ = runs;
-  file_runs_dirty_ = false;
-  num_set_runs_ = runs;
+  num_pages_ = pages.size();
   InvalidateRunCache();
   return OkStatus();
 }
@@ -342,264 +225,60 @@ std::unique_ptr<VirtualArena> VirtualView::ReleaseArena() {
   if (arena_ == nullptr) return nullptr;
   arena_ptr_.store(nullptr, std::memory_order_release);
   std::unique_ptr<VirtualArena> retired = std::move(arena_);
-  if (!holes_.empty()) {
-    // Densify in slot order (not swap-remove): arena release must be
-    // deterministic, so the slot order the next materialization maps — and
-    // with it every later scan — matches across runs.
-    std::vector<uint64_t> dense;
-    dense.reserve(num_live_);
-    for (const uint64_t page : pages_) {
-      if (page != kHoleSlot) dense.push_back(page);
-    }
-    pages_ = std::move(dense);
-    page_to_slot_.reset();
-    holes_.clear();
-    file_runs_dirty_ = true;  // densification can merge hole-split runs
-  }
-  num_slot_runs_ = pages_.empty() ? 0 : 1;
+  slot_pages_ = std::vector<uint64_t>();
+  page_to_slot_.reset();
   unmapped_hits_.store(0, std::memory_order_relaxed);
-  InvalidateRunCache();
   return retired;
 }
 
 Status VirtualView::RemovePage(uint64_t page) {
   if (!ContainsPage(page)) return NotFound("page not in view");
-  std::unordered_map<uint64_t, uint64_t>& index = SlotIndex();
-  auto it = index.find(page);
-  const uint64_t slot = it->second;
-
-  // Set-run transitions mirror RecordPageAt's, inverted: removing a page
-  // that bridged both neighbors splits a run, removing an isolated page
-  // ends one. Order-independent, so shared by both branches below.
-  const bool set_left = page > 0 && ContainsPage(page - 1);
-  const bool set_right = ContainsPage(page + 1);
-  if (set_left && set_right) {
-    ++num_set_runs_;
-  } else if (!set_left && !set_right) {
-    --num_set_runs_;
-  }
-
   if (arena_ == nullptr) {
-    // Unmaterialized: plain list edit. Swap-remove keeps the list dense (the
-    // hole representation below exists to save mmap calls; there are none to
-    // save here). It reorders the list, so the slot-order file-run cache
-    // goes dirty rather than being patched.
-    file_runs_dirty_ = true;
-    const uint64_t last_slot = pages_.size() - 1;
-    if (slot != last_slot) {
-      const uint64_t moved_page = pages_[last_slot];
-      pages_[slot] = moved_page;
-      index[moved_page] = slot;
-    }
-    pages_.pop_back();
-    index.erase(it);
     ClearMember(page);
-    --num_live_;
-    num_slot_runs_ = num_live_ > 0 ? 1 : 0;
+    --num_pages_;
     InvalidateRunCache();
     return OkStatus();
   }
-
-  // Materialized: punch a PROT_NONE hole — one mmap call (the historical
-  // swap-remove paid two: rewire the tail page in, unmap the tail slot) and
-  // slot order survives, which keeps runs coalescible. The price is
-  // fragmentation, paid down by Compact(). If the slot sits inside a
-  // promoted 2 MiB unit, the unit is demoted to 4 KiB first — the hole
-  // punch itself would split the PMD anyway, but demoting keeps the arena's
-  // granularity bookkeeping ahead of the kernel, not behind it.
-  VMSV_RETURN_IF_ERROR(arena_->DemoteRange(slot, 1));
-  VMSV_RETURN_IF_ERROR(arena_->UnmapRange(slot, 1));
-  const bool left_live = slot > 0 && pages_[slot - 1] != kHoleSlot;
-  const bool right_live =
-      slot + 1 < pages_.size() && pages_[slot + 1] != kHoleSlot;
-  if (left_live && right_live) {
-    ++num_slot_runs_;  // split one run into two
-  } else if (!left_live && !right_live) {
-    --num_slot_runs_;  // removed a singleton run
+  // Swap-remove (§2.4): rewire the tail page into the gap, record the
+  // edit, then return the old tail slot to the reservation. The arena
+  // stays dense, so scans stay one contiguous sweep.
+  std::unordered_map<uint64_t, uint64_t>& index = SlotIndex();
+  const uint64_t slot = index.at(page);
+  const uint64_t tail = slot_pages_.size() - 1;
+  if (slot != tail) {
+    VMSV_RETURN_IF_ERROR(arena_->MapRange(slot, slot_pages_[tail], 1));
+    slot_pages_[slot] = slot_pages_[tail];
+    index[slot_pages_[slot]] = slot;
   }
-  if (!file_runs_dirty_) {
-    const bool left_adj = left_live && pages_[slot - 1] + 1 == page;
-    const bool right_adj = right_live && page + 1 == pages_[slot + 1];
-    if (left_adj && right_adj) {
-      ++num_file_runs_;
-    } else if (!left_adj && !right_adj) {
-      --num_file_runs_;
-    }
-  }
-  pages_[slot] = kHoleSlot;
-  holes_.insert(slot);
-  index.erase(it);
+  slot_pages_.pop_back();
+  index.erase(page);
   ClearMember(page);
-  --num_live_;
-  // Trailing holes shrink the slot range for free (their slots are already
-  // back in the reserved state).
-  while (!pages_.empty() && pages_.back() == kHoleSlot) {
-    holes_.erase(pages_.size() - 1);
-    pages_.pop_back();
-  }
+  --num_pages_;
   InvalidateRunCache();
-  return OkStatus();
+  // The edit stands even if the unmap fails: the old tail slot lies past
+  // the slot list, so no scan reads it, and the next tail append maps over
+  // it.
+  return arena_->UnmapRange(tail, 1);
 }
 
 std::vector<uint64_t> VirtualView::physical_pages() const {
-  std::vector<uint64_t> live;
-  live.reserve(num_live_);
-  ForEachPage([&live](uint64_t page) { live.push_back(page); });
-  return live;
-}
-
-uint64_t VirtualView::CountFileRuns() const {
-  if (!file_runs_dirty_) return num_file_runs_;
-  uint64_t runs = 0;
-  bool in_run = false;
-  uint64_t prev_page = 0;
-  for (const uint64_t page : pages_) {
-    if (page == kHoleSlot) {
-      in_run = false;
-      continue;
-    }
-    if (!in_run || page != prev_page + 1) ++runs;
-    in_run = true;
-    prev_page = page;
-  }
-  num_file_runs_ = runs;
-  file_runs_dirty_ = false;
-  return runs;
-}
-
-std::vector<PageRun> VirtualView::LiveSlotRuns() const {
-  std::vector<PageRun> runs;
-  ForEachLiveRun(
-      pages_, [](uint64_t, uint64_t) { return true; },
-      [&runs](uint64_t slot, uint64_t len) {
-        runs.push_back(PageRun{slot, len});
-      });
-  return runs;
-}
-
-Status VirtualView::Compact(const ViewCompactionOptions& options,
-                            ViewCompactionStats* stats,
-                            std::unique_ptr<VirtualArena>* retired_arena) {
-  ViewCompactionStats local;
-  ViewCompactionStats& out = stats != nullptr ? *stats : local;
-  out = ViewCompactionStats{};
-  out.live_pages = num_live_;
-  out.holes_reclaimed = holes_.size();
-  out.slot_runs_before = num_slot_runs_;
-  out.file_runs_before = CountFileRuns();
-  out.slot_runs_after = out.slot_runs_before;
-  out.file_runs_after = out.file_runs_before;
-  // Unmaterialized views are dense by invariant; empty ones have nothing to
-  // move. Either way there is no arena work.
-  if (arena_ == nullptr || num_live_ == 0) return OkStatus();
-
-  // Move units: maximal runs contiguous in BOTH slots and file pages — the
-  // granularity of one kernel VMA, which is what a single mremap can move.
-  struct MoveUnit {
-    uint64_t slot;
-    uint64_t page;
-    uint64_t len;
-  };
-  std::vector<MoveUnit> units;
-  ForEachLiveRun(
-      pages_,
-      [this](uint64_t slot, uint64_t len) {
-        return pages_[slot + len] == pages_[slot] + len;
-      },
-      [&](uint64_t slot, uint64_t len) {
-        units.push_back(MoveUnit{slot, pages_[slot], len});
-      });
-  const bool sorted_already = std::is_sorted(
-      units.begin(), units.end(),
-      [](const MoveUnit& a, const MoveUnit& b) { return a.page < b.page; });
-  if (holes_.empty() && sorted_already) {
-    return OkStatus();  // already as dense as this view can get
-  }
-  if (!sorted_already) {
-    std::sort(units.begin(), units.end(),
-              [](const MoveUnit& a, const MoveUnit& b) { return a.page < b.page; });
-  }
-
-  // The congruence hint: slot 0 of the dense arena will hold the first file
-  // page of the (possibly sorted) layout. Placing the arena base congruent
-  // to that page mod 2 MiB is what makes the post-compaction collapse
-  // attempt possible at all — the sorted, densified view is file-contiguous,
-  // exactly the layout a PMD can map.
-  auto arena_r =
-      VirtualArena::Create(file_, arena_slots_,
-                           units.empty() ? 0 : units.front().page);
-  if (!arena_r.ok()) return arena_r.status();
-  std::unique_ptr<VirtualArena> dense = std::move(arena_r).ValueOrDie();
-  const bool allow_mremap =
-      options.use_mremap && VirtualArena::MremapSupported();
-  uint64_t dst = 0;
-  for (const MoveUnit& unit : units) {
-    bool used_mremap = false;
-    VMSV_RETURN_IF_ERROR(dense->AdoptRange(arena_.get(), unit.slot, dst,
-                                           unit.len, allow_mremap,
-                                           &used_mremap));
-    if (used_mremap) {
-      ++out.mremap_moves;
-    } else {
-      ++out.remap_moves;
-    }
-    dst += unit.len;
-  }
-  if (retired_arena != nullptr) {
-    *retired_arena = std::move(arena_);
-  }
-  PublishArena(std::move(dense));
-  if (arena_->HugeCapable()) {
-    // Compaction IS the promotion trigger: the view is now dense and
-    // file-contiguous, so try to collapse every whole congruent 2 MiB unit.
-    // Refusals leave those units at 4 KiB and are only counted — scans are
-    // bit-identical either way.
-    VMSV_RETURN_IF_ERROR(arena_->PromoteRange(0, num_live_));
-    out.huge_units_promoted = arena_->huge_unit_count();
-    out.huge_promote_failures = arena_->huge_promote_failures();
-  }
-
-  pages_.clear();
-  pages_.reserve(num_live_);
-  page_to_slot_.reset();
-  for (const MoveUnit& unit : units) {
-    for (uint64_t i = 0; i < unit.len; ++i) pages_.push_back(unit.page + i);
-  }
-  holes_.clear();
-  num_slot_runs_ = pages_.empty() ? 0 : 1;
-  InvalidateRunCache();
-  file_runs_dirty_ = true;  // slot order changed wholesale; rebuild below
-  out.slot_runs_after = num_slot_runs_;
-  out.file_runs_after = CountFileRuns();
-  return OkStatus();
-}
-
-namespace {
-
-/// Loads `cache`, or builds and stores it when invalidated. Racing readers
-/// rebuild identical lists (membership is frozen while any reader scans);
-/// last store wins and both copies are valid.
-template <typename Build>
-std::shared_ptr<const std::vector<PageRun>> LoadOrBuildRuns(
-    std::shared_ptr<const std::vector<PageRun>>* cache, Build build) {
-  auto cached = std::atomic_load(cache);
-  if (cached != nullptr) return cached;
-  auto built = std::make_shared<const std::vector<PageRun>>(build());
-  std::atomic_store(cache, std::shared_ptr<const std::vector<PageRun>>(built));
-  return built;
-}
-
-}  // namespace
-
-std::shared_ptr<const std::vector<PageRun>> VirtualView::SlotRunsCached()
-    const {
-  return LoadOrBuildRuns(&runs_cache_, [this] { return LiveSlotRuns(); });
+  std::vector<uint64_t> pages;
+  pages.reserve(num_pages_);
+  ForEachPage([&pages](uint64_t page) { pages.push_back(page); });
+  return pages;
 }
 
 std::shared_ptr<const std::vector<PageRun>> VirtualView::MemberRunsCached()
     const {
-  return LoadOrBuildRuns(&member_runs_cache_,
-                         [this] { return PageRunsOfBitmap(members_); });
+  // Racing readers rebuild identical lists (membership is frozen while any
+  // reader scans); last store wins and both copies are valid.
+  auto cached = std::atomic_load(&member_runs_cache_);
+  if (cached != nullptr) return cached;
+  auto built =
+      std::make_shared<const std::vector<PageRun>>(PageRunsOfBitmap(members_));
+  std::atomic_store(&member_runs_cache_,
+                    std::shared_ptr<const std::vector<PageRun>>(built));
+  return built;
 }
 
 PageScanResult VirtualView::Scan(const RangeQuery& q,
@@ -610,15 +289,10 @@ PageScanResult VirtualView::Scan(const RangeQuery& q,
     // No arena: the member pages, read in place over the base mapping.
     return scanner.ScanPageRuns(base_, *MemberRunsCached(), q);
   }
-  const Value* base = reinterpret_cast<const Value*>(arena->data());
-  if (holes_.empty()) {
-    // Dense fast path — the whole point of rewiring (and of compaction): one
-    // contiguous sweep, no indirection per page, sharded above the cutoff.
-    return scanner.ScanPages(base, pages_.size(), q);
-  }
-  // Fragmented path: sweep each live run, skipping the PROT_NONE holes.
-  const auto runs = SlotRunsCached();
-  return scanner.ScanPageRuns(base, *runs, q);
+  // The whole point of rewiring: one contiguous sweep, no indirection per
+  // page, sharded above the cutoff.
+  return scanner.ScanPages(reinterpret_cast<const Value*>(arena->data()),
+                           slot_pages_.size(), q);
 }
 
 std::vector<PageScanResult> VirtualView::ScanMany(
@@ -630,13 +304,9 @@ std::vector<PageScanResult> VirtualView::ScanMany(
     return executor.SharedScanPageRuns(base_, *MemberRunsCached(), queries,
                                        ZoneTable{column_zones, nullptr});
   }
-  const Value* base = reinterpret_cast<const Value*>(arena->data());
-  const ZoneTable zones{column_zones, pages_.data()};
-  if (holes_.empty()) {
-    return executor.SharedScanPages(base, pages_.size(), queries, zones);
-  }
-  const auto runs = SlotRunsCached();
-  return executor.SharedScanPageRuns(base, *runs, queries, zones);
+  return executor.SharedScanPages(
+      reinterpret_cast<const Value*>(arena->data()), slot_pages_.size(),
+      queries, ZoneTable{column_zones, slot_pages_.data()});
 }
 
 std::vector<PageScanResult> VirtualView::ScanManySelectedSlots(
@@ -644,9 +314,8 @@ std::vector<PageScanResult> VirtualView::ScanManySelectedSlots(
     const std::vector<RangeQuery>& queries,
     const PageZone* column_zones) const {
   // Coalesce consecutive selected slots so one kernel call covers each
-  // virtually-contiguous block — on a compacted view a cover scan
-  // degenerates to a handful of long sweeps — then one shared pass answers
-  // every query from each page read.
+  // virtually-contiguous block, then one shared pass answers every query
+  // from each page read.
   std::vector<PageRun> runs;
   size_t i = 0;
   while (i < slots.size()) {
@@ -658,7 +327,7 @@ std::vector<PageScanResult> VirtualView::ScanManySelectedSlots(
   const BatchExecutor executor;
   return executor.SharedScanPageRuns(
       reinterpret_cast<const Value*>(arena().data()), runs, queries,
-      ZoneTable{column_zones, pages_.data()});
+      ZoneTable{column_zones, slot_pages_.data()});
 }
 
 // ---------------------------------------------------------------------------
@@ -771,7 +440,7 @@ StatusOr<ViewBuildOutput> BuildViewAndAnswer(
       pages.insert(pages.end(), per_shard[shard].qualifying.begin(),
                    per_shard[shard].qualifying.end());
     }
-    VMSV_RETURN_IF_ERROR(out.view->InstallPages(std::move(pages)));
+    VMSV_RETURN_IF_ERROR(out.view->InstallPages(pages));
     return out;
   }
   // Eager: replay the list in page order through the append paths, so the

@@ -14,22 +14,25 @@
 //     first call is queued, so the worker overlaps the queueing of later
 //     runs, not the scan.
 //
-// Lifecycle (this layer + core/view_lifecycle.h): a view is born as a page
-// list (created) and answers its first hits by reading its member page runs
-// over the column's base mapping — no syscall, no page-table cost. Only
-// once its hits have paid for one is it rewired into its own arena
-// (mapped; the engine's threshold is AdaptiveConfig::materialize_after_hits).
-// A mapped view fragments under membership churn — removals punch PROT_NONE
-// holes instead of paying two mmaps for a swap-remove — and is periodically
-// re-densified (compacted) by moving its live slot runs into a fresh dense
-// arena with mremap(2). Views that stop earning their keep are dropped from
-// the pool entirely (evicted), freeing their slot table and mapping budget.
+// Lifecycle (this layer + core/view_lifecycle.h): a view's membership is
+// its bitmap, one bit per column page. A view is born without an arena and
+// answers its first hits by reading the bitmap's page runs over the
+// column's base mapping — no syscall, no page-table cost. Only once its hits
+// have paid for one is it rewired into its own arena (the engine's
+// threshold is AdaptiveConfig::materialize_after_hits). The arena is a
+// dense cache of the bitmap: materialization maps the bitmap's runs in
+// ascending page order, an add maps at the tail slot, and a removal is the
+// paper's swap-remove (§2.4) — the tail page is rewired into the gap and
+// the tail slot unmapped — so every arena scans as one contiguous sweep.
+// Releasing the arena keeps the bitmap; the next materialization maps it
+// file-ordered again. Views that stop earning their keep are dropped from
+// the pool entirely (evicted).
 //
 // Thread-safety: scans, ScanMany, ContainsPage, RecordHit, CountUnmappedHits
 // and lazy EnsureMaterialized may run concurrently from any number of
 // reader threads (materialization is internally serialized per view; usage
-// counters are relaxed atomics). Membership updates, Compact, ReleaseArena
-// and destruction mutate mappings IN PLACE and must not overlap any reader
+// counters are relaxed atomics). Membership updates, ReleaseArena and
+// destruction mutate mappings IN PLACE and must not overlap any reader
 // — the concurrent engine (core/adaptive_layer.h) excludes readers with an
 // epoch quiescence wait before running them, and hands displaced
 // arenas/views to the epoch limbo list instead of destroying them under
@@ -46,7 +49,6 @@
 #include <mutex>
 #include <optional>
 #include <queue>
-#include <set>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -76,47 +78,6 @@ struct ViewCreationOptions {
   /// never pay for rewiring at all. Eager builds replay the same list
   /// through AppendPage/AppendPageRun after the scan.
   bool lazy_materialize = false;
-};
-
-/// How VirtualView::Compact re-densifies a fragmented view. Compaction always
-/// orders the dense slots by physical page id: adjacent file pages then land
-/// in adjacent slots, so the kernel merges their mappings into fewer VMAs
-/// (mapping-budget relief) and future re-materializations coalesce; scan
-/// results are order-insensitive, so this is always safe. It then attempts
-/// to collapse the dense arena's whole congruent 2 MiB units to PMD mappings
-/// (no-op unless the backing file carries a huge flavor; see
-/// VirtualArena::PromoteRange); refusals are counted in the stats, never
-/// errors.
-struct ViewCompactionOptions {
-  /// Move live runs with mremap(2) so page-table entries (and with them the
-  /// already-faulted residency) travel to the new arena. When false — or
-  /// when VirtualArena::MremapSupported() is false — every run is rewired
-  /// with a fresh mmap instead and its pages fault again on next touch.
-  /// This is the forced-fallback knob the lifecycle tests exercise.
-  bool use_mremap = true;
-};
-
-/// What one Compact call did (all counts are pages/runs of this view).
-struct ViewCompactionStats {
-  uint64_t live_pages = 0;
-  /// PROT_NONE hole slots reclaimed (arena extent shrinks by this much).
-  uint64_t holes_reclaimed = 0;
-  /// Maximal virtually-contiguous live slot runs before/after. After a
-  /// compaction this is 1 (or 0 for an empty view): the dense-range scan
-  /// fast path applies again.
-  uint64_t slot_runs_before = 0;
-  uint64_t slot_runs_after = 0;
-  /// Maximal file-contiguous runs (≈ kernel VMAs) before/after.
-  uint64_t file_runs_before = 0;
-  uint64_t file_runs_after = 0;
-  /// Moves executed as mremap (PTEs preserved) vs rewire fallback.
-  uint64_t mremap_moves = 0;
-  uint64_t remap_moves = 0;
-  /// 2 MiB units PMD-backed after the post-compaction promotion pass, and
-  /// collapse attempts the kernel refused (0/0 when promotion is off or the
-  /// file has no huge flavor).
-  uint64_t huge_units_promoted = 0;
-  uint64_t huge_promote_failures = 0;
 };
 
 /// Per-view usage accounting consumed by the cost-aware eviction policy
@@ -187,32 +148,23 @@ class BackgroundMapper {
   std::thread worker_;
 };
 
-/// A partial view is born as a page LIST; the contiguous arena mapping is
-/// materialized either eagerly at creation (BuildViewByScan) or lazily by
-/// EnsureMaterialized (the adaptive path, once the view's hits reach the
-/// engine's threshold). While unmaterialized, scans read the member page
-/// runs in place over the column's base mapping, and membership updates are
-/// list edits that cost no syscalls.
+/// A partial view's membership is a bitmap with one bit per column page:
+/// ContainsPage, the duplicate checks and the admission counts
+/// (CountPagesNotIn) are bit tests, with no hashing. Without an arena that
+/// bitmap and the page count are the whole view: scans read its page runs
+/// over the column's base mapping, and membership updates set or clear
+/// bits without a syscall. The arena mapping is materialized either
+/// eagerly at creation (BuildViewByScan) or lazily by EnsureMaterialized
+/// (the adaptive path, once the view's hits reach the engine's threshold).
 ///
-/// Membership is a bitmap with one bit per column page: ContainsPage, the
-/// duplicate checks and the admission counts (CountPagesNotIn) are bit
-/// tests, with no hashing. Only RemovePage needs a page's slot; the first
-/// removal builds that page->slot index, and the paths that reorder slots
-/// wholesale drop it again.
-///
-/// Fragmentation model: while materialized, RemovePage punches a PROT_NONE
-/// hole into the slot range (one mmap) instead of rewiring the tail into the
-/// gap (two mmaps) — cheaper per removal and order-preserving, at the price
-/// of fragmenting the virtual range. Scans transparently switch from the
-/// dense fast path to a run-wise path while holes exist; Compact() restores
-/// density. Holes never exist on unmaterialized views (list removals
-/// swap-remove).
+/// With an arena the view also keeps its slot list (slot -> page), dense
+/// by construction: materialization maps the bitmap's runs ascending, an
+/// add maps at the tail, and a removal swap-removes. Only RemovePage needs
+/// a page's slot; the first removal from an arena builds that page->slot
+/// index, and ReleaseArena drops it with the slot list.
 class VirtualView {
  public:
-  /// Slot-table sentinel: the slot is a hole (no physical page).
-  static constexpr uint64_t kHoleSlot = ~uint64_t{0};
-
-  /// Creates an empty unmaterialized view over value range [lo, hi].
+  /// Creates an empty view without an arena over value range [lo, hi].
   /// Error contract: InvalidArgument when lo > hi.
   static StatusOr<std::unique_ptr<VirtualView>> CreateEmpty(
       const PhysicalColumn& column, Value lo, Value hi);
@@ -237,42 +189,25 @@ class VirtualView {
   /// every page holding any value in q.
   bool Covers(const RangeQuery& q) const { return lo_ <= q.lo && hi_ >= q.hi; }
 
-  /// Live (hole-free) page count.
-  uint64_t num_pages() const { return num_live_; }
+  /// Member page count.
+  uint64_t num_pages() const { return num_pages_; }
 
-  /// Arena slots the view currently spans, INCLUDING holes. Equal to
-  /// num_pages() exactly when the view is dense.
-  uint64_t num_slots() const { return pages_.size(); }
+  /// Maximal runs of consecutive member pages — what a scan without an
+  /// arena reads, and the mmaps (after the reservation) a materialization
+  /// makes, which leave that many file mappings in the arena.
+  uint64_t num_page_runs() const { return MemberRunsCached()->size(); }
 
-  /// Current hole count; > 0 only while materialized.
-  uint64_t hole_slots() const { return holes_.size(); }
-
-  /// Maximal virtually-contiguous live slot runs. 1 for a dense non-empty
-  /// view; grows as removals punch holes. The run-count/page-count ratio is
-  /// the lifecycle manager's compaction trigger.
-  uint64_t num_slot_runs() const { return num_slot_runs_; }
-
-  /// Maximal file-contiguous live runs (≈ kernel VMAs when materialized).
-  /// Served from an incrementally-maintained cache (O(1)); list-order
-  /// swap-removes on unmaterialized views dirty it, after which one
-  /// O(num_slots) walk rebuilds it lazily.
-  uint64_t CountFileRuns() const;
-
-  /// Runs of the SORTED page set — the file-run count a sort-by-page
-  /// compaction would achieve. Maintained incrementally (order-independent,
-  /// so never dirty); the sort-only compaction trigger compares it against
-  /// CountFileRuns in O(1).
-  uint64_t MinimalFileRuns() const { return num_set_runs_; }
-
-  /// The live physical pages in slot order (holes skipped). Materializes a
-  /// copy; use ForEachPage to iterate without allocating.
+  /// The member pages, ascending. Materializes a copy; use ForEachPage to
+  /// iterate without allocating.
   std::vector<uint64_t> physical_pages() const;
 
-  /// Invokes fn(physical_page) for every live page in slot order.
+  /// Invokes fn(physical_page) for every member page, ascending.
   template <typename Fn>
   void ForEachPage(Fn&& fn) const {
-    for (const uint64_t page : pages_) {
-      if (page != kHoleSlot) fn(page);
+    for (size_t w = 0; w < members_.size(); ++w) {
+      for (uint64_t word = members_[w]; word != 0; word &= word - 1) {
+        fn(w * 64 + static_cast<uint64_t>(__builtin_ctzll(word)));
+      }
     }
   }
 
@@ -325,84 +260,61 @@ class VirtualView {
     usage_.creation_scanned_pages = scanned_pages;
   }
 
-  /// Creates the arena and rewires the current page list into it (runs of
-  /// consecutive page ids coalesce into single mmap calls). No-op when
-  /// already materialized. Safe to race from several reader threads: a
-  /// per-view mutex serializes the build and the arena is published last.
-  /// Error contract: on failure the view stays consistently UNmaterialized.
+  /// Creates the arena and maps the bitmap's page runs into it in
+  /// ascending order, one mmap per run; that order is the slot list. No-op
+  /// when already materialized. Safe to race from several reader threads:
+  /// a per-view mutex serializes the build and the arena is published
+  /// last.
+  /// Error contract: on failure the view stays consistently without an
+  /// arena.
   Status EnsureMaterialized();
 
-  /// Appends a physical page. When materialized, a single page fills the
-  /// lowest hole if one exists (re-densifying as membership churns),
-  /// otherwise maps at the tail slot. `mapper` non-null routes the mmap to
-  /// the background thread.
-  /// Error contract: InvalidArgument for a page at or past the column's
-  /// end; FailedPrecondition if the page is already a member;
-  /// ResourceExhausted when the arena reservation is full; on mmap failure
-  /// membership is NOT recorded.
-  Status AppendPage(uint64_t page, BackgroundMapper* mapper = nullptr);
+  /// Adds a physical page: AppendPageRun(page, 1, mapper).
+  Status AppendPage(uint64_t page, BackgroundMapper* mapper = nullptr) {
+    return AppendPageRun(page, 1, mapper);
+  }
 
-  /// Appends `count` consecutive physical pages at the tail (one mmap call
-  /// when materialized); falls back to filling holes page-wise when the tail
-  /// reservation is exhausted but holes can take the pages. Same error
-  /// contract as AppendPage.
+  /// Adds `count` consecutive physical pages. With an arena they are
+  /// mapped at the tail slots in one mmap call first; `mapper` non-null
+  /// routes that mmap to the background thread.
+  /// Error contract: InvalidArgument for a page at or past the column's
+  /// end; FailedPrecondition if a page is already a member; on mmap
+  /// failure membership is NOT recorded.
   Status AppendPageRun(uint64_t first_page, uint64_t count,
                        BackgroundMapper* mapper = nullptr);
 
   /// Installs a page membership — strictly ascending page ids of the view's
-  /// column — into an EMPTY, unmaterialized view in one pass: the lazy
-  /// candidate build and the durable reopen both end here. Slot order is
-  /// page order; the slot, file and set run counts follow from neighbour
-  /// gaps. Pure bookkeeping: no mmap happens until the first scan
-  /// materializes the view lazily, and no page->slot index is built.
+  /// column — into an EMPTY view without an arena in one pass: the lazy
+  /// candidate build and the durable reopen both end here. Pure
+  /// bookkeeping: no mmap happens until the view materializes.
   /// Error contract: FailedPrecondition when the view already has pages or
   /// an arena; InvalidArgument, leaving the view untouched, when the list
   /// is not strictly ascending or holds a page at or past the column's end.
-  Status InstallPages(std::vector<uint64_t> pages);
+  Status InstallPages(const std::vector<uint64_t>& pages);
 
-  /// Returns the view to the unmaterialized state, handing back the arena
-  /// for epoch retirement (null when already unmaterialized) — arena
-  /// release: membership stays, the mapping budget is released, the
-  /// unmapped-hit count restarts at 0, and the next EnsureMaterialized
-  /// rebuilds the arena from the page list.
-  /// Hole slots densify away (pure list edits, slot order preserved) to
-  /// restore the unmaterialized hole-free invariant.
+  /// Returns the view to the state without an arena, handing the arena
+  /// back for epoch retirement (null when there is none) — arena release:
+  /// the bitmap stays, the slot list, the page->slot index and the mapping
+  /// budget go, the unmapped-hit count restarts at 0, and the next
+  /// EnsureMaterialized maps the bitmap file-ordered again.
   /// Not safe to run concurrently with scans or a live BackgroundMapper
-  /// (same exclusion contract as Compact: the engine holds exclusive
-  /// views_mu_ and waits for epoch quiescence first).
+  /// (the engine holds exclusive views_mu_ and waits for epoch quiescence
+  /// first).
   std::unique_ptr<VirtualArena> ReleaseArena();
 
-  /// Removes a physical page. When materialized, the slot becomes a
-  /// PROT_NONE hole (one mmap; trailing holes are trimmed for free) — the
-  /// view fragments and Compact() is the cure. Unmaterialized removals are
-  /// plain list edits (swap-remove).
-  /// Error contract: NotFound when the page is not a member.
+  /// Removes a physical page. Without an arena this clears its bit. With
+  /// one it is the paper's swap-remove: the tail page is mapped into the
+  /// removed page's slot (one mmap, none for the tail page itself), the
+  /// edit is recorded, and the old tail slot is unmapped (one mmap), so
+  /// the arena stays dense.
+  /// Error contract: NotFound when the page is not a member. A failed gap
+  /// map leaves the view unchanged. A failed unmap of the old tail slot
+  /// returns its error with the view already edited: the stale mapping
+  /// lies past the slot list, so scans stay exact.
   Status RemovePage(uint64_t page);
 
-  /// True when the dense-range scan fast path applies (no holes).
-  bool is_dense() const { return holes_.empty(); }
-
-  /// Re-densifies a materialized fragmented view: live slot runs move into
-  /// a fresh dense arena in file-page order, holes vanish, and adjacent
-  /// file pages merge into fewer kernel VMAs. With
-  /// options.use_mremap the moves preserve page-table entries — no data is
-  /// copied and no refaults follow. No-op on dense unmaterialized or empty
-  /// views. `stats` (optional) receives what happened.
-  /// Error contract: on a mid-compaction syscall failure the view's mapping
-  /// state is unspecified; callers should discard the view. Not safe to run
-  /// concurrently with scans or a live BackgroundMapper (Drain first; the
-  /// concurrent engine excludes readers via epoch quiescence).
-  /// `retired_arena` non-null receives the superseded arena instead of
-  /// destroying it inline — the concurrent engine parks it on the epoch
-  /// limbo list. (With use_mremap its mappings were already moved out, so
-  /// deferral is about uniform object lifetime, not page protection.)
-  Status Compact(const ViewCompactionOptions& options = {},
-                 ViewCompactionStats* stats = nullptr,
-                 std::unique_ptr<VirtualArena>* retired_arena = nullptr);
-
   /// Scans the view filtered by q, sharded across the scan thread pool.
-  /// With an arena, dense views scan as one contiguous range and fragmented
-  /// views scan their live runs (slower — see Compact); without one, the
+  /// With an arena the slots are one contiguous range; without one, the
   /// member page runs are read in place over the column's base mapping.
   /// Either way the same pages are read, so the result is the same.
   /// `scan_options` overrides thread count / serial cutoff (defaults follow
@@ -415,7 +327,7 @@ class VirtualView {
   /// batch_executor.h): each page is read at most once, and only for the
   /// queries whose range meets its zone in `column_zones` — the zone table
   /// of the column the view was built over (PhysicalColumn::zones()), read
-  /// through the view's slot table, or directly for the member page runs
+  /// through the view's slot list, or directly for the member page runs
   /// over the base mapping when the view has no arena. Result i is
   /// bit-identical to Scan(queries[i]).
   std::vector<PageScanResult> ScanMany(
@@ -432,10 +344,9 @@ class VirtualView {
                                          const PageZone* column_zones,
                                          Pred include) const {
     std::vector<uint64_t> slots;
-    slots.reserve(pages_.size());
-    for (uint64_t slot = 0; slot < pages_.size(); ++slot) {
-      if (pages_[slot] == kHoleSlot) continue;
-      if (include(pages_[slot])) slots.push_back(slot);
+    slots.reserve(slot_pages_.size());
+    for (uint64_t slot = 0; slot < slot_pages_.size(); ++slot) {
+      if (include(slot_pages_[slot])) slots.push_back(slot);
     }
     return ScanManySelectedSlots(slots, queries, column_zones);
   }
@@ -450,17 +361,12 @@ class VirtualView {
         hi_(hi),
         members_((arena_slots + 63) / 64, 0) {}
 
-  /// ScanMany over an explicit slot list (ascending slot order; every slot
-  /// must be live). Consecutive slots coalesce into multi-page kernel calls.
+  /// ScanMany over an explicit slot list (ascending slot order).
+  /// Consecutive slots coalesce into multi-page kernel calls.
   std::vector<PageScanResult> ScanManySelectedSlots(
       const std::vector<uint64_t>& slots,
       const std::vector<RangeQuery>& queries,
       const PageZone* column_zones) const;
-
-  /// Installs `page` at `slot` in the bookkeeping tables (slot-run counter,
-  /// membership bitmap, slot index if built, live count). The mapping itself
-  /// must already be arranged by the caller.
-  void RecordPageAt(uint64_t slot, uint64_t page);
 
   /// Rejects page ids at or past the column's end (the bitmap's size).
   Status CheckPageRange(uint64_t first_page, uint64_t count) const;
@@ -472,27 +378,17 @@ class VirtualView {
     members_[page / 64] &= ~(uint64_t{1} << (page % 64));
   }
 
-  /// The page->slot index, built from the slot table on first use.
+  /// The page->slot index, built from the slot list on first use.
   std::unordered_map<uint64_t, uint64_t>& SlotIndex();
 
-  /// Collects the maximal live slot runs in ascending slot order.
-  std::vector<PageRun> LiveSlotRuns() const;
-
-  /// The live slot runs, served from a cache rebuilt at most once per
-  /// membership change (scans used to rebuild the list on EVERY fragmented
-  /// scan). Concurrent readers may both build the cache after an
-  /// invalidation — they build identical lists and either store wins.
-  std::shared_ptr<const std::vector<PageRun>> SlotRunsCached() const;
-
-  /// The member page runs (column page ids, ascending) that a view without
-  /// an arena reads over the base mapping, taken from the membership bitmap
-  /// and cached like SlotRunsCached.
+  /// The member page runs (column page ids, ascending), taken from the
+  /// membership bitmap and cached until the next membership change.
+  /// Concurrent readers may both build the cache after an invalidation —
+  /// they build identical lists and either store wins.
   std::shared_ptr<const std::vector<PageRun>> MemberRunsCached() const;
 
-  /// Drops both run caches; every membership-changing path calls this.
+  /// Drops the run cache; every membership-changing path calls this.
   void InvalidateRunCache() {
-    std::atomic_store(&runs_cache_,
-                      std::shared_ptr<const std::vector<PageRun>>());
     std::atomic_store(&member_runs_cache_,
                       std::shared_ptr<const std::vector<PageRun>>());
   }
@@ -517,30 +413,20 @@ class VirtualView {
   std::mutex materialize_mu_;
   Value lo_;
   Value hi_;
-  std::vector<uint64_t> pages_;             // slot -> physical page | kHoleSlot
   /// Membership: bit p % 64 of word p / 64 is set when column page p is a
-  /// live member. Sized to the column at creation (8 KiB per 65,536 pages).
+  /// member. Sized to the column at creation (8 KiB per 65,536 pages).
   std::vector<uint64_t> members_;
-  /// page -> slot, for RemovePage alone. Built by the first removal (see
-  /// SlotIndex), kept current by RecordPageAt and RemovePage while it
-  /// exists, and dropped by InstallPages, ReleaseArena's densify and
-  /// Compact, which reorder slots wholesale. A view that never loses a
-  /// page never allocates it.
+  uint64_t num_pages_ = 0;
+  /// slot -> physical page while the view has an arena (one entry per
+  /// member), empty without one.
+  std::vector<uint64_t> slot_pages_;
+  /// page -> slot, for RemovePage on an arena alone. Built by the first
+  /// such removal (see SlotIndex), kept current by the appends and
+  /// removals while it exists, and dropped by ReleaseArena. A mapped view
+  /// that never loses a page never allocates it.
   std::optional<std::unordered_map<uint64_t, uint64_t>> page_to_slot_;
-  std::set<uint64_t> holes_;                // hole slots, ascending
-  uint64_t num_live_ = 0;
-  uint64_t num_slot_runs_ = 0;
-  /// Maximal file-contiguous runs in SLOT order; valid when !dirty.
-  /// Swap-removes reorder the list arbitrarily, so they dirty the cache
-  /// instead of patching it; CountFileRuns rebuilds lazily.
-  mutable uint64_t num_file_runs_ = 0;
-  mutable bool file_runs_dirty_ = false;
-  /// Maximal runs of the page SET in sorted order (order-independent, so
-  /// exact under every mutation path).
-  uint64_t num_set_runs_ = 0;
-  /// Cached LiveSlotRuns and member page runs; null = invalidated. Accessed
-  /// with the atomic shared_ptr free functions.
-  mutable std::shared_ptr<const std::vector<PageRun>> runs_cache_;
+  /// Cached member page runs; null = invalidated. Accessed with the atomic
+  /// shared_ptr free functions.
   mutable std::shared_ptr<const std::vector<PageRun>> member_runs_cache_;
   ViewUsageStats usage_;
   /// Hits answered without an arena since the view last held none.

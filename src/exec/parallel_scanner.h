@@ -36,8 +36,8 @@ struct ParallelScanOptions {
 };
 
 /// A maximal run of contiguous pages, in page units relative to some base —
-/// the currency of fragmented-view scans (core/virtual_view.h) and of view
-/// compaction move lists.
+/// the currency of scans over a view's member pages in the base mapping
+/// (core/virtual_view.h).
 struct PageRun {
   uint64_t start_page = 0;
   uint64_t num_pages = 0;
@@ -95,12 +95,12 @@ class ParallelScanner {
                            const RangeQuery& q) const;
 
   /// Sharded filter scan of discontiguous page runs at `base` (run offsets
-  /// in pages): the fragmented-view scan path. Shards over the TOTAL page
-  /// count — shard boundaries may split a long run, so a compacted view
-  /// (one run) parallelizes exactly like a dense column, and variable run
-  /// lengths stay load-balanced. A fragmented view still burns a kernel
-  /// call per small run within each shard and breaks hardware prefetch
-  /// streams at every hole. Results are bit-identical to the equivalent
+  /// in pages): how a view without an arena reads its member pages. Shards
+  /// over the TOTAL page count — shard boundaries may split a long run, so
+  /// one run parallelizes exactly like a dense column, and variable run
+  /// lengths stay load-balanced. Scattered pages still burn a kernel call
+  /// per small run within each shard and break hardware prefetch streams
+  /// at every gap. Results are bit-identical to the equivalent
   /// dense scan for any thread count (sum wraps mod 2^64; grouping is
   /// immaterial).
   PageScanResult ScanPageRuns(const Value* base, const std::vector<PageRun>& runs,

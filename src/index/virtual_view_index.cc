@@ -1,7 +1,5 @@
 #include "index/virtual_view_index.h"
 
-#include "util/macros.h"
-
 namespace vmsv {
 
 Status VirtualViewIndex::Build(const PhysicalColumn& column, Value lo,
@@ -21,29 +19,8 @@ Status VirtualViewIndex::ApplyUpdate(const PhysicalColumn& column,
   const uint64_t page = PhysicalColumn::PageOfRow(update.row);
   const bool qualifies = PageQualifies(column, page);
   const bool member = view_->ContainsPage(page);
-  if (qualifies && !member) {
-    VMSV_RETURN_IF_ERROR(view_->AppendPage(page));
-    // Appends land wherever a hole or the tail slot is, so sustained adds
-    // can leave the view slot-dense but file-scattered (one kernel VMA per
-    // out-of-order page); the sort-only trigger consolidates it.
-    if (lifecycle_.ShouldSortCompact(*view_) &&
-        !lifecycle_.CompactView(view_.get()).ok()) {
-      return Build(column, lo_, hi_);
-    }
-    return OkStatus();
-  }
-  if (!qualifies && member) {
-    VMSV_RETURN_IF_ERROR(view_->RemovePage(page));
-    // Removals fragment the arena; re-densify once the run ratio trips so
-    // probe loops keep their dense-range scans. A failed compaction leaves
-    // the view unusable (Compact's error contract) — rebuild it from the
-    // column rather than let the next probe fault.
-    if (lifecycle_.ShouldCompact(*view_) &&
-        !lifecycle_.CompactView(view_.get()).ok()) {
-      return Build(column, lo_, hi_);
-    }
-    return OkStatus();
-  }
+  if (qualifies && !member) return view_->AppendPage(page);
+  if (!qualifies && member) return view_->RemovePage(page);
   // Content-only change: nothing to do — the view shares the physical page.
   return OkStatus();
 }

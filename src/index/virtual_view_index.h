@@ -2,19 +2,15 @@
 // into a contiguous virtual range instead of being copied. Scans are as
 // dense as the physical copy, but updates only maintain page MEMBERSHIP —
 // content changes are shared with the base column through the common
-// physical pages.
-//
-// Update churn punches holes into the view (core/virtual_view.h); this
-// index runs the lifecycle manager's compaction trigger after every
-// removal, so probe loops keep scanning a dense range even under sustained
-// updates.
+// physical pages. An update that moves a page in or out of the range maps
+// it at the tail or swap-removes it (core/virtual_view.h), so the view
+// stays one dense range under sustained updates.
 
 #ifndef VMSV_INDEX_VIRTUAL_VIEW_INDEX_H_
 #define VMSV_INDEX_VIRTUAL_VIEW_INDEX_H_
 
 #include <memory>
 
-#include "core/view_lifecycle.h"
 #include "core/virtual_view.h"
 #include "index/partial_index.h"
 
@@ -35,12 +31,8 @@ class VirtualViewIndex : public PartialIndex {
 
   const VirtualView& view() const { return *view_; }
 
-  /// Compaction/eviction counters for this index's view.
-  const LifecycleStats& lifecycle_stats() const { return lifecycle_.stats(); }
-
  private:
   std::unique_ptr<VirtualView> view_;
-  ViewLifecycleManager lifecycle_{LifecycleConfig{}};
 };
 
 }  // namespace vmsv

@@ -54,8 +54,8 @@ enum class HugePageRequest {
 enum class HugeBacking {
   /// 4 KiB only — the universal fallback.
   kNone,
-  /// Normal memfd, THP-eligible: arenas advise MADV_HUGEPAGE and attempt
-  /// MADV_COLLAPSE after the compactor densifies a range. The file remains
+  /// Normal memfd, THP-eligible: PromoteRange advises MADV_HUGEPAGE and
+  /// attempts MADV_COLLAPSE on an arena's whole units. The file remains
   /// 4 KiB-rewirable at all times (a 4 KiB MAP_FIXED rewire over a
   /// collapsed range splits the PMD back to PTEs), so every adaptation
   /// path is unchanged.

@@ -4,8 +4,6 @@
 #include <cerrno>
 #include <string>
 
-// g++ predefines _GNU_SOURCE for C++, which is what exposes mremap(2) and
-// MREMAP_FIXED in <sys/mman.h> on glibc.
 #include <sys/mman.h>
 
 #include "rewiring/hugepage.h"
@@ -13,14 +11,6 @@
 #include "util/macros.h"
 
 namespace vmsv {
-
-bool VirtualArena::MremapSupported() {
-#if defined(__linux__) && defined(MREMAP_FIXED)
-  return true;
-#else
-  return false;
-#endif
-}
 
 StatusOr<std::unique_ptr<VirtualArena>> VirtualArena::Create(
     std::shared_ptr<PhysicalMemoryFile> file, uint64_t num_slots,
@@ -195,78 +185,6 @@ Status VirtualArena::UnmapRange(uint64_t slot_start, uint64_t count) {
   DropHugeUnits(slot_start, count);
   RecordUnmapped(slot_start, count);
   return OkStatus();
-}
-
-Status VirtualArena::AdoptRange(VirtualArena* src, uint64_t src_slot,
-                                uint64_t dst_slot, uint64_t count,
-                                bool allow_mremap, bool* used_mremap) {
-  if (used_mremap != nullptr) *used_mremap = false;
-  if (count == 0) return OkStatus();
-  if (src == nullptr) return InvalidArgument("AdoptRange needs a source arena");
-  if (src->file_.get() != file_.get()) {
-    return InvalidArgument("AdoptRange across different files");
-  }
-  if (src_slot + count > src->num_slots_) {
-    return InvalidArgument("AdoptRange beyond source arena");
-  }
-  if (dst_slot + count > num_slots_) {
-    return InvalidArgument("AdoptRange beyond destination arena");
-  }
-  // The run must be one kernel VMA: consecutive file pages, all mapped.
-  // (MapRange only ever installs file-contiguous ranges, and the kernel
-  // merges adjacent compatible ones, so file contiguity <=> one VMA here.)
-  const int64_t first_page = src->SlotFilePage(src_slot);
-  if (first_page == kUnmapped) {
-    return FailedPrecondition("AdoptRange source slot unmapped");
-  }
-  for (uint64_t i = 1; i < count; ++i) {
-    if (src->SlotFilePage(src_slot + i) != first_page + static_cast<int64_t>(i)) {
-      return FailedPrecondition("AdoptRange source run not file-contiguous");
-    }
-  }
-  VMSV_RETURN_IF_ERROR(
-      src->CheckHugetlbAlignment(src_slot, count, "AdoptRange(src)"));
-  VMSV_RETURN_IF_ERROR(
-      CheckHugetlbAlignment(dst_slot, count, "AdoptRange(dst)"));
-  const uint64_t bytes = count * kPageSize;
-  void* src_addr = src->base_ + src_slot * kPageSize;
-  void* dst_addr = base_ + dst_slot * kPageSize;
-#if defined(__linux__) && defined(MREMAP_FIXED)
-  if (allow_mremap) {
-    StatusOr<void*> moved =
-        io_->Mremap(src_addr, bytes, bytes, MREMAP_MAYMOVE | MREMAP_FIXED,
-                    dst_addr, "mremap(adopt)");
-    if (moved.ok()) {
-      ++mremap_calls_;
-      // mremap left the source range UNMAPPED (a hole any later allocation
-      // could land in, which the source arena's destructor would then tear
-      // down). Restore the PROT_NONE reservation immediately.
-      StatusOr<void*> reserved = io_->Mmap(
-          src_addr, bytes, PROT_NONE,
-          MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_FIXED, -1, 0,
-          "mmap(re-reserve)");
-      if (!reserved.ok()) return reserved.status();
-      // Conservative granularity bookkeeping: the vacated source units are
-      // gone, and whether the kernel carried a PMD to the destination
-      // depends on congruence — assume 4 KiB and let the next PromoteRange
-      // re-collapse (coverage is under-, never over-reported).
-      src->DropHugeUnits(src_slot, count);
-      DropHugeUnits(dst_slot, count);
-      src->RecordUnmapped(src_slot, count);
-      RecordMapped(dst_slot, static_cast<uint64_t>(first_page), count);
-      if (used_mremap != nullptr) *used_mremap = true;
-      return OkStatus();
-    }
-    // mremap refused (kernel restriction, injected ENOMEM, mapping-budget
-    // pressure): fall through to the rewire fallback, which is always
-    // possible.
-  }
-#else
-  (void)allow_mremap;
-#endif
-  VMSV_RETURN_IF_ERROR(
-      MapRange(dst_slot, static_cast<uint64_t>(first_page), count));
-  return src->UnmapRange(src_slot, count);
 }
 
 Status VirtualArena::PromoteRange(uint64_t slot_start, uint64_t count) {

@@ -14,13 +14,13 @@
 // be compared.
 //
 // Thread-safety: the arena is NOT internally synchronized. Concurrent scans
-// of mapped slots are fine; MapRange/UnmapRange/AdoptRange and destruction
-// tear mappings down in place and must never overlap a reader of the
-// affected range. The concurrent engine (core/adaptive_layer.h) enforces
-// this with epoch-based reclamation: arenas superseded by compaction or
-// eviction are RETIRED to an epoch limbo list (util/epoch.h) — mappings
-// intact until every possibly-referencing reader exited — and in-place
-// mutation runs only after an epoch quiescence wait.
+// of mapped slots are fine; MapRange/UnmapRange and destruction tear
+// mappings down in place and must never overlap a reader of the affected
+// range. The concurrent engine (core/adaptive_layer.h) enforces this with
+// epoch-based reclamation: arenas released or evicted with their view are
+// RETIRED to an epoch limbo list (util/epoch.h) — mappings intact until
+// every possibly-referencing reader exited — and in-place mutation runs
+// only after an epoch quiescence wait.
 
 #ifndef VMSV_REWIRING_VIRTUAL_ARENA_H_
 #define VMSV_REWIRING_VIRTUAL_ARENA_H_
@@ -42,14 +42,9 @@ class VirtualArena {
   /// Sentinel in the slot table: slot is not backed by any file page.
   static constexpr int64_t kUnmapped = -1;
 
-  /// True when this build/kernel supports moving mappings with mremap(2)
-  /// (MREMAP_FIXED). When false, AdoptRange always takes the rewire-remap
-  /// fallback regardless of `allow_mremap`.
-  static bool MremapSupported();
-
   /// Reserves `num_slots` pages of virtual address space against `file`.
   /// Every address-space syscall the arena makes (reservation, rewiring,
-  /// unmapping, mremap, madvise, teardown) routes through the file's VmIo
+  /// unmapping, madvise, teardown) routes through the file's VmIo
   /// seam (file->vm_io()), resolved once here, so fault injection covers
   /// the arena's whole mapping lifetime.
   ///
@@ -58,8 +53,8 @@ class VirtualArena {
   /// address is CONGRUENT to file page `congruent_page` modulo 2 MiB — the
   /// precondition for PMD-mapping a range (virtual address and file offset
   /// must share their low 21 bits). Identity maps pass 0 (the default);
-  /// the compactor passes the first file page of the densified layout. For
-  /// plain files the argument is ignored and the reservation is exact.
+  /// a view's materialization passes its first member page. For plain
+  /// files the argument is ignored and the reservation is exact.
   static StatusOr<std::unique_ptr<VirtualArena>> Create(
       std::shared_ptr<PhysicalMemoryFile> file, uint64_t num_slots,
       uint64_t congruent_page = 0);
@@ -76,25 +71,6 @@ class VirtualArena {
   /// Returns `count` slots starting at `slot_start` to the inaccessible
   /// reserved state (one mmap call).
   Status UnmapRange(uint64_t slot_start, uint64_t count);
-
-  /// Moves `count` mapped slots from `src` (starting at `src_slot`) into this
-  /// arena at `dst_slot` — the view-compaction primitive. The source run must
-  /// be backed by CONSECUTIVE file pages (i.e. lie within one kernel VMA, the
-  /// granularity mremap can move); both arenas must share the same file.
-  ///
-  /// With `allow_mremap` (and MremapSupported()), the move is an mremap(2)
-  /// MREMAP_FIXED call: page-table entries travel with the mapping, so pages
-  /// the caller already faulted in stay resident and no data is copied. The
-  /// vacated source range is immediately re-reserved PROT_NONE to keep the
-  /// source arena's reservation invariant. Otherwise (or if mremap fails at
-  /// runtime) the fallback rewires via a fresh mmap + source unmap — correct,
-  /// but the destination pages fault again on next touch.
-  ///
-  /// `used_mremap` (optional) reports which path ran. Not thread-safe: the
-  /// caller must ensure no concurrent scan or mapping touches either range
-  /// (drain any BackgroundMapper first).
-  Status AdoptRange(VirtualArena* src, uint64_t src_slot, uint64_t dst_slot,
-                    uint64_t count, bool allow_mremap, bool* used_mremap = nullptr);
 
   /// Base address of the reservation.
   uint8_t* data() const { return base_; }
@@ -120,16 +96,11 @@ class VirtualArena {
   /// unmapping excluded) — the figure-6 "mmap_calls" metric.
   uint64_t map_call_count() const { return map_calls_; }
 
-  /// Total mremap(2) moves that installed file pages here via AdoptRange
-  /// (kept separate from map_call_count so the fig6 metric keeps its
-  /// "fresh rewire" meaning).
-  uint64_t mremap_call_count() const { return mremap_calls_; }
-
   // -------------------------------------------------------------------------
   // Per-range granularity (4 KiB <-> 2 MiB). A "huge unit" is one
   // 2 MiB-aligned virtual range of 512 slots currently PMD-backed. Huge and
   // 4 KiB ranges coexist freely in one arena; any 4 KiB mutation of a huge
-  // unit (MapRange/UnmapRange/AdoptRange over it) demotes that unit first —
+  // unit (MapRange/UnmapRange over it) demotes that unit first —
   // for THP the kernel splits the PMD on its own and only bookkeeping moves,
   // for hugetlb sub-unit mutation is impossible and rejected up front.
 
@@ -210,7 +181,6 @@ class VirtualArena {
   std::vector<int64_t> slot_to_page_;
   uint64_t num_mapped_ = 0;
   uint64_t map_calls_ = 0;
-  uint64_t mremap_calls_ = 0;
   /// Indices (UnitOfSlot space) of 2 MiB units currently PMD-backed.
   std::set<uint64_t> huge_units_;
   uint64_t huge_promote_attempts_ = 0;

@@ -12,8 +12,8 @@
 // writes the whole pool into the older of the two manifest slots
 // (storage/manifest.h). An update flush moves pages between views without
 // changing any range, so it writes nothing of its own. One dirty bit says
-// "the slots miss a change to the pool": views a flush dropped (a failed
-// alignment, an abandoned compaction), a lossy restore, a failed slot
+// "the slots miss a change to the pool": views a failed alignment dropped,
+// a lossy restore, a failed slot
 // write, or no valid slot on open. The next flush or checkpoint that finds
 // it set writes the pool.
 //

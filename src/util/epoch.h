@@ -15,15 +15,15 @@
 //     reason "every guard entered before my exclusive section is visible to
 //     a slot scan, and later readers cannot hold my retired pointers".
 //
-//   - A WRITER that REPLACES state (evicting a view, swapping a compacted
-//     arena) removes the object from all shared indexes first, then hands it
+//   - A WRITER that REPLACES state (evicting a view, releasing an arena)
+//     removes the object from all shared indexes first, then hands it
 //     to Retire() instead of destroying it. The object — and with it its
 //     mappings — stays fully intact on the limbo list until every guard that
 //     could still reference it has exited; TryReclaim() then frees it.
 //     Writers on this path never wait for readers.
 //
-//   - A WRITER that MUTATES state in place (update application, hole
-//     punching, in-place mremap compaction) cannot defer: the old mapping is
+//   - A WRITER that MUTATES state in place (update application: tail
+//     appends and swap-removes) cannot defer: the old mapping is
 //     destroyed by the syscall itself. It blocks new readers (exclusive view
 //     index lock), then calls WaitQuiescent(), which returns once every
 //     guard entered before the call has exited. In-flight readers finish

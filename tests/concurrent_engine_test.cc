@@ -2,9 +2,8 @@
 // execution (grouping, bit-identity vs individual execution, the zone-table
 // skip at page edges, identity and view-shaped slot maps), N reader threads
 // racing an updater and lifecycle maintenance against a serial oracle, the
-// cached fragmented-view run list, the sort-only compaction trigger, and
-// the multi-client workload runner. The whole suite also runs under
-// ThreadSanitizer in CI.
+// cached member run list, and the multi-client workload runner. The whole
+// suite also runs under ThreadSanitizer in CI.
 
 #include <algorithm>
 #include <atomic>
@@ -141,17 +140,18 @@ struct ViewShape {
 };
 
 ViewShape MakeViewShape(const PhysicalColumn& column) {
+  constexpr uint64_t kHole = ~uint64_t{0};
   const uint64_t pages = column.num_pages();
   ViewShape shape;
   for (uint64_t i = 0; i < pages; ++i) {
-    if (i % 5 == 4) shape.slot_to_page.push_back(VirtualView::kHoleSlot);
+    if (i % 5 == 4) shape.slot_to_page.push_back(kHole);
     shape.slot_to_page.push_back((i * 37 + 11) % pages);  // a permutation
   }
   shape.data.resize(shape.slot_to_page.size() * kValuesPerPage);
   for (uint64_t slot = 0; slot < shape.slot_to_page.size(); ++slot) {
     Value* out = shape.data.data() + slot * kValuesPerPage;
     const uint64_t page = shape.slot_to_page[slot];
-    if (page == VirtualView::kHoleSlot) {
+    if (page == kHole) {
       for (uint64_t i = 0; i < kValuesPerPage; ++i) {
         out[i] = i * (~Value{0} / (kValuesPerPage - 1));
       }
@@ -484,25 +484,24 @@ TEST(ConcurrentEngineTest, RacingReadersMapAViewOnceAtTheThresholdHit) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_TRUE(view->is_materialized());
   const FaultInjectingVmIo::Stats stats = io.stats();
-  EXPECT_EQ(stats.mmaps, 1 + view->CountFileRuns());
+  EXPECT_EQ(stats.mmaps, 1 + view->num_page_runs());
   EXPECT_EQ(stats.munmaps, 0u);
 }
 
 /// Readers race an updater whose flushes move whole pages in and out of
-/// the views. At threshold 1 the views hold arenas, so the flushes punch
-/// holes and the lifecycle compacts them; above it the views read over
-/// base, and each flush edits the membership the readers' runs come from.
+/// the views. At threshold 1 the views hold arenas, so the flushes map
+/// pages at the tail and swap-remove them in place; above it the views
+/// read over base, and each flush edits the membership the readers' runs
+/// come from.
 void RaceReadersUpdaterAndMaintenance(uint64_t materialize_after_hits) {
   AdaptiveConfig config;
   config.materialize_after_hits = materialize_after_hits;
   config.max_views = 4;
-  config.lifecycle.compaction_min_runs = 2;
-  config.lifecycle.compaction_run_ratio = 0.05;
   // Clean page-value bands so whole-page rewrites change view membership.
   auto column = MakeTestColumn(DataDistribution::kLinear, /*noise=*/0.0);
 
   // The deterministic update script: fully rewrite two pages to a far value
-  // (page-membership churn: holes + compaction triggers), plus scattered
+  // (page-membership churn: swap-removes and tail appends), plus scattered
   // single-row updates.
   struct ScriptedUpdate {
     uint64_t row;
@@ -801,7 +800,7 @@ TEST(ConcurrentEngineTest, BatchBitIdenticalToIndividualAndScansFewerPages) {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite: cached fragmented-view run list
+// Satellite: cached member run list
 
 TEST(ConcurrentEngineTest, RunListCacheStaysCorrectAcrossMembershipChanges) {
   auto column = MakeTestColumn(DataDistribution::kUniform);
@@ -837,76 +836,11 @@ TEST(ConcurrentEngineTest, RunListCacheStaysCorrectAcrossMembershipChanges) {
   EXPECT_EQ(got.match_count, ref.match_count);
   EXPECT_EQ(got.sum, ref.sum);
 
-  ASSERT_TRUE(view->AppendPage(1).ok());  // fills the lowest hole
+  ASSERT_TRUE(view->AppendPage(1).ok());
   ref = reference(*view);
   got = view->Scan(q);
   EXPECT_EQ(got.match_count, ref.match_count);
   EXPECT_EQ(got.sum, ref.sum);
-
-  ASSERT_TRUE(view->Compact().ok());
-  ref = reference(*view);
-  got = view->Scan(q);
-  EXPECT_EQ(got.match_count, ref.match_count);
-  EXPECT_EQ(got.sum, ref.sum);
-}
-
-// ---------------------------------------------------------------------------
-// Satellite: sort-only compaction trigger
-
-TEST(ConcurrentEngineTest, SortCompactionTriggerConsolidatesScatteredViews) {
-  auto column = MakeTestColumn(DataDistribution::kUniform);
-  auto view_r = VirtualView::CreateEmpty(*column, 0, kMaxValue);
-  ASSERT_TRUE(view_r.ok());
-  auto view = std::move(view_r).ValueOrDie();
-  ASSERT_TRUE(view->EnsureMaterialized().ok());
-  // Scrambled appends: slot-dense, hole-free, but one kernel VMA per page.
-  std::vector<uint64_t> order;
-  for (uint64_t page = 0; page < kTestPages; ++page) order.push_back(page);
-  Rng rng(13);
-  for (size_t i = order.size(); i > 1; --i) {
-    std::swap(order[i - 1], order[rng.Below(i)]);
-  }
-  for (const uint64_t page : order) {
-    ASSERT_TRUE(view->AppendPage(page).ok());
-  }
-  ASSERT_TRUE(view->is_dense());
-  ASSERT_GT(view->CountFileRuns(), kTestPages / 2);
-
-  LifecycleConfig config;
-  config.compaction_min_runs = 4;
-  ViewLifecycleManager manager(config);
-  EXPECT_TRUE(manager.ShouldSortCompact(*view));
-  EXPECT_TRUE(manager.ShouldCompact(*view));  // folded into the main trigger
-
-  ASSERT_TRUE(manager.CompactView(view.get()).ok());
-  EXPECT_EQ(manager.stats().sort_compactions, 1u);
-  EXPECT_EQ(view->CountFileRuns(), 1u);
-  EXPECT_FALSE(manager.ShouldCompact(*view));
-
-  // Knob off => never triggers, even on a scattered view.
-  LifecycleConfig off = config;
-  off.sort_compaction_file_run_ratio = 0;
-  ViewLifecycleManager disabled(off);
-  auto scattered_r = VirtualView::CreateEmpty(*column, 0, kMaxValue);
-  ASSERT_TRUE(scattered_r.ok());
-  auto scattered = std::move(scattered_r).ValueOrDie();
-  ASSERT_TRUE(scattered->EnsureMaterialized().ok());
-  for (const uint64_t page : order) {
-    ASSERT_TRUE(scattered->AppendPage(page).ok());
-  }
-  EXPECT_FALSE(disabled.ShouldCompact(*scattered));
-
-  // An inherently scattered page SET (every other page) cannot be improved
-  // by sorting: no trigger, no useless compaction loop.
-  auto inherent_r = VirtualView::CreateEmpty(*column, 0, kMaxValue);
-  ASSERT_TRUE(inherent_r.ok());
-  auto inherent = std::move(inherent_r).ValueOrDie();
-  ASSERT_TRUE(inherent->EnsureMaterialized().ok());
-  for (uint64_t page = 0; page < kTestPages; page += 2) {
-    ASSERT_TRUE(inherent->AppendPage(page).ok());
-  }
-  ViewLifecycleManager manager2(config);
-  EXPECT_FALSE(manager2.ShouldSortCompact(*inherent));
 }
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@
 //     per-shard checkpoints (some shards recover from their manifest,
 //     others replay their journal — the table-wide answer is unchanged);
 //   * routing determinism and zone-pruning soundness (a skipped shard
-//     provably holds no match);
+//     provably holds no match), including writes made through a shard's
+//     mutable_column() once Checkpoint folds them into the routing zone;
 //   * TABLE descriptor round-trip, forward compatibility, error contract;
 //   * the batch cover-routing fix: ExecuteBatch consults the same
 //     cost-based multi-view cover path as Execute (regression pins the
@@ -622,6 +623,107 @@ TEST(BatchCoverRouting, BatchUsesTheCostBasedCoverPath) {
     auto want = table->ExecuteFullScan(batch[i]);
     ASSERT_TRUE(want.ok());
     ExpectSameAnswer(out.queries[i], *want, "cover answer");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Routing zones follow writes made through a shard's mutable_column(): the
+// next Checkpoint widens each zone to the fold of the shard's page zones.
+
+constexpr uint64_t kZoneRows = 64 * kValuesPerPage;
+
+/// Sets every shard row to 1000 + its shard-local row through the shard's
+/// mutable_column(), bypassing Update (and its zone widening).
+void WriteShardsThroughColumns(Table* table) {
+  for (uint32_t s = 0; s < table->num_shards(); ++s) {
+    PhysicalColumn* column = table->shard(s)->mutable_column();
+    for (uint64_t row = 0; row < column->num_rows(); ++row) {
+      column->Set(row, 1000 + row);
+    }
+  }
+}
+
+void ExpectWrittenRangeRoutes(Table* table, const char* what) {
+  const RangeQuery q{1000, 2000};
+  auto full = table->ExecuteFullScan(q);
+  auto got = table->Execute(q);
+  ASSERT_TRUE(full.ok() && got.ok());
+  EXPECT_EQ(full->match_count, 2 * 1001u) << what;
+  ExpectSameAnswer(*got, *full, what);
+}
+
+// Fails while Checkpoint left routing zones as created: Execute pruned
+// both shards and answered 0 matches.
+TEST(ShardedTable, CheckpointRoutesWritesThroughShardColumns) {
+  for (const PartitionKind kind :
+       {PartitionKind::kRange, PartitionKind::kHash}) {
+    SCOPED_TRACE(kind == PartitionKind::kRange ? "range" : "hash");
+    auto table_r = Db::Create(
+        kZoneRows, [](uint64_t) { return Value{0}; }, ShardedOptions(2, kind));
+    ASSERT_TRUE(table_r.ok()) << table_r.status().message();
+    auto table = *std::move(table_r);
+    WriteShardsThroughColumns(table.get());
+    ASSERT_TRUE(table->Checkpoint().ok());
+    ExpectWrittenRangeRoutes(table.get(), "in memory");
+  }
+}
+
+// Fails before the reopen while Checkpoint left routing zones as created;
+// the reopen folds the zones from the data, so it passed after one.
+TEST(ShardedTableDurable, CheckpointRoutesWritesThroughShardColumns) {
+  for (const PartitionKind kind :
+       {PartitionKind::kRange, PartitionKind::kHash}) {
+    SCOPED_TRACE(kind == PartitionKind::kRange ? "range" : "hash");
+    ScopedTempDir scratch("sharded_zone_fold");
+    const DbOptions options = ShardedOptions(2, kind);
+    {
+      auto table_r = Db::CreateDurable(scratch.path(), kZoneRows, options);
+      ASSERT_TRUE(table_r.ok()) << table_r.status().message();
+      auto table = *std::move(table_r);
+      WriteShardsThroughColumns(table.get());
+      ASSERT_TRUE(table->Checkpoint().ok());
+      ExpectWrittenRangeRoutes(table.get(), "durable, before reopen");
+    }
+    auto reopened_r = Db::Open(scratch.path(), options);
+    ASSERT_TRUE(reopened_r.ok()) << reopened_r.status().message();
+    ExpectWrittenRangeRoutes(reopened_r->get(), "durable, after reopen");
+  }
+}
+
+// Checkpoint's fold only widens a zone, so it never loses the widening of
+// an Update that races it with a value outside the create-time zone.
+TEST(ShardedTable, CheckpointFoldKeepsRacingUpdateWidenings) {
+  for (const PartitionKind kind :
+       {PartitionKind::kRange, PartitionKind::kHash}) {
+    SCOPED_TRACE(kind == PartitionKind::kRange ? "range" : "hash");
+    auto table_r =
+        Db::Create(kRows, [](uint64_t) { return Value{0}; },
+                   ShardedOptions(2, kind));
+    ASSERT_TRUE(table_r.ok());
+    auto table = *std::move(table_r);
+    std::atomic<bool> done{false};
+    std::atomic<bool> failed{false};
+    std::thread checkpointer([&]() {
+      while (!done.load()) {
+        if (!table->Checkpoint().ok()) failed.store(true);
+      }
+    });
+    std::vector<Value> written;
+    std::mt19937_64 rng(17);
+    for (int i = 0; i < 100; ++i) {
+      const Value v = 1'000'000 + rng() % 1'000'000;
+      if (!table->Update(rng() % kRows, v).ok()) failed.store(true);
+      written.push_back(v);
+    }
+    done.store(true);
+    checkpointer.join();
+    ASSERT_FALSE(failed.load());
+    for (const Value v : written) {
+      auto full = table->ExecuteFullScan({v, v});
+      auto got = table->Execute({v, v});
+      ASSERT_TRUE(full.ok() && got.ok());
+      ExpectSameAnswer(*got, *full, "written value");
+    }
   }
 }
 

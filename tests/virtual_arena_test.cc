@@ -353,39 +353,6 @@ TEST(HugePageTest, PromoteSkipsPartialAndNonCongruentRanges) {
   EXPECT_FALSE(arena->DemoteRange(2 * kPagesPerHugeUnit, 1).ok());
 }
 
-TEST(HugePageTest, AdoptRangeAcrossArenasDropsHugeBookkeeping) {
-  auto file = MakeHugeFile(kPagesPerHugeUnit, HugePageRequest::kAuto);
-  if (file->huge_backing() == HugeBacking::kNone) {
-    GTEST_SKIP() << "no huge backing available on this machine";
-  }
-  if (file->huge_backing() == HugeBacking::kHugetlb) {
-    GTEST_SKIP() << "hugetlb arenas cannot host 4 KiB adopts by design";
-  }
-  auto src_r = VirtualArena::Create(file, kPagesPerHugeUnit);
-  auto dst_r = VirtualArena::Create(file, kPagesPerHugeUnit);
-  ASSERT_TRUE(src_r.ok());
-  ASSERT_TRUE(dst_r.ok());
-  auto& src = *src_r;
-  auto& dst = *dst_r;
-  ASSERT_TRUE(src->MapRange(0, 0, kPagesPerHugeUnit).ok());
-  for (uint64_t slot = 0; slot < kPagesPerHugeUnit; ++slot) {
-    WriteMarker(*src, slot, slot + 17);
-  }
-  ASSERT_TRUE(src->PromoteRange(0, kPagesPerHugeUnit).ok());
-
-  // Adopting a (possibly) huge-backed range into another arena moves it as
-  // data; the destination starts at 4 KiB bookkeeping (conservative: a
-  // later PromoteRange may re-collapse) and the source forgets the unit.
-  ASSERT_TRUE(
-      dst->AdoptRange(src.get(), 0, 0, kPagesPerHugeUnit, true).ok());
-  EXPECT_EQ(src->huge_unit_count(), 0u);
-  EXPECT_EQ(dst->huge_unit_count(), 0u);
-  for (uint64_t slot = 0; slot < kPagesPerHugeUnit; ++slot) {
-    ASSERT_EQ(ReadMarker(*dst, slot), slot + 17) << slot;
-  }
-  EXPECT_TRUE(dst->PromoteRange(0, kPagesPerHugeUnit).ok());
-}
-
 TEST(PhysicalMemoryFileTest, GrowExtendsFile) {
   auto file_r = PhysicalMemoryFile::Create(1);
   ASSERT_TRUE(file_r.ok());

@@ -8,7 +8,7 @@
 //      armed plan and scans make no syscalls, so the oracle is fault-free
 //      by construction);
 //   2. no aborts — resource exhaustion surfaces as degraded service
-//      (base-column fallbacks, dropped candidates, abandoned compactions),
+//      (base-column fallbacks, dropped candidates, dropped views),
 //      never as a crash or an error from a read;
 //   3. recovery — once the plan is cleared, queries keep answering
 //      exactly, and the next maintenance pass re-probes the mapping layer
@@ -24,8 +24,8 @@
 // Alongside the matrix: the PartialViewIndex foreign-view error contract
 // (the historical VMSV_CHECK aborts), creation-time memfd/ftruncate
 // faults, the vm.max_map_count-style mapping budget with pressure-driven
-// arena release, mremap-failure fallback mid-compaction, the durable-ENOSPC
-// read-only round trip, and the workload runner's health surface.
+// arena release, the durable-ENOSPC read-only round trip, and the workload
+// runner's health surface.
 
 #include <algorithm>
 #include <cerrno>
@@ -191,7 +191,8 @@ bool CheckAgainstOracle(AdaptiveColumn* column, const RangeQuery& q,
 /// back-to-back — the first builds the candidate (lazily: page lists, no
 /// mmap), the immediate repeat routes into it and MATERIALIZES it before
 /// the next candidate can evict it (crucial at tight view budgets) — then
-/// an update wave, a full routed pass, and a flush. Later rounds use
+/// an update wave that also moves one whole page between views, a full
+/// routed pass, and a flush. Later rounds use
 /// fresh query positions, so pool churn at the budget retires
 /// materialized arenas (munmap traffic). The shared-scan batch path
 /// closes the script. EVERY read must answer exactly; in-memory updates
@@ -225,6 +226,18 @@ bool RunScript(AdaptiveColumn* column, uint64_t rounds,
       if (!updated.ok()) {
         *detail = round + "update " + std::to_string(j) +
                   " failed: " + updated.ToString();
+        return false;
+      }
+    }
+    // One whole page moves to a mid-domain value: at the flush it leaves
+    // every mapped view whose range misses the value (a swap-remove) and
+    // joins every one that holds it (a tail map), under fire.
+    const uint64_t moved = (r * 5) % TestPages();
+    for (uint64_t row = moved * kValuesPerPage;
+         row < (moved + 1) * kValuesPerPage; ++row) {
+      const Status updated = column->Update(row, kMaxValue / 2 + r);
+      if (!updated.ok()) {
+        *detail = round + "page move failed: " + updated.ToString();
         return false;
       }
     }
@@ -1241,93 +1254,6 @@ TEST(VmFaultThresholdTest, MapFailureAtThresholdFallsBackExactly) {
   EXPECT_EQ(healed->sum, oracle->sum);
   EXPECT_TRUE((*column)->view_index().views().front()->is_materialized());
   EXPECT_FALSE((*column)->Health().mapping_pressure);
-}
-
-// ---------------------------------------------------------------------------
-// Satellite: runtime mremap failure mid-compaction.
-
-TEST(VmFaultCompactionTest, MremapFaultFallsBackToRewiring) {
-  if (!VirtualArena::MremapSupported()) {
-    GTEST_SKIP() << "no mremap on this platform";
-  }
-  FaultInjectingVmIo io;
-  auto file =
-      PhysicalMemoryFile::Create(TestPages(), MemoryFileBackend::kMemfd, &io);
-  ASSERT_TRUE(file.ok()) << file.status().ToString();
-  auto shared = std::make_shared<PhysicalMemoryFile>(std::move(*file));
-  auto column = PhysicalColumn::Attach(std::move(shared), NumRows());
-  ASSERT_TRUE(column.ok()) << column.status().ToString();
-  DistributionSpec spec;
-  spec.kind = DataDistribution::kSine;
-  spec.max_value = kMaxValue;
-  FillColumn(spec, column->get());
-
-  // Full-range view: every column page is a member, so hole punching at
-  // known pages is deterministic.
-  auto view = BuildViewByScan(**column, 0, kMaxValue);
-  ASSERT_TRUE(view.ok()) << view.status().ToString();
-  ASSERT_TRUE((*view)->EnsureMaterialized().ok());
-  ASSERT_TRUE((*view)->RemovePage(2).ok());
-  ASSERT_TRUE((*view)->RemovePage(5).ok());
-  ASSERT_TRUE((*view)->RemovePage(9).ok());
-  ASSERT_FALSE((*view)->is_dense());
-
-  const RangeQuery probe{0, kMaxValue};
-  const PageScanResult before = (*view)->Scan(probe);
-
-  // Every mremap the compaction attempts fails; each move must fall back
-  // to rewiring and the result must be bit-identical.
-  VmFaultPlan plan;
-  plan.op_index = 1;
-  plan.fail_errno = ENOMEM;
-  plan.sticky = true;
-  plan.target = VmOp::kMremap;
-  io.Arm(plan);
-
-  ViewCompactionOptions options;
-  options.use_mremap = true;
-  ViewCompactionStats stats;
-  ASSERT_TRUE((*view)->Compact(options, &stats).ok());
-  EXPECT_EQ(stats.mremap_moves, 0u);
-  EXPECT_GT(stats.remap_moves, 0u);
-  EXPECT_GT(io.stats().faults_injected, 0u);  // mremap was really attempted
-  EXPECT_TRUE((*view)->is_dense());
-
-  const PageScanResult after = (*view)->Scan(probe);
-  EXPECT_EQ(before.match_count, after.match_count);
-  EXPECT_EQ(before.sum, after.sum);
-}
-
-TEST(VmFaultCompactionTest, CompactionFailsCleanlyWhenAllMappingOpsFault) {
-  FaultInjectingVmIo io;
-  auto file =
-      PhysicalMemoryFile::Create(TestPages(), MemoryFileBackend::kMemfd, &io);
-  ASSERT_TRUE(file.ok()) << file.status().ToString();
-  auto shared = std::make_shared<PhysicalMemoryFile>(std::move(*file));
-  auto column = PhysicalColumn::Attach(std::move(shared), NumRows());
-  ASSERT_TRUE(column.ok()) << column.status().ToString();
-  DistributionSpec spec;
-  spec.kind = DataDistribution::kSine;
-  spec.max_value = kMaxValue;
-  FillColumn(spec, column->get());
-
-  auto view = BuildViewByScan(**column, 0, kMaxValue);
-  ASSERT_TRUE(view.ok()) << view.status().ToString();
-  ASSERT_TRUE((*view)->EnsureMaterialized().ok());
-  ASSERT_TRUE((*view)->RemovePage(3).ok());
-
-  // Sticky exhaustion of EVERY mapping op: the compaction cannot build its
-  // replacement arena and must fail with a clean errno Status — the
-  // adaptive layer's flush path then drops the view (abandoned_compactions)
-  // rather than keep mappings in an unspecified state.
-  VmFaultPlan plan;
-  plan.op_index = 1;
-  plan.fail_errno = ENOMEM;
-  plan.sticky = true;
-  io.Arm(plan);
-  const Status compacted = (*view)->Compact();
-  ASSERT_FALSE(compacted.ok());
-  EXPECT_EQ(compacted.sys_errno(), ENOMEM);
 }
 
 // ---------------------------------------------------------------------------

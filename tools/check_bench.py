@@ -7,7 +7,7 @@ machine-readable with stable semantics; CI runs this after each harness and
 fails the build on drift. The `bench` field selects the schema:
 
   micro_scan         kernel x thread full-scan sweep       (BENCH_scan.json)
-  micro_lifecycle    view compaction + eviction ablation   (BENCH_lifecycle.json)
+  micro_lifecycle    view churn + eviction ablation        (BENCH_lifecycle.json)
   micro_concurrent   client scaling + shared-scan batching (BENCH_concurrent.json)
   micro_persistence  restart recovery + fsync sweep        (BENCH_persistence.json)
   micro_tiering      arena release, in memory vs durable   (BENCH_tiering.json)
@@ -198,46 +198,24 @@ LIFECYCLE_TOP_LEVEL_FIELDS = {
     "hardware_concurrency": int,
     "default_kernel": str,
     "threads": int,
-    "mremap_supported": bool,
-    "compaction": dict,
+    "churn": dict,
     "eviction": dict,
 }
 
-COMPACTION_FIELDS = {
+CHURN_FIELDS = {
+    # Member pages after every other page was swap-removed.
     "view_pages": int,
-    "runs_before": int,
-    "holes_before": int,
-    # Live /proc/self/maps entry count at the fragmentation peak (0 where
-    # the maps file is unavailable) — the quantity vm.max_map_count bounds.
-    "vma_count": int,
-    "fragmented_median_ms": float,
-    "fragmented_rep_ms": list,
-    "scan_speedup": float,
-    # What 2 MiB backing the column file came up with (the strategies'
-    # promotion counters are only meaningful against this).
-    "huge_backing": str,
-    "strategies": list,
-}
-
-STRATEGY_FIELDS = {
-    "strategy": str,
-    "compact_ms": float,
+    "remove_ms": float,
+    "churned_median_ms": float,
+    "churned_rep_ms": list,
+    # Arena file mappings from /proc/self/maps (0 where it is unavailable):
+    # after the churn, and after the release and remap from the bitmap.
+    "churned_vmas": int,
+    "remap_ms": float,
     "first_scan_ms": float,
-    "median_ms": float,
-    "mremap_moves": int,
-    "remap_moves": int,
-    "runs_after": int,
-    "file_runs_after": int,
-    "arena_vmas_before": int,
-    "arena_vmas_after": int,
-    # Compaction-driven promotion: units collapsed to 2 MiB in the dense
-    # arena, refusals counted (a kernel without MADV_COLLAPSE reports all
-    # attempts as failures — still schema-valid), and the smaps-attributed
-    # huge bytes after the promote pass.
-    "huge_units_promoted": int,
-    "huge_promote_failures": int,
-    "huge_backed_bytes": int,
-    "rep_ms": list,
+    "remapped_median_ms": float,
+    "remapped_rep_ms": list,
+    "remapped_vmas": int,
 }
 
 EVICTION_FIELDS = {
@@ -268,7 +246,6 @@ POLICY_FIELDS = {
     "pages_saved_ratio": float,
 }
 
-KNOWN_STRATEGIES = {"mremap", "remap_fallback"}
 KNOWN_POLICIES = {"drop_newest", "cost_aware"}
 
 
@@ -279,53 +256,23 @@ def check_micro_lifecycle(doc, path):
     if doc["default_kernel"] not in KNOWN_KERNELS:
         fail(f"{path}: unknown default_kernel '{doc['default_kernel']}'")
 
-    comp = doc["compaction"]
-    where = f"{path}: compaction"
-    expect_fields(comp, COMPACTION_FIELDS, where)
-    check_huge_fields(comp, where)
-    if comp["view_pages"] <= 0 or comp["runs_before"] <= 0:
-        fail(f"{where}: view_pages/runs_before must be positive")
-    if comp["fragmented_median_ms"] <= 0 or comp["scan_speedup"] <= 0:
-        fail(f"{where}: timings must be positive")
-    check_rep_array(comp, "fragmented_rep_ms", doc["reps"], where)
-
-    strategies = {}
-    for i, s in enumerate(comp["strategies"]):
-        swhere = f"{where}: strategies[{i}]"
-        if not isinstance(s, dict):
-            fail(f"{swhere}: not an object")
-        expect_fields(s, STRATEGY_FIELDS, swhere)
-        if s["strategy"] not in KNOWN_STRATEGIES:
-            fail(f"{swhere}: unknown strategy '{s['strategy']}'")
-        if s["strategy"] in strategies:
-            fail(f"{swhere}: duplicate strategy '{s['strategy']}'")
-        if s["compact_ms"] <= 0 or s["first_scan_ms"] <= 0 or s["median_ms"] <= 0:
-            fail(f"{swhere}: timings must be positive")
-        if s["mremap_moves"] + s["remap_moves"] == 0:
-            fail(f"{swhere}: no moves recorded")
-        if s["runs_after"] > comp["runs_before"]:
-            fail(f"{swhere}: compaction increased run count")
-        if (s["huge_units_promoted"] < 0 or s["huge_promote_failures"] < 0 or
-                s["huge_backed_bytes"] < 0):
-            fail(f"{swhere}: huge counters must be non-negative")
-        if comp["huge_backing"] == "none" and s["huge_units_promoted"] != 0:
-            fail(f"{swhere}: huge_units_promoted nonzero with "
-                 f"huge_backing=none")
-        check_rep_array(s, "rep_ms", doc["reps"], swhere)
-        strategies[s["strategy"]] = s
-    if set(strategies) != KNOWN_STRATEGIES:
-        fail(f"{where}: need exactly strategies {sorted(KNOWN_STRATEGIES)}, "
-             f"got {sorted(strategies)}")
-    if strategies["remap_fallback"]["mremap_moves"] != 0:
-        fail(f"{where}: remap_fallback used mremap")
-    # NOTE: mremap_supported=true with mremap_moves=0 is NOT an error — the
-    # build may support mremap while the kernel refuses MREMAP_FIXED at
-    # runtime (seccomp/gVisor), in which case AdoptRange falls back.
-    # Consistency: scan_speedup is fragmented/compacted of the mremap strategy.
-    derived = comp["fragmented_median_ms"] / strategies["mremap"]["median_ms"]
-    if not math.isclose(derived, comp["scan_speedup"], rel_tol=1e-3):
-        fail(f"{where}: scan_speedup {comp['scan_speedup']} inconsistent "
-             f"(expected ~{derived:.4f})")
+    churn = doc["churn"]
+    where = f"{path}: churn"
+    expect_fields(churn, CHURN_FIELDS, where)
+    if churn["view_pages"] <= 0:
+        fail(f"{where}: view_pages must be positive")
+    for field in ("remove_ms", "churned_median_ms", "remap_ms",
+                  "first_scan_ms", "remapped_median_ms"):
+        if churn[field] <= 0:
+            fail(f"{where}: {field} must be positive")
+    check_rep_array(churn, "churned_rep_ms", doc["reps"], where)
+    check_rep_array(churn, "remapped_rep_ms", doc["reps"], where)
+    # A remap maps the bitmap's runs ascending, the fewest file mappings
+    # the page set allows; the churned arena can only have as many or more.
+    if 0 < churn["churned_vmas"] < churn["remapped_vmas"]:
+        fail(f"{where}: remapped arena has more VMAs "
+             f"({churn['remapped_vmas']}) than the churned one "
+             f"({churn['churned_vmas']})")
 
     ev = doc["eviction"]
     where = f"{path}: eviction"
@@ -378,8 +325,8 @@ def check_micro_lifecycle(doc, path):
         fail(f"{where}: need exactly scenarios {sorted(KNOWN_SCENARIOS)}, "
              f"got {sorted(scenarios)}")
     shift = scenarios["fig5_phase_shift"]["speedup_vs_drop_newest"]
-    return (f"compaction {comp['runs_before']} runs -> "
-            f"{strategies['mremap']['runs_after']}, speedup {comp['scan_speedup']:.2f}x; "
+    return (f"churn {churn['view_pages']} pages, {churn['churned_vmas']} -> "
+            f"{churn['remapped_vmas']} VMAs; "
             f"eviction {shift:.2f}x vs drop_newest on the phase-shift workload")
 
 
@@ -1057,10 +1004,13 @@ def scan_metrics(doc):
 
 
 def lifecycle_metrics(doc):
-    out = {"compaction/fragmented_scan": doc["compaction"]["fragmented_median_ms"]}
-    for s in doc["compaction"]["strategies"]:
-        out[f"compaction/{s['strategy']}_scan"] = s["median_ms"]
-        out[f"compaction/{s['strategy']}_compact"] = s["compact_ms"]
+    churn = doc["churn"]
+    out = {
+        "churn/remove": churn["remove_ms"],
+        "churn/churned_scan": churn["churned_median_ms"],
+        "churn/remap": churn["remap_ms"],
+        "churn/remapped_scan": churn["remapped_median_ms"],
+    }
     for scenario in doc["eviction"]["scenarios"]:
         for p in scenario["policies"]:
             out[f"eviction/{scenario['scenario']}/{p['policy']}"] = \
