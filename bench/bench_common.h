@@ -243,7 +243,9 @@ inline void WriteBenchJsonCommon(JsonWriter* w, const char* bench_name,
 }
 
 // ---------------------------------------------------------------------------
-// TLB counters — perf_event_open(2) wrappers for the huge-page experiments.
+// TLB counters — perf_event_open(2) wrappers that record the dTLB misses a
+// scan pays next to its time (micro_scan --sweep), so translation cost is
+// measured rather than inferred.
 //
 // Availability is NEVER assumed: perf_event_open can be absent (seccomp,
 // kernel.perf_event_paranoid, containers return ENOENT/EACCES/ENOSYS), and

@@ -30,7 +30,6 @@
 #include "index/physical_copy_index.h"
 #include "index/virtual_view_index.h"
 #include "index/zone_map_index.h"
-#include "rewiring/maps_parser.h"
 #include "util/histogram.h"
 #include "util/macros.h"
 #include "util/stopwatch.h"
@@ -77,24 +76,6 @@ int SweepMain() {
   const Value* base =
       reinterpret_cast<const Value*>(column->base_arena().data());
   const RangeQuery q{0, kMaxValue / 2};
-
-  // Huge-page coverage of the base arena, from the kernel's own accounting
-  // (smaps), so the dTLB numbers below are attributable to a layout. Both
-  // are 0 in the 4 KiB fallback — that IS the measurement, not a failure.
-  const VirtualArena& arena = column->base_arena();
-  uint64_t smaps_huge_bytes = 0;
-  if (auto smaps = ParseSelfSmaps(); smaps.ok()) {
-    smaps_huge_bytes = ArenaHugeBackedBytes(*smaps, arena);
-  }
-  const double column_bytes = static_cast<double>(env.pages) * kPageSize;
-  const double huge_coverage = smaps_huge_bytes / column_bytes;
-  std::fprintf(stdout,
-               "# huge pages: backing=%s units=%llu coverage=%.1f%% "
-               "(smaps: %llu bytes PMD-backed)\n",
-               HugeBackingName(column->file()->huge_backing()),
-               static_cast<unsigned long long>(arena.huge_unit_count()),
-               100.0 * huge_coverage,
-               static_cast<unsigned long long>(smaps_huge_bytes));
 
   std::vector<ScanKernel> kernels;
   for (ScanKernel k :
@@ -175,10 +156,6 @@ int SweepMain() {
     bench::WriteBenchJsonCommon(&w, "micro_scan", env, /*seed=*/42);
     w.Field("query_selectivity", 0.5, 1);
     w.Field("distribution", "uniform");
-    w.Field("huge_backing", HugeBackingName(column->file()->huge_backing()));
-    w.Field("huge_units", arena.huge_unit_count());
-    w.Field("huge_backed_bytes", smaps_huge_bytes);
-    w.Field("huge_coverage", huge_coverage, 4);
     w.FieldBool("dtlb_available", tlb.available());
     w.Key("configs");
     w.BeginArray();

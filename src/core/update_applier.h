@@ -8,7 +8,8 @@
 // The current mapping state of each view can come from two places:
 //   - kProcMaps: parse /proc/self/maps and rebuild a slot↔page bimap — the
 //     paper's §2.5 "the kernel already stores the mapping table" approach;
-//   - kUserSpaceTable: the arena's own slot table mirror.
+//   - kUserSpaceTable: the view's membership bitmap (VirtualView::
+//     ContainsPage), which every view keeps in user space, arena or not.
 // Both produce identical alignment; the benchmarks compare their cost.
 
 #ifndef VMSV_CORE_UPDATE_APPLIER_H_

@@ -142,8 +142,7 @@ Status VirtualView::EnsureMaterialized() {
   std::lock_guard<std::mutex> lock(materialize_mu_);
   if (is_materialized()) return OkStatus();
   const auto runs = MemberRunsCached();
-  auto arena_r = VirtualArena::Create(
-      file_, arena_slots_, runs->empty() ? 0 : runs->front().start_page);
+  auto arena_r = VirtualArena::Create(file_, arena_slots_);
   if (!arena_r.ok()) return arena_r.status();
   // Materialization is transactional: the arena is installed only once every
   // mapping succeeded. A mid-way mmap failure (e.g. vm.max_map_count

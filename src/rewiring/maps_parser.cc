@@ -137,108 +137,12 @@ StatusOr<std::string> ReadProcFile(const char* path) {
   return text;
 }
 
-// "AnonHugePages:      2048 kB" -> key "AnonHugePages", *out = 2048 KiB in
-// bytes. Returns false for lines that are not key/kB details (e.g.
-// "VmFlags: rd wr sh"), which the smaps parser skips.
-bool ParseDetailLine(std::string_view line, std::string_view* key,
-                     uint64_t* out) {
-  const size_t colon = line.find(':');
-  if (colon == std::string_view::npos || colon == 0) return false;
-  *key = line.substr(0, colon);
-  size_t pos = colon + 1;
-  SkipSpaces(line, &pos);
-  uint64_t kb = 0;
-  if (!ParseDec(line, &pos, &kb)) return false;
-  SkipSpaces(line, &pos);
-  if (line.substr(pos) != "kB") return false;
-  *out = kb * 1024;
-  return true;
-}
-
 }  // namespace
 
 StatusOr<std::vector<MapsEntry>> ParseSelfMaps() {
   auto text = ReadProcFile("/proc/self/maps");
   if (!text.ok()) return text.status();
   return ParseMapsText(*text);
-}
-
-StatusOr<std::vector<SmapsEntry>> ParseSmapsText(std::string_view text) {
-  std::vector<SmapsEntry> entries;
-  size_t line_start = 0;
-  size_t line_number = 0;
-  while (line_start <= text.size()) {
-    size_t line_end = text.find('\n', line_start);
-    if (line_end == std::string_view::npos) line_end = text.size();
-    const std::string_view line = text.substr(line_start, line_end - line_start);
-    ++line_number;
-    if (!line.empty()) {
-      // Header lines start with the hex address range; detail lines start
-      // with an alphabetic key. Distinguishing on the first character alone
-      // would misfile keys that begin with a hex letter (e.g. some future
-      // "Foo:"), so classify by whether the line parses as a full maps
-      // header — detail keys fail that parse at the '-' separator.
-      MapsEntry header;
-      if (ParseLine(line, &header).ok()) {
-        SmapsEntry entry;
-        entry.header = std::move(header);
-        entries.push_back(std::move(entry));
-      } else {
-        std::string_view key;
-        uint64_t bytes = 0;
-        if (ParseDetailLine(line, &key, &bytes)) {
-          if (entries.empty()) {
-            return InvalidArgument("smaps line " + std::to_string(line_number) +
-                                   ": detail before any mapping header");
-          }
-          SmapsEntry& cur = entries.back();
-          if (key == "AnonHugePages") cur.anon_huge_bytes = bytes;
-          else if (key == "ShmemPmdMapped") cur.shmem_pmd_bytes = bytes;
-          else if (key == "FilePmdMapped") cur.file_pmd_bytes = bytes;
-          else if (key == "Shared_Hugetlb" || key == "Private_Hugetlb") {
-            cur.hugetlb_bytes += bytes;
-          }
-        } else if (entries.empty()) {
-          return InvalidArgument("smaps line " + std::to_string(line_number) +
-                                 ": neither header nor detail");
-        }
-        // Non-kB details (VmFlags, ProtectionKey on some kernels) are
-        // skipped once a header exists.
-      }
-    }
-    if (line_end == text.size()) break;
-    line_start = line_end + 1;
-  }
-  return entries;
-}
-
-StatusOr<std::vector<SmapsEntry>> ParseSelfSmaps() {
-  auto text = ReadProcFile("/proc/self/smaps");
-  if (!text.ok()) return text.status();
-  return ParseSmapsText(*text);
-}
-
-uint64_t ArenaHugeBackedBytes(const std::vector<SmapsEntry>& entries,
-                              const VirtualArena& arena) {
-  const uint64_t base = reinterpret_cast<uint64_t>(arena.data());
-  const uint64_t limit = base + arena.num_slots() * kPageSize;
-  uint64_t total = 0;
-  for (const SmapsEntry& entry : entries) {
-    const MapsEntry& h = entry.header;
-    if (h.start >= limit || h.end <= base) continue;
-    const uint64_t start = h.start < base ? base : h.start;
-    const uint64_t end = h.end > limit ? limit : h.end;
-    const uint64_t huge = entry.huge_backed_bytes();
-    if (start == h.start && end == h.end) {
-      total += huge;
-    } else {
-      // Straddling VMA: the kernel reports detail fields per whole mapping,
-      // so apportion by overlap fraction (exact when the straddler is
-      // uniformly backed, a bounded estimate otherwise).
-      total += huge * ((end - start) / kPageSize) / h.num_pages();
-    }
-  }
-  return total;
 }
 
 PageBimap BuildArenaBimap(const std::vector<MapsEntry>& entries,

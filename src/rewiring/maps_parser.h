@@ -42,46 +42,6 @@ StatusOr<std::vector<MapsEntry>> ParseMapsText(std::string_view text);
 /// Reads and parses /proc/self/maps.
 StatusOr<std::vector<MapsEntry>> ParseSelfMaps();
 
-/// One mapping of /proc/self/smaps: the maps header line plus the huge-page
-/// detail fields. This is how a test PROVES a range is PMD-mapped — the
-/// kernel's own accounting — rather than trusting that a madvise returning
-/// 0 did anything.
-struct SmapsEntry {
-  MapsEntry header;
-  /// "AnonHugePages:" — anonymous memory PMD-mapped into this VMA.
-  uint64_t anon_huge_bytes = 0;
-  /// "ShmemPmdMapped:" — shmem/memfd (THP) PMD mappings; the field the
-  /// MADV_COLLAPSE promotion path moves.
-  uint64_t shmem_pmd_bytes = 0;
-  /// "FilePmdMapped:" — page-cache file PMD mappings.
-  uint64_t file_pmd_bytes = 0;
-  /// "Shared_Hugetlb:" + "Private_Hugetlb:" — hugetlbfs frames, which the
-  /// kernel reports separately from the THP fields.
-  uint64_t hugetlb_bytes = 0;
-
-  /// Huge-backed bytes of this mapping under any flavor.
-  uint64_t huge_backed_bytes() const {
-    return anon_huge_bytes + shmem_pmd_bytes + file_pmd_bytes + hugetlb_bytes;
-  }
-};
-
-/// Parses smaps-format text: maps-format header lines, each followed by
-/// "Key:  value kB" detail lines (unknown keys are skipped; "VmFlags:" and
-/// other non-kB details too). A detail line before any header fails the
-/// parse, as does a malformed header.
-StatusOr<std::vector<SmapsEntry>> ParseSmapsText(std::string_view text);
-
-/// Reads and parses /proc/self/smaps.
-StatusOr<std::vector<SmapsEntry>> ParseSelfSmaps();
-
-/// Sums huge-backed bytes over the mappings lying inside the arena's slot
-/// range (mappings straddling the boundary contribute a clamped
-/// proportional share — the kernel attributes detail fields per whole VMA,
-/// so a guard-page-separated arena sees exact numbers and only a foreign
-/// straddler is approximated).
-uint64_t ArenaHugeBackedBytes(const std::vector<SmapsEntry>& entries,
-                              const VirtualArena& arena);
-
 /// Bidirectional slot↔file-page mapping recovered for one arena.
 class PageBimap {
  public:

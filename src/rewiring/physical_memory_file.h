@@ -36,54 +36,14 @@ enum class MemoryFileBackend {
   kFile,
 };
 
-/// Huge-page (2 MiB) backing requested at Create.
-enum class HugePageRequest {
-  /// Plain 4 KiB file, no huge-page machinery.
-  kNone,
-  /// Probe hugetlb first when VMSV_HUGETLB=1 opts in (see HugeBacking::
-  /// kHugetlb for why it is opt-in), else mark the file THP-capable so
-  /// arenas attempt MADV_HUGEPAGE + MADV_COLLAPSE promotion. Degrades to
-  /// kNone on any probe failure or under VMSV_NO_HUGEPAGES=1.
-  kAuto,
-  /// Probe hugetlb without the env opt-in (tests exercise the pool path
-  /// directly); same fallback chain as kAuto.
-  kHugetlb,
-};
-
-/// What Create's probe chain actually delivered (huge_backing()).
-enum class HugeBacking {
-  /// 4 KiB only — the universal fallback.
-  kNone,
-  /// Normal memfd, THP-eligible: PromoteRange advises MADV_HUGEPAGE and
-  /// attempts MADV_COLLAPSE on an arena's whole units. The file remains
-  /// 4 KiB-rewirable at all times (a 4 KiB MAP_FIXED rewire over a
-  /// collapsed range splits the PMD back to PTEs), so every adaptation
-  /// path is unchanged.
-  kThp,
-  /// memfd_create(MFD_HUGETLB | MFD_HUGE_2MB) out of the hugetlbfs pool:
-  /// genuine reserved 2 MiB frames, but the file can ONLY be mapped in
-  /// 2 MiB units — 4 KiB rewiring fails EINVAL, so partial views over such
-  /// a column degrade to base scans. Reached only via explicit opt-in.
-  kHugetlb,
-};
-
-const char* HugeBackingName(HugeBacking backing);
-
 class PhysicalMemoryFile {
  public:
   /// Creates an anonymous main-memory file of `pages` zero-filled pages.
   /// `vm_io` (null = real syscalls) routes memfd_create/ftruncate through a
   /// VmIo seam and is installed on the returned file, so every arena built
   /// over it inherits the seam.
-  /// Error contract: InvalidArgument for kFile (a path is required there —
-  /// use CreateAt/OpenAt).
-  ///
-  /// `huge` requests 2 MiB backing; the probe chain (hugetlb memfd + probe
-  /// map → THP-capable memfd → plain) degrades transparently on any
-  /// ENOMEM/EINVAL, and huge_backing() reports what was delivered.
-  static StatusOr<PhysicalMemoryFile> Create(
-      uint64_t pages, MemoryFileBackend backend = MemoryFileBackend::kMemfd,
-      VmIo* vm_io = nullptr, HugePageRequest huge = HugePageRequest::kNone);
+  static StatusOr<PhysicalMemoryFile> Create(uint64_t pages,
+                                             VmIo* vm_io = nullptr);
 
   /// Creates (O_CREAT | O_TRUNC) a file-backed memory file of `pages`
   /// zero-filled pages at `path`. The parent directory must exist.
@@ -109,15 +69,6 @@ class PhysicalMemoryFile {
   MemoryFileBackend backend() const { return backend_; }
   /// Backing path; empty for the anonymous backend.
   const std::string& path() const { return path_; }
-
-  /// The 2 MiB backing flavor Create's probe chain delivered (kNone unless
-  /// requested AND available). Arenas key their granularity machinery —
-  /// aligned reservations, promotion attempts, per-range bookkeeping — off
-  /// this.
-  HugeBacking huge_backing() const { return huge_backing_; }
-
-  /// Grows the file to `new_pages` (no-op if already at least that large).
-  Status Grow(uint64_t new_pages);
 
   /// The VmIo every address-space operation over this file routes through.
   /// Null means real syscalls; tests inject a FaultInjectingVmIo here. Not
@@ -146,7 +97,6 @@ class PhysicalMemoryFile {
   MemoryFileBackend backend_ = MemoryFileBackend::kMemfd;
   std::string path_;
   VmIo* vm_io_ = nullptr;
-  HugeBacking huge_backing_ = HugeBacking::kNone;
 };
 
 }  // namespace vmsv

@@ -1,13 +1,11 @@
 #include "rewiring/vm_io.h"
 
-#include "rewiring/hugepage.h"
 #include "util/macros.h"
 
 #include <cerrno>
 #include <cstring>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include <sys/mman.h>
 #include <unistd.h>
@@ -188,17 +186,17 @@ void FaultInjectingVmIo::EraseRange(SegmentMap* segs, uint64_t start,
 
 void FaultInjectingVmIo::InsertSegment(SegmentMap* segs, uint64_t start,
                                        uint64_t end, bool file, int fd,
-                                       uint64_t offset, bool huge_advised) {
+                                       uint64_t offset) {
   if (start >= end) return;
   EraseRange(segs, start, end);
-  Segment seg{end, file, fd, offset, huge_advised};
+  Segment seg{end, file, fd, offset};
   // Merge with the left neighbor (kernel VMA-merge rules; see Segment doc).
   auto it = segs->lower_bound(start);
   if (it != segs->begin()) {
     auto prev = std::prev(it);
     const Segment& l = prev->second;
     const bool mergeable =
-        l.end == start && l.file == file && l.huge_advised == huge_advised &&
+        l.end == start && l.file == file &&
         (!file || (l.fd == fd && l.offset + (l.end - prev->first) == offset));
     if (mergeable) {
       start = prev->first;
@@ -212,7 +210,7 @@ void FaultInjectingVmIo::InsertSegment(SegmentMap* segs, uint64_t start,
   if (it != segs->end()) {
     const Segment& r = it->second;
     const bool mergeable =
-        r.file == file && r.huge_advised == huge_advised &&
+        r.file == file &&
         (!file || (r.fd == fd && offset + (end - start) == r.offset));
     if (mergeable) {
       seg.end = r.end;
@@ -220,38 +218,6 @@ void FaultInjectingVmIo::InsertSegment(SegmentMap* segs, uint64_t start,
     }
   }
   (*segs)[start] = seg;
-}
-
-void FaultInjectingVmIo::ApplyHugeAdvice(SegmentMap* segs, uint64_t start,
-                                         uint64_t end, bool huge_advised) {
-  if (start >= end) return;
-  // Collect the covered pieces with their identities first (InsertSegment
-  // below mutates the map), then re-insert each with the new flag;
-  // InsertSegment's merge rules coalesce uniformly advised neighbors back
-  // together. Uncovered gaps (unmapped address space) are skipped — the
-  // kernel just ignores them for the hugepage advices.
-  struct Piece {
-    uint64_t start, end, offset;
-    bool file;
-    int fd;
-  };
-  std::vector<Piece> pieces;
-  auto it = segs->lower_bound(start);
-  if (it != segs->begin()) {
-    auto prev = std::prev(it);
-    if (prev->second.end > start) it = prev;
-  }
-  for (; it != segs->end() && it->first < end; ++it) {
-    const uint64_t s = it->first < start ? start : it->first;
-    const uint64_t e = it->second.end > end ? end : it->second.end;
-    if (s >= e) continue;
-    const Segment& seg = it->second;
-    pieces.push_back(Piece{s, e, seg.offset + (s - it->first), seg.file,
-                           seg.fd});
-  }
-  for (const Piece& p : pieces) {
-    InsertSegment(segs, p.start, p.end, p.file, p.fd, p.offset, huge_advised);
-  }
 }
 
 void FaultInjectingVmIo::CommitLocked(SegmentMap&& next) {
@@ -336,42 +302,8 @@ StatusOr<void*> FaultInjectingVmIo::Mremap(void* old_addr, size_t old_len,
       ++stats_.faults_injected;
       return InjectedError(what, fail);
     }
-    if (plan_.max_vmas != 0) {
-      // A PTE move carves the source out of its VMA and splits the
-      // destination reservation: model the worst case (+2 segments) before
-      // touching the kernel, refusing with ENOMEM like vm.max_map_count.
-      if (segments_.size() + 2 > plan_.max_vmas) {
-        ++stats_.budget_rejections;
-        return InjectedError(what, ENOMEM);
-      }
-    }
   }
-  StatusOr<void*> moved = RealVmIo()->Mremap(old_addr, old_len, new_len,
-                                             flags, new_addr, what);
-  if (!moved.ok()) return moved;
-  const uint64_t src = reinterpret_cast<uint64_t>(old_addr);
-  const uint64_t dst = reinterpret_cast<uint64_t>(*moved);
-  std::lock_guard<std::mutex> lk(mu_);
-  SegmentMap next = segments_;
-  // Find the identity of the moved range before erasing it.
-  Segment moved_seg{};
-  bool found = false;
-  auto it = next.lower_bound(src);
-  if (it != next.begin() && (it == next.end() || it->first > src)) {
-    it = std::prev(it);
-  }
-  if (it != next.end() && it->first <= src && it->second.end >= src + old_len) {
-    moved_seg = it->second;
-    if (moved_seg.file) moved_seg.offset += src - it->first;
-    found = true;
-  }
-  EraseRange(&next, src, src + old_len);
-  // mremap carries vm_flags (including the hugepage advice) to the target.
-  InsertSegment(&next, dst, dst + new_len, found ? moved_seg.file : true,
-                found ? moved_seg.fd : -1, found ? moved_seg.offset : 0,
-                found && moved_seg.huge_advised);
-  CommitLocked(std::move(next));
-  return moved;
+  return RealVmIo()->Mremap(old_addr, old_len, new_len, flags, new_addr, what);
 }
 
 Status FaultInjectingVmIo::Mprotect(void* addr, size_t len, int prot,
@@ -390,8 +322,6 @@ Status FaultInjectingVmIo::Mprotect(void* addr, size_t len, int prot,
 
 Status FaultInjectingVmIo::Madvise(void* addr, size_t len, int advice,
                                    const char* what) {
-  const bool hugepage_advice =
-      advice == MADV_HUGEPAGE || advice == MADV_NOHUGEPAGE;
   {
     std::lock_guard<std::mutex> lk(mu_);
     ++stats_.madvises;
@@ -400,31 +330,8 @@ Status FaultInjectingVmIo::Madvise(void* addr, size_t len, int advice,
       ++stats_.faults_injected;
       return InjectedError(what, fail);
     }
-    if (plan_.max_vmas != 0 && hugepage_advice) {
-      // Sub-range advice splits a VMA (the advice is a vm_flags change), and
-      // the kernel charges the split against max_map_count — refusing with
-      // ENOMEM, like any other mapping-budget breach. Simulate the exact
-      // split/merge outcome before the kernel sees the call.
-      SegmentMap probe = segments_;
-      const uint64_t start = reinterpret_cast<uint64_t>(addr);
-      ApplyHugeAdvice(&probe, start, start + len, advice == MADV_HUGEPAGE);
-      if (probe.size() > plan_.max_vmas) {
-        ++stats_.budget_rejections;
-        return InjectedError(what, ENOMEM);
-      }
-    }
   }
-  VMSV_RETURN_IF_ERROR(RealVmIo()->Madvise(addr, len, advice, what));
-  if (hugepage_advice) {
-    const uint64_t start = reinterpret_cast<uint64_t>(addr);
-    std::lock_guard<std::mutex> lk(mu_);
-    SegmentMap next = segments_;
-    ApplyHugeAdvice(&next, start, start + len, advice == MADV_HUGEPAGE);
-    CommitLocked(std::move(next));
-  }
-  // MADV_COLLAPSE and the rest change page tables (or nothing), not VMA
-  // boundaries: a collapsed range stays exactly one VMA in the accountant.
-  return OkStatus();
+  return RealVmIo()->Madvise(addr, len, advice, what);
 }
 
 StatusOr<int> FaultInjectingVmIo::MemfdCreate(const char* name,
@@ -432,7 +339,6 @@ StatusOr<int> FaultInjectingVmIo::MemfdCreate(const char* name,
   {
     std::lock_guard<std::mutex> lk(mu_);
     ++stats_.memfd_creates;
-    if ((flags & MFD_HUGETLB) != 0) ++stats_.hugetlb_memfd_creates;
     const int fail = AdmitOpLocked(VmOp::kMemfdCreate);
     if (fail != 0) {
       ++stats_.faults_injected;

@@ -45,8 +45,8 @@ class VmIo {
   virtual Status Munmap(void* addr, size_t len, const char* what) = 0;
 
   /// mremap(2) with a fixed destination (Linux-only; kUnimplemented
-  /// elsewhere). Callers treat ANY failure as "fall back to rewiring" —
-  /// exactly how a kernel refusal is handled.
+  /// elsewhere). No engine path calls it; the seam keeps it so a tracing
+  /// or injecting VmIo covers every address-space call.
   virtual StatusOr<void*> Mremap(void* old_addr, size_t old_len,
                                  size_t new_len, int flags, void* new_addr,
                                  const char* what) = 0;
@@ -55,9 +55,8 @@ class VmIo {
   virtual Status Mprotect(void* addr, size_t len, int prot,
                           const char* what) = 0;
 
-  /// madvise(2) — the huge-page promotion/demotion channel (MADV_HUGEPAGE,
-  /// MADV_COLLAPSE, MADV_NOHUGEPAGE). Callers treat ANY failure as "the
-  /// range stays 4 KiB" — advice is never load-bearing for correctness.
+  /// madvise(2). No engine path calls it: every mapping the rewiring layer
+  /// builds is a plain 4 KiB rewire that needs no advice.
   virtual Status Madvise(void* addr, size_t len, int advice,
                          const char* what) = 0;
 
@@ -90,8 +89,8 @@ const char* VmOpName(VmOp op);
 /// (1-based, kAny counts every operation), fail with `fail_errno`. With
 /// `sticky`, that operation AND every later matching operation fail — the
 /// resource stays exhausted until the next Arm. Independently, a nonzero
-/// `max_vmas` enforces a vm.max_map_count-style budget: any mmap/mremap
-/// whose prospective mapping count would exceed it fails ENOMEM without
+/// `max_vmas` enforces a vm.max_map_count-style budget: any mmap whose
+/// prospective mapping count would exceed it fails ENOMEM without
 /// applying, exactly like the kernel.
 struct VmFaultPlan {
   uint64_t op_index = 0;  // 0 = never fire (budget-only mode)
@@ -113,14 +112,10 @@ class FaultInjectingVmIo : public VmIo {
     uint64_t mprotects = 0;
     uint64_t madvises = 0;
     uint64_t memfd_creates = 0;
-    /// memfd_create calls carrying MFD_HUGETLB (a subset of memfd_creates):
-    /// these draw 2 MiB frames from the hugetlbfs pool, the resource the
-    /// huge-page fault scenarios exhaust.
-    uint64_t hugetlb_memfd_creates = 0;
     uint64_t ftruncates = 0;
     /// Operations failed by the armed (op_index, errno) plan.
     uint64_t faults_injected = 0;
-    /// mmap/mremap/madvise calls refused because they would exceed max_vmas.
+    /// mmap calls refused because they would exceed max_vmas.
     uint64_t budget_rejections = 0;
 
     uint64_t ops() const {
@@ -160,21 +155,17 @@ class FaultInjectingVmIo : public VmIo {
   Status Ftruncate(int fd, uint64_t len, const char* what) override;
 
  private:
-  /// One live mapping. Anonymous segments merge freely with anonymous
+  /// One live mapping, as mmap and munmap leave it (the two calls the
+  /// engine makes). Anonymous segments merge freely with anonymous
   /// neighbors (every anonymous mapping the rewiring layer creates is the
   /// same PROT_NONE|MAP_NORESERVE reservation flavor, which the kernel
   /// merges); file segments merge only with the same fd at contiguous
   /// offsets — the rule that makes PTE-granular rewiring explode VMAs.
-  /// MADV_HUGEPAGE/MADV_NOHUGEPAGE set a per-VMA flag, so differently
-  /// advised neighbors never merge and sub-range advice splits a VMA —
-  /// while a uniformly advised, file-contiguous range stays (or re-merges
-  /// to) ONE VMA even after its pages collapse to PMD granularity.
   struct Segment {
     uint64_t end = 0;
     bool file = false;
     int fd = -1;
     uint64_t offset = 0;
-    bool huge_advised = false;
   };
   using SegmentMap = std::map<uint64_t, Segment>;  // keyed by start
 
@@ -184,13 +175,7 @@ class FaultInjectingVmIo : public VmIo {
 
   static void EraseRange(SegmentMap* segs, uint64_t start, uint64_t end);
   static void InsertSegment(SegmentMap* segs, uint64_t start, uint64_t end,
-                            bool file, int fd, uint64_t offset,
-                            bool huge_advised = false);
-  /// Re-flags [start, end) with `huge_advised`, splitting partially covered
-  /// segments at the boundaries and re-merging uniform neighbors — the
-  /// kernel's madvise VMA arithmetic.
-  static void ApplyHugeAdvice(SegmentMap* segs, uint64_t start, uint64_t end,
-                              bool huge_advised);
+                            bool file, int fd, uint64_t offset);
 
   /// Commits `next` as the live segment map and updates the peak.
   void CommitLocked(SegmentMap&& next);

@@ -1,18 +1,12 @@
 #include "storage/column.h"
 
-#include "util/macros.h"
-
 namespace vmsv {
 
 StatusOr<std::unique_ptr<PhysicalColumn>> PhysicalColumn::Create(
     uint64_t num_rows) {
   if (num_rows == 0) return InvalidArgument("column needs >= 1 row");
   const uint64_t pages = (num_rows + kValuesPerPage - 1) / kValuesPerPage;
-  // Base columns ask for huge backing: the identity map is file-contiguous
-  // by construction, the best possible TLB layout. Degrades to plain 4 KiB
-  // wherever the kernel or environment says no.
-  auto file_r = PhysicalMemoryFile::Create(pages, MemoryFileBackend::kMemfd,
-                                           nullptr, HugePageRequest::kAuto);
+  auto file_r = PhysicalMemoryFile::Create(pages);
   if (!file_r.ok()) return file_r.status();
   auto file = std::make_shared<PhysicalMemoryFile>(std::move(file_r).ValueOrDie());
   auto column = Attach(std::move(file), num_rows);
@@ -39,13 +33,6 @@ StatusOr<std::unique_ptr<PhysicalColumn>> PhysicalColumn::Attach(
   // Identity-map the whole file in one coalesced call: the base full view.
   Status st = arena->MapRange(/*slot_start=*/0, /*file_page_start=*/0, pages);
   if (!st.ok()) return st;
-  if (arena->HugeCapable()) {
-    // THP files: collapse the identity map now, while it is guaranteed
-    // dense. (hugetlb files were born PMD-mapped by the MapRange above;
-    // PromoteRange is a no-op there.) Failures stay internal to the arena —
-    // the column works identically at 4 KiB.
-    VMSV_RETURN_IF_ERROR(arena->PromoteRange(0, pages));
-  }
   return std::unique_ptr<PhysicalColumn>(
       new PhysicalColumn(std::move(file), std::move(arena), num_rows));
 }

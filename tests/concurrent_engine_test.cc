@@ -803,13 +803,17 @@ TEST(ConcurrentEngineTest, BatchBitIdenticalToIndividualAndScansFewerPages) {
 // Satellite: cached member run list
 
 TEST(ConcurrentEngineTest, RunListCacheStaysCorrectAcrossMembershipChanges) {
+  // A view without an arena scans its cached member runs over the base
+  // mapping, so every edit below reaches the cache through Scan and
+  // num_page_runs().
   auto column = MakeTestColumn(DataDistribution::kUniform);
   auto view_r = BuildViewByScan(*column, 0, kMaxValue,
                                 ViewCreationOptions{/*coalesce_runs=*/true,
                                                     /*background_mapping=*/false,
-                                                    /*lazy_materialize=*/false});
+                                                    /*lazy_materialize=*/true});
   ASSERT_TRUE(view_r.ok());
   auto view = std::move(view_r).ValueOrDie();
+  ASSERT_FALSE(view->is_materialized());
   for (uint64_t page = 1; page < kTestPages; page += 2) {
     ASSERT_TRUE(view->RemovePage(page).ok());
   }
@@ -822,25 +826,38 @@ TEST(ConcurrentEngineTest, RunListCacheStaysCorrectAcrossMembershipChanges) {
     });
     return ref;
   };
+  auto reference_runs = [](const VirtualView& v) {
+    uint64_t runs = 0;
+    uint64_t next = ~uint64_t{0};
+    v.ForEachPage([&](uint64_t page) {
+      if (page != next) ++runs;
+      next = page + 1;
+    });
+    return runs;
+  };
 
   // First scan builds the cache; every membership change must invalidate it
   // (a stale cache would scan a removed page or miss an added one).
+  EXPECT_EQ(view->num_page_runs(), reference_runs(*view));
   PageScanResult ref = reference(*view);
   PageScanResult got = view->Scan(q);
   EXPECT_EQ(got.match_count, ref.match_count);
   EXPECT_EQ(got.sum, ref.sum);
 
   ASSERT_TRUE(view->RemovePage(2).ok());
+  EXPECT_EQ(view->num_page_runs(), reference_runs(*view));
   ref = reference(*view);
   got = view->Scan(q);
   EXPECT_EQ(got.match_count, ref.match_count);
   EXPECT_EQ(got.sum, ref.sum);
 
   ASSERT_TRUE(view->AppendPage(1).ok());
+  EXPECT_EQ(view->num_page_runs(), reference_runs(*view));
   ref = reference(*view);
   got = view->Scan(q);
   EXPECT_EQ(got.match_count, ref.match_count);
   EXPECT_EQ(got.sum, ref.sum);
+  EXPECT_FALSE(view->is_materialized());
 }
 
 // ---------------------------------------------------------------------------

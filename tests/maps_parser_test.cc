@@ -204,88 +204,6 @@ TEST(BuildArenaBimapTest, RecoversSlotToPageMapping) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// smaps (huge-page detail fields)
-
-TEST(SmapsParserTest, ParsesHugeFieldsPerMapping) {
-  // Two mappings with realistic detail blocks: a THP-collapsed shmem range
-  // and a plain one. Unknown keys and the non-kB VmFlags line are skipped.
-  const char* text =
-      "7f0000000000-7f0000400000 rw-s 00000000 00:01 2049   /memfd:vmsv\n"
-      "Size:               4096 kB\n"
-      "Rss:                4096 kB\n"
-      "ShmemPmdMapped:     4096 kB\n"
-      "AnonHugePages:         0 kB\n"
-      "FilePmdMapped:         0 kB\n"
-      "VmFlags: rd wr sh mr mw me ms hg\n"
-      "7f0000400000-7f0000401000 rw-p 00000000 00:00 0\n"
-      "Size:                  4 kB\n"
-      "AnonHugePages:         0 kB\n";
-  auto entries_r = ParseSmapsText(text);
-  ASSERT_TRUE(entries_r.ok()) << entries_r.status().ToString();
-  const auto& entries = *entries_r;
-  ASSERT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries[0].header.start, 0x7f0000000000ull);
-  EXPECT_EQ(entries[0].shmem_pmd_bytes, 4096u * 1024);
-  EXPECT_EQ(entries[0].anon_huge_bytes, 0u);
-  EXPECT_EQ(entries[0].huge_backed_bytes(), 4096u * 1024);
-  EXPECT_EQ(entries[1].huge_backed_bytes(), 0u);
-}
-
-TEST(SmapsParserTest, SumsHugetlbFields) {
-  // hugetlb frames are reported in Shared_/Private_Hugetlb, NOT in the
-  // PmdMapped fields — a parser reading only the THP keys would report a
-  // fully huge-backed hugetlb arena as 0% covered.
-  const char* text =
-      "7f0000000000-7f0000200000 rw-s 00000000 00:0f 77   /memfd:hugetlb\n"
-      "Size:               2048 kB\n"
-      "ShmemPmdMapped:        0 kB\n"
-      "Shared_Hugetlb:     2048 kB\n"
-      "Private_Hugetlb:       0 kB\n";
-  auto entries_r = ParseSmapsText(text);
-  ASSERT_TRUE(entries_r.ok());
-  ASSERT_EQ(entries_r->size(), 1u);
-  EXPECT_EQ((*entries_r)[0].hugetlb_bytes, 2048u * 1024);
-  EXPECT_EQ((*entries_r)[0].huge_backed_bytes(), 2048u * 1024);
-}
-
-TEST(SmapsParserTest, DetailBeforeHeaderFails) {
-  auto entries_r = ParseSmapsText("AnonHugePages:    2048 kB\n");
-  EXPECT_FALSE(entries_r.ok());
-}
-
-TEST(SmapsParserTest, ParsesOwnSmapsFile) {
-  auto entries_r = ParseSelfSmaps();
-  ASSERT_TRUE(entries_r.ok()) << entries_r.status().ToString();
-  EXPECT_GT(entries_r->size(), 0u);
-}
-
-TEST(SmapsParserTest, ArenaAttributionClampsAndApportions) {
-  // Synthetic arena geometry: pretend the arena covers [base, base+4 MiB).
-  // An in-arena mapping contributes fully; a straddler contributes its
-  // overlap share; a foreign mapping contributes nothing.
-  auto file_r = PhysicalMemoryFile::Create(1);
-  ASSERT_TRUE(file_r.ok());
-  auto file = std::make_shared<PhysicalMemoryFile>(std::move(file_r).ValueOrDie());
-  auto arena_r = VirtualArena::Create(file, 1024);  // 4 MiB reservation
-  ASSERT_TRUE(arena_r.ok());
-  auto& arena = *arena_r;
-  const uint64_t base = reinterpret_cast<uint64_t>(arena->data());
-
-  std::vector<SmapsEntry> entries(3);
-  entries[0].header.start = base;
-  entries[0].header.end = base + (2u << 20);
-  entries[0].shmem_pmd_bytes = 2u << 20;  // fully inside: counts whole
-  entries[1].header.start = base + (3u << 20);
-  entries[1].header.end = base + (5u << 20);  // half inside: counts half
-  entries[1].anon_huge_bytes = 2u << 20;
-  entries[2].header.start = base + (16u << 20);  // outside: ignored
-  entries[2].header.end = base + (18u << 20);
-  entries[2].hugetlb_bytes = 2u << 20;
-  EXPECT_EQ(ArenaHugeBackedBytes(entries, *arena),
-            (2u << 20) + (1u << 20));
-}
-
 TEST(CountArenaFileMappingsTest, CountsVmas) {
   auto file_r = PhysicalMemoryFile::Create(8);
   ASSERT_TRUE(file_r.ok());

@@ -425,8 +425,6 @@ TEST(FileBackedMemoryFileTest, CreateOpenSyncAndGeometryCheck) {
           .status()
           .code(),
       StatusCode::kNotFound);
-  // Create() is the anonymous-backend entry point only.
-  EXPECT_FALSE(PhysicalMemoryFile::Create(4, MemoryFileBackend::kFile).ok());
 }
 
 TEST(FileBackedMemoryFileTest, DataSurvivesReattach) {

@@ -1,14 +1,9 @@
 #include "rewiring/virtual_arena.h"
 
-#include <cstdlib>
 #include <cstring>
-#include <vector>
-
-#include <unistd.h>
 
 #include <gtest/gtest.h>
 
-#include "rewiring/hugepage.h"
 #include "rewiring/maps_parser.h"
 
 namespace vmsv {
@@ -173,195 +168,6 @@ TEST(VirtualArenaTest, AdjacentArenasNeverShareAVma) {
   EXPECT_EQ(low_bimap.PageOfSlot(1), 4);
   EXPECT_EQ(high_bimap.size(), 1u);
   EXPECT_EQ(high_bimap.PageOfSlot(0), 5);
-}
-
-// ---------------------------------------------------------------------------
-// Mixed granularity (4 KiB <-> 2 MiB)
-
-/// Scoped setenv: the huge-page env knobs are read per call, so a guard is
-/// enough to flip behavior inside one test without leaking into the next.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    ::setenv(name, value, /*overwrite=*/1);
-  }
-  ~ScopedEnv() { ::unsetenv(name_); }
-
- private:
-  const char* name_;
-};
-
-std::shared_ptr<PhysicalMemoryFile> MakeHugeFile(uint64_t pages,
-                                                 HugePageRequest request) {
-  auto file_r = PhysicalMemoryFile::Create(pages, MemoryFileBackend::kMemfd,
-                                           nullptr, request);
-  EXPECT_TRUE(file_r.ok()) << file_r.status().ToString();
-  return std::make_shared<PhysicalMemoryFile>(std::move(file_r).ValueOrDie());
-}
-
-/// smaps-reported PMD-backed bytes inside the arena: the kernel's own
-/// verdict on whether a range is really huge-mapped.
-uint64_t SmapsHugeBytes(const VirtualArena& arena) {
-  auto smaps = ParseSelfSmaps();
-  EXPECT_TRUE(smaps.ok()) << smaps.status().ToString();
-  return smaps.ok() ? ArenaHugeBackedBytes(*smaps, arena) : 0;
-}
-
-TEST(HugePageTest, EnvOverrideForcesPlainBacking) {
-  ScopedEnv no_huge("VMSV_NO_HUGEPAGES", "1");
-  auto file = MakeHugeFile(kPagesPerHugeUnit, HugePageRequest::kAuto);
-  EXPECT_EQ(file->huge_backing(), HugeBacking::kNone);
-  auto arena_r = VirtualArena::Create(file, kPagesPerHugeUnit);
-  ASSERT_TRUE(arena_r.ok());
-  auto& arena = *arena_r;
-  EXPECT_FALSE(arena->HugeCapable());
-  ASSERT_TRUE(arena->MapRange(0, 0, kPagesPerHugeUnit).ok());
-  // Promotion on a plain arena is a clean no-op, not an error.
-  EXPECT_TRUE(arena->PromoteRange(0, kPagesPerHugeUnit).ok());
-  EXPECT_EQ(arena->huge_unit_count(), 0u);
-  EXPECT_EQ(arena->huge_promote_attempts(), 0u);
-}
-
-TEST(HugePageTest, CongruentBasePlacement) {
-  auto file = MakeHugeFile(2 * kPagesPerHugeUnit, HugePageRequest::kAuto);
-  if (file->huge_backing() == HugeBacking::kNone) {
-    GTEST_SKIP() << "no huge backing available on this machine";
-  }
-  // Ask for congruence to file page 600: slot 0's address must sit at
-  // offset (600 mod 512) pages within its 2 MiB region, the precondition
-  // for PMD-mapping a range that starts at that file page.
-  constexpr uint64_t kPage = 600;
-  auto arena_r = VirtualArena::Create(file, kPagesPerHugeUnit, kPage);
-  ASSERT_TRUE(arena_r.ok());
-  auto& arena = *arena_r;
-  const uint64_t addr = reinterpret_cast<uint64_t>(arena->data());
-  EXPECT_EQ((addr / kPageSize) % kPagesPerHugeUnit, kPage % kPagesPerHugeUnit);
-}
-
-TEST(HugePageTest, HugetlbWholeUnitLifecycle) {
-  auto file = MakeHugeFile(2 * kPagesPerHugeUnit, HugePageRequest::kHugetlb);
-  if (file->huge_backing() != HugeBacking::kHugetlb) {
-    GTEST_SKIP() << "no hugetlb pool on this machine (vm.nr_hugepages)";
-  }
-  auto arena_r = VirtualArena::Create(file, 2 * kPagesPerHugeUnit);
-  ASSERT_TRUE(arena_r.ok());
-  auto& arena = *arena_r;
-  EXPECT_TRUE(arena->HugeCapable());
-
-  // Sub-unit rewiring is impossible on hugetlb and must be rejected up
-  // front (the kernel would EINVAL anyway; the arena explains instead).
-  EXPECT_FALSE(arena->MapRange(0, 0, 1).ok());
-  EXPECT_FALSE(arena->MapRange(1, 0, kPagesPerHugeUnit).ok());
-
-  ASSERT_TRUE(arena->MapRange(0, 0, 2 * kPagesPerHugeUnit).ok());
-  EXPECT_EQ(arena->huge_unit_count(), 2u);
-  EXPECT_EQ(arena->huge_backed_bytes(), 2 * kHugePageSize);
-
-  // Touch both units, then let the kernel confirm they are PMD-backed.
-  WriteMarker(*arena, 0, 0xabcdef0123456789ull);
-  WriteMarker(*arena, kPagesPerHugeUnit, 0x42ull);
-  EXPECT_EQ(SmapsHugeBytes(*arena), 2 * kHugePageSize);
-
-  // Granularity cannot change in place: demotion is refused, whole-unit
-  // unmapping works and drops the bookkeeping.
-  EXPECT_FALSE(arena->DemoteRange(0, 1).ok());
-  EXPECT_FALSE(arena->UnmapRange(0, 1).ok());
-  EXPECT_TRUE(arena->UnmapRange(kPagesPerHugeUnit, kPagesPerHugeUnit).ok());
-  EXPECT_EQ(arena->huge_unit_count(), 1u);
-  EXPECT_EQ(ReadMarker(*arena, 0), 0xabcdef0123456789ull);
-}
-
-TEST(HugePageTest, HugetlbContentMatchesFileReads) {
-  // Bit-identity across granularities: bytes written through a 2 MiB
-  // mapping must read back identically through the plain file descriptor
-  // (and vice versa) — scans over huge arenas return the same data as any
-  // 4 KiB path would.
-  auto file = MakeHugeFile(kPagesPerHugeUnit, HugePageRequest::kHugetlb);
-  if (file->huge_backing() != HugeBacking::kHugetlb) {
-    GTEST_SKIP() << "no hugetlb pool on this machine (vm.nr_hugepages)";
-  }
-  auto arena_r = VirtualArena::Create(file, kPagesPerHugeUnit);
-  ASSERT_TRUE(arena_r.ok());
-  auto& arena = *arena_r;
-  ASSERT_TRUE(arena->MapRange(0, 0, kPagesPerHugeUnit).ok());
-  for (uint64_t slot = 0; slot < kPagesPerHugeUnit; ++slot) {
-    WriteMarker(*arena, slot, slot * 7919 + 1);
-  }
-  std::vector<uint64_t> from_fd(kPagesPerHugeUnit);
-  for (uint64_t page = 0; page < kPagesPerHugeUnit; ++page) {
-    ASSERT_EQ(::pread(file->fd(), &from_fd[page], sizeof(uint64_t),
-                      static_cast<off_t>(page * kPageSize)),
-              static_cast<ssize_t>(sizeof(uint64_t)));
-    EXPECT_EQ(from_fd[page], page * 7919 + 1) << "page " << page;
-  }
-}
-
-TEST(HugePageTest, ThpPromoteNeverBreaksContent) {
-  auto file = MakeHugeFile(2 * kPagesPerHugeUnit, HugePageRequest::kAuto);
-  if (file->huge_backing() != HugeBacking::kThp) {
-    GTEST_SKIP() << "shmem THP not eligible on this machine";
-  }
-  auto arena_r = VirtualArena::Create(file, 2 * kPagesPerHugeUnit);
-  ASSERT_TRUE(arena_r.ok());
-  auto& arena = *arena_r;
-  ASSERT_TRUE(arena->MapRange(0, 0, 2 * kPagesPerHugeUnit).ok());
-  for (uint64_t slot = 0; slot < 2 * kPagesPerHugeUnit; ++slot) {
-    WriteMarker(*arena, slot, slot ^ 0x5a5a5a5aull);
-  }
-  // Promotion must succeed as a call whether or not the kernel grants the
-  // collapse (MADV_COLLAPSE is missing on many kernels); refusals are
-  // counted, and the data is untouched either way.
-  ASSERT_TRUE(arena->PromoteRange(0, 2 * kPagesPerHugeUnit).ok());
-  EXPECT_EQ(arena->huge_promote_attempts(), 2u);
-  EXPECT_EQ(arena->huge_unit_count() + arena->huge_promote_failures(), 2u);
-  for (uint64_t slot = 0; slot < 2 * kPagesPerHugeUnit; ++slot) {
-    EXPECT_EQ(ReadMarker(*arena, slot), slot ^ 0x5a5a5a5aull) << slot;
-  }
-  if (arena->huge_unit_count() == 2) {
-    EXPECT_EQ(SmapsHugeBytes(*arena), 2 * kHugePageSize);
-  }
-
-  // 4 KiB mutation inside unit 0 demotes it first; unit 1 is untouched.
-  const uint64_t units_before = arena->huge_unit_count();
-  ASSERT_TRUE(arena->DemoteRange(3, 1).ok());
-  ASSERT_TRUE(arena->UnmapRange(3, 1).ok());
-  if (units_before == 2) {
-    EXPECT_EQ(arena->huge_unit_count(), 1u);
-    EXPECT_EQ(arena->huge_demotions(), 1u);
-  }
-  EXPECT_EQ(ReadMarker(*arena, kPagesPerHugeUnit + 5),
-            (kPagesPerHugeUnit + 5) ^ 0x5a5a5a5aull);
-}
-
-TEST(HugePageTest, PromoteSkipsPartialAndNonCongruentRanges) {
-  auto file = MakeHugeFile(2 * kPagesPerHugeUnit, HugePageRequest::kAuto);
-  if (file->huge_backing() != HugeBacking::kThp) {
-    GTEST_SKIP() << "shmem THP not eligible on this machine";
-  }
-  auto arena_r = VirtualArena::Create(file, 2 * kPagesPerHugeUnit);
-  ASSERT_TRUE(arena_r.ok());
-  auto& arena = *arena_r;
-  // A non-congruent layout: slot 0 holds file page 1 (arena base congruent
-  // to page 0). No unit can legally collapse, so promotion attempts
-  // nothing — skipping is silent, not an error.
-  ASSERT_TRUE(arena->MapRange(0, 1, kPagesPerHugeUnit).ok());
-  ASSERT_TRUE(arena->PromoteRange(0, kPagesPerHugeUnit).ok());
-  EXPECT_EQ(arena->huge_promote_attempts(), 0u);
-  EXPECT_EQ(arena->huge_unit_count(), 0u);
-  // Out-of-range arguments are still real errors.
-  EXPECT_FALSE(arena->PromoteRange(0, 3 * kPagesPerHugeUnit).ok());
-  EXPECT_FALSE(arena->DemoteRange(2 * kPagesPerHugeUnit, 1).ok());
-}
-
-TEST(PhysicalMemoryFileTest, GrowExtendsFile) {
-  auto file_r = PhysicalMemoryFile::Create(1);
-  ASSERT_TRUE(file_r.ok());
-  auto file = std::move(file_r).ValueOrDie();
-  EXPECT_EQ(file.num_pages(), 1u);
-  ASSERT_TRUE(file.Grow(4).ok());
-  EXPECT_EQ(file.num_pages(), 4u);
-  ASSERT_TRUE(file.Grow(2).ok());  // shrink requests are no-ops
-  EXPECT_EQ(file.num_pages(), 4u);
 }
 
 }  // namespace

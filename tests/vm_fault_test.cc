@@ -30,7 +30,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdint>
-#include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <iterator>
@@ -41,13 +40,9 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include "vmsv.h"
 #include "core/virtual_view.h"
-#include "rewiring/hugepage.h"
 #include "rewiring/physical_memory_file.h"
-#include "rewiring/virtual_arena.h"
 #include "rewiring/vm_io.h"
 #include "scoped_temp_dir.h"
 #include "storage/column.h"
@@ -133,8 +128,7 @@ StatusOr<OwnedColumn> MakeFaultableColumn(
     FillColumn(spec, owned->mutable_column());
     return owned;
   }
-  auto file =
-      PhysicalMemoryFile::Create(TestPages(), MemoryFileBackend::kMemfd, io);
+  auto file = PhysicalMemoryFile::Create(TestPages(), io);
   if (!file.ok()) return file.status();
   auto shared = std::make_shared<PhysicalMemoryFile>(std::move(*file));
   auto column = PhysicalColumn::Attach(std::move(shared), NumRows());
@@ -364,7 +358,6 @@ FaultInjectingVmIo::Stats SubtractStats(const FaultInjectingVmIo::Stats& a,
   d.mprotects = a.mprotects - b.mprotects;
   d.madvises = a.madvises - b.madvises;
   d.memfd_creates = a.memfd_creates - b.memfd_creates;
-  d.hugetlb_memfd_creates = a.hugetlb_memfd_creates - b.hugetlb_memfd_creates;
   d.ftruncates = a.ftruncates - b.ftruncates;
   return d;
 }
@@ -524,441 +517,6 @@ TEST(VmFaultMatrixTest, tiering) {
 }
 
 // ---------------------------------------------------------------------------
-// Huge-page fault scenario (ISSUE 9): the 2 MiB machinery under the same
-// errno matrix. The adaptive script above cannot reach this surface — its
-// 16-page views never span a whole 512-page unit, so PromoteRange skips
-// them all — so this scenario drives the arena-level lifecycle directly:
-// promote/demote churn on a THP-capable column (the madvise surface),
-// 4 KiB rewire churn across a unit boundary (mmap), and a per-cycle
-// hugetlb creation attempt (memfd_create/ftruncate plus the
-// reservation-probe mmap/munmap). Invariants:
-//
-//   1. degradation — PromoteRange/DemoteRange NEVER error under injected
-//      madvise faults (a refused promotion stays at 4 KiB, counted in
-//      huge_promote_failures); a faulted hugetlb probe degrades Create's
-//      backing rather than failing creation (only a fault on the
-//      plain-memfd fallback itself may surface, as a clean Status);
-//   2. bit-identity — mapped slots read back the genesis pattern at every
-//      cycle, whatever mix of granularities the faults left behind;
-//   3. recovery — once disarmed, remap + full verification + another
-//      promote/demote round and a hugetlb creation all run clean.
-
-constexpr uint64_t kHugeScriptUnits = 2;
-constexpr uint64_t kHugeScriptSlots = kHugeScriptUnits * kPagesPerHugeUnit;
-
-uint64_t HugeMarker(uint64_t slot) {
-  return slot * 0x9e3779b97f4a7c15ull + 0x5bd1e995u;
-}
-
-struct HugeScriptState {
-  std::shared_ptr<PhysicalMemoryFile> file;
-  std::unique_ptr<VirtualArena> arena;
-};
-
-bool VerifyHugeSlots(const HugeScriptState& state, uint64_t first,
-                     uint64_t count, const std::string& step,
-                     std::string* detail) {
-  for (uint64_t s = first; s < first + count; ++s) {
-    uint64_t got = 0;
-    std::memcpy(&got, state.arena->SlotData(s), sizeof(got));
-    if (got != HugeMarker(s)) {
-      *detail = step + ": slot " + std::to_string(s) + " read " +
-                std::to_string(got) + ", want " +
-                std::to_string(HugeMarker(s));
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Genesis (fault-free by construction — the caller arms AFTER this): a
-/// THP-capable two-unit column, fully mapped, pattern-filled.
-StatusOr<HugeScriptState> MakeHugeScriptArena(FaultInjectingVmIo* io) {
-  auto file = PhysicalMemoryFile::Create(
-      kHugeScriptSlots, MemoryFileBackend::kMemfd, io, HugePageRequest::kAuto);
-  if (!file.ok()) return file.status();
-  HugeScriptState state;
-  state.file = std::make_shared<PhysicalMemoryFile>(std::move(*file));
-  auto arena = VirtualArena::Create(state.file, kHugeScriptSlots);
-  if (!arena.ok()) return arena.status();
-  state.arena = std::move(*arena);
-  VMSV_RETURN_IF_ERROR(state.arena->MapRange(0, 0, kHugeScriptSlots));
-  for (uint64_t s = 0; s < kHugeScriptSlots; ++s) {
-    const uint64_t marker = HugeMarker(s);
-    std::memcpy(state.arena->SlotData(s), &marker, sizeof(marker));
-  }
-  return state;
-}
-
-bool RunHugeScript(FaultInjectingVmIo* io, HugeScriptState* state,
-                   uint64_t cycles, std::string* detail) {
-  VirtualArena* arena = state->arena.get();
-  // The second unit churns between mapped and unmapped; either rewire call
-  // may hit the injected fault, which leaves the PREVIOUS mapping state
-  // (tracked here so only live slots are verified — the same way a
-  // degraded view falls back without touching its pages).
-  bool unit1_mapped = true;
-  for (uint64_t c = 0; c < cycles; ++c) {
-    const std::string cycle = "cycle " + std::to_string(c) + " ";
-    const Status promoted = arena->PromoteRange(0, kHugeScriptSlots);
-    if (!promoted.ok()) {
-      *detail = cycle + "PromoteRange errored: " + promoted.ToString();
-      return false;
-    }
-    // hugetlb units (VMSV_HUGETLB=1 genesis) are fixed-size by contract —
-    // DemoteRange over them is defined to refuse, so the demote leg only
-    // runs on THP/plain backings.
-    if (state->file->huge_backing() != HugeBacking::kHugetlb) {
-      const Status demoted = arena->DemoteRange(0, kHugeScriptSlots);
-      if (!demoted.ok()) {
-        *detail = cycle + "DemoteRange errored: " + demoted.ToString();
-        return false;
-      }
-    }
-    if (unit1_mapped &&
-        arena->UnmapRange(kPagesPerHugeUnit, kPagesPerHugeUnit).ok()) {
-      unit1_mapped = false;
-    }
-    if (!unit1_mapped &&
-        arena->MapRange(kPagesPerHugeUnit, kPagesPerHugeUnit,
-                        kPagesPerHugeUnit)
-            .ok()) {
-      unit1_mapped = true;
-    }
-    // A hugetlb column attempt per cycle: under fire the probe chain must
-    // degrade the backing, never crash. (A fault on the plain fallback
-    // memfd/ftruncate legitimately fails creation — with a clean Status,
-    // which StatusOr already guarantees or the next line would abort.)
-    auto hugetlb = PhysicalMemoryFile::Create(
-        kPagesPerHugeUnit, MemoryFileBackend::kMemfd, io,
-        HugePageRequest::kHugetlb);
-    (void)hugetlb;
-    if (!VerifyHugeSlots(*state, 0, kPagesPerHugeUnit, cycle + "unit0",
-                         detail)) {
-      return false;
-    }
-    if (unit1_mapped &&
-        !VerifyHugeSlots(*state, kPagesPerHugeUnit, kPagesPerHugeUnit,
-                         cycle + "unit1", detail)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool CheckHugeRecovery(FaultInjectingVmIo* io, HugeScriptState* state,
-                       std::string* detail) {
-  io->Arm(VmFaultPlan{});
-  VirtualArena* arena = state->arena.get();
-  // Remap is idempotent over a still-mapped unit, so this restores the
-  // full layout whichever half-state the faults left.
-  const Status remapped =
-      arena->MapRange(kPagesPerHugeUnit, kPagesPerHugeUnit, kPagesPerHugeUnit);
-  if (!remapped.ok()) {
-    *detail = "recovery remap failed: " + remapped.ToString();
-    return false;
-  }
-  if (!VerifyHugeSlots(*state, 0, kHugeScriptSlots, "recovery", detail)) {
-    return false;
-  }
-  const Status promoted = arena->PromoteRange(0, kHugeScriptSlots);
-  if (!promoted.ok()) {
-    *detail = "recovery PromoteRange failed: " + promoted.ToString();
-    return false;
-  }
-  if (state->file->huge_backing() != HugeBacking::kHugetlb) {
-    const Status demoted = arena->DemoteRange(0, kHugeScriptSlots);
-    if (!demoted.ok()) {
-      *detail = "recovery DemoteRange failed: " + demoted.ToString();
-      return false;
-    }
-  }
-  if (!VerifyHugeSlots(*state, 0, kHugeScriptSlots, "post-demote", detail)) {
-    return false;
-  }
-  // And a hugetlb attempt with the faults gone must settle cleanly (the
-  // pool if present, a degraded flavor otherwise) — no residue from the
-  // faulted attempts.
-  auto hugetlb = PhysicalMemoryFile::Create(kPagesPerHugeUnit,
-                                            MemoryFileBackend::kMemfd, io,
-                                            HugePageRequest::kHugetlb);
-  if (!hugetlb.ok()) {
-    *detail = "recovery hugetlb create failed: " + hugetlb.status().ToString();
-    return false;
-  }
-  return true;
-}
-
-constexpr TargetSpec kHugeTargets[] = {
-    {"any", VmOp::kAny},
-    {"madvise", VmOp::kMadvise},
-    {"mmap", VmOp::kMmap},
-    {"munmap", VmOp::kMunmap},
-    {"memfd_create", VmOp::kMemfdCreate},
-    {"ftruncate", VmOp::kFtruncate},
-};
-
-class HugePageFaultMatrix {
- public:
-  void Run() {
-    // Fault-free accounting run sizes the sweep, exactly like VmFaultMatrix
-    // (genesis excluded; recovery excluded — armed points count op indices
-    // from Arm to the recovery disarm, so the surface measures only the
-    // faultable window).
-    uint64_t cycles = 2;
-    FaultInjectingVmIo::Stats surface;
-    for (;;) {
-      FaultInjectingVmIo counter;
-      auto state = MakeHugeScriptArena(&counter);
-      ASSERT_TRUE(state.ok()) << state.status().ToString();
-      const FaultInjectingVmIo::Stats genesis = counter.stats();
-      counter.Arm(VmFaultPlan{});
-      std::string detail;
-      ASSERT_TRUE(RunHugeScript(&counter, &*state, cycles, &detail))
-          << "huge fault-free script: " << detail;
-      surface = SubtractStats(counter.stats(), genesis);
-      ASSERT_GT(surface.ops(), 0u) << "huge script produced no VM ops";
-      if (!FullSweep() || cycles >= kMaxCycles ||
-          EstimatedPoints(surface) >= kMinFullPointsPerScenario) {
-        break;
-      }
-      ++cycles;
-    }
-
-    std::cout << "[ matrix   ] huge_page: cycles=" << cycles
-              << " surface madvise=" << surface.madvises
-              << " mmap=" << surface.mmaps << " munmap=" << surface.munmaps
-              << " memfd=" << surface.memfd_creates
-              << " (hugetlb=" << surface.hugetlb_memfd_creates << ")"
-              << " ftruncate=" << surface.ftruncates << std::endl;
-
-    uint64_t points = 0;
-    uint64_t failures = 0;
-    for (uint64_t t = 0; t < std::size(kHugeTargets); ++t) {
-      const TargetSpec& target = kHugeTargets[t];
-      const uint64_t class_total = ClassOps(target.op, surface);
-      if (class_total == 0) continue;  // e.g. madvise where THP is off
-      uint64_t stride = 1;
-      uint64_t first = 1;
-      const FaultKindSpec* kind_begin = std::begin(kKinds);
-      const FaultKindSpec* kind_end = std::end(kKinds);
-      if (!FullSweep()) {
-        if (target.op == VmOp::kAny) {
-          stride = std::max<uint64_t>(1, class_total / 8);
-        } else {
-          first = std::max<uint64_t>(1, class_total / 2);
-          stride = class_total + 1;  // single midpoint
-          kind_end = kind_begin + 1;
-        }
-      }
-      for (const FaultKindSpec* kind = kind_begin; kind != kind_end; ++kind) {
-        for (uint64_t op = first; op <= class_total; op += stride) {
-          const uint64_t seed = PointSeed(t, kind->fail_errno, op);
-          ++points;
-          std::string point_detail;
-          if (!RunPoint(target, *kind, op, seed, cycles, &point_detail)) {
-            ++failures;
-            ADD_FAILURE() << "VM-FAULT-POINT-FAILED scenario=huge_page"
-                          << " target=" << target.name
-                          << " kind=" << kind->name << " op=" << op
-                          << " seed=" << seed << " :: " << point_detail;
-            if (failures >= 10) {
-              ADD_FAILURE() << "huge_page: too many fault-point failures, "
-                            << "aborting the sweep";
-              return;
-            }
-          }
-        }
-      }
-    }
-    if (FullSweep()) {
-      EXPECT_GE(points, kMinFullPointsPerScenario)
-          << "huge_page: full sweep too small to be meaningful";
-    }
-    ::testing::Test::RecordProperty("huge_page_points",
-                                    static_cast<int>(points));
-  }
-
- private:
-  static constexpr uint64_t kMaxCycles = 32;
-
-  static uint64_t EstimatedPoints(const FaultInjectingVmIo::Stats& s) {
-    uint64_t estimate = 0;
-    for (const TargetSpec& target : kHugeTargets) {
-      estimate += std::size(kKinds) * ClassOps(target.op, s);
-    }
-    return estimate;
-  }
-
-  bool RunPoint(const TargetSpec& target, const FaultKindSpec& kind,
-                uint64_t op, uint64_t seed, uint64_t cycles,
-                std::string* detail) {
-    FaultInjectingVmIo io;
-    auto state = MakeHugeScriptArena(&io);
-    if (!state.ok()) {
-      *detail = "genesis failed: " + state.status().ToString();
-      return false;
-    }
-    VmFaultPlan plan;
-    plan.op_index = op;
-    plan.fail_errno = kind.fail_errno;
-    plan.sticky = kind.sticky;
-    plan.target = target.op;
-    plan.seed = seed;
-    io.Arm(plan);
-    if (!RunHugeScript(&io, &*state, cycles, detail)) return false;
-    return CheckHugeRecovery(&io, &*state, detail);
-  }
-};
-
-TEST(VmFaultMatrixTest, huge_page_lifecycle) {
-  HugePageFaultMatrix().Run();
-}
-
-// ---------------------------------------------------------------------------
-// Huge-page seam contracts, pinned point by point: the probe chain's
-// degradation at creation, the promote/demote madvise swallow, and the
-// accountant's VMA split/merge model for huge advice.
-
-TEST(VmFaultHugeSeamTest, HugetlbMemfdFaultDegradesBackingNotCreation) {
-  if (HugePagesDisabledByEnv()) GTEST_SKIP() << "VMSV_NO_HUGEPAGES=1";
-  VmFaultPlan plan;
-  plan.op_index = 1;  // the MFD_HUGETLB create is the first memfd op
-  plan.fail_errno = ENOMEM;
-  plan.target = VmOp::kMemfdCreate;
-  FaultInjectingVmIo io(plan);
-  auto file = PhysicalMemoryFile::Create(kPagesPerHugeUnit,
-                                         MemoryFileBackend::kMemfd, &io,
-                                         HugePageRequest::kHugetlb);
-  ASSERT_TRUE(file.ok()) << file.status().ToString();
-  EXPECT_NE(file->huge_backing(), HugeBacking::kHugetlb);
-  EXPECT_EQ(io.stats().hugetlb_memfd_creates, 1u);  // attempted, faulted
-  EXPECT_EQ(io.stats().faults_injected, 1u);
-  EXPECT_GE(io.stats().memfd_creates, 2u);  // plus the plain fallback
-}
-
-TEST(VmFaultHugeSeamTest, HugetlbReservationProbeFaultDegrades) {
-  if (HugePagesDisabledByEnv()) GTEST_SKIP() << "VMSV_NO_HUGEPAGES=1";
-  VmFaultPlan plan;
-  plan.op_index = 1;  // first mmap = the whole-file reservation probe
-  plan.fail_errno = ENOMEM;  // exactly what an undersized pool returns
-  plan.target = VmOp::kMmap;
-  FaultInjectingVmIo io(plan);
-  auto file = PhysicalMemoryFile::Create(kPagesPerHugeUnit,
-                                         MemoryFileBackend::kMemfd, &io,
-                                         HugePageRequest::kHugetlb);
-  // Whether or not this kernel even creates MFD_HUGETLB fds (without them
-  // the probe mmap never runs and the armed fault never fires), the
-  // outcome is the same contract: creation succeeds, backing is degraded.
-  ASSERT_TRUE(file.ok()) << file.status().ToString();
-  EXPECT_NE(file->huge_backing(), HugeBacking::kHugetlb);
-  EXPECT_EQ(io.stats().hugetlb_memfd_creates, 1u);
-  EXPECT_LE(io.stats().faults_injected, 1u);
-}
-
-TEST(VmFaultHugeSeamTest, PromoteAndDemoteSwallowMadviseFaults) {
-  if (HugePagesDisabledByEnv()) GTEST_SKIP() << "VMSV_NO_HUGEPAGES=1";
-  FaultInjectingVmIo io;
-  auto state = MakeHugeScriptArena(&io);
-  ASSERT_TRUE(state.ok()) << state.status().ToString();
-  VirtualArena* arena = state->arena.get();
-  if (state->file->huge_backing() != HugeBacking::kThp ||
-      !arena->HugeCapable()) {
-    GTEST_SKIP() << "needs a THP-backed arena (backing="
-                 << HugeBackingName(state->file->huge_backing()) << ")";
-  }
-
-  const uint64_t madvises_before = io.stats().madvises;
-  VmFaultPlan plan;
-  plan.op_index = 1;
-  plan.fail_errno = ENOMEM;
-  plan.sticky = true;
-  plan.target = VmOp::kMadvise;
-  io.Arm(plan);
-  // Promotion under sticky madvise exhaustion: both units really attempt,
-  // both are refused, neither surfaces an error — the defining property.
-  ASSERT_TRUE(arena->PromoteRange(0, kHugeScriptSlots).ok());
-  EXPECT_EQ(arena->huge_unit_count(), 0u);
-  EXPECT_EQ(arena->huge_promote_attempts(), kHugeScriptUnits);
-  EXPECT_EQ(arena->huge_promote_failures(), kHugeScriptUnits);
-  EXPECT_GT(io.stats().madvises, madvises_before);
-  EXPECT_GT(io.stats().faults_injected, 0u);
-  // Demotion is best-effort by the same contract (the 4 KiB overwrite that
-  // follows a real demotion splits the PMD regardless of the advice).
-  ASSERT_TRUE(arena->DemoteRange(0, kHugeScriptSlots).ok());
-  std::string detail;
-  ASSERT_TRUE(VerifyHugeSlots(*state, 0, kHugeScriptSlots, "under faults",
-                              &detail))
-      << detail;
-
-  io.Arm(VmFaultPlan{});
-  // Refused units never entered huge_units_, so the retry re-attempts them.
-  ASSERT_TRUE(arena->PromoteRange(0, kHugeScriptSlots).ok());
-  EXPECT_EQ(arena->huge_promote_attempts(), 2 * kHugeScriptUnits);
-}
-
-TEST(VmFaultHugeSeamTest, HugeAdviceSplitsAndRemergesAccountantVmas) {
-  FaultInjectingVmIo io;
-  const uint64_t len = 4 * kHugePageSize;
-  auto fd = io.MemfdCreate("vma-advice", MFD_CLOEXEC);
-  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
-  ASSERT_TRUE(io.Ftruncate(*fd, len, "ftruncate").ok());
-  auto base = io.Mmap(nullptr, len, PROT_READ | PROT_WRITE, MAP_SHARED, *fd,
-                      0, "mmap");
-  ASSERT_TRUE(base.ok()) << base.status().ToString();
-  uint8_t* p = static_cast<uint8_t*>(*base);
-  EXPECT_EQ(io.vma_count(), 1u);
-
-  // Sub-range advice is a vm_flags change mid-VMA: the kernel splits the
-  // mapping in three, and so must the accountant.
-  const Status advised =
-      io.Madvise(p + kHugePageSize, kHugePageSize, MADV_HUGEPAGE, "madvise");
-  if (!advised.ok()) {
-    ASSERT_TRUE(io.Munmap(p, len, "munmap").ok());
-    ::close(*fd);
-    GTEST_SKIP() << "MADV_HUGEPAGE unsupported on shmem here: "
-                 << advised.ToString();
-  }
-  EXPECT_EQ(io.vma_count(), 3u);
-  // Uniform advice over the whole mapping re-merges the pieces.
-  ASSERT_TRUE(io.Madvise(p, len, MADV_HUGEPAGE, "madvise").ok());
-  EXPECT_EQ(io.vma_count(), 1u);
-  ASSERT_TRUE(io.Munmap(p, len, "munmap").ok());
-  EXPECT_EQ(io.vma_count(), 0u);
-  ::close(*fd);
-}
-
-TEST(VmFaultHugeSeamTest, HugeAdviceSplitRespectsVmaBudget) {
-  FaultInjectingVmIo io;
-  const uint64_t len = 4 * kHugePageSize;
-  auto fd = io.MemfdCreate("vma-budget", MFD_CLOEXEC);
-  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
-  ASSERT_TRUE(io.Ftruncate(*fd, len, "ftruncate").ok());
-  auto base = io.Mmap(nullptr, len, PROT_READ | PROT_WRITE, MAP_SHARED, *fd,
-                      0, "mmap");
-  ASSERT_TRUE(base.ok()) << base.status().ToString();
-  uint8_t* p = static_cast<uint8_t*>(*base);
-  ASSERT_EQ(io.vma_count(), 1u);
-
-  // A 1 -> 3 split under max_vmas=2 must be refused with ENOMEM BEFORE the
-  // kernel sees the call (vm.max_map_count charges VMA splits exactly
-  // like mappings), leaving the accountant untouched.
-  VmFaultPlan plan;
-  plan.max_vmas = 2;
-  io.Arm(plan);
-  const Status advised =
-      io.Madvise(p + kHugePageSize, kHugePageSize, MADV_HUGEPAGE, "madvise");
-  ASSERT_FALSE(advised.ok());
-  EXPECT_EQ(advised.sys_errno(), ENOMEM);
-  EXPECT_EQ(io.stats().budget_rejections, 1u);
-  EXPECT_EQ(io.vma_count(), 1u);
-
-  io.Arm(VmFaultPlan{});
-  ASSERT_TRUE(io.Munmap(p, len, "munmap").ok());
-  ::close(*fd);
-}
-
-// ---------------------------------------------------------------------------
 // Satellite: PartialViewIndex error contract (the historical abort paths).
 
 TEST(PartialViewIndexTest, ReplaceAndRemoveRejectForeignViews) {
@@ -1010,12 +568,12 @@ TEST(VmFaultSeamTest, MemfdCreateFailureSurfacesErrno) {
   plan.fail_errno = EMFILE;
   plan.target = VmOp::kMemfdCreate;
   FaultInjectingVmIo io(plan);
-  auto file = PhysicalMemoryFile::Create(4, MemoryFileBackend::kMemfd, &io);
+  auto file = PhysicalMemoryFile::Create(4, &io);
   ASSERT_FALSE(file.ok());
   EXPECT_EQ(file.status().sys_errno(), EMFILE);
 
   io.Arm(VmFaultPlan{});
-  auto retry = PhysicalMemoryFile::Create(4, MemoryFileBackend::kMemfd, &io);
+  auto retry = PhysicalMemoryFile::Create(4, &io);
   EXPECT_TRUE(retry.ok()) << retry.status().ToString();
 }
 
@@ -1025,29 +583,9 @@ TEST(VmFaultSeamTest, FtruncateEnospcFailsCreationCleanly) {
   plan.fail_errno = ENOSPC;
   plan.target = VmOp::kFtruncate;
   FaultInjectingVmIo io(plan);
-  auto file = PhysicalMemoryFile::Create(4, MemoryFileBackend::kMemfd, &io);
+  auto file = PhysicalMemoryFile::Create(4, &io);
   ASSERT_FALSE(file.ok());
   EXPECT_EQ(file.status().sys_errno(), ENOSPC);
-}
-
-TEST(VmFaultSeamTest, GrowEnospcIsRetryable) {
-  FaultInjectingVmIo io;
-  auto file = PhysicalMemoryFile::Create(4, MemoryFileBackend::kMemfd, &io);
-  ASSERT_TRUE(file.ok()) << file.status().ToString();
-
-  VmFaultPlan plan;
-  plan.op_index = 1;
-  plan.fail_errno = ENOSPC;
-  plan.target = VmOp::kFtruncate;
-  io.Arm(plan);
-  const Status grown = file->Grow(8);
-  ASSERT_FALSE(grown.ok());
-  EXPECT_EQ(grown.sys_errno(), ENOSPC);
-  EXPECT_EQ(file->num_pages(), 4u);  // the failed grow applied nothing
-
-  io.Arm(VmFaultPlan{});
-  ASSERT_TRUE(file->Grow(8).ok());
-  EXPECT_EQ(file->num_pages(), 8u);
 }
 
 // ---------------------------------------------------------------------------

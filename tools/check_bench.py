@@ -39,9 +39,6 @@ SCHEMA_VERSION = 1
 
 KNOWN_KERNELS = {"scalar", "avx2", "avx512"}
 
-# What PhysicalMemoryFile::Create's probe chain can deliver (HugeBackingName).
-KNOWN_HUGE_BACKINGS = {"none", "thp", "hugetlb"}
-
 
 def fail(msg):
     print(f"check_bench: FAIL: {msg}", file=sys.stderr)
@@ -79,14 +76,6 @@ def expect_nullable_number(obj, field, where):
     return value
 
 
-def check_huge_fields(obj, where):
-    """Shared structural checks for the 2 MiB-backing report: the backing
-    name must be a known flavor, and counters must be non-negative. No
-    machine has a REQUIRED backing — coverage is environment, not schema."""
-    if obj["huge_backing"] not in KNOWN_HUGE_BACKINGS:
-        fail(f"{where}: unknown huge_backing '{obj['huge_backing']}'")
-
-
 def check_rep_array(cfg, field, reps, where):
     if len(cfg[field]) != reps:
         fail(f"{where}: {len(cfg[field])} {field} entries, want reps={reps}")
@@ -107,12 +96,6 @@ SCAN_TOP_LEVEL_FIELDS = {
     "seed": int,
     "hardware_concurrency": int,
     "default_kernel": str,
-    # TLB-aware arenas: what 2 MiB backing the column actually came up
-    # with, and how much of the arena smaps attributes to PMD mappings.
-    "huge_backing": str,
-    "huge_units": int,
-    "huge_backed_bytes": int,
-    "huge_coverage": float,
     "dtlb_available": bool,
     "configs": list,
 }
@@ -138,13 +121,6 @@ def check_micro_scan(doc, path):
         fail(f"{path}: pages/reps must be positive")
     if doc["default_kernel"] not in KNOWN_KERNELS:
         fail(f"{path}: unknown default_kernel '{doc['default_kernel']}'")
-    check_huge_fields(doc, path)
-    if doc["huge_units"] < 0 or doc["huge_backed_bytes"] < 0:
-        fail(f"{path}: huge counters must be non-negative")
-    if not 0.0 <= doc["huge_coverage"] <= 1.0:
-        fail(f"{path}: huge_coverage out of [0, 1]")
-    if doc["huge_backing"] == "none" and doc["huge_units"] != 0:
-        fail(f"{path}: huge_units nonzero with huge_backing=none")
     configs = doc["configs"]
     if not configs:
         fail(f"{path}: configs is empty")

@@ -71,7 +71,6 @@ SUITES = {
             "multi_view_cost",
             "tight_budget",
             "tiering",
-            "huge_page_lifecycle",
         ],
     },
 }
