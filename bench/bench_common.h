@@ -31,6 +31,7 @@
 #include "exec/thread_pool.h"
 #include "storage/types.h"
 #include "util/env.h"
+#include "util/stopwatch.h"
 
 namespace vmsv {
 namespace bench {
@@ -98,6 +99,34 @@ inline std::vector<std::string> WithScanConfigCells(
   cells.push_back(env.kernel);
   cells.push_back(std::to_string(env.threads));
   return cells;
+}
+
+/// Runs untimed scans of the `pages` pages at `base` on `threads` threads
+/// for at least 3 s of wall time. Call it right before timed multi-thread
+/// scans, with the highest thread count the run times: on a VM host left
+/// idle for a minute, the first ~2 s of multi-thread work otherwise run at
+/// one-thread speed, and the first timed configurations misstate thread
+/// scaling. A single-threaded step between two timed series can restart
+/// that ramp (micro_lifecycle). Reports on stderr only.
+inline void WarmUpScans(const Value* base, uint64_t pages, const RangeQuery& q,
+                        unsigned threads) {
+  constexpr double kWarmUpSeconds = 3.0;
+  ParallelScanOptions options;
+  options.threads = threads;
+  options.serial_cutoff = 0;
+  const ParallelScanner scanner(options);
+  const Stopwatch timer;
+  uint64_t scans = 0;
+  while (timer.ElapsedSeconds() < kWarmUpSeconds) {
+    scanner.ScanPages(base, pages, q);
+    ++scans;
+  }
+  std::fprintf(stderr,
+               "# warm-up: %llu untimed scans of %llu pages at %u threads "
+               "in %.2f s\n",
+               static_cast<unsigned long long>(scans),
+               static_cast<unsigned long long>(pages), threads,
+               timer.ElapsedSeconds());
 }
 
 // ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@
 // ascending), and scanned again. Reported: the removal and remap costs, the
 // first scan after the remap, both scan medians, and the arena's kernel VMA
 // count after the churn and after the remap (the vm.max_map_count budget a
-// churned arena spends).
+// churned arena spends). Each scan series starts after 3 s of untimed
+// base-column scans (bench::WarmUpScans).
 //
 // Part B, eviction ablation: the Figure-5 multi-view workload (sine
 // distribution, fixed 10% selectivity, workload seed 11) under a view
@@ -113,6 +114,15 @@ ChurnReport RunChurnExperiment(const bench::BenchEnv& env) {
   VMSV_BENCH_CHECK_OK(view_r.status());
   std::unique_ptr<VirtualView> view = std::move(view_r).ValueOrDie();
 
+  // The single-threaded steps before each scan series (the removals, the
+  // maps parse, the remap) idle the other cores long enough for the host's
+  // ramp to restart, so each series gets its own warm-up.
+  const Value* base =
+      reinterpret_cast<const Value*>(column->base_arena().data());
+  const auto warm_up = [&] {
+    bench::WarmUpScans(base, column->num_pages(), q,
+                       static_cast<unsigned>(env.threads));
+  };
   ChurnReport report;
   Stopwatch remove_timer;
   for (uint64_t page = 1; page < column->num_pages(); page += 2) {
@@ -130,6 +140,7 @@ ChurnReport RunChurnExperiment(const bench::BenchEnv& env) {
   const PageScanResult warm = view->Scan(q);
   VMSV_CHECK(warm.match_count == ref.match_count && warm.sum == ref.sum);
   report.churned_vmas = ArenaVmaCount(*view);
+  warm_up();
   report.churned_median_ms =
       MedianScan(*view, q, env.reps, &report.churned_rep_ms, ref);
 
@@ -144,6 +155,7 @@ ChurnReport RunChurnExperiment(const bench::BenchEnv& env) {
   report.first_scan_ms = first_timer.ElapsedMillis();
   VMSV_CHECK(first.match_count == ref.match_count && first.sum == ref.sum);
   report.remapped_vmas = ArenaVmaCount(*view);
+  warm_up();
   report.remapped_median_ms =
       MedianScan(*view, q, env.reps, &report.remapped_rep_ms, ref);
   return report;

@@ -90,6 +90,7 @@ int SweepMain() {
       ScanPageScalar(base, env.pages * kValuesPerPage, q);
 
   const ScanKernel restore = ActiveScanKernel();
+  bench::WarmUpScans(base, env.pages, q, thread_counts.back());
   // One counter group reused across configurations: the main thread issues
   // every load in the serial path and shares the work in the sharded one,
   // so its dTLB rate is comparable across configs (absolute counts are not,

@@ -356,6 +356,7 @@ CumulativeStats AdaptiveColumn::metrics() const {
 
 StatusOr<QueryExecution> AdaptiveColumn::ExecuteFullScan(
     const RangeQuery& q) const {
+  if (q.lo > q.hi) return InvalidArgument("query lo > hi");
   QueryExecution exec;
   // Epoch entry under the shared lock: a concurrent Update's quiescence
   // wait then covers this scan, so it never reads a torn value.
@@ -630,8 +631,8 @@ StatusOr<QueryExecution> AdaptiveColumn::FullScanAndAdapt(const RangeQuery& q) {
   // built, so the scan runs without any lock or guard.
   // The full scan doubles as candidate materialization (§2.3): one pass
   // answers the query and rewires the qualifying pages into a new view.
-  auto built = BuildViewAndAnswer(*column_, q.lo, q.hi, q,
-                                  kCandidateCreation, /*mapper=*/nullptr);
+  auto built = BuildViewAndAnswer(*column_, q, kCandidateCreation,
+                                  /*mapper=*/nullptr);
   if (!built.ok()) {
     const StatusCode code = built.status().code();
     if (code == StatusCode::kIoError || code == StatusCode::kResourceExhausted) {

@@ -401,6 +401,7 @@ class AdaptiveColumn {
   /// The non-adaptive baseline: scans the base column. Does not touch the
   /// view pool or the cumulative metrics. Thread-safe (epoch-protected
   /// against concurrent updates).
+  /// Error contract: InvalidArgument when q.lo > q.hi, as Execute.
   StatusOr<QueryExecution> ExecuteFullScan(const RangeQuery& q) const;
 
   /// Applies an update to the base column and logs it for view alignment at

@@ -102,35 +102,20 @@ StatusOr<std::unique_ptr<Table>> Db::Create(
 StatusOr<std::unique_ptr<Table>> Db::CreateDurable(const std::string& dir,
                                                    uint64_t num_rows,
                                                    const DbOptions& options) {
-  if (num_rows == 0) return InvalidArgument("Db::CreateDurable: zero rows");
-  const uint32_t shards = EffectiveShards(options.shards, num_rows);
-  if (shards <= 1) {
-    // Plain durable-column layout: bit-for-bit what pre-facade code wrote,
-    // so existing directories and tools keep working.
-    auto adaptive = AdaptiveColumn::CreateDurable(dir, num_rows, options.column);
-    if (!adaptive.ok()) return adaptive.status();
-    return std::unique_ptr<Table>(new SingleTable(*std::move(adaptive)));
+  if (options.shards != 1) {
+    return InvalidArgument("Db::CreateDurable: durable tables are 1-shard");
   }
-  DbOptions effective = options;
-  effective.shards = shards;
-  return ShardedTable::CreateDurable(dir, num_rows, effective);
+  if (num_rows == 0) return InvalidArgument("Db::CreateDurable: zero rows");
+  auto adaptive = AdaptiveColumn::CreateDurable(dir, num_rows, options.column);
+  if (!adaptive.ok()) return adaptive.status();
+  return std::unique_ptr<Table>(new SingleTable(*std::move(adaptive)));
 }
 
 StatusOr<std::unique_ptr<Table>> Db::Open(const std::string& dir,
                                           const DbOptions& options) {
-  auto spec = ReadTableDescriptor(dir);
-  if (spec.ok()) {
-    if (spec->shards == 1) {
-      // A descriptor is only written for multi-shard tables today, but a
-      // 1-shard descriptor (e.g. a future re-shard) opens as plain.
-      auto adaptive = AdaptiveColumn::Open(dir + "/shard-000", options.column);
-      if (!adaptive.ok()) return adaptive.status();
-      return std::unique_ptr<Table>(new SingleTable(*std::move(adaptive)));
-    }
-    return ShardedTable::Open(dir, *spec, options);
+  if (options.shards != 1) {
+    return InvalidArgument("Db::Open: durable tables are 1-shard");
   }
-  if (spec.status().code() != StatusCode::kNotFound) return spec.status();
-  // No descriptor: a plain durable column directory.
   auto adaptive = AdaptiveColumn::Open(dir, options.column);
   if (!adaptive.ok()) return adaptive.status();
   return std::unique_ptr<Table>(new SingleTable(*std::move(adaptive)));

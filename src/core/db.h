@@ -8,19 +8,19 @@
 // AdaptiveColumn construction (core/adaptive_layer.h) is an internal
 // implementation detail.
 //
-//   auto table = *vmsv::Db::Create(std::move(column), {});        // 1 shard
-//   auto big   = *vmsv::Db::CreateDurable("/data/t", rows, opts); // N shards
+//   auto table = *vmsv::Db::Create(std::move(column), {});         // 1 shard
+//   auto big   = *vmsv::Db::Create(rows, value_of, opts);          // N shards
+//   auto disk  = *vmsv::Db::CreateDurable("/data/t", rows, {});    // 1 shard
 //   auto exec  = table->Execute({lo, hi});
 //   auto batch = table->ExecuteBatch(queries);
 //
 // Sharding contract (details in ARCHITECTURE.md "Sharding & serving"):
 // results are bit-identical to the same operations against one unsharded
-// AdaptiveColumn over the same rows, for every shard count and partition
-// kind — match_count and sum are associative wrap-around uint64 adds
-// merged in shard order, and per-shard value zones only ever SKIP shards
-// that provably hold no matching value. Updates route to exactly one
-// shard; durable tables persist one subdirectory per shard plus a
-// table-level descriptor.
+// AdaptiveColumn over the same rows, for every shard count — match_count
+// and sum are associative wrap-around uint64 adds merged in shard order,
+// and per-shard value zones only ever SKIP shards that provably hold no
+// matching value. Updates route to exactly one shard. Sharded tables live
+// in memory; a durable table is one plain column.
 
 #ifndef VMSV_CORE_DB_H_
 #define VMSV_CORE_DB_H_
@@ -43,14 +43,7 @@ enum class PartitionKind {
   /// Contiguous page blocks: shard i owns a balanced run of consecutive
   /// pages. Preserves range locality per shard.
   kRange,
-  /// Round-robin pages: page p lives on shard p % N. Spreads any hot page
-  /// region across all shards.
-  kHash,
 };
-
-const char* PartitionKindName(PartitionKind kind);
-/// "range" / "hash" -> kind; anything else falls back to kRange.
-PartitionKind PartitionKindFromString(const std::string& name);
 
 /// Health across a whole table: the per-shard snapshots plus their
 /// aggregate. Counters sum; degraded flags OR — one degraded shard makes
@@ -65,10 +58,12 @@ struct TableHealth {
 struct DbOptions {
   /// Engine configuration applied to EVERY shard's AdaptiveColumn (view
   /// budget, routing mode, lifecycle, durability policy, fault seams).
-  /// For durable tables, storage.persist_dir is overridden per shard.
+  /// For durable tables, storage.persist_dir is overridden by the table's
+  /// directory.
   AdaptiveConfig column;
   /// Number of shards. 1 (the default) wraps a single AdaptiveColumn with
   /// no routing layer at all — the facade costs nothing you don't use.
+  /// Durable tables take 1 only.
   uint32_t shards = 1;
   /// Page-to-shard assignment for shards > 1.
   PartitionKind partition = PartitionKind::kRange;
@@ -96,10 +91,11 @@ class Table {
 
   /// The non-adaptive baseline: scans the base column(s), touching no view
   /// state. Bit-identical to Execute for the same query.
+  /// Error contract: InvalidArgument when q.lo > q.hi.
   virtual StatusOr<QueryExecution> ExecuteFullScan(const RangeQuery& q) const = 0;
 
   /// Point update of one row (global row id). Routes to exactly one shard;
-  /// durable shards journal ahead of the cell write.
+  /// a durable table journals ahead of the cell write.
   /// Error contract: InvalidArgument for an out-of-range row.
   virtual Status Update(uint64_t row, Value new_value) = 0;
 
@@ -107,9 +103,9 @@ class Table {
   virtual StatusOr<UpdateApplyStats> FlushUpdates() = 0;
 
   /// Every table: re-derive the exact page zones that writes loosened
-  /// since the last flush or Checkpoint, every shard. Durable tables also
-  /// checkpoint every shard (flush, data writeback per policy, journal
-  /// reset, the pool when it is dirty); in memory nothing is flushed.
+  /// since the last flush or Checkpoint, every shard. A durable table also
+  /// checkpoints (flush, data writeback per policy, journal reset, the
+  /// pool when it is dirty); in memory nothing is flushed.
   /// Each shard's routing zone then widens to the fold of its page zones,
   /// so a write through shard(i)->mutable_column() reaches routing here.
   /// Routing zones never narrow.
@@ -122,7 +118,7 @@ class Table {
   /// a query, so sums reflect work actually done.
   virtual CumulativeStats Metrics() const = 0;
 
-  /// Durability counters summed across shards (zeros for in-memory).
+  /// Durability counters (zeros for in-memory tables).
   virtual DurabilityStats Durability() const = 0;
 
   virtual uint64_t num_rows() const = 0;
@@ -156,26 +152,18 @@ class Db {
       uint64_t num_rows, const std::function<Value(uint64_t)>& value_of,
       const DbOptions& options);
 
-  /// Creates a DURABLE table of `num_rows` zeroed rows under `dir`. With
-  /// shards > 1 the directory gains a TABLE descriptor (shard count,
-  /// partition spec, row count) plus one shard-NNN/ subdirectory per shard,
-  /// each a self-contained durable column (journal + manifest + data).
-  /// With shards == 1 the layout is exactly a plain durable column — fully
-  /// backward compatible with pre-facade directories.
-  /// Error contract: FailedPrecondition when `dir` already holds a table;
-  /// IoError on filesystem failures.
+  /// Creates a DURABLE table of `num_rows` zeroed rows under `dir`: one
+  /// plain durable column (journal + manifest + data).
+  /// Error contract: InvalidArgument when options.shards != 1, before the
+  /// filesystem is touched; FailedPrecondition when `dir` already holds a
+  /// table; IoError on filesystem failures.
   static StatusOr<std::unique_ptr<Table>> CreateDurable(
       const std::string& dir, uint64_t num_rows, const DbOptions& options);
 
-  /// Reopens a durable table. The on-disk descriptor decides the shape:
-  /// options.shards / options.partition are ignored in favor of what was
-  /// created (a directory without a TABLE descriptor opens as a plain
-  /// 1-shard column). Recovery runs per shard — journal replay and view
-  /// restoration are each shard's own — so a kill between per-shard
-  /// checkpoints reopens every shard at its own consistent point.
-  /// Error contract: NotFound when `dir` holds no table; IoError on a
-  /// corrupt descriptor; FailedPrecondition when any shard is open
-  /// elsewhere.
+  /// Reopens a durable table: journal replay and view restoration.
+  /// Error contract: InvalidArgument when options.shards != 1; NotFound
+  /// when `dir` holds no table (no MANIFEST); IoError on a corrupt
+  /// directory; FailedPrecondition when it is open elsewhere.
   static StatusOr<std::unique_ptr<Table>> Open(const std::string& dir,
                                                const DbOptions& options);
 };

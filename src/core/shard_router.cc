@@ -1,33 +1,14 @@
 #include "core/shard_router.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
+#include <string>
 #include <utility>
 
 #include "exec/thread_pool.h"
-#include "storage/storage_io.h"
 
 namespace vmsv {
 
 namespace {
-
-constexpr char kDescriptorName[] = "TABLE";
-constexpr char kDescriptorMagic[] = "vmsv-table";
-constexpr int kDescriptorVersion = 1;
-
-std::string ShardDirName(const std::string& dir, uint32_t s) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "shard-%03u", s);
-  return dir + "/" + buf;
-}
 
 /// The structurally most significant outcome wins the merged decision: a
 /// fan-out that adapted any shard's pool reports the adaptation, one that
@@ -62,16 +43,31 @@ void MergeExec(QueryExecution* total, const QueryExecution& part) {
   total->stats.decision = MergeDecision(total->stats.decision, part.stats.decision);
 }
 
-Status MkdirIfMissing(const std::string& dir) {
-  if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    return ErrnoError(("mkdir " + dir).c_str(), errno);
+/// Runs fn(s) -> StatusOr<T> for every shard s in `targets` as one job on
+/// the global ThreadPool and waits (the caller works too). Returns the
+/// results in target order, or the first failed target's status.
+template <typename T, typename Fn>
+StatusOr<std::vector<T>> FanOut(const std::vector<uint32_t>& targets,
+                                const Fn& fn) {
+  std::vector<T> results(targets.size());
+  if (targets.empty()) return results;
+  std::vector<Status> statuses(targets.size(), OkStatus());
+  ThreadPool::Global().Run(
+      targets.size(),
+      static_cast<unsigned>(
+          std::min<size_t>(targets.size(), DefaultScanThreads())),
+      [&](uint64_t i) {
+        StatusOr<T> r = fn(targets[i]);
+        if (r.ok()) {
+          results[i] = *std::move(r);
+        } else {
+          statuses[i] = r.status();
+        }
+      });
+  for (const Status& st : statuses) {
+    if (!st.ok()) return st;
   }
-  return OkStatus();
-}
-
-bool FileExists(const std::string& path) {
-  struct stat st;
-  return ::stat(path.c_str(), &st) == 0;
+  return results;
 }
 
 }  // namespace
@@ -85,11 +81,8 @@ uint64_t PartitionSpec::TotalPages() const {
 
 uint32_t PartitionSpec::ShardOfPage(uint64_t page) const {
   if (shards <= 1) return 0;
+  // The first `rem` shards own base+1 pages, the rest own base.
   const uint64_t pages = TotalPages();
-  if (kind == PartitionKind::kHash) {
-    return static_cast<uint32_t>(page % shards);
-  }
-  // kRange: the first `rem` shards own base+1 pages, the rest own base.
   const uint64_t base = pages / shards;
   const uint64_t rem = pages % shards;
   const uint64_t wide_pages = rem * (base + 1);
@@ -126,128 +119,20 @@ uint64_t PartitionSpec::ShardRows(uint32_t s) const {
 
 uint64_t PartitionSpec::GlobalPage(uint32_t s, uint64_t lp) const {
   if (shards <= 1) return lp;
-  if (kind == PartitionKind::kHash) {
-    return lp * shards + s;
-  }
   const uint64_t pages = TotalPages();
   const uint64_t base = pages / shards;
   const uint64_t rem = pages % shards;
-  const uint64_t offset =
-      static_cast<uint64_t>(s) * base + (s < rem ? s : rem);
-  return offset + lp;
+  return static_cast<uint64_t>(s) * base + std::min<uint64_t>(s, rem) + lp;
 }
 
 uint64_t PartitionSpec::LocalRow(uint64_t row) const {
   const uint64_t page = row / kValuesPerPage;
-  const uint32_t s = ShardOfPage(page);
-  uint64_t local_page;
-  if (shards <= 1) {
-    local_page = page;
-  } else if (kind == PartitionKind::kHash) {
-    local_page = page / shards;
-  } else {
-    const uint64_t pages = TotalPages();
-    const uint64_t base = pages / shards;
-    const uint64_t rem = pages % shards;
-    const uint64_t offset =
-        static_cast<uint64_t>(s) * base + (s < rem ? s : rem);
-    local_page = page - offset;
-  }
+  const uint64_t local_page = page - GlobalPage(ShardOfPage(page), 0);
   return local_page * kValuesPerPage + row % kValuesPerPage;
 }
 
 // ---------------------------------------------------------------------------
-// TABLE descriptor
-
-const char* PartitionKindName(PartitionKind kind) {
-  switch (kind) {
-    case PartitionKind::kRange: return "range";
-    case PartitionKind::kHash: return "hash";
-  }
-  return "unknown";
-}
-
-PartitionKind PartitionKindFromString(const std::string& name) {
-  if (name == "hash") return PartitionKind::kHash;
-  return PartitionKind::kRange;
-}
-
-Status WriteTableDescriptor(const std::string& dir, const PartitionSpec& spec,
-                            StorageIo* io) {
-  if (io == nullptr) io = RealStorageIo();
-  std::ostringstream text;
-  text << kDescriptorMagic << " " << kDescriptorVersion << "\n"
-       << "shards " << spec.shards << "\n"
-       << "partition " << PartitionKindName(spec.kind) << "\n"
-       << "rows " << spec.num_rows << "\n";
-  const std::string body = text.str();
-  const std::string final_path = dir + "/" + kDescriptorName;
-  const std::string tmp_path = final_path + ".tmp";
-  const int fd = ::open(tmp_path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-  if (fd < 0) return ErrnoError(("open " + tmp_path).c_str(), errno);
-  Status st = io->Write(fd, body.data(), body.size(), "table descriptor");
-  if (st.ok()) st = io->Fsync(fd, "table descriptor");
-  ::close(fd);
-  if (!st.ok()) return st;
-  st = io->Rename(tmp_path, final_path);
-  if (!st.ok()) return st;
-  return io->FsyncDir(dir);
-}
-
-StatusOr<PartitionSpec> ReadTableDescriptor(const std::string& dir) {
-  const std::string path = dir + "/" + kDescriptorName;
-  std::ifstream in(path);
-  if (!in.is_open()) {
-    return NotFound("no table descriptor at " + path);
-  }
-  std::string magic;
-  int version = 0;
-  if (!(in >> magic >> version) || magic != kDescriptorMagic ||
-      version != kDescriptorVersion) {
-    return IoError("malformed table descriptor at " + path);
-  }
-  PartitionSpec spec;
-  bool have_shards = false, have_partition = false, have_rows = false;
-  std::string key;
-  while (in >> key) {
-    if (key == "shards") {
-      if (!(in >> spec.shards)) break;
-      have_shards = true;
-    } else if (key == "partition") {
-      std::string kind;
-      if (!(in >> kind)) break;
-      spec.kind = PartitionKindFromString(kind);
-      have_partition = true;
-    } else if (key == "rows") {
-      if (!(in >> spec.num_rows)) break;
-      have_rows = true;
-    } else {
-      // Unknown keys are skipped with their value: future descriptor
-      // versions may add fields old readers can ignore.
-      std::string skipped;
-      in >> skipped;
-    }
-  }
-  if (!have_shards || !have_partition || !have_rows || spec.shards == 0) {
-    return IoError("incomplete table descriptor at " + path);
-  }
-  return spec;
-}
-
-// ---------------------------------------------------------------------------
 // ShardedTable construction
-
-void ShardedTable::RecomputeZone(uint32_t s) {
-  Shard& shard = *shards_[s];
-  const PageZone zone = shard.column->ZoneFold();
-  if (zone.min > zone.max) {  // no pages: the shard matches nothing
-    shard.zone_set.store(false, std::memory_order_release);
-    return;
-  }
-  shard.zone_lo.store(zone.min, std::memory_order_relaxed);
-  shard.zone_hi.store(zone.max, std::memory_order_relaxed);
-  shard.zone_set.store(true, std::memory_order_release);
-}
 
 void ShardedTable::WidenZone(Shard& shard, Value v) {
   // Racing widens are monotone in each direction, so relaxed CAS loops
@@ -265,6 +150,14 @@ void ShardedTable::WidenZone(Shard& shard, Value v) {
   Value hi = shard.zone_hi.load(std::memory_order_relaxed);
   while (v > hi &&
          !shard.zone_hi.compare_exchange_weak(hi, v, std::memory_order_relaxed)) {
+  }
+}
+
+void ShardedTable::WidenZoneToFold(Shard& shard) {
+  const PageZone zone = shard.column->ZoneFold();
+  if (zone.min <= zone.max) {  // no pages: nothing to cover
+    WidenZone(shard, zone.min);
+    WidenZone(shard, zone.max);
   }
 }
 
@@ -287,9 +180,8 @@ std::vector<uint32_t> ShardedTable::RouteShards(const RangeQuery& q) const {
 StatusOr<std::unique_ptr<Table>> ShardedTable::Create(
     uint64_t num_rows, const std::function<Value(uint64_t)>& value_of,
     const DbOptions& options) {
-  PartitionSpec spec{options.partition, options.shards, num_rows};
-  auto table = std::unique_ptr<ShardedTable>(
-      new ShardedTable(spec, /*durable=*/false));
+  const PartitionSpec spec{options.shards, num_rows};
+  auto table = std::unique_ptr<ShardedTable>(new ShardedTable(spec));
   for (uint32_t s = 0; s < spec.shards; ++s) {
     auto column = PhysicalColumn::Create(spec.ShardRows(s));
     if (!column.ok()) return column.status();
@@ -308,58 +200,8 @@ StatusOr<std::unique_ptr<Table>> ShardedTable::Create(
     if (!adaptive.ok()) return adaptive.status();
     auto shard = std::make_unique<Shard>();
     shard->column = *std::move(adaptive);
+    table->WidenZoneToFold(*shard);
     table->shards_.push_back(std::move(shard));
-    table->RecomputeZone(s);
-  }
-  return std::unique_ptr<Table>(std::move(table));
-}
-
-StatusOr<std::unique_ptr<Table>> ShardedTable::CreateDurable(
-    const std::string& dir, uint64_t num_rows, const DbOptions& options) {
-  PartitionSpec spec{options.partition, options.shards, num_rows};
-  Status st = MkdirIfMissing(dir);
-  if (!st.ok()) return st;
-  if (FileExists(dir + "/" + kDescriptorName)) {
-    return FailedPrecondition("directory " + dir +
-                              " already holds a table (Open it instead)");
-  }
-  auto table = std::unique_ptr<ShardedTable>(
-      new ShardedTable(spec, /*durable=*/true));
-  for (uint32_t s = 0; s < spec.shards; ++s) {
-    auto adaptive = AdaptiveColumn::CreateDurable(ShardDirName(dir, s),
-                                                  spec.ShardRows(s),
-                                                  options.column);
-    if (!adaptive.ok()) return adaptive.status();
-    auto shard = std::make_unique<Shard>();
-    shard->column = *std::move(adaptive);
-    table->shards_.push_back(std::move(shard));
-    table->RecomputeZone(s);
-  }
-  // The descriptor is the creation commit point: written (atomically) only
-  // after every shard directory exists, so a crash mid-create leaves a
-  // directory Open refuses rather than a half-table it half-opens.
-  st = WriteTableDescriptor(dir, spec, options.column.storage.io);
-  if (!st.ok()) return st;
-  return std::unique_ptr<Table>(std::move(table));
-}
-
-StatusOr<std::unique_ptr<Table>> ShardedTable::Open(
-    const std::string& dir, const PartitionSpec& spec,
-    const DbOptions& options) {
-  auto table = std::unique_ptr<ShardedTable>(
-      new ShardedTable(spec, /*durable=*/true));
-  for (uint32_t s = 0; s < spec.shards; ++s) {
-    auto adaptive =
-        AdaptiveColumn::Open(ShardDirName(dir, s), options.column);
-    if (!adaptive.ok()) return adaptive.status();
-    if ((*adaptive)->column().num_rows() != spec.ShardRows(s)) {
-      return IoError("shard " + std::to_string(s) + " of " + dir +
-                     " has wrong row count for its descriptor");
-    }
-    auto shard = std::make_unique<Shard>();
-    shard->column = *std::move(adaptive);
-    table->shards_.push_back(std::move(shard));
-    table->RecomputeZone(s);
   }
   return std::unique_ptr<Table>(std::move(table));
 }
@@ -367,60 +209,33 @@ StatusOr<std::unique_ptr<Table>> ShardedTable::Open(
 // ---------------------------------------------------------------------------
 // Query surface
 
-void ShardedTable::FanOut(size_t n_targets,
-                          const std::function<void(uint64_t)>& fn) {
-  ThreadPool::Global().Run(
-      n_targets,
-      static_cast<unsigned>(std::min<size_t>(n_targets, DefaultScanThreads())),
-      fn);
-}
-
 StatusOr<QueryExecution> ShardedTable::Execute(const RangeQuery& q) {
   if (q.lo > q.hi) return InvalidArgument("query lo > hi");
-  const std::vector<uint32_t> targets = RouteShards(q);
-  QueryExecution merged;
-  if (targets.empty()) return merged;  // provably zero matches
-  std::vector<QueryExecution> execs(targets.size());
-  std::vector<Status> statuses(targets.size(), OkStatus());
-  FanOut(targets.size(), [&](uint64_t i) {
-    auto r = shards_[targets[i]]->column->Execute(q);
-    if (r.ok()) {
-      execs[i] = *std::move(r);
-    } else {
-      statuses[i] = r.status();
-    }
+  auto execs = FanOut<QueryExecution>(RouteShards(q), [&](uint32_t s) {
+    return shards_[s]->column->Execute(q);
   });
-  for (const Status& st : statuses) {
-    if (!st.ok()) return st;
-  }
+  if (!execs.ok()) return execs.status();
   // Merge in shard order (targets ascend): associative adds keep the
-  // answer bit-identical to the unsharded oracle.
-  for (const QueryExecution& exec : execs) MergeExec(&merged, exec);
+  // answer bit-identical to the unsharded oracle. No target: provably zero
+  // matches.
+  QueryExecution merged;
+  for (const QueryExecution& exec : *execs) MergeExec(&merged, exec);
   return merged;
 }
 
 StatusOr<QueryExecution> ShardedTable::ExecuteFullScan(
     const RangeQuery& q) const {
-  if (q.lo > q.hi) return InvalidArgument("query lo > hi");
   // The baseline deliberately skips zone pruning: it scans every base
-  // page, like the unsharded baseline it is compared against.
+  // page, like the unsharded baseline it is compared against. Every shard
+  // checks q itself.
   std::vector<uint32_t> targets(shards_.size());
   for (uint32_t s = 0; s < shards_.size(); ++s) targets[s] = s;
-  std::vector<QueryExecution> execs(targets.size());
-  std::vector<Status> statuses(targets.size(), OkStatus());
-  FanOut(targets.size(), [&](uint64_t i) {
-    auto r = shards_[targets[i]]->column->ExecuteFullScan(q);
-    if (r.ok()) {
-      execs[i] = *std::move(r);
-    } else {
-      statuses[i] = r.status();
-    }
+  auto execs = FanOut<QueryExecution>(targets, [&](uint32_t s) {
+    return shards_[s]->column->ExecuteFullScan(q);
   });
-  for (const Status& st : statuses) {
-    if (!st.ok()) return st;
-  }
+  if (!execs.ok()) return execs.status();
   QueryExecution merged;
-  for (const QueryExecution& exec : execs) MergeExec(&merged, exec);
+  for (const QueryExecution& exec : *execs) MergeExec(&merged, exec);
   merged.stats.decision = CandidateDecision::kNone;
   return merged;
 }
@@ -430,10 +245,6 @@ StatusOr<BatchExecution> ShardedTable::ExecuteBatch(
   for (const RangeQuery& q : queries) {
     if (q.lo > q.hi) return InvalidArgument("query lo > hi");
   }
-  BatchExecution out;
-  out.queries.resize(queries.size());
-  if (queries.empty()) return out;
-
   // Per-shard sub-batches in batch order, with the member -> global index
   // mapping for the merge.
   std::vector<std::vector<RangeQuery>> sub(shards_.size());
@@ -450,27 +261,19 @@ StatusOr<BatchExecution> ShardedTable::ExecuteBatch(
   for (uint32_t s = 0; s < shards_.size(); ++s) {
     if (!sub[s].empty()) targets.push_back(s);
   }
-  if (targets.empty()) return out;  // every query provably matches nothing
-
-  std::vector<BatchExecution> partials(targets.size());
-  std::vector<Status> statuses(targets.size(), OkStatus());
-  FanOut(targets.size(), [&](uint64_t i) {
-    auto r = shards_[targets[i]]->column->ExecuteBatch(sub[targets[i]]);
-    if (r.ok()) {
-      partials[i] = *std::move(r);
-    } else {
-      statuses[i] = r.status();
-    }
+  auto partials = FanOut<BatchExecution>(targets, [&](uint32_t s) {
+    return shards_[s]->column->ExecuteBatch(sub[s]);
   });
-  for (const Status& st : statuses) {
-    if (!st.ok()) return st;
-  }
+  if (!partials.ok()) return partials.status();
 
   // Merge per query in shard order; batch-level accounting sums per-shard
   // totals (a query answered on k shards counts once per shard it ran on).
+  // A query no shard ran provably matches nothing.
+  BatchExecution out;
+  out.queries.resize(queries.size());
   for (size_t i = 0; i < targets.size(); ++i) {
     const uint32_t s = targets[i];
-    const BatchExecution& part = partials[i];
+    const BatchExecution& part = (*partials)[i];
     for (size_t m = 0; m < sub_index[s].size(); ++m) {
       MergeExec(&out.queries[sub_index[s][m]], part.queries[m]);
     }
@@ -515,14 +318,9 @@ Status ShardedTable::Checkpoint() {
   for (auto& shard : shards_) {
     Status st = shard->column->Checkpoint();
     if (!st.ok()) return st;
-    // Writes through mutable_column() reach routing here: widen the zone
-    // by the fold of the page zones. Widening only, so a racing Update's
-    // own widen is never lost.
-    const PageZone zone = shard->column->ZoneFold();
-    if (zone.min <= zone.max) {
-      WidenZone(*shard, zone.min);
-      WidenZone(*shard, zone.max);
-    }
+    // Writes through mutable_column() reach routing here. Widening only,
+    // so a racing Update's own widen is never lost.
+    WidenZoneToFold(*shard);
   }
   return OkStatus();
 }
@@ -559,26 +357,6 @@ CumulativeStats ShardedTable::Metrics() const {
     total.views_replaced += m.views_replaced;
     total.views_evicted += m.views_evicted;
     total.candidates_dropped += m.candidates_dropped;
-  }
-  return total;
-}
-
-DurabilityStats ShardedTable::Durability() const {
-  DurabilityStats total;
-  for (const auto& shard : shards_) {
-    const DurabilityStats d = shard->column->durability_stats();
-    total.journal_appends += d.journal_appends;
-    total.journal_replayed += d.journal_replayed;
-    total.journal_tail_truncated |= d.journal_tail_truncated;
-    total.manifest_writes += d.manifest_writes;
-    total.manifest_write_failures += d.manifest_write_failures;
-    total.manifest_delta_appends += d.manifest_delta_appends;
-    total.manifest_dirty |= d.manifest_dirty;
-    total.views_restored += d.views_restored;
-    total.open_recover_ms += d.open_recover_ms;
-    total.journal_appended_lsn += d.journal_appended_lsn;
-    total.journal_durable_lsn += d.journal_durable_lsn;
-    total.journal_group_commits += d.journal_group_commits;
   }
   return total;
 }

@@ -1,18 +1,18 @@
-// ShardedTable — shard-per-core scale-out for a logical column
+// ShardedTable — shard-per-core scale-out for an in-memory logical column
 // (ROADMAP "Shard-per-core scale-out + serving layer").
 //
 // A logical column of P pages is partitioned across N AdaptiveColumn
 // shards, each a complete engine of its own: its own maintenance mutex,
-// view pool, lifecycle manager, journal, and (when durable) persist
-// subdirectory — so adaptation, flushes, and arena release on one shard
-// never serialize the others. A query's per-shard work fans out as one job
-// on the engine's only executor, the global ThreadPool (exec/thread_pool.h);
-// each shard's own scans then run as jobs nested inside that one.
+// view pool and lifecycle manager — so adaptation, flushes, and arena
+// release on one shard never serialize the others. A query's per-shard
+// work fans out as one job on the engine's only executor, the global
+// ThreadPool (exec/thread_pool.h); each shard's own scans then run as jobs
+// nested inside that one. Sharded tables live in memory only: a durable
+// table is one plain column (Db::CreateDurable).
 //
-// PARTITIONING is by PAGE, not row: shard i owns either a balanced
-// contiguous page block (kRange) or every page p with p % N == i (kHash).
-// Page granularity is what makes sharded results BIT-IDENTICAL to an
-// unsharded oracle: the shards' pages are exactly a partition of the
+// PARTITIONING is by PAGE, not row: shard i owns a balanced contiguous
+// page block. Page granularity is what makes sharded results BIT-IDENTICAL
+// to an unsharded oracle: the shards' pages are exactly a partition of the
 // oracle's pages (including the single zero-filled tail page), so summing
 // per-shard match_count/sum in shard order — associative wrap-around
 // uint64 adds — reproduces the oracle's page-wise scan exactly. Updates
@@ -20,18 +20,11 @@
 //
 // QUERY FAN-OUT is pruned by per-shard VALUE ZONES: each shard keeps a
 // conservative [min, max] over every value in its pages, folded from the
-// column's page zones at create/open and only ever WIDENED — by updates,
-// and by Checkpoint to the fold of the page zones, which covers writes
-// made through a shard's mutable_column(). A
-// query visits just the shards whose zone intersects its predicate; skipped
-// shards provably contribute zero matches, so pruning never affects results.
-//
-// DURABLE LAYOUT: dir/TABLE (a small text descriptor: version, shard
-// count, partition kind, row count) plus dir/shard-000/ ... each holding a
-// self-contained durable column. Checkpoint iterates the shards; recovery
-// is per shard, so a kill between per-shard checkpoints reopens every
-// shard at its own journal-consistent point and the TABLE's contract
-// (acknowledged updates survive) still holds table-wide.
+// column's page zones at create and only ever WIDENED — by updates, and by
+// Checkpoint to the fold of the page zones, which covers writes made
+// through a shard's mutable_column(). A query visits just the shards whose
+// zone intersects its predicate; skipped shards provably contribute zero
+// matches, so pruning never affects results.
 
 #ifndef VMSV_CORE_SHARD_ROUTER_H_
 #define VMSV_CORE_SHARD_ROUTER_H_
@@ -40,7 +33,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/adaptive_layer.h"
@@ -50,11 +42,9 @@
 
 namespace vmsv {
 
-/// The page-to-shard assignment of one table. Pure arithmetic over
-/// (kind, shards, num_rows) — persisted in the TABLE descriptor, so every
-/// reopen routes identically.
+/// The page-to-shard assignment of one table: pure arithmetic over
+/// (shards, num_rows), so every call routes identically.
 struct PartitionSpec {
-  PartitionKind kind = PartitionKind::kRange;
   uint32_t shards = 1;
   uint64_t num_rows = 0;
 
@@ -76,16 +66,8 @@ struct PartitionSpec {
   uint64_t LocalRow(uint64_t row) const;
 };
 
-/// Writes `dir`/TABLE (atomic tmp+rename through `io`; null = real I/O).
-Status WriteTableDescriptor(const std::string& dir, const PartitionSpec& spec,
-                            StorageIo* io);
-
-/// Reads `dir`/TABLE. Error contract: NotFound when absent, IoError on a
-/// malformed descriptor.
-StatusOr<PartitionSpec> ReadTableDescriptor(const std::string& dir);
-
 /// \internal The sharded Table implementation behind vmsv::Db. Constructed
-/// through Db::Create/CreateDurable/Open only.
+/// through the row-generator Db::Create only.
 class ShardedTable : public Table {
  public:
   /// Builds an in-memory sharded table, filling global row r with
@@ -93,15 +75,6 @@ class ShardedTable : public Table {
   static StatusOr<std::unique_ptr<Table>> Create(
       uint64_t num_rows, const std::function<Value(uint64_t)>& value_of,
       const DbOptions& options);
-
-  /// Creates the durable layout (descriptor + shard subdirectories).
-  static StatusOr<std::unique_ptr<Table>> CreateDurable(
-      const std::string& dir, uint64_t num_rows, const DbOptions& options);
-
-  /// Reopens a durable sharded table from its descriptor.
-  static StatusOr<std::unique_ptr<Table>> Open(const std::string& dir,
-                                               const PartitionSpec& spec,
-                                               const DbOptions& options);
 
   StatusOr<QueryExecution> Execute(const RangeQuery& q) override;
   StatusOr<BatchExecution> ExecuteBatch(
@@ -112,17 +85,16 @@ class ShardedTable : public Table {
   Status Checkpoint() override;
   TableHealth Health() const override;
   CumulativeStats Metrics() const override;
-  DurabilityStats Durability() const override;
+  /// In-memory shards have no durability counters.
+  DurabilityStats Durability() const override { return {}; }
 
   uint64_t num_rows() const override { return spec_.num_rows; }
   uint64_t num_pages() const override { return spec_.TotalPages(); }
   uint32_t num_shards() const override {
     return static_cast<uint32_t>(shards_.size());
   }
-  bool is_durable() const override { return durable_; }
+  bool is_durable() const override { return false; }
   AdaptiveColumn* shard(uint32_t i) override { return shards_[i]->column.get(); }
-
-  const PartitionSpec& partition() const { return spec_; }
 
   /// Shards Execute(q) would visit, ascending — the zone-pruning decision
   /// exposed for routing-determinism tests.
@@ -140,25 +112,19 @@ class ShardedTable : public Table {
     std::atomic<bool> zone_set{false};
   };
 
-  ShardedTable(PartitionSpec spec, bool durable) : spec_(spec), durable_(durable) {}
-
-  /// Sets shard `s`'s value zone to the fold of its column's page zones
-  /// (AdaptiveColumn::ZoneFold; each covers its whole page, zero tail
-  /// included, matching what scans see). Create and open only.
-  void RecomputeZone(uint32_t s);
+  explicit ShardedTable(PartitionSpec spec) : spec_(spec) {}
 
   void WidenZone(Shard& shard, Value v);
 
+  /// Widens `shard`'s value zone by the fold of its column's page zones
+  /// (AdaptiveColumn::ZoneFold; each covers its whole page, zero tail
+  /// included, matching what scans see). A fresh shard's zone becomes
+  /// that fold.
+  void WidenZoneToFold(Shard& shard);
+
   bool ZoneIntersects(const Shard& shard, const RangeQuery& q) const;
 
-  /// Runs fn(position) for every position in [0, n_targets) as one job on
-  /// the global ThreadPool and waits (fn receives the POSITION within the
-  /// caller's target list, not the shard id). The caller works too.
-  static void FanOut(size_t n_targets,
-                     const std::function<void(uint64_t)>& fn);
-
   PartitionSpec spec_;
-  bool durable_ = false;
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 

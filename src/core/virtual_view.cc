@@ -369,13 +369,13 @@ struct BuildState {
 }  // namespace
 
 StatusOr<ViewBuildOutput> BuildViewAndAnswer(
-    const PhysicalColumn& column, Value lo, Value hi, const RangeQuery& query,
+    const PhysicalColumn& column, const RangeQuery& query,
     const ViewCreationOptions& options, BackgroundMapper* mapper,
     const ParallelScanOptions& scan_options) {
   if (options.background_mapping && mapper == nullptr) {
     return InvalidArgument("background_mapping requires a BackgroundMapper");
   }
-  auto view_r = VirtualView::CreateEmpty(column, lo, hi);
+  auto view_r = VirtualView::CreateEmpty(column, query.lo, query.hi);
   if (!view_r.ok()) return view_r.status();
   ViewBuildOutput out;
   out.view = std::move(view_r).ValueOrDie();
@@ -394,14 +394,12 @@ StatusOr<ViewBuildOutput> BuildViewAndAnswer(
     // right after the pass (§2.3). Lazy creation records the list only.
     VMSV_RETURN_IF_ERROR(out.view->EnsureMaterialized());
   }
-  const RangeQuery view_range{lo, hi};
-  const bool ranges_equal = view_range == query;
   const uint64_t num_pages = column.num_pages();
-  // A page whose zone misses the view range holds no value of it, nor of
-  // the query inside it: it is no member and adds {0, 0}, so it is not read.
+  // A page whose zone misses the range holds no value of it: it is no
+  // member and adds {0, 0}, so it is not read.
   const PageZone* zones = column.zones();
-  // One data pass (filter + membership probe), sharded across the scan pool
-  // and inline for one shard, collects each shard's ascending qualifying
+  // One data pass, sharded across the scan pool and inline for one shard,
+  // answers the query and collects each shard's ascending qualifying
   // pages; their concatenation in shard order is the view's page list, so
   // view page order — and with it run coalescing and every result — is the
   // same for any thread count.
@@ -415,19 +413,14 @@ StatusOr<ViewBuildOutput> BuildViewAndAnswer(
                                    uint64_t end) {
     ShardScan& s = per_shard[shard];
     for (uint64_t page = begin; page < end; ++page) {
-      if (!zones[page].Intersects(view_range)) continue;
-      const Value* data = column.PageData(page);
-      // One vectorized filter pass answers the query; on the adaptive path
-      // the candidate range IS the query range, so the same pass also
-      // decides page membership and creation rides on the answering scan
-      // for free. A wider view range needs a qualification probe only when
-      // the query found nothing on the page.
-      const PageScanResult r = ScanPage(data, kValuesPerPage, query);
+      if (!zones[page].Intersects(query)) continue;
+      // One vectorized filter pass answers the query and, since the view
+      // range IS the query range, decides page membership too: creation
+      // rides on the answering scan for free.
+      const PageScanResult r =
+          ScanPage(column.PageData(page), kValuesPerPage, query);
       s.result.Merge(r);
-      const bool qualifies =
-          r.match_count > 0 ||
-          (!ranges_equal && PageContainsAny(data, kValuesPerPage, view_range));
-      if (qualifies) s.qualifying.push_back(page);
+      if (r.match_count > 0) s.qualifying.push_back(page);
     }
   });
   for (const ShardScan& s : per_shard) out.query_result.Merge(s.result);
@@ -466,8 +459,8 @@ StatusOr<std::unique_ptr<VirtualView>> BuildViewByScan(
     const PhysicalColumn& column, Value lo, Value hi,
     const ViewCreationOptions& options, BackgroundMapper* mapper,
     const ParallelScanOptions& scan_options) {
-  auto out = BuildViewAndAnswer(column, lo, hi, RangeQuery{lo, hi}, options,
-                                mapper, scan_options);
+  auto out = BuildViewAndAnswer(column, RangeQuery{lo, hi}, options, mapper,
+                                scan_options);
   if (!out.ok()) return out.status();
   return std::move(out->view);
 }

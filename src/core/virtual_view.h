@@ -450,16 +450,16 @@ StatusOr<std::unique_ptr<VirtualView>> BuildViewByScan(
     const ViewCreationOptions& options = {}, BackgroundMapper* mapper = nullptr,
     const ParallelScanOptions& scan_options = {});
 
-/// Same scan, but additionally returns the filtered result of `query` from
-/// the single pass (used by the adaptive layer: answer + candidate in one
-/// scan). `query` must be covered by [lo, hi].
+/// Same scan for the view of `query`'s range, but additionally returns
+/// the query's filtered result from the single pass (used by the adaptive
+/// layer: answer + candidate in one scan).
 struct ViewBuildOutput {
   std::unique_ptr<VirtualView> view;
   PageScanResult query_result;
   uint64_t scanned_pages = 0;
 };
 StatusOr<ViewBuildOutput> BuildViewAndAnswer(
-    const PhysicalColumn& column, Value lo, Value hi, const RangeQuery& query,
+    const PhysicalColumn& column, const RangeQuery& query,
     const ViewCreationOptions& options, BackgroundMapper* mapper,
     const ParallelScanOptions& scan_options = {});
 

@@ -51,14 +51,6 @@ enum class FlushPolicy {
   kSync,
 };
 
-/// "none" / "async" / "sync" (case-sensitive); anything else maps to kSync,
-/// the conservative default.
-inline FlushPolicy FlushPolicyFromString(const std::string& name) {
-  if (name == "none") return FlushPolicy::kNone;
-  if (name == "async") return FlushPolicy::kAsync;
-  return FlushPolicy::kSync;
-}
-
 inline const char* FlushPolicyName(FlushPolicy policy) {
   switch (policy) {
     case FlushPolicy::kNone: return "none";

@@ -1,7 +1,7 @@
 // StorageIo — the seam between the durability writers (journal, manifest,
 // data-file writeback) and the operating system. Every syscall that decides
 // whether a byte survives a crash — write/pwrite, fdatasync, directory
-// fsync, rename, truncate, sync_file_range — goes through this interface,
+// fsync, truncate, sync_file_range — goes through this interface,
 // so a test can interpose on the EXACT operation stream a real column
 // produces instead of approximating it with process kills.
 //
@@ -51,7 +51,8 @@ class StorageIo {
   /// fsync of the directory itself — makes renames/creates in it durable.
   virtual Status FsyncDir(const std::string& dir) = 0;
 
-  /// rename(2) — the atomic-replace step of the manifest protocol.
+  /// rename(2). No engine path calls it; the seam keeps it so a tracing or
+  /// injecting StorageIo covers every storage call.
   virtual Status Rename(const std::string& from, const std::string& to) = 0;
 
   /// ftruncate(2) — journal reset / torn-tail rewind.

@@ -1,12 +1,11 @@
-// Lightweight sample statistics and a fixed-bucket histogram for benchmark
-// reporting (mean / min / max / percentiles over repetition timings).
+// Lightweight sample statistics for benchmark reporting (mean / min / max /
+// percentiles over repetition timings).
 
 #ifndef VMSV_UTIL_HISTOGRAM_H_
 #define VMSV_UTIL_HISTOGRAM_H_
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <vector>
 
 namespace vmsv {
@@ -74,36 +73,6 @@ class SampleStats {
 
   std::vector<double> samples_;
   bool sorted_ = false;
-};
-
-/// Fixed-width bucket histogram over [lo, hi); out-of-range samples clamp to
-/// the edge buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, size_t buckets)
-      : lo_(lo),
-        width_((hi - lo) / static_cast<double>(buckets == 0 ? 1 : buckets)),
-        counts_(buckets == 0 ? 1 : buckets, 0) {}
-
-  void Add(double sample) {
-    ++total_;
-    if (width_ <= 0) return;
-    double idx = (sample - lo_) / width_;
-    if (idx < 0) idx = 0;
-    size_t bucket = static_cast<size_t>(idx);
-    if (bucket >= counts_.size()) bucket = counts_.size() - 1;
-    ++counts_[bucket];
-  }
-
-  uint64_t bucket_count(size_t i) const { return counts_[i]; }
-  size_t num_buckets() const { return counts_.size(); }
-  uint64_t total() const { return total_; }
-
- private:
-  double lo_;
-  double width_;
-  std::vector<uint64_t> counts_;
-  uint64_t total_ = 0;
 };
 
 }  // namespace vmsv

@@ -2,15 +2,13 @@
 //
 //   * PartitionSpec arithmetic (page partition is exact, tail page last);
 //   * BIT-IDENTITY: sharded scans, batches, and updates produce exactly the
-//     match_count/sum an unsharded oracle produces, for every partition
-//     kind and shard count, under seeded query/update/flush interleavings;
-//   * durable restart round-trips, including a simulated kill between
-//     per-shard checkpoints (some shards recover from their manifest,
-//     others replay their journal — the table-wide answer is unchanged);
+//     match_count/sum an unsharded oracle produces, for every shard count,
+//     under seeded query/update/flush interleavings;
 //   * routing determinism and zone-pruning soundness (a skipped shard
 //     provably holds no match), including writes made through a shard's
 //     mutable_column() once Checkpoint folds them into the routing zone;
-//   * TABLE descriptor round-trip, forward compatibility, error contract;
+//   * durable tables are one plain column: a sharded CreateDurable or Open
+//     is refused before the filesystem is touched;
 //   * the batch cover-routing fix: ExecuteBatch consults the same
 //     cost-based multi-view cover path as Execute (regression pins the
 //     page accounting);
@@ -19,9 +17,9 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,8 +41,8 @@ constexpr uint64_t kRows = kPages * kValuesPerPage;
 /// low bits varied); modulo keeps the domain queryable.
 Value MixValue(uint64_t row) { return (row * 2654435761ull) % 1'000'000; }
 
-/// Identity data: value == row. Gives kRange shards DISJOINT value zones,
-/// which the routing tests rely on.
+/// Identity data: value == row. Gives the range shards DISJOINT value
+/// zones, which the routing tests rely on.
 Value IdentityValue(uint64_t row) { return row; }
 
 AdaptiveConfig MultiViewConfig() {
@@ -54,11 +52,10 @@ AdaptiveConfig MultiViewConfig() {
   return config;
 }
 
-DbOptions ShardedOptions(uint32_t shards, PartitionKind kind) {
+DbOptions ShardedOptions(uint32_t shards) {
   DbOptions options;
   options.column = MultiViewConfig();
   options.shards = shards;
-  options.partition = kind;
   return options;
 }
 
@@ -71,10 +68,8 @@ void ExpectSameAnswer(const QueryExecution& got, const QueryExecution& want,
 // ---------------------------------------------------------------------------
 // PartitionSpec arithmetic
 
-void CheckPartitionArithmetic(PartitionKind kind, uint32_t shards,
-                              uint64_t num_rows) {
+void CheckPartitionArithmetic(uint32_t shards, uint64_t num_rows) {
   PartitionSpec spec;
-  spec.kind = kind;
   spec.shards = shards;
   spec.num_rows = num_rows;
 
@@ -129,17 +124,9 @@ void CheckPartitionArithmetic(PartitionKind kind, uint32_t shards,
 }
 
 TEST(PartitionSpec, RangeArithmetic) {
-  CheckPartitionArithmetic(PartitionKind::kRange, 4,
-                           10 * kValuesPerPage - 100);
-  CheckPartitionArithmetic(PartitionKind::kRange, 3, 7 * kValuesPerPage);
-  CheckPartitionArithmetic(PartitionKind::kRange, 1, kRows);
-}
-
-TEST(PartitionSpec, HashArithmetic) {
-  CheckPartitionArithmetic(PartitionKind::kHash, 4,
-                           10 * kValuesPerPage - 100);
-  CheckPartitionArithmetic(PartitionKind::kHash, 3, 7 * kValuesPerPage);
-  CheckPartitionArithmetic(PartitionKind::kHash, 5, 5 * kValuesPerPage + 1);
+  CheckPartitionArithmetic(4, 10 * kValuesPerPage - 100);
+  CheckPartitionArithmetic(3, 7 * kValuesPerPage);
+  CheckPartitionArithmetic(1, kRows);
 }
 
 // ---------------------------------------------------------------------------
@@ -147,11 +134,10 @@ TEST(PartitionSpec, HashArithmetic) {
 
 /// Drives the same seeded query/update/flush interleaving into `table` and
 /// a 1-shard oracle and requires every answer to be bit-identical.
-void RunOracleInterleaving(PartitionKind kind, uint32_t shards,
-                           uint64_t seed) {
+void RunOracleInterleaving(uint32_t shards, uint64_t seed) {
   auto oracle_r = Db::Create(kRows, MixValue, DbOptions{MultiViewConfig()});
   ASSERT_TRUE(oracle_r.ok()) << oracle_r.status().message();
-  auto sharded_r = Db::Create(kRows, MixValue, ShardedOptions(shards, kind));
+  auto sharded_r = Db::Create(kRows, MixValue, ShardedOptions(shards));
   ASSERT_TRUE(sharded_r.ok()) << sharded_r.status().message();
   auto oracle = *std::move(oracle_r);
   auto sharded = *std::move(sharded_r);
@@ -214,25 +200,18 @@ void RunOracleInterleaving(PartitionKind kind, uint32_t shards,
 }
 
 TEST(ShardedTable, RangeBitIdentity) {
-  RunOracleInterleaving(PartitionKind::kRange, 2, 17);
-  RunOracleInterleaving(PartitionKind::kRange, 4, 18);
-  RunOracleInterleaving(PartitionKind::kRange, 8, 19);
-}
-
-TEST(ShardedTable, HashBitIdentity) {
-  RunOracleInterleaving(PartitionKind::kHash, 2, 27);
-  RunOracleInterleaving(PartitionKind::kHash, 4, 28);
-  RunOracleInterleaving(PartitionKind::kHash, 8, 29);
+  RunOracleInterleaving(2, 17);
+  RunOracleInterleaving(4, 18);
+  RunOracleInterleaving(8, 19);
 }
 
 TEST(ShardedTable, TailPageBitIdentity) {
   // A partial tail page is the historically fragile case: the sharded scan
   // must see the same zero-filled tail the oracle does.
   const uint64_t rows = 5 * kValuesPerPage - 77;
-  for (const PartitionKind kind :
-       {PartitionKind::kRange, PartitionKind::kHash}) {
+  {
     auto oracle = *Db::Create(rows, MixValue, {});
-    auto sharded = *Db::Create(rows, MixValue, ShardedOptions(3, kind));
+    auto sharded = *Db::Create(rows, MixValue, ShardedOptions(3));
     // Zero is IN-domain for the tail page — both sides must count the
     // zero-filled slack identically.
     const std::vector<RangeQuery> tail_queries = {
@@ -254,12 +233,11 @@ TEST(ShardedTable, TailPageBitIdentity) {
     }
   }
 
-  // Zone-filtered scans on 4 range shards. Identity data gives each page a
-  // narrow zone, so view hits, candidate builds and base passes skip pages;
-  // the last shard's tail page must keep its zeros inside its zone.
+  // Zone-filtered scans on 4 shards. Identity data gives each page a narrow
+  // zone, so view hits, candidate builds and base passes skip pages; the
+  // last shard's tail page must keep its zeros inside its zone.
   auto oracle = *Db::Create(rows, IdentityValue, {});
-  auto sharded = *Db::Create(rows, IdentityValue,
-                             ShardedOptions(4, PartitionKind::kRange));
+  auto sharded = *Db::Create(rows, IdentityValue, ShardedOptions(4));
   ASSERT_EQ(sharded->num_shards(), 4u);
   for (uint32_t s = 0; s < 4; ++s) {
     const PhysicalColumn& column = sharded->shard(s)->column();
@@ -292,20 +270,26 @@ TEST(ShardedTable, TailPageBitIdentity) {
   EXPECT_TRUE(sharded->shard(0)->view_index().views().front()->ContainsPage(0));
 }
 
+// Fails while a 1-shard ExecuteFullScan accepted lo > hi, which the 4-shard
+// table refused.
 TEST(ShardedTable, InvalidArgumentsMatchContract) {
-  auto table = *Db::Create(kRows, MixValue,
-                           ShardedOptions(4, PartitionKind::kRange));
-  EXPECT_EQ(table->Execute({10, 5}).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(table->ExecuteBatch({{0, 1}, {10, 5}}).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(table->Update(kRows, 1).code(), StatusCode::kInvalidArgument);
+  for (const uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE(shards);
+    auto table = *Db::Create(kRows, MixValue, ShardedOptions(shards));
+    ASSERT_EQ(table->num_shards(), shards);
+    EXPECT_EQ(table->Execute({10, 5}).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(table->ExecuteBatch({{0, 1}, {10, 5}}).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(table->ExecuteFullScan({10, 5}).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(table->Update(kRows, 1).code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(ShardedTable, ShardCountClampsToPages) {
   // Every shard owns at least one page: 2 pages cap 8 requested shards at 2.
-  auto table = *Db::Create(2 * kValuesPerPage, MixValue,
-                           ShardedOptions(8, PartitionKind::kRange));
+  auto table = *Db::Create(2 * kValuesPerPage, MixValue, ShardedOptions(8));
   EXPECT_EQ(table->num_shards(), 2u);
   auto exec = table->Execute({0, ~Value{0}});
   ASSERT_TRUE(exec.ok());
@@ -316,11 +300,10 @@ TEST(ShardedTable, ShardCountClampsToPages) {
 // Routing determinism and zone pruning
 
 TEST(ShardedTable, RouteShardsIsDeterministicAndSound) {
-  // Identity data + kRange gives disjoint per-shard zones: shard s owns
-  // rows [s*4096/4 .. ) with value == row.
+  // Identity data gives disjoint per-shard zones: shard s owns rows
+  // [s*4096/4 .. ) with value == row.
   const uint64_t rows = 8 * kValuesPerPage;
-  auto table_r = Db::Create(rows, IdentityValue,
-                            ShardedOptions(4, PartitionKind::kRange));
+  auto table_r = Db::Create(rows, IdentityValue, ShardedOptions(4));
   ASSERT_TRUE(table_r.ok());
   auto table = *std::move(table_r);
   auto* sharded = dynamic_cast<ShardedTable*>(table.get());
@@ -370,8 +353,7 @@ TEST(ShardedTable, ExecuteFullScanVisitsEveryShard) {
   // The non-adaptive baseline deliberately skips zone pruning: it is the
   // ground truth the pruned path is checked against.
   const uint64_t rows = 4 * kValuesPerPage;
-  auto table = *Db::Create(rows, IdentityValue,
-                           ShardedOptions(4, PartitionKind::kRange));
+  auto table = *Db::Create(rows, IdentityValue, ShardedOptions(4));
   auto full = table->ExecuteFullScan({0, 50});
   ASSERT_TRUE(full.ok());
   EXPECT_EQ(full->match_count, 51u);
@@ -382,8 +364,7 @@ TEST(ShardedTable, ExecuteFullScanVisitsEveryShard) {
 // Health and metrics
 
 TEST(ShardedTable, HealthAndMetricsAggregateAcrossShards) {
-  auto table = *Db::Create(kRows, MixValue,
-                           ShardedOptions(4, PartitionKind::kHash));
+  auto table = *Db::Create(kRows, MixValue, ShardedOptions(4));
   ASSERT_TRUE(table->Execute({0, ~Value{0}}).ok());
   const TableHealth health = table->Health();
   EXPECT_EQ(health.shards.size(), 4u);
@@ -398,156 +379,7 @@ TEST(ShardedTable, HealthAndMetricsAggregateAcrossShards) {
 }
 
 // ---------------------------------------------------------------------------
-// Durable layout: descriptor, restart, kill between shard checkpoints
-
-TEST(TableDescriptor, RoundTripAndForwardCompat) {
-  ScopedTempDir scratch("shard_descriptor");
-  PartitionSpec spec;
-  spec.kind = PartitionKind::kHash;
-  spec.shards = 5;
-  spec.num_rows = 12345;
-  ASSERT_TRUE(WriteTableDescriptor(scratch.path(), spec, nullptr).ok());
-
-  auto read = ReadTableDescriptor(scratch.path());
-  ASSERT_TRUE(read.ok()) << read.status().message();
-  EXPECT_EQ(read->kind, PartitionKind::kHash);
-  EXPECT_EQ(read->shards, 5u);
-  EXPECT_EQ(read->num_rows, 12345u);
-
-  // Unknown keys from a future writer are skipped, not fatal.
-  {
-    std::ofstream out(scratch.path() + "/TABLE", std::ios::app);
-    out << "future some-extension 7\n";
-  }
-  auto forward = ReadTableDescriptor(scratch.path());
-  ASSERT_TRUE(forward.ok()) << forward.status().message();
-  EXPECT_EQ(forward->shards, 5u);
-}
-
-TEST(TableDescriptor, ErrorContract) {
-  ScopedTempDir scratch("shard_descriptor_err");
-  EXPECT_EQ(ReadTableDescriptor(scratch.path()).status().code(),
-            StatusCode::kNotFound);
-  {
-    std::ofstream out(scratch.path() + "/TABLE");
-    out << "not-a-table 9\n";
-  }
-  EXPECT_EQ(ReadTableDescriptor(scratch.path()).status().code(),
-            StatusCode::kIoError);
-}
-
-/// Applies `count` seeded updates to `table`, mirroring them into
-/// `expected` (global row -> value).
-void ApplySeededUpdates(Table* table, std::vector<Value>* expected,
-                        uint64_t seed, int count) {
-  std::mt19937_64 rng(seed);
-  for (int i = 0; i < count; ++i) {
-    const uint64_t row = rng() % expected->size();
-    const Value v = 1 + rng() % 1'000'000;
-    ASSERT_TRUE(table->Update(row, v).ok());
-    (*expected)[row] = v;
-  }
-}
-
-/// Every cell of the reopened table must equal the mirror — checked through
-/// the partition arithmetic, so a routing bug cannot hide a storage bug.
-void ExpectCellsMatch(Table* table, const std::vector<Value>& expected) {
-  auto* sharded = dynamic_cast<ShardedTable*>(table);
-  ASSERT_NE(sharded, nullptr);
-  const PartitionSpec& spec = sharded->partition();
-  for (uint64_t row = 0; row < expected.size(); ++row) {
-    const uint32_t s = spec.ShardOfRow(row);
-    const Value got = table->shard(s)->column().Get(spec.LocalRow(row));
-    ASSERT_EQ(got, expected[row]) << "row " << row << " on shard " << s;
-  }
-}
-
-TEST(ShardedTableDurable, RestartRoundTrip) {
-  ScopedTempDir scratch("sharded_restart");
-  const uint64_t rows = 6 * kValuesPerPage;
-  std::vector<Value> expected(rows, 0);  // durable tables start zeroed
-  DbOptions options = ShardedOptions(3, PartitionKind::kRange);
-
-  {
-    auto table_r = Db::CreateDurable(scratch.path(), rows, options);
-    ASSERT_TRUE(table_r.ok()) << table_r.status().message();
-    auto table = *std::move(table_r);
-    ASSERT_TRUE(table->is_durable());
-    ASSERT_EQ(table->num_shards(), 3u);
-
-    // Script A survives via the checkpoint; script B only via the
-    // per-shard journals.
-    ApplySeededUpdates(table.get(), &expected, 101, 200);
-    ASSERT_TRUE(table->FlushUpdates().ok());
-    ASSERT_TRUE(table->Checkpoint().ok());
-    ApplySeededUpdates(table.get(), &expected, 102, 100);
-    ASSERT_TRUE(table->FlushUpdates().ok());
-  }
-
-  auto reopened_r = Db::Open(scratch.path(), options);
-  ASSERT_TRUE(reopened_r.ok()) << reopened_r.status().message();
-  auto reopened = *std::move(reopened_r);
-  EXPECT_EQ(reopened->num_shards(), 3u);
-  EXPECT_EQ(reopened->num_rows(), rows);
-  EXPECT_TRUE(reopened->is_durable());
-  ExpectCellsMatch(reopened.get(), expected);
-
-  // And the query surface agrees with a fresh in-memory oracle over the
-  // recovered cells.
-  auto oracle = *Db::Create(
-      rows, [&expected](uint64_t r) { return expected[r]; }, {});
-  for (const RangeQuery q :
-       {RangeQuery{0, 0}, RangeQuery{1, 500'000}, RangeQuery{0, ~Value{0}}}) {
-    auto want = oracle->Execute(q);
-    auto got = reopened->Execute(q);
-    ASSERT_TRUE(want.ok() && got.ok());
-    ExpectSameAnswer(*got, *want, "reopened query");
-  }
-}
-
-TEST(ShardedTableDurable, KillBetweenPerShardCheckpoints) {
-  ScopedTempDir scratch("sharded_partial_ckpt");
-  const uint64_t rows = 6 * kValuesPerPage;
-  std::vector<Value> expected(rows, 0);
-  DbOptions options = ShardedOptions(3, PartitionKind::kHash);
-
-  {
-    auto table = *Db::CreateDurable(scratch.path(), rows, options);
-    ApplySeededUpdates(table.get(), &expected, 201, 150);
-    ASSERT_TRUE(table->FlushUpdates().ok());
-    ASSERT_TRUE(table->Checkpoint().ok());
-
-    ApplySeededUpdates(table.get(), &expected, 202, 150);
-    ASSERT_TRUE(table->FlushUpdates().ok());
-    // Simulate dying between per-shard checkpoints: only shard 0 snapshots
-    // its manifest; shards 1 and 2 must recover the same updates from
-    // their journals on reopen.
-    ASSERT_TRUE(table->shard(0)->Checkpoint().ok());
-  }
-
-  auto reopened = *Db::Open(scratch.path(), options);
-  ASSERT_EQ(reopened->num_shards(), 3u);
-  ExpectCellsMatch(reopened.get(), expected);
-}
-
-TEST(ShardedTableDurable, OpenUsesDescriptorNotOptions) {
-  ScopedTempDir scratch("sharded_open_desc");
-  const uint64_t rows = 4 * kValuesPerPage;
-  {
-    auto table = *Db::CreateDurable(scratch.path(), rows,
-                                    ShardedOptions(4, PartitionKind::kRange));
-    ASSERT_EQ(table->num_shards(), 4u);
-    ASSERT_TRUE(table->Checkpoint().ok());
-  }
-  // The caller's shard/partition fields are ignored on open: the on-disk
-  // descriptor is authoritative, so every reopen routes identically.
-  auto reopened = *Db::Open(scratch.path(),
-                            ShardedOptions(2, PartitionKind::kHash));
-  EXPECT_EQ(reopened->num_shards(), 4u);
-  auto* sharded = dynamic_cast<ShardedTable*>(reopened.get());
-  ASSERT_NE(sharded, nullptr);
-  EXPECT_EQ(sharded->partition().kind, PartitionKind::kRange);
-}
+// Durable tables are one plain column
 
 TEST(ShardedTableDurable, UnshardedLayoutStaysPlain) {
   ScopedTempDir scratch("sharded_plain");
@@ -558,11 +390,16 @@ TEST(ShardedTableDurable, UnshardedLayoutStaysPlain) {
     ASSERT_TRUE(table->Update(3, 99).ok());
     ASSERT_TRUE(table->Checkpoint().ok());
   }
-  // 1-shard durable tables write the pre-facade layout: no TABLE
-  // descriptor, no shard subdirectory — old directories and tools keep
-  // working, and Db::Open falls back to the plain column path.
-  EXPECT_FALSE(std::filesystem::exists(scratch.path() + "/TABLE"));
-  EXPECT_FALSE(std::filesystem::exists(scratch.path() + "/shard-000"));
+  // A durable table writes exactly a plain column's files, so old
+  // directories and tools keep working.
+  std::set<std::string> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(scratch.path())) {
+    files.insert(entry.path().filename().string());
+  }
+  EXPECT_EQ(files, (std::set<std::string>{"MANIFEST", "MANIFEST.0",
+                                          "MANIFEST.1", "column.dat",
+                                          "journal.wal"}));
   auto reopened = *Db::Open(scratch.path(), {});
   EXPECT_EQ(reopened->num_shards(), 1u);
   EXPECT_EQ(reopened->shard(0)->column().Get(3), 99u);
@@ -572,6 +409,28 @@ TEST(ShardedTableDurable, OpenMissingDirIsNotFound) {
   ScopedTempDir scratch("sharded_open_missing");
   EXPECT_EQ(Db::Open(scratch.path() + "/nope", {}).status().code(),
             StatusCode::kNotFound);
+}
+
+// Fails while a sharded CreateDurable built a descriptor and one directory
+// per shard.
+TEST(ShardedTableDurable, CreateDurableRefusesShards) {
+  ScopedTempDir scratch("sharded_create_refused");
+  const std::string dir = scratch.path() + "/table";
+  EXPECT_EQ(Db::CreateDurable(dir, 4 * kValuesPerPage, ShardedOptions(2))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
+// Fails while Db::Open ignored options.shards.
+TEST(ShardedTableDurable, OpenRefusesShards) {
+  ScopedTempDir scratch("sharded_open_refused");
+  ASSERT_TRUE(Db::CreateDurable(scratch.path(), 2 * kValuesPerPage, {}).ok());
+  EXPECT_EQ(Db::Open(scratch.path(), ShardedOptions(2)).status().code(),
+            StatusCode::kInvalidArgument);
+  auto reopened = Db::Open(scratch.path(), {});
+  ASSERT_TRUE(reopened.ok()) << reopened.status().message();
 }
 
 // ---------------------------------------------------------------------------
@@ -655,75 +514,44 @@ void ExpectWrittenRangeRoutes(Table* table, const char* what) {
 // Fails while Checkpoint left routing zones as created: Execute pruned
 // both shards and answered 0 matches.
 TEST(ShardedTable, CheckpointRoutesWritesThroughShardColumns) {
-  for (const PartitionKind kind :
-       {PartitionKind::kRange, PartitionKind::kHash}) {
-    SCOPED_TRACE(kind == PartitionKind::kRange ? "range" : "hash");
-    auto table_r = Db::Create(
-        kZoneRows, [](uint64_t) { return Value{0}; }, ShardedOptions(2, kind));
-    ASSERT_TRUE(table_r.ok()) << table_r.status().message();
-    auto table = *std::move(table_r);
-    WriteShardsThroughColumns(table.get());
-    ASSERT_TRUE(table->Checkpoint().ok());
-    ExpectWrittenRangeRoutes(table.get(), "in memory");
-  }
-}
-
-// Fails before the reopen while Checkpoint left routing zones as created;
-// the reopen folds the zones from the data, so it passed after one.
-TEST(ShardedTableDurable, CheckpointRoutesWritesThroughShardColumns) {
-  for (const PartitionKind kind :
-       {PartitionKind::kRange, PartitionKind::kHash}) {
-    SCOPED_TRACE(kind == PartitionKind::kRange ? "range" : "hash");
-    ScopedTempDir scratch("sharded_zone_fold");
-    const DbOptions options = ShardedOptions(2, kind);
-    {
-      auto table_r = Db::CreateDurable(scratch.path(), kZoneRows, options);
-      ASSERT_TRUE(table_r.ok()) << table_r.status().message();
-      auto table = *std::move(table_r);
-      WriteShardsThroughColumns(table.get());
-      ASSERT_TRUE(table->Checkpoint().ok());
-      ExpectWrittenRangeRoutes(table.get(), "durable, before reopen");
-    }
-    auto reopened_r = Db::Open(scratch.path(), options);
-    ASSERT_TRUE(reopened_r.ok()) << reopened_r.status().message();
-    ExpectWrittenRangeRoutes(reopened_r->get(), "durable, after reopen");
-  }
+  auto table_r = Db::Create(
+      kZoneRows, [](uint64_t) { return Value{0}; }, ShardedOptions(2));
+  ASSERT_TRUE(table_r.ok()) << table_r.status().message();
+  auto table = *std::move(table_r);
+  WriteShardsThroughColumns(table.get());
+  ASSERT_TRUE(table->Checkpoint().ok());
+  ExpectWrittenRangeRoutes(table.get(), "in memory");
 }
 
 // Checkpoint's fold only widens a zone, so it never loses the widening of
 // an Update that races it with a value outside the create-time zone.
 TEST(ShardedTable, CheckpointFoldKeepsRacingUpdateWidenings) {
-  for (const PartitionKind kind :
-       {PartitionKind::kRange, PartitionKind::kHash}) {
-    SCOPED_TRACE(kind == PartitionKind::kRange ? "range" : "hash");
-    auto table_r =
-        Db::Create(kRows, [](uint64_t) { return Value{0}; },
-                   ShardedOptions(2, kind));
-    ASSERT_TRUE(table_r.ok());
-    auto table = *std::move(table_r);
-    std::atomic<bool> done{false};
-    std::atomic<bool> failed{false};
-    std::thread checkpointer([&]() {
-      while (!done.load()) {
-        if (!table->Checkpoint().ok()) failed.store(true);
-      }
-    });
-    std::vector<Value> written;
-    std::mt19937_64 rng(17);
-    for (int i = 0; i < 100; ++i) {
-      const Value v = 1'000'000 + rng() % 1'000'000;
-      if (!table->Update(rng() % kRows, v).ok()) failed.store(true);
-      written.push_back(v);
+  auto table_r = Db::Create(kRows, [](uint64_t) { return Value{0}; },
+                            ShardedOptions(2));
+  ASSERT_TRUE(table_r.ok());
+  auto table = *std::move(table_r);
+  std::atomic<bool> done{false};
+  std::atomic<bool> failed{false};
+  std::thread checkpointer([&]() {
+    while (!done.load()) {
+      if (!table->Checkpoint().ok()) failed.store(true);
     }
-    done.store(true);
-    checkpointer.join();
-    ASSERT_FALSE(failed.load());
-    for (const Value v : written) {
-      auto full = table->ExecuteFullScan({v, v});
-      auto got = table->Execute({v, v});
-      ASSERT_TRUE(full.ok() && got.ok());
-      ExpectSameAnswer(*got, *full, "written value");
-    }
+  });
+  std::vector<Value> written;
+  std::mt19937_64 rng(17);
+  for (int i = 0; i < 100; ++i) {
+    const Value v = 1'000'000 + rng() % 1'000'000;
+    if (!table->Update(rng() % kRows, v).ok()) failed.store(true);
+    written.push_back(v);
+  }
+  done.store(true);
+  checkpointer.join();
+  ASSERT_FALSE(failed.load());
+  for (const Value v : written) {
+    auto full = table->ExecuteFullScan({v, v});
+    auto got = table->Execute({v, v});
+    ASSERT_TRUE(full.ok() && got.ok());
+    ExpectSameAnswer(*got, *full, "written value");
   }
 }
 
@@ -731,8 +559,7 @@ TEST(ShardedTable, CheckpointFoldKeepsRacingUpdateWidenings) {
 // Concurrency (the TSAN job runs every unit test)
 
 TEST(ShardedTable, ConcurrentReadersAndWriter) {
-  auto table_r = Db::Create(kRows, MixValue,
-                            ShardedOptions(4, PartitionKind::kRange));
+  auto table_r = Db::Create(kRows, MixValue, ShardedOptions(4));
   ASSERT_TRUE(table_r.ok());
   auto table = *std::move(table_r);
 

@@ -756,7 +756,7 @@ SHARD_POINT_FIELDS = {
     "writer_flushes": int,
 }
 
-KNOWN_PARTITIONS = {"range", "hash"}
+KNOWN_PARTITIONS = {"range"}
 
 
 def check_micro_shard(doc, path):
