@@ -39,7 +39,7 @@
 
 #include "bench_common.h"
 #include "vmsv.h"
-#include "core/view_lifecycle.h"
+#include "core/view_pool.h"
 #include "core/virtual_view.h"
 #include "exec/scan_kernels.h"
 #include "rewiring/maps_parser.h"

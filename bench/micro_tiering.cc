@@ -28,7 +28,7 @@
 
 #include "bench_common.h"
 #include "vmsv.h"
-#include "core/view_lifecycle.h"
+#include "core/view_pool.h"
 #include "util/env.h"
 #include "util/histogram.h"
 #include "util/table_printer.h"

@@ -33,14 +33,6 @@ constexpr ViewCreationOptions kCandidateCreation{/*coalesce_runs=*/true,
 constexpr uint32_t kPressureReliefAttempts = 3;
 constexpr std::chrono::microseconds kPressureReliefBackoff{100};
 
-/// True when [lo_a, hi_a] and [lo_b, hi_b] overlap or are integer-adjacent
-/// (no representable value lies between them), i.e. their union is gap-free.
-/// The max-value guards keep the +1 adjacency probes from wrapping.
-bool RangesTouch(Value lo_a, Value hi_a, Value lo_b, Value hi_b) {
-  return (hi_a == ~Value{0} || lo_b <= hi_a + 1) &&
-         (hi_b == ~Value{0} || lo_a <= hi_b + 1);
-}
-
 /// Sets every page's zone to its exact [min, max] and returns, for each of
 /// `ranges`, the ascending pages holding a value in it — one pass over the
 /// column, sharded across the pool. A range that contains a page's zone
@@ -87,100 +79,17 @@ Status CheckConfig(const AdaptiveConfig& config) {
   if (config.materialize_after_hits == 0) {
     return InvalidArgument("materialize_after_hits must be >= 1");
   }
+  // Negated so that NaN fails too.
+  if (!(config.lifecycle.recency_half_life > 0)) {
+    return InvalidArgument("lifecycle.recency_half_life must be > 0");
+  }
+  if (!(config.lifecycle.eviction_margin > 0)) {
+    return InvalidArgument("lifecycle.eviction_margin must be > 0");
+  }
   return OkStatus();
 }
 
 }  // namespace
-
-const char* CandidateDecisionName(CandidateDecision decision) {
-  switch (decision) {
-    case CandidateDecision::kAnsweredFromView: return "answered_from_view";
-    case CandidateDecision::kInserted: return "inserted";
-    case CandidateDecision::kDiscardedSubset: return "discarded_subset";
-    case CandidateDecision::kReplacedExisting: return "replaced_existing";
-    case CandidateDecision::kEvictedExisting: return "evicted_existing";
-    case CandidateDecision::kBudgetExhausted: return "budget_exhausted";
-    case CandidateDecision::kBaseFallback: return "base_fallback";
-    case CandidateDecision::kNone: return "none";
-  }
-  return "unknown";
-}
-
-// ---------------------------------------------------------------------------
-// PartialViewIndex
-
-VirtualView* PartialViewIndex::FindSmallestCovering(const RangeQuery& q) const {
-  VirtualView* best = nullptr;
-  for (const auto& view : views_) {
-    if (!view->Covers(q)) continue;
-    if (best == nullptr || view->num_pages() < best->num_pages()) {
-      best = view.get();
-    }
-  }
-  return best;
-}
-
-bool PartialViewIndex::FindCover(const RangeQuery& q, bool cost_based,
-                                 std::vector<VirtualView*>* cover) const {
-  cover->clear();
-  // Greedy interval covering over the value domain: repeatedly choose among
-  // the views starting at or below the uncovered point the one that extends
-  // coverage furthest (or cheapest per unit, when cost-based).
-  Value point = q.lo;
-  while (true) {
-    VirtualView* best = nullptr;
-    double best_score = 0;
-    for (const auto& view : views_) {
-      if (view->lo() > point || view->hi() < point) continue;
-      const Value extension = view->hi() - point;
-      if (extension == 0 && point < q.hi) continue;
-      double score;
-      if (cost_based) {
-        // New coverage per page scanned — maximize (the +1s avoid
-        // div-by-zero and keep zero-extension finishers eligible).
-        score = static_cast<double>(extension + 1) /
-                static_cast<double>(view->num_pages() + 1);
-      } else {
-        score = static_cast<double>(extension);
-      }
-      if (best == nullptr || score > best_score) {
-        best = view.get();
-        best_score = score;
-      }
-    }
-    if (best == nullptr) {  // gap at `point`: no partial cover escapes
-      cover->clear();
-      return false;
-    }
-    cover->push_back(best);
-    if (best->hi() >= q.hi) return true;
-    point = best->hi() + 1;
-  }
-}
-
-StatusOr<std::unique_ptr<VirtualView>> PartialViewIndex::Replace(
-    VirtualView* victim, std::unique_ptr<VirtualView> replacement) {
-  for (auto& slot : views_) {
-    if (slot.get() == victim) {
-      std::unique_ptr<VirtualView> displaced = std::move(slot);
-      slot = std::move(replacement);
-      return StatusOr<std::unique_ptr<VirtualView>>(std::move(displaced));
-    }
-  }
-  return FailedPrecondition("Replace victim not in pool");
-}
-
-StatusOr<std::unique_ptr<VirtualView>> PartialViewIndex::Remove(
-    VirtualView* view) {
-  for (auto it = views_.begin(); it != views_.end(); ++it) {
-    if (it->get() == view) {
-      std::unique_ptr<VirtualView> detached = std::move(*it);
-      views_.erase(it);
-      return StatusOr<std::unique_ptr<VirtualView>>(std::move(detached));
-    }
-  }
-  return FailedPrecondition("Remove target not in pool");
-}
 
 // ---------------------------------------------------------------------------
 // AdaptiveColumn
@@ -379,25 +288,6 @@ StatusOr<QueryExecution> AdaptiveColumn::ExecuteFullScan(
   return exec;
 }
 
-void AdaptiveColumn::RouteQuery(const RangeQuery& q,
-                                std::vector<VirtualView*>* cover) const {
-  cover->clear();
-  if (config_.mode == QueryMode::kSingleView) {
-    VirtualView* view = view_index_.FindSmallestCovering(q);
-    if (view != nullptr) cover->push_back(view);
-    return;
-  }
-  if (!view_index_.FindCover(q, config_.cost_based_routing, cover)) return;
-  if (config_.cost_based_routing) {
-    uint64_t cover_pages = 0;
-    for (const VirtualView* v : *cover) cover_pages += v->num_pages();
-    if (cover_pages >= column_->num_pages()) {
-      // Cover costlier than a full scan: route to the scan path instead.
-      cover->clear();
-    }
-  }
-}
-
 StatusOr<std::vector<size_t>> AdaptiveColumn::AnswerFromViews(
     const std::vector<RangeQuery>& queries, bool maintenance_held,
     EpochManager::Guard* guard, BatchExecution* out) {
@@ -438,7 +328,7 @@ StatusOr<std::vector<size_t>> AdaptiveColumn::AnswerFromViews(
       lock.lock();
     }
     for (size_t i = 0; i < queries.size(); ++i) {
-      RouteQuery(queries[i], &covers[i]);
+      view_index_.Route(queries[i], config_, column_->num_pages(), &covers[i]);
     }
     const uint64_t views_after = view_index_.num_partial_views();
     for (QueryExecution& exec : out->queries) {
@@ -659,7 +549,10 @@ StatusOr<QueryExecution> AdaptiveColumn::FullScanAndAdapt(const RangeQuery& q) {
   exec.stats.scanned_pages = built->scanned_pages;
   exec.stats.considered_views = 0;
   // Decide with readers routing, then apply.
-  const Admission admission = DecideCandidate(*candidate);
+  const Admission admission =
+      view_index_.Admit(*candidate, config_,
+                        metrics_.queries.load(std::memory_order_relaxed),
+                        column_->num_pages());
   exec.stats.decision = admission.outcome;
   bool edited = false;
   {
@@ -706,96 +599,6 @@ StatusOr<QueryExecution> AdaptiveColumn::FullScanAndAdapt(const RangeQuery& q) {
   exec.stats.views_after = view_index_.num_partial_views();
   RecordQueries(1, exec.stats.scanned_pages);
   return exec;
-}
-
-AdaptiveColumn::Admission AdaptiveColumn::DecideCandidate(
-    const VirtualView& candidate) const {
-  // An EMPTY candidate (query range holds no data) is pure range knowledge;
-  // the generic subset logic would vacuously discard it against any view
-  // and the data-free range would full-scan forever. Record it: redundant
-  // only under a view that covers the range; mergeable into a touching
-  // empty view; otherwise a view of its own, answering with 0 page reads.
-  if (candidate.num_pages() == 0) {
-    const RangeQuery cand_range = candidate.value_range();
-    for (const auto& view : view_index_.views()) {
-      if (view->Covers(cand_range)) {
-        return {CandidateDecision::kDiscardedSubset, nullptr};
-      }
-    }
-    for (const auto& view : view_index_.views()) {
-      if (view->num_pages() == 0 &&
-          RangesTouch(view->lo(), view->hi(), cand_range.lo, cand_range.hi)) {
-        return {CandidateDecision::kDiscardedSubset, view.get()};
-      }
-    }
-    return AdmitAtBudget(candidate);
-  }
-
-  // Discard: candidate pages are (nearly) contained in an existing view.
-  // The counts are bitmap popcounts, exact up to the tolerance.
-  for (const auto& view : view_index_.views()) {
-    const uint64_t missing =
-        candidate.CountPagesNotIn(*view, config_.discard_tolerance);
-    if (missing <= config_.discard_tolerance) {
-      // An exact subset proves the view holds every page with a value in the
-      // candidate's range, so the view's range may absorb it — otherwise the
-      // discarded query range would full-scan forever (its value range being
-      // covered by no view is exactly why the scan ran). Two restrictions
-      // keep the Covers() invariant ("view holds every page with a value in
-      // its range") intact: an inexact subset may miss up to `missing`
-      // pages, and a range separated by a GAP would claim values neither
-      // side ever scanned for (overlapping or integer-adjacent ranges
-      // union gap-free).
-      const bool absorbs = missing == 0 && RangesTouch(view->lo(), view->hi(),
-                                                       candidate.lo(),
-                                                       candidate.hi());
-      return {CandidateDecision::kDiscardedSubset,
-              absorbs ? view.get() : nullptr};
-    }
-  }
-  // Replace: an existing view is (nearly) contained in the candidate. An
-  // EMPTY view is a vacuous page-subset of anything — replacing it would
-  // silently drop its range knowledge, so it is only replaced when the
-  // candidate's range subsumes it.
-  for (const auto& view : view_index_.views()) {
-    if (view->num_pages() == 0 &&
-        !(candidate.lo() <= view->lo() && candidate.hi() >= view->hi())) {
-      continue;
-    }
-    const uint64_t missing =
-        view->CountPagesNotIn(candidate, config_.replace_tolerance);
-    if (missing <= config_.replace_tolerance) {
-      return {CandidateDecision::kReplacedExisting, view.get()};
-    }
-  }
-  return AdmitAtBudget(candidate);
-}
-
-AdaptiveColumn::Admission AdaptiveColumn::AdmitAtBudget(
-    const VirtualView& candidate) const {
-  if (view_index_.num_partial_views() < config_.max_views) {
-    return {CandidateDecision::kInserted};
-  }
-  // Budget pressure. The historical policy ("drop-newest") discarded every
-  // candidate here, freezing the pool on whatever ranges arrived first; the
-  // cost-aware policy instead displaces the coldest view when the fresh
-  // candidate outscores it, so the pool tracks the working set.
-  if (config_.lifecycle.eviction_policy == EvictionPolicy::kCostAware) {
-    const uint64_t now = metrics_.queries.load(std::memory_order_relaxed);
-    const uint64_t column_pages = column_->num_pages();
-    VirtualView* victim = lifecycle_.PickEvictionVictim(
-        view_index_.views(), now, column_pages,
-        [](const VirtualView&) { return true; });
-    const double margin = config_.lifecycle.eviction_margin > 0
-                              ? config_.lifecycle.eviction_margin
-                              : 1.0;
-    if (victim != nullptr &&
-        margin * lifecycle_.Score(*victim, now, column_pages) <
-            lifecycle_.Score(candidate, now, column_pages)) {
-      return {CandidateDecision::kEvictedExisting, victim};
-    }
-  }
-  return {CandidateDecision::kBudgetExhausted};
 }
 
 bool AdaptiveColumn::ReplaceInPoolLocked(
@@ -845,20 +648,9 @@ size_t AdaptiveColumn::ReleaseColdestArenas(size_t count) {
   // Walking the pool needs no views_mu_ — its structure is frozen under
   // maintenance_mu_ (every mutator holds it), and only this lock's holders
   // release an arena.
-  const uint64_t now = metrics_.queries.load(std::memory_order_relaxed);
-  std::vector<VirtualView*> victims;
-  while (victims.size() < count) {
-    VirtualView* victim = lifecycle_.PickEvictionVictim(
-        view_index_.views(), now, column_->num_pages(),
-        [&victims](const VirtualView& view) {
-          return view.is_materialized() &&
-                 std::find(victims.begin(), victims.end(), &view) ==
-                     victims.end();
-        });
-    if (victim == nullptr) break;
-    victims.push_back(victim);
-  }
-  return ReleaseArenasLocked(victims);
+  return ReleaseArenasLocked(view_index_.ColdestFirst(
+      count, /*arenas_only=*/true, config_.lifecycle,
+      metrics_.queries.load(std::memory_order_relaxed), column_->num_pages()));
 }
 
 // ---------------------------------------------------------------------------
@@ -995,9 +787,8 @@ StatusOr<UpdateApplyStats> AdaptiveColumn::FlushUpdatesLocked() {
     // This is the one failure that empties the pool wholesale — alignment
     // gives no per-view failure attribution.
     NoteMapFailure();
-    for (VirtualView* view : view_index_.MutableViews()) {
-      auto removed = view_index_.Remove(view);
-      if (removed.ok()) epoch_.RetireObject(std::move(removed).ValueOrDie());
+    for (auto& view : view_index_.TakeAll()) {
+      epoch_.RetireObject(std::move(view));
     }
     MarkDirty();
     reclaim_after = true;
@@ -1066,12 +857,11 @@ void AdaptiveColumn::RelievePressureLocked() {
     // The victim pick needs no views_mu_: pool structure is frozen under
     // maintenance_mu_ (our caller holds it) and is_materialized() is an
     // acquire load. Unmaterialized views hold no mappings to shed.
-    VirtualView* victim = lifecycle_.PickEvictionVictim(
-        view_index_.views(), metrics_.queries.load(std::memory_order_relaxed),
-        column_->num_pages(),
-        [](const VirtualView& view) { return view.is_materialized(); });
-    if (victim == nullptr) break;  // nothing left to shed
-    if (ReleaseArenasLocked({victim}) == 0) break;
+    const std::vector<VirtualView*> coldest = view_index_.ColdestFirst(
+        1, /*arenas_only=*/true, config_.lifecycle,
+        metrics_.queries.load(std::memory_order_relaxed), column_->num_pages());
+    if (coldest.empty()) break;  // nothing left to shed
+    if (ReleaseArenasLocked(coldest) == 0) break;
     std::this_thread::sleep_for(kPressureReliefBackoff * (attempt + 1));
   }
   // Could not confirm recovery: leave the flag set for the next pass.

@@ -25,11 +25,12 @@
 // answers a degraded query from the base column and adapts on a genuine
 // miss (full scan + candidate decision, Listing 1).
 //
-// The pool is managed across the views' whole lifetime by a
-// ViewLifecycleManager (core/view_lifecycle.h): under budget pressure the
+// The pool and every decision over it live in core/view_pool.h: routing,
+// admission and the coldest-first victim order; under budget pressure the
 // cost-aware eviction policy replaces the historical "drop every candidate
-// once max_views is reached" cliff. Admission decides under the maintenance
-// lock alone, then applies in one short exclusive section. A view is in one
+// once max_views is reached" cliff. This layer holds the locks, the epoch
+// guards and the apply steps: admission decides under the maintenance lock
+// alone, then applies in one short exclusive section. A view is in one
 // of two states, with an arena or without one; pressure relief and
 // ReleaseColdestArenas move views to the second and keep them. Durable
 // I/O is not this layer's job: each pool edit hands the whole pool to a
@@ -79,90 +80,19 @@
 #include <string>
 #include <vector>
 
+#include "core/adaptive_config.h"
 #include "core/scan.h"
 #include "core/update_applier.h"
-#include "core/view_lifecycle.h"
+#include "core/view_pool.h"
 #include "core/virtual_view.h"
 #include "storage/column.h"
 #include "storage/durable_state.h"
-#include "storage/storage_config.h"
 #include "storage/types.h"
 #include "storage/update.h"
 #include "util/epoch.h"
 #include "util/status.h"
 
 namespace vmsv {
-
-class VmIo;
-
-enum class QueryMode {
-  /// Answer from the smallest single view covering the query (Figure 4).
-  kSingleView,
-  /// Let several views jointly cover the query, deduplicating shared pages
-  /// during the scan (Figure 5).
-  kMultiView,
-};
-
-enum class CandidateDecision {
-  /// No candidate was built: existing views answered the query.
-  kAnsweredFromView,
-  /// Full scan ran and the candidate entered the view pool.
-  kInserted,
-  /// Candidate's pages were (a near-)subset of an existing view — dropped.
-  kDiscardedSubset,
-  /// An existing view was (a near-)subset of the candidate — swapped out.
-  kReplacedExisting,
-  /// Pool at max_views and the candidate outscored the coldest view, which
-  /// was evicted to make room (EvictionPolicy::kCostAware).
-  kEvictedExisting,
-  /// Pool at max_views; candidate dropped (always under kDropNewest, or
-  /// when the candidate scored below every pool member).
-  kBudgetExhausted,
-  /// A mapping failure (injected or real resource exhaustion) forced the
-  /// query onto the base column; no candidate was built or admitted. The
-  /// answer is still exact — degradation costs pages, never correctness.
-  kBaseFallback,
-  kNone,
-};
-
-const char* CandidateDecisionName(CandidateDecision decision);
-
-struct AdaptiveConfig {
-  QueryMode mode = QueryMode::kSingleView;
-  /// Upper bound on the views of the pool, with an arena or without one.
-  size_t max_views = 100;
-  /// A view without an arena answers its hits by reading its member page
-  /// runs over the base column's mapping; the hit that brings its count of
-  /// such hits to this threshold maps its arena (EnsureMaterialized). 1 maps
-  /// at the first hit, as the paper's figures do. The default is where an
-  /// arena's per-hit saving repays mapping and unmapping it
-  /// (bench/micro_view_life.cc, EXPERIMENTS.md "When a view earns its
-  /// arena"). Must be >= 1.
-  uint64_t materialize_after_hits = 256;
-  /// Multi-view only: pick covers by scanned-page cost and fall back to a
-  /// full scan when the cover is costlier (the paper's stated future work).
-  bool cost_based_routing = false;
-  /// Discard a candidate whose page set exceeds an existing view's by at
-  /// most this many pages (paper's d; evaluation uses 0).
-  uint64_t discard_tolerance = 0;
-  /// Replace an existing view whose page set exceeds the candidate's by at
-  /// most this many pages (paper's r; evaluation uses 0).
-  uint64_t replace_tolerance = 0;
-  /// The eviction policy applied at the max_views budget
-  /// (core/view_lifecycle.h).
-  LifecycleConfig lifecycle;
-  /// Durability: with a persist_dir the column lives in a real file, every
-  /// Update is journaled, and the views persist as ranges in two
-  /// alternating manifest pool slots, so Open() restores the whole engine
-  /// state after a restart (storage/storage_config.h; ARCHITECTURE.md
-  /// "Durability model").
-  StorageConfig storage;
-  /// Address-space operation layer for every arena the column builds (base
-  /// mapping, view materialization, alignment). Null means real syscalls;
-  /// tests inject a FaultInjectingVmIo here. Not owned; must outlive the
-  /// column (ARCHITECTURE.md "Degradation model").
-  VmIo* vm_io = nullptr;
-};
 
 /// Per-query execution statistics.
 struct ExecStats {
@@ -229,61 +159,6 @@ struct CumulativeStats {
   }
 };
 
-/// The pool of partial views the adaptive layer routes queries against.
-/// Owned by one AdaptiveColumn and guarded by its view-index mutex; Replace
-/// and Remove RETURN the displaced view so the caller can park it on the
-/// epoch limbo list instead of destroying it under a concurrent scan.
-class PartialViewIndex {
- public:
-  size_t num_partial_views() const { return views_.size(); }
-
-  uint64_t TotalPartialPages() const {
-    uint64_t total = 0;
-    for (const auto& v : views_) total += v->num_pages();
-    return total;
-  }
-
-  const std::vector<std::unique_ptr<VirtualView>>& views() const {
-    return views_;
-  }
-
-  std::vector<VirtualView*> MutableViews() {
-    std::vector<VirtualView*> out;
-    out.reserve(views_.size());
-    for (auto& v : views_) out.push_back(v.get());
-    return out;
-  }
-
-  /// Smallest (fewest pages) view whose value range covers q, or nullptr.
-  VirtualView* FindSmallestCovering(const RangeQuery& q) const;
-
-  /// Greedy interval cover of q by view value ranges. Returns true and the
-  /// chosen views (in cover order) when a complete cover exists; false with
-  /// `cover` empty otherwise. `cost_based` breaks ties toward fewer pages
-  /// per unit of new coverage.
-  bool FindCover(const RangeQuery& q, bool cost_based,
-                 std::vector<VirtualView*>* cover) const;
-
-  void Insert(std::unique_ptr<VirtualView> view) {
-    views_.push_back(std::move(view));
-  }
-
-  /// Swaps `victim` for `replacement`, returning the displaced view for
-  /// deferred destruction. Error contract: FailedPrecondition when `victim`
-  /// is not in the pool — the pool is unchanged and `replacement` has been
-  /// destroyed (callers treat it as a dropped candidate).
-  StatusOr<std::unique_ptr<VirtualView>> Replace(
-      VirtualView* victim, std::unique_ptr<VirtualView> replacement);
-
-  /// Detaches `view` and returns it — the failed-alignment drop,
-  /// destruction deferred to the caller. Error contract:
-  /// FailedPrecondition when `view` is not in the pool (pool unchanged).
-  StatusOr<std::unique_ptr<VirtualView>> Remove(VirtualView* view);
-
- private:
-  std::vector<std::unique_ptr<VirtualView>> views_;
-};
-
 /// Point-in-time health snapshot (AdaptiveColumn::Health()). Degraded
 /// flags describe the CURRENT state; counters accumulate over the column's
 /// lifetime, so "recovered" means the flags cleared, not the counters.
@@ -325,8 +200,9 @@ struct ColumnHealth {
 class AdaptiveColumn {
  public:
   /// \internal Use vmsv::Db::Create.
-  /// Error contract: InvalidArgument when `column` is null, or
-  /// config.max_views or config.materialize_after_hits is 0.
+  /// Error contract: InvalidArgument when `column` is null,
+  /// config.max_views or config.materialize_after_hits is 0, or
+  /// config.lifecycle.recency_half_life or eviction_margin is not > 0.
   static StatusOr<std::unique_ptr<AdaptiveColumn>> Create(
       std::unique_ptr<PhysicalColumn> column, const AdaptiveConfig& config);
 
@@ -470,8 +346,7 @@ class AdaptiveColumn {
  private:
   AdaptiveColumn(std::unique_ptr<PhysicalColumn> column,
                  const AdaptiveConfig& config)
-      : column_(std::move(column)), config_(config),
-        lifecycle_(config.lifecycle) {}
+      : column_(std::move(column)), config_(config) {}
 
   /// CreateDurable (`create_rows` set) and Open: DurableState opens the
   /// directory, then the engine rebuilds the pool from the recovered views
@@ -508,9 +383,9 @@ class AdaptiveColumn {
                       BatchExecution* out) const;
 
   /// The adaptation half of Listing 1: full scan + candidate, then
-  /// admission decides (DecideCandidate) and the outcome is applied in one
-  /// views_mu_ exclusive section. Caller holds maintenance_mu_ and no epoch
-  /// guard.
+  /// admission decides (PartialViewIndex::Admit) and the outcome is applied
+  /// in one views_mu_ exclusive section. Caller holds maintenance_mu_ and no
+  /// epoch guard.
   StatusOr<QueryExecution> FullScanAndAdapt(const RangeQuery& q);
 
   /// Records a mapping-layer failure: health counters + the pressure flag
@@ -556,37 +431,12 @@ class AdaptiveColumn {
   /// arenas it released. Caller holds maintenance_mu_ and NOT views_mu_.
   size_t ReleaseArenasLocked(const std::vector<VirtualView*>& victims);
 
-  /// Routes q per config().mode against the pool: fills `cover` with the
-  /// views that answer q (one in kSingleView mode), or leaves it empty when
-  /// the pool cannot. Caller holds views_mu_ (any mode).
-  void RouteQuery(const RangeQuery& q, std::vector<VirtualView*>* cover) const;
-
   /// The flush. Caller holds maintenance_mu_; takes views_mu_ exclusive +
   /// epoch quiescence inside. Durable mode: syncs the journal first (the
   /// batch's commit point), then after alignment runs the checkpoint
   /// sequence when the batch held updates or the pool is dirty (a failed
   /// alignment dropped views).
   StatusOr<UpdateApplyStats> FlushUpdatesLocked();
-
-  /// An admission outcome and the view it acts on.
-  struct Admission {
-    CandidateDecision outcome = CandidateDecision::kNone;
-    /// kDiscardedSubset: the view whose range absorbs the candidate's (null
-    /// when none may); kReplacedExisting: the view to replace;
-    /// kEvictedExisting: the eviction victim.
-    VirtualView* target = nullptr;
-  };
-
-  /// The insert/discard/replace/evict decision of Listing 1, without
-  /// applying it. Caller holds maintenance_mu_ alone: every pool mutator
-  /// holds it too and readers only read, so the pool cannot change under
-  /// the page-subset checks — and readers keep routing through them.
-  Admission DecideCandidate(const VirtualView& candidate) const;
-
-  /// The budget step: insert when the pool has room; otherwise the
-  /// configured eviction policy (evict the coldest view when the candidate
-  /// outscores it, else drop the candidate).
-  Admission AdmitAtBudget(const VirtualView& candidate) const;
 
   /// Swaps `candidate` into `victim`'s pool slot and parks the displaced
   /// view on the epoch limbo list (concurrent scans may still be inside
@@ -646,7 +496,6 @@ class AdaptiveColumn {
   /// A mapping failure happened since the last relief pass; the next
   /// maintenance entry runs RelievePressureLocked.
   std::atomic<bool> pressure_pending_{false};
-  ViewLifecycleManager lifecycle_;          // driven from maintenance_mu_
   std::unique_ptr<DurableState> durable_;   // guarded by maintenance_mu_
   /// Reclamation domain for displaced views/arenas. Declared after the
   /// members retired objects may reference; destroyed first, draining the

@@ -64,8 +64,7 @@ class SingleTable : public Table {
 uint32_t EffectiveShards(uint32_t requested, uint64_t num_rows) {
   const uint64_t pages = (num_rows + kValuesPerPage - 1) / kValuesPerPage;
   const uint64_t cap = std::max<uint64_t>(pages, 1);
-  return static_cast<uint32_t>(
-      std::min<uint64_t>(std::max<uint32_t>(requested, 1), cap));
+  return static_cast<uint32_t>(std::min<uint64_t>(requested, cap));
 }
 
 }  // namespace
@@ -87,6 +86,7 @@ StatusOr<std::unique_ptr<Table>> Db::Create(
     uint64_t num_rows, const std::function<Value(uint64_t)>& value_of,
     const DbOptions& options) {
   if (num_rows == 0) return InvalidArgument("Db::Create: zero rows");
+  if (options.shards == 0) return InvalidArgument("Db::Create: zero shards");
   const uint32_t shards = EffectiveShards(options.shards, num_rows);
   if (shards <= 1) {
     auto column = PhysicalColumn::Create(num_rows);

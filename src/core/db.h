@@ -146,8 +146,11 @@ class Db {
       std::unique_ptr<PhysicalColumn> column, const DbOptions& options);
 
   /// Creates an in-memory table of `num_rows` rows, filling row r with
-  /// value_of(r) — partitioned across options.shards shards. The generator
-  /// must be pure (it is re-invoked per shard in page order).
+  /// value_of(r) — partitioned across options.shards shards, at most one
+  /// per page. The generator must be pure (it is re-invoked per shard in
+  /// page order).
+  /// Error contract: InvalidArgument when num_rows or options.shards is 0,
+  /// before anything is allocated, or on config errors from the engine.
   static StatusOr<std::unique_ptr<Table>> Create(
       uint64_t num_rows, const std::function<Value(uint64_t)>& value_of,
       const DbOptions& options);

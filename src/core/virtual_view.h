@@ -14,7 +14,7 @@
 //     first call is queued, so the worker overlaps the queueing of later
 //     runs, not the scan.
 //
-// Lifecycle (this layer + core/view_lifecycle.h): a view's membership is
+// Lifecycle (this layer + core/view_pool.h): a view's membership is
 // its bitmap, one bit per column page. A view is born without an arena and
 // answers its first hits by reading the bitmap's page runs over the
 // column's base mapping — no syscall, no page-table cost. Only once its hits
@@ -81,13 +81,12 @@ struct ViewCreationOptions {
 };
 
 /// Per-view usage accounting consumed by the cost-aware eviction policy
-/// (core/view_lifecycle.h). The "clock" is a logical query sequence number
-/// maintained by the adaptive layer. Fields are relaxed-consistency atomics:
-/// concurrent readers RecordHit while the maintenance path scores views, and
-/// an approximately-fresh recency is all the policy needs.
+/// (EvictionScore, core/view_pool.h). The "clock" is a logical query
+/// sequence number maintained by the adaptive layer. Fields are
+/// relaxed-consistency atomics: concurrent readers RecordHit while the
+/// maintenance path scores views, and an approximately-fresh recency is all
+/// the policy needs.
 struct ViewUsageStats {
-  /// Query sequence number at creation.
-  std::atomic<uint64_t> created_at_query{0};
   /// Sequence number of the last query this view helped answer (creation
   /// counts: the triggering query was answered by the creating scan).
   std::atomic<uint64_t> last_used_query{0};
@@ -255,7 +254,6 @@ class VirtualView {
     ++usage_.hits;
   }
   void SetCreationInfo(uint64_t query_seq, uint64_t scanned_pages) {
-    usage_.created_at_query = query_seq;
     usage_.last_used_query = query_seq;
     usage_.creation_scanned_pages = scanned_pages;
   }

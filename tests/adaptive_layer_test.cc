@@ -1,6 +1,7 @@
 #include "vmsv.h"
 
 #include <cerrno>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -57,6 +58,24 @@ TEST(AdaptiveColumnTest, CreateValidatesArguments) {
   EXPECT_FALSE(
       Db::Create(MakeTestColumn(DataDistribution::kSine), DbOptions{config})
           .ok());
+  // The lifecycle values are refused, not patched, unless > 0.
+  for (const double bad : {0.0, -1.0, std::nan("")}) {
+    SCOPED_TRACE(bad);
+    config = AdaptiveConfig{};
+    config.lifecycle.recency_half_life = bad;
+    EXPECT_EQ(
+        Db::Create(MakeTestColumn(DataDistribution::kSine), DbOptions{config})
+            .status()
+            .code(),
+        StatusCode::kInvalidArgument);
+    config = AdaptiveConfig{};
+    config.lifecycle.eviction_margin = bad;
+    EXPECT_EQ(
+        Db::Create(MakeTestColumn(DataDistribution::kSine), DbOptions{config})
+            .status()
+            .code(),
+        StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(AdaptiveColumnTest, RejectsInvertedQuery) {

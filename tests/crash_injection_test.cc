@@ -214,7 +214,7 @@ std::optional<RangeQuery> WideningQuery(const AdaptiveColumn& col) {
     if (col.view_index().FindSmallestCovering(wider) != nullptr) continue;
     const std::vector<uint64_t> pages = PagesHolding(col.column(), wider);
     if (pages.size() != view->num_pages()) continue;
-    // DecideCandidate discards against the first view holding every page.
+    // Admission discards against the first view holding every page.
     for (const auto& first : views) {
       bool holds = true;
       for (const uint64_t page : pages) holds = holds && first->ContainsPage(page);

@@ -1010,8 +1010,8 @@ bool HoldsAll(const VirtualView& view, const std::vector<uint64_t>& pages) {
 }
 
 /// The view an exact-subset candidate of `pages` is discarded against: the
-/// first in pool order that holds them all (DecideCandidate's rule with
-/// discard_tolerance 0).
+/// first in pool order that holds them all (PartialViewIndex::Admit's rule
+/// with discard_tolerance 0).
 const VirtualView* DiscardTarget(const AdaptiveColumn& adaptive,
                                  const std::vector<uint64_t>& pages) {
   for (const auto& view : adaptive.view_index().views()) {

@@ -273,6 +273,9 @@ TEST(ShardedTable, TailPageBitIdentity) {
 // Fails while a 1-shard ExecuteFullScan accepted lo > hi, which the 4-shard
 // table refused.
 TEST(ShardedTable, InvalidArgumentsMatchContract) {
+  // Zero shards is refused, as on every other Db entry point.
+  EXPECT_EQ(Db::Create(kRows, MixValue, ShardedOptions(0)).status().code(),
+            StatusCode::kInvalidArgument);
   for (const uint32_t shards : {1u, 4u}) {
     SCOPED_TRACE(shards);
     auto table = *Db::Create(kRows, MixValue, ShardedOptions(shards));
@@ -440,7 +443,7 @@ TEST(BatchCoverRouting, BatchUsesTheCostBasedCoverPath) {
   // Two disjoint views that jointly (but not individually) cover the batch
   // queries. Before the fix, ExecuteBatch only consulted single-view
   // routing and sent these queries to the base pass — a full-column scan;
-  // now it consults RouteQuery's cost-based cover and scans only the
+  // now it consults Route's cost-based cover and scans only the
   // deduplicated cover pages.
   const uint64_t rows = 32 * kValuesPerPage;
   AdaptiveConfig config = MultiViewConfig();

@@ -4,7 +4,7 @@
 // contract through the fault seam, bit-identical scans across kernels and
 // thread counts, and cost-aware eviction.
 
-#include "core/view_lifecycle.h"
+#include "core/view_pool.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -216,29 +216,6 @@ TEST(ViewContractTest, FailedTailUnmapReturnsErrorWithViewEdited) {
   ASSERT_TRUE(view->AppendPage(2).ok());
   ExpectDenseArena(*view);
   ExpectScansExact(*column, *view);
-}
-
-TEST(ViewLifecycleManagerTest, ScorePrefersRecentCheapCoverage) {
-  auto column = MakeTestColumn(DataDistribution::kSine);
-  ViewLifecycleManager manager(LifecycleConfig{});
-
-  auto narrow = BuildViewByScan(*column, 10'000'000, 20'000'000);
-  auto wide = BuildViewByScan(*column, 0, kMaxValue);
-  ASSERT_TRUE(narrow.ok() && wide.ok());
-  (*narrow)->SetCreationInfo(/*query_seq=*/0, kTestPages);
-  (*wide)->SetCreationInfo(/*query_seq=*/0, kTestPages);
-
-  // Same recency: the narrow view saves more pages per hit.
-  EXPECT_GT(manager.Score(**narrow, 0, kTestPages),
-            manager.Score(**wide, 0, kTestPages));
-  // Recency decays: the same view scores lower when long unused.
-  const double fresh_score = manager.Score(**narrow, 0, kTestPages);
-  const double stale_score = manager.Score(**narrow, 100, kTestPages);
-  EXPECT_GT(fresh_score, stale_score);
-  // A hit restores recency AND adds reuse evidence: with one hit the
-  // evidence weight is 1 + log2(2) = 2 on top of the fresh score.
-  (*narrow)->RecordHit(100);
-  EXPECT_DOUBLE_EQ(manager.Score(**narrow, 100, kTestPages), 2.0 * fresh_score);
 }
 
 TEST(AdaptiveEvictionTest, CostAwareEvictsColdViewAndStaysCorrect) {

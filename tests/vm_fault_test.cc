@@ -519,7 +519,7 @@ TEST(VmFaultMatrixTest, tiering) {
 // ---------------------------------------------------------------------------
 // Satellite: PartialViewIndex error contract (the historical abort paths).
 
-TEST(PartialViewIndexTest, ReplaceAndRemoveRejectForeignViews) {
+TEST(PartialViewIndexTest, ReplaceRejectsForeignViewsAndTakeAllEmpties) {
   DistributionSpec spec;
   spec.kind = DataDistribution::kSine;
   spec.max_value = kMaxValue;
@@ -547,15 +547,10 @@ TEST(PartialViewIndexTest, ReplaceAndRemoveRejectForeignViews) {
   ASSERT_EQ(index.num_partial_views(), 1u);
   EXPECT_EQ(index.views()[0].get(), pooled_ptr);
 
-  auto removed = index.Remove(foreign->get());
-  ASSERT_FALSE(removed.ok());
-  EXPECT_EQ(removed.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(index.num_partial_views(), 1u);
-
-  // The genuine member still detaches.
-  auto detached = index.Remove(pooled_ptr);
-  ASSERT_TRUE(detached.ok()) << detached.status().ToString();
-  EXPECT_EQ((*detached).get(), pooled_ptr);
+  // The failed-alignment drop hands back every member and empties the pool.
+  auto detached = index.TakeAll();
+  ASSERT_EQ(detached.size(), 1u);
+  EXPECT_EQ(detached.front().get(), pooled_ptr);
   EXPECT_EQ(index.num_partial_views(), 0u);
 }
 
