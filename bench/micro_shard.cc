@@ -9,10 +9,13 @@
 //                      view pool; fan-out runs each shard's slice as one
 //                      task on the shared ThreadPool, merged
 //                      bit-identically;
-//   - readers+writer:  same, plus one writer thread applying update bursts
-//                      and flushes concurrently — updates route to exactly
-//                      one shard, so writer stalls stay per-shard instead
-//                      of table-wide.
+//   - readers+writer:  same, plus one writer thread applying a fixed
+//                      budget of update bursts and flushes concurrently
+//                      (kWriterBursts per rep, the same at every shard
+//                      count); a rep lasts until the readers and the
+//                      writer both finished. Updates route to exactly one
+//                      shard, so writer stalls stay per-shard instead of
+//                      table-wide.
 // Per-query scans are kept serial (the scan pool would otherwise hand every
 // shard all the cores and blur the axis). Every shard count answers a fixed
 // probe set and the harness cross-checks the answers against the 1-shard
@@ -28,6 +31,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -39,6 +43,7 @@
 #include "util/histogram.h"
 #include "util/macros.h"
 #include "util/random.h"
+#include "util/stopwatch.h"
 #include "util/table_printer.h"
 #include "workload/distribution.h"
 #include "workload/query_generator.h"
@@ -57,6 +62,11 @@ constexpr uint64_t kScalingRanges = 32;
 /// the only parallelism axis.
 constexpr uint64_t kClients = 4;
 constexpr uint32_t kShardCounts[] = {1, 2, 4, 8};
+/// The writer's budget per readers+writer rep: bursts of kBurstUpdates
+/// updates, each followed by a flush. Fixed, so every shard count times the
+/// same write work.
+constexpr uint64_t kWriterBursts = 8;
+constexpr uint64_t kBurstUpdates = 32;
 constexpr size_t kProbeQueries = 8;
 
 struct ShardPoint {
@@ -107,47 +117,23 @@ std::unique_ptr<Table> MakeSharded(const std::vector<Value>& values,
   return std::move(table_r).ValueOrDie();
 }
 
-/// One background writer applying update bursts until stopped. New values
-/// are drawn from the column's own value population, so the data
-/// DISTRIBUTION stays stationary and the warmed pool keeps covering the
-/// query workload at every shard count.
-class WriterLoop {
- public:
-  WriterLoop(Table* table, const std::vector<Value>* values)
-      : table_(table), values_(values), worker_([this] { Run(); }) {}
-
-  ~WriterLoop() { Stop(); }
-
-  void Stop() {
-    stop_.store(true);
-    if (worker_.joinable()) worker_.join();
-  }
-
-  uint64_t updates() const { return updates_; }
-  uint64_t flushes() const { return flushes_; }
-
- private:
-  void Run() {
-    Rng rng(99);
-    const uint64_t rows = table_->num_rows();
-    while (!stop_.load()) {
-      for (int burst = 0; burst < 32 && !stop_.load(); ++burst) {
-        const uint64_t row = rng.Below(rows);
-        VMSV_BENCH_CHECK_OK(table_->Update(row, (*values_)[rng.Below(rows)]));
-        ++updates_;
-      }
-      VMSV_BENCH_CHECK_OK(table_->FlushUpdates().status());
-      ++flushes_;
+/// Applies kWriterBursts update bursts, each followed by a flush, counting
+/// them into `point`. New values are drawn from the column's own value
+/// population, so the data DISTRIBUTION stays stationary and the warmed
+/// pool keeps covering the query workload at every shard count.
+void WriteBursts(Table* table, const std::vector<Value>& values, Rng* rng,
+                 ShardPoint* point) {
+  const uint64_t rows = table->num_rows();
+  for (uint64_t burst = 0; burst < kWriterBursts; ++burst) {
+    for (uint64_t i = 0; i < kBurstUpdates; ++i) {
+      const uint64_t row = rng->Below(rows);
+      VMSV_BENCH_CHECK_OK(table->Update(row, values[rng->Below(rows)]));
+      ++point->writer_updates;
     }
+    VMSV_BENCH_CHECK_OK(table->FlushUpdates().status());
+    ++point->writer_flushes;
   }
-
-  Table* table_;
-  const std::vector<Value>* values_;
-  std::atomic<bool> stop_{false};
-  uint64_t updates_ = 0;
-  uint64_t flushes_ = 0;
-  std::thread worker_;
-};
+}
 
 ShardReport RunShardExperiment(const bench::BenchEnv& env,
                                const std::vector<Value>& values,
@@ -202,24 +188,26 @@ ShardReport RunShardExperiment(const bench::BenchEnv& env,
       }
     }
 
-    // Re-warm, then measure with one concurrent writer churning rows.
+    // Re-warm, then measure with one concurrent writer applying its fixed
+    // budget: a rep's time runs until the readers and the writer are done.
     VMSV_BENCH_CHECK_OK(RunWorkload(table.get(), queries, warm).status());
-    {
-      WriterLoop writer(table.get(), &values);
-      SampleStats rw_qps;
-      for (uint64_t rep = 0; rep < env.reps; ++rep) {
-        auto run = RunWorkload(table.get(), queries, options);
-        VMSV_BENCH_CHECK_OK(run.status());
-        rw_qps.Add(run->queries_per_sec);
-        point.rw_rep_qps.push_back(run->queries_per_sec);
-      }
-      writer.Stop();
-      point.rw_qps = rw_qps.Median();
-      point.rw_wall_ms =
-          static_cast<double>(queries.size()) / point.rw_qps * 1000.0;
-      point.writer_updates = writer.updates();
-      point.writer_flushes = writer.flushes();
+    Rng writer_rng(99);
+    SampleStats rw_qps;
+    for (uint64_t rep = 0; rep < env.reps; ++rep) {
+      const Stopwatch wall;
+      std::thread writer(WriteBursts, table.get(), std::cref(values),
+                         &writer_rng, &point);
+      auto run = RunWorkload(table.get(), queries, options);
+      writer.join();
+      VMSV_BENCH_CHECK_OK(run.status());
+      const double qps =
+          static_cast<double>(queries.size()) / wall.ElapsedSeconds();
+      rw_qps.Add(qps);
+      point.rw_rep_qps.push_back(qps);
     }
+    point.rw_qps = rw_qps.Median();
+    point.rw_wall_ms =
+        static_cast<double>(queries.size()) / point.rw_qps * 1000.0;
     report.points.push_back(std::move(point));
   }
 
@@ -334,6 +322,10 @@ int Main() {
       distinct.begin(),
       distinct.begin() + std::min(kProbeQueries, distinct.size()));
 
+  // Untimed scans at the clients' thread count first: the 1-shard point
+  // runs first and would otherwise meet the host's idle-core ramp alone.
+  bench::WarmUpScans(values.data(), env.pages, probes.front(),
+                     static_cast<unsigned>(kClients));
   const ShardReport report = RunShardExperiment(env, values, queries, probes);
   PrintReport(env, report);
   return WriteJson(json_path, env, report);

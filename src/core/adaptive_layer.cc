@@ -216,16 +216,6 @@ void AdaptiveColumn::TightenZonesLocked() {
       });
 }
 
-PageZone AdaptiveColumn::ZoneFold() const {
-  std::shared_lock<std::shared_mutex> lock(views_mu_);
-  PageZone fold;
-  for (uint64_t page = 0; page < column_->num_pages(); ++page) {
-    fold.min = std::min(fold.min, column_->zones()[page].min);
-    fold.max = std::max(fold.max, column_->zones()[page].max);
-  }
-  return fold;
-}
-
 std::vector<ManifestView> AdaptiveColumn::ManifestViewsLocked() const {
   std::vector<ManifestView> views;
   views.reserve(view_index_.views().size());

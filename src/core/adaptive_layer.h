@@ -194,9 +194,9 @@ struct ColumnHealth {
 /// \internal
 /// Direct AdaptiveColumn construction is an ENGINE-INTERNAL interface:
 /// everything outside src/ creates columns through the vmsv::Db facade
-/// (src/vmsv.h, core/db.h), which wraps one AdaptiveColumn — or a shard
-/// router over several — behind the stable Table surface. The facade
-/// exposes shard(i) for white-box introspection where tests need it.
+/// (src/vmsv.h, core/db.h), whose Table holds one AdaptiveColumn per range
+/// shard. The facade exposes shard(i) for white-box introspection where
+/// tests need it.
 class AdaptiveColumn {
  public:
   /// \internal Use vmsv::Db::Create.
@@ -311,10 +311,6 @@ class AdaptiveColumn {
 
   const PhysicalColumn& column() const { return *column_; }
   PhysicalColumn* mutable_column() { return column_.get(); }
-  /// The fold of the column's page zones: a [min, max] bounding every
-  /// value a whole-page scan reads (min > max for a column without
-  /// pages). Folded under views_mu_ shared, which excludes Update's write.
-  PageZone ZoneFold() const;
   /// The live pool. Do not call while other threads are querying — pool
   /// membership is guarded by the engine's internal locks.
   const PartialViewIndex& view_index() const { return view_index_; }

@@ -1,12 +1,12 @@
 // vmsv::Db — the stable public facade of the engine.
 //
 // A Db is opened (or created) once and hands back a Table: a batch-first,
-// Status-based query surface that hides whether the data lives in one
-// AdaptiveColumn or is partitioned across N shards
-// (core/shard_router.h). Everything outside src/ — benches, tests, the
-// workload runner, embedders — programs against this interface; direct
-// AdaptiveColumn construction (core/adaptive_layer.h) is an internal
-// implementation detail.
+// Status-based query surface over N range shards, each one complete
+// AdaptiveColumn (N = 1 unless DbOptions::shards asks for more).
+// Everything outside src/ — benches, tests, the workload runner,
+// embedders — programs against this interface; direct AdaptiveColumn
+// construction (core/adaptive_layer.h) is an internal implementation
+// detail.
 //
 //   auto table = *vmsv::Db::Create(std::move(column), {});         // 1 shard
 //   auto big   = *vmsv::Db::Create(rows, value_of, opts);          // N shards
@@ -16,11 +16,11 @@
 //
 // Sharding contract (details in ARCHITECTURE.md "Sharding & serving"):
 // results are bit-identical to the same operations against one unsharded
-// AdaptiveColumn over the same rows, for every shard count — match_count
-// and sum are associative wrap-around uint64 adds merged in shard order,
-// and per-shard value zones only ever SKIP shards that provably hold no
-// matching value. Updates route to exactly one shard. Sharded tables live
-// in memory; a durable table is one plain column.
+// AdaptiveColumn over the same rows, for every shard count — every query
+// runs on every shard, whose page zones skip the pages that hold no match,
+// and match_count and sum are associative wrap-around uint64 adds merged in
+// shard order. Updates route to exactly one shard. Sharded tables live in
+// memory; a durable table is one plain column.
 
 #ifndef VMSV_CORE_DB_H_
 #define VMSV_CORE_DB_H_
@@ -61,78 +61,109 @@ struct DbOptions {
   /// For durable tables, storage.persist_dir is overridden by the table's
   /// directory.
   AdaptiveConfig column;
-  /// Number of shards. 1 (the default) wraps a single AdaptiveColumn with
-  /// no routing layer at all — the facade costs nothing you don't use.
-  /// Durable tables take 1 only.
+  /// Number of shards (1, the default: one column). Durable tables take 1
+  /// only.
   uint32_t shards = 1;
-  /// Page-to-shard assignment for shards > 1.
+  /// Page-to-shard assignment.
   PartitionKind partition = PartitionKind::kRange;
 };
 
-/// The public query surface. Thread-safe exactly like AdaptiveColumn:
-/// Execute / ExecuteBatch / ExecuteFullScan from any number of threads,
-/// concurrently with Update / FlushUpdates from any thread; Checkpoint and
-/// Health may run any time.
+/// The page-to-shard assignment of one table: pure arithmetic over
+/// (shards, num_rows), so every call routes identically.
+struct PartitionSpec {
+  uint32_t shards = 1;
+  uint64_t num_rows = 0;
+
+  /// Total pages of the logical column (rounded up like PhysicalColumn).
+  uint64_t TotalPages() const;
+  /// Shard owning global page `page`.
+  uint32_t ShardOfPage(uint64_t page) const;
+  /// Shard owning global row `row`.
+  uint32_t ShardOfRow(uint64_t row) const;
+  /// Pages shard `s` owns.
+  uint64_t ShardPages(uint32_t s) const;
+  /// Rows shard `s` owns (its pages' rows; only the shard holding the
+  /// globally-last page can end mid-page).
+  uint64_t ShardRows(uint32_t s) const;
+  /// Global page backing shard `s`'s local page `lp` (ascending in lp, so
+  /// the global tail page is always a shard's LAST local page).
+  uint64_t GlobalPage(uint32_t s, uint64_t lp) const;
+  /// Shard-local row id of global row `row` on ShardOfRow(row).
+  uint64_t LocalRow(uint64_t row) const;
+};
+
+/// The public query surface: one logical column split into range shards,
+/// shard i a complete AdaptiveColumn over the i-th page block with its own
+/// maintenance mutex and view pool. Thread-safe exactly like
+/// AdaptiveColumn: Execute / ExecuteBatch / ExecuteFullScan from any number
+/// of threads, concurrently with Update / FlushUpdates from any thread;
+/// Checkpoint and Health may run any time.
 class Table {
  public:
-  virtual ~Table() = default;
-
-  /// Answers one range query adaptively. On a sharded table the query fans
-  /// out to the shards whose value zone intersects [q.lo, q.hi] and the
-  /// per-shard answers merge in shard order (bit-identical to unsharded).
+  /// Answers one range query adaptively. The query fans out to every shard
+  /// — each shard's page zones skip the pages that hold no match, and a
+  /// shard with no value in [q.lo, q.hi] records the range as an empty view
+  /// — and the per-shard answers merge in shard order (bit-identical to
+  /// unsharded).
   /// Error contract: InvalidArgument when q.lo > q.hi.
-  virtual StatusOr<QueryExecution> Execute(const RangeQuery& q) = 0;
+  StatusOr<QueryExecution> Execute(const RangeQuery& q);
 
   /// Answers N in-flight queries with shared scans per shard (the
-  /// batch-first path: prefer this whenever queries arrive together).
-  /// Result i is bit-identical to Execute(queries[i]).
-  virtual StatusOr<BatchExecution> ExecuteBatch(
-      const std::vector<RangeQuery>& queries) = 0;
+  /// batch-first path: prefer this whenever queries arrive together). Every
+  /// shard answers the whole batch. Result i is bit-identical to
+  /// Execute(queries[i]).
+  /// Error contract: InvalidArgument when some query has lo > hi.
+  StatusOr<BatchExecution> ExecuteBatch(const std::vector<RangeQuery>& queries);
 
-  /// The non-adaptive baseline: scans the base column(s), touching no view
-  /// state. Bit-identical to Execute for the same query.
+  /// The non-adaptive baseline: scans every shard's base column, touching
+  /// no view state. Bit-identical to Execute for the same query.
   /// Error contract: InvalidArgument when q.lo > q.hi.
-  virtual StatusOr<QueryExecution> ExecuteFullScan(const RangeQuery& q) const = 0;
+  StatusOr<QueryExecution> ExecuteFullScan(const RangeQuery& q) const;
 
   /// Point update of one row (global row id). Routes to exactly one shard;
   /// a durable table journals ahead of the cell write.
   /// Error contract: InvalidArgument for an out-of-range row.
-  virtual Status Update(uint64_t row, Value new_value) = 0;
+  Status Update(uint64_t row, Value new_value);
 
   /// Aligns all views with the logged updates, every shard.
-  virtual StatusOr<UpdateApplyStats> FlushUpdates() = 0;
+  StatusOr<UpdateApplyStats> FlushUpdates();
 
   /// Every table: re-derive the exact page zones that writes loosened
-  /// since the last flush or Checkpoint, every shard. A durable table also
-  /// checkpoints (flush, data writeback per policy, journal reset, the
-  /// pool when it is dirty); in memory nothing is flushed.
-  /// Each shard's routing zone then widens to the fold of its page zones,
-  /// so a write through shard(i)->mutable_column() reaches routing here.
-  /// Routing zones never narrow.
-  virtual Status Checkpoint() = 0;
+  /// since the last flush or Checkpoint, every shard — writes through
+  /// shard(i)->mutable_column() included. A durable table also checkpoints
+  /// (flush, data writeback per policy, journal reset, the pool when it is
+  /// dirty); in memory nothing is flushed.
+  Status Checkpoint();
 
   /// Aggregated + per-shard health snapshot (see TableHealth).
-  virtual TableHealth Health() const = 0;
+  TableHealth Health() const;
 
-  /// Workload counters summed across shards. Zone-pruned shards never ran
-  /// a query, so sums reflect work actually done.
-  virtual CumulativeStats Metrics() const = 0;
+  /// Workload counters summed across shards. Every shard runs every query,
+  /// so `queries` counts one per shard and query.
+  CumulativeStats Metrics() const;
 
   /// Durability counters (zeros for in-memory tables).
-  virtual DurabilityStats Durability() const = 0;
+  DurabilityStats Durability() const;
 
-  virtual uint64_t num_rows() const = 0;
-  virtual uint64_t num_pages() const = 0;
-  virtual uint32_t num_shards() const = 0;
-  virtual bool is_durable() const = 0;
+  uint64_t num_rows() const { return spec_.num_rows; }
+  uint64_t num_pages() const { return spec_.TotalPages(); }
+  uint32_t num_shards() const { return spec_.shards; }
+  bool is_durable() const { return shards_.front()->is_durable(); }
 
   /// \internal White-box access to shard `i`'s engine for tests and
   /// internal tooling. The returned column is owned by the table; pool
   /// introspection on it follows AdaptiveColumn's own locking caveats.
-  virtual AdaptiveColumn* shard(uint32_t i) = 0;
-  const AdaptiveColumn* shard(uint32_t i) const {
-    return const_cast<Table*>(this)->shard(i);
-  }
+  AdaptiveColumn* shard(uint32_t i) { return shards_[i].get(); }
+  const AdaptiveColumn* shard(uint32_t i) const { return shards_[i].get(); }
+
+ private:
+  friend class Db;
+
+  /// Shard i holds the i-th page block of the table, in page order.
+  explicit Table(std::vector<std::unique_ptr<AdaptiveColumn>> shards);
+
+  PartitionSpec spec_;
+  std::vector<std::unique_ptr<AdaptiveColumn>> shards_;
 };
 
 class Db {
@@ -147,8 +178,8 @@ class Db {
 
   /// Creates an in-memory table of `num_rows` rows, filling row r with
   /// value_of(r) — partitioned across options.shards shards, at most one
-  /// per page. The generator must be pure (it is re-invoked per shard in
-  /// page order).
+  /// per page. The generator is called once per row, shard by shard in
+  /// page order.
   /// Error contract: InvalidArgument when num_rows or options.shards is 0,
   /// before anything is allocated, or on config errors from the engine.
   static StatusOr<std::unique_ptr<Table>> Create(
@@ -169,6 +200,11 @@ class Db {
   /// directory; FailedPrecondition when it is open elsewhere.
   static StatusOr<std::unique_ptr<Table>> Open(const std::string& dir,
                                                const DbOptions& options);
+
+ private:
+  /// The 1-shard table over `column`, or the status its build failed with.
+  static StatusOr<std::unique_ptr<Table>> OneShard(
+      StatusOr<std::unique_ptr<AdaptiveColumn>> column);
 };
 
 }  // namespace vmsv

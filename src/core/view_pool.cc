@@ -72,21 +72,23 @@ void PartialViewIndex::Route(const RangeQuery& q, const AdaptiveConfig& config,
     return;
   }
   // Greedy interval covering over the value domain: repeatedly choose among
-  // the views starting at or below the uncovered point the one that extends
-  // coverage furthest (or cheapest per unit, when cost-based).
+  // the views holding the uncovered point the one that extends coverage
+  // furthest (or cheapest per unit, when cost-based).
   uint64_t cover_pages = 0;
   Value point = q.lo;
-  while (true) {
+  // The best view holding `point`; one that ends at `point` is eligible
+  // only when `ends_at_point_ok`.
+  const auto pick = [&](bool ends_at_point_ok) {
     VirtualView* best = nullptr;
     double best_score = 0;
     for (const auto& view : views_) {
       if (view->lo() > point || view->hi() < point) continue;
       const Value extension = view->hi() - point;
-      if (extension == 0 && point < q.hi) continue;
+      if (extension == 0 && !ends_at_point_ok) continue;
       double score;
       if (config.cost_based_routing) {
         // New coverage per page scanned — maximize (the +1s avoid
-        // div-by-zero and keep zero-extension finishers eligible).
+        // div-by-zero and keep zero-extension views eligible).
         score = static_cast<double>(extension + 1) /
                 static_cast<double>(view->num_pages() + 1);
       } else {
@@ -97,6 +99,13 @@ void PartialViewIndex::Route(const RangeQuery& q, const AdaptiveConfig& config,
         best_score = score;
       }
     }
+    return best;
+  };
+  while (true) {
+    VirtualView* best = pick(/*ends_at_point_ok=*/point == q.hi);
+    // A view ending at `point` still covers it: take one only when no view
+    // reaches past it.
+    if (best == nullptr) best = pick(/*ends_at_point_ok=*/true);
     if (best == nullptr) {  // gap at `point`: no partial cover escapes
       cover->clear();
       return;

@@ -113,9 +113,11 @@ class PartialViewIndex {
   /// Routes q per config.mode: fills `cover` with the views that answer q,
   /// or leaves it empty when the pool cannot. kSingleView: the smallest
   /// covering view. kMultiView: a greedy interval cover of q by view value
-  /// ranges, in cover order; cost_based_routing breaks ties toward fewer
-  /// pages per unit of new coverage and leaves `cover` empty when it holds
-  /// at least `column_pages` pages (the full scan is cheaper).
+  /// ranges, in cover order, where a view ending at the uncovered point
+  /// joins only when no view reaches past it; cost_based_routing breaks
+  /// ties toward fewer pages per unit of new coverage and leaves `cover`
+  /// empty when it holds at least `column_pages` pages (the full scan is
+  /// cheaper).
   void Route(const RangeQuery& q, const AdaptiveConfig& config,
              uint64_t column_pages, std::vector<VirtualView*>* cover) const;
 

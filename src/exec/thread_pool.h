@@ -2,8 +2,7 @@
 // sized by VMSV_THREADS, default hardware_concurrency) that runs
 // parallel-for jobs. Run(n_tasks, parallelism, fn) executes fn(task) for
 // every task index and blocks until all of them finished. Page scans
-// (exec/parallel_scanner.h) and shard fan-out (core/shard_router.h) both
-// run here.
+// (exec/parallel_scanner.h) and shard fan-out (core/db.h) both run here.
 //
 // Jobs may run concurrently and may nest: a task can itself call Run, which
 // is how a fanned-out shard query scans in parallel. Each job's state lives

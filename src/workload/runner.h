@@ -1,5 +1,5 @@
-// RunWorkload — drives a query sequence through a vmsv::Table (one
-// AdaptiveColumn or a sharded router, the runner cannot tell), timing each
+// RunWorkload — drives a query sequence through a vmsv::Table (one range
+// shard or several, the runner cannot tell), timing each
 // adaptive answer against the full-scan baseline and (optionally)
 // verifying that both agree. All figure harnesses and the adaptive tests
 // share this loop.

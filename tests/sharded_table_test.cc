@@ -1,12 +1,13 @@
-// sharded_table_test — the ShardedTable contract behind vmsv::Db:
+// sharded_table_test — the Table contract behind vmsv::Db:
 //
 //   * PartitionSpec arithmetic (page partition is exact, tail page last);
 //   * BIT-IDENTITY: sharded scans, batches, and updates produce exactly the
 //     match_count/sum an unsharded oracle produces, for every shard count,
 //     under seeded query/update/flush interleavings;
-//   * routing determinism and zone-pruning soundness (a skipped shard
-//     provably holds no match), including writes made through a shard's
-//     mutable_column() once Checkpoint folds them into the routing zone;
+//   * every shard answers every query: each shard adapts exactly like an
+//     unsharded column over its own rows, and a value written anywhere —
+//     through Update, or through a shard's mutable_column() followed by
+//     Checkpoint — is found;
 //   * durable tables are one plain column: a sharded CreateDurable or Open
 //     is refused before the filesystem is touched;
 //   * the batch cover-routing fix: ExecuteBatch consults the same
@@ -22,11 +23,11 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/shard_router.h"
 #include "exec/scan_kernels.h"
 #include "scoped_temp_dir.h"
 #include "vmsv.h"
@@ -42,7 +43,7 @@ constexpr uint64_t kRows = kPages * kValuesPerPage;
 Value MixValue(uint64_t row) { return (row * 2654435761ull) % 1'000'000; }
 
 /// Identity data: value == row. Gives the range shards DISJOINT value
-/// zones, which the routing tests rely on.
+/// sets, so most queries match on some shards and not on others.
 Value IdentityValue(uint64_t row) { return row; }
 
 AdaptiveConfig MultiViewConfig() {
@@ -300,61 +301,85 @@ TEST(ShardedTable, ShardCountClampsToPages) {
 }
 
 // ---------------------------------------------------------------------------
-// Routing determinism and zone pruning
+// Every shard answers every query
 
-TEST(ShardedTable, RouteShardsIsDeterministicAndSound) {
-  // Identity data gives disjoint per-shard zones: shard s owns rows
-  // [s*4096/4 .. ) with value == row.
+TEST(ShardedTable, BeyondTheDomainAnswersZeroUntilWritten) {
   const uint64_t rows = 8 * kValuesPerPage;
   auto table_r = Db::Create(rows, IdentityValue, ShardedOptions(4));
   ASSERT_TRUE(table_r.ok());
   auto table = *std::move(table_r);
-  auto* sharded = dynamic_cast<ShardedTable*>(table.get());
-  ASSERT_NE(sharded, nullptr);
-  const uint64_t per_shard = rows / 4;
 
-  // Narrow query inside shard 0's zone routes to exactly shard 0.
-  const RangeQuery narrow{0, 100};
-  const std::vector<uint32_t> targets = sharded->RouteShards(narrow);
-  ASSERT_EQ(targets.size(), 1u);
-  EXPECT_EQ(targets[0], 0u);
-  EXPECT_EQ(sharded->RouteShards(narrow), targets) << "routing must repeat";
-
-  // Pruning soundness: every shard NOT routed holds zero matches.
-  for (uint32_t s = 0; s < table->num_shards(); ++s) {
-    if (s == targets[0]) continue;
-    auto full = table->shard(s)->ExecuteFullScan(narrow);
-    ASSERT_TRUE(full.ok());
-    EXPECT_EQ(full->match_count, 0u) << "pruned shard " << s << " matched";
-  }
-
-  // A mid-domain query touches exactly the two adjacent shards.
-  const RangeQuery straddle{per_shard - 10, per_shard + 10};
-  EXPECT_EQ(sharded->RouteShards(straddle),
-            (std::vector<uint32_t>{0, 1}));
-
-  // Beyond the domain: no zone intersects, and Execute still answers.
+  // Beyond the domain: no shard holds a value, and Execute answers 0.
   const RangeQuery beyond{rows + 1000, rows + 2000};
-  EXPECT_TRUE(sharded->RouteShards(beyond).empty());
   auto miss = table->Execute(beyond);
   ASSERT_TRUE(miss.ok());
   EXPECT_EQ(miss->match_count, 0u);
   EXPECT_EQ(miss->sum, 0u);
 
-  // An update only ever WIDENS a zone — the new value must become routable.
+  // A value written there is then found.
   ASSERT_TRUE(table->Update(0, rows + 1500).ok());
-  const std::vector<uint32_t> widened = sharded->RouteShards(beyond);
-  ASSERT_EQ(widened.size(), 1u);
-  EXPECT_EQ(widened[0], 0u);
   auto hit = table->Execute(beyond);
   ASSERT_TRUE(hit.ok());
   EXPECT_EQ(hit->match_count, 1u);
   EXPECT_EQ(hit->sum, rows + 1500);
 }
 
+/// A pool as each view's (lo, hi, pages), in pool order.
+std::vector<std::tuple<Value, Value, uint64_t>> PoolOf(
+    const AdaptiveColumn& column) {
+  std::vector<std::tuple<Value, Value, uint64_t>> pool;
+  for (const auto& view : column.view_index().views()) {
+    pool.emplace_back(view->lo(), view->hi(), view->num_pages());
+  }
+  return pool;
+}
+
+// Fails while per-shard value zones pruned the fan-out: a shard holding no
+// value of a query never ran it, so it counted fewer queries and held no
+// empty view for the range.
+TEST(ShardedTable, EachShardAdaptsLikeAColumnOverItsRows) {
+  const uint64_t rows = 8 * kValuesPerPage;
+  auto table = *Db::Create(rows, IdentityValue, ShardedOptions(4));
+  ASSERT_EQ(table->num_shards(), 4u);
+  // Shard s holds the values [1024 s, 1024 (s + 1)).
+  const std::vector<RangeQuery> sequence = {
+      {0, 100},       {1100, 1200}, {1000, 3000}, {rows + 10, rows + 20},
+      {0, 100},       {3500, 4000}, {2000, 2100}, {1100, 1200},
+      {0, ~Value{0}},
+  };
+  for (const RangeQuery& q : sequence) {
+    auto got = table->Execute(q);
+    auto want = table->ExecuteFullScan(q);
+    ASSERT_TRUE(got.ok() && want.ok());
+    ExpectSameAnswer(*got, *want, "sharded query");
+  }
+
+  const PartitionSpec spec{4, rows};
+  for (uint32_t s = 0; s < 4; ++s) {
+    SCOPED_TRACE(s);
+    const uint64_t first = spec.GlobalPage(s, 0) * kValuesPerPage;
+    auto alone = *Db::Create(
+        spec.ShardRows(s), [first](uint64_t row) { return first + row; },
+        DbOptions{MultiViewConfig()});
+    for (const RangeQuery& q : sequence) ASSERT_TRUE(alone->Execute(q).ok());
+
+    const CumulativeStats got = table->shard(s)->metrics();
+    const CumulativeStats want = alone->Metrics();
+    EXPECT_EQ(got.queries, want.queries);
+    EXPECT_EQ(got.scanned_pages, want.scanned_pages);
+    EXPECT_EQ(got.fullscan_equivalent_pages, want.fullscan_equivalent_pages);
+    EXPECT_EQ(got.views_created, want.views_created);
+    EXPECT_EQ(got.views_discarded, want.views_discarded);
+    EXPECT_EQ(got.views_replaced, want.views_replaced);
+    EXPECT_EQ(got.views_evicted, want.views_evicted);
+    EXPECT_EQ(got.candidates_dropped, want.candidates_dropped);
+    EXPECT_EQ(PoolOf(*table->shard(s)), PoolOf(*alone->shard(0)));
+  }
+}
+
 TEST(ShardedTable, ExecuteFullScanVisitsEveryShard) {
-  // The non-adaptive baseline deliberately skips zone pruning: it is the
-  // ground truth the pruned path is checked against.
+  // The non-adaptive baseline reads every base page of every shard: it is
+  // the ground truth the adaptive path is checked against.
   const uint64_t rows = 4 * kValuesPerPage;
   auto table = *Db::Create(rows, IdentityValue, ShardedOptions(4));
   auto full = table->ExecuteFullScan({0, 50});
@@ -489,13 +514,13 @@ TEST(BatchCoverRouting, BatchUsesTheCostBasedCoverPath) {
 }
 
 // ---------------------------------------------------------------------------
-// Routing zones follow writes made through a shard's mutable_column(): the
-// next Checkpoint widens each zone to the fold of the shard's page zones.
+// Writes made through a shard's mutable_column() are found: every query runs
+// on every shard, and Checkpoint re-derives the page zones they loosened.
 
 constexpr uint64_t kZoneRows = 64 * kValuesPerPage;
 
 /// Sets every shard row to 1000 + its shard-local row through the shard's
-/// mutable_column(), bypassing Update (and its zone widening).
+/// mutable_column(), bypassing Update.
 void WriteShardsThroughColumns(Table* table) {
   for (uint32_t s = 0; s < table->num_shards(); ++s) {
     PhysicalColumn* column = table->shard(s)->mutable_column();
@@ -514,8 +539,7 @@ void ExpectWrittenRangeRoutes(Table* table, const char* what) {
   ExpectSameAnswer(*got, *full, what);
 }
 
-// Fails while Checkpoint left routing zones as created: Execute pruned
-// both shards and answered 0 matches.
+// Every value written lies outside the values the table was created with.
 TEST(ShardedTable, CheckpointRoutesWritesThroughShardColumns) {
   auto table_r = Db::Create(
       kZoneRows, [](uint64_t) { return Value{0}; }, ShardedOptions(2));
@@ -526,8 +550,8 @@ TEST(ShardedTable, CheckpointRoutesWritesThroughShardColumns) {
   ExpectWrittenRangeRoutes(table.get(), "in memory");
 }
 
-// Checkpoint's fold only widens a zone, so it never loses the widening of
-// an Update that races it with a value outside the create-time zone.
+// Updates that race Checkpoint with values outside the created ones are all
+// found afterwards.
 TEST(ShardedTable, CheckpointFoldKeepsRacingUpdateWidenings) {
   auto table_r = Db::Create(kRows, [](uint64_t) { return Value{0}; },
                             ShardedOptions(2));

@@ -214,6 +214,15 @@ const RouteCase kRouteCases[] = {
     {"multi view: a gap leaves no cover",
      {{0, 100, {{0, 4}}}, {102, 300, {{4, 8}}}}, QueryMode::kMultiView,
      false, {50, 250}, {}},
+    {"multi view: a view ending at the query's low end covers it",
+     {{0, 50, {{0, 4}}}, {51, 300, {{4, 8}}}}, QueryMode::kMultiView,
+     false, {50, 250}, {0, 1}},
+    {"cost-based: a view ending at the query's low end covers it",
+     {{0, 50, {{0, 4}}}, {51, 300, {{4, 8}}}}, QueryMode::kMultiView,
+     true, {50, 250}, {0, 1}},
+    {"multi view: a view reaching past the point beats one ending there",
+     {{0, 50, {{0, 4}}}, {40, 300, {{4, 8}}}}, QueryMode::kMultiView,
+     false, {50, 250}, {1}},
     {"cost-based: a cover of the column's pages goes to the scan",
      {{0, 100, {{0, 40}}}, {101, 300, {{40, 64}}}}, QueryMode::kMultiView,
      true, {50, 250}, {}},

@@ -798,6 +798,18 @@ def check_micro_shard(doc, path):
         check_rep_array(p, "rw_rep_qps", doc["reps"], pwhere)
     if points[0]["shards"] != 1:
         fail(f"{where}: shard_counts must include the 1-shard oracle first")
+    # The readers+writer points compare shard counts only under equal write
+    # work: the writer runs a fixed budget of update bursts.
+    budget = (points[0]["writer_updates"], points[0]["writer_flushes"])
+    if budget[0] <= 0:
+        fail(f"{where}: the 1-shard point applied no writer updates")
+    for p in points[1:]:
+        if (p["writer_updates"], p["writer_flushes"]) != budget:
+            fail(f"{where}: {p['shards']} shards applied "
+                 f"{p['writer_updates']} writer updates in "
+                 f"{p['writer_flushes']} flushes, 1 shard {budget[0]} in "
+                 f"{budget[1]}: the writer budget must not depend on the "
+                 f"shard count")
 
     single = points[0]["readers_only_qps"]
     best_multi = max((p["readers_only_qps"] for p in points if p["shards"] > 1),
