@@ -19,8 +19,8 @@ class VmIo;
 enum class QueryMode {
   /// Answer from the smallest single view covering the query (Figure 4).
   kSingleView,
-  /// Let several views jointly cover the query, deduplicating shared pages
-  /// during the scan (Figure 5).
+  /// Let several views jointly cover the query, read once as the union of
+  /// their pages over the base mapping (Figure 5).
   kMultiView,
 };
 
@@ -63,9 +63,10 @@ struct AdaptiveConfig {
   /// Upper bound on the views of the pool, with an arena or without one.
   size_t max_views = 100;
   /// A view without an arena answers its hits by reading its member page
-  /// runs over the base column's mapping; the hit that brings its count of
-  /// such hits to this threshold maps its arena (EnsureMaterialized). 1 maps
-  /// at the first hit, as the paper's figures do. The default is where an
+  /// runs over the base column's mapping; the hit it answers alone that
+  /// brings its count of such hits to this threshold maps its arena
+  /// (EnsureMaterialized). 1 maps at the first lone hit, as the paper's
+  /// figures do. The default is where an
   /// arena's per-hit saving repays mapping and unmapping it
   /// (bench/micro_view_life.cc, EXPERIMENTS.md "When a view earns its
   /// arena"). Must be >= 1.

@@ -331,7 +331,8 @@ StatusOr<std::vector<size_t>> AdaptiveColumn::AnswerFromViews(
     *guard = epoch_.Enter();
   }
 
-  // One group per distinct cover, in first-appearance order.
+  // One group per distinct cover, in first-appearance order. Genuine misses
+  // are the only leftovers, so they stay in batch order.
   std::map<std::vector<VirtualView*>, size_t> group_of;
   std::vector<std::vector<size_t>> groups;
   std::vector<size_t> missed;
@@ -346,83 +347,50 @@ StatusOr<std::vector<size_t>> AdaptiveColumn::AnswerFromViews(
   }
 
   const uint64_t seq = metrics_.queries.load(std::memory_order_relaxed);
-  const uint64_t column_pages = column_->num_pages();
   for (const std::vector<size_t>& members : groups) {
     const std::vector<VirtualView*>& cover = covers[members.front()];
-    bool mapped = true;
-    bool all_arenas = true;
     for (VirtualView* view : cover) {
-      // A view without an arena answers over the base mapping until its
-      // hits reach the threshold; the hit that gets there maps it.
-      if (!view->is_materialized() &&
-          view->CountUnmappedHits(members.size()) >=
-              config_.materialize_after_hits) {
-        if (!view->EnsureMaterialized().ok()) {
-          mapped = false;
-          break;
-        }
-        health_.views_promoted.fetch_add(1, std::memory_order_relaxed);
-      }
-      all_arenas = all_arenas && view->is_materialized();
       for (size_t m = 0; m < members.size(); ++m) view->RecordHit(seq);
-    }
-    if (!mapped) {
-      // Mapping failed (address space, VMA budget, transient EAGAIN). The
-      // view stays consistently unmaterialized (EnsureMaterialized's
-      // failure contract), one unmappable member poisons the whole cover,
-      // and a READ must not surface a resource error: the base column
-      // answers exactly, and the pressure flag asks the next maintenance
-      // pass to shed mappings.
-      NoteMapFailure();
-      health_.base_fallbacks.fetch_add(members.size(),
-                                       std::memory_order_relaxed);
-      for (const size_t i : members) {
-        out->queries[i].stats.decision = CandidateDecision::kBaseFallback;
-        out->queries[i].stats.considered_views = cover.size();
-        missed.push_back(i);
-      }
-      continue;
     }
     std::vector<RangeQuery> group;
     group.reserve(members.size());
     for (const size_t i : members) group.push_back(queries[i]);
+    CandidateDecision decision = CandidateDecision::kAnsweredFromView;
     std::vector<PageScanResult> results;
     uint64_t cover_pages = 0;
     if (cover.size() == 1) {
-      results = cover.front()->ScanMany(group, column_->zones());
-      cover_pages = cover.front()->num_pages();
-    } else {
-      // Views in a cover may share physical pages; each is scanned once.
-      // Counts and sums are associative wrap-around adds, so any split of
-      // the union into passes is bit-identical to one scan of it.
-      std::vector<uint64_t> seen((column_pages + 63) / 64, 0);
-      if (all_arenas) {
-        // Each arena scans the pages no earlier member claimed, claiming
-        // them with a bit test-and-set.
-        results.resize(members.size());
-        for (const VirtualView* view : cover) {
-          const std::vector<PageScanResult> partial = view->ScanManyIf(
-              group, column_->zones(), [&seen](uint64_t page) {
-                uint64_t& word = seen[page / 64];
-                const uint64_t bit = uint64_t{1} << (page % 64);
-                if ((word & bit) != 0) return false;
-                word |= bit;
-                return true;
-              });
-          for (size_t m = 0; m < members.size(); ++m) {
-            results[m].Merge(partial[m]);
-          }
+      // A lone view answers over the base mapping until its hits reach the
+      // threshold; the hit that gets there maps it. A failed map (address
+      // space, VMA budget, transient EAGAIN) leaves the view without an
+      // arena (EnsureMaterialized's failure contract), so it answers over
+      // its own page runs all the same, and the pressure flag asks the
+      // next maintenance pass to shed mappings.
+      VirtualView* view = cover.front();
+      if (!view->is_materialized() &&
+          view->CountUnmappedHits(members.size()) >=
+              config_.materialize_after_hits) {
+        if (view->EnsureMaterialized().ok()) {
+          health_.views_promoted.fetch_add(1, std::memory_order_relaxed);
+        } else {
+          NoteMapFailure();
+          health_.base_fallbacks.fetch_add(members.size(),
+                                           std::memory_order_relaxed);
+          decision = CandidateDecision::kBaseFallback;
         }
-      } else {
-        // Some member reads over the base mapping anyway: one shared pass
-        // over the union of the members' pages answers the whole cover.
-        for (const VirtualView* view : cover) view->OrMembersInto(&seen);
-        results = BatchExecutor().SharedScanPageRuns(
-            reinterpret_cast<const Value*>(column_->base_arena().data()),
-            PageRunsOfBitmap(seen), group,
-            ZoneTable{column_->zones(), nullptr});
       }
-      for (const uint64_t word : seen) {
+      results = view->ScanMany(group, column_->zones());
+      cover_pages = view->num_pages();
+    } else {
+      // Several views read once over the base mapping: one shared pass
+      // over the union of their pages, each page read once however many
+      // members hold it. Neither maps nor counts toward a threshold.
+      std::vector<uint64_t> pages((column_->num_pages() + 63) / 64, 0);
+      for (const VirtualView* view : cover) view->OrMembersInto(&pages);
+      results = BatchExecutor().SharedScanPageRuns(
+          reinterpret_cast<const Value*>(column_->base_arena().data()),
+          PageRunsOfBitmap(pages), group,
+          ZoneTable{column_->zones(), nullptr});
+      for (const uint64_t word : pages) {
         cover_pages += static_cast<uint64_t>(__builtin_popcountll(word));
       }
     }
@@ -431,7 +399,7 @@ StatusOr<std::vector<size_t>> AdaptiveColumn::AnswerFromViews(
       exec.match_count = results[m].match_count;
       exec.sum = results[m].sum;
       exec.stats.considered_views = cover.size();
-      exec.stats.decision = CandidateDecision::kAnsweredFromView;
+      exec.stats.decision = decision;
       // The shared pass's cost lands on the group leader; followers rode
       // along for free.
       exec.stats.scanned_pages = m == 0 ? cover_pages : 0;
@@ -440,7 +408,6 @@ StatusOr<std::vector<size_t>> AdaptiveColumn::AnswerFromViews(
     out->individual_equivalent_pages += cover_pages * members.size();
     out->view_answered += members.size();
   }
-  std::sort(missed.begin(), missed.end());
   return missed;
 }
 
@@ -476,19 +443,14 @@ StatusOr<QueryExecution> AdaptiveColumn::Execute(const RangeQuery& q) {
   if (q.lo > q.hi) return InvalidArgument("query lo > hi");
   const std::vector<RangeQuery> batch{q};
   BatchExecution out;
-  // The batch step on a batch of one. False on a genuine miss; a view that
-  // failed to map is answered from the base column instead. The guard
+  // The batch step on a batch of one; false on a genuine miss. The guard
   // exits on return, before we may block on maintenance_mu_ (an updater
   // holding it waits for every guard).
   const auto answer = [&](bool maintenance_held) -> StatusOr<bool> {
     EpochManager::Guard guard;
     auto missed = AnswerFromViews(batch, maintenance_held, &guard, &out);
     if (!missed.ok()) return missed.status();
-    if (!missed->empty() && out.queries.front().stats.decision !=
-                                CandidateDecision::kBaseFallback) {
-      return false;
-    }
-    AnswerFromBase(batch, *missed, &out);
+    if (!missed->empty()) return false;
     RecordQueries(1, out.shared_scanned_pages);
     return true;
   };
@@ -509,26 +471,12 @@ StatusOr<QueryExecution> AdaptiveColumn::FullScanAndAdapt(const RangeQuery& q) {
   // Caller holds maintenance_mu_: the base column's content is frozen (the
   // update path needs the same mutex) and this is the only candidate being
   // built, so the scan runs without any lock or guard.
-  // The full scan doubles as candidate materialization (§2.3): one pass
-  // answers the query and rewires the qualifying pages into a new view.
+  // The full scan doubles as candidate creation (§2.3): one pass answers
+  // the query and records the qualifying pages as a new view. The view is
+  // lazy, so no mapping call happens here; it maps at its threshold hit.
   auto built = BuildViewAndAnswer(*column_, q, kCandidateCreation,
                                   /*mapper=*/nullptr);
-  if (!built.ok()) {
-    const StatusCode code = built.status().code();
-    if (code == StatusCode::kIoError || code == StatusCode::kResourceExhausted) {
-      // Candidate materialization failed on a mapping syscall — adaptation
-      // is an optimization, never a correctness requirement. Answer the
-      // query from the base column and let a later, healthier pass adapt.
-      NoteMapFailure();
-      health_.failed_adaptations.fetch_add(1, std::memory_order_relaxed);
-      health_.base_fallbacks.fetch_add(1, std::memory_order_relaxed);
-      StatusOr<QueryExecution> exec = ExecuteFullScan(q);  // never fails
-      exec->stats.decision = CandidateDecision::kBaseFallback;
-      RecordQueries(1, exec->stats.scanned_pages);
-      return exec;
-    }
-    return built.status();
-  }
+  if (!built.ok()) return built.status();
   std::unique_ptr<VirtualView> candidate = std::move(built->view);
   candidate->SetCreationInfo(metrics_.queries.load(std::memory_order_relaxed),
                              built->scanned_pages);
@@ -811,8 +759,6 @@ ColumnHealth AdaptiveColumn::Health() const {
   h.mapping_pressure = pressure_pending_.load(std::memory_order_relaxed);
   h.map_failures = health_.map_failures.load(std::memory_order_relaxed);
   h.base_fallbacks = health_.base_fallbacks.load(std::memory_order_relaxed);
-  h.failed_adaptations =
-      health_.failed_adaptations.load(std::memory_order_relaxed);
   h.journal_stalls = health_.journal_stalls.load(std::memory_order_relaxed);
   h.read_only_entries =
       health_.read_only_entries.load(std::memory_order_relaxed);

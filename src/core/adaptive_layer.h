@@ -9,21 +9,22 @@
 // Two routing modes, both producing a COVER (the views that answer q):
 //   - kSingleView: a cover of one — the SMALLEST single view whose value
 //     range covers q (Figure 4);
-//   - kMultiView:  several views may jointly cover the query; their page
-//     sets are deduplicated during the scan (Figure 5). With
-//     cost_based_routing, cover selection minimizes scanned pages and falls
-//     back to a full scan when the cover would be costlier.
+//   - kMultiView:  several views may jointly cover the query (Figure 5).
+//     With cost_based_routing, cover selection minimizes scanned pages and
+//     falls back to a full scan when the cover would be costlier.
 //
 // ONE QUERY PATH: Execute and ExecuteBatch share a single route-and-answer
 // step (AnswerFromViews): due maintenance first (pressure relief, update
 // flush), then every query routed under one shared index-lock hold, one
-// epoch guard, and one shared scan per distinct cover. A view answers over
-// the base mapping until its hits reach materialize_after_hits; the hit
-// that gets there maps it.
-// They differ only in what happens to the queries no view answered: a
-// batch answers them with one shared base-column pass, while Execute
-// answers a degraded query from the base column and adapts on a genuine
-// miss (full scan + candidate decision, Listing 1).
+// epoch guard, and one shared scan per distinct cover. Only a cover of one
+// view maps or reads an arena: the view answers over the base mapping until
+// its hits reach materialize_after_hits, the hit that gets there maps it,
+// and a failed map leaves it answering over its own page runs. A cover of
+// several views reads the union of their pages over the base mapping in one
+// pass and maps nothing.
+// The two differ only in what happens to the queries no view answered: a
+// batch answers them with one shared base-column pass, while Execute adapts
+// (full scan + candidate decision, Listing 1).
 //
 // The pool and every decision over it live in core/view_pool.h: routing,
 // admission and the coldest-first victim order; under budget pressure the
@@ -172,14 +173,13 @@ struct ColumnHealth {
   /// A mapping failure was seen and pressure relief has not yet confirmed
   /// the mapping layer healthy again.
   bool mapping_pressure = false;
-  /// Mapping-layer operations (materialize/adapt/align) that failed.
+  /// Mapping-layer operations (a view's threshold map, an alignment) that
+  /// failed.
   uint64_t map_failures = 0;
-  /// Queries answered from the base column because a view failed to
-  /// materialize (each one was still answered exactly).
+  /// Queries a lone view answered over its page runs in the base mapping
+  /// because its threshold map failed (each one was still answered
+  /// exactly).
   uint64_t base_fallbacks = 0;
-  /// Full-scan-and-adapt passes that dropped their candidate on a mapping
-  /// failure.
-  uint64_t failed_adaptations = 0;
   /// Durable appends rejected by the journal (any errno).
   uint64_t journal_stalls = 0;
   /// Transitions into / out of read-only degraded mode.
@@ -248,30 +248,32 @@ class AdaptiveColumn {
   Status Checkpoint();
 
   /// Answers q adaptively (Listing 1): from views when covered, else full
-  /// scan + candidate materialization + insert/discard/replace/evict
-  /// decision. Runs ExecuteBatch's route-and-answer step on a batch of
-  /// one, due maintenance included: mapping-pressure relief, and the flush
-  /// of pending updates. Candidates are built lazily: the creating scan
+  /// scan + candidate creation + insert/discard/replace/evict decision.
+  /// Runs ExecuteBatch's route-and-answer step on a batch of one, due
+  /// maintenance included: mapping-pressure relief, and the flush of
+  /// pending updates. Candidates are built lazily: the creating scan
   /// records the page list only, and the view reads its pages over the
-  /// base mapping until its hits reach materialize_after_hits, so
-  /// discarded candidates and rarely hit views never pay for mmap work.
+  /// base mapping until its hits as a lone cover reach
+  /// materialize_after_hits, so discarded candidates and rarely hit views
+  /// never pay for mmap work. A map that fails (e.g. vm.max_map_count
+  /// exhaustion) never surfaces: the view answers over its page runs, the
+  /// answer is labeled kBaseFallback, and the pressure flag is set.
   /// Thread-safe; view-answered queries from different threads proceed in
   /// parallel, maintenance (flush/adapt) serializes.
-  /// Error contract: InvalidArgument when q.lo > q.hi; mapping-layer
-  /// failures (e.g. vm.max_map_count exhaustion) surface as the underlying
-  /// errno Status.
+  /// Error contract: InvalidArgument when q.lo > q.hi.
   StatusOr<QueryExecution> Execute(const RangeQuery& q);
 
   /// Answers N in-flight queries with shared scans: queries routed to the
-  /// same cover share one pass over its pages (deduplicated across the
-  /// views of a multi-view cover), and ALL queries no view answered share
-  /// ONE pass over the base column (each page is faulted and read at most
-  /// once for the whole batch; its min/max zone from the column's table
-  /// picks the queries that run the scan kernel on it). Results are
-  /// bit-identical to Execute-ing each query individually, and the
-  /// route-and-answer step is Execute's own, due maintenance included. The
-  /// batch path builds no candidate views (adaptation stays on the
-  /// single-query path), so it runs concurrently with other readers.
+  /// same cover share one pass over its pages (for a multi-view cover, the
+  /// union of its members' pages over the base mapping), and ALL queries no
+  /// view answered share ONE pass over the base column (each page is
+  /// faulted and read at most once for the whole batch; its min/max zone
+  /// from the column's table picks the queries that run the scan kernel on
+  /// it). Results are bit-identical to Execute-ing each query
+  /// individually, and the route-and-answer step is Execute's own, due
+  /// maintenance included. The batch path builds no candidate views
+  /// (adaptation stays on the single-query path), so it runs concurrently
+  /// with other readers.
   StatusOr<BatchExecution> ExecuteBatch(const std::vector<RangeQuery>& queries);
 
   /// The non-adaptive baseline: scans the base column. Does not touch the
@@ -356,24 +358,22 @@ class AdaptiveColumn {
   /// — taken here unless `maintenance_held` says the caller holds it —
   /// then routes every query under one shared views_mu_ hold, enters
   /// `*guard` before releasing it, and answers each distinct cover with one
-  /// shared scan, lock-free: over the members' arenas when all have one,
-  /// else over the union of their pages in the base mapping. A member whose
-  /// unmapped hits reach materialize_after_hits is mapped first. Resets and
-  /// fills `out`
-  /// (answers, stats, view-side page accounting; no workload counters) and
-  /// returns the queries no view answered, in batch order. A cover that
-  /// failed to materialize leaves its queries labeled kBaseFallback; the
-  /// rest stay kNone (genuine misses). `*guard` stays entered so the caller
-  /// can answer the leftovers from the base column; it must be exited
-  /// before the caller blocks on maintenance_mu_.
+  /// shared scan, lock-free. A cover of one reads its view (the arena, or
+  /// its page runs over the base mapping); the hit that takes its unmapped
+  /// hits to materialize_after_hits maps it first, and a failed map labels
+  /// the answer kBaseFallback. A cover of several reads the union of its
+  /// members' pages over the base mapping and maps nothing. Resets and
+  /// fills `out` (answers, stats, view-side page accounting; no workload
+  /// counters) and returns the genuine misses, in batch order. `*guard`
+  /// stays entered so the caller can answer them from the base column; it
+  /// must be exited before the caller blocks on maintenance_mu_.
   StatusOr<std::vector<size_t>> AnswerFromViews(
       const std::vector<RangeQuery>& queries, bool maintenance_held,
       EpochManager::Guard* guard, BatchExecution* out);
 
   /// Answers queries[i] for every i in `members` exactly from the base
   /// column with ONE shared pass, under the caller's epoch guard. Makes no
-  /// mapping syscalls, so it never errors — the degradation floor. Keeps
-  /// the decision labels AnswerFromViews set.
+  /// mapping syscalls, so it never errors.
   void AnswerFromBase(const std::vector<RangeQuery>& queries,
                       const std::vector<size_t>& members,
                       BatchExecution* out) const;
@@ -459,7 +459,6 @@ class AdaptiveColumn {
     std::atomic<bool> degraded_read_only{false};
     std::atomic<uint64_t> map_failures{0};
     std::atomic<uint64_t> base_fallbacks{0};
-    std::atomic<uint64_t> failed_adaptations{0};
     std::atomic<uint64_t> journal_stalls{0};
     std::atomic<uint64_t> read_only_entries{0};
     std::atomic<uint64_t> read_only_exits{0};

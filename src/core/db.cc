@@ -222,7 +222,6 @@ TableHealth Table::Health() const {
     health.total.mapping_pressure |= h.mapping_pressure;
     health.total.map_failures += h.map_failures;
     health.total.base_fallbacks += h.base_fallbacks;
-    health.total.failed_adaptations += h.failed_adaptations;
     health.total.journal_stalls += h.journal_stalls;
     health.total.read_only_entries += h.read_only_entries;
     health.total.read_only_exits += h.read_only_exits;

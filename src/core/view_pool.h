@@ -55,9 +55,10 @@ enum class CandidateDecision {
   /// Pool at max_views; candidate dropped (always under kDropNewest, or
   /// when the candidate scored below every pool member).
   kBudgetExhausted,
-  /// A mapping failure (injected or real resource exhaustion) forced the
-  /// query onto the base column; no candidate was built or admitted. The
-  /// answer is still exact — degradation costs pages, never correctness.
+  /// A lone view's threshold map failed (injected or real resource
+  /// exhaustion), so the view answered over its own page runs in the base
+  /// mapping. The answer is still exact — degradation costs time, never
+  /// correctness.
   kBaseFallback,
   kNone,
 };

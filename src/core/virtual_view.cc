@@ -308,27 +308,6 @@ std::vector<PageScanResult> VirtualView::ScanMany(
       queries, ZoneTable{column_zones, slot_pages_.data()});
 }
 
-std::vector<PageScanResult> VirtualView::ScanManySelectedSlots(
-    const std::vector<uint64_t>& slots,
-    const std::vector<RangeQuery>& queries,
-    const PageZone* column_zones) const {
-  // Coalesce consecutive selected slots so one kernel call covers each
-  // virtually-contiguous block, then one shared pass answers every query
-  // from each page read.
-  std::vector<PageRun> runs;
-  size_t i = 0;
-  while (i < slots.size()) {
-    uint64_t len = 1;
-    while (i + len < slots.size() && slots[i + len] == slots[i] + len) ++len;
-    runs.push_back(PageRun{slots[i], len});
-    i += len;
-  }
-  const BatchExecutor executor;
-  return executor.SharedScanPageRuns(
-      reinterpret_cast<const Value*>(arena().data()), runs, queries,
-      ZoneTable{column_zones, slot_pages_.data()});
-}
-
 // ---------------------------------------------------------------------------
 // Creation by scan
 

@@ -19,7 +19,9 @@
 // answers its first hits by reading the bitmap's page runs over the
 // column's base mapping — no syscall, no page-table cost. Only once its hits
 // have paid for one is it rewired into its own arena (the engine's
-// threshold is AdaptiveConfig::materialize_after_hits). The arena is a
+// threshold is AdaptiveConfig::materialize_after_hits, counted over the
+// hits the view answers alone; a multi-view cover reads the union of its
+// members' bitmaps over the base mapping and never maps). The arena is a
 // dense cache of the bitmap: materialization maps the bitmap's runs in
 // ascending page order, an add maps at the tail slot, and a removal is the
 // paper's swap-remove (§2.4) — the tail page is rewired into the gap and
@@ -225,11 +227,11 @@ class VirtualView {
 
   /// ORs the membership bitmap into `bits` (one bit per column page, at
   /// least as many words as the view's column needs) — the union a
-  /// multi-view cover reads over the base mapping.
+  /// multi-view cover reads over the base mapping, its only read.
   void OrMembersInto(std::vector<uint64_t>* bits) const;
 
-  /// Counts `hits` queries this view answers while it holds no arena and
-  /// returns the total since the view was created or last released its
+  /// Counts `hits` queries this view answers alone while it holds no arena
+  /// and returns the total since the view was created or last released its
   /// arena — the engine maps the view once this reaches its threshold. One
   /// atomic add, so among racing readers exactly one sees the threshold
   /// crossed.
@@ -332,23 +334,6 @@ class VirtualView {
       const std::vector<RangeQuery>& queries, const PageZone* column_zones,
       const ParallelScanOptions& scan_options = {}) const;
 
-  /// ScanMany restricted to pages passing `include(physical_page)` — the
-  /// multi-view dedup hook: membership is decided serially in slot order
-  /// (the predicate may be stateful, e.g. a bitmap test-and-set), then the
-  /// selected slots are shared-scanned once for ALL queries. The view must
-  /// be materialized.
-  template <typename Pred>
-  std::vector<PageScanResult> ScanManyIf(const std::vector<RangeQuery>& queries,
-                                         const PageZone* column_zones,
-                                         Pred include) const {
-    std::vector<uint64_t> slots;
-    slots.reserve(slot_pages_.size());
-    for (uint64_t slot = 0; slot < slot_pages_.size(); ++slot) {
-      if (include(slot_pages_[slot])) slots.push_back(slot);
-    }
-    return ScanManySelectedSlots(slots, queries, column_zones);
-  }
-
  private:
   VirtualView(std::shared_ptr<PhysicalMemoryFile> file, const Value* base,
               uint64_t arena_slots, Value lo, Value hi)
@@ -358,13 +343,6 @@ class VirtualView {
         lo_(lo),
         hi_(hi),
         members_((arena_slots + 63) / 64, 0) {}
-
-  /// ScanMany over an explicit slot list (ascending slot order).
-  /// Consecutive slots coalesce into multi-page kernel calls.
-  std::vector<PageScanResult> ScanManySelectedSlots(
-      const std::vector<uint64_t>& slots,
-      const std::vector<RangeQuery>& queries,
-      const PageZone* column_zones) const;
 
   /// Rejects page ids at or past the column's end (the bitmap's size).
   Status CheckPageRange(uint64_t first_page, uint64_t count) const;

@@ -4,6 +4,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -155,74 +156,109 @@ int FaultInjectingVmIo::AdmitOpLocked(VmOp op) {
   return 0;
 }
 
-void FaultInjectingVmIo::EraseRange(SegmentMap* segs, uint64_t start,
-                                    uint64_t end) {
+namespace {
+
+/// True when a file or anonymous segment `left` that ends where `right`
+/// starts would merge with it under the kernel's rules (see Segment).
+template <typename Segment>
+bool Mergeable(uint64_t left_start, const Segment& left, uint64_t right_start,
+               const Segment& right) {
+  return left.end == right_start && left.file == right.file &&
+         (!left.file ||
+          (left.fd == right.fd &&
+           left.offset + (left.end - left_start) == right.offset));
+}
+
+}  // namespace
+
+void FaultInjectingVmIo::EraseRangeLocked(uint64_t start, uint64_t end) {
   if (start >= end) return;
   // Find the first segment that could overlap [start, end).
-  auto it = segs->lower_bound(start);
-  if (it != segs->begin()) {
+  auto it = segments_.lower_bound(start);
+  if (it != segments_.begin()) {
     auto prev = std::prev(it);
     if (prev->second.end > start) it = prev;
   }
-  while (it != segs->end() && it->first < end) {
+  while (it != segments_.end() && it->first < end) {
     const uint64_t seg_start = it->first;
     Segment seg = it->second;
-    it = segs->erase(it);
+    it = segments_.erase(it);
     if (seg_start < start) {
       // Left remainder keeps its identity (same fd/offset base).
       Segment left = seg;
       left.end = start;
-      (*segs)[seg_start] = left;
+      segments_[seg_start] = left;
     }
     if (seg.end > end) {
       Segment right = seg;
       if (seg.file) right.offset += end - seg_start;
-      right.end = seg.end;
-      (*segs)[end] = right;
+      segments_[end] = right;
       break;
     }
   }
 }
 
-void FaultInjectingVmIo::InsertSegment(SegmentMap* segs, uint64_t start,
-                                       uint64_t end, bool file, int fd,
-                                       uint64_t offset) {
+void FaultInjectingVmIo::InsertSegmentLocked(uint64_t start, uint64_t end,
+                                             bool file, int fd,
+                                             uint64_t offset) {
   if (start >= end) return;
-  EraseRange(segs, start, end);
+  EraseRangeLocked(start, end);
   Segment seg{end, file, fd, offset};
   // Merge with the left neighbor (kernel VMA-merge rules; see Segment doc).
-  auto it = segs->lower_bound(start);
-  if (it != segs->begin()) {
+  auto it = segments_.lower_bound(start);
+  if (it != segments_.begin()) {
     auto prev = std::prev(it);
-    const Segment& l = prev->second;
-    const bool mergeable =
-        l.end == start && l.file == file &&
-        (!file || (l.fd == fd && l.offset + (l.end - prev->first) == offset));
-    if (mergeable) {
+    if (Mergeable(prev->first, prev->second, start, seg)) {
       start = prev->first;
-      if (file) offset = l.offset;
-      segs->erase(prev);
-      seg.offset = offset;
+      seg.offset = prev->second.offset;
+      segments_.erase(prev);
     }
   }
   // Merge with the right neighbor.
-  it = segs->find(end);
-  if (it != segs->end()) {
-    const Segment& r = it->second;
-    const bool mergeable =
-        r.file == file &&
-        (!file || (r.fd == fd && offset + (end - start) == r.offset));
-    if (mergeable) {
-      seg.end = r.end;
-      segs->erase(it);
-    }
+  it = segments_.find(end);
+  if (it != segments_.end() && Mergeable(start, seg, it->first, it->second)) {
+    seg.end = it->second.end;
+    segments_.erase(it);
   }
-  (*segs)[start] = seg;
+  segments_[start] = seg;
 }
 
-void FaultInjectingVmIo::CommitLocked(SegmentMap&& next) {
-  segments_ = std::move(next);
-  if (segments_.size() > peak_vmas_) peak_vmas_ = segments_.size();
+uint64_t FaultInjectingVmIo::CountAfterInsertLocked(uint64_t start,
+                                                    uint64_t end, bool file,
+                                                    int fd,
+                                                    uint64_t offset) const {
+  if (start >= end) return segments_.size();
+  const Segment seg{end, file, fd, offset};
+  uint64_t count = segments_.size() + 1;
+  auto it = segments_.lower_bound(start);
+  // The left neighbor: what remains of a segment straddling `start`, else
+  // the segment just before it.
+  if (it != segments_.begin()) {
+    const auto prev = std::prev(it);
+    Segment left = prev->second;
+    if (left.end > start) {
+      it = prev;  // overlapped too: the loop below drops it
+      left.end = start;
+      ++count;
+    }
+    if (Mergeable(prev->first, left, start, seg)) --count;
+  }
+  // Every overlapped segment goes; one reaching past `end` leaves its
+  // remainder there as the right neighbor, else a segment starting at
+  // `end` is.
+  std::optional<std::pair<uint64_t, Segment>> right;
+  for (; it != segments_.end() && it->first < end; ++it) {
+    --count;
+    if (it->second.end > end) {
+      Segment rest = it->second;
+      if (rest.file) rest.offset += end - it->first;
+      right.emplace(end, rest);
+      ++count;
+    }
+  }
+  if (!right && it != segments_.end() && it->first == end) right.emplace(*it);
+  if (right && Mergeable(start, seg, right->first, right->second)) --count;
+  return count;
 }
 
 StatusOr<void*> FaultInjectingVmIo::Mmap(void* addr, size_t len, int prot,
@@ -244,11 +280,10 @@ StatusOr<void*> FaultInjectingVmIo::Mmap(void* addr, size_t len, int prot,
       // worst-cased as one fresh segment.
       uint64_t prospective;
       if (addr != nullptr && (flags & MAP_FIXED) != 0) {
-        SegmentMap probe = segments_;
         const uint64_t start = reinterpret_cast<uint64_t>(addr);
-        InsertSegment(&probe, start, start + len, file, file ? fd : -1,
-                      static_cast<uint64_t>(offset));
-        prospective = probe.size();
+        prospective = CountAfterInsertLocked(start, start + len, file,
+                                             file ? fd : -1,
+                                             static_cast<uint64_t>(offset));
       } else {
         prospective = segments_.size() + 1;
       }
@@ -264,10 +299,9 @@ StatusOr<void*> FaultInjectingVmIo::Mmap(void* addr, size_t len, int prot,
   const uint64_t start = reinterpret_cast<uint64_t>(*mapped);
   {
     std::lock_guard<std::mutex> lk(mu_);
-    SegmentMap next = segments_;
-    InsertSegment(&next, start, start + len, file, file ? fd : -1,
-                  static_cast<uint64_t>(offset));
-    CommitLocked(std::move(next));
+    InsertSegmentLocked(start, start + len, file, file ? fd : -1,
+                        static_cast<uint64_t>(offset));
+    NotePeakLocked();
   }
   return mapped;
 }
@@ -285,9 +319,8 @@ Status FaultInjectingVmIo::Munmap(void* addr, size_t len, const char* what) {
   VMSV_RETURN_IF_ERROR(RealVmIo()->Munmap(addr, len, what));
   const uint64_t start = reinterpret_cast<uint64_t>(addr);
   std::lock_guard<std::mutex> lk(mu_);
-  SegmentMap next = segments_;
-  EraseRange(&next, start, start + len);
-  CommitLocked(std::move(next));
+  EraseRangeLocked(start, start + len);
+  NotePeakLocked();
   return OkStatus();
 }
 

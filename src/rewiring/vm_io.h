@@ -173,12 +173,24 @@ class FaultInjectingVmIo : public VmIo {
   /// (0 = execute normally). Caller holds mu_.
   int AdmitOpLocked(VmOp op);
 
-  static void EraseRange(SegmentMap* segs, uint64_t start, uint64_t end);
-  static void InsertSegment(SegmentMap* segs, uint64_t start, uint64_t end,
-                            bool file, int fd, uint64_t offset);
+  /// Edit segments_ in place: EraseRangeLocked drops [start, end), keeping
+  /// the parts of straddling segments outside it; InsertSegmentLocked
+  /// erases its range, then merges the new segment with its neighbors.
+  /// Both cost the segments they touch, not the map. Caller holds mu_.
+  void EraseRangeLocked(uint64_t start, uint64_t end);
+  void InsertSegmentLocked(uint64_t start, uint64_t end, bool file, int fd,
+                           uint64_t offset);
 
-  /// Commits `next` as the live segment map and updates the peak.
-  void CommitLocked(SegmentMap&& next);
+  /// The segment count InsertSegmentLocked would leave, read off the
+  /// segments that [start, end) overlaps and its two neighbors, without
+  /// editing the map. Caller holds mu_.
+  uint64_t CountAfterInsertLocked(uint64_t start, uint64_t end, bool file,
+                                  int fd, uint64_t offset) const;
+
+  /// Raises the peak to the live count. Caller holds mu_.
+  void NotePeakLocked() {
+    if (segments_.size() > peak_vmas_) peak_vmas_ = segments_.size();
+  }
 
   mutable std::mutex mu_;
   VmFaultPlan plan_;

@@ -849,8 +849,8 @@ TEST(SinglePathTest, ExecuteAndBatchOfOneAgree) {
        CandidateDecision::kAnsweredFromView, 2},
       {"remap_after_release", single_view, {low, low}, inside_low,
        CandidateDecision::kAnsweredFromView, 1},
-      {"materialization_failure", multi_view, {low, high}, spanning,
-       CandidateDecision::kBaseFallback, 2},
+      {"materialization_failure", single_view, {low}, inside_low,
+       CandidateDecision::kBaseFallback, 1},
       {"single_view_hit_over_base", single_over_base, {low}, inside_low,
        CandidateDecision::kAnsweredFromView, 1},
       {"two_view_cover_over_base", multi_over_base, {low, high}, spanning,
@@ -921,6 +921,117 @@ TEST(SinglePathTest, ExecuteAndBatchOfOneAgree) {
     ASSERT_TRUE(oracle.ok());
     EXPECT_EQ(single->match_count, oracle->match_count);
     EXPECT_EQ(single->sum, oracle->sum);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Only a lone view maps or reads an arena: a cover of several views reads
+// the union of their pages over the base mapping once, and a lone view
+// whose map fails keeps answering from its own page runs.
+
+void ExpectOracle(Table* table, const RangeQuery& q,
+                  const QueryExecution& exec) {
+  auto oracle = table->ExecuteFullScan(q);
+  ASSERT_TRUE(oracle.ok());
+  ExpectSameAnswer(exec, *oracle);
+}
+
+TEST(LoneViewTest, OnlyACoverOfOneViewMaps) {
+  FaultInjectingVmIo io;
+  AdaptiveConfig config;
+  config.mode = QueryMode::kMultiView;
+  config.max_views = 8;
+  config.materialize_after_hits = 1;
+  config.vm_io = &io;
+  auto table = MakeAdaptive(DataDistribution::kSine, config);
+  ASSERT_TRUE(table->Execute(RangeQuery{10'000'000, 20'000'000}).ok());
+  ASSERT_TRUE(table->Execute(RangeQuery{20'000'001, 30'000'000}).ok());
+  AdaptiveColumn* column = table->shard(0);
+  ASSERT_EQ(column->view_index().num_partial_views(), 2u);
+
+  // Two-view covers, on both paths: no mmap, no promotion, no arena.
+  const RangeQuery spanning{15'000'000, 25'000'000};
+  const RangeQuery wider{12'000'000, 28'000'000};
+  const uint64_t mmaps_before = io.stats().mmaps;
+  auto two = table->Execute(spanning);
+  ASSERT_TRUE(two.ok()) << two.status().ToString();
+  EXPECT_EQ(two->stats.decision, CandidateDecision::kAnsweredFromView);
+  EXPECT_EQ(two->stats.considered_views, 2u);
+  ExpectOracle(table.get(), spanning, *two);
+  auto batch = table->ExecuteBatch({spanning, wider});
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(batch->view_answered, 2u);
+  ExpectOracle(table.get(), spanning, batch->queries[0]);
+  ExpectOracle(table.get(), wider, batch->queries[1]);
+  EXPECT_EQ(io.stats().mmaps, mmaps_before);
+  EXPECT_EQ(column->Health().views_promoted, 0u);
+  for (const auto& view : column->view_index().views()) {
+    EXPECT_FALSE(view->is_materialized());
+  }
+
+  // A cover of one maps its view at the threshold hit.
+  const RangeQuery inside_low{12'000'000, 18'000'000};
+  auto one = table->Execute(inside_low);
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  EXPECT_EQ(one->stats.decision, CandidateDecision::kAnsweredFromView);
+  EXPECT_EQ(one->stats.considered_views, 1u);
+  ExpectOracle(table.get(), inside_low, *one);
+  EXPECT_GT(io.stats().mmaps, mmaps_before);
+  EXPECT_EQ(column->Health().views_promoted, 1u);
+  EXPECT_TRUE(
+      column->view_index().FindSmallestCovering(inside_low)->is_materialized());
+}
+
+TEST(LoneViewTest, FailedMapAnswersFromTheViewsOwnPages) {
+  const RangeQuery low{10'000'000, 20'000'000};
+  const RangeQuery inside_low{12'000'000, 18'000'000};
+  for (const bool batch : {false, true}) {
+    SCOPED_TRACE(batch ? "batch of one" : "Execute");
+    FaultInjectingVmIo io;
+    AdaptiveConfig config;
+    config.materialize_after_hits = 1;
+    config.vm_io = &io;
+    auto table = MakeAdaptive(DataDistribution::kSine, config);
+    ASSERT_TRUE(table->Execute(low).ok());
+    AdaptiveColumn* column = table->shard(0);
+    ASSERT_EQ(column->view_index().num_partial_views(), 1u);
+    const VirtualView* view = column->view_index().views().front().get();
+    const uint64_t view_pages = view->num_pages();
+    ASSERT_GT(view_pages, 0u);
+    ASSERT_LT(view_pages, column->column().num_pages());
+
+    VmFaultPlan plan;
+    plan.op_index = 1;
+    plan.target = VmOp::kMmap;
+    plan.fail_errno = ENOMEM;
+    io.Arm(plan);
+    QueryExecution exec;
+    if (batch) {
+      auto out = table->ExecuteBatch({inside_low});
+      ASSERT_TRUE(out.ok()) << out.status().ToString();
+      EXPECT_EQ(out->base_answered, 0u);
+      EXPECT_EQ(out->view_answered, 1u);
+      EXPECT_EQ(out->shared_scanned_pages, view_pages);
+      exec = out->queries.front();
+    } else {
+      auto out = table->Execute(inside_low);
+      ASSERT_TRUE(out.ok()) << out.status().ToString();
+      exec = *out;
+    }
+    EXPECT_EQ(exec.stats.decision, CandidateDecision::kBaseFallback);
+    EXPECT_EQ(exec.stats.considered_views, 1u);
+    EXPECT_EQ(exec.stats.scanned_pages, view_pages);
+    ExpectOracle(table.get(), inside_low, exec);
+    EXPECT_EQ(column->metrics().scanned_pages,
+              column->column().num_pages() + view_pages);
+    const ColumnHealth health = column->Health();
+    EXPECT_EQ(health.map_failures, 1u);
+    EXPECT_EQ(health.base_fallbacks, 1u);
+    EXPECT_EQ(health.views_promoted, 0u);
+    EXPECT_TRUE(health.mapping_pressure);
+    ASSERT_EQ(column->view_index().num_partial_views(), 1u);
+    EXPECT_EQ(column->view_index().views().front().get(), view);
+    EXPECT_FALSE(view->is_materialized());
   }
 }
 

@@ -8,8 +8,8 @@
 //      armed plan and scans make no syscalls, so the oracle is fault-free
 //      by construction);
 //   2. no aborts — resource exhaustion surfaces as degraded service
-//      (base-column fallbacks, dropped candidates, dropped views),
-//      never as a crash or an error from a read;
+//      (views answering over the base mapping, released arenas, dropped
+//      views), never as a crash or an error from a read;
 //   3. recovery — once the plan is cleared, queries keep answering
 //      exactly, and the next maintenance pass re-probes the mapping layer
 //      and clears Health().mapping_pressure (no residual degraded flags).
@@ -39,6 +39,9 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include "vmsv.h"
 #include "core/virtual_view.h"
@@ -74,8 +77,8 @@ struct Scenario {
   bool cost_based;
   /// Durable column with arena-release steps in the script: the routed
   /// pass then maps the released views again, so those mmaps are inside
-  /// the fault surface — a failed map must fall back to the base scan
-  /// bit-identically and leave the view without an arena, never
+  /// the fault surface — a failed map must answer over the view's page
+  /// runs bit-identically and leave the view without an arena, never
   /// half-mapped.
   bool tiering = false;
   /// 1: every routed hit of a view without an arena maps it, so each
@@ -156,8 +159,8 @@ std::vector<RangeQuery> ScriptQueries(uint64_t round) {
 }
 
 /// One query under fire: the full-scan oracle must succeed (it makes no
-/// mapping syscalls), Execute must succeed (degrading to the base column
-/// at worst), and the two must agree bit-identically.
+/// mapping syscalls), Execute must succeed (degrading to reads over the
+/// base mapping at worst), and the two must agree bit-identically.
 bool CheckAgainstOracle(AdaptiveColumn* column, const RangeQuery& q,
                         const std::string& step, std::string* detail) {
   auto oracle = column->ExecuteFullScan(q);
@@ -584,8 +587,106 @@ TEST(VmFaultSeamTest, FtruncateEnospcFailsCreationCleanly) {
 }
 
 // ---------------------------------------------------------------------------
+// The VMA accountant: one reservation driven through a fixed sequence of
+// MAP_FIXED file and anonymous maps and unmaps. Each step's count is
+// derived by hand from the kernel's merge rules (anonymous segments merge
+// with anonymous neighbors; file segments only at contiguous offsets of
+// the same fd), and each map's budget probe must predict it exactly: a
+// budget one below the count refuses the map, a budget at it admits it.
+
+TEST(VmFaultSeamTest, VmaAccountantFollowsSplitsAndMerges) {
+  FaultInjectingVmIo io;
+  auto fd = io.MemfdCreate("vma_accountant", 0);
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  ASSERT_TRUE(io.Ftruncate(*fd, 8 * kPageSize, "ftruncate").ok());
+  auto reserved = io.Mmap(nullptr, 16 * kPageSize, PROT_NONE,
+                          MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0,
+                          "reserve");
+  ASSERT_TRUE(reserved.ok()) << reserved.status().ToString();
+  uint8_t* const base = static_cast<uint8_t*>(*reserved);
+  EXPECT_EQ(io.vma_count(), 1u);
+  EXPECT_EQ(io.peak_vma_count(), 1u);
+
+  struct Step {
+    const char* what;
+    bool unmap;
+    uint64_t slot;
+    uint64_t pages;
+    int64_t file_page;  // -1: anonymous
+    uint64_t vmas;
+    uint64_t peak;
+  };
+  // Segments after each step, in slots: a = anonymous, f@k = file page k.
+  const std::vector<Step> steps = {
+      // a[0,4) f@0[4,5) a[5,16)
+      {"file page splits the reservation", false, 4, 1, 0, 3, 3},
+      // a[0,4) f@0[4,6) a[6,16)
+      {"contiguous offset merges left", false, 5, 1, 1, 3, 3},
+      // a[0,4) f@0[4,6) f@5[6,7) a[7,16)
+      {"non-contiguous offset stays apart", false, 6, 1, 5, 4, 4},
+      // a[0,4) f@0[4,5) f@4[5,7) a[7,16)
+      {"split, then merge right", false, 5, 1, 4, 4, 4},
+      // a[0,4) f@0[4,5) a[7,16)
+      {"unmap a whole segment", true, 5, 2, -1, 3, 4},
+      // a[0,4) f@0[4,5) a[5,16)
+      {"anonymous merges right", false, 5, 2, -1, 3, 4},
+      // a[0,16)
+      {"anonymous merges both sides", false, 4, 1, -1, 1, 4},
+      // a[0,8) f@2[8,9) a[9,16)
+      {"file page in the middle", false, 8, 1, 2, 3, 4},
+      // a[0,8) f@2[8,9) a[9,10) f@3[10,11) a[11,16)
+      {"next file page one slot apart", false, 10, 1, 3, 5, 5},
+      // a[0,8) f@2[8,10) f@3[10,11) a[11,16)
+      {"fill the gap: merges left only", false, 9, 1, 3, 4, 5},
+      // a[0,8) f@2[8,10) f@3[10,11) a[11,12) a[13,16)
+      {"unmap splits a segment", true, 12, 1, -1, 5, 5},
+      {"unmap everything", true, 0, 16, -1, 0, 5},
+  };
+  for (const Step& step : steps) {
+    SCOPED_TRACE(step.what);
+    uint8_t* const addr = base + step.slot * kPageSize;
+    const size_t len = step.pages * kPageSize;
+    if (step.unmap) {
+      ASSERT_TRUE(io.Munmap(addr, len, "unmap").ok());
+    } else {
+      const bool file = step.file_page >= 0;
+      const int flags = MAP_FIXED | (file ? MAP_SHARED
+                                          : MAP_PRIVATE | MAP_ANONYMOUS |
+                                                MAP_NORESERVE);
+      const off_t offset =
+          file ? static_cast<off_t>(step.file_page * kPageSize) : 0;
+      const auto map = [&] {
+        return io.Mmap(addr, len, file ? PROT_READ : PROT_NONE, flags,
+                       file ? *fd : -1, offset, "map");
+      };
+      // max_vmas 0 means unlimited, so a count of 1 has no refusing budget.
+      if (step.vmas > 1) {
+        VmFaultPlan tight;
+        tight.max_vmas = step.vmas - 1;
+        io.Arm(tight);
+        const uint64_t before = io.vma_count();
+        const auto refused = map();
+        ASSERT_FALSE(refused.ok());
+        EXPECT_EQ(refused.status().sys_errno(), ENOMEM);
+        EXPECT_EQ(io.vma_count(), before);
+      }
+      VmFaultPlan exact;
+      exact.max_vmas = step.vmas;
+      io.Arm(exact);
+      const auto mapped = map();
+      ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+      ASSERT_EQ(*mapped, static_cast<void*>(addr));
+    }
+    EXPECT_EQ(io.vma_count(), step.vmas);
+    EXPECT_EQ(io.peak_vma_count(), step.peak);
+  }
+  EXPECT_EQ(io.stats().budget_rejections, 8u);
+  ::close(*fd);
+}
+
+// ---------------------------------------------------------------------------
 // The vm.max_map_count-style budget: rejections degrade service (exact
-// answers from the base column) and pressure relief sheds mappings.
+// answers over the base mapping) and pressure relief sheds mappings.
 
 TEST(VmFaultDegradationTest, MappingBudgetDegradesExactly) {
   FaultInjectingVmIo io;
